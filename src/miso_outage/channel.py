@@ -23,6 +23,7 @@ class ValidationError(ValueError):
 
 
 CHANNEL_KEYS = ("h11", "h12", "h21", "h22")
+COVARIANCE_KEYS = ("Q11", "Q12", "Q21", "Q22")
 
 # Hermitian / positive-semidefinite tolerances for covariance validation and the
 # maximum allowed reconstruction error of the factorization.
@@ -80,7 +81,7 @@ class ChannelStatistics:
 
     def __post_init__(self):
         self.n = int(self.n)
-        for key in ("Q11", "Q12", "Q21", "Q22"):
+        for key in COVARIANCE_KEYS:
             setattr(self, key, np.asarray(getattr(self, key), dtype=np.complex128))
         self.sigma1_sq = float(self.sigma1_sq)
         self.sigma2_sq = float(self.sigma2_sq)
@@ -101,7 +102,7 @@ def validate_statistics(stats: ChannelStatistics) -> ChannelStatistics:
     """
     if stats.n < 1:
         raise ValidationError(f"n: must be >= 1, got {stats.n}")
-    for key in ("Q11", "Q12", "Q21", "Q22"):
+    for key in COVARIANCE_KEYS:
         Q = getattr(stats, key)
         if Q.shape != (stats.n, stats.n):
             raise ValidationError(

@@ -25,6 +25,8 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    CHANNEL_KEYS,
+    COVARIANCE_KEYS,
     ChannelRealization,
     ChannelStatistics,
     SampleSource,
@@ -58,8 +60,6 @@ SCENARIOS = (
     "common-stat",
     "individual-stat",
 )
-COVARIANCE_KEYS = ("Q11", "Q12", "Q21", "Q22")
-CHANNEL_KEYS = ("h11", "h12", "h21", "h22")
 
 
 class ConfigError(ValueError):
@@ -540,6 +540,13 @@ def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="miso-outage",
@@ -572,7 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="trace the configured region to CSV + manifest")
     p.add_argument("config")
     p.add_argument("--out", default=".")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     return parser
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SampleSource
+from .channel import CHANNEL_KEYS, SampleSource
 from .rate_core import (
     FEASIBILITY_SLACK,
     RATE_SLACK,
@@ -121,6 +121,15 @@ class CaseProbabilities:
         )
 
     @classmethod
+    def from_tests(
+        cls, exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray
+    ) -> "CaseProbabilities":
+        """Counts of the split_cases masks."""
+        a, b, c1, c2, _ = split_cases(exceed1, exceed2, joint)
+        counts = (int(m.sum()) for m in (a, b, c1, c2, exceed1, exceed2))
+        return cls.from_counts(exceed1.size, *counts)
+
+    @classmethod
     def synthetic(
         cls, p_a: float, p_b: float, p_c1: float, p_c2: float, p_d: float
     ) -> "CaseProbabilities":
@@ -179,24 +188,26 @@ class CaseProbabilities:
         }
 
 
-@dataclass
-class _ClassifiedStream:
-    """Vectorized classification of a whole stream at one rate point."""
+def split_cases(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
+    """Masks (A, B, C1, C2, D) of the five-case split.
 
-    a: np.ndarray
-    b: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    d: np.ndarray
-    exceed1: np.ndarray
-    exceed2: np.ndarray
-    r1_witness: np.ndarray
-    r2_witness: np.ndarray
-    su1: np.ndarray
-    su2: np.ndarray
+    exceed_i marks realizations where r_i exceeds the single-user rate of link
+    i, joint those where the rate pair is jointly achievable. Every classifier
+    splits through here, whichever oracle decided joint.
+    """
+    a = exceed1 & exceed2
+    b = ~a & joint
+    c1 = ~a & ~b & exceed2
+    c2 = ~a & ~b & exceed1
+    return a, b, c1, c2, ~(a | b | c1 | c2)
 
 
-def _classify_stream(arrs, point, noise) -> _ClassifiedStream:
+def _classify_stream(arrs, point, noise):
+    """Case tests (exceed1, exceed2, joint) of every realization.
+
+    Also returns what the policy serves with: the frontiers and slack
+    maximizers (F1, F2, q1_star, q2_star) and the single-user rates.
+    """
     r1, r2 = as_rate_point(point)
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     F1 = frontier_batch(arrs["h11"], arrs["h12"])
@@ -206,47 +217,25 @@ def _classify_stream(arrs, point, noise) -> _ClassifiedStream:
     g_max, q1_star, q2_star = achievability_slack_batch(
         F1, F2, float(gamma_from_rate(r1)), float(gamma_from_rate(r2)), noise
     )
-    exceed1 = r1 > su1
-    exceed2 = r2 > su2
-    a = exceed1 & exceed2
-    b = ~a & (g_max >= -FEASIBILITY_SLACK)
-    c1 = ~a & ~b & exceed2
-    c2 = ~a & ~b & exceed1
-    d = ~(a | b | c1 | c2)
-    r1w, r2w = witness_rates_batch(F1, F2, q1_star, q2_star, noise)
-    return _ClassifiedStream(a, b, c1, c2, d, exceed1, exceed2, r1w, r2w, su1, su2)
+    tests = (r1 > su1, r2 > su2, g_max >= -FEASIBILITY_SLACK)
+    return tests, (F1, F2, q1_star, q2_star), (su1, su2)
 
 
 def classify(h, point, noise: tuple[float, float]) -> CaseLabel:
     """Case of a single realization at the rate point."""
-    arrs = {key: getattr(h, key)[None, :] for key in ("h11", "h12", "h21", "h22")}
-    cs = _classify_stream(arrs, point, noise)
-    for label, mask in (
-        (CaseLabel.A, cs.a),
-        (CaseLabel.B, cs.b),
-        (CaseLabel.C1, cs.c1),
-        (CaseLabel.C2, cs.c2),
-    ):
-        if bool(mask[0]):
+    arrs = {key: getattr(h, key)[None, :] for key in CHANNEL_KEYS}
+    tests, _, _ = _classify_stream(arrs, point, noise)
+    for label, mask in zip(CaseLabel, split_cases(*tests)):
+        if mask[0]:
             return label
-    return CaseLabel.D
 
 
 def estimate_case_probs(
     source: SampleSource, point, noise: tuple[float, float]
 ) -> CaseProbabilities:
     """Empirical case distribution of the stream at the rate point."""
-    arrs = source.arrays()
-    cs = _classify_stream(arrs, point, noise)
-    return CaseProbabilities.from_counts(
-        n=source.count,
-        c_a=int(cs.a.sum()),
-        c_b=int(cs.b.sum()),
-        c_c1=int(cs.c1.sum()),
-        c_c2=int(cs.c2.sum()),
-        c_e1=int(cs.exceed1.sum()),
-        c_e2=int(cs.exceed2.sum()),
-    )
+    tests, _, _ = _classify_stream(source.arrays(), point, noise)
+    return CaseProbabilities.from_tests(*tests)
 
 
 @dataclass
@@ -318,15 +307,16 @@ def simulate_policy(
     bias = float(bias)
     if not 0.0 <= bias <= 1.0:
         raise ValueError(f"bias must lie in [0, 1], got {bias}")
-    arrs = source.arrays()
-    cs = _classify_stream(arrs, point, noise)
+    tests, operating_points, (su1, su2) = _classify_stream(source.arrays(), point, noise)
+    a, b, c1, c2, d = split_cases(*tests)
+    r1_witness, r2_witness = witness_rates_batch(*operating_points, noise)
     coin = np.random.default_rng(coin_seed).random(source.count)
-    serve1 = cs.d & (coin < bias)
-    serve2 = cs.d & ~serve1
+    serve1 = d & (coin < bias)
+    serve2 = d & ~serve1
 
     zeros = np.zeros(source.count)
-    r1_ach = np.select([cs.b, cs.c1 | serve1], [cs.r1_witness, cs.su1], zeros)
-    r2_ach = np.select([cs.b, cs.c2 | serve2], [cs.r2_witness, cs.su2], zeros)
+    r1_ach = np.select([b, c1 | serve1], [r1_witness, su1], zeros)
+    r2_ach = np.select([b, c2 | serve2], [r2_witness, su2], zeros)
     success1 = r1_ach >= r1 - RATE_SLACK
     success2 = r2_ach >= r2 - RATE_SLACK
     return PolicyOutcome(
@@ -335,10 +325,10 @@ def simulate_policy(
         coin_seed=int(coin_seed),
         success1=int(success1.sum()),
         success2=int(success2.sum()),
-        count_a=int(cs.a.sum()),
-        count_b=int(cs.b.sum()),
-        count_c1=int(cs.c1.sum()),
-        count_c2=int(cs.c2.sum()),
+        count_a=int(a.sum()),
+        count_b=int(b.sum()),
+        count_c1=int(c1.sum()),
+        count_c2=int(c2.sum()),
         count_d1=int(serve1.sum()),
         count_d2=int(serve2.sum()),
     )

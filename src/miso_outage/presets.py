@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelStatistics
+from .channel import COVARIANCE_KEYS, ChannelStatistics
+from .cli import _matrix_doc
 
 DEMO_EPSILON = 0.1
 DEMO_NOISE = (0.5, 0.5)
@@ -44,10 +45,6 @@ def demo_statistics() -> ChannelStatistics:
     )
 
 
-def _matrix_doc(Q: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(Q)]
-
-
 def demo_config(
     scenario: str,
     mc_samples: int = DEMO_MC_SAMPLES,
@@ -61,12 +58,7 @@ def demo_config(
     doc = {
         "scenario": scenario,
         "n": 2,
-        "covariances": {
-            "Q11": _matrix_doc(stats.Q11),
-            "Q12": _matrix_doc(stats.Q12),
-            "Q21": _matrix_doc(stats.Q21),
-            "Q22": _matrix_doc(stats.Q22),
-        },
+        "covariances": {key: _matrix_doc(getattr(stats, key)) for key in COVARIANCE_KEYS},
         "noise": [stats.sigma1_sq, stats.sigma2_sq],
         "mc_samples": mc_samples,
         "seed": seed,

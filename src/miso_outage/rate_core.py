@@ -26,8 +26,11 @@ transmitter 2 must cause to hand link 2 its target SINR, and qmin is the
 frontier inverse. g is concave, so a fixed-count golden-section search decides
 feasibility; the maximizer yields explicit witness beamformers.
 
-Scalar operations act on single realizations; *_batch variants take stacked
-(N, n) channel arrays and vectorize the same arithmetic across realizations.
+The *_batch kernels take stacked (N, n) channel arrays and hold the only
+implementation of each formula. Scalar calls (power_frontier and its methods,
+frontier_qmin, su_rate, is_achievable) run them on a batch of one, so scalar
+and batch results agree exactly. frontier_point stays a separate geometric
+construction: the witness beamformer that tests check the closed form with.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ RATE_SLACK = 1e-9
 DEGENERATE_B_TOL = 1e-30
 
 NORM_TOL = 1e-9
+QUAD_FORM_TOL = 1e-9
 
 
 def gamma_from_rate(r) -> np.ndarray | float:
@@ -73,8 +77,12 @@ def as_rate_point(point) -> tuple[float, float]:
     return r1, r2
 
 
-def _quad_form(h: np.ndarray, Psi: np.ndarray) -> float:
-    return max(float(np.real(np.vdot(h, Psi @ h))), 0.0)
+def quad_form(Q: np.ndarray, w: np.ndarray) -> float:
+    """w^H Q w, real and clamped at zero (Q is PSD up to rounding)."""
+    value = complex(np.conj(w) @ Q @ w)
+    if value.real < -QUAD_FORM_TOL * max(1.0, float(np.trace(Q).real)):
+        raise ValueError(f"quadratic form is negative: {value.real}")
+    return max(value.real, 0.0)
 
 
 def validate_transmit_covariance(Psi: np.ndarray, name: str = "Psi") -> np.ndarray:
@@ -111,8 +119,8 @@ def rate_cov(h, Psi1, Psi2, link: int, sigma_sq: float) -> float:
     own_h = h.h11 if link == 1 else h.h22
     cross_h = h.h21 if link == 1 else h.h12
     own_Psi, cross_Psi = (Psi1, Psi2) if link == 1 else (Psi2, Psi1)
-    signal = _quad_form(own_h, own_Psi)
-    interference = _quad_form(cross_h, cross_Psi)
+    signal = quad_form(own_Psi, own_h)
+    interference = quad_form(cross_Psi, cross_h)
     return float(rate_from_sinr(signal / (interference + float(sigma_sq))))
 
 
@@ -135,7 +143,7 @@ def su_rate(h, link: int, sigma_sq: float) -> float:
     if link not in (1, 2):
         raise ValueError(f"link must be 1 or 2, got {link}")
     own = h.h11 if link == 1 else h.h22
-    return float(rate_from_sinr(float(np.linalg.norm(own)) ** 2 / float(sigma_sq)))
+    return float(su_rate_batch(own[None, :], sigma_sq)[0])
 
 
 def mrt(h_vec) -> np.ndarray:
@@ -148,17 +156,11 @@ def mrt(h_vec) -> np.ndarray:
 
 
 def zf(own, cross) -> np.ndarray:
-    """Zero-forcing beamformer: normalized component of own orthogonal to cross."""
-    a = np.asarray(own, dtype=np.complex128)
-    b = np.asarray(cross, dtype=np.complex128)
-    bsq = float(np.linalg.norm(b)) ** 2
-    if bsq <= DEGENERATE_B_TOL:
-        return mrt(a)
-    resid = a - (np.vdot(b, a) / bsq) * b
-    nrm = float(np.linalg.norm(resid))
-    if nrm == 0.0:
-        return np.zeros_like(a)
-    return resid / nrm
+    """Zero-forcing beamformer: normalized component of own orthogonal to cross.
+
+    The frontier point at zero caused interference.
+    """
+    return frontier_point(power_frontier(own, cross), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,71 +169,62 @@ def zf(own, cross) -> np.ndarray:
 
 
 @dataclass
-class PowerFrontier:
-    """Signal-vs-caused-interference trade-off of one transmitter.
+class FrontierBatch:
+    """Signal-vs-caused-interference trade-offs, one per realization.
 
-    c = |b^H a| / ||b||, d = distance of a from span(b), p_max = ||a||^2,
-    q_mrt = |b^H a|^2 / ||a||^2. degenerate marks a vanished cross channel
-    (p == p_max at zero caused interference). The own/cross vectors are kept
-    for witness-beamformer reconstruction.
+    Flat (N,) arrays: c = |b^H a| / ||b||, d = distance of a from span(b),
+    p_max = ||a||^2, q_mrt = |b^H a|^2 / ||a||^2. degenerate marks a vanished
+    cross channel (p == p_max at zero caused interference).
     """
 
-    c: float
-    d: float
-    b_norm_sq: float
-    p_max: float
-    q_mrt: float
-    degenerate: bool
+    c: np.ndarray
+    d: np.ndarray
+    b_norm_sq: np.ndarray
+    p_max: np.ndarray
+    q_mrt: np.ndarray
+    degenerate: np.ndarray
+
+
+@dataclass
+class PowerFrontier(FrontierBatch):
+    """Frontier of one transmitter: a batch of one with Python scalar fields.
+
+    The own/cross vectors are kept for witness-beamformer reconstruction.
+    """
+
     own: np.ndarray
     cross: np.ndarray
 
     def signal_power(self, q):
         """Max own-signal power with caused interference at most q (array ok)."""
-        q = np.asarray(q, dtype=float)
-        if self.degenerate:
-            out = np.full(q.shape, self.p_max)
-            return out if out.ndim else float(out)
-        x = np.clip(np.minimum(q, self.q_mrt) / self.b_norm_sq, 0.0, 1.0)
-        p = (self.c * np.sqrt(x) + self.d * np.sqrt(1.0 - x)) ** 2
+        p = frontier_signal_batch(self, np.asarray(q, dtype=float))
         return p if p.ndim else float(p)
 
 
 def power_frontier(own, cross) -> PowerFrontier:
+    """Frontier of one transmitter: row 0 of frontier_batch on a batch of one."""
     a = np.asarray(own, dtype=np.complex128)
     b = np.asarray(cross, dtype=np.complex128)
-    asq = float(np.linalg.norm(a)) ** 2
-    bsq = float(np.linalg.norm(b)) ** 2
-    if bsq <= DEGENERATE_B_TOL:
-        return PowerFrontier(0.0, math.sqrt(asq), bsq, asq, 0.0, True, a, b)
-    inner = complex(np.vdot(b, a))
-    c = abs(inner) / math.sqrt(bsq)
-    resid = a - (inner / bsq) * b
-    d = float(np.linalg.norm(resid))
-    q_mrt = abs(inner) ** 2 / asq if asq > 0.0 else 0.0
-    return PowerFrontier(c, d, bsq, asq, q_mrt, False, a, b)
+    F = frontier_batch(a[None, :], b[None, :])
+    # Python scalars, not numpy ones: the frontier dump serializes these fields.
+    return PowerFrontier(
+        float(F.c[0]), float(F.d[0]), float(F.b_norm_sq[0]), float(F.p_max[0]),
+        float(F.q_mrt[0]), bool(F.degenerate[0]), a, b,
+    )
 
 
 def frontier_qmin(frontier: PowerFrontier, p_target: float) -> float:
     """Least caused interference at which p(q) reaches p_target.
 
-    Exact inversion of the concave frontier: with s = sqrt(p_target), solving
-    c*sqrt(x) + d*sqrt(1-x) = s gives u = sqrt(x) = (s c - d sqrt(p_max - s^2))
-    / p_max and q = u^2 ||b||^2. Targets below the zero-forcing power d^2 cost
-    nothing; targets above p_max (beyond a 1e-12 relative grace) raise.
+    frontier_qmin_batch on one frontier; a demand above p_max (beyond its
+    1e-12 relative grace) raises instead of returning +inf.
     """
-    t = float(p_target)
-    if t <= 0.0:
-        return 0.0
-    if t > frontier.p_max * (1.0 + 1e-12) + 1e-300:
+    q = float(frontier_qmin_batch(frontier, float(p_target)))
+    if q == math.inf:
         raise ValueError(
-            f"signal demand {t} exceeds maximum deliverable power {frontier.p_max}"
+            f"signal demand {p_target} exceeds maximum deliverable power {frontier.p_max}"
         )
-    if frontier.degenerate or t <= frontier.d**2:
-        return 0.0
-    s = math.sqrt(min(t, frontier.p_max))
-    u = (s * frontier.c - frontier.d * math.sqrt(max(frontier.p_max - s * s, 0.0))) / frontier.p_max
-    q = u * u * frontier.b_norm_sq
-    return float(min(max(q, 0.0), frontier.q_mrt))
+    return q
 
 
 def frontier_point(frontier: PowerFrontier, q: float) -> np.ndarray:
@@ -264,18 +257,6 @@ def frontier_point(frontier: PowerFrontier, q: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FrontierBatch:
-    """Per-realization frontier parameters as flat arrays (shape (N,))."""
-
-    c: np.ndarray
-    d: np.ndarray
-    b_norm_sq: np.ndarray
-    p_max: np.ndarray
-    q_mrt: np.ndarray
-    degenerate: np.ndarray
-
-
 def frontier_batch(own: np.ndarray, cross: np.ndarray) -> FrontierBatch:
     """Frontier parameters for stacked (N, n) own/cross channel arrays."""
     A = np.asarray(own, dtype=np.complex128)
@@ -296,15 +277,23 @@ def frontier_batch(own: np.ndarray, cross: np.ndarray) -> FrontierBatch:
 def frontier_signal_batch(F: FrontierBatch, q: np.ndarray) -> np.ndarray:
     safe_bsq = np.where(F.degenerate, 1.0, F.b_norm_sq)
     x = np.clip(np.minimum(q, F.q_mrt) / safe_bsq, 0.0, 1.0)
-    p = (F.c * np.sqrt(x) + F.d * np.sqrt(1.0 - x)) ** 2
-    return np.where(F.degenerate, F.p_max, p)
+    amp = F.c * np.sqrt(x) + F.d * np.sqrt(1.0 - x)
+    # amp * amp, not amp ** 2: numpy raises a scalar to a power with pow(),
+    # which can differ in the last bit from the elementwise square of an array.
+    return np.where(F.degenerate, F.p_max, amp * amp)
 
 
 def frontier_qmin_batch(F: FrontierBatch, t: np.ndarray) -> np.ndarray:
-    """Vectorized frontier inverse; +inf where the demand exceeds p_max."""
+    """Frontier inverse; +inf where the demand exceeds p_max.
+
+    Exact inversion of the concave frontier: with s = sqrt(t), solving
+    c*sqrt(x) + d*sqrt(1-x) = s gives u = sqrt(x) = (s c - d sqrt(p_max - s^2))
+    / p_max and q = u^2 ||b||^2. Demands up to the zero-forcing power d^2 cost
+    nothing; demands above p_max beyond a 1e-12 relative grace are infeasible.
+    """
     t = np.asarray(t, dtype=float)
     infeasible = t > F.p_max * (1.0 + 1e-12) + 1e-300
-    free = (t <= F.d**2) | F.degenerate
+    free = (t <= F.d * F.d) | F.degenerate
     safe_pmax = np.where(F.p_max > 0.0, F.p_max, 1.0)
     s = np.sqrt(np.clip(t, 0.0, F.p_max))
     u = (s * F.c - F.d * np.sqrt(np.clip(F.p_max - s * s, 0.0, None))) / safe_pmax
@@ -349,6 +338,22 @@ def golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = GOLDEN_ITERS):
     return best_x, best_f
 
 
+def _interference_bracket(
+    F_own: FrontierBatch, F_other: FrontierBatch, gamma_other, sigma_other_sq: float
+):
+    """Range [lo, hi] of the interference one transmitter may cause.
+
+    At most its matched-filter interference, and little enough that the other
+    link can still reach gamma_other at full power. empty marks realizations
+    where even zero interference is too much; their bracket is [0, 0].
+    """
+    g = gamma_other
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ub = np.where(g > 0.0, F_other.p_max / np.where(g > 0.0, g, 1.0) - sigma_other_sq, np.inf)
+    hi = np.minimum(F_own.q_mrt, ub)
+    return hi < 0.0, np.zeros_like(hi), np.maximum(hi, 0.0)
+
+
 def achievability_slack_batch(
     F1: FrontierBatch,
     F2: FrontierBatch,
@@ -365,13 +370,7 @@ def achievability_slack_batch(
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
     g2 = np.broadcast_to(np.asarray(gamma2, dtype=float), F1.c.shape)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q1_ub = np.where(g2 > 0.0, F2.p_max / np.where(g2 > 0.0, g2, 1.0) - sigma2_sq, np.inf)
-    hi = np.minimum(F1.q_mrt, q1_ub)
-    empty = hi < 0.0
-    hi = np.maximum(hi, 0.0)
-    lo = np.zeros_like(hi)
+    empty, lo, hi = _interference_bracket(F1, F2, g2, sigma2_sq)
 
     def g(q1):
         q2min = frontier_qmin_batch(F2, g2 * (q1 + sigma2_sq))
@@ -403,13 +402,7 @@ def max_r2_batch(
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q2_ub = np.where(g1 > 0.0, F1.p_max / np.where(g1 > 0.0, g1, 1.0) - sigma1_sq, np.inf)
-    hi = np.minimum(F2.q_mrt, q2_ub)
-    infeasible = hi < 0.0
-    hi = np.maximum(hi, 0.0)
-    lo = np.zeros_like(hi)
+    infeasible, lo, hi = _interference_bracket(F2, F1, g1, sigma1_sq)
 
     def phi(q2):
         q1min = frontier_qmin_batch(F1, g1 * (q2 + sigma1_sq))
@@ -420,13 +413,9 @@ def max_r2_batch(
     return np.where(infeasible, -np.inf, r2)
 
 
-def su_sinr_batch(H: np.ndarray, sigma_sq: float) -> np.ndarray:
-    return np.sum(np.abs(np.asarray(H)) ** 2, axis=1) / float(sigma_sq)
-
-
 def su_rate_batch(H: np.ndarray, sigma_sq: float) -> np.ndarray:
     """Single-user rates for a stacked (N, n) own-channel array."""
-    return rate_from_sinr(su_sinr_batch(H, sigma_sq))
+    return rate_from_sinr(np.sum(np.abs(np.asarray(H)) ** 2, axis=1) / float(sigma_sq))
 
 
 def witness_rates_batch(
@@ -466,17 +455,6 @@ class FeasibilityWitness:
     power_slack: float
 
 
-def _single_frontier_batch(frontier: PowerFrontier) -> FrontierBatch:
-    return FrontierBatch(
-        c=np.array([frontier.c]),
-        d=np.array([frontier.d]),
-        b_norm_sq=np.array([frontier.b_norm_sq]),
-        p_max=np.array([frontier.p_max]),
-        q_mrt=np.array([frontier.q_mrt]),
-        degenerate=np.array([frontier.degenerate]),
-    )
-
-
 def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
     """Decide whether the rate pair lies in the realization's achievable region.
 
@@ -486,18 +464,20 @@ def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
     r1, r2 = as_rate_point(point)
     gamma1 = float(gamma_from_rate(r1))
     gamma2 = float(gamma_from_rate(r2))
-    fr1 = power_frontier(h.h11, h.h12)
-    fr2 = power_frontier(h.h22, h.h21)
     g_max, q1_star, q2_star = achievability_slack_batch(
-        _single_frontier_batch(fr1), _single_frontier_batch(fr2), gamma1, gamma2, noise
+        frontier_batch(h.h11[None, :], h.h12[None, :]),
+        frontier_batch(h.h22[None, :], h.h21[None, :]),
+        gamma1,
+        gamma2,
+        noise,
     )
     g_max = float(g_max[0])
     if not np.isfinite(g_max):
         w1 = np.zeros(h.n, dtype=np.complex128)
         w2 = np.zeros(h.n, dtype=np.complex128)
     else:
-        w1 = frontier_point(fr1, float(q1_star[0]))
-        w2 = frontier_point(fr2, float(q2_star[0]))
+        w1 = frontier_point(power_frontier(h.h11, h.h12), float(q1_star[0]))
+        w2 = frontier_point(power_frontier(h.h22, h.h21), float(q2_star[0]))
     r1_ach = rate_bf(h, w1, w2, 1, noise[0])
     r2_ach = rate_bf(h, w1, w2, 2, noise[1])
     return FeasibilityWitness(
@@ -523,13 +503,26 @@ def max_r2_given_r1(
     r1 = float(r1)
     if not is_achievable(h, (r1, 0.0), noise).achievable:
         raise ValueError(f"r1 = {r1} is infeasible for this realization")
-    r2_cap = su_rate(h, 2, noise[1])
-    if is_achievable(h, (r1, r2_cap), noise).achievable:
-        return r2_cap
-    lo, hi = 0.0, r2_cap
+    return bisect_largest(
+        lambda r2: is_achievable(h, (r1, r2), noise).achievable,
+        su_rate(h, 2, noise[1]),
+        tol,
+    )
+
+
+def bisect_largest(member, hi: float, tol: float) -> float:
+    """Largest x in [0, hi] with member(x), for member true below a threshold.
+
+    The caller has checked member(0). Returns hi when member(hi) holds, else
+    the member end of a bisection bracket no wider than tol.
+    """
+    hi = float(hi)
+    if member(hi):
+        return hi
+    lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if is_achievable(h, (r1, mid), noise).achievable:
+        if member(mid):
             lo = mid
         else:
             hi = mid

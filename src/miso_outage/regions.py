@@ -32,6 +32,7 @@ from .channel import SampleSource
 from .outage_mc import CaseProbabilities
 from .rate_core import (
     RATE_SLACK,
+    bisect_largest,
     frontier_batch,
     gamma_from_rate,
     max_r2_batch,
@@ -285,22 +286,6 @@ class RegionBoundary:
         }
 
 
-def _pareto_filter(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Keep points not dominated (both coordinates <=) by a later one.
-
-    Input is in strictly increasing r1 order, so a point survives iff its r2
-    strictly exceeds every r2 that follows.
-    """
-    kept = []
-    best_r2 = -math.inf
-    for r1, r2 in reversed(points):
-        if r2 > best_r2:
-            kept.append((r1, r2))
-            best_r2 = r2
-    kept.reverse()
-    return kept
-
-
 def non_dominated_points(points: list[BoundaryPoint]) -> list[BoundaryPoint]:
     """Componentwise maxima of an arbitrary point cloud, sorted by r1.
 
@@ -333,7 +318,7 @@ def trace_boundary(
     reported as warnings, a symptom of Monte-Carlo noise at the boundary.
     """
     warnings: list[str] = []
-    raw: list[tuple[float, float]] = []
+    raw: list[BoundaryPoint] = []
     tol = grid.tolerance
     outside_seen = False
     for r1 in grid.r1_values:
@@ -344,22 +329,14 @@ def trace_boundary(
         if outside_seen:
             warnings.append(f"non-monotone membership: column r1={r1:.6g} is inside "
                             "after an earlier column left the region")
-        if member(r1, grid.r2_cap):
+        r2 = bisect_largest(lambda r2: member(r1, r2), grid.r2_cap, tol)
+        if r2 == grid.r2_cap:
             warnings.append(f"r2 cap {grid.r2_cap:.6g} still inside at r1={r1:.6g}")
-            raw.append((r1, float(grid.r2_cap)))
-            continue
-        lo, hi = 0.0, float(grid.r2_cap)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if member(r1, mid):
-                lo = mid
-            else:
-                hi = mid
-        raw.append((r1, lo))
-    points = [
-        BoundaryPoint(r1, r2, annotate(r1, r2) if annotate is not None else {})
-        for r1, r2 in _pareto_filter(raw)
-    ]
+        raw.append(BoundaryPoint(r1, r2))
+    points = non_dominated_points(raw)
+    if annotate is not None:
+        for p in points:
+            p.payload = annotate(p.r1, p.r2)
     meta = dict(metadata or {})
     meta.update(
         {
@@ -380,16 +357,11 @@ _WORKER = {}
 
 
 def _pipeline_worker_init(source: SampleSource, noise: tuple[float, float]):
-    arrs = source.arrays()
-    _WORKER["F1"] = frontier_batch(arrs["h11"], arrs["h12"])
-    _WORKER["F2"] = frontier_batch(arrs["h22"], arrs["h21"])
-    _WORKER["noise"] = noise
+    _WORKER["pipeline"] = InstantaneousRegionPipeline(source, noise)
 
 
 def _pipeline_worker_column(r1: float) -> np.ndarray:
-    return max_r2_batch(
-        _WORKER["F1"], _WORKER["F2"], float(gamma_from_rate(r1)), _WORKER["noise"]
-    )
+    return _WORKER["pipeline"]._compute_column(r1)
 
 
 class InstantaneousRegionPipeline:
@@ -425,14 +397,14 @@ class InstantaneousRegionPipeline:
         r2_cap = float(np.quantile(self.su2, eps2)) * headroom
         return r1_cap, r2_cap
 
+    def _compute_column(self, r1: float) -> np.ndarray:
+        return max_r2_batch(self.F1, self.F2, float(gamma_from_rate(r1)), self.noise)
+
     def column(self, r1: float) -> np.ndarray:
         r1 = float(r1)
         cached = self._columns.get(r1)
         if cached is None:
-            cached = max_r2_batch(
-                self.F1, self.F2, float(gamma_from_rate(r1)), self.noise
-            )
-            self._columns[r1] = cached
+            cached = self._columns[r1] = self._compute_column(r1)
         return cached
 
     def precompute_columns(self, r1_values, workers: int = 1):
@@ -457,22 +429,8 @@ class InstantaneousRegionPipeline:
                 self._columns[r1] = col
 
     def case_probs(self, r1: float, r2: float) -> CaseProbabilities:
-        r2star = self.column(r1)
-        exceed1 = r1 > self.su1
-        exceed2 = r2 > self.su2
-        a = exceed1 & exceed2
-        b = ~a & (r2star >= r2 - RATE_SLACK)
-        c1 = ~a & ~b & exceed2
-        c2 = ~a & ~b & exceed1
-        return CaseProbabilities.from_counts(
-            n=self.n_samples,
-            c_a=int(a.sum()),
-            c_b=int(b.sum()),
-            c_c1=int(c1.sum()),
-            c_c2=int(c2.sum()),
-            c_e1=int(exceed1.sum()),
-            c_e2=int(exceed2.sum()),
-        )
+        joint = self.column(r1) >= r2 - RATE_SLACK
+        return CaseProbabilities.from_tests(r1 > self.su1, r2 > self.su2, joint)
 
     def verdict(self, probs: CaseProbabilities, spec: OutageSpec, variant: str = "plain"):
         if spec.mode == "common":
@@ -504,15 +462,8 @@ class InstantaneousRegionPipeline:
 
         def annotate(r1, r2):
             probs = self.case_probs(r1, r2)
-            verdict = self.verdict(probs, spec, variant)
-            payload = {
-                "p_a": probs.p_a,
-                "p_b": probs.p_b,
-                "p_c1": probs.p_c1,
-                "p_c2": probs.p_c2,
-                "p_d": probs.p_d,
-            }
-            payload.update(verdict.margins())
+            payload = probs.as_dict()["estimates"]
+            payload.update(self.verdict(probs, spec, variant).margins())
             return payload
 
         meta = {
@@ -544,16 +495,7 @@ class InstantaneousRegionPipeline:
             r_cap = float(su.max()) * 1.5 + 1.0
         if not member(0.0):
             return 0.0
-        if member(r_cap):
-            return r_cap
-        lo, hi = 0.0, float(r_cap)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if member(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return bisect_largest(member, r_cap, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,15 @@ import numpy as np
 
 from .channel import ChannelStatistics, SampleSource
 from .rate_core import (
+    LN2,
     gamma_from_rate,
+    quad_form,
+    rate_from_sinr,
     validate_beamformer,
     validate_transmit_covariance,
 )
 from .regions import BoundaryPoint, OutageSpec, RegionBoundary, non_dominated_points
 
-QUAD_FORM_TOL = 1e-9
 STAT_CSV_COLUMNS = ("r1", "r2", "pi1", "pi2", "pair_index")
 
 
@@ -56,14 +58,6 @@ class ExponentialLinkModel:
             raise ValueError("noise variance must be nonnegative")
 
 
-def _quad_form(Q: np.ndarray, w: np.ndarray) -> float:
-    """w^H Q w, real and clamped at zero (Q is PSD up to rounding)."""
-    value = complex(np.conj(w) @ Q @ w)
-    if value.real < -QUAD_FORM_TOL * max(1.0, float(np.trace(Q).real)):
-        raise ValueError(f"quadratic form is negative: {value.real}")
-    return max(value.real, 0.0)
-
-
 def effective_means(
     stats: ChannelStatistics, w1: np.ndarray, w2: np.ndarray, link: int
 ) -> ExponentialLinkModel:
@@ -72,14 +66,14 @@ def effective_means(
     w2 = np.asarray(w2, dtype=complex)
     if link == 1:
         return ExponentialLinkModel(
-            s_bar=_quad_form(stats.Q11, w1),
-            t_bar=_quad_form(stats.Q21, w2),
+            s_bar=quad_form(stats.Q11, w1),
+            t_bar=quad_form(stats.Q21, w2),
             sigma_sq=stats.sigma1_sq,
         )
     if link == 2:
         return ExponentialLinkModel(
-            s_bar=_quad_form(stats.Q22, w2),
-            t_bar=_quad_form(stats.Q12, w1),
+            s_bar=quad_form(stats.Q22, w2),
+            t_bar=quad_form(stats.Q12, w1),
             sigma_sq=stats.sigma2_sq,
         )
     raise ValueError(f"link must be 1 or 2, got {link}")
@@ -134,17 +128,25 @@ def _invert_success(s_bar, t_bar, sigma_sq, targets) -> np.ndarray:
     return np.where(alive, lo, gamma)
 
 
+def _rates_for_success(s_bar, t_bar, sigma_sq, targets) -> np.ndarray:
+    """Largest rates whose success reaches targets, elementwise (targets in (0, 1]).
+
+    log1p is libm's, one element at a time. numpy's vectorized log1p can round
+    the last bit differently, and the end point of a common-outage curve sits
+    exactly on the success floor, where that bit decides whether the other
+    link's success target is 1 or just below it.
+    """
+    gamma = _invert_success(s_bar, t_bar, sigma_sq, targets)
+    return np.array([math.log1p(g) for g in gamma]) / LN2
+
+
 def rate_for_success(model: ExponentialLinkModel, target: float) -> float:
     """Largest rate whose success probability still reaches target."""
     target = float(target)
     if not 0.0 < target <= 1.0:
         raise ValueError(f"target must lie in (0, 1], got {target}")
-    if target == 1.0 or model.s_bar <= 0.0:
-        return 0.0
-    gamma = float(
-        _invert_success(model.s_bar, model.t_bar, model.sigma_sq, np.array([target]))[0]
-    )
-    return math.log1p(gamma) / math.log(2.0)
+    rate = _rates_for_success(model.s_bar, model.t_bar, model.sigma_sq, np.array([target]))
+    return float(rate[0])
 
 
 def pair_success(
@@ -164,9 +166,14 @@ def stat_member(
     validate_beamformer(np.asarray(w1, dtype=complex), "w1")
     validate_beamformer(np.asarray(w2, dtype=complex), "w2")
     pi1, pi2 = pair_success(stats, w1, w2, point)
+    return bool(_meets(spec, pi1, pi2, pi1 * pi2))
+
+
+def _meets(spec: OutageSpec, pi1, pi2, joint):
+    """Outage constraints on per-link success pi1, pi2 and joint success."""
     if spec.mode == "common":
-        return pi1 * pi2 >= 1.0 - spec.epsilon
-    return pi1 >= 1.0 - spec.epsilon1 and pi2 >= 1.0 - spec.epsilon2
+        return joint >= 1.0 - spec.epsilon
+    return (pi1 >= 1.0 - spec.epsilon1) & (pi2 >= 1.0 - spec.epsilon2)
 
 
 @dataclass
@@ -222,12 +229,8 @@ def stat_member_mc(
     success1 = int(ok1.sum()) / n
     success2 = int(ok2.sum()) / n
     success_joint = int((ok1 & ok2).sum()) / n
-    if spec.mode == "common":
-        member = success_joint >= 1.0 - spec.epsilon
-    else:
-        member = success1 >= 1.0 - spec.epsilon1 and success2 >= 1.0 - spec.epsilon2
     return StatMcResult(
-        member=member,
+        member=bool(_meets(spec, success1, success2, success_joint)),
         success1=success1,
         success2=success2,
         success_joint=success_joint,
@@ -286,10 +289,10 @@ class StatRegionSearch:
         self.stats = stats
         self.config = config
         self.W1, self.W2 = draw_beamformer_pairs(stats.n, config.n_pairs, config.seed)
-        self.s1 = np.array([_quad_form(stats.Q11, w) for w in self.W1])
-        self.t1 = np.array([_quad_form(stats.Q21, w) for w in self.W2])
-        self.s2 = np.array([_quad_form(stats.Q22, w) for w in self.W2])
-        self.t2 = np.array([_quad_form(stats.Q12, w) for w in self.W1])
+        self.s1 = np.array([quad_form(stats.Q11, w) for w in self.W1])
+        self.t1 = np.array([quad_form(stats.Q21, w) for w in self.W2])
+        self.s2 = np.array([quad_form(stats.Q22, w) for w in self.W2])
+        self.t2 = np.array([quad_form(stats.Q12, w) for w in self.W1])
 
     def pair_success_all(self, r1: float, r2: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair closed-form success probabilities at one rate point."""
@@ -304,61 +307,16 @@ class StatRegionSearch:
     def member_any(self, r1: float, r2: float, spec: OutageSpec) -> bool:
         """True when some candidate pair meets the constraints at (r1, r2)."""
         pi1, pi2 = self.pair_success_all(r1, r2)
-        if spec.mode == "common":
-            return bool((pi1 * pi2 >= 1.0 - spec.epsilon).any())
-        return bool(
-            ((pi1 >= 1.0 - spec.epsilon1) & (pi2 >= 1.0 - spec.epsilon2)).any()
-        )
+        return bool(np.any(_meets(spec, pi1, pi2, pi1 * pi2)))
 
-    def _rate_grid_for_pair(self, i: int, spec: OutageSpec):
-        """Boundary points contributed by pair i."""
-        if spec.mode == "individual":
-            g1 = _invert_success(
-                self.s1[i], self.t1[i], self.stats.sigma1_sq,
-                np.array([1.0 - spec.epsilon1]),
-            )[0]
-            g2 = _invert_success(
-                self.s2[i], self.t2[i], self.stats.sigma2_sq,
-                np.array([1.0 - spec.epsilon2]),
-            )[0]
-            r1 = math.log1p(g1) / math.log(2.0)
-            r2 = math.log1p(g2) / math.log(2.0)
-            pi1, pi2 = self.pair_success_all(r1, r2)
-            return [
-                BoundaryPoint(
-                    r1, r2,
-                    {"pair_index": i, "pi1": float(pi1[i]), "pi2": float(pi2[i])},
-                )
-            ]
-        floor = 1.0 - spec.epsilon
-        g1_edge = _invert_success(
-            self.s1[i], self.t1[i], self.stats.sigma1_sq, np.array([floor])
-        )[0]
-        r1_grid = np.linspace(
-            0.0, math.log1p(g1_edge) / math.log(2.0), self.config.curve_points
-        )
-        pi1 = success_probability(
-            gamma_from_rate(r1_grid), self.s1[i], self.t1[i], self.stats.sigma1_sq
-        )
-        targets = np.minimum(floor / np.maximum(pi1, floor), 1.0)
-        g2 = _invert_success(self.s2[i], self.t2[i], self.stats.sigma2_sq, targets)
-        r2_grid = np.log1p(g2) / math.log(2.0)
-        pi2 = success_probability(
-            g2, self.s2[i], self.t2[i], self.stats.sigma2_sq
-        )
-        return [
-            BoundaryPoint(
-                float(r1), float(r2),
-                {"pair_index": i, "pi1": float(p1), "pi2": float(p2)},
-            )
-            for r1, r2, p1, p2 in zip(r1_grid, r2_grid, pi1, pi2)
-        ]
+    def _link2_at(self, r1, spec: OutageSpec):
+        """(pi1, feasible, gamma2) per pair (rows) and r1 value (columns).
 
-    def column_height(self, r1: float, spec: OutageSpec) -> float:
-        """Largest member r2 at abscissa r1 over all pairs (-inf when none)."""
-        pi1 = success_probability(
-            gamma_from_rate(r1), self.s1, self.t1, self.stats.sigma1_sq
-        )
+        pi1 is the success of link 1, feasible marks where it allows
+        membership, and gamma2 is the largest link-2 SINR that then meets spec.
+        """
+        s1, t1, s2, t2 = (x[:, None] for x in (self.s1, self.t1, self.s2, self.t2))
+        pi1 = success_probability(gamma_from_rate(r1), s1, t1, self.stats.sigma1_sq)
         if spec.mode == "individual":
             feasible = pi1 >= 1.0 - spec.epsilon1
             targets = np.full(pi1.shape, 1.0 - spec.epsilon2)
@@ -366,16 +324,53 @@ class StatRegionSearch:
             floor = 1.0 - spec.epsilon
             feasible = pi1 >= floor
             targets = np.minimum(floor / np.maximum(pi1, floor), 1.0)
+        return pi1, feasible, _invert_success(s2, t2, self.stats.sigma2_sq, targets)
+
+    def column_height(self, r1: float, spec: OutageSpec) -> float:
+        """Largest member r2 at abscissa r1 over all pairs (-inf when none)."""
+        _, feasible, g2 = self._link2_at(r1, spec)
         if not feasible.any():
             return -math.inf
-        g2 = _invert_success(self.s2, self.t2, self.stats.sigma2_sq, targets)
-        r2 = np.log1p(g2) / math.log(2.0)
-        return float(r2[feasible].max())
+        return float(rate_from_sinr(g2)[feasible].max())
 
     def boundary(self, spec: OutageSpec) -> RegionBoundary:
-        points = []
-        for i in range(self.config.n_pairs):
-            points.extend(self._rate_grid_for_pair(i, spec))
+        """Non-dominated frontier of the rate points every pair supports.
+
+        Individual outage gives each pair one corner point, each link at its
+        own tolerance. Common outage gives each pair a curve: r1 on a grid up
+        to its largest rate at success 1 - eps, r2 the largest rate keeping
+        the success product at 1 - eps. Arrays hold one row per pair.
+        """
+        sigma1_sq, sigma2_sq = self.stats.sigma1_sq, self.stats.sigma2_sq
+        shape = self.s1.shape
+        if spec.mode == "individual":
+            r1 = _rates_for_success(
+                self.s1, self.t1, sigma1_sq, np.full(shape, 1.0 - spec.epsilon1)
+            )
+            r2 = _rates_for_success(
+                self.s2, self.t2, sigma2_sq, np.full(shape, 1.0 - spec.epsilon2)
+            )
+            pi1, pi2 = self.pair_success_all(r1, r2)
+            rows = [x[:, None] for x in (r1, r2, pi1, pi2)]
+        else:
+            floor = 1.0 - spec.epsilon
+            edge = _rates_for_success(self.s1, self.t1, sigma1_sq, np.full(shape, floor))[:, None]
+            # Per-row linspace(0, edge, K): an array endpoint would make
+            # np.linspace switch every row to its zero-step rounding as soon
+            # as one row has edge == 0.
+            k = self.config.curve_points
+            r1 = np.arange(k) * (edge / (k - 1))
+            r1[:, -1:] = edge
+            pi1, _, g2 = self._link2_at(r1, spec)
+            pi2 = success_probability(g2, self.s2[:, None], self.t2[:, None], sigma2_sq)
+            rows = [r1, rate_from_sinr(g2), pi1, pi2]
+        points = [
+            BoundaryPoint(
+                float(r1), float(r2), {"pair_index": i, "pi1": float(p1), "pi2": float(p2)}
+            )
+            for i, pair_rows in enumerate(zip(*rows))
+            for r1, r2, p1, p2 in zip(*pair_rows)
+        ]
         kept = non_dominated_points(points)
         metadata = {
             "scenario_mode": spec.mode,

@@ -251,6 +251,16 @@ class TestMain:
             assert all(b >= a - 1e-12 for a, b in zip(p, p[1:]))
             assert p[-1] == pytest.approx(report[tx]["p_max"], abs=1e-9)
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_region_rejects_worker_count_below_one(self, tmp_path, capsys, workers):
+        path = write_config(tmp_path, small_inst_config())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["region", path, "--out", str(out), "--workers", workers])
+        assert exc.value.code != 0
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_frontier_bad_index(self, tmp_path, capsys):
         path = write_config(tmp_path, aligned_point_mass_config())
         assert main(["frontier", path, "--index", "5"]) == 1

@@ -207,6 +207,27 @@ class TestPowerFrontier:
             assert p_batch[k] == pytest.approx(fr.signal_power(q[k]), abs=1e-12)
             assert qmin_batch[k] == pytest.approx(frontier_qmin(fr, t[k]), abs=1e-12)
 
+    def test_scalar_calls_are_batches_of_one(self, rng):
+        """power_frontier, signal_power and frontier_qmin run the batch kernels,
+        so they equal the batch values exactly, degenerate rows included."""
+        for n in (1, 2, 3, 8):
+            A = random_channel_vectors(rng, 60, n)
+            B = random_channel_vectors(rng, 60, n)
+            B[0] = 0.0
+            F = frontier_batch(A, B)
+            t = rng.uniform(0.0, 1.0, size=60) * F.p_max
+            t[1:10] = F.d[1:10] ** 2  # demands at the zero-forcing power
+            q = rng.uniform(0.0, 1.2, size=60) * F.q_mrt
+            p_batch = frontier_signal_batch(F, q)
+            qmin_batch = frontier_qmin_batch(F, t)
+            for k in range(60):
+                fr = power_frontier(A[k], B[k])
+                assert (fr.c, fr.d, fr.b_norm_sq, fr.p_max, fr.q_mrt, fr.degenerate) == (
+                    F.c[k], F.d[k], F.b_norm_sq[k], F.p_max[k], F.q_mrt[k], F.degenerate[k]
+                )
+                assert fr.signal_power(q[k]) == p_batch[k]
+                assert frontier_qmin(fr, t[k]) == qmin_batch[k]
+
     def test_qmin_batch_infeasible_marks_inf(self, rng):
         A = random_channel_vectors(rng, 5, 2)
         B = random_channel_vectors(rng, 5, 2)

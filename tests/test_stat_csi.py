@@ -1,10 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from miso_outage.channel import ChannelStatistics, SampleSource
-from miso_outage.regions import OutageSpec
+from miso_outage.regions import BoundaryPoint, OutageSpec, non_dominated_points
 from miso_outage.stat_csi import (
     ExponentialLinkModel,
     StatRegionSearch,
@@ -247,6 +248,30 @@ class TestRegionSearch:
                 demo_stats, search.W1[i], search.W2[i],
                 (p.r1 - 1e-9, p.r2 - 1e-9), spec,
             )
+
+    @pytest.mark.parametrize(
+        "spec", [OutageSpec.common(0.1), OutageSpec.individual(0.1, 0.1)],
+        ids=["common", "individual"],
+    )
+    def test_boundary_is_union_of_single_pair_boundaries(self, demo_stats, spec):
+        """All pairs evaluated in one batch give, bit for bit, the non-dominated
+        points of the single-pair boundaries. Pair 3 has no signal on link 1,
+        so its r1 range has zero width. 40 curve points: a grid step of
+        edge / 39 rounds, unlike edge / 64 at the default 65."""
+        config = StatSearchConfig(n_pairs=12, seed=5, curve_points=40)
+        full = StatRegionSearch(demo_stats, config)
+        full.s1[3] = 0.0
+        union = []
+        for i in range(12):
+            single = copy.copy(full)
+            for name in ("s1", "t1", "s2", "t2"):
+                setattr(single, name, getattr(full, name)[i:i + 1])
+            for p in single.boundary(spec).points:
+                union.append(BoundaryPoint(p.r1, p.r2, {**p.payload, "pair_index": i}))
+        expect = [(p.r1, p.r2, p.payload) for p in non_dominated_points(union)]
+        got = [(p.r1, p.r2, p.payload) for p in full.boundary(spec).points]
+        assert len(got) > 1
+        assert got == expect
 
     def test_more_pairs_only_improve(self, demo_stats):
         spec = OutageSpec.individual(0.1, 0.1)
