@@ -34,7 +34,7 @@ from .channel import (
     validate_statistics,
 )
 from .outage_mc import estimate_case_probs, simulate_policy
-from .rate_core import power_frontier
+from .rate_core import gamma_from_rate, power_frontier
 from .regions import (
     CSV_COLUMNS,
     GridConfig,
@@ -476,12 +476,22 @@ def _resolved_grid(config: RunConfig, pipeline, spec: OutageSpec) -> GridConfig:
     else:
         eps1, eps2 = spec.epsilon1, spec.epsilon2
     caps = pipeline.su_caps(eps1, eps2)
-    return GridConfig(
+    grid = GridConfig(
         r1_cap=opts.get("r1_cap", caps[0]),
         r2_cap=opts.get("r2_cap", caps[1]),
         n_points=opts.get("n_points", 50),
         tol=opts.get("tol"),
     )
+    for name, cap in (("r1_cap", grid.r1_cap), ("r2_cap", grid.r2_cap)):
+        with np.errstate(over="ignore"):
+            finite = bool(np.isfinite(gamma_from_rate(cap)))
+        if not finite:
+            raise ValueError(
+                f"rate cap {name} = {cap:.6g} bits overflows the SINR threshold "
+                f"2^r - 1 (finite only below 1024 bits); noise {list(config.noise)} "
+                "is too small for these channel powers"
+            )
+    return grid
 
 
 def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:

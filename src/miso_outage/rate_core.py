@@ -26,6 +26,14 @@ transmitter 2 must cause to hand link 2 its target SINR, and qmin is the
 frontier inverse. g is concave, so a fixed-count golden-section search decides
 feasibility; the maximizer yields explicit witness beamformers.
 
+Accuracy contract: the maxima of max_r2_batch (bits) and
+achievability_slack_batch (power units) lie within 1e-12 * max(1, |value|)
+(GOLDEN_VALUE_TOL) of the same search run for GOLDEN_ITERS = 80 iterations,
+at least 1000x inside the 1e-9 feasibility and rate slacks. The column kernel
+meets it with 46 iterations (50 objective evaluations), the slack kernel with
+54: the worst maximizers sit just below the bracket top, at the square-root
+singularity of the frontier inverse. The derivation is at GOLDEN_VALUE_TOL.
+
 The *_batch kernels take stacked (N, n) channel arrays and hold the only
 implementation of each formula. Scalar calls (power_frontier and its methods,
 frontier_qmin, su_rate, is_achievable) run them on a batch of one, so scalar
@@ -42,11 +50,40 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
-# Golden-section constants and iteration count; 80 iterations shrink the
-# bracket by ~4.6e17, well past double precision.
+# Golden-section constants. GOLDEN_ITERS is golden_max's default and the
+# reference of the accuracy contract below: 80 iterations shrink the bracket by
+# ~4.6e17, but beyond about 40 the comparisons on the flat top of the
+# objective are decided by rounding, so the extra iterations only move the
+# value at the rounding floor.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 GOLDEN_ITERS = 80
+
+# Accuracy contract of max_r2_batch and achievability_slack_batch: the
+# returned maximum lies within GOLDEN_VALUE_TOL * max(1, |value|) of the same
+# search run for GOLDEN_ITERS (bits for the column kernel, power units for the
+# slack kernel), at least 1000x below FEASIBILITY_SLACK and RATE_SLACK.
+#
+# Where the objective is smooth at its maximizer, the error falls about 10x
+# per two iterations down to a rounding floor (~5e-14 on the demo stream,
+# reached by 40 iterations for the column kernel and 44 for the slack
+# kernel). The worst cases sit just below the bracket top, where the other
+# link's frontier inverse has a square-root singularity (its demand reaches
+# p_max) and the objective is very steep: r1 just below its single-user
+# ceiling for the column kernel, r1 just above zero with a large r2 for the
+# slack kernel, whose maximizer then lies within 1e-8 of p_max2/gamma2 -
+# sigma2^2. There the error only shrinks with the bracket width, 0.618x per
+# iteration. Each count is the first even count whose worst error stays at
+# least 1.5x inside the bound on the inputs of
+# TestAccuracyContract.test_random_channels (n = 1..8, random and rank-1
+# channels, 2.6e5 realization-rate pairs per kernel, steep points at
+# log-spaced distances 1e-9..1e-1) and on further seeded sets of the same
+# kind:
+# - column kernel: 44 iterations leave 4.2e-12, 46 leave 5.5e-13;
+# - slack kernel: 52 iterations leave 9.5e-13, 54 leave 4.1e-13.
+GOLDEN_VALUE_TOL = 1e-12
+COLUMN_GOLDEN_ITERS = 46
+SLACK_GOLDEN_ITERS = 54
 
 # Non-strict feasibility: achievable iff max g >= -FEASIBILITY_SLACK (power
 # units). Rate comparisons get the same absolute slack in bits.
@@ -184,6 +221,15 @@ class FrontierBatch:
     q_mrt: np.ndarray
     degenerate: np.ndarray
 
+    def __post_init__(self):
+        # Invariants of the two frontier kernels, computed once per frontier
+        # instead of on every optimizer evaluation. t_max is the largest
+        # feasible demand: p_max plus its 1e-12 relative grace.
+        self.safe_bsq = np.where(self.degenerate, 1.0, self.b_norm_sq)
+        self.safe_pmax = np.where(self.p_max > 0.0, self.p_max, 1.0)
+        self.d_sq = self.d * self.d
+        self.t_max = self.p_max * (1.0 + 1e-12) + 1e-300
+
 
 @dataclass
 class PowerFrontier(FrontierBatch):
@@ -197,7 +243,8 @@ class PowerFrontier(FrontierBatch):
 
     def signal_power(self, q):
         """Max own-signal power with caused interference at most q (array ok)."""
-        p = frontier_signal_batch(self, np.asarray(q, dtype=float))
+        q = np.asarray(q, dtype=float)
+        p = frontier_signal_batch(self, q.reshape(-1)).reshape(q.shape)
         return p if p.ndim else float(p)
 
 
@@ -219,7 +266,7 @@ def frontier_qmin(frontier: PowerFrontier, p_target: float) -> float:
     frontier_qmin_batch on one frontier; a demand above p_max (beyond its
     1e-12 relative grace) raises instead of returning +inf.
     """
-    q = float(frontier_qmin_batch(frontier, float(p_target)))
+    q = float(frontier_qmin_batch(frontier, np.array([float(p_target)]))[0])
     if q == math.inf:
         raise ValueError(
             f"signal demand {p_target} exceeds maximum deliverable power {frontier.p_max}"
@@ -275,12 +322,27 @@ def frontier_batch(own: np.ndarray, cross: np.ndarray) -> FrontierBatch:
 
 
 def frontier_signal_batch(F: FrontierBatch, q: np.ndarray) -> np.ndarray:
-    safe_bsq = np.where(F.degenerate, 1.0, F.b_norm_sq)
-    x = np.clip(np.minimum(q, F.q_mrt) / safe_bsq, 0.0, 1.0)
-    amp = F.c * np.sqrt(x) + F.d * np.sqrt(1.0 - x)
+    """Frontier p(q) for a q array shaped like the frontier's fields.
+
+    Both frontier kernels run on every optimizer evaluation, so they update
+    their own temporaries in place; q and t must therefore be arrays, not
+    scalars (the scalar calls pass a batch of one).
+    """
+    x = np.minimum(q, F.q_mrt)
+    x /= F.safe_bsq
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, 1.0, out=x)
+    orth = np.subtract(1.0, x)
+    np.sqrt(orth, out=orth)
+    orth *= F.d
+    amp = np.sqrt(x, out=x)
+    amp *= F.c
+    amp += orth
     # amp * amp, not amp ** 2: numpy raises a scalar to a power with pow(),
     # which can differ in the last bit from the elementwise square of an array.
-    return np.where(F.degenerate, F.p_max, amp * amp)
+    amp *= amp
+    np.copyto(amp, F.p_max, where=F.degenerate)
+    return amp
 
 
 def frontier_qmin_batch(F: FrontierBatch, t: np.ndarray) -> np.ndarray:
@@ -290,16 +352,28 @@ def frontier_qmin_batch(F: FrontierBatch, t: np.ndarray) -> np.ndarray:
     c*sqrt(x) + d*sqrt(1-x) = s gives u = sqrt(x) = (s c - d sqrt(p_max - s^2))
     / p_max and q = u^2 ||b||^2. Demands up to the zero-forcing power d^2 cost
     nothing; demands above p_max beyond a 1e-12 relative grace are infeasible.
+    t is an array shaped like the frontier's fields.
     """
     t = np.asarray(t, dtype=float)
-    infeasible = t > F.p_max * (1.0 + 1e-12) + 1e-300
-    free = (t <= F.d * F.d) | F.degenerate
-    safe_pmax = np.where(F.p_max > 0.0, F.p_max, 1.0)
-    s = np.sqrt(np.clip(t, 0.0, F.p_max))
-    u = (s * F.c - F.d * np.sqrt(np.clip(F.p_max - s * s, 0.0, None))) / safe_pmax
-    q = np.clip(u * u * F.b_norm_sq, 0.0, F.q_mrt)
-    q = np.where(free, 0.0, q)
-    return np.where(infeasible, np.inf, q)
+    s = np.maximum(t, 0.0)
+    np.minimum(s, F.p_max, out=s)
+    np.sqrt(s, out=s)
+    orth = s * s
+    np.subtract(F.p_max, orth, out=orth)
+    np.maximum(orth, 0.0, out=orth)
+    np.sqrt(orth, out=orth)
+    orth *= F.d
+    # s becomes u = (s c - d sqrt(p_max - s^2)) / p_max, then q = u^2 ||b||^2.
+    s *= F.c
+    s -= orth
+    s /= F.safe_pmax
+    q = np.multiply(s, s, out=s)
+    q *= F.b_norm_sq
+    np.maximum(q, 0.0, out=q)
+    np.minimum(q, F.q_mrt, out=q)
+    q[(t <= F.d_sq) | F.degenerate] = 0.0
+    q[t > F.t_max] = np.inf
+    return q
 
 
 def golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = GOLDEN_ITERS):
@@ -365,7 +439,8 @@ def achievability_slack_batch(
 
     Returns (g_max, q1_star, q2_star). g_max = -inf marks realizations where
     link 2's demand is infeasible even with transmitter 1 silent. gamma1 and
-    gamma2 may be scalars or per-realization arrays.
+    gamma2 may be scalars or per-realization arrays. The search runs
+    SLACK_GOLDEN_ITERS iterations (accuracy contract at GOLDEN_VALUE_TOL).
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
@@ -379,7 +454,7 @@ def achievability_slack_batch(
     # Empty-bracket realizations (clamped to q1 = 0) can probe an infinite
     # q2min; their g values are masked below, so silence the 0 * inf noise.
     with np.errstate(invalid="ignore"):
-        q1_star, g_max = golden_max(g, lo, hi)
+        q1_star, g_max = golden_max(g, lo, hi, SLACK_GOLDEN_ITERS)
         q2_star = frontier_qmin_batch(F2, g2 * (q1_star + sigma2_sq))
     g_max = np.where(empty, -np.inf, g_max)
     q2_star = np.where(empty, 0.0, np.where(np.isfinite(q2_star), q2_star, 0.0))
@@ -398,7 +473,8 @@ def max_r2_batch(
     Direct form of the trade-off: maximize the quasi-concave ratio
     phi(q2) = p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) + sigma2^2) over the
     interference transmitter 2 may cause. Realizations with r1 above the
-    single-user ceiling get -inf.
+    single-user ceiling get -inf. The search runs COLUMN_GOLDEN_ITERS
+    iterations (accuracy contract at GOLDEN_VALUE_TOL).
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
@@ -408,7 +484,7 @@ def max_r2_batch(
         q1min = frontier_qmin_batch(F1, g1 * (q2 + sigma1_sq))
         return frontier_signal_batch(F2, q2) / (q1min + sigma2_sq)
 
-    _, phi_max = golden_max(phi, lo, hi)
+    _, phi_max = golden_max(phi, lo, hi, COLUMN_GOLDEN_ITERS)
     r2 = rate_from_sinr(phi_max)
     return np.where(infeasible, -np.inf, r2)
 

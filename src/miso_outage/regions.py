@@ -356,8 +356,10 @@ def trace_boundary(
 _WORKER = {}
 
 
-def _pipeline_worker_init(source: SampleSource, noise: tuple[float, float]):
-    _WORKER["pipeline"] = InstantaneousRegionPipeline(source, noise)
+def _pipeline_worker_init(pipeline: "InstantaneousRegionPipeline"):
+    # A forked worker inherits the parent's pipeline (stream and frontiers)
+    # for free; under spawn it arrives pickled. Either way nothing is re-sampled.
+    _WORKER["pipeline"] = pipeline
 
 
 def _pipeline_worker_column(r1: float) -> np.ndarray:
@@ -423,7 +425,7 @@ class InstantaneousRegionPipeline:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_pipeline_worker_init,
-            initargs=(self.source, self.noise),
+            initargs=(self,),
         ) as pool:
             for r1, col in zip(todo, pool.map(_pipeline_worker_column, todo)):
                 self._columns[r1] = col

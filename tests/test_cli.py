@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -260,6 +261,18 @@ class TestMain:
         assert exc.value.code != 0
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_region_rejects_rate_caps_that_overflow(self, tmp_path, capsys):
+        """Noise so small that the single-user rate caps pass 1024 bits, where
+        2^r - 1 overflows: an error naming the cap and the noise, no artifact."""
+        path = write_config(tmp_path, small_inst_config(noise=[1e-300, 1e-300]))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["region", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "r1_cap" in err and "1024 bits" in err and "[1e-300, 1e-300]" in err
+        assert not any(out.iterdir())
 
     def test_frontier_bad_index(self, tmp_path, capsys):
         path = write_config(tmp_path, aligned_point_mass_config())

@@ -1,11 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from miso_outage.channel import ChannelRealization
+from miso_outage import rate_core
+from miso_outage.channel import CHANNEL_KEYS, ChannelRealization
 from miso_outage.rate_core import (
     FEASIBILITY_SLACK,
+    GOLDEN_VALUE_TOL,
+    RATE_SLACK,
     achievability_slack_batch,
     as_rate_point,
     frontier_batch,
@@ -27,6 +33,7 @@ from miso_outage.rate_core import (
     su_rate_batch,
     validate_beamformer,
     validate_transmit_covariance,
+    witness_rates_batch,
     zf,
 )
 
@@ -352,3 +359,107 @@ class TestAchievability:
             wit = is_achievable(h, point, noise)
             assert wit.achievable == (g_max[k] >= -FEASIBILITY_SLACK)
             assert wit.power_slack == pytest.approx(g_max[k], abs=1e-12)
+
+
+DEGENERATE_FAMILIES = ("zero-cross", "aligned", "orthogonal", "rank-1")
+
+
+def contract_channels(rng, n: int, count: int, family: str = "random") -> dict:
+    """Four (count, n) channel arrays drawn from random PSD covariances A A^H,
+    then bent into one degenerate family.
+
+    rank-1: every covariance has rank one. zero-cross: h12 vanishes, and h21
+    on every other row. aligned: each cross channel is a complex multiple of
+    the same transmitter's own channel. orthogonal: each cross channel is
+    projected off the own channel (zero when n = 1).
+    """
+    rank = 1 if family == "rank-1" else n
+    arrs = {
+        key: random_channel_vectors(rng, count, rank) @ random_channel_vectors(rng, n, rank).T
+        for key in CHANNEL_KEYS
+    }
+    for own, cross in (("h11", "h12"), ("h22", "h21")):
+        a, b = arrs[own], arrs[cross]
+        if family == "aligned":
+            arrs[cross] = random_channel_vectors(rng, count, 1) * a
+        elif family == "orthogonal":
+            inner = np.sum(a.conj() * b, axis=1) / np.sum(np.abs(a) ** 2, axis=1)
+            arrs[cross] = b - inner[:, None] * a
+    if family == "zero-cross":
+        arrs["h12"][:] = 0.0
+        arrs["h21"][::2] = 0.0
+    return arrs
+
+
+def assert_within_contract(value, reference):
+    """Same infinite entries; finite ones within GOLDEN_VALUE_TOL * max(1, |ref|)."""
+    finite = np.isfinite(reference)
+    np.testing.assert_array_equal(value[~finite], reference[~finite])
+    scale = np.maximum(1.0, np.abs(reference[finite]))
+    err = np.abs(value[finite] - reference[finite]) / scale
+    assert np.all(err <= GOLDEN_VALUE_TOL), f"worst scaled error {np.max(err):.3g}"
+
+
+def at_reference_count(kernel, *args):
+    """Run a kernel with its golden-section search at GOLDEN_ITERS, the
+    default of golden_max, instead of the kernel's own count."""
+    with mock.patch.object(rate_core, "golden_max", lambda f, lo, hi, iters: golden_max(f, lo, hi)):
+        return kernel(*args)
+
+
+def check_accuracy_contract(arrs, noise, rng):
+    """Both kernels at their default counts against GOLDEN_ITERS, at rate
+    points spanning [0, 1.2 x single-user rate] of each realization."""
+    F1 = frontier_batch(arrs["h11"], arrs["h12"])
+    F2 = frontier_batch(arrs["h22"], arrs["h21"])
+    su1 = su_rate_batch(arrs["h11"], noise[0])
+    su2 = su_rate_batch(arrs["h22"], noise[1])
+    draws = [rng.uniform(0.0, 1.2, size=(2, su1.size)) for _ in range(3)]
+    # Steep points: r1 just below its ceiling (column kernel) or just above
+    # zero with a large r2 (slack kernel) puts the maximizer just below the
+    # bracket top, at the square-root singularity of the other link's frontier
+    # inverse, where the search converges slowest.
+    for _ in range(2):
+        near = 10.0 ** rng.uniform(-9.0, -1.0, size=su1.size)
+        draws.append((1.0 - near, rng.uniform(0.0, 1.2, size=su1.size)))
+        draws.append((near, rng.uniform(0.3, 1.0, size=su1.size)))
+    for frac1, frac2 in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 1.0), *draws]:
+        r1, r2 = frac1 * su1, frac2 * su2
+        gamma1, gamma2 = gamma_from_rate(r1), gamma_from_rate(r2)
+        assert_within_contract(
+            max_r2_batch(F1, F2, gamma1, noise),
+            at_reference_count(max_r2_batch, F1, F2, gamma1, noise),
+        )
+        g, q1, q2 = achievability_slack_batch(F1, F2, gamma1, gamma2, noise)
+        g_ref, _, _ = at_reference_count(
+            achievability_slack_batch, F1, F2, gamma1, gamma2, noise
+        )
+        assert_within_contract(g, g_ref)
+        ok = g >= -FEASIBILITY_SLACK
+        rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
+        assert np.all(rate1[ok] >= r1[ok] - RATE_SLACK)
+        assert np.all(rate2[ok] >= r2[ok] - RATE_SLACK)
+
+
+class TestAccuracyContract:
+    """max_r2_batch and achievability_slack_batch at their derived golden-section
+    counts stay within GOLDEN_VALUE_TOL of the GOLDEN_ITERS reference, and the
+    slack's witness meets both targets wherever the slack says feasible."""
+
+    @pytest.mark.parametrize("family", ["random", "rank-1"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_random_channels(self, n, family):
+        rng = np.random.default_rng(100 + n)
+        noise = (float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 2.0)))
+        check_accuracy_contract(contract_channels(rng, n, 3000, family), noise, rng)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        family=st.sampled_from(DEGENERATE_FAMILIES),
+        n=st.sampled_from([1, 2, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)),
+    )
+    def test_degenerate_families(self, family, n, seed, noise):
+        rng = np.random.default_rng(seed)
+        check_accuracy_contract(contract_channels(rng, n, 400, family), noise, rng)
