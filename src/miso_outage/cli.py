@@ -496,8 +496,6 @@ def _resolved_grid(config: RunConfig, pipeline, spec: OutageSpec) -> GridConfig:
 
 def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
     """Trace the configured region and write CSV boundary files + manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     spec = config.scenario_spec()
     boundaries = {}
     columns = CSV_COLUMNS
@@ -519,6 +517,9 @@ def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
             variant = "fixed1" if config.scenario.endswith("fixed1") else "fixed2"
             boundaries["boundary"] = pipeline.trace(spec, grid, variant=variant)
 
+    # Created only now, so a run that fails above leaves no directory behind.
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = {}
     summary = {}
     for key, boundary in boundaries.items():
@@ -550,11 +551,16 @@ def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _worker_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -579,17 +585,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("r1", type=float)
     p.add_argument("r2", type=float)
     p.add_argument("bias", type=float)
-    p.add_argument("--coin-seed", type=int, default=0)
+    p.add_argument("--coin-seed", type=_at_least(0), default=0)
 
     p = sub.add_parser("frontier", help="per-TX power frontier dump for one realization")
     p.add_argument("config")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--points", type=int, default=33)
+    p.add_argument("--points", type=_at_least(1), default=33)
 
     p = sub.add_parser("region", help="trace the configured region to CSV + manifest")
     p.add_argument("config")
     p.add_argument("--out", default=".")
-    p.add_argument("--workers", type=_worker_count, default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
     return parser
 
 

@@ -10,16 +10,16 @@ of five cases:
     D  : both targets are individually below the single-user rates but the
          pair is not jointly achievable (exactly one link can be served)
 
-The transmission policy serves both links with witness beamformers in case B,
-serves the feasible link with its matched filter (other transmitter off) in
-C1/C2, switches both off in A, and in D serves link 1 with probability p
-(a biased coin independent of the channels) and link 2 otherwise. Link i then
-succeeds exactly on B, Ci and its share of D.
+The transmission policy serves both links in case B at the column search's
+operating point, serves the feasible link with its matched filter (other
+transmitter off) in C1/C2, switches both off in A, and in D serves link 1 with
+probability p (a biased coin independent of the channels) and link 2
+otherwise. Link i then succeeds exactly on B, Ci and its share of D.
 
-Estimation is vectorized over a SampleSource stream; the classification of
-sample k depends only on the realization itself, so any partition of the index
-range sums to identical integer counts. Coin draws for the policy come from a
-dedicated substream indexed by absolute sample position.
+Estimation reads a regions.InstantaneousRegionPipeline built on the stream;
+the classification of sample k depends only on the realization itself, so any
+partition of the index range sums to identical integer counts. Coin draws for
+the policy come from a dedicated substream indexed by absolute sample position.
 """
 
 from __future__ import annotations
@@ -30,17 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CHANNEL_KEYS, SampleSource
-from .rate_core import (
-    FEASIBILITY_SLACK,
-    RATE_SLACK,
-    achievability_slack_batch,
-    as_rate_point,
-    frontier_batch,
-    gamma_from_rate,
-    su_rate_batch,
-    witness_rates_batch,
-)
+from .channel import SampleSource
+from .rate_core import RATE_SLACK, as_rate_point
+from .rate_core import achievability_slack_batch, frontier_batch  # wrapped by perfbench/tracer.py
 
 
 class CaseLabel(enum.Enum):
@@ -121,15 +113,6 @@ class CaseProbabilities:
         )
 
     @classmethod
-    def from_tests(
-        cls, exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray
-    ) -> "CaseProbabilities":
-        """Counts of the split_cases masks."""
-        a, b, c1, c2, _ = split_cases(exceed1, exceed2, joint)
-        counts = (int(m.sum()) for m in (a, b, c1, c2, exceed1, exceed2))
-        return cls.from_counts(exceed1.size, *counts)
-
-    @classmethod
     def synthetic(
         cls, p_a: float, p_b: float, p_c1: float, p_c2: float, p_d: float
     ) -> "CaseProbabilities":
@@ -192,8 +175,7 @@ def split_cases(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
     """Masks (A, B, C1, C2, D) of the five-case split.
 
     exceed_i marks realizations where r_i exceeds the single-user rate of link
-    i, joint those where the rate pair is jointly achievable. Every classifier
-    splits through here, whichever oracle decided joint.
+    i, joint those where the rate pair is jointly achievable.
     """
     a = exceed1 & exceed2
     b = ~a & joint
@@ -202,40 +184,22 @@ def split_cases(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
     return a, b, c1, c2, ~(a | b | c1 | c2)
 
 
-def _classify_stream(arrs, point, noise):
-    """Case tests (exceed1, exceed2, joint) of every realization.
-
-    Also returns what the policy serves with: the frontiers and slack
-    maximizers (F1, F2, q1_star, q2_star) and the single-user rates.
-    """
-    r1, r2 = as_rate_point(point)
-    sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
-    F1 = frontier_batch(arrs["h11"], arrs["h12"])
-    F2 = frontier_batch(arrs["h22"], arrs["h21"])
-    su1 = su_rate_batch(arrs["h11"], sigma1_sq)
-    su2 = su_rate_batch(arrs["h22"], sigma2_sq)
-    g_max, q1_star, q2_star = achievability_slack_batch(
-        F1, F2, float(gamma_from_rate(r1)), float(gamma_from_rate(r2)), noise
-    )
-    tests = (r1 > su1, r2 > su2, g_max >= -FEASIBILITY_SLACK)
-    return tests, (F1, F2, q1_star, q2_star), (su1, su2)
-
-
 def classify(h, point, noise: tuple[float, float]) -> CaseLabel:
     """Case of a single realization at the rate point."""
-    arrs = {key: getattr(h, key)[None, :] for key in CHANNEL_KEYS}
-    tests, _, _ = _classify_stream(arrs, point, noise)
-    for label, mask in zip(CaseLabel, split_cases(*tests)):
-        if mask[0]:
-            return label
+    from .regions import InstantaneousRegionPipeline
+
+    pipeline = InstantaneousRegionPipeline(SampleSource.explicit([h]), noise)
+    masks = split_cases(*pipeline.case_tests(*as_rate_point(point)))
+    return next(label for label, mask in zip(CaseLabel, masks) if mask[0])
 
 
 def estimate_case_probs(
     source: SampleSource, point, noise: tuple[float, float]
 ) -> CaseProbabilities:
     """Empirical case distribution of the stream at the rate point."""
-    tests, _, _ = _classify_stream(source.arrays(), point, noise)
-    return CaseProbabilities.from_tests(*tests)
+    from .regions import InstantaneousRegionPipeline
+
+    return InstantaneousRegionPipeline(source, noise).case_probs(*as_rate_point(point))
 
 
 @dataclass
@@ -303,20 +267,21 @@ def simulate_policy(
     used only in case D), so results are reproducible for given source and
     coin seeds regardless of any batching.
     """
+    from .regions import InstantaneousRegionPipeline
+
     r1, r2 = as_rate_point(point)
     bias = float(bias)
     if not 0.0 <= bias <= 1.0:
         raise ValueError(f"bias must lie in [0, 1], got {bias}")
-    tests, operating_points, (su1, su2) = _classify_stream(source.arrays(), point, noise)
-    a, b, c1, c2, d = split_cases(*tests)
-    r1_witness, r2_witness = witness_rates_batch(*operating_points, noise)
+    pipeline = InstantaneousRegionPipeline(source, noise)
+    r1_witness, r2_witness = pipeline.witness_rates(r1)
+    a, b, c1, c2, d = split_cases(*pipeline.case_tests(r1, r2))
     coin = np.random.default_rng(coin_seed).random(source.count)
     serve1 = d & (coin < bias)
     serve2 = d & ~serve1
 
-    zeros = np.zeros(source.count)
-    r1_ach = np.select([b, c1 | serve1], [r1_witness, su1], zeros)
-    r2_ach = np.select([b, c2 | serve2], [r2_witness, su2], zeros)
+    r1_ach = np.select([b, c1 | serve1], [r1_witness, pipeline.su1])
+    r2_ach = np.select([b, c2 | serve2], [r2_witness, pipeline.su2])
     success1 = r1_ach >= r1 - RATE_SLACK
     success2 = r2_ach >= r2 - RATE_SLACK
     return PolicyOutcome(

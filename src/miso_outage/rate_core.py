@@ -24,7 +24,8 @@ is nonnegative for some q1, where gamma_i = 2^{r_i} - 1,
 q2min(q1) = qmin_2(gamma2 * (q1 + sigma2^2)) is the least interference
 transmitter 2 must cause to hand link 2 its target SINR, and qmin is the
 frontier inverse. g is concave, so a fixed-count golden-section search decides
-feasibility; the maximizer yields explicit witness beamformers.
+feasibility; the maximizer yields is_achievable's witness beamformers. Case B
+is classified by the column search instead (column_search_batch, below).
 
 Accuracy contract: the maxima of max_r2_batch (bits) and
 achievability_slack_batch (power units) lie within 1e-12 * max(1, |value|)
@@ -462,19 +463,19 @@ def achievability_slack_batch(
     return g_max, q1_star, q2_star
 
 
-def max_r2_batch(
+def column_search_batch(
     F1: FrontierBatch,
     F2: FrontierBatch,
     gamma1,
     noise: tuple[float, float],
-) -> np.ndarray:
-    """Largest achievable r2 per realization at fixed r1 (gamma1).
+):
+    """Largest achievable r2 per realization at fixed r1 (gamma1), and its maximizer.
 
     Direct form of the trade-off: maximize the quasi-concave ratio
     phi(q2) = p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) + sigma2^2) over the
-    interference transmitter 2 may cause. Realizations with r1 above the
-    single-user ceiling get -inf. The search runs COLUMN_GOLDEN_ITERS
-    iterations (accuracy contract at GOLDEN_VALUE_TOL).
+    interference q2 transmitter 2 may cause; returns (r2_max, q2_star).
+    Realizations with r1 above the single-user ceiling get -inf (and q2 = 0).
+    The search runs COLUMN_GOLDEN_ITERS iterations (contract: GOLDEN_VALUE_TOL).
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
@@ -484,9 +485,16 @@ def max_r2_batch(
         q1min = frontier_qmin_batch(F1, g1 * (q2 + sigma1_sq))
         return frontier_signal_batch(F2, q2) / (q1min + sigma2_sq)
 
-    _, phi_max = golden_max(phi, lo, hi, COLUMN_GOLDEN_ITERS)
+    q2_star, phi_max = golden_max(phi, lo, hi, COLUMN_GOLDEN_ITERS)
     r2 = rate_from_sinr(phi_max)
-    return np.where(infeasible, -np.inf, r2)
+    return np.where(infeasible, -np.inf, r2), q2_star
+
+
+def max_r2_batch(
+    F1: FrontierBatch, F2: FrontierBatch, gamma1, noise: tuple[float, float]
+) -> np.ndarray:
+    """Largest achievable r2 per realization at fixed r1: the column search's value."""
+    return column_search_batch(F1, F2, gamma1, noise)[0]
 
 
 def su_rate_batch(H: np.ndarray, sigma_sq: float) -> np.ndarray:

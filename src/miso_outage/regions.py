@@ -29,14 +29,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import SampleSource
-from .outage_mc import CaseProbabilities
+from .outage_mc import CaseProbabilities, split_cases
 from .rate_core import (
     RATE_SLACK,
     bisect_largest,
+    column_search_batch,
     frontier_batch,
+    frontier_qmin_batch,
     gamma_from_rate,
     max_r2_batch,
     su_rate_batch,
+    witness_rates_batch,
 )
 
 
@@ -430,9 +433,26 @@ class InstantaneousRegionPipeline:
             for r1, col in zip(todo, pool.map(_pipeline_worker_column, todo)):
                 self._columns[r1] = col
 
-    def case_probs(self, r1: float, r2: float) -> CaseProbabilities:
+    def witness_rates(self, r1: float):
+        """Link rates at the case-B operating point (transmitter 2 at the column
+        maximizer, transmitter 1 just reaching r1); also caches the column."""
+        r1 = float(r1)
+        gamma1 = float(gamma_from_rate(r1))
+        column, q2 = column_search_batch(self.F1, self.F2, gamma1, self.noise)
+        self._columns.setdefault(r1, column)
+        q1 = frontier_qmin_batch(self.F1, gamma1 * (q2 + self.noise[0]))
+        return witness_rates_batch(self.F1, self.F2, q1, q2, self.noise)
+
+    def case_tests(self, r1: float, r2: float):
+        """Masks (exceed1, exceed2, joint) at (r1, r2): the only case-B decision."""
         joint = self.column(r1) >= r2 - RATE_SLACK
-        return CaseProbabilities.from_tests(r1 > self.su1, r2 > self.su2, joint)
+        return r1 > self.su1, r2 > self.su2, joint
+
+    def case_probs(self, r1: float, r2: float) -> CaseProbabilities:
+        exceed1, exceed2, joint = self.case_tests(r1, r2)
+        a, b, c1, c2, _ = split_cases(exceed1, exceed2, joint)
+        counts = (int(m.sum()) for m in (a, b, c1, c2, exceed1, exceed2))
+        return CaseProbabilities.from_counts(self.n_samples, *counts)
 
     def verdict(self, probs: CaseProbabilities, spec: OutageSpec, variant: str = "plain"):
         if spec.mode == "common":

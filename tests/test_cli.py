@@ -272,7 +272,23 @@ class TestMain:
             assert main(["region", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "r1_cap" in err and "1024 bits" in err and "[1e-300, 1e-300]" in err
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["frontier", "--points", "0"],
+            ["frontier", "--points", "-3"],
+            ["simulate", "0.4", "0.4", "0.5", "--coin-seed", "-1"],
+        ],
+    )
+    def test_integer_flags_below_their_minimum_are_rejected(self, tmp_path, capsys, args):
+        path = write_config(tmp_path, small_inst_config())
+        with pytest.raises(SystemExit) as exc:
+            main([args[0], path, *args[1:]])
+        assert exc.value.code == 2
+        flag = next(a for a in args if a.startswith("--"))
+        assert flag in capsys.readouterr().err
 
     def test_frontier_bad_index(self, tmp_path, capsys):
         path = write_config(tmp_path, aligned_point_mass_config())

@@ -140,6 +140,17 @@ class TestSimulatePolicy:
         assert d["success"]["link1"] == out.success1
         assert d["case_usage"]["d_serve1"] == out.count_d1
 
+    @pytest.mark.parametrize("point", [(0.3, 0.3), (0.6, 0.6), (0.9, 0.4), (0.2, 1.1)])
+    def test_case_b_operating_point_meets_both_targets(self, demo_source, point):
+        """Each link succeeds exactly where the policy serves it, so the case-B
+        operating point (the column maximizer) meets both targets in every
+        case-B realization."""
+        for bias in (0.0, 0.5, 1.0):
+            out = simulate_policy(demo_source, point, bias, NOISE)
+            assert out.count_b > 0
+            assert out.success1 == out.count_b + out.count_c1 + out.count_d1
+            assert out.success2 == out.count_b + out.count_c2 + out.count_d2
+
     def test_coin_determinism(self, demo_source):
         a = simulate_policy(demo_source, self.POINT, 0.3, NOISE, coin_seed=5)
         b = simulate_policy(demo_source, self.POINT, 0.3, NOISE, coin_seed=5)

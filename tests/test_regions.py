@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 from miso_outage.outage_mc import CaseProbabilities, estimate_case_probs
+from miso_outage.rate_core import (
+    FEASIBILITY_SLACK,
+    achievability_slack_batch,
+    bisect_largest,
+    gamma_from_rate,
+)
 from miso_outage.regions import (
     CSV_COLUMNS,
     BoundaryPoint,
@@ -283,6 +289,21 @@ class TestPipeline:
             assert cached.count_b == direct.count_b
             assert cached.count_c1 == direct.count_c1
             assert cached.count_c2 == direct.count_c2
+
+    def test_case_b_counts_match_slack_oracle(self, pipeline):
+        """The column threshold, the only production case-B classifier, against
+        the independent slack oracle: equal case-B counts at every point, one
+        of them within 1e-4 bits of the individual-outage boundary."""
+        spec = OutageSpec.individual(0.1, 0.1)
+        assert pipeline.member(0.4, 0.0, spec)
+        edge = bisect_largest(lambda r2: pipeline.member(0.4, r2, spec), 3.0, 1e-4)
+        points = ((0.5, 0.5), (0.8, 0.3), (1.4, 1.4), (0.2, 1.1), (0.4, edge))
+        for r1, r2 in points:
+            g_max, _, _ = achievability_slack_batch(
+                pipeline.F1, pipeline.F2, gamma_from_rate(r1), gamma_from_rate(r2), NOISE
+            )
+            feasible = int(np.sum(g_max >= -FEASIBILITY_SLACK))
+            assert feasible == pipeline.case_probs(r1, r2).count_b, (r1, r2)
 
     def test_membership_monotone_along_column(self, pipeline):
         spec = OutageSpec.individual(0.1, 0.1)
