@@ -128,27 +128,29 @@ def validate_statistics(stats: ChannelStatistics) -> ChannelStatistics:
 
 
 def factor_covariance(Q: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^H = Q, tolerating rank-deficient Q.
+    """A factor L with L L^H = Q, tolerating rank-deficient Q.
 
-    Plain Cholesky when Q is positive definite. Otherwise the smallest diagonal
-    shift that makes Cholesky succeed is applied: max(0, -lambda_min) plus a
-    1e-11-scale ridge, keeping the reconstruction error below 1e-9 for the
-    O(1)-scale covariances in scope. Indefinite input (eigenvalue below the
-    -1e-10 validation tolerance) raises.
+    Lower-triangular Cholesky when every eigenvalue of Q exceeds the 1e-10
+    validation tolerance (relative to the diagonal scale when that exceeds 1).
+    Otherwise L = V diag(sqrt(lambda)) from the eigendecomposition, with the
+    eigenvalues within that tolerance of zero set to zero, so samples L z stay
+    in the range of Q and a zero covariance samples exact zeros. Cholesky
+    itself is no test of rank: rounding lets it succeed on some rank-one
+    matrices, with a ~1e-8 pivot that leaks out of the range. Indefinite
+    input (an eigenvalue below minus the tolerance) raises.
     """
     Q = np.asarray(Q, dtype=np.complex128)
     H = 0.5 * (Q + Q.conj().T)
-    try:
+    lam, V = np.linalg.eigh(H)
+    lam_min = float(lam.min(initial=np.inf))
+    tol = EIGENVALUE_TOL * max(1.0, float(np.max(np.abs(np.diag(H)).real, initial=0.0)))
+    if lam_min < -tol:
+        raise ValidationError(f"covariance is indefinite (min eigenvalue {lam_min:.3e})")
+    if lam_min > tol:
         L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        lam_min = float(np.linalg.eigvalsh(H).min())
-        scale = max(1.0, float(np.max(np.abs(np.diag(H)).real)) if H.size else 1.0)
-        if lam_min < -EIGENVALUE_TOL * scale:
-            raise ValidationError(
-                f"covariance is indefinite (min eigenvalue {lam_min:.3e})"
-            )
-        ridge = max(0.0, -lam_min) + 1e-11 * scale
-        L = np.linalg.cholesky(H + ridge * np.eye(H.shape[0]))
+    else:
+        lam[lam <= tol] = 0.0
+        L = V * np.sqrt(lam)
     err = float(np.max(np.abs(L @ L.conj().T - Q))) if Q.size else 0.0
     if err > FACTOR_RECONSTRUCTION_TOL:
         raise ValidationError(f"factorization residual {err:.3e} exceeds tolerance")

@@ -476,6 +476,13 @@ def _resolved_grid(config: RunConfig, pipeline, spec: OutageSpec) -> GridConfig:
     else:
         eps1, eps2 = spec.epsilon1, spec.epsilon2
     caps = pipeline.su_caps(eps1, eps2)
+    for link, (eps, cap) in enumerate(zip((eps1, eps2), caps), start=1):
+        if f"r{link}_cap" not in opts and not cap > 0.0:
+            raise ValueError(
+                f"rate cap r{link}_cap = {cap:.6g} bits: the {eps:g}-quantile of link "
+                f"{link}'s single-user rate is 0 (its direct channel h{link}{link} is "
+                "zero in at least that fraction of realizations), so the region is empty"
+            )
     grid = GridConfig(
         r1_cap=opts.get("r1_cap", caps[0]),
         r2_cap=opts.get("r2_cap", caps[1]),

@@ -25,15 +25,21 @@ q2min(q1) = qmin_2(gamma2 * (q1 + sigma2^2)) is the least interference
 transmitter 2 must cause to hand link 2 its target SINR, and qmin is the
 frontier inverse. g is concave, so a fixed-count golden-section search decides
 feasibility; the maximizer yields is_achievable's witness beamformers. Case B
-is classified by the column search instead (column_search_batch, below).
+is classified by the column search instead (column_search_batch, below). It
+answers two kinds of rows without searching: empty brackets (r1 above the
+single-user ceiling) and rows where transmitter 1 zero-forces across the whole
+bracket (its demand at the bracket top is at most d1^2, the lambda = 0 end of
+its Pareto parametrization), whose objective is then nondecreasing and peaks
+exactly at the bracket top, a point the search evaluates anyway.
 
 Accuracy contract: the maxima of max_r2_batch (bits) and
 achievability_slack_batch (power units) lie within 1e-12 * max(1, |value|)
 (GOLDEN_VALUE_TOL) of the same search run for GOLDEN_ITERS = 80 iterations,
 at least 1000x inside the 1e-9 feasibility and rate slacks. The column kernel
-meets it with 46 iterations (50 objective evaluations), the slack kernel with
-54: the worst maximizers sit just below the bracket top, at the square-root
-singularity of the frontier inverse. The derivation is at GOLDEN_VALUE_TOL.
+meets it with 46 iterations (50 objective evaluations on the rows it
+searches), the slack kernel with 54: the worst maximizers sit just below the
+bracket top, at the square-root singularity of the frontier inverse. The
+derivation is at GOLDEN_VALUE_TOL.
 
 The *_batch kernels take stacked (N, n) channel arrays and hold the only
 implementation of each formula. Scalar calls (power_frontier and its methods,
@@ -230,6 +236,13 @@ class FrontierBatch:
         self.safe_pmax = np.where(self.p_max > 0.0, self.p_max, 1.0)
         self.d_sq = self.d * self.d
         self.t_max = self.p_max * (1.0 + 1e-12) + 1e-300
+
+    def take(self, index: np.ndarray) -> FrontierBatch:
+        """The frontiers of the given rows, as a compact batch."""
+        return FrontierBatch(
+            self.c[index], self.d[index], self.b_norm_sq[index], self.p_max[index],
+            self.q_mrt[index], self.degenerate[index],
+        )
 
 
 @dataclass
@@ -474,20 +487,39 @@ def column_search_batch(
     Direct form of the trade-off: maximize the quasi-concave ratio
     phi(q2) = p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) + sigma2^2) over the
     interference q2 transmitter 2 may cause; returns (r2_max, q2_star).
-    Realizations with r1 above the single-user ceiling get -inf (and q2 = 0).
-    The search runs COLUMN_GOLDEN_ITERS iterations (contract: GOLDEN_VALUE_TOL).
+    Realizations whose bracket is empty (r1 above the single-user ceiling)
+    get -inf and q2 = 0.
+
+    Zero-forcing realizations are answered in closed form: where link 1's
+    demand at the bracket top, gamma1 (hi + sigma1^2), is at most the
+    zero-forcing power d1^2 (the t <= d^2 test of frontier_qmin_batch),
+    transmitter 1 reaches r1 at q1min = 0 everywhere in the bracket, because
+    the demand is monotone in q2 in floating point too. phi is then the
+    nondecreasing p2(q2) / sigma2^2, so its maximum is the bracket-top value
+    golden_max evaluates anyway, with q2 = hi. Only the remaining rows are
+    gathered into a compact batch and searched, for COLUMN_GOLDEN_ITERS
+    iterations (contract: GOLDEN_VALUE_TOL).
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
     infeasible, lo, hi = _interference_bracket(F2, F1, g1, sigma1_sq)
+    zero_forcing = g1 * (hi + sigma1_sq) <= F1.d_sq
+    # Closed-form rows keep q2* = hi (0 on empty brackets); searched rows are
+    # overwritten below.
+    q2_star = hi
+    phi_max = frontier_signal_batch(F2, hi) / sigma2_sq
+    rows = np.flatnonzero(~(infeasible | zero_forcing))
+    if rows.size:
+        F1_rows, F2_rows, g1_rows = F1.take(rows), F2.take(rows), g1[rows]
 
-    def phi(q2):
-        q1min = frontier_qmin_batch(F1, g1 * (q2 + sigma1_sq))
-        return frontier_signal_batch(F2, q2) / (q1min + sigma2_sq)
+        def phi(q2):
+            q1min = frontier_qmin_batch(F1_rows, g1_rows * (q2 + sigma1_sq))
+            return frontier_signal_batch(F2_rows, q2) / (q1min + sigma2_sq)
 
-    q2_star, phi_max = golden_max(phi, lo, hi, COLUMN_GOLDEN_ITERS)
+        q2_star[rows], phi_max[rows] = golden_max(phi, lo[rows], hi[rows], COLUMN_GOLDEN_ITERS)
     r2 = rate_from_sinr(phi_max)
-    return np.where(infeasible, -np.inf, r2), q2_star
+    r2[infeasible] = -np.inf
+    return r2, q2_star
 
 
 def max_r2_batch(

@@ -100,6 +100,23 @@ class TestFactorCovariance:
         with pytest.raises(ValidationError, match="indefinite"):
             factor_covariance(np.diag([1.0, -0.5]))
 
+    def test_zero_covariance_samples_exact_zeros(self):
+        stats = simple_stats()
+        stats.Q12 = np.zeros((2, 2), dtype=complex)
+        arrs = gaussian_sample_arrays(stats, seed=4, start=0, stop=500)
+        assert not np.any(arrs["h12"])
+        assert np.all(np.abs(arrs["h11"]) > 0.0)
+
+    def test_rank_one_samples_stay_in_range(self, rng):
+        for n in (2, 3, 4):
+            for _ in range(20):
+                u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                stats = simple_stats(n)
+                stats.Q21 = np.outer(u, u.conj())
+                h21 = gaussian_sample_arrays(stats, seed=5, start=0, stop=200)["h21"]
+                null_part = h21 - np.outer(h21 @ u.conj(), u) / np.vdot(u, u).real
+                assert np.max(np.abs(null_part)) < 1e-12
+
 
 class TestGaussianStream:
     def test_prefix_stability(self):

@@ -274,6 +274,20 @@ class TestMain:
         assert "r1_cap" in err and "1024 bits" in err and "[1e-300, 1e-300]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("link", [1, 2])
+    def test_region_rejects_a_zero_signal_link(self, tmp_path, capsys, link):
+        """A zero direct-channel covariance makes that link's single-user rate
+        quantile, and so its rate cap, 0: an error naming both, no artifact."""
+        doc = small_inst_config()
+        doc["covariances"][f"Q{link}{link}"] = [[[0.0, 0.0]] * 2] * 2
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["region", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"r{link}_cap = 0 bits" in err
+        assert f"0.1-quantile of link {link}'s single-user rate is 0" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [

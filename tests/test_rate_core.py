@@ -10,10 +10,12 @@ from miso_outage import rate_core
 from miso_outage.channel import CHANNEL_KEYS, ChannelRealization
 from miso_outage.rate_core import (
     FEASIBILITY_SLACK,
+    GOLDEN_ITERS,
     GOLDEN_VALUE_TOL,
     RATE_SLACK,
     achievability_slack_batch,
     as_rate_point,
+    column_search_batch,
     frontier_batch,
     frontier_point,
     frontier_qmin,
@@ -463,3 +465,123 @@ class TestAccuracyContract:
     def test_degenerate_families(self, family, n, seed, noise):
         rng = np.random.default_rng(seed)
         check_accuracy_contract(contract_channels(rng, n, 400, family), noise, rng)
+
+
+def column_bracket(F1, F2, g1, noise):
+    """(empty, hi) of the column search's bracket [0, hi], written out here:
+    transmitter 2 causes at most its matched-filter interference, and little
+    enough that link 1 reaches gamma1 at full power."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = np.where(g1 > 0.0, F1.p_max / g1 - noise[0], np.inf)
+    hi = np.minimum(F2.q_mrt, top)
+    return hi < 0.0, np.maximum(hi, 0.0)
+
+
+def column_oracle(F1, F2, gamma1, noise):
+    """The column search with no closed-form rows: every non-empty row is
+    searched over its whole bracket for GOLDEN_ITERS iterations."""
+    sigma1_sq, sigma2_sq = noise
+    g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
+    empty, hi = column_bracket(F1, F2, g1, noise)
+
+    def phi(q2):
+        q1min = frontier_qmin_batch(F1, g1 * (q2 + sigma1_sq))
+        return frontier_signal_batch(F2, q2) / (q1min + sigma2_sq)
+
+    _, phi_max = golden_max(phi, np.zeros_like(hi), hi, GOLDEN_ITERS)
+    return np.where(empty, -np.inf, rate_from_sinr(phi_max))
+
+
+def zero_forcing_knee(F1, F2, noise):
+    """gamma1 at which transmitter 1's demand at the top of the bracket
+    [0, q_mrt2] equals its zero-forcing power d1^2."""
+    return F1.d_sq / (F2.q_mrt + noise[0])
+
+
+def column_inputs(rng, n, count, noise, family="random"):
+    """Frontiers of contract_channels and link 1's single-user rates."""
+    arrs = contract_channels(rng, n, count, family)
+    return (
+        frontier_batch(arrs["h11"], arrs["h12"]),
+        frontier_batch(arrs["h22"], arrs["h21"]),
+        su_rate_batch(arrs["h11"], noise[0]),
+    )
+
+
+class TestColumnSearch:
+    """column_search_batch answers empty-bracket and zero-forcing rows in
+    closed form and searches the rest as a compact batch."""
+
+    @pytest.mark.parametrize("family", ["random", *DEGENERATE_FAMILIES])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_matches_whole_bracket_search(self, n, family):
+        rng = np.random.default_rng(200 + n)
+        noise = (float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 2.0)))
+        count = 1500
+        F1, F2, su1 = column_inputs(rng, n, count, noise, family)
+        knee = zero_forcing_knee(F1, F2, noise)
+        gammas = [np.zeros(count)]
+        gammas += [gamma_from_rate(f * su1) for f in (1e-3, 1e-2, 0.1, 0.3, 1.0)]
+        gammas += [gamma_from_rate(rng.uniform(0.0, 1.2, count) * su1) for _ in range(2)]
+        gammas.append(gamma_from_rate((1.0 - 10.0 ** rng.uniform(-9.0, -1.0, count)) * su1))
+        # Either side of the zero-forcing test, where the closed form ends.
+        gammas += [knee * (1.0 + eta) for eta in (-1e-6, -1e-12, 0.0, 1e-12, 1e-7, 1e-6, 1e-3)]
+        for gamma1 in gammas:
+            r2, q2 = column_search_batch(F1, F2, gamma1, noise)
+            assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
+            ok = np.isfinite(r2)
+            np.testing.assert_array_equal(q2[~ok], 0.0)
+            q1 = frontier_qmin_batch(F1, gamma1 * (q2 + noise[0]))
+            rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
+            assert np.all(rate1[ok] >= rate_from_sinr(gamma1)[ok] - RATE_SLACK)
+            assert np.all(rate2[ok] >= r2[ok] - RATE_SLACK)
+
+    def test_row_does_not_depend_on_its_batch(self):
+        rng = np.random.default_rng(11)
+        count, noise = 240, (0.4, 0.7)
+        F1, F2, su1 = column_inputs(rng, 2, count, noise)
+        gamma1 = gamma_from_rate(rng.uniform(0.0, 1.2, count) * su1)
+        r2, q2 = column_search_batch(F1, F2, gamma1, noise)
+        empty, hi = column_bracket(F1, F2, gamma1, noise)
+        zero_forcing = ~empty & (gamma1 * (hi + noise[0]) <= F1.d_sq)
+        assert empty.any() and zero_forcing.any() and not (empty | zero_forcing).all()
+        rev = np.arange(count)[::-1]
+        r2_rev, q2_rev = column_search_batch(F1.take(rev), F2.take(rev), gamma1[rev], noise)
+        np.testing.assert_array_equal(r2_rev[rev], r2)
+        np.testing.assert_array_equal(q2_rev[rev], q2)
+        for k in range(count):
+            row = np.array([k])
+            r2_k, q2_k = column_search_batch(F1.take(row), F2.take(row), gamma1[row], noise)
+            assert (r2_k[0], q2_k[0]) == (r2[k], q2[k])
+
+    def test_all_rows_zero_forcing(self):
+        rng = np.random.default_rng(12)
+        noise = (0.5, 0.8)
+        F1, F2, _ = column_inputs(rng, 2, 200, noise)
+        with mock.patch.object(rate_core, "golden_max", wraps=golden_max) as search:
+            r2, q2 = column_search_batch(F1, F2, 0.0, noise)
+        search.assert_not_called()
+        assert_within_contract(r2, column_oracle(F1, F2, 0.0, noise))
+        np.testing.assert_array_equal(q2, F2.q_mrt)
+
+    def test_no_row_zero_forcing(self):
+        rng = np.random.default_rng(13)
+        count, noise = 200, (0.5, 0.8)
+        F1, F2, _ = column_inputs(rng, 2, count, noise)
+        # Between the zero-forcing knee and the single-user ceiling.
+        gamma1 = np.sqrt(zero_forcing_knee(F1, F2, noise) * F1.p_max / noise[0])
+        with mock.patch.object(rate_core, "golden_max", wraps=golden_max) as search:
+            r2, _ = column_search_batch(F1, F2, gamma1, noise)
+        assert search.call_args.args[1].size == count
+        assert np.all(np.isfinite(r2))
+        assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
+
+    def test_all_brackets_empty(self):
+        rng = np.random.default_rng(14)
+        noise = (0.5, 0.8)
+        F1, F2, su1 = column_inputs(rng, 2, 200, noise)
+        with mock.patch.object(rate_core, "golden_max", wraps=golden_max) as search:
+            r2, q2 = column_search_batch(F1, F2, gamma_from_rate(su1.max() + 0.1), noise)
+        search.assert_not_called()
+        np.testing.assert_array_equal(r2, -np.inf)
+        np.testing.assert_array_equal(q2, 0.0)
