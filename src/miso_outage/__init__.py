@@ -6,7 +6,7 @@ Subpackage map:
 - rate_core: per-realization rates, power frontiers, feasibility oracle
 - outage_mc: case classification, Monte-Carlo estimates, policy simulation
 - regions: membership conditions, bias intervals, boundary tracing
-- stat_csi: closed-form statistical-CSI regions with fixed beamformers
+- stat_csi: closed-form statistical-CSI evaluator over explicit beamformer pairs
 - cli: batch front-end (run configs, CSV boundaries, JSON manifests)
 """
 
@@ -58,13 +58,8 @@ from .regions import (
     write_boundary_csv,
 )
 from .stat_csi import (
-    ExponentialLinkModel,
     StatRegionSearch,
-    StatSearchConfig,
-    effective_means,
-    link_success_closed_form,
-    rate_for_success,
-    search_stat_boundary,
+    draw_beamformer_pairs,
     stat_member,
     stat_member_mc,
 )
@@ -77,7 +72,6 @@ __all__ = [
     "CaseProbabilities",
     "ChannelRealization",
     "ChannelStatistics",
-    "ExponentialLinkModel",
     "FeasibilityWitness",
     "GridConfig",
     "InstantaneousRegionPipeline",
@@ -87,12 +81,11 @@ __all__ = [
     "RegionBoundary",
     "SampleSource",
     "StatRegionSearch",
-    "StatSearchConfig",
     "ValidationError",
     "bias_interval",
     "classify",
     "common_inst_member",
-    "effective_means",
+    "draw_beamformer_pairs",
     "estimate_case_probs",
     "factor_covariance",
     "fixed_choice_member",
@@ -100,15 +93,12 @@ __all__ = [
     "frontier_qmin",
     "individual_inst_member",
     "is_achievable",
-    "link_success_closed_form",
     "max_r2_given_r1",
     "mrt",
     "power_frontier",
     "rate_bf",
     "rate_cov",
-    "rate_for_success",
     "sample_batch",
-    "search_stat_boundary",
     "simulate_policy",
     "stat_member",
     "stat_member_mc",

@@ -46,11 +46,7 @@ from .regions import (
     individual_inst_member,
     write_boundary_csv,
 )
-from .stat_csi import (
-    STAT_CSV_COLUMNS,
-    StatRegionSearch,
-    StatSearchConfig,
-)
+from .stat_csi import STAT_CSV_COLUMNS, StatRegionSearch, draw_beamformer_pairs
 
 SCENARIOS = (
     "common-inst",
@@ -155,13 +151,18 @@ class RunConfig:
     mc_samples: int | None
     seed: int | None
     grid: dict | None
-    search: StatSearchConfig | None
+    search: dict | None
     basename: str
 
     def source(self) -> SampleSource:
         if self.channels is not None:
             return SampleSource.explicit(self.channels)
         return SampleSource.gaussian(self.stats, seed=self.seed, count=self.mc_samples)
+
+    def stat_search(self) -> StatRegionSearch:
+        """The evaluator over the search block's seeded random beamformer pairs."""
+        W1, W2 = draw_beamformer_pairs(self.n, self.search["n_pairs"], self.search["seed"])
+        return StatRegionSearch(self.stats, W1, W2, self.search["curve_points"])
 
     def individual_spec(self) -> OutageSpec:
         if isinstance(self.epsilon_raw, list):
@@ -199,11 +200,7 @@ class RunConfig:
         if self.grid is not None:
             doc["grid"] = dict(self.grid)
         if self.search is not None:
-            doc["search"] = {
-                "n_pairs": self.search.n_pairs,
-                "seed": self.search.seed,
-                "curve_points": self.search.curve_points,
-            }
+            doc["search"] = dict(self.search)
         doc["output"] = {"basename": self.basename}
         return doc
 
@@ -343,13 +340,13 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(search_node, dict):
             raise ConfigError("search", "expected an object")
         _reject_unknown(search_node, ("n_pairs", "seed", "curve_points"), "search.")
-        search = StatSearchConfig(
-            n_pairs=_as_int(_get(search_node, "n_pairs", "search."),
-                            "search.n_pairs", 1),
-            seed=_as_int(search_node.get("seed", 0), "search.seed", 0),
-            curve_points=_as_int(search_node.get("curve_points", 65),
-                                 "search.curve_points", 2),
-        )
+        search = {
+            "n_pairs": _as_int(_get(search_node, "n_pairs", "search."),
+                               "search.n_pairs", 1),
+            "seed": _as_int(search_node.get("seed", 0), "search.seed", 0),
+            "curve_points": _as_int(search_node.get("curve_points", 65),
+                                    "search.curve_points", 2),
+        }
     elif "search" in doc:
         raise ConfigError("search", "only statistical-CSI scenarios take a search budget")
 
@@ -429,8 +426,8 @@ def run_point(config: RunConfig, r1: float, r2: float) -> dict:
         "memberships": memberships,
         "bias_interval": bias_interval(probs, ind.epsilon1, ind.epsilon2).as_dict(),
     }
-    if config.search is not None and config.stats is not None:
-        search = StatRegionSearch(config.stats, config.search)
+    if config.search is not None:
+        search = config.stat_search()
         stat = {"individual-stat": search.member_any(r1, r2, ind)}
         if com is not None:
             stat["common-stat"] = search.member_any(r1, r2, com)
@@ -507,8 +504,9 @@ def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
     boundaries = {}
     columns = CSV_COLUMNS
     if config.scenario.endswith("stat"):
-        search = StatRegionSearch(config.stats, config.search)
-        boundaries["boundary"] = search.boundary(spec)
+        boundary = config.stat_search().boundary(spec)
+        boundary.metadata["seed"] = config.search["seed"]
+        boundaries["boundary"] = boundary
         columns = STAT_CSV_COLUMNS
     else:
         pipeline = InstantaneousRegionPipeline(config.source(), config.noise)

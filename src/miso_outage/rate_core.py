@@ -607,10 +607,8 @@ def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
     )
 
 
-def max_r2_given_r1(
-    h, r1: float, noise: tuple[float, float], tol: float = 1e-9
-) -> float:
-    """Largest r2 with (r1, r2) achievable, by bisection over the oracle.
+def max_r2_given_r1(h, r1: float, noise: tuple[float, float]) -> float:
+    """Largest r2 with (r1, r2) achievable, by bisection over the oracle to 1e-9 bits.
 
     Raises when r1 itself is infeasible (above the link-1 single-user rate
     beyond the oracle's slack). With r1 = 0 returns the link-2 single-user
@@ -622,7 +620,7 @@ def max_r2_given_r1(
     return bisect_largest(
         lambda r2: is_achievable(h, (r1, r2), noise).achievable,
         su_rate(h, 2, noise[1]),
-        tol,
+        1e-9,
     )
 
 

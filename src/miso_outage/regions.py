@@ -391,15 +391,15 @@ class InstantaneousRegionPipeline:
         self.n_samples = source.count
         self._columns: dict[float, np.ndarray] = {}
 
-    def su_caps(self, eps1: float, eps2: float, headroom: float = 1.1):
-        """Grid caps from the single-user rate quantiles, plus headroom.
+    def su_caps(self, eps1: float, eps2: float):
+        """Grid caps from the single-user rate quantiles, plus 10 % headroom.
 
         On the r1 axis the region ends where the single-user outage of link 1
         reaches eps1, i.e. at the empirical eps1-quantile of su1; same for
         link 2. The headroom keeps the true intercept strictly inside the grid.
         """
-        r1_cap = float(np.quantile(self.su1, eps1)) * headroom
-        r2_cap = float(np.quantile(self.su2, eps2)) * headroom
+        r1_cap = float(np.quantile(self.su1, eps1)) * 1.1
+        r2_cap = float(np.quantile(self.su2, eps2)) * 1.1
         return r1_cap, r2_cap
 
     def _compute_column(self, r1: float) -> np.ndarray:
@@ -470,14 +470,8 @@ class InstantaneousRegionPipeline:
     def member(self, r1: float, r2: float, spec: OutageSpec, variant: str = "plain") -> bool:
         return self.verdict(self.case_probs(r1, r2), spec, variant).member
 
-    def trace(
-        self,
-        spec: OutageSpec,
-        grid: GridConfig,
-        variant: str = "plain",
-        workers: int = 1,
-    ) -> RegionBoundary:
-        self.precompute_columns(grid.r1_values, workers=workers)
+    def trace(self, spec: OutageSpec, grid: GridConfig, variant: str = "plain") -> RegionBoundary:
+        self.precompute_columns(grid.r1_values)
 
         def member(r1, r2):
             return self.member(r1, r2, spec, variant)
@@ -496,15 +490,10 @@ class InstantaneousRegionPipeline:
         }
         return trace_boundary(member, grid, annotate=annotate, metadata=meta)
 
-    def axis_intercept(
-        self,
-        spec: OutageSpec,
-        link: int = 1,
-        variant: str = "plain",
-        r_cap: float | None = None,
-        tol: float = 1e-6,
-    ) -> float:
-        """Largest member rate on one axis (the other link's target at zero)."""
+    def axis_intercept(self, spec: OutageSpec, link: int = 1, variant: str = "plain") -> float:
+        """Largest member rate on one axis (the other link's target at zero),
+        bisected to 1e-6 bits below a cap of 1.5 x the largest single-user
+        rate + 1."""
         if link not in (1, 2):
             raise ValueError(f"link must be 1 or 2, got {link}")
 
@@ -512,12 +501,10 @@ class InstantaneousRegionPipeline:
             point = (r, 0.0) if link == 1 else (0.0, r)
             return self.member(point[0], point[1], spec, variant)
 
-        if r_cap is None:
-            su = self.su1 if link == 1 else self.su2
-            r_cap = float(su.max()) * 1.5 + 1.0
         if not member(0.0):
             return 0.0
-        return bisect_largest(member, r_cap, tol)
+        su = self.su1 if link == 1 else self.su2
+        return bisect_largest(member, float(su.max()) * 1.5 + 1.0, 1e-6)
 
 
 # ---------------------------------------------------------------------------

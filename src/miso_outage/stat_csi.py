@@ -15,11 +15,15 @@ with gamma = 2^r - 1. The two links' successes are independent because each
 involves a disjoint set of channel vectors, so the common-outage condition is
 the product pi1*pi2 >= 1 - eps and individual outage constrains each factor.
 
-Rate regions are searched over randomly drawn beamformer pairs (uniform on
-the complex unit sphere, one seeded draw per pair index): every pair
-contributes its feasible rate points and the reported boundary is the
-non-dominated frontier of the union. General-rank transmit covariances are
-supported through a Monte-Carlo membership check instead of a closed form.
+StatRegionSearch is the one evaluator of these formulas. It takes explicit
+candidate pairs as the rows of W1 and W2 and evaluates all of them at once:
+success probabilities, membership, column heights and the region boundary,
+which is the non-dominated frontier of the rate points every pair supports.
+The scalar calls pair_success and stat_member build an evaluator with one
+row. draw_beamformer_pairs supplies seeded random pairs (uniform on the
+complex unit sphere, one draw per pair index). General-rank transmit
+covariances are supported through a Monte-Carlo membership check instead of
+a closed form.
 """
 
 from __future__ import annotations
@@ -32,51 +36,16 @@ import numpy as np
 from .channel import ChannelStatistics, SampleSource
 from .rate_core import (
     LN2,
+    NORM_TOL,
+    as_rate_point,
     gamma_from_rate,
     quad_form,
     rate_from_sinr,
-    validate_beamformer,
     validate_transmit_covariance,
 )
 from .regions import BoundaryPoint, OutageSpec, RegionBoundary, non_dominated_points
 
 STAT_CSV_COLUMNS = ("r1", "r2", "pi1", "pi2", "pair_index")
-
-
-@dataclass(frozen=True)
-class ExponentialLinkModel:
-    """Mean signal power, mean interference power and noise for one link."""
-
-    s_bar: float
-    t_bar: float
-    sigma_sq: float
-
-    def __post_init__(self):
-        if self.s_bar < 0.0 or self.t_bar < 0.0:
-            raise ValueError("mean powers must be nonnegative")
-        if self.sigma_sq < 0.0:
-            raise ValueError("noise variance must be nonnegative")
-
-
-def effective_means(
-    stats: ChannelStatistics, w1: np.ndarray, w2: np.ndarray, link: int
-) -> ExponentialLinkModel:
-    """Exponential parameters of one link induced by a fixed beamformer pair."""
-    w1 = np.asarray(w1, dtype=complex)
-    w2 = np.asarray(w2, dtype=complex)
-    if link == 1:
-        return ExponentialLinkModel(
-            s_bar=quad_form(stats.Q11, w1),
-            t_bar=quad_form(stats.Q21, w2),
-            sigma_sq=stats.sigma1_sq,
-        )
-    if link == 2:
-        return ExponentialLinkModel(
-            s_bar=quad_form(stats.Q22, w2),
-            t_bar=quad_form(stats.Q12, w1),
-            sigma_sq=stats.sigma2_sq,
-        )
-    raise ValueError(f"link must be 1 or 2, got {link}")
 
 
 def success_probability(gamma, s_bar, t_bar, sigma_sq) -> np.ndarray:
@@ -94,16 +63,6 @@ def success_probability(gamma, s_bar, t_bar, sigma_sq) -> np.ndarray:
     pi = np.exp(-safe_g * sigma_sq / safe_s) * safe_s / (safe_s + safe_g * t)
     pi = np.where(s > 0.0, pi, 0.0)
     return np.where(gamma <= 0.0, 1.0, pi)
-
-
-def link_success_closed_form(model: ExponentialLinkModel, r: float) -> float:
-    """Probability that the link sustains rate r."""
-    r = float(r)
-    if r < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {r}")
-    return float(
-        success_probability(gamma_from_rate(r), model.s_bar, model.t_bar, model.sigma_sq)
-    )
 
 
 def _invert_success(s_bar, t_bar, sigma_sq, targets) -> np.ndarray:
@@ -138,35 +97,6 @@ def _rates_for_success(s_bar, t_bar, sigma_sq, targets) -> np.ndarray:
     """
     gamma = _invert_success(s_bar, t_bar, sigma_sq, targets)
     return np.array([math.log1p(g) for g in gamma]) / LN2
-
-
-def rate_for_success(model: ExponentialLinkModel, target: float) -> float:
-    """Largest rate whose success probability still reaches target."""
-    target = float(target)
-    if not 0.0 < target <= 1.0:
-        raise ValueError(f"target must lie in (0, 1], got {target}")
-    rate = _rates_for_success(model.s_bar, model.t_bar, model.sigma_sq, np.array([target]))
-    return float(rate[0])
-
-
-def pair_success(
-    stats: ChannelStatistics, w1: np.ndarray, w2: np.ndarray, point
-) -> tuple[float, float]:
-    """Closed-form per-link success probabilities at a rate point."""
-    r1, r2 = float(point[0]), float(point[1])
-    pi1 = link_success_closed_form(effective_means(stats, w1, w2, 1), r1)
-    pi2 = link_success_closed_form(effective_means(stats, w1, w2, 2), r2)
-    return pi1, pi2
-
-
-def stat_member(
-    stats: ChannelStatistics, w1: np.ndarray, w2: np.ndarray, point, spec: OutageSpec
-) -> bool:
-    """Does the fixed pair meet the outage constraints at this rate point?"""
-    validate_beamformer(np.asarray(w1, dtype=complex), "w1")
-    validate_beamformer(np.asarray(w2, dtype=complex), "w2")
-    pi1, pi2 = pair_success(stats, w1, w2, point)
-    return bool(_meets(spec, pi1, pi2, pi1 * pi2))
 
 
 def _meets(spec: OutageSpec, pi1, pi2, joint):
@@ -215,7 +145,7 @@ def stat_member_mc(
     """
     Psi1 = validate_transmit_covariance(np.asarray(Psi1, dtype=complex), "Psi1")
     Psi2 = validate_transmit_covariance(np.asarray(Psi2, dtype=complex), "Psi2")
-    r1, r2 = float(point[0]), float(point[1])
+    r1, r2 = as_rate_point(point)
     arrs = source.arrays()
     sinr1 = _quad_batch(arrs["h11"], Psi1) / (
         _quad_batch(arrs["h21"], Psi2) + stats.sigma1_sq
@@ -264,31 +194,33 @@ def draw_beamformer_pairs(
     return W1, W2
 
 
-@dataclass
-class StatSearchConfig:
-    n_pairs: int
-    seed: int = 0
-    curve_points: int = 65
-
-    def __post_init__(self):
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        if self.curve_points < 2:
-            raise ValueError(f"curve_points must be >= 2, got {self.curve_points}")
-
-
 class StatRegionSearch:
-    """Rate-region evaluation over a fixed set of candidate beamformer pairs.
+    """Closed-form evaluation over explicit candidate beamformer pairs.
 
-    The candidate set is drawn once from the config seed; all queries
-    (membership, column heights, the traced boundary) reuse it, so common- and
-    individual-outage answers refer to the same searched region.
+    Row i of W1 and W2 is pair i. Every query (membership, column heights,
+    the boundary) reuses the same pairs, so common- and individual-outage
+    answers refer to the same searched region.
     """
 
-    def __init__(self, stats: ChannelStatistics, config: StatSearchConfig):
+    def __init__(self, stats: ChannelStatistics, W1, W2, curve_points: int = 65):
+        W1 = np.asarray(W1, dtype=complex)
+        W2 = np.asarray(W2, dtype=complex)
+        if W1.ndim != 2 or W1.shape != W2.shape or W1.shape[1] != stats.n:
+            raise ValueError(
+                f"W1 and W2 must both have shape (count, {stats.n}), "
+                f"got {W1.shape} and {W2.shape}"
+            )
+        for name, W in (("W1", W1), ("W2", W2)):
+            norms = np.linalg.norm(W, axis=1)
+            bad = ~(norms <= 1.0 + NORM_TOL)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"{name}[{i}]: norm {norms[i]} exceeds unit power budget")
+        if curve_points < 2:
+            raise ValueError(f"curve_points must be >= 2, got {curve_points}")
         self.stats = stats
-        self.config = config
-        self.W1, self.W2 = draw_beamformer_pairs(stats.n, config.n_pairs, config.seed)
+        self.W1, self.W2 = W1, W2
+        self.curve_points = curve_points
         self.s1 = np.array([quad_form(stats.Q11, w) for w in self.W1])
         self.t1 = np.array([quad_form(stats.Q21, w) for w in self.W2])
         self.s2 = np.array([quad_form(stats.Q22, w) for w in self.W2])
@@ -358,7 +290,7 @@ class StatRegionSearch:
             # Per-row linspace(0, edge, K): an array endpoint would make
             # np.linspace switch every row to its zero-step rounding as soon
             # as one row has edge == 0.
-            k = self.config.curve_points
+            k = self.curve_points
             r1 = np.arange(k) * (edge / (k - 1))
             r1[:, -1:] = edge
             pi1, _, g2 = self._link2_at(r1, spec)
@@ -374,15 +306,25 @@ class StatRegionSearch:
         kept = non_dominated_points(points)
         metadata = {
             "scenario_mode": spec.mode,
-            "n_pairs": self.config.n_pairs,
-            "seed": self.config.seed,
-            "curve_points": self.config.curve_points,
+            "n_pairs": len(self.s1),
+            "curve_points": self.curve_points,
         }
         return RegionBoundary(points=kept, warnings=[], metadata=metadata)
 
 
-def search_stat_boundary(
-    stats: ChannelStatistics, spec: OutageSpec, config: StatSearchConfig
-) -> RegionBoundary:
-    """Non-dominated frontier over seeded random beamformer pairs."""
-    return StatRegionSearch(stats, config).boundary(spec)
+
+def pair_success(
+    stats: ChannelStatistics, w1: np.ndarray, w2: np.ndarray, point
+) -> tuple[float, float]:
+    """Closed-form per-link success probabilities of one pair at a rate point."""
+    r1, r2 = as_rate_point(point)
+    pi1, pi2 = StatRegionSearch(stats, [w1], [w2]).pair_success_all(r1, r2)
+    return float(pi1[0]), float(pi2[0])
+
+
+def stat_member(
+    stats: ChannelStatistics, w1: np.ndarray, w2: np.ndarray, point, spec: OutageSpec
+) -> bool:
+    """Does the fixed pair meet the outage constraints at this rate point?"""
+    r1, r2 = as_rate_point(point)
+    return StatRegionSearch(stats, [w1], [w2]).member_any(r1, r2, spec)

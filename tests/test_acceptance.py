@@ -33,7 +33,7 @@ from miso_outage.regions import (
 )
 from miso_outage.stat_csi import (
     StatRegionSearch,
-    StatSearchConfig,
+    draw_beamformer_pairs,
     pair_success,
     stat_member_mc,
 )
@@ -59,7 +59,7 @@ def nesting_pipeline():
 
 @pytest.fixture(scope="module")
 def stat_search():
-    return StatRegionSearch(demo_statistics(), StatSearchConfig(n_pairs=64, seed=9))
+    return StatRegionSearch(demo_statistics(), *draw_beamformer_pairs(2, 64, seed=9))
 
 
 def test_criterion_1_partition_sums():

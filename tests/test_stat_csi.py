@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -7,15 +6,10 @@ import pytest
 from miso_outage.channel import ChannelStatistics, SampleSource
 from miso_outage.regions import BoundaryPoint, OutageSpec, non_dominated_points
 from miso_outage.stat_csi import (
-    ExponentialLinkModel,
     StatRegionSearch,
-    StatSearchConfig,
+    _rates_for_success,
     draw_beamformer_pairs,
-    effective_means,
-    link_success_closed_form,
     pair_success,
-    rate_for_success,
-    search_stat_boundary,
     stat_member,
     stat_member_mc,
     success_probability,
@@ -45,8 +39,7 @@ class TestSuccessProbability:
 
     def test_zero_rate_is_certain(self):
         assert success_probability(0.0, 0.3, 9.0, 2.0) == 1.0
-        model = ExponentialLinkModel(0.3, 9.0, 2.0)
-        assert link_success_closed_form(model, 0.0) == 1.0
+        assert pair_success(diag_stats(), [0.0, 1.0], [1.0, 0.0], (0.0, 0.0)) == (1.0, 1.0)
 
     def test_zero_signal_mean(self):
         assert success_probability(0.5, 0.0, 1.0, 1.0) == 0.0
@@ -70,72 +63,62 @@ class TestSuccessProbability:
         assert np.all(np.diff(pi_t) <= 1e-15)
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            link_success_closed_form(ExponentialLinkModel(1.0, 1.0, 1.0), -0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            pair_success(diag_stats(), [1.0, 0.0], [1.0, 0.0], (-0.1, 0.2))
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialLinkModel(-0.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            ExponentialLinkModel(1.0, 1.0, -1.0)
+        """The means are quadratic forms of the covariances: a covariance with
+        a negative one is rejected when the evaluator is built."""
+        stats = diag_stats(q21=(-1.0, 0.5))
+        with pytest.raises(ValueError, match="negative"):
+            StatRegionSearch(stats, [[1.0, 0.0]], [[1.0, 0.0]])
 
 
 class TestEffectiveMeans:
     def test_link_wiring(self):
-        stats = diag_stats()
-        w1, w2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        m1 = effective_means(stats, w1, w2, 1)
-        assert m1.s_bar == pytest.approx(2.0)
-        assert m1.t_bar == pytest.approx(0.7)
-        assert m1.sigma_sq == 1.0
-        m2 = effective_means(stats, w1, w2, 2)
-        assert m2.s_bar == pytest.approx(0.5)
-        assert m2.t_bar == pytest.approx(0.2)
+        search = StatRegionSearch(diag_stats(), [[1.0, 0.0]], [[0.0, 1.0]])
+        assert search.s1[0] == pytest.approx(2.0)
+        assert search.t1[0] == pytest.approx(0.7)
+        assert search.s2[0] == pytest.approx(0.5)
+        assert search.t2[0] == pytest.approx(0.2)
 
     def test_eigenvector_maximizes_mean(self):
         stats = diag_stats()
-        best = effective_means(stats, [1.0, 0.0], [1.0, 0.0], 1).s_bar
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            w /= np.linalg.norm(w)
-            assert effective_means(stats, w, [1.0, 0.0], 1).s_bar <= best + 1e-12
+        W = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        W1 = np.vstack([[1.0, 0.0], W])
+        search = StatRegionSearch(stats, W1, np.tile([1.0, 0.0], (51, 1)))
+        assert np.all(search.s1[1:] <= search.s1[0] + 1e-12)
 
     def test_zero_beamformer(self):
         stats = diag_stats()
-        m = effective_means(stats, [0.0, 0.0], [0.0, 0.0], 1)
-        assert m.s_bar == 0.0
-        assert link_success_closed_form(m, 0.5) == 0.0
-
-    def test_bad_link(self):
-        with pytest.raises(ValueError):
-            effective_means(diag_stats(), [1.0, 0.0], [1.0, 0.0], 0)
+        search = StatRegionSearch(stats, [[0.0, 0.0]], [[0.0, 0.0]])
+        assert search.s1[0] == 0.0 and search.s2[0] == 0.0
+        assert pair_success(stats, [0.0, 0.0], [0.0, 0.0], (0.5, 0.5)) == (0.0, 0.0)
 
 
 class TestInversion:
     def test_round_trip(self):
-        model = ExponentialLinkModel(1.8, 0.6, 0.9)
-        r = rate_for_success(model, 0.9)
-        assert r > 0.0
-        assert link_success_closed_form(model, r) == pytest.approx(0.9, abs=1e-9)
+        r = _rates_for_success(1.8, 0.6, 0.9, np.array([0.9]))
+        assert r[0] > 0.0
+        pi = success_probability(np.expm1(r * math.log(2.0)), 1.8, 0.6, 0.9)
+        assert pi[0] == pytest.approx(0.9, abs=1e-9)
 
     def test_target_one_gives_zero_rate(self):
-        assert rate_for_success(ExponentialLinkModel(1.0, 1.0, 1.0), 1.0) == 0.0
+        r = _rates_for_success(np.array([1.0, 0.0]), 1.0, 1.0, np.array([1.0, 1.0]))
+        assert r.tolist() == [0.0, 0.0]
 
     def test_zero_signal_gives_zero_rate(self):
-        assert rate_for_success(ExponentialLinkModel(0.0, 1.0, 1.0), 0.5) == 0.0
-
-    @pytest.mark.parametrize("target", [0.0, -0.2, 1.1])
-    def test_bad_target_rejected(self, target):
-        with pytest.raises(ValueError):
-            rate_for_success(ExponentialLinkModel(1.0, 1.0, 1.0), target)
+        r = _rates_for_success(np.array([0.0, 0.0]), 1.0, 1.0, np.array([0.5, 0.9]))
+        assert r.tolist() == [0.0, 0.0]
 
     def test_no_interference_closed_form(self):
         """With t_bar = 0 the inverse is gamma = -s_bar ln(target) / sigma^2."""
-        model = ExponentialLinkModel(2.0, 0.0, 0.5)
-        r = rate_for_success(model, 0.8)
-        gamma_expect = -2.0 * math.log(0.8) / 0.5
-        assert r == pytest.approx(math.log2(1.0 + gamma_expect), abs=1e-9)
+        targets = np.array([0.5, 0.8, 0.99])
+        r = _rates_for_success(2.0, 0.0, 0.5, targets)
+        gamma_expect = -2.0 * np.log(targets) / 0.5
+        np.testing.assert_allclose(r, np.log2(1.0 + gamma_expect), rtol=0, atol=1e-9)
 
 
 class TestMembership:
@@ -157,6 +140,23 @@ class TestMembership:
         stats = diag_stats()
         with pytest.raises(ValueError, match="norm"):
             stat_member(stats, [2.0, 0.0], [1.0, 0.0], (0.1, 0.1), OutageSpec.common(0.1))
+
+    @pytest.mark.parametrize(
+        "point", [(-1.0, -1.0), (0.2, -1e-12), (math.nan, 0.2), (0.2, math.inf)],
+        ids=["negative", "slightly-negative", "nan", "inf"],
+    )
+    def test_invalid_rate_points_rejected(self, demo_stats, point):
+        w1 = np.array([1.0, 0.0], dtype=complex)
+        w2 = np.array([0.0, 1.0], dtype=complex)
+        spec = OutageSpec.individual(0.1, 0.1)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            pair_success(demo_stats, w1, w2, point)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            stat_member(demo_stats, w1, w2, point, spec)
+        source = SampleSource.gaussian(demo_stats, seed=3, count=100)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            stat_member_mc(demo_stats, np.outer(w1, w1.conj()), np.outer(w2, w2.conj()),
+                           point, spec, source)
 
     def test_mc_matches_closed_form(self, demo_stats):
         w1 = np.array([1.0, 0.0], dtype=complex)
@@ -213,7 +213,7 @@ class TestBeamformerDraws:
 
 @pytest.fixture(scope="module")
 def search(demo_stats):
-    return StatRegionSearch(demo_stats, StatSearchConfig(n_pairs=24, seed=2))
+    return StatRegionSearch(demo_stats, *draw_beamformer_pairs(2, 24, seed=2))
 
 
 class TestRegionSearch:
@@ -255,17 +255,17 @@ class TestRegionSearch:
     )
     def test_boundary_is_union_of_single_pair_boundaries(self, demo_stats, spec):
         """All pairs evaluated in one batch give, bit for bit, the non-dominated
-        points of the single-pair boundaries. Pair 3 has no signal on link 1,
-        so its r1 range has zero width. 40 curve points: a grid step of
-        edge / 39 rounds, unlike edge / 64 at the default 65."""
-        config = StatSearchConfig(n_pairs=12, seed=5, curve_points=40)
-        full = StatRegionSearch(demo_stats, config)
-        full.s1[3] = 0.0
+        points of the single-pair boundaries. Pair 3 has a zero beamformer on
+        transmitter 1, so it has no signal on link 1 and its r1 range has zero
+        width. 40 curve points: a grid step of edge / 39 rounds, unlike
+        edge / 64 at the default 65."""
+        W1, W2 = draw_beamformer_pairs(2, 12, seed=5)
+        W1[3] = 0.0
+        full = StatRegionSearch(demo_stats, W1, W2, curve_points=40)
+        assert full.s1[3] == 0.0
         union = []
         for i in range(12):
-            single = copy.copy(full)
-            for name in ("s1", "t1", "s2", "t2"):
-                setattr(single, name, getattr(full, name)[i:i + 1])
+            single = StatRegionSearch(demo_stats, W1[i:i + 1], W2[i:i + 1], curve_points=40)
             for p in single.boundary(spec).points:
                 union.append(BoundaryPoint(p.r1, p.r2, {**p.payload, "pair_index": i}))
         expect = [(p.r1, p.r2, p.payload) for p in non_dominated_points(union)]
@@ -273,10 +273,32 @@ class TestRegionSearch:
         assert len(got) > 1
         assert got == expect
 
+    def test_scalar_calls_are_one_row_evaluators(self, demo_stats):
+        """pair_success and stat_member on (W1[i], W2[i]) equal row i of a
+        64-pair evaluator bit for bit, including a zero-signal row."""
+        W1, W2 = draw_beamformer_pairs(2, 64, seed=7)
+        W1[5] = 0.0
+        W2[40] = 0.0
+        search = StatRegionSearch(demo_stats, W1, W2)
+        common, individual = OutageSpec.common(0.1), OutageSpec.individual(0.1, 0.2)
+        points = ((0.0, 0.0), (0.2, 0.2), (0.5, 0.05), (0.3, 0.7), (1.1, 0.2), (2.5, 2.5))
+        for point in points:
+            pi1, pi2 = search.pair_success_all(*point)
+            for i in range(64):
+                assert pair_success(demo_stats, W1[i], W2[i], point) == (pi1[i], pi2[i])
+                assert stat_member(demo_stats, W1[i], W2[i], point, common) == bool(
+                    pi1[i] * pi2[i] >= 0.9
+                )
+                assert stat_member(demo_stats, W1[i], W2[i], point, individual) == bool(
+                    pi1[i] >= 0.9 and pi2[i] >= 0.8
+                )
+            assert pi1[5] == (1.0 if point[0] == 0.0 else 0.0)
+            assert pi2[40] == (1.0 if point[1] == 0.0 else 0.0)
+
     def test_more_pairs_only_improve(self, demo_stats):
         spec = OutageSpec.individual(0.1, 0.1)
-        small = search_stat_boundary(demo_stats, spec, StatSearchConfig(n_pairs=8, seed=2))
-        big = search_stat_boundary(demo_stats, spec, StatSearchConfig(n_pairs=32, seed=2))
+        small = StatRegionSearch(demo_stats, *draw_beamformer_pairs(2, 8, seed=2)).boundary(spec)
+        big = StatRegionSearch(demo_stats, *draw_beamformer_pairs(2, 32, seed=2)).boundary(spec)
         for p in small.points:
             assert any(
                 q.r1 >= p.r1 - 1e-12 and q.r2 >= p.r2 - 1e-12 for q in big.points
@@ -301,12 +323,19 @@ class TestRegionSearch:
 
     def test_metadata(self, search):
         boundary = search.boundary(OutageSpec.common(0.1))
-        assert boundary.metadata["n_pairs"] == 24
-        assert boundary.metadata["seed"] == 2
-        assert boundary.metadata["scenario_mode"] == "common"
+        assert boundary.metadata == {
+            "scenario_mode": "common", "n_pairs": 24, "curve_points": 65,
+        }
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            StatSearchConfig(n_pairs=0)
-        with pytest.raises(ValueError):
-            StatSearchConfig(n_pairs=4, curve_points=1)
+    def test_config_validation(self, demo_stats):
+        W1, W2 = draw_beamformer_pairs(2, 4, seed=0)
+        with pytest.raises(ValueError, match="curve_points"):
+            StatRegionSearch(demo_stats, W1, W2, curve_points=1)
+        with pytest.raises(ValueError, match=r"W2\[2\]: norm"):
+            StatRegionSearch(demo_stats, W1, W2 * [[1.0], [1.0], [1.0 + 1e-6], [1.0]])
+        with pytest.raises(ValueError, match=r"W1\[0\]: norm nan"):
+            StatRegionSearch(demo_stats, W1 * np.nan, W2)
+        with pytest.raises(ValueError, match="shape"):
+            StatRegionSearch(demo_stats, W1, W2[:3])
+        with pytest.raises(ValueError, match="shape"):
+            StatRegionSearch(demo_stats, W1[0], W2[0])
