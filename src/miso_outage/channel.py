@@ -89,9 +89,6 @@ class ChannelStatistics:
     def covariance(self, key: str) -> np.ndarray:
         return getattr(self, "Q" + key[1:])
 
-    def noise(self) -> tuple[float, float]:
-        return (self.sigma1_sq, self.sigma2_sq)
-
 
 def validate_statistics(stats: ChannelStatistics) -> ChannelStatistics:
     """Check shapes, Hermitian symmetry, positive semidefiniteness and noise powers.

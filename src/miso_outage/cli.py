@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,21 +41,21 @@ from .regions import (
     InstantaneousRegionPipeline,
     OutageSpec,
     bias_interval,
-    common_inst_member,
-    fixed_choice_member,
-    individual_inst_member,
+    verdict,
     write_boundary_csv,
 )
 from .stat_csi import STAT_CSV_COLUMNS, StatRegionSearch, draw_beamformer_pairs
 
-SCENARIOS = (
-    "common-inst",
-    "individual-inst",
-    "individual-inst-fixed1",
-    "individual-inst-fixed2",
-    "common-stat",
-    "individual-stat",
-)
+# Scenario -> (outage mode, traced case-D variants); statistical CSI has no
+# variants (None). region writes the first variant's boundary as "boundary".
+SCENARIOS = {
+    "common-inst": ("common", ("plain",)),
+    "individual-inst": ("individual", ("plain", "fixed1", "fixed2")),
+    "individual-inst-fixed1": ("individual", ("fixed1",)),
+    "individual-inst-fixed2": ("individual", ("fixed2",)),
+    "common-stat": ("common", None),
+    "individual-stat": ("individual", None),
+}
 
 
 class ConfigError(ValueError):
@@ -147,7 +147,7 @@ class RunConfig:
     stats: ChannelStatistics | None
     channels: list[ChannelRealization] | None
     noise: tuple[float, float]
-    epsilon_raw: object
+    epsilons: tuple[float, float]
     mc_samples: int | None
     seed: int | None
     grid: dict | None
@@ -164,21 +164,13 @@ class RunConfig:
         W1, W2 = draw_beamformer_pairs(self.n, self.search["n_pairs"], self.search["seed"])
         return StatRegionSearch(self.stats, W1, W2, self.search["curve_points"])
 
-    def individual_spec(self) -> OutageSpec:
-        if isinstance(self.epsilon_raw, list):
-            return OutageSpec.individual(*self.epsilon_raw)
-        return OutageSpec.individual(self.epsilon_raw, self.epsilon_raw)
-
-    def common_spec(self) -> OutageSpec | None:
-        if isinstance(self.epsilon_raw, list):
-            e1, e2 = self.epsilon_raw
-            return OutageSpec.common(e1) if e1 == e2 else None
-        return OutageSpec.common(self.epsilon_raw)
-
-    def scenario_spec(self) -> OutageSpec:
-        if self.scenario.startswith("common"):
-            return OutageSpec.common(self.epsilon_raw)
-        return OutageSpec.individual(*self.epsilon_raw)
+    def spec(self, mode: str) -> OutageSpec | None:
+        """The tolerances as an outage spec of the given mode; None for
+        common outage when the two tolerances differ."""
+        e1, e2 = self.epsilons
+        if mode == "individual":
+            return OutageSpec.individual(e1, e2)
+        return OutageSpec.common(e1) if e1 == e2 else None
 
     def to_document(self) -> dict:
         doc = {"scenario": self.scenario, "n": self.n}
@@ -193,7 +185,8 @@ class RunConfig:
                 for r in self.channels
             ]
         doc["noise"] = [self.noise[0], self.noise[1]]
-        doc["epsilon"] = self.epsilon_raw
+        common = SCENARIOS[self.scenario][0] == "common"
+        doc["epsilon"] = self.epsilons[0] if common else list(self.epsilons)
         if self.mc_samples is not None:
             doc["mc_samples"] = self.mc_samples
             doc["seed"] = self.seed
@@ -226,7 +219,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             "scenario", f"must be one of {', '.join(SCENARIOS)}; got {scenario!r}"
         )
-    is_stat = scenario.endswith("stat")
+    mode, variants = SCENARIOS[scenario]
+    is_stat = variants is None
     n = _as_int(_get(doc, "n", ""), "n", minimum=1)
 
     noise_node = _get(doc, "noise", "")
@@ -238,17 +232,17 @@ def parse_config(text: str) -> RunConfig:
     )
 
     eps_node = _get(doc, "epsilon", "")
-    if scenario.startswith("common"):
-        epsilon_raw = _as_eps(eps_node, "epsilon")
+    if mode == "common":
+        epsilons = (_as_eps(eps_node, "epsilon"),) * 2
     else:
         if not isinstance(eps_node, list) or len(eps_node) != 2:
             raise ConfigError(
                 "epsilon", "individual scenarios take [epsilon1, epsilon2]"
             )
-        epsilon_raw = [
+        epsilons = (
             _as_eps(eps_node[0], "epsilon[0]"),
             _as_eps(eps_node[1], "epsilon[1]"),
-        ]
+        )
 
     has_cov = "covariances" in doc
     has_chan = "channels" in doc
@@ -367,7 +361,7 @@ def parse_config(text: str) -> RunConfig:
         stats=stats,
         channels=channels,
         noise=noise,
-        epsilon_raw=epsilon_raw,
+        epsilons=epsilons,
         mc_samples=mc_samples,
         seed=seed,
         grid=grid,
@@ -400,37 +394,30 @@ def run_validate(config: RunConfig) -> dict:
 
 
 def run_point(config: RunConfig, r1: float, r2: float) -> dict:
-    """Case probabilities and every applicable membership verdict at (r1, r2)."""
+    """Case probabilities and every applicable membership verdict at (r1, r2).
+
+    Instantaneous scenarios report their first variant's membership record;
+    common-outage scenarios appear only when the two tolerances are equal.
+    """
     probs = estimate_case_probs(config.source(), (r1, r2), config.noise)
-    ind = config.individual_spec()
-    com = config.common_spec()
+    search = config.stat_search() if config.search is not None else None
     memberships = {}
-    if com is not None:
-        verdict = common_inst_member(probs, com.epsilon)
-        memberships["common-inst"] = {
-            "member": verdict.member,
-            "margin": verdict.margin,
-        }
-    verdict = individual_inst_member(probs, ind.epsilon1, ind.epsilon2)
-    memberships["individual-inst"] = {"member": verdict.member, **verdict.margins()}
-    for choice in (1, 2):
-        fixed = fixed_choice_member(probs, ind.epsilon1, ind.epsilon2, choice)
-        memberships[f"individual-inst-fixed{choice}"] = {
-            "member": fixed.member,
-            "margin_served": fixed.margin_served,
-            "margin_other": fixed.margin_other,
-        }
+    stat = {}
+    for scenario, (mode, variants) in SCENARIOS.items():
+        spec = config.spec(mode)
+        if spec is None:
+            continue
+        if variants is not None:
+            memberships[scenario] = asdict(verdict(probs, spec, variants[0]))
+        elif search is not None:
+            stat[scenario] = search.member_any(r1, r2, spec)
     report = {
         "point": [r1, r2],
         "case_probabilities": probs.as_dict(),
         "memberships": memberships,
-        "bias_interval": bias_interval(probs, ind.epsilon1, ind.epsilon2).as_dict(),
+        "bias_interval": bias_interval(probs, *config.epsilons).as_dict(),
     }
-    if config.search is not None:
-        search = config.stat_search()
-        stat = {"individual-stat": search.member_any(r1, r2, ind)}
-        if com is not None:
-            stat["common-stat"] = search.member_any(r1, r2, com)
+    if search is not None:
         report["stat_memberships"] = stat
     return report
 
@@ -466,14 +453,10 @@ def run_frontier(config: RunConfig, index: int, points: int) -> dict:
     return report
 
 
-def _resolved_grid(config: RunConfig, pipeline, spec: OutageSpec) -> GridConfig:
+def _resolved_grid(config: RunConfig, pipeline) -> GridConfig:
     opts = dict(config.grid or {})
-    if spec.mode == "common":
-        eps1 = eps2 = spec.epsilon
-    else:
-        eps1, eps2 = spec.epsilon1, spec.epsilon2
-    caps = pipeline.su_caps(eps1, eps2)
-    for link, (eps, cap) in enumerate(zip((eps1, eps2), caps), start=1):
+    caps = pipeline.su_caps(*config.epsilons)
+    for link, (eps, cap) in enumerate(zip(config.epsilons, caps), start=1):
         if f"r{link}_cap" not in opts and not cap > 0.0:
             raise ValueError(
                 f"rate cap r{link}_cap = {cap:.6g} bits: the {eps:g}-quantile of link "
@@ -500,27 +483,22 @@ def _resolved_grid(config: RunConfig, pipeline, spec: OutageSpec) -> GridConfig:
 
 def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
     """Trace the configured region and write CSV boundary files + manifest."""
-    spec = config.scenario_spec()
-    boundaries = {}
-    columns = CSV_COLUMNS
-    if config.scenario.endswith("stat"):
+    mode, variants = SCENARIOS[config.scenario]
+    spec = config.spec(mode)
+    if variants is None:
         boundary = config.stat_search().boundary(spec)
         boundary.metadata["seed"] = config.search["seed"]
-        boundaries["boundary"] = boundary
+        boundaries = {"boundary": boundary}
         columns = STAT_CSV_COLUMNS
     else:
         pipeline = InstantaneousRegionPipeline(config.source(), config.noise)
-        grid = _resolved_grid(config, pipeline, spec)
+        grid = _resolved_grid(config, pipeline)
         pipeline.precompute_columns(grid.r1_values, workers=workers)
-        if config.scenario == "common-inst":
-            boundaries["boundary"] = pipeline.trace(spec, grid)
-        elif config.scenario == "individual-inst":
-            boundaries["boundary"] = pipeline.trace(spec, grid)
-            boundaries["fixed1"] = pipeline.trace(spec, grid, variant="fixed1")
-            boundaries["fixed2"] = pipeline.trace(spec, grid, variant="fixed2")
-        else:
-            variant = "fixed1" if config.scenario.endswith("fixed1") else "fixed2"
-            boundaries["boundary"] = pipeline.trace(spec, grid, variant=variant)
+        boundaries = {
+            "boundary" if i == 0 else variant: pipeline.trace(spec, grid, variant)
+            for i, variant in enumerate(variants)
+        }
+        columns = CSV_COLUMNS
 
     # Created only now, so a run that fails above leaves no directory behind.
     out = Path(out_dir)

@@ -47,12 +47,12 @@ class CaseLabel(enum.Enum):
 class CaseProbabilities:
     """Empirical case distribution at one rate point.
 
-    Counts are exact integers summing to n_samples. p_d is the float
-    complement of the other four estimates, which makes the five estimates sum
-    to exactly 1.0 in floating point (the complement can differ from
-    count_d / n_samples by about one ulp, far below any standard error).
-    p_su_exceed_i estimates Pr{r_i > single-user rate of link i}, tallied
-    independently of the case counts.
+    Counts are exact integers summing to n_samples; count_d is their
+    complement. p_d is the float complement of the other four estimates,
+    which makes the five estimates sum to exactly 1.0 in floating point (the
+    complement can differ from count_d / n_samples by about one ulp, far below
+    any standard error). p_su_exceed_i estimates Pr{r_i > single-user rate of
+    link i}, tallied independently of the case counts.
     """
 
     n_samples: int
@@ -60,17 +60,11 @@ class CaseProbabilities:
     count_b: int
     count_c1: int
     count_c2: int
-    count_d: int
     p_a: float
     p_b: float
     p_c1: float
     p_c2: float
     p_d: float
-    se_a: float
-    se_b: float
-    se_c1: float
-    se_c2: float
-    se_d: float
     count_su_exceed1: int
     count_su_exceed2: int
     p_su_exceed1: float
@@ -80,36 +74,12 @@ class CaseProbabilities:
     def from_counts(
         cls, n: int, c_a: int, c_b: int, c_c1: int, c_c2: int, c_e1: int, c_e2: int
     ) -> "CaseProbabilities":
-        c_d = n - (c_a + c_b + c_c1 + c_c2)
         if n <= 0:
             raise ValueError("need at least one sample")
         p_a, p_b, p_c1, p_c2 = c_a / n, c_b / n, c_c1 / n, c_c2 / n
-        p_d = 1.0 - (p_a + p_b + p_c1 + p_c2)
-
-        def se(p):
-            return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
         return cls(
-            n_samples=n,
-            count_a=c_a,
-            count_b=c_b,
-            count_c1=c_c1,
-            count_c2=c_c2,
-            count_d=c_d,
-            p_a=p_a,
-            p_b=p_b,
-            p_c1=p_c1,
-            p_c2=p_c2,
-            p_d=p_d,
-            se_a=se(p_a),
-            se_b=se(p_b),
-            se_c1=se(p_c1),
-            se_c2=se(p_c2),
-            se_d=se(p_d),
-            count_su_exceed1=c_e1,
-            count_su_exceed2=c_e2,
-            p_su_exceed1=c_e1 / n,
-            p_su_exceed2=c_e2 / n,
+            n, c_a, c_b, c_c1, c_c2, p_a, p_b, p_c1, p_c2, 1.0 - (p_a + p_b + p_c1 + p_c2),
+            c_e1, c_e2, c_e1 / n, c_e2 / n,
         )
 
     @classmethod
@@ -117,32 +87,23 @@ class CaseProbabilities:
         cls, p_a: float, p_b: float, p_c1: float, p_c2: float, p_d: float
     ) -> "CaseProbabilities":
         """A probability vector without sample backing (membership algebra tests)."""
-        return cls(
-            n_samples=0,
-            count_a=0,
-            count_b=0,
-            count_c1=0,
-            count_c2=0,
-            count_d=0,
-            p_a=p_a,
-            p_b=p_b,
-            p_c1=p_c1,
-            p_c2=p_c2,
-            p_d=p_d,
-            se_a=0.0,
-            se_b=0.0,
-            se_c1=0.0,
-            se_c2=0.0,
-            se_d=0.0,
-            count_su_exceed1=0,
-            count_su_exceed2=0,
-            p_su_exceed1=p_a + p_c2,
-            p_su_exceed2=p_a + p_c1,
-        )
+        return cls(0, 0, 0, 0, 0, p_a, p_b, p_c1, p_c2, p_d, 0, 0, p_a + p_c2, p_a + p_c1)
+
+    @property
+    def count_d(self) -> int:
+        return self.n_samples - (self.count_a + self.count_b + self.count_c1 + self.count_c2)
 
     def as_dict(self) -> dict:
+        n = self.n_samples
+        estimates = {
+            "p_a": self.p_a,
+            "p_b": self.p_b,
+            "p_c1": self.p_c1,
+            "p_c2": self.p_c2,
+            "p_d": self.p_d,
+        }
         return {
-            "n_samples": self.n_samples,
+            "n_samples": n,
             "counts": {
                 "a": self.count_a,
                 "b": self.count_b,
@@ -150,19 +111,11 @@ class CaseProbabilities:
                 "c2": self.count_c2,
                 "d": self.count_d,
             },
-            "estimates": {
-                "p_a": self.p_a,
-                "p_b": self.p_b,
-                "p_c1": self.p_c1,
-                "p_c2": self.p_c2,
-                "p_d": self.p_d,
-            },
+            "estimates": estimates,
+            # Binomial standard errors; a synthetic vector (n = 0) has none.
             "standard_errors": {
-                "p_a": self.se_a,
-                "p_b": self.se_b,
-                "p_c1": self.se_c1,
-                "p_c2": self.se_c2,
-                "p_d": self.se_d,
+                key: math.sqrt(max(p * (1.0 - p), 0.0) / n) if n else 0.0
+                for key, p in estimates.items()
             },
             "su_exceedance": {
                 "p1": self.p_su_exceed1,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import COVARIANCE_KEYS, ChannelStatistics
-from .cli import _matrix_doc
+from .cli import SCENARIOS, _matrix_doc
 
 DEMO_EPSILON = 0.1
 DEMO_NOISE = (0.5, 0.5)
@@ -63,11 +63,14 @@ def demo_config(
         "mc_samples": mc_samples,
         "seed": seed,
     }
-    if scenario.startswith("common"):
+    # An unknown scenario gets an individual-inst document, which parse_config
+    # then rejects on its scenario field.
+    mode, variants = SCENARIOS.get(scenario, SCENARIOS["individual-inst"])
+    if mode == "common":
         doc["epsilon"] = DEMO_EPSILON
     else:
         doc["epsilon"] = [DEMO_EPSILON, DEMO_EPSILON]
-    if scenario.endswith("stat"):
+    if variants is None:
         doc["search"] = {"n_pairs": n_pairs, "seed": 9}
     else:
         doc["grid"] = {"n_points": n_grid}

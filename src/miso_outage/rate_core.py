@@ -43,9 +43,10 @@ derivation is at GOLDEN_VALUE_TOL.
 
 The *_batch kernels take stacked (N, n) channel arrays and hold the only
 implementation of each formula. Scalar calls (power_frontier and its methods,
-frontier_qmin, su_rate, is_achievable) run them on a batch of one, so scalar
-and batch results agree exactly. frontier_point stays a separate geometric
-construction: the witness beamformer that tests check the closed form with.
+frontier_qmin, su_rate, is_achievable, max_r2_given_r1) run them on a batch
+of one, so scalar and batch results agree exactly. frontier_point stays a
+separate geometric construction: the witness beamformer that tests check the
+closed form with.
 """
 
 from __future__ import annotations
@@ -608,20 +609,22 @@ def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
 
 
 def max_r2_given_r1(h, r1: float, noise: tuple[float, float]) -> float:
-    """Largest r2 with (r1, r2) achievable, by bisection over the oracle to 1e-9 bits.
+    """Largest r2 with (r1, r2) achievable: max_r2_batch on a batch of one.
 
-    Raises when r1 itself is infeasible (above the link-1 single-user rate
-    beyond the oracle's slack). With r1 = 0 returns the link-2 single-user
-    rate exactly.
+    Raises when r1 itself is infeasible (above the link-1 single-user rate,
+    where the column is -inf). With r1 = 0 returns the link-2 single-user
+    rate.
     """
-    r1 = float(r1)
-    if not is_achievable(h, (r1, 0.0), noise).achievable:
+    r1, _ = as_rate_point((r1, 0.0))
+    r2 = float(max_r2_batch(
+        frontier_batch(h.h11[None, :], h.h12[None, :]),
+        frontier_batch(h.h22[None, :], h.h21[None, :]),
+        float(gamma_from_rate(r1)),
+        noise,
+    )[0])
+    if r2 == -math.inf:
         raise ValueError(f"r1 = {r1} is infeasible for this realization")
-    return bisect_largest(
-        lambda r2: is_achievable(h, (r1, r2), noise).achievable,
-        su_rate(h, 2, noise[1]),
-        1e-9,
-    )
+    return r2
 
 
 def bisect_largest(member, hi: float, tol: float) -> float:

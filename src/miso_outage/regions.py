@@ -32,6 +32,7 @@ from .channel import SampleSource
 from .outage_mc import CaseProbabilities, split_cases
 from .rate_core import (
     RATE_SLACK,
+    as_rate_point,
     bisect_largest,
     column_search_batch,
     frontier_batch,
@@ -115,20 +116,15 @@ class IndividualMembership:
     member: bool
     margin1: float
     margin2: float
-    margin_sum: float
+    margin3: float
 
     def margins(self) -> dict:
-        return {
-            "margin1": self.margin1,
-            "margin2": self.margin2,
-            "margin3": self.margin_sum,
-        }
+        return {"margin1": self.margin1, "margin2": self.margin2, "margin3": self.margin3}
 
 
 @dataclass
 class FixedChoiceMembership:
     member: bool
-    choice: int
     margin_served: float
     margin_other: float
 
@@ -172,12 +168,12 @@ def individual_inst_member(
         ) / probs.n_samples
     else:
         not_b_plus_a = 1.0 + probs.p_a - probs.p_b
-    margin_sum = (epsilon1 + epsilon2) - not_b_plus_a
+    margin3 = (epsilon1 + epsilon2) - not_b_plus_a
     return IndividualMembership(
-        member=(margin1 >= 0.0 and margin2 >= 0.0 and margin_sum >= 0.0),
+        member=(margin1 >= 0.0 and margin2 >= 0.0 and margin3 >= 0.0),
         margin1=margin1,
         margin2=margin2,
-        margin_sum=margin_sum,
+        margin3=margin3,
     )
 
 
@@ -192,13 +188,13 @@ def bias_interval(
     values (1 - eps1 - p_b - p_c1)/p_d and (p_b + p_c2 + p_d - 1 + eps2)/p_d
     are then reported, clamped to [0, 1].
     """
-    verdict = individual_inst_member(probs, epsilon1, epsilon2)
+    member = individual_inst_member(probs, epsilon1, epsilon2).member
     if probs.p_d > 0.0:
         lo = (1.0 - epsilon1 - probs.p_b - probs.p_c1) / probs.p_d
         hi = (probs.p_b + probs.p_c2 + probs.p_d - 1.0 + epsilon2) / probs.p_d
     else:
-        lo, hi = (0.0, 1.0) if verdict.member else (1.0, 0.0)
-    if not verdict.member:
+        lo, hi = (0.0, 1.0) if member else (1.0, 0.0)
+    if not member:
         return BiasInterval(lo=lo, hi=hi, nonempty=False)
     lo = min(max(lo, 0.0), 1.0)
     hi = min(max(hi, 0.0), 1.0)
@@ -224,10 +220,29 @@ def fixed_choice_member(
         raise ValueError(f"choice must be 1 or 2, got {choice}")
     return FixedChoiceMembership(
         member=(margin_served >= 0.0 and margin_other >= 0.0),
-        choice=choice,
         margin_served=margin_served,
         margin_other=margin_other,
     )
+
+
+def verdict(probs: CaseProbabilities, spec: OutageSpec, variant: str = "plain"):
+    """Membership record of the scenario (spec.mode, variant) at probs.
+
+    variant picks the case-D policy of individual outage: "plain" (the best
+    constant coin) or "fixed1"/"fixed2" (always serve that link); common
+    outage has only "plain".
+    """
+    if spec.mode == "common":
+        if variant != "plain":
+            raise ValueError("fixed-choice variants need individual constraints")
+        return common_inst_member(probs, spec.epsilon)
+    if variant == "plain":
+        return individual_inst_member(probs, spec.epsilon1, spec.epsilon2)
+    if variant in ("fixed1", "fixed2"):
+        return fixed_choice_member(
+            probs, spec.epsilon1, spec.epsilon2, 1 if variant == "fixed1" else 2
+        )
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +293,6 @@ class RegionBoundary:
     points: list[BoundaryPoint]
     warnings: list[str]
     metadata: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "points": [
-                {"r1": p.r1, "r2": p.r2, **p.payload} for p in self.points
-            ],
-            "warnings": list(self.warnings),
-            "metadata": dict(self.metadata),
-        }
 
 
 def non_dominated_points(points: list[BoundaryPoint]) -> list[BoundaryPoint]:
@@ -445,6 +451,7 @@ class InstantaneousRegionPipeline:
 
     def case_tests(self, r1: float, r2: float):
         """Masks (exceed1, exceed2, joint) at (r1, r2): the only case-B decision."""
+        r1, r2 = as_rate_point((r1, r2))
         joint = self.column(r1) >= r2 - RATE_SLACK
         return r1 > self.su1, r2 > self.su2, joint
 
@@ -454,21 +461,8 @@ class InstantaneousRegionPipeline:
         counts = (int(m.sum()) for m in (a, b, c1, c2, exceed1, exceed2))
         return CaseProbabilities.from_counts(self.n_samples, *counts)
 
-    def verdict(self, probs: CaseProbabilities, spec: OutageSpec, variant: str = "plain"):
-        if spec.mode == "common":
-            if variant != "plain":
-                raise ValueError("fixed-choice variants need individual constraints")
-            return common_inst_member(probs, spec.epsilon)
-        if variant == "plain":
-            return individual_inst_member(probs, spec.epsilon1, spec.epsilon2)
-        if variant in ("fixed1", "fixed2"):
-            return fixed_choice_member(
-                probs, spec.epsilon1, spec.epsilon2, 1 if variant == "fixed1" else 2
-            )
-        raise ValueError(f"unknown variant {variant!r}")
-
     def member(self, r1: float, r2: float, spec: OutageSpec, variant: str = "plain") -> bool:
-        return self.verdict(self.case_probs(r1, r2), spec, variant).member
+        return verdict(self.case_probs(r1, r2), spec, variant).member
 
     def trace(self, spec: OutageSpec, grid: GridConfig, variant: str = "plain") -> RegionBoundary:
         self.precompute_columns(grid.r1_values)
@@ -479,7 +473,7 @@ class InstantaneousRegionPipeline:
         def annotate(r1, r2):
             probs = self.case_probs(r1, r2)
             payload = probs.as_dict()["estimates"]
-            payload.update(self.verdict(probs, spec, variant).margins())
+            payload.update(verdict(probs, spec, variant).margins())
             return payload
 
         meta = {

@@ -116,15 +116,6 @@ class StatMcResult:
     success_joint: float
     n_samples: int
 
-    def as_dict(self) -> dict:
-        return {
-            "member": self.member,
-            "success1": self.success1,
-            "success2": self.success2,
-            "success_joint": self.success_joint,
-            "n_samples": self.n_samples,
-        }
-
 
 def _quad_batch(h: np.ndarray, Psi: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ij,nj->n", np.conj(h), Psi, h).real
@@ -238,6 +229,7 @@ class StatRegionSearch:
 
     def member_any(self, r1: float, r2: float, spec: OutageSpec) -> bool:
         """True when some candidate pair meets the constraints at (r1, r2)."""
+        r1, r2 = as_rate_point((r1, r2))
         pi1, pi2 = self.pair_success_all(r1, r2)
         return bool(np.any(_meets(spec, pi1, pi2, pi1 * pi2)))
 
@@ -260,6 +252,7 @@ class StatRegionSearch:
 
     def column_height(self, r1: float, spec: OutageSpec) -> float:
         """Largest member r2 at abscissa r1 over all pairs (-inf when none)."""
+        r1, _ = as_rate_point((r1, 0.0))
         _, feasible, g2 = self._link2_at(r1, spec)
         if not feasible.any():
             return -math.inf
@@ -326,5 +319,4 @@ def stat_member(
     stats: ChannelStatistics, w1: np.ndarray, w2: np.ndarray, point, spec: OutageSpec
 ) -> bool:
     """Does the fixed pair meet the outage constraints at this rate point?"""
-    r1, r2 = as_rate_point(point)
-    return StatRegionSearch(stats, [w1], [w2]).member_any(r1, r2, spec)
+    return StatRegionSearch(stats, [w1], [w2]).member_any(point[0], point[1], spec)

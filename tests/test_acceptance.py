@@ -30,6 +30,7 @@ from miso_outage.regions import (
     InstantaneousRegionPipeline,
     OutageSpec,
     bias_interval,
+    verdict,
 )
 from miso_outage.stat_csi import (
     StatRegionSearch,
@@ -331,10 +332,10 @@ def test_criterion_7_region_nesting(nesting_pipeline, stat_search):
     for r1 in r1_grid:
         for r2 in r2_grid:
             probs = pipeline.case_probs(float(r1), float(r2))
-            in_common = pipeline.verdict(probs, common).member
-            in_fixed1 = pipeline.verdict(probs, indiv, "fixed1").member
-            in_fixed2 = pipeline.verdict(probs, indiv, "fixed2").member
-            in_indiv = pipeline.verdict(probs, indiv).member
+            in_common = verdict(probs, common).member
+            in_fixed1 = verdict(probs, indiv, "fixed1").member
+            in_fixed2 = verdict(probs, indiv, "fixed2").member
+            in_indiv = verdict(probs, indiv).member
             if in_common and not (in_fixed1 and in_fixed2):
                 inst_violations += 1
             if (in_fixed1 or in_fixed2) and not in_indiv:

@@ -85,7 +85,7 @@ class TestCaseProbabilities:
     def test_standard_errors(self, demo_source):
         probs = estimate_case_probs(demo_source, (0.5, 0.5), NOISE)
         expect = np.sqrt(probs.p_b * (1.0 - probs.p_b) / probs.n_samples)
-        assert probs.se_b == pytest.approx(expect, rel=1e-12)
+        assert probs.as_dict()["standard_errors"]["p_b"] == pytest.approx(expect, rel=1e-12)
 
     def test_from_counts_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from miso_outage.regions import (
     individual_inst_member,
     non_dominated_points,
     trace_boundary,
+    verdict,
     write_boundary_csv,
 )
 
@@ -71,7 +72,7 @@ class TestMembershipFrozen:
         verdict = individual_inst_member(probs, 0.25, 0.25)
         assert verdict.member
         assert verdict.margin1 == pytest.approx(0.25)
-        assert verdict.margin_sum == pytest.approx(0.0)
+        assert verdict.margin3 == pytest.approx(0.0)
         iv = bias_interval(probs, 0.25, 0.25)
         assert iv.nonempty
         assert iv.lo == pytest.approx(0.5)
@@ -98,7 +99,7 @@ class TestMembershipFrozen:
         verdict = individual_inst_member(probs, 0.1, 0.1)
         assert verdict.margin1 == pytest.approx(0.0)
         assert verdict.margin2 == pytest.approx(0.0)
-        assert verdict.margin_sum == pytest.approx(-0.05)
+        assert verdict.margin3 == pytest.approx(-0.05)
         assert not verdict.member
         iv = bias_interval(probs, 0.1, 0.1)
         assert not iv.nonempty
@@ -356,9 +357,16 @@ class TestPipeline:
         assert boundary.metadata["seed"] == 7
         assert boundary.metadata["n_samples"] == pipeline.n_samples
 
+    @pytest.mark.parametrize("point", [(-1.0, -1.0), (math.nan, 0.5), (0.5, math.inf)])
+    def test_rejects_invalid_points(self, pipeline, point):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            pipeline.member(*point, OutageSpec.individual(0.1, 0.1))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            pipeline.case_probs(*point)
+
     def test_common_variant_rejects_fixed(self, pipeline):
         with pytest.raises(ValueError):
-            pipeline.verdict(pipeline.case_probs(0.1, 0.1), OutageSpec.common(0.1), "fixed1")
+            verdict(pipeline.case_probs(0.1, 0.1), OutageSpec.common(0.1), "fixed1")
 
     def test_parallel_columns_identical(self, demo_source):
         serial = InstantaneousRegionPipeline(demo_source, NOISE)

@@ -314,6 +314,18 @@ class TestRegionSearch:
     def test_column_height_infeasible(self, search):
         assert search.column_height(50.0, OutageSpec.individual(0.1, 0.1)) == -math.inf
 
+    @pytest.mark.parametrize("point", [(-1.0, -1.0), (math.nan, 0.0), (0.2, math.inf)])
+    def test_member_any_rejects_invalid_points(self, search, point):
+        for spec in (OutageSpec.common(0.1), OutageSpec.individual(0.1, 0.1)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                search.member_any(*point, spec)
+
+    @pytest.mark.parametrize("r1", [-5.0, math.nan, math.inf])
+    def test_column_height_rejects_invalid_r1(self, search, r1):
+        for spec in (OutageSpec.common(0.1), OutageSpec.individual(0.1, 0.1)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                search.column_height(r1, spec)
+
     def test_column_height_tracks_membership(self, search):
         spec = OutageSpec.common(0.1)
         r1 = 0.2
