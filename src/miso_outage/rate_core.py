@@ -24,21 +24,30 @@ is nonnegative for some q1, where gamma_i = 2^{r_i} - 1,
 q2min(q1) = qmin_2(gamma2 * (q1 + sigma2^2)) is the least interference
 transmitter 2 must cause to hand link 2 its target SINR, and qmin is the
 frontier inverse. g is concave, so a fixed-count golden-section search decides
-feasibility; the maximizer yields is_achievable's witness beamformers. Case B
-is classified by the column search instead (column_search_batch, below). It
-answers two kinds of rows without searching: empty brackets (r1 above the
-single-user ceiling) and rows where transmitter 1 zero-forces across the whole
-bracket (its demand at the bracket top is at most d1^2, the lambda = 0 end of
-its Pareto parametrization), whose objective is then nondecreasing and peaks
-exactly at the bracket top, a point the search evaluates anyway.
+feasibility; the maximizer yields is_achievable's witness beamformers.
+
+Case B is classified by the column search instead (column_search_batch,
+below): the largest r2 at fixed r1, the maximum of the quasi-concave ratio
+phi(q2) = p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) + sigma2^2). It answers two
+kinds of rows without searching: empty brackets (r1 above the single-user
+ceiling) and rows where transmitter 1 zero-forces across the whole bracket
+(its demand at the bracket top is at most d1^2, the lambda = 0 end of its
+Pareto parametrization), whose phi is then nondecreasing and peaks at the
+bracket top. On the other rows phi is smooth inside the bracket, and its
+maximizer is the one sign change of phi'. A safeguarded regula falsi
+(Illinois) on a rescaled phi' finds it in 14 steps where golden-section
+search needed 46, because it converges superlinearly rather than by a fixed
+0.618 per step (column_root_search).
 
 Accuracy contract: the maxima of max_r2_batch (bits) and
 achievability_slack_batch (power units) lie within 1e-12 * max(1, |value|)
-(GOLDEN_VALUE_TOL) of the same search run for GOLDEN_ITERS = 80 iterations,
-at least 1000x inside the 1e-9 feasibility and rate slacks. The column kernel
-meets it with 46 iterations (50 objective evaluations on the rows it
-searches), the slack kernel with 54: the worst maximizers sit just below the
-bracket top, at the square-root singularity of the frontier inverse. The
+(GOLDEN_VALUE_TOL) of a golden-section search over the whole bracket run for
+GOLDEN_ITERS = 80 iterations, at least 1000x inside the 1e-9 feasibility and
+rate slacks. The column kernel meets it with 14 root-search iterations (16
+objective evaluations on the rows it searches), the slack kernel with 54
+golden-section iterations. Where rounding noise in phi exceeds a tenth of the
+bound (brackets a few ulps of demand wide, at r1 next to the single-user
+ceiling), the column kernel runs the reference's golden-section search. The
 derivation is at GOLDEN_VALUE_TOL.
 
 The *_batch kernels take stacked (N, n) channel arrays and hold the only
@@ -68,29 +77,46 @@ INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 GOLDEN_ITERS = 80
 
 # Accuracy contract of max_r2_batch and achievability_slack_batch: the
-# returned maximum lies within GOLDEN_VALUE_TOL * max(1, |value|) of the same
-# search run for GOLDEN_ITERS (bits for the column kernel, power units for the
-# slack kernel), at least 1000x below FEASIBILITY_SLACK and RATE_SLACK.
-#
-# Where the objective is smooth at its maximizer, the error falls about 10x
-# per two iterations down to a rounding floor (~5e-14 on the demo stream,
-# reached by 40 iterations for the column kernel and 44 for the slack
-# kernel). The worst cases sit just below the bracket top, where the other
-# link's frontier inverse has a square-root singularity (its demand reaches
-# p_max) and the objective is very steep: r1 just below its single-user
-# ceiling for the column kernel, r1 just above zero with a large r2 for the
-# slack kernel, whose maximizer then lies within 1e-8 of p_max2/gamma2 -
-# sigma2^2. There the error only shrinks with the bracket width, 0.618x per
-# iteration. Each count is the first even count whose worst error stays at
-# least 1.5x inside the bound on the inputs of
+# returned maximum lies within GOLDEN_VALUE_TOL * max(1, |value|) of a
+# golden-section search over the whole bracket run for GOLDEN_ITERS (bits for
+# the column kernel, power units for the slack kernel), at least 1000x below
+# FEASIBILITY_SLACK and RATE_SLACK. Each count below is the first even count
+# whose worst error stays at least 1.5x inside the bound on the inputs of
 # TestAccuracyContract.test_random_channels (n = 1..8, random and rank-1
-# channels, 2.6e5 realization-rate pairs per kernel, steep points at
-# log-spaced distances 1e-9..1e-1) and on further seeded sets of the same
-# kind:
-# - column kernel: 44 iterations leave 4.2e-12, 46 leave 5.5e-13;
-# - slack kernel: 52 iterations leave 9.5e-13, 54 leave 4.1e-13.
+# channels, steep points at log-spaced distances 1e-9..1e-1 from the bracket
+# top), for the column kernel also of TestColumnSearch, and on further
+# seeded sets of the same kind.
+#
+# Slack kernel (golden-section search): where the objective is smooth at its
+# maximizer the error falls about 10x per two iterations down to a rounding
+# floor (~5e-14, reached by 44 iterations). The worst cases sit just below the
+# bracket top, where link 2's frontier inverse has a square-root singularity
+# (its demand reaches p_max): r1 just above zero with a large r2, maximizer
+# within 1e-8 of p_max2/gamma2 - sigma2^2. There the error only shrinks with
+# the bracket width, 0.618x per iteration: 52 iterations leave 9.5e-13, 54
+# leave 4.1e-13.
+#
+# Column kernel (root search on the sign of phi', column_root_search): the
+# Illinois steps converge superlinearly, so the error drops from 1e-6 to the
+# floor within six iterations. Over 8 seeded sets of 2.5e5 rows each, plus
+# transmitter-1-aligned channels (d1 = 0), the worst error is 1.1e-6 after 8
+# iterations, 7.6e-10 after 10, 6.3e-12 after 12, 1.0e-12 after 13 and
+# 1.3e-13 after 14, which stays there through 20. 14 iterations plus the two
+# bracket ends make 16 objective evaluations per searched row.
+#
+# The floor is rounding noise in phi itself. Next to the column's bracket top
+# link 1's frontier inverse magnifies the rounding of its demand, and phi
+# there carries relative noise of about eps b1 u d1 / (w D), up to 1e-8 on
+# brackets a few ulps of demand wide (r1 at the single-user ceiling). Two
+# searches agree only as closely as that unless they evaluate the same
+# points: on the rows above, with the golden fallback below switched off,
+# the error stayed within 1.5x of the noise estimate. Rows whose estimate
+# exceeds PHI_NOISE_TOL are therefore searched by golden_max like the
+# reference: 3 of the 652,716 searched rows of the demo region (seeds 1, 5
+# and 42, 50 columns).
 GOLDEN_VALUE_TOL = 1e-12
-COLUMN_GOLDEN_ITERS = 46
+COLUMN_ROOT_ITERS = 14
+PHI_NOISE_TOL = GOLDEN_VALUE_TOL / 10.0
 SLACK_GOLDEN_ITERS = 54
 
 # Non-strict feasibility: achievable iff max g >= -FEASIBILITY_SLACK (power
@@ -437,7 +463,8 @@ def _interference_bracket(
     where even zero interference is too much; their bracket is [0, 0].
     """
     g = gamma_other
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A subnormal gamma_other overflows p_max / g to inf: no cap, as at g = 0.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ub = np.where(g > 0.0, F_other.p_max / np.where(g > 0.0, g, 1.0) - sigma_other_sq, np.inf)
     hi = np.minimum(F_own.q_mrt, ub)
     return hi < 0.0, np.zeros_like(hi), np.maximum(hi, 0.0)
@@ -477,6 +504,144 @@ def achievability_slack_batch(
     return g_max, q1_star, q2_star
 
 
+def column_root_search(F1, F2, gamma1, hi, rows, noise):
+    """Maximum of phi and its maximizer on the given rows of the column search.
+
+    Each row is searched over [L, H], H = hi and L = clip(d1^2 / gamma1 -
+    sigma1^2, 0, H): below L transmitter 1's demand t = gamma1 (q + sigma1^2)
+    is at most its zero-forcing power d1^2, so it zero-forces and phi is the
+    nondecreasing p2(q) / sigma2^2 (the argument of the closed form in
+    column_search_batch). With x = q / b2, s = sqrt(t), w = sqrt(p1 - t),
+    u = sqrt(q1min / b1), D = q1min + sigma2^2 and g2 = sqrt(p2),
+
+        psi = [s w (c2 sqrt(1-x) - d2 sqrt(x))
+               - k g2 sqrt(x (1-x)) u (c1 w + d1 s) / D] / (w + d1)
+
+    (k = gamma1 b1 b2 / p1) is phi'/phi times b2 g2 sqrt(x (1-x)) s w /
+    (w + d1), which is positive inside the bracket. The factor cancels the
+    square-root singularities of phi'/phi (x = 0, and w = 0 where d1 > 0)
+    without vanishing where phi'/phi stays finite (w = 0 with d1 = 0). Where
+    psi(L) <= 0 phi falls from L, which is the maximizer. Elsewhere
+    COLUMN_ROOT_ITERS Illinois steps find the sign change of psi: regula falsi
+    between the latest iterate and the last one of opposite sign, halving the
+    retained value when the sign does not change. psi(H) is replaced by
+    -psi(L) where it is not negative (it is 0 at w = 0 when d1 = 0). The
+    steps run in y, q = L + (H - L) y^2 (3 - 2 y), which turns a square-root
+    end of psi into a smooth one. The best phi among L, H and the iterates
+    is returned.
+
+    Next to the top of the bracket the frontier inverse magnifies the
+    rounding of t: phi carries relative noise of about eps b1 u d1 / (w D)
+    there, and no search comes closer to the reference than that. Rows where
+    it exceeds PHI_NOISE_TOL at the last iterate, which include every bracket
+    only a few ulps of demand wide (r1 at the single-user ceiling), are
+    searched by golden_max over [0, H] instead, like the reference.
+    """
+    sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
+    # The only frontier fields the search reads, gathered once.
+    c1, d1, b1, p1 = F1.c[rows], F1.d[rows], F1.b_norm_sq[rows], F1.p_max[rows]
+    c2, d2, b2 = F2.c[rows], F2.d[rows], F2.safe_bsq[rows]
+    g1 = gamma1[rows]
+    inv_p1 = 1.0 / p1
+    k = g1 * b1
+    k *= b2
+    k *= inv_p1
+
+    def link1(q):
+        # s, w, u and D at q.
+        t = q + sigma1_sq
+        t *= g1
+        np.minimum(t, p1, out=t)
+        w = np.subtract(p1, t)
+        np.sqrt(w, out=w)
+        s = np.sqrt(t, out=t)
+        u = s * c1
+        u -= d1 * w
+        u *= inv_p1
+        np.maximum(u, 0.0, out=u)
+        den = u * u
+        den *= b1
+        den += sigma2_sq
+        return s, w, u, den
+
+    def evaluate(q):
+        # (phi, psi) at q, updating temporaries in place.
+        s, w, u, den = link1(q)
+        x = q / b2
+        np.minimum(x, 1.0, out=x)
+        ry = np.subtract(1.0, x)
+        np.sqrt(ry, out=ry)
+        rx = np.sqrt(x, out=x)
+        g2 = c2 * rx
+        g2 += d2 * ry
+        phi = g2 * g2
+        phi /= den
+        psi = c2 * ry
+        psi -= d2 * rx
+        psi *= s
+        psi *= w
+        scale = w + d1
+        fall = np.multiply(c1, w, out=w)
+        s *= d1
+        fall += s
+        fall *= u
+        fall *= rx
+        fall *= ry
+        fall *= g2
+        fall *= k
+        fall /= den
+        psi -= fall
+        np.divide(psi, scale, out=psi, where=scale > 0.0)
+        return phi, psi
+
+    top = hi[rows]
+    # (d1^2 - gamma1 sigma1^2) / gamma1 < H on these rows: no overflow.
+    lo = g1 * sigma1_sq
+    np.subtract(d1 * d1, lo, out=lo)
+    lo /= g1
+    np.clip(lo, 0.0, top, out=lo)
+    best, f0 = evaluate(lo)
+    phi, f1 = evaluate(top)
+    best_q = np.where(phi > best, top, lo)
+    np.maximum(best, phi, out=best)
+    width = top - lo
+    # y stays 0 where phi falls from L; psi(H) >= 0 gives way to -psi(L).
+    rises = f0 > 0.0
+    y0 = np.zeros_like(lo)
+    y1 = rises.astype(float)
+    f0 = np.where(rises, f0, 1.0)
+    f1 = np.where(rises & (f1 < 0.0), f1, -f0)
+    for _ in range(COLUMN_ROOT_ITERS):
+        y = y1 - y0
+        y *= f1
+        y /= f1 - f0
+        np.subtract(y1, y, out=y)
+        q = y * y
+        q *= 3.0 - 2.0 * y
+        q *= width
+        q += lo
+        phi, fy = evaluate(q)
+        best_q = np.where(phi > best, q, best_q)
+        np.maximum(best, phi, out=best)
+        flip = fy * f1 < 0.0
+        y0 = np.where(flip, y1, y0)
+        f0 = np.where(flip, f1, 0.5 * f0)
+        y1, f1 = y, fy
+    # Rows whose noise estimate at the last iterate exceeds PHI_NOISE_TOL.
+    _, w, u, den = link1(q)
+    noisy = np.flatnonzero(np.finfo(float).eps * b1 * u * d1 > PHI_NOISE_TOL * w * den)
+    if noisy.size:
+        sub = rows[noisy]
+        F1_sub, F2_sub, g1_sub = F1.take(sub), F2.take(sub), gamma1[sub]
+
+        def phi_ref(q2):
+            q1min = frontier_qmin_batch(F1_sub, g1_sub * (q2 + sigma1_sq))
+            return frontier_signal_batch(F2_sub, q2) / (q1min + sigma2_sq)
+
+        best_q[noisy], best[noisy] = golden_max(phi_ref, np.zeros(sub.size), hi[sub])
+    return best_q, best
+
+
 def column_search_batch(
     F1: FrontierBatch,
     F2: FrontierBatch,
@@ -496,10 +661,9 @@ def column_search_batch(
     zero-forcing power d1^2 (the t <= d^2 test of frontier_qmin_batch),
     transmitter 1 reaches r1 at q1min = 0 everywhere in the bracket, because
     the demand is monotone in q2 in floating point too. phi is then the
-    nondecreasing p2(q2) / sigma2^2, so its maximum is the bracket-top value
-    golden_max evaluates anyway, with q2 = hi. Only the remaining rows are
-    gathered into a compact batch and searched, for COLUMN_GOLDEN_ITERS
-    iterations (contract: GOLDEN_VALUE_TOL).
+    nondecreasing p2(q2) / sigma2^2, so its maximum is the bracket-top value,
+    with q2 = hi. Only the remaining rows are searched, by column_root_search
+    (contract: GOLDEN_VALUE_TOL).
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
@@ -511,13 +675,7 @@ def column_search_batch(
     phi_max = frontier_signal_batch(F2, hi) / sigma2_sq
     rows = np.flatnonzero(~(infeasible | zero_forcing))
     if rows.size:
-        F1_rows, F2_rows, g1_rows = F1.take(rows), F2.take(rows), g1[rows]
-
-        def phi(q2):
-            q1min = frontier_qmin_batch(F1_rows, g1_rows * (q2 + sigma1_sq))
-            return frontier_signal_batch(F2_rows, q2) / (q1min + sigma2_sq)
-
-        q2_star[rows], phi_max[rows] = golden_max(phi, lo[rows], hi[rows], COLUMN_GOLDEN_ITERS)
+        q2_star[rows], phi_max[rows] = column_root_search(F1, F2, g1, hi, rows, noise)
     r2 = rate_from_sinr(phi_max)
     r2[infeasible] = -np.inf
     return r2, q2_star

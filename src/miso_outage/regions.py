@@ -365,6 +365,11 @@ def trace_boundary(
 _WORKER = {}
 
 
+def _column_key(r1: float) -> float:
+    """r1 as a column-cache key: a finite, nonnegative float, else ValueError."""
+    return as_rate_point((r1, 0.0))[0]
+
+
 def _pipeline_worker_init(pipeline: "InstantaneousRegionPipeline"):
     # A forked worker inherits the parent's pipeline (stream and frontiers)
     # for free; under spawn it arrives pickled. Either way nothing is re-sampled.
@@ -412,7 +417,7 @@ class InstantaneousRegionPipeline:
         return max_r2_batch(self.F1, self.F2, float(gamma_from_rate(r1)), self.noise)
 
     def column(self, r1: float) -> np.ndarray:
-        r1 = float(r1)
+        r1 = _column_key(r1)
         cached = self._columns.get(r1)
         if cached is None:
             cached = self._columns[r1] = self._compute_column(r1)
@@ -424,7 +429,8 @@ class InstantaneousRegionPipeline:
         Results are identical for any worker count; parallelism only changes
         which process runs each column.
         """
-        todo = [float(r1) for r1 in r1_values if float(r1) not in self._columns]
+        keys = [_column_key(r1) for r1 in r1_values]
+        todo = [r1 for r1 in keys if r1 not in self._columns]
         if not todo:
             return
         if workers <= 1:
@@ -442,7 +448,7 @@ class InstantaneousRegionPipeline:
     def witness_rates(self, r1: float):
         """Link rates at the case-B operating point (transmitter 2 at the column
         maximizer, transmitter 1 just reaching r1); also caches the column."""
-        r1 = float(r1)
+        r1 = _column_key(r1)
         gamma1 = float(gamma_from_rate(r1))
         column, q2 = column_search_batch(self.F1, self.F2, gamma1, self.noise)
         self._columns.setdefault(r1, column)

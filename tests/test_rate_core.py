@@ -15,6 +15,7 @@ from miso_outage.rate_core import (
     RATE_SLACK,
     achievability_slack_batch,
     as_rate_point,
+    column_root_search,
     column_search_batch,
     frontier_batch,
     frontier_point,
@@ -40,6 +41,8 @@ from miso_outage.rate_core import (
 )
 
 from conftest import random_channel_vectors
+
+EPS = np.finfo(float).eps
 
 
 def aligned_realization():
@@ -402,71 +405,6 @@ def assert_within_contract(value, reference):
     assert np.all(err <= GOLDEN_VALUE_TOL), f"worst scaled error {np.max(err):.3g}"
 
 
-def at_reference_count(kernel, *args):
-    """Run a kernel with its golden-section search at GOLDEN_ITERS, the
-    default of golden_max, instead of the kernel's own count."""
-    with mock.patch.object(rate_core, "golden_max", lambda f, lo, hi, iters: golden_max(f, lo, hi)):
-        return kernel(*args)
-
-
-def check_accuracy_contract(arrs, noise, rng):
-    """Both kernels at their default counts against GOLDEN_ITERS, at rate
-    points spanning [0, 1.2 x single-user rate] of each realization."""
-    F1 = frontier_batch(arrs["h11"], arrs["h12"])
-    F2 = frontier_batch(arrs["h22"], arrs["h21"])
-    su1 = su_rate_batch(arrs["h11"], noise[0])
-    su2 = su_rate_batch(arrs["h22"], noise[1])
-    draws = [rng.uniform(0.0, 1.2, size=(2, su1.size)) for _ in range(3)]
-    # Steep points: r1 just below its ceiling (column kernel) or just above
-    # zero with a large r2 (slack kernel) puts the maximizer just below the
-    # bracket top, at the square-root singularity of the other link's frontier
-    # inverse, where the search converges slowest.
-    for _ in range(2):
-        near = 10.0 ** rng.uniform(-9.0, -1.0, size=su1.size)
-        draws.append((1.0 - near, rng.uniform(0.0, 1.2, size=su1.size)))
-        draws.append((near, rng.uniform(0.3, 1.0, size=su1.size)))
-    for frac1, frac2 in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 1.0), *draws]:
-        r1, r2 = frac1 * su1, frac2 * su2
-        gamma1, gamma2 = gamma_from_rate(r1), gamma_from_rate(r2)
-        assert_within_contract(
-            max_r2_batch(F1, F2, gamma1, noise),
-            at_reference_count(max_r2_batch, F1, F2, gamma1, noise),
-        )
-        g, q1, q2 = achievability_slack_batch(F1, F2, gamma1, gamma2, noise)
-        g_ref, _, _ = at_reference_count(
-            achievability_slack_batch, F1, F2, gamma1, gamma2, noise
-        )
-        assert_within_contract(g, g_ref)
-        ok = g >= -FEASIBILITY_SLACK
-        rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
-        assert np.all(rate1[ok] >= r1[ok] - RATE_SLACK)
-        assert np.all(rate2[ok] >= r2[ok] - RATE_SLACK)
-
-
-class TestAccuracyContract:
-    """max_r2_batch and achievability_slack_batch at their derived golden-section
-    counts stay within GOLDEN_VALUE_TOL of the GOLDEN_ITERS reference, and the
-    slack's witness meets both targets wherever the slack says feasible."""
-
-    @pytest.mark.parametrize("family", ["random", "rank-1"])
-    @pytest.mark.parametrize("n", [1, 2, 4, 8])
-    def test_random_channels(self, n, family):
-        rng = np.random.default_rng(100 + n)
-        noise = (float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 2.0)))
-        check_accuracy_contract(contract_channels(rng, n, 3000, family), noise, rng)
-
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(
-        family=st.sampled_from(DEGENERATE_FAMILIES),
-        n=st.sampled_from([1, 2, 4, 8]),
-        seed=st.integers(0, 2**32 - 1),
-        noise=st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)),
-    )
-    def test_degenerate_families(self, family, n, seed, noise):
-        rng = np.random.default_rng(seed)
-        check_accuracy_contract(contract_channels(rng, n, 400, family), noise, rng)
-
-
 def column_bracket(F1, F2, g1, noise):
     """(empty, hi) of the column search's bracket [0, hi], written out here:
     transmitter 2 causes at most its matched-filter interference, and little
@@ -490,6 +428,72 @@ def column_oracle(F1, F2, gamma1, noise):
 
     _, phi_max = golden_max(phi, np.zeros_like(hi), hi, GOLDEN_ITERS)
     return np.where(empty, -np.inf, rate_from_sinr(phi_max))
+
+
+def at_reference_count(kernel, *args):
+    """Run the slack kernel with its golden-section search at GOLDEN_ITERS,
+    the default of golden_max, instead of the kernel's own count."""
+    with mock.patch.object(rate_core, "golden_max", lambda f, lo, hi, iters: golden_max(f, lo, hi)):
+        return kernel(*args)
+
+
+def check_accuracy_contract(arrs, noise, rng):
+    """Both kernels against GOLDEN_ITERS golden-section searches (the column
+    kernel against column_oracle), at rate points spanning [0, 1.2 x
+    single-user rate] of each realization."""
+    F1 = frontier_batch(arrs["h11"], arrs["h12"])
+    F2 = frontier_batch(arrs["h22"], arrs["h21"])
+    su1 = su_rate_batch(arrs["h11"], noise[0])
+    su2 = su_rate_batch(arrs["h22"], noise[1])
+    draws = [rng.uniform(0.0, 1.2, size=(2, su1.size)) for _ in range(3)]
+    # Steep points: r1 just below its ceiling (column kernel) or just above
+    # zero with a large r2 (slack kernel) puts the maximizer just below the
+    # bracket top, at the square-root singularity of the other link's frontier
+    # inverse, where the search converges slowest.
+    for _ in range(2):
+        near = 10.0 ** rng.uniform(-9.0, -1.0, size=su1.size)
+        draws.append((1.0 - near, rng.uniform(0.0, 1.2, size=su1.size)))
+        draws.append((near, rng.uniform(0.3, 1.0, size=su1.size)))
+    for frac1, frac2 in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 1.0), *draws]:
+        r1, r2 = frac1 * su1, frac2 * su2
+        gamma1, gamma2 = gamma_from_rate(r1), gamma_from_rate(r2)
+        assert_within_contract(
+            max_r2_batch(F1, F2, gamma1, noise), column_oracle(F1, F2, gamma1, noise)
+        )
+        g, q1, q2 = achievability_slack_batch(F1, F2, gamma1, gamma2, noise)
+        g_ref, _, _ = at_reference_count(
+            achievability_slack_batch, F1, F2, gamma1, gamma2, noise
+        )
+        assert_within_contract(g, g_ref)
+        ok = g >= -FEASIBILITY_SLACK
+        rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
+        assert np.all(rate1[ok] >= r1[ok] - RATE_SLACK)
+        assert np.all(rate2[ok] >= r2[ok] - RATE_SLACK)
+
+
+class TestAccuracyContract:
+    """max_r2_batch (root search) and achievability_slack_batch (golden-section
+    search) at their derived counts stay within GOLDEN_VALUE_TOL of the
+    GOLDEN_ITERS reference, and the slack's witness meets both targets
+    wherever the slack says feasible."""
+
+    @pytest.mark.parametrize("family", ["random", "rank-1"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_random_channels(self, n, family):
+        rng = np.random.default_rng(100 + n)
+        noise = (float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 2.0)))
+        check_accuracy_contract(contract_channels(rng, n, 3000, family), noise, rng)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        family=st.sampled_from(DEGENERATE_FAMILIES),
+        n=st.sampled_from([1, 2, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)),
+    )
+    def test_degenerate_families(self, family, n, seed, noise):
+        rng = np.random.default_rng(seed)
+        check_accuracy_contract(contract_channels(rng, n, 400, family), noise, rng)
 
 
 def zero_forcing_knee(F1, F2, noise):
@@ -558,7 +562,7 @@ class TestColumnSearch:
         rng = np.random.default_rng(12)
         noise = (0.5, 0.8)
         F1, F2, _ = column_inputs(rng, 2, 200, noise)
-        with mock.patch.object(rate_core, "golden_max", wraps=golden_max) as search:
+        with mock.patch.object(rate_core, "column_root_search", wraps=column_root_search) as search:
             r2, q2 = column_search_batch(F1, F2, 0.0, noise)
         search.assert_not_called()
         assert_within_contract(r2, column_oracle(F1, F2, 0.0, noise))
@@ -570,9 +574,9 @@ class TestColumnSearch:
         F1, F2, _ = column_inputs(rng, 2, count, noise)
         # Between the zero-forcing knee and the single-user ceiling.
         gamma1 = np.sqrt(zero_forcing_knee(F1, F2, noise) * F1.p_max / noise[0])
-        with mock.patch.object(rate_core, "golden_max", wraps=golden_max) as search:
+        with mock.patch.object(rate_core, "column_root_search", wraps=column_root_search) as search:
             r2, _ = column_search_batch(F1, F2, gamma1, noise)
-        assert search.call_args.args[1].size == count
+        assert search.call_args.args[4].size == count
         assert np.all(np.isfinite(r2))
         assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
 
@@ -580,8 +584,104 @@ class TestColumnSearch:
         rng = np.random.default_rng(14)
         noise = (0.5, 0.8)
         F1, F2, su1 = column_inputs(rng, 2, 200, noise)
-        with mock.patch.object(rate_core, "golden_max", wraps=golden_max) as search:
+        with mock.patch.object(rate_core, "column_root_search", wraps=column_root_search) as search:
             r2, q2 = column_search_batch(F1, F2, gamma_from_rate(su1.max() + 0.1), noise)
         search.assert_not_called()
         np.testing.assert_array_equal(r2, -np.inf)
         np.testing.assert_array_equal(q2, 0.0)
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-15, 1.0, 1.0 + 1e-15])
+    def test_ulp_width_brackets(self, factor):
+        """r1 at the single-user ceiling: every non-empty bracket spans a few
+        ulps of link 1's demand, where phi is a rounding staircase."""
+        rng = np.random.default_rng(300)
+        noise = (0.6, 0.9)
+        F1, F2, su1 = column_inputs(rng, 2, 2000, noise)
+        gamma1 = gamma_from_rate(factor * su1)
+        empty, hi = column_bracket(F1, F2, gamma1, noise)
+        assert np.all(gamma1[~empty] * hi[~empty] <= 32 * EPS * F1.p_max[~empty])
+        assert_column_contract(F1, F2, gamma1, noise)
+
+    @pytest.mark.parametrize("family2", ["random", "aligned"])
+    def test_singular_low_end(self, family2):
+        """Transmitter 1's cross channel along its own (d1 = 0): every searched
+        bracket starts at L = 0, where p2 rises like sqrt(q2) (c2 > 0); with
+        transmitter 2 aligned too (d2 = 0), p2 also vanishes there."""
+        rng = np.random.default_rng(301)
+        noise = (0.4, 0.7)
+        count = 1000
+        arrs = contract_channels(rng, 2, count, "random")
+        arrs["h12"] = random_channel_vectors(rng, count, 1) * arrs["h11"]
+        if family2 == "aligned":
+            arrs["h21"] = random_channel_vectors(rng, count, 1) * arrs["h22"]
+        F1 = frontier_batch(arrs["h11"], arrs["h12"])
+        F2 = frontier_batch(arrs["h22"], arrs["h21"])
+        su1 = su_rate_batch(arrs["h11"], noise[0])
+        for frac in (1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-6):
+            gamma1 = gamma_from_rate(frac * su1)
+            empty, hi = column_bracket(F1, F2, gamma1, noise)
+            searched = ~empty & (gamma1 * (hi + noise[0]) > F1.d_sq)
+            assert searched.all()
+            assert np.all(np.clip(F1.d_sq / gamma1 - noise[0], 0.0, hi) == 0.0)
+            assert np.all(F2.c > 0.0)
+            assert_column_contract(F1, F2, gamma1, noise)
+
+    def test_singular_high_end(self):
+        """r1 just below the single-user ceiling: the bracket top is the
+        full-power limit p_max1 / gamma1 - sigma1^2, where link 1's frontier
+        inverse has its square-root singularity."""
+        rng = np.random.default_rng(302)
+        noise = (0.8, 0.5)
+        count = 1000
+        F1, F2, su1 = column_inputs(rng, 4, count, noise)
+        for eta in (1e-12, 1e-9, 1e-6, 1e-3):
+            gamma1 = gamma_from_rate((1.0 - eta) * su1)
+            assert np.all(F1.p_max / gamma1 - noise[0] < F2.q_mrt)
+            assert_column_contract(F1, F2, gamma1, noise)
+
+    def test_noise_dominated_rows_take_golden_search(self):
+        """Rows at the single-user ceiling go to golden_max over [0, H]; an
+        ordinary column never calls it."""
+        rng = np.random.default_rng(303)
+        noise = (0.5, 0.8)
+        F1, F2, su1 = column_inputs(rng, 2, 500, noise)
+        with mock.patch.object(rate_core, "golden_max", wraps=golden_max) as search:
+            column_search_batch(F1, F2, gamma_from_rate(0.5 * su1), noise)
+        search.assert_not_called()
+        gamma1 = gamma_from_rate(su1)
+        empty, hi = column_bracket(F1, F2, gamma1, noise)
+        with mock.patch.object(rate_core, "golden_max", wraps=golden_max) as search:
+            column_search_batch(F1, F2, gamma1, noise)
+        lo, top = search.call_args.args[1:3]
+        np.testing.assert_array_equal(lo, 0.0)
+        np.testing.assert_array_equal(np.sort(top), np.sort(hi[~empty]))
+
+    @pytest.mark.parametrize("family", ["random", "aligned"])
+    @pytest.mark.parametrize("r1", [1e-310, 5e-324])
+    def test_subnormal_r1(self, family, r1):
+        """gamma1 subnormal: p_max1 / gamma1 overflows, which is no cap on the
+        bracket, and the column is link 2's single-user rate up to rounding,
+        with no RuntimeWarning on the way."""
+        rng = np.random.default_rng(304)
+        noise = (0.5, 0.8)
+        arrs = contract_channels(rng, 2, 300, family)
+        F1 = frontier_batch(arrs["h11"], arrs["h12"])
+        F2 = frontier_batch(arrs["h22"], arrs["h21"])
+        gamma1 = float(gamma_from_rate(r1))
+        assert 0.0 < gamma1 < np.finfo(float).tiny
+        r2 = max_r2_batch(F1, F2, gamma1, noise)
+        assert_within_contract(r2, su_rate_batch(arrs["h22"], noise[1]))
+        g_max, _, _ = achievability_slack_batch(F1, F2, gamma1, 0.0, noise)
+        assert np.all(np.isfinite(g_max))
+
+
+def assert_column_contract(F1, F2, gamma1, noise):
+    """The column search within the contract of column_oracle, and its
+    maximizer a witness of both rates."""
+    r2, q2 = column_search_batch(F1, F2, gamma1, noise)
+    assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
+    ok = np.isfinite(r2)
+    q1 = frontier_qmin_batch(F1, gamma1 * (q2 + noise[0]))
+    rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
+    assert np.all(rate1[ok] >= rate_from_sinr(gamma1)[ok] - RATE_SLACK)
+    assert np.all(rate2[ok] >= r2[ok] - RATE_SLACK)

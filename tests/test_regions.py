@@ -364,6 +364,17 @@ class TestPipeline:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             pipeline.case_probs(*point)
 
+    @pytest.mark.parametrize("r1", [-1.0, -2.0, math.nan, math.inf])
+    def test_column_entry_points_reject_invalid_r1(self, demo_source, r1):
+        fresh = InstantaneousRegionPipeline(demo_source, NOISE)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fresh.witness_rates(r1)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fresh.column(r1)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fresh.precompute_columns([0.3, r1])
+        assert fresh._columns == {}
+
     def test_common_variant_rejects_fixed(self, pipeline):
         with pytest.raises(ValueError):
             verdict(pipeline.case_probs(0.1, 0.1), OutageSpec.common(0.1), "fixed1")
