@@ -137,6 +137,30 @@ def split_cases(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
     return a, b, c1, c2, ~(a | b | c1 | c2)
 
 
+def count_true(mask: np.ndarray) -> int:
+    """Number of set entries of a boolean mask, as a Python int."""
+    return int(np.count_nonzero(mask))
+
+
+def case_counts(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
+    """Counts (A, B, C1, C2) of split_cases's masks, without building them.
+
+    With a = exceed1 & exceed2 and nj = ~joint: B = joint minus a & joint, and
+    C1 (C2) = exceed2 & nj (exceed1 & nj) minus a & nj, because a lies inside
+    both exceed masks. Exact for arbitrary masks, not only consistent ones.
+    """
+    a = exceed1 & exceed2
+    nj = ~joint
+    n_a = count_true(a)
+    n_a_nj = count_true(a & nj)
+    return (
+        n_a,
+        count_true(joint) - (n_a - n_a_nj),
+        count_true(exceed2 & nj) - n_a_nj,
+        count_true(exceed1 & nj) - n_a_nj,
+    )
+
+
 def classify(h, point, noise: tuple[float, float]) -> CaseLabel:
     """Case of a single realization at the rate point."""
     from .regions import InstantaneousRegionPipeline
@@ -241,12 +265,12 @@ def simulate_policy(
         n_samples=source.count,
         bias=bias,
         coin_seed=int(coin_seed),
-        success1=int(success1.sum()),
-        success2=int(success2.sum()),
-        count_a=int(a.sum()),
-        count_b=int(b.sum()),
-        count_c1=int(c1.sum()),
-        count_c2=int(c2.sum()),
-        count_d1=int(serve1.sum()),
-        count_d2=int(serve2.sum()),
+        success1=count_true(success1),
+        success2=count_true(success2),
+        count_a=count_true(a),
+        count_b=count_true(b),
+        count_c1=count_true(c1),
+        count_c2=count_true(c2),
+        count_d1=count_true(serve1),
+        count_d2=count_true(serve2),
     )

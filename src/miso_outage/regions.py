@@ -18,6 +18,10 @@ Boundary tracing bisects the largest member r2 per r1 grid column. The
 instantaneous-region pipeline classifies one shared sample stream (common
 random numbers) and caches, per column, each realization's largest achievable
 r2, so scenario nesting can be verified pointwise without re-sampling noise.
+Columns can be computed by several processes: the caller takes its share and
+a forked pool the rest, with identical results for any process count. Case
+counts at a rate point come from three comparison masks, counted without
+building the five case masks.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import SampleSource
-from .outage_mc import CaseProbabilities, split_cases
+from .outage_mc import CaseProbabilities, case_counts, count_true
 from .rate_core import (
     RATE_SLACK,
     as_rate_point,
@@ -39,7 +43,7 @@ from .rate_core import (
     frontier_qmin_batch,
     gamma_from_rate,
     max_r2_batch,
-    su_rate_batch,
+    rate_from_sinr,
     witness_rates_batch,
 )
 
@@ -397,8 +401,9 @@ class InstantaneousRegionPipeline:
         arrs = source.arrays()
         self.F1 = frontier_batch(arrs["h11"], arrs["h12"])
         self.F2 = frontier_batch(arrs["h22"], arrs["h21"])
-        self.su1 = su_rate_batch(arrs["h11"], self.noise[0])
-        self.su2 = su_rate_batch(arrs["h22"], self.noise[1])
+        # p_max = ||h_ii||^2, so the single-user SINR is p_max / sigma_i^2.
+        self.su1 = rate_from_sinr(self.F1.p_max / self.noise[0])
+        self.su2 = rate_from_sinr(self.F2.p_max / self.noise[1])
         self.n_samples = source.count
         self._columns: dict[float, np.ndarray] = {}
 
@@ -424,25 +429,32 @@ class InstantaneousRegionPipeline:
         return cached
 
     def precompute_columns(self, r1_values, workers: int = 1):
-        """Fill the column cache, optionally with a process pool.
+        """Fill the column cache with up to `workers` processes, this one included.
 
-        Results are identical for any worker count; parallelism only changes
-        which process runs each column.
+        With k = min(workers, missing columns) > 1 this process computes every
+        k-th missing column while a pool of k - 1 forked workers computes the
+        rest. Results are identical for any worker count; parallelism only
+        changes which process runs each column.
         """
         keys = [_column_key(r1) for r1 in r1_values]
         todo = [r1 for r1 in keys if r1 not in self._columns]
-        if not todo:
-            return
-        if workers <= 1:
+        procs = min(workers, len(todo))
+        if procs <= 1:
             for r1 in todo:
                 self.column(r1)
             return
+        pooled = [r1 for i, r1 in enumerate(todo) if i % procs]
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=procs - 1,
             initializer=_pipeline_worker_init,
             initargs=(self,),
         ) as pool:
-            for r1, col in zip(todo, pool.map(_pipeline_worker_column, todo)):
+            # map submits every column before the first result is awaited, so
+            # the workers run while this process computes its own share.
+            results = pool.map(_pipeline_worker_column, pooled)
+            for r1 in todo[::procs]:
+                self.column(r1)
+            for r1, col in zip(pooled, results):
                 self._columns[r1] = col
 
     def witness_rates(self, r1: float):
@@ -463,9 +475,12 @@ class InstantaneousRegionPipeline:
 
     def case_probs(self, r1: float, r2: float) -> CaseProbabilities:
         exceed1, exceed2, joint = self.case_tests(r1, r2)
-        a, b, c1, c2, _ = split_cases(exceed1, exceed2, joint)
-        counts = (int(m.sum()) for m in (a, b, c1, c2, exceed1, exceed2))
-        return CaseProbabilities.from_counts(self.n_samples, *counts)
+        return CaseProbabilities.from_counts(
+            self.n_samples,
+            *case_counts(exceed1, exceed2, joint),
+            count_true(exceed1),
+            count_true(exceed2),
+        )
 
     def member(self, r1: float, r2: float, spec: OutageSpec, variant: str = "plain") -> bool:
         return verdict(self.case_probs(r1, r2), spec, variant).member

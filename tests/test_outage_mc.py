@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miso_outage.channel import ChannelRealization, SampleSource, sample_batch
 from miso_outage.outage_mc import (
     CaseLabel,
     CaseProbabilities,
+    case_counts,
     classify,
     estimate_case_probs,
     simulate_policy,
+    split_cases,
 )
 
 NOISE = (0.5, 0.5)
@@ -58,6 +62,19 @@ class TestClassify:
         assert tally[CaseLabel.C1] == probs.count_c1
         assert tally[CaseLabel.C2] == probs.count_c2
         assert tally[CaseLabel.D] == probs.count_d
+
+
+class TestCaseCounts:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), max_size=40))
+    def test_matches_mask_sums(self, rows):
+        """Counts equal split_cases's mask sums over arbitrary masks, rows with
+        joint & exceed1 (which no pipeline produces) included."""
+        exceed1, exceed2, joint = np.array(rows, dtype=bool).reshape(-1, 3).T
+        counts = case_counts(exceed1, exceed2, joint)
+        masks = split_cases(exceed1, exceed2, joint)
+        assert counts == tuple(int(m.sum()) for m in masks[:4])
+        assert all(type(c) is int for c in counts)
 
 
 class TestCaseProbabilities:

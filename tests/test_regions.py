@@ -1,15 +1,18 @@
 import itertools
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from miso_outage import regions
 from miso_outage.outage_mc import CaseProbabilities, estimate_case_probs
 from miso_outage.rate_core import (
     FEASIBILITY_SLACK,
     achievability_slack_batch,
     bisect_largest,
     gamma_from_rate,
+    su_rate_batch,
 )
 from miso_outage.regions import (
     CSV_COLUMNS,
@@ -276,6 +279,19 @@ class TestNonDominated:
         assert [(p.r1, p.r2) for p in kept] == [(0.1, 0.5), (0.3, 0.4)]
 
 
+def record_pool_sizes(monkeypatch) -> list:
+    """Patch the pipeline's process pool to log each pool's max_workers."""
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            sizes.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 @pytest.fixture(scope="module")
 def pipeline(demo_source):
     return InstantaneousRegionPipeline(demo_source, NOISE)
@@ -379,14 +395,37 @@ class TestPipeline:
         with pytest.raises(ValueError):
             verdict(pipeline.case_probs(0.1, 0.1), OutageSpec.common(0.1), "fixed1")
 
-    def test_parallel_columns_identical(self, demo_source):
+    def test_parallel_columns_identical(self, demo_source, monkeypatch):
+        """Columns are bitwise equal for any process count; with k processes
+        the pool holds k - 1 workers, this process being the k-th."""
+        pool_sizes = record_pool_sizes(monkeypatch)
         serial = InstantaneousRegionPipeline(demo_source, NOISE)
-        parallel = InstantaneousRegionPipeline(demo_source, NOISE)
         r1_values = [0.0, 0.3, 0.6, 0.9]
         serial.precompute_columns(r1_values, workers=1)
-        parallel.precompute_columns(r1_values, workers=2)
-        for r1 in r1_values:
-            np.testing.assert_array_equal(serial.column(r1), parallel.column(r1))
+        for workers in (1, 2, 3, 5):
+            parallel = InstantaneousRegionPipeline(demo_source, NOISE)
+            parallel.precompute_columns(r1_values, workers=workers)
+            for r1 in r1_values:
+                np.testing.assert_array_equal(serial.column(r1), parallel.column(r1))
+        assert pool_sizes == [1, 2, 3]
+
+    def test_pool_capped_at_missing_columns(self, demo_source, monkeypatch):
+        pool_sizes = record_pool_sizes(monkeypatch)
+        fresh = InstantaneousRegionPipeline(demo_source, NOISE)
+        fresh.precompute_columns([0.3, 0.6], workers=8)
+        assert pool_sizes == [1]
+        fresh.precompute_columns([0.3, 0.6, 0.9], workers=8)
+        fresh.precompute_columns([0.3, 0.6, 0.9], workers=8)
+        assert pool_sizes == [1]
+        assert sorted(fresh._columns) == [0.3, 0.6, 0.9]
+
+    def test_su_rates_from_frontier_power(self, demo_source):
+        """su_i read off the frontier's p_max = ||h_ii||^2 equal a fresh
+        single-user rate pass over the stream, bit for bit."""
+        fresh = InstantaneousRegionPipeline(demo_source, NOISE)
+        arrs = demo_source.arrays()
+        np.testing.assert_array_equal(fresh.su1, su_rate_batch(arrs["h11"], NOISE[0]))
+        np.testing.assert_array_equal(fresh.su2, su_rate_batch(arrs["h22"], NOISE[1]))
 
 
 class TestCsv:
