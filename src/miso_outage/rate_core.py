@@ -23,8 +23,9 @@ constant beyond. A rate pair (r1, r2) is achievable for a realization iff
 is nonnegative for some q1, where gamma_i = 2^{r_i} - 1,
 q2min(q1) = qmin_2(gamma2 * (q1 + sigma2^2)) is the least interference
 transmitter 2 must cause to hand link 2 its target SINR, and qmin is the
-frontier inverse. g is concave, so a fixed-count golden-section search decides
-feasibility; the maximizer yields is_achievable's witness beamformers.
+frontier inverse. g is concave, so golden-section search over the whole
+bracket decides feasibility (achievability_slack_batch); the maximizer yields
+is_achievable's witness beamformers.
 
 Case B is classified by the column search instead (column_search_batch,
 below): the largest r2 at fixed r1, the maximum of the quasi-concave ratio
@@ -39,16 +40,17 @@ maximizer is the one sign change of phi'. A safeguarded regula falsi
 search needed 46, because it converges superlinearly rather than by a fixed
 0.618 per step (column_root_search).
 
-Accuracy contract: the maxima of max_r2_batch (bits) and
-achievability_slack_batch (power units) lie within 1e-12 * max(1, |value|)
-(GOLDEN_VALUE_TOL) of a golden-section search over the whole bracket run for
-GOLDEN_ITERS = 80 iterations, at least 1000x inside the 1e-9 feasibility and
-rate slacks. The column kernel meets it with 14 root-search iterations (16
-objective evaluations on the rows it searches), the slack kernel with 54
-golden-section iterations. Where rounding noise in phi exceeds a tenth of the
-bound (brackets a few ulps of demand wide, at r1 next to the single-user
-ceiling), the column kernel runs the reference's golden-section search. The
-derivation is at GOLDEN_VALUE_TOL.
+Accuracy contract: the maxima of max_r2_batch (bits) lie within
+1e-12 * max(1, |value|) (GOLDEN_VALUE_TOL) of a golden-section search over the
+whole bracket run for GOLDEN_ITERS = 80 iterations, at least 1000x inside the
+1e-9 feasibility and rate slacks. The column kernel meets it with 14
+root-search iterations (16 objective evaluations on the rows it searches).
+Where rounding noise in phi exceeds a tenth of the bound (brackets a few ulps
+of demand wide, at r1 next to the single-user ceiling), it runs the
+reference's golden-section search. The derivation is at GOLDEN_VALUE_TOL.
+achievability_slack_batch is that reference search itself, applied to g. It
+runs on no command path: is_achievable decides with it, and tests check the
+column classifier against it.
 
 The *_batch kernels take stacked (N, n) channel arrays and hold the only
 implementation of each formula. Scalar calls (power_frontier and its methods,
@@ -67,34 +69,23 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
-# Golden-section constants. GOLDEN_ITERS is golden_max's default and the
-# reference of the accuracy contract below: 80 iterations shrink the bracket by
-# ~4.6e17, but beyond about 40 the comparisons on the flat top of the
-# objective are decided by rounding, so the extra iterations only move the
+# Golden-section constants. GOLDEN_ITERS is golden_max's iteration count and
+# the reference of the accuracy contract below: 80 iterations shrink the
+# bracket by ~4.6e17, but beyond about 40 the comparisons on the flat top of
+# the objective are decided by rounding, so the extra iterations only move the
 # value at the rounding floor.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 GOLDEN_ITERS = 80
 
-# Accuracy contract of max_r2_batch and achievability_slack_batch: the
-# returned maximum lies within GOLDEN_VALUE_TOL * max(1, |value|) of a
-# golden-section search over the whole bracket run for GOLDEN_ITERS (bits for
-# the column kernel, power units for the slack kernel), at least 1000x below
-# FEASIBILITY_SLACK and RATE_SLACK. Each count below is the first even count
-# whose worst error stays at least 1.5x inside the bound on the inputs of
+# Accuracy contract of max_r2_batch: the returned maximum (bits) lies within
+# GOLDEN_VALUE_TOL * max(1, |value|) of a golden-section search over the whole
+# bracket run for GOLDEN_ITERS, at least 1000x below FEASIBILITY_SLACK and
+# RATE_SLACK. COLUMN_ROOT_ITERS is the first even count whose worst error
+# stays at least 1.5x inside the bound on the inputs of
 # TestAccuracyContract.test_random_channels (n = 1..8, random and rank-1
 # channels, steep points at log-spaced distances 1e-9..1e-1 from the bracket
-# top), for the column kernel also of TestColumnSearch, and on further
-# seeded sets of the same kind.
-#
-# Slack kernel (golden-section search): where the objective is smooth at its
-# maximizer the error falls about 10x per two iterations down to a rounding
-# floor (~5e-14, reached by 44 iterations). The worst cases sit just below the
-# bracket top, where link 2's frontier inverse has a square-root singularity
-# (its demand reaches p_max): r1 just above zero with a large r2, maximizer
-# within 1e-8 of p_max2/gamma2 - sigma2^2. There the error only shrinks with
-# the bracket width, 0.618x per iteration: 52 iterations leave 9.5e-13, 54
-# leave 4.1e-13.
+# top) and TestColumnSearch, and on further seeded sets of the same kind.
 #
 # Column kernel (root search on the sign of phi', column_root_search): the
 # Illinois steps converge superlinearly, so the error drops from 1e-6 to the
@@ -117,7 +108,6 @@ GOLDEN_ITERS = 80
 GOLDEN_VALUE_TOL = 1e-12
 COLUMN_ROOT_ITERS = 14
 PHI_NOISE_TOL = GOLDEN_VALUE_TOL / 10.0
-SLACK_GOLDEN_ITERS = 54
 
 # Non-strict feasibility: achievable iff max g >= -FEASIBILITY_SLACK (power
 # units). Rate comparisons get the same absolute slack in bits.
@@ -146,6 +136,15 @@ def as_rate_point(point) -> tuple[float, float]:
     if not (math.isfinite(r1) and math.isfinite(r2)) or r1 < 0.0 or r2 < 0.0:
         raise ValueError(f"rate point must be finite and nonnegative, got ({r1}, {r2})")
     return r1, r2
+
+
+def as_noise(noise) -> tuple[float, float]:
+    sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
+    if not all(math.isfinite(x) and x > 0.0 for x in (sigma1_sq, sigma2_sq)):
+        raise ValueError(
+            f"noise powers must be finite and positive, got ({sigma1_sq}, {sigma2_sq})"
+        )
+    return sigma1_sq, sigma2_sq
 
 
 def quad_form(Q: np.ndarray, w: np.ndarray) -> float:
@@ -417,11 +416,12 @@ def frontier_qmin_batch(F: FrontierBatch, t: np.ndarray) -> np.ndarray:
     return q
 
 
-def golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = GOLDEN_ITERS):
+def golden_max(f, lo: np.ndarray, hi: np.ndarray):
     """Elementwise maximizer of a vectorized unimodal f over [lo, hi].
 
-    Returns (x_best, f_best); endpoints are always evaluated, so monotone f is
-    handled exactly up to bracket width.
+    Runs GOLDEN_ITERS iterations, the reference search of the accuracy
+    contract. Returns (x_best, f_best); endpoints are always evaluated, so
+    monotone f is handled exactly up to bracket width.
     """
     a = np.array(lo, dtype=float, copy=True)
     b = np.array(hi, dtype=float, copy=True)
@@ -430,7 +430,7 @@ def golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = GOLDEN_ITERS):
     f1, f2 = f(x1), f(x2)
     best_x = np.where(f1 >= f2, x1, x2)
     best_f = np.maximum(f1, f2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         keep_left = f1 >= f2
         b = np.where(keep_left, x2, b)
         a = np.where(keep_left, a, x1)
@@ -481,8 +481,10 @@ def achievability_slack_batch(
 
     Returns (g_max, q1_star, q2_star). g_max = -inf marks realizations where
     link 2's demand is infeasible even with transmitter 1 silent. gamma1 and
-    gamma2 may be scalars or per-realization arrays. The search runs
-    SLACK_GOLDEN_ITERS iterations (accuracy contract at GOLDEN_VALUE_TOL).
+    gamma2 may be scalars or per-realization arrays. This is the reference
+    search of the accuracy contract, golden_max over the whole bracket, not a
+    contracted kernel: is_achievable decides with it, and tests check the
+    column classifier against it.
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
@@ -496,7 +498,7 @@ def achievability_slack_batch(
     # Empty-bracket realizations (clamped to q1 = 0) can probe an infinite
     # q2min; their g values are masked below, so silence the 0 * inf noise.
     with np.errstate(invalid="ignore"):
-        q1_star, g_max = golden_max(g, lo, hi, SLACK_GOLDEN_ITERS)
+        q1_star, g_max = golden_max(g, lo, hi)
         q2_star = frontier_qmin_batch(F2, g2 * (q1_star + sigma2_sq))
     g_max = np.where(empty, -np.inf, g_max)
     q2_star = np.where(empty, 0.0, np.where(np.isfinite(q2_star), q2_star, 0.0))
@@ -737,6 +739,7 @@ def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
     be reduced), and feasibility tolerates FEASIBILITY_SLACK in power units.
     """
     r1, r2 = as_rate_point(point)
+    noise = as_noise(noise)
     gamma1 = float(gamma_from_rate(r1))
     gamma2 = float(gamma_from_rate(r2))
     g_max, q1_star, q2_star = achievability_slack_batch(
@@ -774,6 +777,7 @@ def max_r2_given_r1(h, r1: float, noise: tuple[float, float]) -> float:
     rate.
     """
     r1, _ = as_rate_point((r1, 0.0))
+    noise = as_noise(noise)
     r2 = float(max_r2_batch(
         frontier_batch(h.h11[None, :], h.h12[None, :]),
         frontier_batch(h.h22[None, :], h.h21[None, :]),
@@ -789,7 +793,8 @@ def bisect_largest(member, hi: float, tol: float) -> float:
     """Largest x in [0, hi] with member(x), for member true below a threshold.
 
     The caller has checked member(0). Returns hi when member(hi) holds, else
-    the member end of a bisection bracket no wider than tol.
+    the member end of a bisection bracket no wider than tol, or of adjacent
+    floats when tol is below their spacing.
     """
     hi = float(hi)
     if member(hi):
@@ -797,6 +802,8 @@ def bisect_largest(member, hi: float, tol: float) -> float:
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if member(mid):
             lo = mid
         else:

@@ -36,6 +36,7 @@ from .channel import SampleSource
 from .outage_mc import CaseProbabilities, case_counts, count_true
 from .rate_core import (
     RATE_SLACK,
+    as_noise,
     as_rate_point,
     bisect_largest,
     column_search_batch,
@@ -396,8 +397,10 @@ class InstantaneousRegionPipeline:
     """
 
     def __init__(self, source: SampleSource, noise: tuple[float, float]):
+        if source.count <= 0:
+            raise ValueError("need at least one sample")
         self.source = source
-        self.noise = (float(noise[0]), float(noise[1]))
+        self.noise = as_noise(noise)
         arrs = source.arrays()
         self.F1 = frontier_batch(arrs["h11"], arrs["h12"])
         self.F2 = frontier_batch(arrs["h22"], arrs["h21"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,11 @@ def random_statistics(rng, n: int = 2) -> ChannelStatistics:
 
 def random_channel_vectors(rng, count: int, n: int) -> np.ndarray:
     return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+
+
+# Each invalid noise power on each link, the other link valid.
+BAD_NOISES = [
+    pair
+    for bad in (0.0, -0.5, math.nan, math.inf)
+    for pair in ((bad, 0.5), (0.5, bad))
+]

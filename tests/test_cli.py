@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import miso_outage
 from miso_outage.cli import (
     ConfigError,
     main,
@@ -361,3 +366,23 @@ class TestRegionCommand:
         assert manifest["scenario"] == "individual-inst-fixed2"
         assert (out / "fx_boundary.csv").exists()
         assert (out / "fx_manifest.json").exists()
+
+    def test_tolerance_below_float_spacing_terminates(self, tmp_path):
+        """grid.tol 1e-20 is below the float spacing at the boundary, where
+        bisection can no longer halve its bracket. In a subprocess with a
+        timeout, so a bisection that never ends fails the test instead of
+        hanging the suite."""
+        doc = small_inst_config(mc_samples=300, output={"basename": "tiny"})
+        doc["grid"]["tol"] = 1e-20
+        path = write_config(tmp_path, doc)
+        env = dict(os.environ)
+        src = str(Path(miso_outage.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "miso_outage.cli", "region", path,
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads(done.stdout)
+        assert manifest["boundaries"]["boundary"]["n_points"] > 0

@@ -14,6 +14,8 @@ from miso_outage.outage_mc import (
     split_cases,
 )
 
+from conftest import BAD_NOISES
+
 NOISE = (0.5, 0.5)
 
 
@@ -185,3 +187,15 @@ class TestSimulatePolicy:
     def test_bias_validation(self, demo_source):
         with pytest.raises(ValueError, match="bias"):
             simulate_policy(demo_source, self.POINT, 1.5, NOISE)
+
+
+@pytest.mark.parametrize("noise", BAD_NOISES)
+def test_invalid_noise_rejected(demo_source, noise):
+    """Every library entry point that builds the region pipeline."""
+    source = SampleSource.explicit(sample_batch(demo_source, 0, 20))
+    with pytest.raises(ValueError, match="noise"):
+        estimate_case_probs(source, (0.5, 0.5), noise)
+    with pytest.raises(ValueError, match="noise"):
+        classify(aligned_realization(), (0.5, 0.5), noise)
+    with pytest.raises(ValueError, match="noise"):
+        simulate_policy(source, (0.5, 0.5), 0.5, noise)

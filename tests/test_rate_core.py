@@ -10,11 +10,12 @@ from miso_outage import rate_core
 from miso_outage.channel import CHANNEL_KEYS, ChannelRealization
 from miso_outage.rate_core import (
     FEASIBILITY_SLACK,
-    GOLDEN_ITERS,
     GOLDEN_VALUE_TOL,
     RATE_SLACK,
     achievability_slack_batch,
+    as_noise,
     as_rate_point,
+    bisect_largest,
     column_root_search,
     column_search_batch,
     frontier_batch,
@@ -40,7 +41,7 @@ from miso_outage.rate_core import (
     zf,
 )
 
-from conftest import random_channel_vectors
+from conftest import BAD_NOISES, random_channel_vectors
 
 EPS = np.finfo(float).eps
 
@@ -77,6 +78,19 @@ class TestScalarHelpers:
             as_rate_point((-0.1, 0.0))
         with pytest.raises(ValueError):
             as_rate_point((0.0, np.inf))
+
+    def test_noise_validation(self):
+        assert as_noise((0.5, 1)) == (0.5, 1.0)
+
+    @pytest.mark.parametrize("noise", BAD_NOISES)
+    def test_invalid_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            as_noise(noise)
+        h = random_realization(np.random.default_rng(5))
+        with pytest.raises(ValueError, match="noise"):
+            is_achievable(h, (0.5, 0.5), noise)
+        with pytest.raises(ValueError, match="noise"):
+            max_r2_given_r1(h, 0.5, noise)
 
     def test_mrt_frozen(self):
         np.testing.assert_allclose(mrt([3.0, 4.0j]), [0.6, 0.8j], atol=1e-15)
@@ -266,6 +280,27 @@ class TestGoldenMax:
         np.testing.assert_allclose(f, -1.0)
 
 
+def below(threshold, budget=200):
+    """Membership t <= threshold that fails the test after budget calls,
+    more than a bisection of a double needs, instead of looping forever."""
+    calls = []
+
+    def member(t):
+        calls.append(t)
+        assert len(calls) <= budget, "bisection does not terminate"
+        return t <= threshold
+
+    return member
+
+
+class TestBisectLargest:
+    def test_tol_below_float_spacing_terminates(self):
+        """Bisection stops once its ends are adjacent floats, whatever tol."""
+        assert bisect_largest(below(1.5), 2.0, 0.0) == 1.5
+        x = bisect_largest(below(0.3), 1.0, 1e-300)
+        assert x <= 0.3 < np.nextafter(x, np.inf)
+
+
 class TestAchievability:
     def test_aligned_symmetric_boundary(self):
         """With all channels aligned and noise 0.5, the symmetric boundary
@@ -417,7 +452,7 @@ def column_bracket(F1, F2, g1, noise):
 
 def column_oracle(F1, F2, gamma1, noise):
     """The column search with no closed-form rows: every non-empty row is
-    searched over its whole bracket for GOLDEN_ITERS iterations."""
+    searched over its whole bracket by golden_max."""
     sigma1_sq, sigma2_sq = noise
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
     empty, hi = column_bracket(F1, F2, g1, noise)
@@ -426,21 +461,14 @@ def column_oracle(F1, F2, gamma1, noise):
         q1min = frontier_qmin_batch(F1, g1 * (q2 + sigma1_sq))
         return frontier_signal_batch(F2, q2) / (q1min + sigma2_sq)
 
-    _, phi_max = golden_max(phi, np.zeros_like(hi), hi, GOLDEN_ITERS)
+    _, phi_max = golden_max(phi, np.zeros_like(hi), hi)
     return np.where(empty, -np.inf, rate_from_sinr(phi_max))
 
 
-def at_reference_count(kernel, *args):
-    """Run the slack kernel with its golden-section search at GOLDEN_ITERS,
-    the default of golden_max, instead of the kernel's own count."""
-    with mock.patch.object(rate_core, "golden_max", lambda f, lo, hi, iters: golden_max(f, lo, hi)):
-        return kernel(*args)
-
-
 def check_accuracy_contract(arrs, noise, rng):
-    """Both kernels against GOLDEN_ITERS golden-section searches (the column
-    kernel against column_oracle), at rate points spanning [0, 1.2 x
-    single-user rate] of each realization."""
+    """The column kernel against column_oracle, and the slack's witness
+    against both rate targets, at rate points spanning [0, 1.2 x single-user
+    rate] of each realization."""
     F1 = frontier_batch(arrs["h11"], arrs["h12"])
     F2 = frontier_batch(arrs["h22"], arrs["h21"])
     su1 = su_rate_batch(arrs["h11"], noise[0])
@@ -461,10 +489,6 @@ def check_accuracy_contract(arrs, noise, rng):
             max_r2_batch(F1, F2, gamma1, noise), column_oracle(F1, F2, gamma1, noise)
         )
         g, q1, q2 = achievability_slack_batch(F1, F2, gamma1, gamma2, noise)
-        g_ref, _, _ = at_reference_count(
-            achievability_slack_batch, F1, F2, gamma1, gamma2, noise
-        )
-        assert_within_contract(g, g_ref)
         ok = g >= -FEASIBILITY_SLACK
         rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
         assert np.all(rate1[ok] >= r1[ok] - RATE_SLACK)
@@ -472,10 +496,10 @@ def check_accuracy_contract(arrs, noise, rng):
 
 
 class TestAccuracyContract:
-    """max_r2_batch (root search) and achievability_slack_batch (golden-section
-    search) at their derived counts stay within GOLDEN_VALUE_TOL of the
-    GOLDEN_ITERS reference, and the slack's witness meets both targets
-    wherever the slack says feasible."""
+    """max_r2_batch (root search) stays within GOLDEN_VALUE_TOL of the
+    golden-section reference, and the witness of achievability_slack_batch
+    (that reference search applied to the feasibility slack) meets both
+    targets wherever the slack says feasible."""
 
     @pytest.mark.parametrize("family", ["random", "rank-1"])
     @pytest.mark.parametrize("n", [1, 2, 4, 8])

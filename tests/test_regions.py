@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from miso_outage import regions
+from miso_outage.channel import SampleSource
 from miso_outage.outage_mc import CaseProbabilities, estimate_case_probs
 from miso_outage.rate_core import (
     FEASIBILITY_SLACK,
@@ -32,6 +33,8 @@ from miso_outage.regions import (
     verdict,
     write_boundary_csv,
 )
+
+from conftest import BAD_NOISES
 
 NOISE = (0.5, 0.5)
 
@@ -426,6 +429,15 @@ class TestPipeline:
         arrs = demo_source.arrays()
         np.testing.assert_array_equal(fresh.su1, su_rate_batch(arrs["h11"], NOISE[0]))
         np.testing.assert_array_equal(fresh.su2, su_rate_batch(arrs["h22"], NOISE[1]))
+
+    @pytest.mark.parametrize("noise", BAD_NOISES)
+    def test_invalid_noise_rejected(self, demo_stats, noise):
+        with pytest.raises(ValueError, match="noise"):
+            InstantaneousRegionPipeline(SampleSource.gaussian(demo_stats, 0, 50), noise)
+
+    def test_empty_stream_rejected(self, demo_stats):
+        with pytest.raises(ValueError, match="at least one sample"):
+            InstantaneousRegionPipeline(SampleSource.gaussian(demo_stats, 1, 0), NOISE)
 
 
 class TestCsv:
