@@ -8,11 +8,15 @@ four (i, j) pairs. The entry convention is E|z_k|^2 = 1 for Q = I.
 Sampling is counter-based (numpy Philox): realization k of a seeded stream is a
 pure function of (seed, k), never of how the stream is split into batches, so
 parallel workers can generate disjoint index ranges and byte-identical runs are
-reproducible at any worker count.
+reproducible at any worker count. A long range is itself filled by threads
+across the usable CPUs, one contiguous block each, and the result does not
+depend on how it is split.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,38 +166,95 @@ def factor_covariance(Q: np.ndarray) -> np.ndarray:
 # (complex Box-Muller). 8n uniforms = 2n Philox blocks of 4 doubles, so sample
 # k starts exactly at Philox counter 2nk.
 _UNIFORMS_PER_ENTRY = 2
+# Rows below this many per thread are not worth a thread of their own.
+_MIN_ROWS_PER_THREAD = 4096
 
 
 def _blocks_per_sample(n: int) -> int:
     return 2 * n
 
 
-def _standard_complex_from_uniforms(u: np.ndarray) -> np.ndarray:
-    r"""Map uniform pairs to CN(0, 1) entries: z = sqrt(-ln(1-u1)) e^{2\pi i u2}."""
-    amp = np.sqrt(-np.log1p(-u[..., 0]))
-    phase = 2.0 * np.pi * u[..., 1]
-    return amp * np.exp(1j * phase)
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def gaussian_sample_arrays(
     stats: ChannelStatistics, seed: int, start: int, stop: int
 ) -> dict[str, np.ndarray]:
-    """Realizations start..stop-1 of the seeded stream, as (count, n) arrays per channel.
+    r"""Realizations start..stop-1 of the seeded stream, as (count, n) arrays per channel.
 
     The return value depends only on (stats, seed) and the absolute indices, so
-    any partition of [0, N) into ranges concatenates to the same stream.
+    any partition of [0, N) into ranges concatenates to the same stream. Each
+    CN(0, 1) entry is z = sqrt(-ln(1-u1)) e^{2\pi i u2} from a pair of uniforms,
+    and channel h_ij is z L^T with L L^H = Q_ij.
+
+    The rows are split into contiguous ranges, one per usable CPU (at most one
+    per 4096 rows); the caller fills the first and short-lived threads fill
+    the rest, all joined before return. Every buffer is allocated here, so the
+    threads allocate no arrays, and each range seeds its own Philox at its
+    first row's counter: the output is the same at any thread count.
     """
     if start < 0 or stop < start:
         raise ValueError(f"invalid index range [{start}, {stop})")
     n = stats.n
     count = stop - start
-    bg = np.random.Philox(key=seed, counter=_blocks_per_sample(n) * start)
-    u = np.random.Generator(bg).random((count, 4, n, _UNIFORMS_PER_ENTRY))
-    z = _standard_complex_from_uniforms(u)
-    out = {}
-    for idx, key in enumerate(CHANNEL_KEYS):
-        L = factor_covariance(stats.covariance(key))
-        out[key] = z[:, idx, :] @ L.T
+    # numpy multiplies a one-row matrix by L^T through another BLAS routine,
+    # which rounds differently: a single realization is drawn as the first of
+    # two, so that it equals its row in any longer range.
+    rows = 2 if count == 1 else count
+    factors = [factor_covariance(stats.covariance(key)).T for key in CHANNEL_KEYS]
+    u = np.empty((rows, 4, n, _UNIFORMS_PER_ENTRY))
+    amp = np.empty((rows, 4, n))
+    z = np.empty((rows, 4, n), dtype=np.complex128)
+    out = {key: np.empty((rows, n), dtype=np.complex128) for key in CHANNEL_KEYS}
+
+    def fill(lo: int, hi: int) -> None:
+        bg = np.random.Philox(key=seed, counter=_blocks_per_sample(n) * (start + lo))
+        uniforms = u[lo:hi]
+        np.random.Generator(bg).random(out=uniforms)
+        a = amp[lo:hi]
+        np.negative(uniforms[..., 0], out=a)
+        np.log1p(a, out=a)
+        np.negative(a, out=a)
+        np.sqrt(a, out=a)
+        phase = uniforms[..., 1]
+        phase *= 2.0 * np.pi
+        # cos and sin, scaled in place, give the bits of amp * exp(1j * phase).
+        entries = z[lo:hi]
+        np.cos(phase, out=entries.real)
+        np.sin(phase, out=entries.imag)
+        entries *= a
+        for idx, key in enumerate(CHANNEL_KEYS):
+            np.matmul(entries[:, idx, :], factors[idx], out=out[key][lo:hi])
+
+    k = max(1, min(_usable_cpus(), rows // _MIN_ROWS_PER_THREAD))
+    bounds = [rows * i // k for i in range(k + 1)]
+    errors = []
+
+    def fill_range(lo: int, hi: int) -> None:
+        try:
+            fill(lo, hi)
+        except Exception as exc:  # re-raised by the caller after the join
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=fill_range, args=bounds[i:i + 2]) for i in range(1, k)
+    ]
+    for t in helpers:
+        t.start()
+    try:
+        fill(bounds[0], bounds[1])
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
+    if rows > count:
+        out = {key: v[:count] for key, v in out.items()}
     return out
 
 

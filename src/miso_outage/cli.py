@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -89,6 +90,8 @@ def _as_int(value, path: str, minimum: int) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(path, f"must be a finite number, got {value}")
     return float(value)
 
 
@@ -113,7 +116,7 @@ def _parse_complex_entry(node, path: str) -> complex:
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in node)
     ):
         raise ConfigError(path, f"expected an [re, im] pair, got {node!r}")
-    return complex(node[0], node[1])
+    return complex(_as_number(node[0], f"{path}[0]"), _as_number(node[1], f"{path}[1]"))
 
 
 def _parse_vector(node, n: int, path: str) -> np.ndarray:
@@ -433,13 +436,15 @@ def run_simulate(
 
 def run_frontier(config: RunConfig, index: int, points: int) -> dict:
     """Power-frontier dump for one realization: p(q) per transmitter."""
-    arrs = config.source().arrays()
-    count = len(arrs["h11"])
+    source = config.source()
+    count = source.count
     if not 0 <= index < count:
         raise ValueError(f"realization index {index} out of range [0, {count})")
+    # Realization k is the same in any slice of the stream: sample only it.
+    arrs = source.arrays(index, index + 1)
     report = {"index": index, "n_samples": count}
     for tx, own_key, cross_key in ((1, "h11", "h12"), (2, "h22", "h21")):
-        frontier = power_frontier(arrs[own_key][index], arrs[cross_key][index])
+        frontier = power_frontier(arrs[own_key][0], arrs[cross_key][0])
         q_grid = np.linspace(0.0, frontier.q_mrt, points)
         p_grid = frontier.signal_power(q_grid)
         report[f"tx{tx}"] = {
@@ -525,7 +530,9 @@ def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
         "csv_columns": list(columns),
     }
     manifest_path = out / f"{config.basename}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(
+        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
     return manifest
 
 
@@ -597,13 +604,14 @@ def main(argv=None) -> int:
             report = run_frontier(config, args.index, args.points)
         else:
             report = run_region(config, args.out, workers=args.workers)
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(text)
     print(
         f"{args.command} finished in {time.perf_counter() - started:.2f}s",
         file=sys.stderr,

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from miso_outage import channel
 from miso_outage.channel import (
     ChannelRealization,
     ChannelStatistics,
@@ -133,6 +136,18 @@ class TestGaussianStream:
         for key in full:
             np.testing.assert_array_equal(mid[key], full[key][100:200])
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_single_realization_matches_full_stream(self, rng, n):
+        """numpy rounds a one-row matrix product differently from a many-row
+        one; a one-row range must still equal its row of the stream."""
+        stats = random_statistics(rng, n)
+        full = gaussian_sample_arrays(stats, seed=6, start=0, stop=300)
+        for k in range(0, 300, 7):
+            one = gaussian_sample_arrays(stats, seed=6, start=k, stop=k + 1)
+            for key in full:
+                assert one[key].shape == (1, n)
+                assert one[key].tobytes() == full[key][k:k + 1].tobytes()
+
     def test_seeds_differ(self):
         stats = simple_stats()
         a = gaussian_sample_arrays(stats, seed=1, start=0, stop=10)
@@ -165,6 +180,63 @@ class TestGaussianStream:
         arrs = gaussian_sample_arrays(stats, seed=5, start=0, stop=200_000)
         cross = np.mean(arrs["h11"][:, 0] * np.conj(arrs["h22"][:, 0]))
         assert abs(cross) < 0.02
+
+
+
+def inline_pieces(stats, seed, start, stop, piece=1000):
+    """The stream start..stop-1 from calls too short to start a thread."""
+    parts = [
+        gaussian_sample_arrays(stats, seed, lo, min(lo + piece, stop))
+        for lo in range(start, stop, piece)
+    ]
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+
+class TestThreadedFill:
+    """A range long enough for several threads equals the same rows drawn by
+    short single-threaded calls, byte for byte, at any CPU count."""
+
+    ROWS = 3 * 4096 + 5
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_threaded_range_equals_inline_pieces(self, rng, n):
+        stats = random_statistics(rng, n)
+        start = 777
+        whole = gaussian_sample_arrays(stats, 13, start, start + self.ROWS)
+        pieces = inline_pieces(stats, 13, start, start + self.ROWS)
+        for key in whole:
+            assert whole[key].shape == (self.ROWS, n)
+            assert whole[key].tobytes() == pieces[key].tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_any_cpu_count_gives_the_same_stream(self, rng, monkeypatch, cpus):
+        stats = random_statistics(rng, 3)
+        start = 4099
+        pieces = inline_pieces(stats, 8, start, start + self.ROWS)
+        monkeypatch.setattr(channel, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        whole = gaussian_sample_arrays(stats, 8, start, start + self.ROWS)
+        # The region pool forks after sampling: no helper may outlive the call.
+        assert threading.active_count() == before
+        for key in whole:
+            assert whole[key].tobytes() == pieces[key].tobytes()
+
+    def test_helper_failure_is_raised_by_the_caller(self, monkeypatch):
+        """A range a helper thread could not fill is an error, never a
+        silently uninitialized block of the stream."""
+        philox = np.random.Philox
+
+        def first_range_only(key, counter):
+            if counter:
+                raise MemoryError("helper failed")
+            return philox(key=key, counter=counter)
+
+        monkeypatch.setattr(channel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(np.random, "Philox", first_range_only)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="helper failed"):
+            gaussian_sample_arrays(simple_stats(), 0, 0, self.ROWS)
+        assert threading.active_count() == before
 
 
 class TestSampleSource:

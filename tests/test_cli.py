@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import miso_outage
@@ -17,6 +19,7 @@ from miso_outage.cli import (
     run_validate,
 )
 from miso_outage.presets import aligned_point_mass_config, demo_config
+from miso_outage.rate_core import power_frontier
 
 STAT_HEADER = "r1,r2,pi1,pi2,pair_index"
 
@@ -308,6 +311,50 @@ class TestMain:
         assert exc.value.code == 2
         flag = next(a for a in args if a.startswith("--"))
         assert flag in capsys.readouterr().err
+
+    def test_frontier_reads_row_k_of_the_full_stream(self, tmp_path, capsys):
+        """frontier --index k samples only realization k; its dump equals the
+        one built from row k of the whole stream (long enough to be filled by
+        several threads)."""
+        doc = small_inst_config(mc_samples=9000)
+        path = write_config(tmp_path, doc)
+        assert main(["frontier", path, "--index", "8765", "--points", "5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        arrs = parse_doc(doc).source().arrays()
+        assert report["n_samples"] == len(arrs["h11"])
+        for tx, own, cross in (("tx1", "h11", "h12"), ("tx2", "h22", "h21")):
+            fr = power_frontier(arrs[own][8765], arrs[cross][8765])
+            got = report[tx]
+            assert (got["p_max"], got["q_mrt"]) == (fr.p_max, fr.q_mrt)
+            assert (got["aligned_amplitude"], got["orthogonal_amplitude"]) == (fr.c, fr.d)
+            q = np.linspace(0.0, fr.q_mrt, 5)
+            assert got["curve"] == [[float(a), float(b)] for a, b in zip(q, fr.signal_power(q))]
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.update(grid={"tol": math.inf}), "grid.tol"),
+            (lambda doc: doc.update(grid={"r1_cap": math.nan}), "grid.r1_cap"),
+            (lambda doc: doc.update(noise=[math.inf, 0.5]), "noise[0]"),
+        ],
+    )
+    def test_non_finite_config_numbers_are_rejected(self, tmp_path, capsys, edit, field):
+        """JSON Infinity and NaN are config errors naming the field; the
+        noise case uses explicit channels, which skip the statistics check."""
+        doc = aligned_point_mass_config() if field.startswith("noise") else small_inst_config()
+        edit(doc)
+        path = write_config(tmp_path, doc)
+        for command in (["validate", path], ["region", path, "--out", str(tmp_path / "out")]):
+            assert main(command) == 2
+            assert f"config error: {field}: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_channel_entry_is_a_config_error(self, tmp_path, capsys):
+        doc = aligned_point_mass_config()
+        doc["channels"][0]["h12"] = [[1.0, 0.0], [0.0, math.nan]]
+        path = write_config(tmp_path, doc)
+        assert main(["validate", path]) == 2
+        assert "channels[0].h12[1][1]: must be a finite number" in capsys.readouterr().err
 
     def test_frontier_bad_index(self, tmp_path, capsys):
         path = write_config(tmp_path, aligned_point_mass_config())

@@ -262,6 +262,82 @@ class TestPowerFrontier:
         assert np.all(np.isinf(q))
 
 
+def left_to_right(X: np.ndarray) -> np.ndarray:
+    """Row sums by scalar adds, first column to last: the rowsum oracle."""
+    sums = []
+    for row in X.tolist():
+        acc = row[0]
+        for x in row[1:]:
+            acc = acc + x
+        sums.append(acc)
+    return np.array(sums)
+
+
+def antenna_rows(rng, n: int):
+    """Random own/cross rows with a zero cross row, a zero own row and a
+    cross row parallel to its own row (zero-forcing distance near 0)."""
+    A = random_channel_vectors(rng, 300, n)
+    B = random_channel_vectors(rng, 300, n)
+    B[0] = 0.0
+    A[1] = 0.0
+    B[2] = (0.3 - 2.0j) * A[2]
+    return A, B
+
+
+class TestRowsum:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_frontier_sums_left_to_right(self, rng, n):
+        """Every antenna sum in frontier_batch adds its terms left to right,
+        at every n, so the fields equal an oracle built from scalar adds."""
+        A, B = antenna_rows(rng, n)
+        F = frontier_batch(A, B)
+        asq = left_to_right(np.abs(A) ** 2)
+        bsq = left_to_right(np.abs(B) ** 2)
+        inner = left_to_right(B.conj() * A)
+        np.testing.assert_array_equal(F.p_max, asq)
+        np.testing.assert_array_equal(F.b_norm_sq, bsq)
+        live = ~F.degenerate
+        resid = A[live] - (inner[live] / bsq[live])[:, None] * B[live]
+        np.testing.assert_array_equal(F.d[live], np.sqrt(left_to_right((resid.conj() * resid).real)))
+        np.testing.assert_array_equal(F.c[live], np.abs(inner[live]) / np.sqrt(bsq[live]))
+        both = live & (asq > 0.0)
+        np.testing.assert_array_equal(F.q_mrt[both], np.abs(inner[both]) ** 2 / asq[both])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_numpy_reductions(self, rng, n):
+        """Against np.sum / np.linalg.norm along the antenna axis: the sums of
+        nonnegative terms agree within rtol 1e-15 (exactly up to n = 7, where
+        numpy also adds left to right); the complex inner product, whose terms
+        can cancel, within 1e-15 of the summed magnitudes of its terms
+        (numpy pairs complex terms from n = 4). Up to n = 3 every field is
+        identical."""
+        A, B = antenna_rows(rng, n)
+        F = frontier_batch(A, B)
+        asq = np.sum(np.abs(A) ** 2, axis=1)
+        bsq = np.sum(np.abs(B) ** 2, axis=1)
+        terms = B.conj() * A
+        inner = np.sum(terms, axis=1)
+        np.testing.assert_allclose(F.p_max, asq, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(F.b_norm_sq, bsq, rtol=1e-15, atol=0.0)
+        assert np.all(np.abs(rate_core.rowsum(terms) - inner) <= 1e-15 * np.sum(np.abs(terms), axis=1))
+        live = ~F.degenerate
+        resid = A[live] - (inner[live] / bsq[live])[:, None] * B[live]
+        d = np.linalg.norm(resid, axis=1)
+        # d is the distance of a from span(b): a's share of the inner
+        # product's rounding reaches it with the scale ||a||.
+        assert np.all(np.abs(F.d[live] - d) <= 1e-15 * (d + np.sqrt(asq[live])))
+        c = np.abs(inner[live]) / np.sqrt(bsq[live])
+        assert np.all(np.abs(F.c[live] - c) <= 1e-15 * np.sqrt(asq[live]))
+        if n <= 7:
+            np.testing.assert_array_equal(F.p_max, asq)
+            np.testing.assert_array_equal(F.b_norm_sq, bsq)
+        if n <= 3:
+            np.testing.assert_array_equal(F.c[live], c)
+            np.testing.assert_array_equal(F.d[live], d)
+            both = live & (asq > 0.0)
+            np.testing.assert_array_equal(F.q_mrt[both], np.abs(inner[both]) ** 2 / asq[both])
+
+
 class TestGoldenMax:
     def test_parabola_batch(self, rng):
         m = rng.uniform(0.2, 0.8, size=50)
