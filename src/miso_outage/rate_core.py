@@ -147,12 +147,21 @@ def as_noise(noise) -> tuple[float, float]:
     return sigma1_sq, sigma2_sq
 
 
-def quad_form(Q: np.ndarray, w: np.ndarray) -> float:
-    """w^H Q w, real and clamped at zero (Q is PSD up to rounding)."""
-    value = complex(np.conj(w) @ Q @ w)
-    if value.real < -QUAD_FORM_TOL * max(1.0, float(np.trace(Q).real)):
-        raise ValueError(f"quadratic form is negative: {value.real}")
-    return max(value.real, 0.0)
+def quad_form(Q: np.ndarray, W: np.ndarray) -> np.ndarray | float:
+    """w^H Q w for each row w of W, real and clamped at zero (Q is PSD up to
+    rounding). A 1-D W is a batch of one and gives a float.
+
+    The stacked matmul rounds each row exactly as np.conj(w) @ Q @ w does;
+    einsum and a row sum of (W.conj() @ Q) * W do not.
+    """
+    W = np.asarray(W)
+    rows = np.atleast_2d(W)
+    value = (rows.conj()[:, None, :] @ Q @ rows[:, :, None])[:, 0, 0].real
+    negative = value < -QUAD_FORM_TOL * max(1.0, float(np.trace(Q).real))
+    if negative.any():
+        raise ValueError(f"quadratic form is negative: {value[np.argmax(negative)]}")
+    value = np.maximum(value, 0.0)
+    return float(value[0]) if W.ndim == 1 else value
 
 
 def validate_transmit_covariance(Psi: np.ndarray, name: str = "Psi") -> np.ndarray:

@@ -26,7 +26,6 @@ building the five case masks.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -300,21 +299,18 @@ class RegionBoundary:
     metadata: dict
 
 
-def non_dominated_points(points: list[BoundaryPoint]) -> list[BoundaryPoint]:
-    """Componentwise maxima of an arbitrary point cloud, sorted by r1.
+def non_dominated_points(points) -> np.ndarray:
+    """Row indices of the componentwise maxima of a point cloud, by increasing r1.
 
-    A point is dropped when some other point is >= in both coordinates (and
-    different, or an earlier duplicate of it).
+    points is an (m, 2) array of (r1, r2) rows. A row is dropped when some
+    other row is >= in both coordinates (and different, or an earlier
+    duplicate of it): a stable sort by decreasing r1, then decreasing r2,
+    keeps each row whose r2 exceeds every r2 before it.
     """
-    ordered = sorted(points, key=lambda p: (-p.r1, -p.r2))
-    kept = []
-    best_r2 = -math.inf
-    for p in ordered:
-        if p.r2 > best_r2:
-            kept.append(p)
-            best_r2 = p.r2
-    kept.reverse()
-    return kept
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    order = np.lexsort((-points[:, 1], -points[:, 0]))
+    r2 = np.concatenate(([-np.inf], points[order, 1]))
+    return order[r2[1:] > np.maximum.accumulate(r2)[:-1]][::-1]
 
 
 def trace_boundary(
@@ -347,7 +343,7 @@ def trace_boundary(
         if r2 == grid.r2_cap:
             warnings.append(f"r2 cap {grid.r2_cap:.6g} still inside at r1={r1:.6g}")
         raw.append(BoundaryPoint(r1, r2))
-    points = non_dominated_points(raw)
+    points = [raw[i] for i in non_dominated_points([(p.r1, p.r2) for p in raw])]
     if annotate is not None:
         for p in points:
             p.payload = annotate(p.r1, p.r2)

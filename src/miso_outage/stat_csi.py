@@ -19,6 +19,10 @@ StatRegionSearch is the one evaluator of these formulas. It takes explicit
 candidate pairs as the rows of W1 and W2 and evaluates all of them at once:
 success probabilities, membership, column heights and the region boundary,
 which is the non-dominated frontier of the rate points every pair supports.
+Everything is array-valued: the means are four batched quadratic forms, the
+rate inversion bisects only the elements whose bracket still moves, and the
+boundary is one Pareto filter over the (r1, r2) rows of all pairs, with
+BoundaryPoint objects built only for the rows it keeps.
 The scalar calls pair_success and stat_member build an evaluator with one
 row. draw_beamformer_pairs supplies seeded random pairs (uniform on the
 complex unit sphere, one draw per pair index). General-rank transmit
@@ -51,13 +55,12 @@ STAT_CSV_COLUMNS = ("r1", "r2", "pi1", "pi2", "pair_index")
 def success_probability(gamma, s_bar, t_bar, sigma_sq) -> np.ndarray:
     """Pr{SINR >= gamma} for exponential signal/interference, vectorized.
 
-    gamma <= 0 gives 1; zero mean signal gives 0 for gamma > 0.
+    gamma <= 0 gives 1; zero mean signal gives 0 for gamma > 0. The result is
+    an array of the broadcast shape of gamma, s_bar and t_bar.
     """
     gamma = np.asarray(gamma, dtype=float)
     s = np.asarray(s_bar, dtype=float)
     t = np.asarray(t_bar, dtype=float)
-    shape = np.broadcast_shapes(gamma.shape, s.shape, t.shape)
-    gamma, s, t = (np.broadcast_to(x, shape) for x in (gamma, s, t))
     safe_s = np.where(s > 0.0, s, 1.0)
     safe_g = np.where(gamma > 0.0, gamma, 0.0)
     pi = np.exp(-safe_g * sigma_sq / safe_s) * safe_s / (safe_s + safe_g * t)
@@ -66,25 +69,51 @@ def success_probability(gamma, s_bar, t_bar, sigma_sq) -> np.ndarray:
 
 
 def _invert_success(s_bar, t_bar, sigma_sq, targets) -> np.ndarray:
-    """Largest gamma with success >= target, elementwise (targets in (0, 1])."""
+    """Largest gamma with success >= target, elementwise (targets in (0, 1]).
+
+    Each element doubles hi from 1 while its target is still met, then takes
+    100 bisection steps on [0, hi]. An element's (lo, hi) evolves from its own
+    state alone, so once a step leaves both ends unchanged every later step
+    repeats it: the element leaves the working set with the bits it would
+    have had after 100 steps. A target still met where doubling would pass
+    the float range raises ValueError.
+    """
     targets = np.asarray(targets, dtype=float)
-    s = np.broadcast_to(np.asarray(s_bar, dtype=float), targets.shape).copy()
-    t = np.broadcast_to(np.asarray(t_bar, dtype=float), targets.shape)
-    gamma = np.zeros(targets.shape)
-    alive = (s > 0.0) & (targets < 1.0)
-    hi = np.ones(targets.shape)
-    for _ in range(200):
-        below = alive & (success_probability(hi, s, t, sigma_sq) >= targets)
-        if not below.any():
-            break
-        hi = np.where(below, 2.0 * hi, hi)
-    lo = np.zeros(targets.shape)
+    s = np.broadcast_to(np.asarray(s_bar, dtype=float), targets.shape).ravel()
+    t = np.broadcast_to(np.asarray(t_bar, dtype=float), targets.shape).ravel()
+    target = targets.ravel()
+    alive = np.flatnonzero((s > 0.0) & (target < 1.0))
+    s, t, target = s[alive], t[alive], target[alive]
+    hi = np.ones(alive.size)
+    growing = np.arange(alive.size)
+    while growing.size:
+        below = success_probability(hi[growing], s[growing], t[growing], sigma_sq)
+        growing = growing[below >= target[growing]]
+        if np.any(hi[growing] > np.finfo(float).max / 2.0):
+            raise ValueError(
+                f"success target still met at SINR 2^1023 with noise power {sigma_sq!r}: "
+                "the noise is too small for the rate to be a finite float"
+            )
+        hi[growing] *= 2.0
+    lo = np.zeros(alive.size)
+    gamma = np.zeros(alive.size)
+    pos = np.arange(alive.size)
     for _ in range(100):
+        if not pos.size:
+            break
         mid = 0.5 * (lo + hi)
-        ok = success_probability(mid, s, t, sigma_sq) >= targets
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    return np.where(alive, lo, gamma)
+        ok = success_probability(mid, s, t, sigma_sq) >= target
+        new_lo = np.where(ok, mid, lo)
+        new_hi = np.where(ok, hi, mid)
+        moving = (new_lo != lo) | (new_hi != hi)
+        lo, hi = new_lo, new_hi
+        if not moving.all():
+            gamma[pos[~moving]] = lo[~moving]
+            pos, lo, hi, s, t, target = (x[moving] for x in (pos, lo, hi, s, t, target))
+    gamma[pos] = lo
+    out = np.zeros(targets.size)
+    out[alive] = gamma
+    return out.reshape(targets.shape)
 
 
 def _rates_for_success(s_bar, t_bar, sigma_sq, targets) -> np.ndarray:
@@ -117,10 +146,6 @@ class StatMcResult:
     n_samples: int
 
 
-def _quad_batch(h: np.ndarray, Psi: np.ndarray) -> np.ndarray:
-    return np.einsum("ni,ij,nj->n", np.conj(h), Psi, h).real
-
-
 def stat_member_mc(
     stats: ChannelStatistics,
     Psi1: np.ndarray,
@@ -138,12 +163,8 @@ def stat_member_mc(
     Psi2 = validate_transmit_covariance(np.asarray(Psi2, dtype=complex), "Psi2")
     r1, r2 = as_rate_point(point)
     arrs = source.arrays()
-    sinr1 = _quad_batch(arrs["h11"], Psi1) / (
-        _quad_batch(arrs["h21"], Psi2) + stats.sigma1_sq
-    )
-    sinr2 = _quad_batch(arrs["h22"], Psi2) / (
-        _quad_batch(arrs["h12"], Psi1) + stats.sigma2_sq
-    )
+    sinr1 = quad_form(Psi1, arrs["h11"]) / (quad_form(Psi2, arrs["h21"]) + stats.sigma1_sq)
+    sinr2 = quad_form(Psi2, arrs["h22"]) / (quad_form(Psi1, arrs["h12"]) + stats.sigma2_sq)
     ok1 = sinr1 >= gamma_from_rate(r1)
     ok2 = sinr2 >= gamma_from_rate(r2)
     n = source.count
@@ -212,10 +233,10 @@ class StatRegionSearch:
         self.stats = stats
         self.W1, self.W2 = W1, W2
         self.curve_points = curve_points
-        self.s1 = np.array([quad_form(stats.Q11, w) for w in self.W1])
-        self.t1 = np.array([quad_form(stats.Q21, w) for w in self.W2])
-        self.s2 = np.array([quad_form(stats.Q22, w) for w in self.W2])
-        self.t2 = np.array([quad_form(stats.Q12, w) for w in self.W1])
+        self.s1 = quad_form(stats.Q11, W1)
+        self.t1 = quad_form(stats.Q21, W2)
+        self.s2 = quad_form(stats.Q22, W2)
+        self.t2 = quad_form(stats.Q12, W1)
 
     def pair_success_all(self, r1: float, r2: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair closed-form success probabilities at one rate point."""
@@ -289,14 +310,15 @@ class StatRegionSearch:
             pi1, _, g2 = self._link2_at(r1, spec)
             pi2 = success_probability(g2, self.s2[:, None], self.t2[:, None], sigma2_sq)
             rows = [r1, rate_from_sinr(g2), pi1, pi2]
-        points = [
+        width = rows[0].shape[1]
+        r1, r2, pi1, pi2 = (x.ravel() for x in rows)
+        kept = [
             BoundaryPoint(
-                float(r1), float(r2), {"pair_index": i, "pi1": float(p1), "pi2": float(p2)}
+                float(r1[j]), float(r2[j]),
+                {"pair_index": j // width, "pi1": float(pi1[j]), "pi2": float(pi2[j])},
             )
-            for i, pair_rows in enumerate(zip(*rows))
-            for r1, r2, p1, p2 in zip(*pair_rows)
+            for j in non_dominated_points(np.column_stack([r1, r2])).tolist()
         ]
-        kept = non_dominated_points(points)
         metadata = {
             "scenario_mode": spec.mode,
             "n_pairs": len(self.s1),

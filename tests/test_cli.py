@@ -282,6 +282,31 @@ class TestMain:
         assert "r1_cap" in err and "1024 bits" in err and "[1e-300, 1e-300]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["individual-stat", "common-stat"])
+    def test_stat_region_at_tiny_noise(self, tmp_path, capsys, scenario):
+        """Without interference the statistical rates are
+        log2(1 - s_bar ln 0.9 / sigma^2): 994-995 bits at noise 1e-300, not
+        the 200 bits of a capped bracket. At noise 5e-324 they pass the float
+        range: an error naming the noise, exit 1, no artifact."""
+        doc = demo_config(scenario, n_pairs=4)
+        doc["covariances"]["Q12"] = doc["covariances"]["Q21"] = [[[0.0, 0.0]] * 2] * 2
+        doc["noise"] = [1e-300, 1e-300]
+        out = tmp_path / "out"
+        assert main(["region", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        (csv,) = out.glob("*_boundary.csv")
+        rows = [[float(v) for v in line.split(",")] for line in csv.read_text().splitlines()[1:]]
+        assert rows
+        for col in (0, 1):
+            assert 994.0 < max(row[col] for row in rows) < 996.0
+        if scenario == "individual-stat":
+            assert all(994.0 < row[col] < 996.0 for row in rows for col in (0, 1))
+        capsys.readouterr()
+        doc["noise"] = [5e-324, 5e-324]
+        out = tmp_path / "out-tiny"
+        assert main(["region", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert "noise power 5e-324" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("link", [1, 2])
     def test_region_rejects_a_zero_signal_link(self, tmp_path, capsys, link):
         """A zero direct-channel covariance makes that link's single-user rate

@@ -30,6 +30,7 @@ from miso_outage.rate_core import (
     max_r2_given_r1,
     mrt,
     power_frontier,
+    quad_form,
     rate_bf,
     rate_cov,
     rate_from_sinr,
@@ -41,7 +42,7 @@ from miso_outage.rate_core import (
     zf,
 )
 
-from conftest import BAD_NOISES, random_channel_vectors
+from conftest import BAD_NOISES, random_channel_vectors, random_psd
 
 EPS = np.finfo(float).eps
 
@@ -336,6 +337,35 @@ class TestRowsum:
             np.testing.assert_array_equal(F.d[live], d)
             both = live & (asq > 0.0)
             np.testing.assert_array_equal(F.q_mrt[both], np.abs(inner[both]) ** 2 / asq[both])
+
+
+class TestQuadForm:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_batch_equals_per_row_form(self, rng, n):
+        """Each row of the batch is, bit for bit, the scalar form
+        np.conj(w) @ Q @ w clamped at 0, and a 1-D w is a batch of one."""
+        for Q in (random_psd(rng, n), random_psd(rng, n, rank=1)):
+            W = random_channel_vectors(rng, 2000, n)
+            W[0] = 0.0
+            expect = np.array([max(complex(np.conj(w) @ Q @ w).real, 0.0) for w in W])
+            np.testing.assert_array_equal(quad_form(Q, W), expect)
+            for i in (0, 1, 1999):
+                one = quad_form(Q, W[i])
+                assert type(one) is float and one == expect[i]
+                np.testing.assert_array_equal(quad_form(Q, W[i:i + 1]), expect[i:i + 1])
+
+    def test_negative_form_raises(self):
+        Q = np.diag([1.0, -1.0]).astype(complex)
+        W = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ValueError, match=r"quadratic form is negative: -0\.28"):
+            quad_form(Q, W)
+        with pytest.raises(ValueError, match="negative"):
+            quad_form(Q, W[2])
+
+    def test_rounding_below_zero_clamps(self):
+        Q = np.diag([1.0, -1e-12]).astype(complex)
+        assert quad_form(Q, np.array([0.0, 1.0])) == 0.0
+        assert quad_form(Q, np.empty((0, 2))).shape == (0,)
 
 
 class TestGoldenMax:

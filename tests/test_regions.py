@@ -255,31 +255,54 @@ class TestTraceBoundary:
             GridConfig(r1_cap=-1.0, r2_cap=1.0)
 
 
+def non_dominated_oracle(points) -> list[int]:
+    """The filter as a Python sort and loop over (r1, r2) pairs."""
+    ordered = sorted(range(len(points)), key=lambda i: (-points[i][0], -points[i][1]))
+    kept, best_r2 = [], -math.inf
+    for i in ordered:
+        if points[i][1] > best_r2:
+            kept.append(i)
+            best_r2 = points[i][1]
+    return kept[::-1]
+
+
 class TestNonDominated:
     def test_matches_bruteforce(self, rng):
-        pts = [
-            BoundaryPoint(float(x), float(y))
-            for x, y in rng.uniform(0.0, 1.0, size=(60, 2))
-        ]
+        pts = rng.uniform(0.0, 1.0, size=(60, 2))
         kept = non_dominated_points(pts)
         expected = [
-            p
-            for p in pts
-            if not any(
-                (q.r1 >= p.r1 and q.r2 > p.r2) or (q.r1 > p.r1 and q.r2 >= p.r2)
-                for q in pts
-            )
+            (x, y)
+            for x, y in pts
+            if not any((a >= x and b > y) or (a > x and b >= y) for a, b in pts)
         ]
-        assert sorted((p.r1, p.r2) for p in kept) == sorted(
-            (p.r1, p.r2) for p in expected
-        )
-        r1s = [p.r1 for p in kept]
+        assert sorted(map(tuple, pts[kept])) == sorted(expected)
+        r1s = pts[kept, 0].tolist()
         assert r1s == sorted(r1s)
 
     def test_duplicates_collapse(self):
-        pts = [BoundaryPoint(0.3, 0.4), BoundaryPoint(0.3, 0.4), BoundaryPoint(0.1, 0.5)]
+        """Of two equal rows the earlier one is kept."""
+        kept = non_dominated_points([(0.3, 0.4), (0.3, 0.4), (0.1, 0.5)])
+        assert kept.tolist() == [2, 0]
+
+    def test_empty(self):
+        assert non_dominated_points(np.empty((0, 2))).tolist() == []
+        assert non_dominated_points([]).tolist() == []
+
+    def test_matches_sort_and_loop_with_ties(self, rng):
+        """Coordinates drawn from a few values, so rows tie in r1, in r2 and
+        in both: the kept indices equal a stable Python sort and loop."""
+        for m in (1, 2, 7, 200):
+            pts = rng.integers(0, 5, size=(m, 2)) / 4.0
+            assert non_dominated_points(pts).tolist() == non_dominated_oracle(pts.tolist())
+
+    def test_first_of_equal_rows_is_kept(self, rng):
+        """Five non-dominated points, each repeated about 100 times in random
+        order: the kept row of each is its first occurrence, which only a
+        stable sort guarantees."""
+        i = rng.integers(0, 5, size=500)
+        pts = np.column_stack([i, 4 - i]) / 4.0
         kept = non_dominated_points(pts)
-        assert [(p.r1, p.r2) for p in kept] == [(0.1, 0.5), (0.3, 0.4)]
+        assert kept.tolist() == [int(np.argmax(i == v)) for v in range(5)]
 
 
 def record_pool_sizes(monkeypatch) -> list:

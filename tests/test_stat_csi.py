@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from miso_outage import stat_csi
 from miso_outage.channel import ChannelStatistics, SampleSource
-from miso_outage.regions import BoundaryPoint, OutageSpec, non_dominated_points
+from miso_outage.regions import OutageSpec, non_dominated_points
 from miso_outage.stat_csi import (
     StatRegionSearch,
+    _invert_success,
     _rates_for_success,
     draw_beamformer_pairs,
     pair_success,
@@ -119,6 +123,100 @@ class TestInversion:
         r = _rates_for_success(2.0, 0.0, 0.5, targets)
         gamma_expect = -2.0 * np.log(targets) / 0.5
         np.testing.assert_allclose(r, np.log2(1.0 + gamma_expect), rtol=0, atol=1e-9)
+
+
+def invert_success_oracle(s_bar, t_bar, sigma_sq, targets):
+    """Every element doubles at most 200 times, then takes all 100 bisection
+    steps. Returns (gamma, capped); capped is True when some element still
+    met its target after the 200th doubling."""
+    targets = np.asarray(targets, dtype=float)
+    s = np.broadcast_to(np.asarray(s_bar, dtype=float), targets.shape).copy()
+    t = np.broadcast_to(np.asarray(t_bar, dtype=float), targets.shape)
+    gamma = np.zeros(targets.shape)
+    alive = (s > 0.0) & (targets < 1.0)
+    hi = np.ones(targets.shape)
+    capped = True
+    for _ in range(200):
+        below = alive & (success_probability(hi, s, t, sigma_sq) >= targets)
+        if not below.any():
+            capped = False
+            break
+        hi = np.where(below, 2.0 * hi, hi)
+    lo = np.zeros(targets.shape)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        ok = success_probability(mid, s, t, sigma_sq) >= targets
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return np.where(alive, lo, gamma), capped
+
+
+MEANS = st.sampled_from([0.0, 1e-300, 1e-12, 0.3, 1.0, 4.2, 1e12]) | st.floats(0.0, 10.0)
+TARGETS = st.sampled_from([1.0, 1.0 - 2.0 ** -53, 0.9, 0.5, 1e-3]) | st.floats(1e-6, 1.0)
+NOISES = st.sampled_from([1e-300, 1e-30, 1e-6, 0.5, 1e6, 1e30, 1e300]) | st.floats(1e-3, 1e3)
+
+
+class TestInversionOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(1, 6),
+        k=st.integers(1, 5),
+        per_row=st.booleans(),
+        sigma_sq=NOISES,
+        data=st.data(),
+    )
+    def test_equals_full_bisection(self, m, k, per_row, sigma_sq, data):
+        """Dropping settled elements changes no bit: equal to the full
+        100-step bisection for (m, 1) means against (m, k) targets and for
+        (m, k) means, including zero means, targets 1 and 1 - 2^-53, and
+        noise from 1e-300 to 1e300. Huge noise over a tiny mean overflows the
+        exponent's argument to -inf, which gives the right success 0; that
+        warning is not what this test checks."""
+        mean_shape = (m, 1) if per_row else (m, k)
+        s = np.array(data.draw(st.lists(MEANS, min_size=m * mean_shape[1],
+                                        max_size=m * mean_shape[1]))).reshape(mean_shape)
+        t = np.array(data.draw(st.lists(MEANS, min_size=s.size, max_size=s.size))).reshape(mean_shape)
+        targets = np.array(data.draw(st.lists(TARGETS, min_size=m * k, max_size=m * k))).reshape(m, k)
+        with np.errstate(over="ignore"):
+            expect, capped = invert_success_oracle(s, t, sigma_sq, targets)
+            assume(not capped)
+            got = _invert_success(s, t, sigma_sq, targets)
+        assert got.shape == (m, k)
+        np.testing.assert_array_equal(got, expect)
+
+    def test_unsettled_elements_take_all_steps(self, monkeypatch):
+        """Target 1 - 2^-53 puts gamma near 1e-16, below the resolution of
+        100 halvings of [0, 1]: those two elements are evaluated in every
+        step, while the other two leave the working set once they settle."""
+        sizes = []
+        real = stat_csi.success_probability
+
+        def recording(gamma, *args):
+            sizes.append(np.size(gamma))
+            return real(gamma, *args)
+
+        monkeypatch.setattr(stat_csi, "success_probability", recording)
+        s = np.array([1.8, 2.5, 3.0, 4.2])
+        targets = np.array([1.0 - 2.0 ** -53, 0.9, 0.5, 1.0 - 2.0 ** -53])
+        got = _invert_success(s, 0.4, 0.5, targets)
+        monkeypatch.undo()
+        expect, _ = invert_success_oracle(s, 0.4, 0.5, targets)
+        np.testing.assert_array_equal(got, expect)
+        steps = sizes[-100:]
+        assert steps[0] == 4 and steps[-1] == 2 and sum(steps) < 400
+
+    def test_tiny_noise_keeps_doubling_past_200(self):
+        """With t = 0 the inverse is -s ln(target) / sigma^2, about 2^995 at
+        noise 1e-300: doubling goes on past 2^200 to bracket it."""
+        s = np.array([1.8, 4.2])
+        gamma = _invert_success(s, 0.0, 1e-300, np.array([0.9, 0.9]))
+        np.testing.assert_allclose(gamma, -s * math.log(0.9) / 1e-300, rtol=1e-13)
+        rates = _rates_for_success(s, 0.0, 1e-300, np.array([0.9, 0.9]))
+        assert np.all((994.0 < rates) & (rates < 996.0))
+
+    def test_rate_beyond_the_float_range_raises(self):
+        with pytest.raises(ValueError, match=r"noise power 5e-324"):
+            _invert_success(np.array([3.0, 1.0]), 0.0, 5e-324, np.array([0.9, 0.5]))
 
 
 class TestMembership:
@@ -267,8 +365,9 @@ class TestRegionSearch:
         for i in range(12):
             single = StatRegionSearch(demo_stats, W1[i:i + 1], W2[i:i + 1], curve_points=40)
             for p in single.boundary(spec).points:
-                union.append(BoundaryPoint(p.r1, p.r2, {**p.payload, "pair_index": i}))
-        expect = [(p.r1, p.r2, p.payload) for p in non_dominated_points(union)]
+                union.append((p.r1, p.r2, {**p.payload, "pair_index": i}))
+        kept = non_dominated_points([(r1, r2) for r1, r2, _ in union])
+        expect = [union[j] for j in kept]
         got = [(p.r1, p.r2, p.payload) for p in full.boundary(spec).points]
         assert len(got) > 1
         assert got == expect
@@ -294,6 +393,56 @@ class TestRegionSearch:
                 )
             assert pi1[5] == (1.0 if point[0] == 0.0 else 0.0)
             assert pi2[40] == (1.0 if point[1] == 0.0 else 0.0)
+
+    def test_empty_candidate_set(self, demo_stats):
+        """No pairs: empty boundaries, no member point, no column."""
+        W1, W2 = draw_beamformer_pairs(2, 4, seed=1)
+        search = StatRegionSearch(demo_stats, W1[:0], W2[:0])
+        assert search.s1.shape == search.t2.shape == (0,)
+        for spec in (OutageSpec.common(0.1), OutageSpec.individual(0.1, 0.2)):
+            boundary = search.boundary(spec)
+            assert boundary.points == [] and boundary.warnings == []
+            assert boundary.metadata["n_pairs"] == 0
+            assert not search.member_any(0.0, 0.0, spec)
+            assert not search.member_any(0.2, 0.1, spec)
+            assert search.column_height(0.0, spec) == -math.inf
+
+    def test_pareto_filter_sees_every_curve_point(self, demo_stats, monkeypatch):
+        """The common boundary filters all 64 x 65 curve points at once and
+        keeps exactly the boundary's points, the counts a benchmark trace
+        reads from non_dominated_points' argument and result."""
+        calls = []
+        real = stat_csi.non_dominated_points
+
+        def recording(points):
+            result = real(points)
+            calls.append((len(points), len(result)))
+            return result
+
+        monkeypatch.setattr(stat_csi, "non_dominated_points", recording)
+        search = StatRegionSearch(demo_stats, *draw_beamformer_pairs(2, 64, seed=9))
+        boundary = search.boundary(OutageSpec.common(0.1))
+        assert calls == [(64 * 65, len(boundary.points))]
+        assert len(boundary.points) > 1
+
+    def test_tiny_noise_rates_are_not_capped(self):
+        """Without interference the rate at success 0.9 is
+        log2(1 - s ln 0.9 / sigma^2): about 995 bits at noise 1e-300, not the
+        200 bits of a doubling cap. Noise below the float range of that
+        rate is an error."""
+        stats = diag_stats(q21=(0.0, 0.0), q12=(0.0, 0.0), sigma1=1e-300, sigma2=1e-300)
+        W1, W2 = draw_beamformer_pairs(2, 4, seed=3)
+        search = StatRegionSearch(stats, W1, W2)
+        corners = search.boundary(OutageSpec.individual(0.1, 0.1)).points
+        assert corners
+        for p in corners:
+            i = p.payload["pair_index"]
+            assert p.r1 == pytest.approx(math.log2(-search.s1[i] * math.log(0.9) / 1e-300), abs=1e-9)
+            assert p.r2 == pytest.approx(math.log2(-search.s2[i] * math.log(0.9) / 1e-300), abs=1e-9)
+        assert search.boundary(OutageSpec.common(0.1)).points[0].r2 > 990.0
+        tiny = StatRegionSearch(diag_stats(q21=(0.0, 0.0), sigma1=5e-324), W1, W2)
+        with pytest.raises(ValueError, match="noise power 5e-324"):
+            tiny.boundary(OutageSpec.individual(0.1, 0.1))
 
     def test_more_pairs_only_improve(self, demo_stats):
         spec = OutageSpec.individual(0.1, 0.1)
