@@ -209,7 +209,6 @@ def gaussian_sample_arrays(
     factors = [factor_covariance(stats.covariance(key)).T for key in CHANNEL_KEYS]
     u = np.empty((rows, 4, n, _UNIFORMS_PER_ENTRY))
     amp = np.empty((rows, 4, n))
-    z = np.empty((rows, 4, n), dtype=np.complex128)
     out = {key: np.empty((rows, n), dtype=np.complex128) for key in CHANNEL_KEYS}
 
     def fill(lo: int, hi: int) -> None:
@@ -223,10 +222,13 @@ def gaussian_sample_arrays(
         np.sqrt(a, out=a)
         phase = uniforms[..., 1]
         phase *= 2.0 * np.pi
-        # cos and sin, scaled in place, give the bits of amp * exp(1j * phase).
-        entries = z[lo:hi]
+        # The entries overlay the uniforms: each (u1, u2) pair is one complex
+        # slot, whose real part (u1, already in amp) takes cos(phase) and
+        # whose imaginary part takes sin(phase) in place over the phase.
+        # Scaled in place, they give the bits of amp * exp(1j * phase).
+        entries = uniforms.view(np.complex128)[..., 0]
         np.cos(phase, out=entries.real)
-        np.sin(phase, out=entries.imag)
+        np.sin(phase, out=phase)
         entries *= a
         for idx, key in enumerate(CHANNEL_KEYS):
             np.matmul(entries[:, idx, :], factors[idx], out=out[key][lo:hi])

@@ -498,10 +498,10 @@ def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
     else:
         pipeline = InstantaneousRegionPipeline(config.source(), config.noise)
         grid = _resolved_grid(config, pipeline)
-        pipeline.precompute_columns(grid.r1_values, workers=workers)
+        traced = pipeline.trace_variants(spec, grid, variants, workers=workers)
         boundaries = {
-            "boundary" if i == 0 else variant: pipeline.trace(spec, grid, variant)
-            for i, variant in enumerate(variants)
+            "boundary" if i == 0 else variant: boundary
+            for i, (variant, boundary) in enumerate(zip(variants, traced))
         }
         columns = CSV_COLUMNS
 

@@ -148,6 +148,8 @@ def case_counts(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
     With a = exceed1 & exceed2 and nj = ~joint: B = joint minus a & joint, and
     C1 (C2) = exceed2 & nj (exceed1 & nj) minus a & nj, because a lies inside
     both exceed masks. Exact for arbitrary masks, not only consistent ones.
+    regions.CaseCounter gives the same counts along a column without the
+    masks; tests hold the two equal.
     """
     a = exceed1 & exceed2
     nj = ~joint

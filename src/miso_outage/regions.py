@@ -16,23 +16,27 @@ exact arithmetic. Fixed-choice variants pin the case-D decision to one link.
 
 Boundary tracing bisects the largest member r2 per r1 grid column. The
 instantaneous-region pipeline classifies one shared sample stream (common
-random numbers) and caches, per column, each realization's largest achievable
+random numbers) through, per column, each realization's largest achievable
 r2, so scenario nesting can be verified pointwise without re-sampling noise.
-Columns can be computed by several processes: the caller takes its share and
-a forked pool the rest, with identical results for any process count. Case
-counts at a rate point come from three comparison masks, counted without
-building the five case masks.
+A column is read only with su1 and su2, so a region is traced column-locally:
+the process that computes a column bisects every variant on it, builds the
+payloads at the boundary points and drops the column, returning a few scalars
+per variant. The caller takes every k-th column and a forked pool the rest,
+with identical results for any process count, and assembles the boundaries.
+Case counts along a column come from one counting context, CaseCounter,
+which takes the r1-only work once and counts each queried r2 once.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import SampleSource
-from .outage_mc import CaseProbabilities, case_counts, count_true
+from .outage_mc import CaseProbabilities, count_true
 from .rate_core import (
     RATE_SLACK,
     as_noise,
@@ -313,6 +317,54 @@ def non_dominated_points(points) -> np.ndarray:
     return order[r2[1:] > np.maximum.accumulate(r2)[:-1]][::-1]
 
 
+def trace_column(member, r1: float, grid: GridConfig, annotate=None) -> tuple:
+    """One column of trace_boundary: (inside at r2 = 0, largest member r2, payload).
+
+    Outside the region at r2 = 0 the column gives (False, None, None). Inside,
+    r2 is bisected below grid.r2_cap and the payload is annotate(r1, r2), or
+    {} without annotate.
+    """
+    if not member(r1, 0.0):
+        return False, None, None
+    r2 = bisect_largest(lambda r2: member(r1, r2), grid.r2_cap, grid.tolerance)
+    return True, r2, ({} if annotate is None else annotate(r1, r2))
+
+
+def assemble_boundary(grid: GridConfig, columns, metadata: dict | None = None) -> RegionBoundary:
+    """Boundary from trace_column's results at grid.r1_values, in r1 order.
+
+    Non-monotone responses across columns (membership reappearing after a
+    column whose base point already left the region, or cap hits) are
+    reported as warnings, a symptom of Monte-Carlo noise at the boundary; the
+    componentwise non-dominated points are kept with their payloads.
+    """
+    warnings: list[str] = []
+    raw: list[BoundaryPoint] = []
+    outside_seen = False
+    for r1, (inside, r2, payload) in zip(grid.r1_values, columns):
+        r1 = float(r1)
+        if not inside:
+            outside_seen = True
+            continue
+        if outside_seen:
+            warnings.append(f"non-monotone membership: column r1={r1:.6g} is inside "
+                            "after an earlier column left the region")
+        if r2 == grid.r2_cap:
+            warnings.append(f"r2 cap {grid.r2_cap:.6g} still inside at r1={r1:.6g}")
+        raw.append(BoundaryPoint(r1, r2, payload))
+    points = [raw[i] for i in non_dominated_points([(p.r1, p.r2) for p in raw])]
+    meta = dict(metadata or {})
+    meta.update(
+        {
+            "r1_cap": grid.r1_cap,
+            "r2_cap": grid.r2_cap,
+            "n_grid": grid.n_points,
+            "bisection_tol": grid.tolerance,
+        }
+    )
+    return RegionBoundary(points=points, warnings=warnings, metadata=meta)
+
+
 def trace_boundary(
     member,
     grid: GridConfig,
@@ -322,45 +374,16 @@ def trace_boundary(
     """Trace the upper boundary of a downward-closed region.
 
     member(r1, r2) -> bool is the membership oracle; annotate(r1, r2) -> dict,
-    when given, supplies the payload attached to each surviving point.
-    Non-monotone oracle responses across columns (membership reappearing after
-    a column whose base point already left the region, or cap hits) are
-    reported as warnings, a symptom of Monte-Carlo noise at the boundary.
+    when given, supplies the payload attached to each boundary point. Every
+    column runs trace_column, and assemble_boundary reports the warnings and
+    keeps the non-dominated points.
     """
-    warnings: list[str] = []
-    raw: list[BoundaryPoint] = []
-    tol = grid.tolerance
-    outside_seen = False
-    for r1 in grid.r1_values:
-        r1 = float(r1)
-        if not member(r1, 0.0):
-            outside_seen = True
-            continue
-        if outside_seen:
-            warnings.append(f"non-monotone membership: column r1={r1:.6g} is inside "
-                            "after an earlier column left the region")
-        r2 = bisect_largest(lambda r2: member(r1, r2), grid.r2_cap, tol)
-        if r2 == grid.r2_cap:
-            warnings.append(f"r2 cap {grid.r2_cap:.6g} still inside at r1={r1:.6g}")
-        raw.append(BoundaryPoint(r1, r2))
-    points = [raw[i] for i in non_dominated_points([(p.r1, p.r2) for p in raw])]
-    if annotate is not None:
-        for p in points:
-            p.payload = annotate(p.r1, p.r2)
-    meta = dict(metadata or {})
-    meta.update(
-        {
-            "r1_cap": grid.r1_cap,
-            "r2_cap": grid.r2_cap,
-            "n_grid": grid.n_points,
-            "bisection_tol": tol,
-        }
-    )
-    return RegionBoundary(points=points, warnings=warnings, metadata=meta)
+    columns = [trace_column(member, float(r1), grid, annotate) for r1 in grid.r1_values]
+    return assemble_boundary(grid, columns, metadata)
 
 
 # ---------------------------------------------------------------------------
-# Instantaneous-region pipeline (shared stream, cached columns)
+# Instantaneous-region pipeline (shared stream, column-local tracing)
 # ---------------------------------------------------------------------------
 
 _WORKER = {}
@@ -377,19 +400,74 @@ def _pipeline_worker_init(pipeline: "InstantaneousRegionPipeline"):
     _WORKER["pipeline"] = pipeline
 
 
-def _pipeline_worker_column(r1: float) -> np.ndarray:
-    return _WORKER["pipeline"]._compute_column(r1)
+def _pipeline_worker_call(method: str, args: tuple, r1: float):
+    return getattr(_WORKER["pipeline"], method)(r1, *args)
+
+
+def _jointly_achievable(column: np.ndarray, r2: float) -> np.ndarray:
+    """The one case-B decision: r2 within RATE_SLACK of the column's largest
+    achievable r2."""
+    return column >= r2 - RATE_SLACK
+
+
+class CaseCounter:
+    """Case probabilities at every r2 of one r1 column.
+
+    exceed1 = r1 > su1 does not depend on r2, so its count, and su2 and the
+    column on its rows, are taken once. At each r2 the counts of
+    outage_mc.case_counts follow from the comparisons exceed2 = r2 > su2 and
+    joint on all rows and on the exceed1 rows: with a = exceed1 & exceed2,
+    A = #a, B = #joint - #(a & joint), C1 = #(exceed2 & ~joint) - #(a & ~joint)
+    and C2 = #(exceed1 & ~joint) - #(a & ~joint). Each r2 is counted once; a
+    repeated query (another variant's bisection, a payload) reads the memo.
+    """
+
+    def __init__(self, n_samples: int, su1: np.ndarray, su2: np.ndarray,
+                 column: np.ndarray, r1: float):
+        exceed1 = r1 > su1
+        self.n_samples = n_samples
+        self.su2 = su2
+        self.column = column
+        self.count_exceed1 = count_true(exceed1)
+        self.su2_exceed1 = su2[exceed1]
+        self.column_exceed1 = column[exceed1]
+        self._memo: dict[float, CaseProbabilities] = {}
+
+    def case_probs(self, r2: float) -> CaseProbabilities:
+        probs = self._memo.get(r2)
+        if probs is None:
+            probs = self._memo[r2] = self._count(r2)
+        return probs
+
+    def _count(self, r2: float) -> CaseProbabilities:
+        exceed2 = r2 > self.su2
+        joint = _jointly_achievable(self.column, r2)
+        a = r2 > self.su2_exceed1
+        a_joint = _jointly_achievable(self.column_exceed1, r2)
+        n_exceed2 = count_true(exceed2)
+        n_a = count_true(a)
+        n_a_nj = n_a - count_true(a & a_joint)
+        return CaseProbabilities.from_counts(
+            self.n_samples,
+            n_a,
+            count_true(joint) - (n_a - n_a_nj),
+            n_exceed2 - count_true(exceed2 & joint) - n_a_nj,
+            self.count_exceed1 - count_true(a_joint) - n_a_nj,
+            self.count_exceed1,
+            n_exceed2,
+        )
 
 
 class InstantaneousRegionPipeline:
     """Shared-stream evaluator of instantaneous-CSI outage regions.
 
     One fixed sample stream serves every rate point (common random numbers).
-    Per r1 column the largest achievable r2 of each realization is computed
-    once (this is the expensive oracle work) and cached; case counts at any
-    (r1, r2) are then threshold comparisons, which makes membership exactly
-    monotone in r2 along a column and lets several scenarios share identical
-    classifications.
+    Per r1 column the largest achievable r2 of each realization is the
+    expensive oracle work; case counts at any (r1, r2) are then threshold
+    comparisons, which makes membership exactly monotone in r2 along a column
+    and lets several scenarios share identical classifications. Columns read
+    through column() are cached; trace_variants computes each column in the
+    process that bisects it and caches none.
     """
 
     def __init__(self, source: SampleSource, noise: tuple[float, float]):
@@ -427,34 +505,42 @@ class InstantaneousRegionPipeline:
             cached = self._columns[r1] = self._compute_column(r1)
         return cached
 
-    def precompute_columns(self, r1_values, workers: int = 1):
-        """Fill the column cache with up to `workers` processes, this one included.
+    def _map_columns(self, method: str, r1_values: list, workers: int, *args) -> list:
+        """[self.method(r1, *args) for r1 in r1_values], run by up to `workers`
+        processes, this one included.
 
-        With k = min(workers, missing columns) > 1 this process computes every
-        k-th missing column while a pool of k - 1 forked workers computes the
-        rest. Results are identical for any worker count; parallelism only
-        changes which process runs each column.
+        With k = min(workers, len(r1_values)) > 1 this process takes every
+        k-th r1 while a pool of k - 1 forked workers takes the rest; results
+        come back in r1 order and do not depend on k.
         """
-        keys = [_column_key(r1) for r1 in r1_values]
-        todo = [r1 for r1 in keys if r1 not in self._columns]
-        procs = min(workers, len(todo))
+        run = getattr(self, method)
+        procs = min(workers, len(r1_values))
         if procs <= 1:
-            for r1 in todo:
-                self.column(r1)
-            return
-        pooled = [r1 for i, r1 in enumerate(todo) if i % procs]
+            return [run(r1, *args) for r1 in r1_values]
+        results = [None] * len(r1_values)
+        pooled = [i for i in range(len(r1_values)) if i % procs]
         with ProcessPoolExecutor(
             max_workers=procs - 1,
             initializer=_pipeline_worker_init,
             initargs=(self,),
         ) as pool:
-            # map submits every column before the first result is awaited, so
+            # map submits every task before the first result is awaited, so
             # the workers run while this process computes its own share.
-            results = pool.map(_pipeline_worker_column, pooled)
-            for r1 in todo[::procs]:
-                self.column(r1)
-            for r1, col in zip(pooled, results):
-                self._columns[r1] = col
+            remote = pool.map(functools.partial(_pipeline_worker_call, method, args),
+                              [r1_values[i] for i in pooled])
+            for i in range(0, len(r1_values), procs):
+                results[i] = run(r1_values[i], *args)
+            for i, result in zip(pooled, remote):
+                results[i] = result
+        return results
+
+    def precompute_columns(self, r1_values, workers: int = 1):
+        """Fill the column cache with up to `workers` processes, this one
+        included (see _map_columns); the pool is capped at the missing columns."""
+        keys = [_column_key(r1) for r1 in r1_values]
+        todo = [r1 for r1 in keys if r1 not in self._columns]
+        for r1, col in zip(todo, self._map_columns("_compute_column", todo, workers)):
+            self._columns[r1] = col
 
     def witness_rates(self, r1: float):
         """Link rates at the case-B operating point (transmitter 2 at the column
@@ -467,42 +553,68 @@ class InstantaneousRegionPipeline:
         return witness_rates_batch(self.F1, self.F2, q1, q2, self.noise)
 
     def case_tests(self, r1: float, r2: float):
-        """Masks (exceed1, exceed2, joint) at (r1, r2): the only case-B decision."""
+        """Masks (exceed1, exceed2, joint) at (r1, r2), for callers that need
+        the per-realization split; counts go through CaseCounter."""
         r1, r2 = as_rate_point((r1, r2))
-        joint = self.column(r1) >= r2 - RATE_SLACK
-        return r1 > self.su1, r2 > self.su2, joint
+        return r1 > self.su1, r2 > self.su2, _jointly_achievable(self.column(r1), r2)
 
     def case_probs(self, r1: float, r2: float) -> CaseProbabilities:
-        exceed1, exceed2, joint = self.case_tests(r1, r2)
-        return CaseProbabilities.from_counts(
-            self.n_samples,
-            *case_counts(exceed1, exceed2, joint),
-            count_true(exceed1),
-            count_true(exceed2),
-        )
+        r1, r2 = as_rate_point((r1, r2))
+        return CaseCounter(self.n_samples, self.su1, self.su2, self.column(r1), r1).case_probs(r2)
 
     def member(self, r1: float, r2: float, spec: OutageSpec, variant: str = "plain") -> bool:
         return verdict(self.case_probs(r1, r2), spec, variant).member
 
+    def _trace_column(self, r1: float, spec: OutageSpec, grid: GridConfig,
+                      variants: tuple) -> list[tuple]:
+        """trace_column of every variant on column r1, from one CaseCounter.
+
+        A cached column is read; otherwise the column is computed here and
+        dropped on return, which leaves (inside, r2, payload) per variant.
+        """
+        column = self._columns.get(r1)
+        if column is None:
+            column = self._compute_column(r1)
+        counter = CaseCounter(self.n_samples, self.su1, self.su2, column, r1)
+
+        def steps(variant):
+            def member(r1, r2):
+                return verdict(counter.case_probs(r2), spec, variant).member
+
+            def annotate(r1, r2):
+                probs = counter.case_probs(r2)
+                payload = probs.as_dict()["estimates"]
+                payload.update(verdict(probs, spec, variant).margins())
+                return payload
+
+            return trace_column(member, r1, grid, annotate)
+
+        return [steps(variant) for variant in variants]
+
+    def trace_variants(self, spec: OutageSpec, grid: GridConfig, variants,
+                       workers: int = 1) -> list[RegionBoundary]:
+        """Boundaries of the case-D variants on one pass over the r1 grid.
+
+        Each column is computed once, by the process that takes it in
+        _map_columns, and bisected there for every variant; this process
+        receives (inside, r2, payload) per column and variant and assembles
+        each boundary in r1 order. Nothing is cached.
+        """
+        r1_values = [_column_key(r1) for r1 in grid.r1_values]
+        steps = self._map_columns("_trace_column", r1_values, workers, spec, grid,
+                                  tuple(variants))
+        return [
+            assemble_boundary(grid, [column[i] for column in steps], metadata={
+                "scenario_mode": spec.mode,
+                "variant": variant,
+                "n_samples": self.n_samples,
+                "seed": self.source.seed,
+            })
+            for i, variant in enumerate(variants)
+        ]
+
     def trace(self, spec: OutageSpec, grid: GridConfig, variant: str = "plain") -> RegionBoundary:
-        self.precompute_columns(grid.r1_values)
-
-        def member(r1, r2):
-            return self.member(r1, r2, spec, variant)
-
-        def annotate(r1, r2):
-            probs = self.case_probs(r1, r2)
-            payload = probs.as_dict()["estimates"]
-            payload.update(verdict(probs, spec, variant).margins())
-            return payload
-
-        meta = {
-            "scenario_mode": spec.mode,
-            "variant": variant,
-            "n_samples": self.n_samples,
-            "seed": self.source.seed,
-        }
-        return trace_boundary(member, grid, annotate=annotate, metadata=meta)
+        return self.trace_variants(spec, grid, (variant,))[0]
 
     def axis_intercept(self, spec: OutageSpec, link: int = 1, variant: str = "plain") -> float:
         """Largest member rate on one axis (the other link's target at zero),

@@ -32,6 +32,7 @@ a closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +57,10 @@ def success_probability(gamma, s_bar, t_bar, sigma_sq) -> np.ndarray:
     """Pr{SINR >= gamma} for exponential signal/interference, vectorized.
 
     gamma <= 0 gives 1; zero mean signal gives 0 for gamma > 0. The result is
-    an array of the broadcast shape of gamma, s_bar and t_bar.
+    an array of the broadcast shape of gamma, s_bar and t_bar. When the noise
+    dwarfs the signal the exponent overflows to -inf, which gives the right
+    success 0; floating-point overflow is reported or not as the caller's
+    numpy error state says (see _overflow_gives_zero).
     """
     gamma = np.asarray(gamma, dtype=float)
     s = np.asarray(s_bar, dtype=float)
@@ -68,6 +72,25 @@ def success_probability(gamma, s_bar, t_bar, sigma_sq) -> np.ndarray:
     return np.where(gamma <= 0.0, 1.0, pi)
 
 
+def _overflow_gives_zero(func):
+    """func run with floating-point overflow ignored.
+
+    success_probability's exponent overflows when the noise power dwarfs the
+    mean signal, and exp(-inf) = 0 is then the exact success. The callers of
+    success_probability in this module set the error state once per call
+    instead of once per evaluation: an inversion evaluates about a hundred
+    times.
+    """
+
+    @functools.wraps(func)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore"):
+            return func(*args, **kwargs)
+
+    return quiet
+
+
+@_overflow_gives_zero
 def _invert_success(s_bar, t_bar, sigma_sq, targets) -> np.ndarray:
     """Largest gamma with success >= target, elementwise (targets in (0, 1]).
 
@@ -238,6 +261,7 @@ class StatRegionSearch:
         self.s2 = quad_form(stats.Q22, W2)
         self.t2 = quad_form(stats.Q12, W1)
 
+    @_overflow_gives_zero
     def pair_success_all(self, r1: float, r2: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-pair closed-form success probabilities at one rate point."""
         pi1 = success_probability(
@@ -254,6 +278,7 @@ class StatRegionSearch:
         pi1, pi2 = self.pair_success_all(r1, r2)
         return bool(np.any(_meets(spec, pi1, pi2, pi1 * pi2)))
 
+    @_overflow_gives_zero
     def _link2_at(self, r1, spec: OutageSpec):
         """(pi1, feasible, gamma2) per pair (rows) and r1 value (columns).
 

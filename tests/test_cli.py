@@ -307,6 +307,24 @@ class TestMain:
         assert "noise power 5e-324" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["individual-stat", "common-stat"])
+    def test_stat_commands_when_noise_dwarfs_the_signal(self, tmp_path, capsys, scenario):
+        """Noise 1e300 over the demo covariances scaled by 1e-10: the success
+        exponent overflows to -inf, which is the exact success 0. region and
+        point exit 0 without a RuntimeWarning, which this suite raises."""
+        doc = demo_config(scenario)
+        doc["noise"] = [1e300, 1e300]
+        doc["covariances"] = {
+            key: [[[x * 1e-10 for x in z] for z in row] for row in Q]
+            for key, Q in doc["covariances"].items()
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["region", path, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main(["point", path, "0.5", "0.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert not any(report["stat_memberships"].values())
+
     @pytest.mark.parametrize("link", [1, 2])
     def test_region_rejects_a_zero_signal_link(self, tmp_path, capsys, link):
         """A zero direct-channel covariance makes that link's single-user rate
