@@ -21,16 +21,19 @@ r2, so scenario nesting can be verified pointwise without re-sampling noise.
 A column is read only with su1 and su2, so a region is traced column-locally:
 the process that computes a column bisects every variant on it, builds the
 payloads at the boundary points and drops the column, returning a few scalars
-per variant. The caller takes every k-th column and a forked pool the rest,
-with identical results for any process count, and assembles the boundaries.
+per variant. The caller and k - 1 forked helpers claim the columns from one
+shared counter, largest r1 first; results do not depend on who computed a
+column, and the caller assembles the boundaries in r1 order.
 Case counts along a column come from one counting context, CaseCounter,
 which takes the r1-only work once and counts each queried r2 once.
 """
 
 from __future__ import annotations
 
-import functools
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -386,22 +389,86 @@ def trace_boundary(
 # Instantaneous-region pipeline (shared stream, column-local tracing)
 # ---------------------------------------------------------------------------
 
-_WORKER = {}
-
 
 def _column_key(r1: float) -> float:
     """r1 as a column-cache key: a finite, nonnegative float, else ValueError."""
     return as_rate_point((r1, 0.0))[0]
 
 
-def _pipeline_worker_init(pipeline: "InstantaneousRegionPipeline"):
-    # A forked worker inherits the parent's pipeline (stream and frontiers)
-    # for free; under spawn it arrives pickled. Either way nothing is re-sampled.
-    _WORKER["pipeline"] = pipeline
+def _claim_order(r1_values: list) -> list[int]:
+    """Indices of r1_values by decreasing r1, the order columns are claimed in.
+
+    Along a traced grid a column costs more as r1 grows: fewer rows are
+    zero-forcing (answered in closed form) and more need the root search.
+    Claiming the largest r1 first is greedy longest-job-first list
+    scheduling, so the cheap columns fill the gaps at the end instead of one
+    long column running on after the other processes have run dry.
+    """
+    return sorted(range(len(r1_values)), key=r1_values.__getitem__, reverse=True)
 
 
-def _pipeline_worker_call(method: str, args: tuple, r1: float):
-    return getattr(_WORKER["pipeline"], method)(r1, *args)
+def _claims(fd: int, order: list):
+    """The items of order that this process claims, each claimed by exactly
+    one of the processes sharing fd.
+
+    The next position in order is a counter at offset 0 of the file fd (an
+    empty file reads as 0), advanced under a POSIX record lock. Such a lock
+    belongs to one process, so the caller and its forked helpers exclude
+    each other, and the kernel drops it if its holder dies.
+    """
+    import fcntl  # POSIX only, like os.fork; the one-process path needs neither
+
+    while True:
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        try:
+            n = int.from_bytes(os.pread(fd, 8, 0), "little")
+            os.pwrite(fd, (n + 1).to_bytes(8, "little"), 0)
+        finally:
+            fcntl.lockf(fd, fcntl.LOCK_UN)
+        if n >= len(order):
+            return
+        yield order[n]
+
+
+def _run_helper(write_fd: int, claimed, run, r1_values: list, args: tuple):
+    """Body of a forked helper; never returns.
+
+    Computes run(r1, *args) for every claimed index and sends the list of
+    (index, result) pairs, or the exception that stopped it, down write_fd
+    as one pickle. os._exit skips the caller's cleanup (atexit handlers,
+    buffered output, open files), which belongs to the caller alone.
+    """
+    status = 1
+    try:
+        try:
+            report = [(i, run(r1_values[i], *args)) for i in claimed]
+        except BaseException as exc:
+            report = exc
+        with os.fdopen(write_fd, "wb") as stream:
+            pickle.dump(report, stream, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(pid: int, read_fd: int) -> list:
+    """A helper's (index, result) pairs, read from read_fd (closed here);
+    the helper is reaped. Raises the helper's exception, or
+    ChildProcessError when it ended without a complete report."""
+    try:
+        with os.fdopen(read_fd, "rb") as stream:
+            report = pickle.load(stream)
+    except (EOFError, pickle.UnpicklingError):
+        report = None
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if isinstance(report, BaseException):
+        raise report
+    if report is None or status != 0:
+        raise ChildProcessError(
+            f"column helper {pid} ended (exit status {status}) without reporting its columns"
+        )
+    return report
 
 
 def _jointly_achievable(column: np.ndarray, r2: float) -> np.ndarray:
@@ -476,8 +543,10 @@ class InstantaneousRegionPipeline:
         self.source = source
         self.noise = as_noise(noise)
         arrs = source.arrays()
-        self.F1 = frontier_batch(arrs["h11"], arrs["h12"])
-        self.F2 = frontier_batch(arrs["h22"], arrs["h21"])
+        # Each pair of channels is dropped once its frontier exists, so the
+        # build never holds all four sampled arrays and both frontiers at once.
+        self.F1 = frontier_batch(arrs.pop("h11"), arrs.pop("h12"))
+        self.F2 = frontier_batch(arrs.pop("h22"), arrs.pop("h21"))
         # p_max = ||h_ii||^2, so the single-user SINR is p_max / sigma_i^2.
         self.su1 = rate_from_sinr(self.F1.p_max / self.noise[0])
         self.su2 = rate_from_sinr(self.F2.p_max / self.noise[1])
@@ -509,34 +578,58 @@ class InstantaneousRegionPipeline:
         """[self.method(r1, *args) for r1 in r1_values], run by up to `workers`
         processes, this one included.
 
-        With k = min(workers, len(r1_values)) > 1 this process takes every
-        k-th r1 while a pool of k - 1 forked workers takes the rest; results
-        come back in r1 order and do not depend on k.
+        With k = min(workers, len(r1_values)) > 1, k - 1 helpers are forked
+        and all k processes claim indices from one shared counter in
+        _claim_order (largest r1 first), so a process that finishes early
+        takes the next column instead of idling. Each helper reports its
+        results through its own pipe; they come back in r1 order and do not
+        depend on k or on who claimed what. Every helper is reaped before
+        this returns or raises: on an error here, the helpers still running
+        are killed first.
         """
         run = getattr(self, method)
+        if workers > 1 and not hasattr(os, "fork"):
+            raise ValueError(f"--workers {workers} needs os.fork, which this platform "
+                             "lacks; use --workers 1")
         procs = min(workers, len(r1_values))
         if procs <= 1:
             return [run(r1, *args) for r1 in r1_values]
+        order = _claim_order(r1_values)
         results = [None] * len(r1_values)
-        pooled = [i for i in range(len(r1_values)) if i % procs]
-        with ProcessPoolExecutor(
-            max_workers=procs - 1,
-            initializer=_pipeline_worker_init,
-            initargs=(self,),
-        ) as pool:
-            # map submits every task before the first result is awaited, so
-            # the workers run while this process computes its own share.
-            remote = pool.map(functools.partial(_pipeline_worker_call, method, args),
-                              [r1_values[i] for i in pooled])
-            for i in range(0, len(r1_values), procs):
-                results[i] = run(r1_values[i], *args)
-            for i, result in zip(pooled, remote):
-                results[i] = result
+        helpers = {}  # pid -> read end of its pipe, until collected
+        with tempfile.TemporaryFile() as counter:
+            try:
+                for _ in range(procs - 1):
+                    read_fd, write_fd = os.pipe()
+                    try:
+                        pid = os.fork()
+                        if pid == 0:
+                            _run_helper(write_fd, _claims(counter.fileno(), order), run,
+                                        r1_values, args)
+                    except BaseException:
+                        os.close(read_fd)
+                        raise
+                    finally:
+                        # Closed before the next fork, so the helper holds the
+                        # only write end and its death reads as end of file.
+                        os.close(write_fd)
+                    helpers[pid] = read_fd
+                for i in _claims(counter.fileno(), order):
+                    results[i] = run(r1_values[i], *args)
+                while helpers:
+                    pid, read_fd = helpers.popitem()
+                    for i, result in _collect(pid, read_fd):
+                        results[i] = result
+            finally:
+                for pid, read_fd in helpers.items():
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    os.close(read_fd)
         return results
 
     def precompute_columns(self, r1_values, workers: int = 1):
         """Fill the column cache with up to `workers` processes, this one
-        included (see _map_columns); the pool is capped at the missing columns."""
+        included (see _map_columns); at most one per missing column."""
         keys = [_column_key(r1) for r1 in r1_values]
         todo = [r1 for r1 in keys if r1 not in self._columns]
         for r1, col in zip(todo, self._map_columns("_compute_column", todo, workers)):

@@ -5,18 +5,25 @@ process that bisects it and returns only (inside, r2, payload) per variant.
 Its boundaries must equal `trace_boundary` run over cached columns, for every
 instantaneous scenario and worker count; its per-column case counts must
 equal `outage_mc.case_counts` on the comparison masks; and the parent of a
-pooled `region` run must neither cache nor receive a column.
+`region --workers 2` run must neither cache nor receive a column. A helper
+that fails is reported and reaped, and the claim order (largest r1 first)
+does not change the boundaries.
 """
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import miso_outage
 from miso_outage import cli, regions
 from miso_outage.channel import ChannelRealization, SampleSource
 from miso_outage.cli import SCENARIOS
@@ -28,6 +35,7 @@ from miso_outage.regions import (
     GridConfig,
     InstantaneousRegionPipeline,
     OutageSpec,
+    boundary_csv_lines,
     trace_boundary,
     verdict,
 )
@@ -161,15 +169,41 @@ def _is_scalar_tree(value) -> bool:
     return value is None or type(value) in (bool, float, str)
 
 
-def test_pooled_region_parent_caches_and_receives_no_column(tmp_path, monkeypatch):
-    """`region --workers 2` over 8 columns: this process computes its own 4
-    columns, receives only scalars for the other 4, and caches nothing."""
-    received, pipelines, computed = [], [], []
+def region_config(tmp_path) -> str:
+    """The demo individual-inst region at 2000 samples over 8 columns."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(demo_config("individual-inst", mc_samples=2000, seed=3, n_grid=8)))
+    return str(config)
 
-    class RecordingPool(ProcessPoolExecutor):
-        def map(self, fn, *iterables, **kwargs):
-            results = super().map(fn, *iterables, **kwargs)
-            return (received.append(r) or r for r in results)
+
+def record_claims(monkeypatch) -> tuple[list, list]:
+    """Patch the claim and collect steps of `_map_columns` to log the indices
+    this process claims and the (index, result) pairs it receives."""
+    claimed, received = [], []
+    claims, collect = regions._claims, regions._collect
+
+    def recording_claims(fd, order):
+        # A helper appends to its own copy of the list; this one sees ours.
+        for i in claims(fd, order):
+            claimed.append(i)
+            yield i
+
+    def recording_collect(pid, read_fd):
+        pairs = collect(pid, read_fd)
+        received.extend(pairs)
+        return pairs
+
+    monkeypatch.setattr(regions, "_claims", recording_claims)
+    monkeypatch.setattr(regions, "_collect", recording_collect)
+    return claimed, received
+
+
+def test_pooled_region_parent_caches_and_receives_no_column(tmp_path, monkeypatch):
+    """`region --workers 2` over 8 columns: each column is claimed exactly
+    once, this process computes the kernel only for the columns it claimed,
+    receives only scalars for the others, and caches nothing."""
+    claimed, received = record_claims(monkeypatch)
+    pipelines, computed = [], []
 
     class RecordingPipeline(InstantaneousRegionPipeline):
         def __init__(self, *args, **kwargs):
@@ -182,15 +216,139 @@ def test_pooled_region_parent_caches_and_receives_no_column(tmp_path, monkeypatc
         computed.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(regions, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(regions, "max_r2_batch", counted_kernel)
     monkeypatch.setattr(cli, "InstantaneousRegionPipeline", RecordingPipeline)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(demo_config("individual-inst", mc_samples=2000, seed=3, n_grid=8)))
-    assert cli.main(["region", str(config), "--out", str(tmp_path / "out"), "--workers", "2"]) == 0
+    config = region_config(tmp_path)
+    assert cli.main(["region", config, "--out", str(tmp_path / "out"), "--workers", "2"]) == 0
 
     (pipeline,) = pipelines
     assert pipeline._columns == {}
-    assert len(computed) == 4
-    assert len(received) == 4
-    assert all(len(steps) == 3 and _is_scalar_tree(steps) for steps in received)
+    assert sorted(claimed + [i for i, _ in received]) == list(range(8))
+    assert len(computed) == len(claimed)
+    assert all(len(steps) == 3 and _is_scalar_tree(steps) for _, steps in received)
+
+
+def test_columns_claimed_largest_r1_first():
+    assert regions._claim_order([0.0, 0.5, 0.25, 0.75]) == [3, 1, 2, 0]
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_claim_order_does_not_change_boundaries(demo_source, monkeypatch, order):
+    """The boundaries, down to their CSV bytes, do not depend on the order
+    in which the processes claim the columns."""
+    source, grid = demo_case(demo_source, (0.1, 0.1))
+    spec = OutageSpec.individual(0.1, 0.1)
+    variants = SCENARIOS["individual-inst"][1]
+    expected = InstantaneousRegionPipeline(source, NOISE).trace_variants(spec, grid, variants,
+                                                                         workers=2)
+    largest_first = regions._claim_order
+
+    def reordered(r1_values):
+        indices = largest_first(r1_values)[::-1]
+        if order == "shuffled":
+            np.random.default_rng(5).shuffle(indices)
+        return indices
+
+    monkeypatch.setattr(regions, "_claim_order", reordered)
+    for workers in (2, 3):
+        got = InstantaneousRegionPipeline(source, NOISE).trace_variants(spec, grid, variants,
+                                                                        workers=workers)
+        assert got == expected
+        assert [boundary_csv_lines(b) for b in got] == [boundary_csv_lines(b) for b in expected]
+
+
+def test_each_claim_taken_once_under_contention(demo_source, monkeypatch):
+    """70 000 items, more than a pipe holds as one-byte tokens, over six
+    processes, more than the CPUs of a usual test host: every item is
+    claimed by exactly one process and its result lands at its index."""
+    claimed, received = record_claims(monkeypatch)
+
+    class Squares(InstantaneousRegionPipeline):
+        def _square(self, r1):
+            return r1 * r1
+
+    values = [float(v) for v in range(70_000)]
+    squares = Squares(demo_source, NOISE)._map_columns("_square", values, 6)
+    assert squares == [v * v for v in values]
+    assert sorted(claimed + [i for i, _ in received]) == list(range(len(values)))
+
+
+# Runs `region --workers 2` with a column kernel that fails: in the helper,
+# by raising ("raise") or by ending it with os._exit(3) ("exit"), or in the
+# caller while the helper is still busy ("caller"). The caller's first column
+# waits until the helper has claimed one, so the helper always takes part.
+# Prints the exit code, whether any child is left unreaped, and whether the
+# open descriptors are the same as before.
+FAILING_COLUMN = r"""
+import json, os, select, sys, time
+from miso_outage import cli, regions
+
+mode, config, out = sys.argv[1:]
+caller = os.getpid()
+ready_r, ready_w = os.pipe()
+kernel = regions.max_r2_batch
+waited = []
+
+def failing_kernel(*args):
+    if os.getpid() != caller:
+        os.write(ready_w, b"x")
+        if mode == "exit":
+            os._exit(3)
+        if mode == "raise":
+            raise ValueError("kernel failed in a helper")
+        time.sleep(100)
+    if not waited:
+        waited.append(select.select([ready_r], [], [], 60.0))
+    if mode == "caller":
+        raise ValueError("kernel failed in the caller")
+    return kernel(*args)
+
+regions.max_r2_batch = failing_kernel
+fds = sorted(os.listdir("/proc/self/fd"))
+rc = cli.main(["region", config, "--out", out, "--workers", "2"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(json.dumps({"rc": rc, "reaped": reaped,
+                  "fds_kept": sorted(os.listdir("/proc/self/fd")) == fds}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+@pytest.mark.parametrize("mode, message", [
+    ("raise", r"error: kernel failed in a helper"),
+    ("exit", r"error: column helper \d+ ended \(exit status 3\) without reporting"),
+    ("caller", r"error: kernel failed in the caller"),
+])
+def test_failing_column_is_reported_and_helpers_reaped(tmp_path, mode, message):
+    """`region --workers 2` exits 1 with the failing column's error, or with
+    a clear one when a helper died without reporting; a helper still busy
+    when the caller fails is killed. No child is left unreaped and no
+    descriptor stays open. In a subprocess with a timeout, so a hang fails
+    the test instead of the suite."""
+    env = dict(os.environ)
+    src = str(Path(miso_outage.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", FAILING_COLUMN, mode, region_config(tmp_path), str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"rc": 1, "reaped": True, "fds_kept": True}
+    assert re.search(message, done.stderr), done.stderr
+    assert not out.exists()
+
+
+def test_workers_need_fork(tmp_path, monkeypatch, capsys):
+    """Without os.fork, `--workers 2` fails with a message naming --workers
+    instead of quietly running on one process; `--workers 1` still runs."""
+    monkeypatch.delattr(os, "fork")
+    config = region_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["region", config, "--out", str(out), "--workers", "2"]) == 1
+    assert "--workers 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["region", config, "--out", str(out), "--workers", "1"]) == 0

@@ -1,11 +1,10 @@
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 
 import numpy as np
 import pytest
 
-from miso_outage import regions
 from miso_outage.channel import SampleSource
 from miso_outage.outage_mc import CaseProbabilities, estimate_case_probs
 from miso_outage.rate_core import (
@@ -305,17 +304,19 @@ class TestNonDominated:
         assert kept.tolist() == [int(np.argmax(i == v)) for v in range(5)]
 
 
-def record_pool_sizes(monkeypatch) -> list:
-    """Patch the pipeline's process pool to log each pool's max_workers."""
-    sizes = []
+def record_forks(monkeypatch) -> list:
+    """Patch os.fork to log, in the forking process, the pid of each helper."""
+    pids = []
+    fork = os.fork
 
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            sizes.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(regions, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 @pytest.fixture(scope="module")
@@ -423,26 +424,29 @@ class TestPipeline:
 
     def test_parallel_columns_identical(self, demo_source, monkeypatch):
         """Columns are bitwise equal for any process count; with k processes
-        the pool holds k - 1 workers, this process being the k-th."""
-        pool_sizes = record_pool_sizes(monkeypatch)
+        k - 1 helpers are forked, this process being the k-th."""
+        forks = record_forks(monkeypatch)
         serial = InstantaneousRegionPipeline(demo_source, NOISE)
         r1_values = [0.0, 0.3, 0.6, 0.9]
         serial.precompute_columns(r1_values, workers=1)
+        helpers = []
         for workers in (1, 2, 3, 5):
             parallel = InstantaneousRegionPipeline(demo_source, NOISE)
+            before = len(forks)
             parallel.precompute_columns(r1_values, workers=workers)
+            helpers.append(len(forks) - before)
             for r1 in r1_values:
                 np.testing.assert_array_equal(serial.column(r1), parallel.column(r1))
-        assert pool_sizes == [1, 2, 3]
+        assert helpers == [0, 1, 2, 3]
 
     def test_pool_capped_at_missing_columns(self, demo_source, monkeypatch):
-        pool_sizes = record_pool_sizes(monkeypatch)
+        forks = record_forks(monkeypatch)
         fresh = InstantaneousRegionPipeline(demo_source, NOISE)
         fresh.precompute_columns([0.3, 0.6], workers=8)
-        assert pool_sizes == [1]
+        assert len(forks) == 1
         fresh.precompute_columns([0.3, 0.6, 0.9], workers=8)
         fresh.precompute_columns([0.3, 0.6, 0.9], workers=8)
-        assert pool_sizes == [1]
+        assert len(forks) == 1
         assert sorted(fresh._columns) == [0.3, 0.6, 0.9]
 
     def test_su_rates_from_frontier_power(self, demo_source):
