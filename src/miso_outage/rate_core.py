@@ -36,21 +36,27 @@ ceiling) and rows where transmitter 1 zero-forces across the whole bracket
 Pareto parametrization), whose phi is then nondecreasing and peaks at the
 bracket top. On the other rows phi is smooth inside the bracket, and its
 maximizer is the one sign change of phi'. A safeguarded regula falsi
-(Illinois) on a rescaled phi' finds it in 14 steps where golden-section
+(Illinois) on a rescaled phi' finds it in 12 steps where golden-section
 search needed 46, because it converges superlinearly rather than by a fixed
 0.618 per step (column_root_search).
 
+Both searches, and every frontier inverse, take the power slack
+p_max - gamma (q + sigma^2) of a demand from one formula (_demand_slack). Its
+error stays a few ulps of the slack itself, also next to full power, where
+the frontier inverse magnifies it.
+
 Accuracy contract: the maxima of max_r2_batch (bits) lie within
-1e-12 * max(1, |value|) (GOLDEN_VALUE_TOL) of a golden-section search over the
-whole bracket run for GOLDEN_ITERS = 80 iterations, at least 1000x inside the
-1e-9 feasibility and rate slacks. The column kernel meets it with 14
-root-search iterations (16 objective evaluations on the rows it searches).
-Where rounding noise in phi exceeds a tenth of the bound (brackets a few ulps
-of demand wide, at r1 next to the single-user ceiling), it runs the
-reference's golden-section search. The derivation is at GOLDEN_VALUE_TOL.
-achievability_slack_batch is that reference search itself, applied to g. It
-runs on no command path: is_achievable decides with it, and tests check the
-column classifier against it.
+1e-12 * max(1, |value|) (GOLDEN_VALUE_TOL) of the exact maximum of phi, with
+the float inputs (frontier fields, gamma1, noise) taken as exact, at least
+1000x inside the 1e-9 feasibility and rate slacks. The inputs are the right
+reference: gamma1 = 2^r1 - 1 is itself rounded, and at r1 = su1 the column
+is infinitely steep in r1, so no kernel can be accurate against r1 itself
+there. The column kernel meets the contract with 12 root-search iterations
+(14 objective evaluations on the rows it searches) and no other search path;
+the derivation is at GOLDEN_VALUE_TOL. achievability_slack_batch is a
+golden-section search over the whole bracket, applied to g: the slack
+oracle. It runs on no command path: is_achievable decides with it, and tests
+check the column classifier against it.
 
 The *_batch kernels take stacked (N, n) channel arrays and hold the only
 implementation of each formula. Scalar calls (power_frontier and its methods,
@@ -69,45 +75,43 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
-# Golden-section constants. GOLDEN_ITERS is golden_max's iteration count and
-# the reference of the accuracy contract below: 80 iterations shrink the
-# bracket by ~4.6e17, but beyond about 40 the comparisons on the flat top of
-# the objective are decided by rounding, so the extra iterations only move the
-# value at the rounding floor.
+# Golden-section constants. GOLDEN_ITERS is golden_max's iteration count: 80
+# iterations shrink the bracket by ~4.6e17, but beyond about 40 the
+# comparisons on the flat top of the objective are decided by rounding, so the
+# extra iterations only move the value at the rounding floor.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 GOLDEN_ITERS = 80
 
 # Accuracy contract of max_r2_batch: the returned maximum (bits) lies within
-# GOLDEN_VALUE_TOL * max(1, |value|) of a golden-section search over the whole
-# bracket run for GOLDEN_ITERS, at least 1000x below FEASIBILITY_SLACK and
-# RATE_SLACK. COLUMN_ROOT_ITERS is the first even count whose worst error
-# stays at least 1.5x inside the bound on the inputs of
+# GOLDEN_VALUE_TOL * max(1, |value|) of the exact maximum of phi over the
+# column's bracket, the float inputs taken as exact; at least 1000x below
+# FEASIBILITY_SLACK and RATE_SLACK. COLUMN_ROOT_ITERS is the first even count
+# whose worst error stays at least 1.5x inside the bound on the inputs of
 # TestAccuracyContract.test_random_channels (n = 1..8, random and rank-1
 # channels, steep points at log-spaced distances 1e-9..1e-1 from the bracket
 # top) and TestColumnSearch, and on further seeded sets of the same kind.
 #
-# Column kernel (root search on the sign of phi', column_root_search): the
-# Illinois steps converge superlinearly, so the error drops from 1e-6 to the
-# floor within six iterations. Over 8 seeded sets of 2.5e5 rows each, plus
-# transmitter-1-aligned channels (d1 = 0), the worst error is 1.1e-6 after 8
-# iterations, 7.6e-10 after 10, 6.3e-12 after 12, 1.0e-12 after 13 and
-# 1.3e-13 after 14, which stays there through 20. 14 iterations plus the two
-# bracket ends make 16 objective evaluations per searched row.
+# The reference is column_oracle in the tests: golden_max over the whole
+# bracket of phi, which _demand_slack makes accurate to a few ulps
+# (TestIndependentOracle checks it against a 60-digit evaluation), so the
+# oracle is within about 1e-15 of the exact maximum. Column kernel (root
+# search on the sign of phi', column_root_search): the Illinois steps
+# converge superlinearly. Over 8 seeds x n = 1, 2, 4, 8 x five channel
+# families (random, rank-1, zero-cross, aligned, orthogonal) of 3000 rows,
+# each at 16 columns (r1 uniform in [0, 1.2] su1, log-uniform 1e-15..1e-1
+# below su1, at 1e-3, 0.3, 1 and 1 - 1e-15 times su1, and about the
+# zero-forcing knee), the worst error is 3.6e-7 after 8 iterations, 7.5e-10
+# after 10, 5.9e-11 after 11 and 1.7e-15 after 12, which stays there through
+# 14: the rounding floor. 12 iterations plus the two bracket ends make 14
+# objective evaluations per searched row.
 #
-# The floor is rounding noise in phi itself. Next to the column's bracket top
-# link 1's frontier inverse magnifies the rounding of its demand, and phi
-# there carries relative noise of about eps b1 u d1 / (w D), up to 1e-8 on
-# brackets a few ulps of demand wide (r1 at the single-user ceiling). Two
-# searches agree only as closely as that unless they evaluate the same
-# points: on the rows above, with the golden fallback below switched off,
-# the error stayed within 1.5x of the noise estimate. Rows whose estimate
-# exceeds PHI_NOISE_TOL are therefore searched by golden_max like the
-# reference: 3 of the 652,716 searched rows of the demo region (seeds 1, 5
-# and 42, 50 columns).
+# The direct slack p1 - fl(t) would put rounding noise of up to 1e-8
+# (relative) into phi next to the bracket top at r1 = su1, and no search
+# could then be held to the exact maximum there. With _demand_slack no row
+# needs a second search.
 GOLDEN_VALUE_TOL = 1e-12
-COLUMN_ROOT_ITERS = 14
-PHI_NOISE_TOL = GOLDEN_VALUE_TOL / 10.0
+COLUMN_ROOT_ITERS = 12
 
 # Non-strict feasibility: achievable iff max g >= -FEASIBILITY_SLACK (power
 # units). Rate comparisons get the same absolute slack in bits.
@@ -272,13 +276,6 @@ class FrontierBatch:
         self.d_sq = self.d * self.d
         self.t_max = self.p_max * (1.0 + 1e-12) + 1e-300
 
-    def take(self, index: np.ndarray) -> FrontierBatch:
-        """The frontiers of the given rows, as a compact batch."""
-        return FrontierBatch(
-            self.c[index], self.d[index], self.b_norm_sq[index], self.p_max[index],
-            self.q_mrt[index], self.degenerate[index],
-        )
-
 
 @dataclass
 class PowerFrontier(FrontierBatch):
@@ -312,10 +309,11 @@ def power_frontier(own, cross) -> PowerFrontier:
 def frontier_qmin(frontier: PowerFrontier, p_target: float) -> float:
     """Least caused interference at which p(q) reaches p_target.
 
-    frontier_qmin_batch on one frontier; a demand above p_max (beyond its
-    1e-12 relative grace) raises instead of returning +inf.
+    frontier_qmin_batch on one frontier, at the demand 1 * (p_target + 0); a
+    demand above p_max (beyond its 1e-12 relative grace) raises instead of
+    returning +inf.
     """
-    q = float(frontier_qmin_batch(frontier, np.array([float(p_target)]))[0])
+    q = float(frontier_qmin_batch(frontier, 1.0, np.array([float(p_target)]), 0.0)[0])
     if q == math.inf:
         raise ValueError(
             f"signal demand {p_target} exceeds maximum deliverable power {frontier.p_max}"
@@ -409,43 +407,123 @@ def frontier_signal_batch(F: FrontierBatch, q: np.ndarray) -> np.ndarray:
     return amp
 
 
-def frontier_qmin_batch(F: FrontierBatch, t: np.ndarray) -> np.ndarray:
-    """Frontier inverse; +inf where the demand exceeds p_max.
+# Dekker's splitting constant 2^27 + 1: it cuts a 53-bit significand into two
+# halves whose products are exact.
+_SPLIT = 2.0**27 + 1.0
+
+
+def _two_product(a, b):
+    """(high, low) with high = fl(a b) and high + low = a b exactly: Dekker's
+    two-product (Numer. Math. 18, 1971), elementwise.
+
+    Dekker's split multiplies a factor by 2^27 + 1, which overflows past about
+    2^996. Here the factors are split at their significands, which np.frexp
+    puts in [0.5, 1), and np.ldexp restores the exponent sum, so nothing
+    overflows before a b does. high + low is exact wherever a b is finite and
+    at least 2^-969 (below that, low can lose bits to underflow). Where a b
+    overflows, or a factor is infinite, high is fl(a b) and low is 0, with no
+    RuntimeWarning.
+    """
+
+    def split(m):
+        # m = head + tail, each with at most 26 significant bits.
+        c = _SPLIT * m
+        head = c - (c - m)
+        return head, m - head
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ma, ea = np.frexp(a)
+        mb, eb = np.frexp(b)
+        high = ma * mb
+        a1, a2 = split(ma)
+        b1, b2 = split(mb)
+        # ((a1 b1 - high) + a1 b2 + a2 b1) + a2 b2, each step exact.
+        low = a1 * b1
+        low -= high
+        low += a1 * b2
+        low += a2 * b1
+        low += a2 * b2
+        e = ea + eb
+        high = np.ldexp(high, e)
+        low = np.ldexp(low, e)
+    return high, np.where(np.isfinite(high), low, 0.0)
+
+
+def _demand_slack(p_max, gamma, sigma_sq: float):
+    """The power slack p_max - t of the demand t = gamma (q + sigma^2), as a
+    function of q (an array), clamped at 0.
+
+    The direct p_max - fl(t) cancels near full power and keeps the rounding
+    of t, up to eps p_max, which the frontier inverse then magnifies (by
+    p_max over the slack's root). Instead the slack is
+    gamma (q_full - q) + rest, anchored at q_full = fl(v - sigma^2), the
+    interference at which the demand reaches full power, v = fl(p_max /
+    gamma). rest holds what those two roundings left, p_max - gamma v from
+    _two_product and delta = v - sigma^2 - q_full, which Fast2Sum gets
+    exactly where v >= sigma^2 (elsewhere the slack is negative for every
+    q >= 0). All of it is set up once per call, outside the caller's loop
+    over q. Next to q_full the difference q_full - q is exact, so the slack
+    keeps its relative accuracy all the way down to 0. Where p_max / gamma is
+    not finite (gamma 0, or so small that it overflows) v is taken as 0,
+    which leaves (p_max - gamma sigma^2) - gamma q.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = np.divide(p_max, gamma)
+    v = np.where(np.isfinite(v), v, 0.0)
+    high, low = _two_product(gamma, v)
+    rest = p_max - high
+    rest -= low
+    q_full = v - sigma_sq
+    rest += gamma * ((v - q_full) - sigma_sq)
+
+    def slack(q):
+        e = np.subtract(q_full, q)
+        e *= gamma
+        e += rest
+        return np.maximum(e, 0.0, out=e)
+
+    return slack
+
+
+def frontier_qmin_batch(F: FrontierBatch, gamma, q: np.ndarray, sigma_sq: float) -> np.ndarray:
+    """Frontier inverse at the demand t = gamma (q + sigma^2); +inf where t
+    exceeds p_max.
 
     Exact inversion of the concave frontier: with s = sqrt(t), solving
-    c*sqrt(x) + d*sqrt(1-x) = s gives u = sqrt(x) = (s c - d sqrt(p_max - s^2))
-    / p_max and q = u^2 ||b||^2. Demands up to the zero-forcing power d^2 cost
-    nothing; demands above p_max beyond a 1e-12 relative grace are infeasible.
-    t is an array shaped like the frontier's fields.
+    c*sqrt(x) + d*sqrt(1-x) = s gives u = sqrt(x) = (s c - d sqrt(p_max - t))
+    / p_max and q = u^2 ||b||^2, with p_max - t from _demand_slack. Demands up
+    to the zero-forcing power d^2 cost nothing; demands above p_max beyond a
+    1e-12 relative grace are infeasible. q is an array shaped like the
+    frontier's fields, and gamma a scalar or such an array.
     """
-    t = np.asarray(t, dtype=float)
+    t = np.add(q, sigma_sq)
+    t *= gamma
     s = np.maximum(t, 0.0)
     np.minimum(s, F.p_max, out=s)
     np.sqrt(s, out=s)
-    orth = s * s
-    np.subtract(F.p_max, orth, out=orth)
-    np.maximum(orth, 0.0, out=orth)
+    orth = _demand_slack(F.p_max, gamma, sigma_sq)(q)
     np.sqrt(orth, out=orth)
     orth *= F.d
-    # s becomes u = (s c - d sqrt(p_max - s^2)) / p_max, then q = u^2 ||b||^2.
+    # s becomes u = (s c - d sqrt(p_max - t)) / p_max, then q = u^2 ||b||^2.
     s *= F.c
     s -= orth
     s /= F.safe_pmax
-    q = np.multiply(s, s, out=s)
-    q *= F.b_norm_sq
-    np.maximum(q, 0.0, out=q)
-    np.minimum(q, F.q_mrt, out=q)
-    q[(t <= F.d_sq) | F.degenerate] = 0.0
-    q[t > F.t_max] = np.inf
-    return q
+    qmin = np.multiply(s, s, out=s)
+    qmin *= F.b_norm_sq
+    np.maximum(qmin, 0.0, out=qmin)
+    np.minimum(qmin, F.q_mrt, out=qmin)
+    qmin[(t <= F.d_sq) | F.degenerate] = 0.0
+    qmin[t > F.t_max] = np.inf
+    return qmin
 
 
 def golden_max(f, lo: np.ndarray, hi: np.ndarray):
     """Elementwise maximizer of a vectorized unimodal f over [lo, hi].
 
-    Runs GOLDEN_ITERS iterations, the reference search of the accuracy
-    contract. Returns (x_best, f_best); endpoints are always evaluated, so
-    monotone f is handled exactly up to bracket width.
+    Runs GOLDEN_ITERS iterations: the search of the slack oracle
+    achievability_slack_batch, and of the tests' column oracle. Returns
+    (x_best, f_best); endpoints are always evaluated, so monotone f is
+    handled exactly up to bracket width.
     """
     a = np.array(lo, dtype=float, copy=True)
     b = np.array(hi, dtype=float, copy=True)
@@ -505,10 +583,10 @@ def achievability_slack_batch(
 
     Returns (g_max, q1_star, q2_star). g_max = -inf marks realizations where
     link 2's demand is infeasible even with transmitter 1 silent. gamma1 and
-    gamma2 may be scalars or per-realization arrays. This is the reference
-    search of the accuracy contract, golden_max over the whole bracket, not a
-    contracted kernel: is_achievable decides with it, and tests check the
-    column classifier against it.
+    gamma2 may be scalars or per-realization arrays. This is the slack
+    oracle, golden_max over the whole bracket, not a contracted kernel:
+    is_achievable decides with it, and tests check the column classifier
+    against it.
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
@@ -516,14 +594,14 @@ def achievability_slack_batch(
     empty, lo, hi = _interference_bracket(F1, F2, g2, sigma2_sq)
 
     def g(q1):
-        q2min = frontier_qmin_batch(F2, g2 * (q1 + sigma2_sq))
+        q2min = frontier_qmin_batch(F2, g2, q1, sigma2_sq)
         return frontier_signal_batch(F1, q1) - g1 * (q2min + sigma1_sq)
 
     # Empty-bracket realizations (clamped to q1 = 0) can probe an infinite
     # q2min; their g values are masked below, so silence the 0 * inf noise.
     with np.errstate(invalid="ignore"):
         q1_star, g_max = golden_max(g, lo, hi)
-        q2_star = frontier_qmin_batch(F2, g2 * (q1_star + sigma2_sq))
+        q2_star = frontier_qmin_batch(F2, g2, q1_star, sigma2_sq)
     g_max = np.where(empty, -np.inf, g_max)
     q2_star = np.where(empty, 0.0, np.where(np.isfinite(q2_star), q2_star, 0.0))
     q1_star = np.where(empty, 0.0, q1_star)
@@ -533,12 +611,13 @@ def achievability_slack_batch(
 def column_root_search(F1, F2, gamma1, hi, rows, noise):
     """Maximum of phi and its maximizer on the given rows of the column search.
 
-    Each row is searched over [L, H], H = hi and L = clip(d1^2 / gamma1 -
-    sigma1^2, 0, H): below L transmitter 1's demand t = gamma1 (q + sigma1^2)
-    is at most its zero-forcing power d1^2, so it zero-forces and phi is the
-    nondecreasing p2(q) / sigma2^2 (the argument of the closed form in
-    column_search_batch). With x = q / b2, s = sqrt(t), w = sqrt(p1 - t),
-    u = sqrt(q1min / b1), D = q1min + sigma2^2 and g2 = sqrt(p2),
+    Each row is searched over [L, H], H = hi and L within a few ulps below
+    the largest q at which transmitter 1's demand t = gamma1 (q + sigma1^2)
+    is at most its zero-forcing power d1^2: up to there it zero-forces and
+    phi is the nondecreasing p2(q) / sigma2^2 (the argument of the closed
+    form in column_search_batch). With x = q / b2, s = sqrt(t),
+    w = sqrt(p1 - t), u = sqrt(q1min / b1), D = q1min + sigma2^2 and
+    g2 = sqrt(p2),
 
         psi = [s w (c2 sqrt(1-x) - d2 sqrt(x))
                - k g2 sqrt(x (1-x)) u (c1 w + d1 s) / D] / (w + d1)
@@ -556,43 +635,47 @@ def column_root_search(F1, F2, gamma1, hi, rows, noise):
     end of psi into a smooth one. The best phi among L, H and the iterates
     is returned.
 
-    Next to the top of the bracket the frontier inverse magnifies the
-    rounding of t: phi carries relative noise of about eps b1 u d1 / (w D)
-    there, and no search comes closer to the reference than that. Rows where
-    it exceeds PHI_NOISE_TOL at the last iterate, which include every bracket
-    only a few ulps of demand wide (r1 at the single-user ceiling), are
-    searched by golden_max over [0, H] instead, like the reference.
+    phi is evaluated as frontier_qmin_batch defines q1min: w^2 = p1 - t comes
+    from the same _demand_slack, set up once per call, and u = 0 wherever t
+    passes the zero-forcing test t <= d1^2. L is chosen so that its rounded
+    demand passes that test: where sigma2^2 is tiny, q1min just above the
+    test is rounding of order eps^2 b1 and still far above sigma2^2, so phi
+    drops there by orders of magnitude. Next to H the frontier inverse
+    magnifies any error of w^2, which the slack keeps at a few ulps of
+    itself. So every row takes this one search, brackets a few ulps of demand
+    wide included, and its value is within GOLDEN_VALUE_TOL of the exact
+    maximum of phi.
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     # The only frontier fields the search reads, gathered once.
     c1, d1, b1, p1 = F1.c[rows], F1.d[rows], F1.b_norm_sq[rows], F1.p_max[rows]
+    d1_sq = F1.d_sq[rows]
     c2, d2, b2 = F2.c[rows], F2.d[rows], F2.safe_bsq[rows]
     g1 = gamma1[rows]
+    slack1 = _demand_slack(p1, g1, sigma1_sq)
     inv_p1 = 1.0 / p1
     k = g1 * b1
     k *= b2
     k *= inv_p1
 
-    def link1(q):
-        # s, w, u and D at q.
+    def evaluate(q):
+        # (phi, psi) at q, updating temporaries in place. Link 1 first:
+        # s, w, u and D.
         t = q + sigma1_sq
         t *= g1
+        zero_forcing = t <= d1_sq
         np.minimum(t, p1, out=t)
-        w = np.subtract(p1, t)
+        w = slack1(q)
         np.sqrt(w, out=w)
         s = np.sqrt(t, out=t)
         u = s * c1
         u -= d1 * w
         u *= inv_p1
         np.maximum(u, 0.0, out=u)
+        u[zero_forcing] = 0.0
         den = u * u
         den *= b1
         den += sigma2_sq
-        return s, w, u, den
-
-    def evaluate(q):
-        # (phi, psi) at q, updating temporaries in place.
-        s, w, u, den = link1(q)
         x = q / b2
         np.minimum(x, 1.0, out=x)
         ry = np.subtract(1.0, x)
@@ -621,11 +704,18 @@ def column_root_search(F1, F2, gamma1, hi, rows, noise):
         return phi, psi
 
     top = hi[rows]
-    # (d1^2 - gamma1 sigma1^2) / gamma1 < H on these rows: no overflow.
-    lo = g1 * sigma1_sq
-    np.subtract(d1 * d1, lo, out=lo)
-    lo /= g1
-    np.clip(lo, 0.0, top, out=lo)
+    # L: v = L + sigma1^2 steps down from d1^2 / gamma1 (below H + sigma1^2
+    # on these rows: no overflow) until fl(gamma1 v) <= d1^2, a few ulps at
+    # most, and L = v - sigma1^2 steps down once more where that subtraction
+    # rounded up. The demand at L then passes the zero-forcing test as
+    # evaluate and frontier_qmin_batch round it.
+    v = d1_sq / g1
+    while (over := np.flatnonzero(g1 * v > d1_sq)).size:
+        v[over] = np.nextafter(v[over], 0.0)
+    lo = v - sigma1_sq
+    up = np.flatnonzero(lo + sigma1_sq > v)
+    lo[up] = np.nextafter(lo[up], -np.inf)
+    np.maximum(lo, 0.0, out=lo)
     best, f0 = evaluate(lo)
     phi, f1 = evaluate(top)
     best_q = np.where(phi > best, top, lo)
@@ -649,22 +739,12 @@ def column_root_search(F1, F2, gamma1, hi, rows, noise):
         phi, fy = evaluate(q)
         best_q = np.where(phi > best, q, best_q)
         np.maximum(best, phi, out=best)
-        flip = fy * f1 < 0.0
+        # fy * f1 < 0 without the product, which can overflow: strictly
+        # opposite signs flip, a zero never does.
+        flip = ((fy < 0.0) & (f1 > 0.0)) | ((fy > 0.0) & (f1 < 0.0))
         y0 = np.where(flip, y1, y0)
         f0 = np.where(flip, f1, 0.5 * f0)
         y1, f1 = y, fy
-    # Rows whose noise estimate at the last iterate exceeds PHI_NOISE_TOL.
-    _, w, u, den = link1(q)
-    noisy = np.flatnonzero(np.finfo(float).eps * b1 * u * d1 > PHI_NOISE_TOL * w * den)
-    if noisy.size:
-        sub = rows[noisy]
-        F1_sub, F2_sub, g1_sub = F1.take(sub), F2.take(sub), gamma1[sub]
-
-        def phi_ref(q2):
-            q1min = frontier_qmin_batch(F1_sub, g1_sub * (q2 + sigma1_sq))
-            return frontier_signal_batch(F2_sub, q2) / (q1min + sigma2_sq)
-
-        best_q[noisy], best[noisy] = golden_max(phi_ref, np.zeros(sub.size), hi[sub])
     return best_q, best
 
 
@@ -689,7 +769,7 @@ def column_search_batch(
     the demand is monotone in q2 in floating point too. phi is then the
     nondecreasing p2(q2) / sigma2^2, so its maximum is the bracket-top value,
     with q2 = hi. Only the remaining rows are searched, by column_root_search
-    (contract: GOLDEN_VALUE_TOL).
+    (contract: GOLDEN_VALUE_TOL of the exact maximum).
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
@@ -715,8 +795,9 @@ def max_r2_batch(
 
 
 def su_rate_batch(H: np.ndarray, sigma_sq: float) -> np.ndarray:
-    """Single-user rates for a stacked (N, n) own-channel array."""
-    return rate_from_sinr(np.sum(np.abs(np.asarray(H)) ** 2, axis=1) / float(sigma_sq))
+    """Single-user rates for a stacked (N, n) own-channel array: ||h||^2 summed
+    by rowsum, as frontier_batch forms p_max, so they equal the pipeline's."""
+    return rate_from_sinr(rowsum(np.abs(np.asarray(H)) ** 2) / float(sigma_sq))
 
 
 def witness_rates_batch(

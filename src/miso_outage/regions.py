@@ -34,6 +34,7 @@ import os
 import pickle
 import signal
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -407,42 +408,60 @@ def _claim_order(r1_values: list) -> list[int]:
     return sorted(range(len(r1_values)), key=r1_values.__getitem__, reverse=True)
 
 
+@contextmanager
+def _counter_locked(fd: int):
+    """Holds the POSIX record lock on the claim counter of file fd. Such a
+    lock belongs to one process, so the caller and its forked helpers
+    exclude each other, and the kernel drops it if its holder dies."""
+    import fcntl  # POSIX only, like os.fork; the one-process path needs neither
+
+    fcntl.lockf(fd, fcntl.LOCK_EX)
+    try:
+        yield
+    finally:
+        fcntl.lockf(fd, fcntl.LOCK_UN)
+
+
 def _claims(fd: int, order: list):
     """The items of order that this process claims, each claimed by exactly
     one of the processes sharing fd.
 
     The next position in order is a counter at offset 0 of the file fd (an
-    empty file reads as 0), advanced under a POSIX record lock. Such a lock
-    belongs to one process, so the caller and its forked helpers exclude
-    each other, and the kernel drops it if its holder dies.
+    empty file reads as 0), advanced under _counter_locked.
     """
-    import fcntl  # POSIX only, like os.fork; the one-process path needs neither
-
     while True:
-        fcntl.lockf(fd, fcntl.LOCK_EX)
-        try:
+        with _counter_locked(fd):
             n = int.from_bytes(os.pread(fd, 8, 0), "little")
             os.pwrite(fd, (n + 1).to_bytes(8, "little"), 0)
-        finally:
-            fcntl.lockf(fd, fcntl.LOCK_UN)
         if n >= len(order):
             return
         yield order[n]
 
 
-def _run_helper(write_fd: int, claimed, run, r1_values: list, args: tuple):
+def _end_claims(fd: int, order: list):
+    """Moves the claim counter of fd to the end of order, so that no process
+    claims another item."""
+    with _counter_locked(fd):
+        os.pwrite(fd, len(order).to_bytes(8, "little"), 0)
+
+
+def _run_helper(write_fd: int, counter_fd: int, order: list, run, r1_values: list,
+                args: tuple):
     """Body of a forked helper; never returns.
 
-    Computes run(r1, *args) for every claimed index and sends the list of
-    (index, result) pairs, or the exception that stopped it, down write_fd
-    as one pickle. os._exit skips the caller's cleanup (atexit handlers,
-    buffered output, open files), which belongs to the caller alone.
+    Computes run(r1, *args) for every index it claims from counter_fd and
+    sends the list of (index, result) pairs, or the exception that stopped
+    it, down write_fd as one pickle. An exception first ends the claims, so
+    the other processes stop after the column they are on. os._exit skips
+    the caller's cleanup (atexit handlers, buffered output, open files),
+    which belongs to the caller alone.
     """
     status = 1
     try:
         try:
-            report = [(i, run(r1_values[i], *args)) for i in claimed]
+            report = [(i, run(r1_values[i], *args)) for i in _claims(counter_fd, order)]
         except BaseException as exc:
+            _end_claims(counter_fd, order)
             report = exc
         with os.fdopen(write_fd, "wb") as stream:
             pickle.dump(report, stream, pickle.HIGHEST_PROTOCOL)
@@ -585,7 +604,11 @@ class InstantaneousRegionPipeline:
         results through its own pipe; they come back in r1 order and do not
         depend on k or on who claimed what. Every helper is reaped before
         this returns or raises: on an error here, the helpers still running
-        are killed first.
+        are killed first. A column that raises in a helper ends the claims
+        at once, so this process stops after its current column and raises
+        that exception. A helper that dies instead (os._exit, a signal) is
+        still detected only here, at collection, after this process has run
+        out of claims.
         """
         run = getattr(self, method)
         if workers > 1 and not hasattr(os, "fork"):
@@ -604,8 +627,7 @@ class InstantaneousRegionPipeline:
                     try:
                         pid = os.fork()
                         if pid == 0:
-                            _run_helper(write_fd, _claims(counter.fileno(), order), run,
-                                        r1_values, args)
+                            _run_helper(write_fd, counter.fileno(), order, run, r1_values, args)
                     except BaseException:
                         os.close(read_fd)
                         raise
@@ -642,7 +664,7 @@ class InstantaneousRegionPipeline:
         gamma1 = float(gamma_from_rate(r1))
         column, q2 = column_search_batch(self.F1, self.F2, gamma1, self.noise)
         self._columns.setdefault(r1, column)
-        q1 = frontier_qmin_batch(self.F1, gamma1 * (q2 + self.noise[0]))
+        q1 = frontier_qmin_batch(self.F1, gamma1, q2, self.noise[0])
         return witness_rates_batch(self.F1, self.F2, q1, q2, self.noise)
 
     def case_tests(self, r1: float, r2: float):

@@ -282,6 +282,22 @@ class TestMain:
         assert "r1_cap" in err and "1024 bits" in err and "[1e-300, 1e-300]" in err
         assert not out.exists()
 
+    def test_region_at_tiny_noise_below_the_cap_limit(self, tmp_path):
+        """Noise 1e-300 with r1_cap = r2_cap = 1000 bits: gamma1 reaches about
+        2^1000, past where Dekker's split overflows, and the column search's
+        derivative values overflow their product. region exits 0 with no
+        RuntimeWarning, and where both transmitters zero-force the region
+        holds (857, 992) bits."""
+        doc = small_inst_config(noise=[1e-300, 1e-300])
+        doc["grid"] = {"n_points": 8, "r1_cap": 1000.0, "r2_cap": 1000.0}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["region", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        lines = (out / "individual-inst_boundary.csv").read_text().splitlines()[1:]
+        points = [tuple(float(v) for v in line.split(",")[:2]) for line in lines]
+        assert any(r1 > 850.0 and r2 > 990.0 for r1, r2 in points), points
+
     @pytest.mark.parametrize("scenario", ["individual-stat", "common-stat"])
     def test_stat_region_at_tiny_noise(self, tmp_path, capsys, scenario):
         """Without interference the statistical rates are

@@ -275,30 +275,38 @@ def test_each_claim_taken_once_under_contention(demo_source, monkeypatch):
 
 # Runs `region --workers 2` with a column kernel that fails: in the helper,
 # by raising ("raise") or by ending it with os._exit(3) ("exit"), or in the
-# caller while the helper is still busy ("caller"). The caller's first column
-# waits until the helper has claimed one, so the helper always takes part.
-# Prints the exit code, whether any child is left unreaped, and whether the
-# open descriptors are the same as before.
+# caller while the helper is still busy ("caller"). The helper's first column
+# waits until the caller is in one too, and the caller's first column waits
+# until the helper is in its own, so both take part whichever runs first;
+# the caller then waits 0.2 s more, so a helper's failure lands before the
+# caller claims again. Prints the exit code, whether any child is left
+# unreaped, whether the open descriptors are the same as before, and how
+# many columns the caller computed.
 FAILING_COLUMN = r"""
 import json, os, select, sys, time
 from miso_outage import cli, regions
 
 mode, config, out = sys.argv[1:]
 caller = os.getpid()
-ready_r, ready_w = os.pipe()
+caller_in_r, caller_in_w = os.pipe()
+helper_in_r, helper_in_w = os.pipe()
 kernel = regions.max_r2_batch
-waited = []
+computed = []
 
 def failing_kernel(*args):
     if os.getpid() != caller:
-        os.write(ready_w, b"x")
+        select.select([caller_in_r], [], [], 60.0)
+        os.write(helper_in_w, b"x")
         if mode == "exit":
             os._exit(3)
         if mode == "raise":
             raise ValueError("kernel failed in a helper")
         time.sleep(100)
-    if not waited:
-        waited.append(select.select([ready_r], [], [], 60.0))
+    if not computed:
+        os.write(caller_in_w, b"x")
+        select.select([helper_in_r], [], [], 60.0)
+        time.sleep(0.2)
+    computed.append(1)
     if mode == "caller":
         raise ValueError("kernel failed in the caller")
     return kernel(*args)
@@ -312,21 +320,25 @@ try:
 except ChildProcessError:
     reaped = True
 print(json.dumps({"rc": rc, "reaped": reaped,
-                  "fds_kept": sorted(os.listdir("/proc/self/fd")) == fds}))
+                  "fds_kept": sorted(os.listdir("/proc/self/fd")) == fds,
+                  "caller_columns": len(computed)}))
 """
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
-@pytest.mark.parametrize("mode, message", [
-    ("raise", r"error: kernel failed in a helper"),
-    ("exit", r"error: column helper \d+ ended \(exit status 3\) without reporting"),
-    ("caller", r"error: kernel failed in the caller"),
+@pytest.mark.parametrize("mode, message, caller_columns", [
+    ("raise", r"error: kernel failed in a helper", 1),
+    ("exit", r"error: column helper \d+ ended \(exit status 3\) without reporting", 7),
+    ("caller", r"error: kernel failed in the caller", 1),
 ])
-def test_failing_column_is_reported_and_helpers_reaped(tmp_path, mode, message):
+def test_failing_column_is_reported_and_helpers_reaped(tmp_path, mode, message, caller_columns):
     """`region --workers 2` exits 1 with the failing column's error, or with
     a clear one when a helper died without reporting; a helper still busy
     when the caller fails is killed. No child is left unreaped and no
-    descriptor stays open. In a subprocess with a timeout, so a hang fails
+    descriptor stays open. A column that raises in the helper ends the
+    claims, so the caller computes only the column it is on (1 of 8); a
+    helper that dies is found only at collection, after the caller has
+    computed the other 7. In a subprocess with a timeout, so a hang fails
     the test instead of the suite."""
     env = dict(os.environ)
     src = str(Path(miso_outage.__file__).resolve().parents[1])
@@ -337,7 +349,9 @@ def test_failing_column_is_reported_and_helpers_reaped(tmp_path, mode, message):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == {"rc": 1, "reaped": True, "fds_kept": True}
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "rc": 1, "reaped": True, "fds_kept": True, "caller_columns": caller_columns,
+    }
     assert re.search(message, done.stderr), done.stderr
     assert not out.exists()
 

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from miso_outage.rate_core import (
     FEASIBILITY_SLACK,
     GOLDEN_VALUE_TOL,
     RATE_SLACK,
+    _two_product,
     achievability_slack_batch,
     as_noise,
     as_rate_point,
@@ -150,6 +153,17 @@ class TestRates:
             h = ChannelRealization(H[k], H[k], H[k], H[k])
             assert batch[k] == pytest.approx(su_rate(h, 1, 0.8), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 9, 16])
+    def test_su_rate_batch_is_the_pipeline_formula(self, rng, n):
+        """Bit for bit the single-user rate of the region pipeline,
+        rate_from_sinr(p_max / sigma^2), also from n = 8 on, where numpy's
+        own row sum would add in pairs."""
+        H = random_channel_vectors(rng, 20_000, n)
+        B = random_channel_vectors(rng, 20_000, n)
+        np.testing.assert_array_equal(
+            su_rate_batch(H, 0.7), rate_from_sinr(frontier_batch(H, B).p_max / 0.7)
+        )
+
     def test_bad_link_raises(self):
         with pytest.raises(ValueError):
             su_rate(aligned_realization(), 3, 1.0)
@@ -228,7 +242,7 @@ class TestPowerFrontier:
         t = rng.uniform(0.0, 1.0, size=40) * F.p_max
         q = rng.uniform(0.0, 1.0, size=40) * F.q_mrt
         p_batch = frontier_signal_batch(F, q)
-        qmin_batch = frontier_qmin_batch(F, t)
+        qmin_batch = frontier_qmin_batch(F, 1.0, t, 0.0)
         for k in range(40):
             fr = power_frontier(A[k], B[k])
             assert p_batch[k] == pytest.approx(fr.signal_power(q[k]), abs=1e-12)
@@ -246,7 +260,7 @@ class TestPowerFrontier:
             t[1:10] = F.d[1:10] ** 2  # demands at the zero-forcing power
             q = rng.uniform(0.0, 1.2, size=60) * F.q_mrt
             p_batch = frontier_signal_batch(F, q)
-            qmin_batch = frontier_qmin_batch(F, t)
+            qmin_batch = frontier_qmin_batch(F, 1.0, t, 0.0)
             for k in range(60):
                 fr = power_frontier(A[k], B[k])
                 assert (fr.c, fr.d, fr.b_norm_sq, fr.p_max, fr.q_mrt, fr.degenerate) == (
@@ -259,7 +273,7 @@ class TestPowerFrontier:
         A = random_channel_vectors(rng, 5, 2)
         B = random_channel_vectors(rng, 5, 2)
         F = frontier_batch(A, B)
-        q = frontier_qmin_batch(F, F.p_max * 1.5)
+        q = frontier_qmin_batch(F, 1.0, F.p_max * 1.5, 0.0)
         assert np.all(np.isinf(q))
 
 
@@ -556,18 +570,21 @@ def column_bracket(F1, F2, g1, noise):
     return hi < 0.0, np.maximum(hi, 0.0)
 
 
+def column_phi(F1, F2, gamma1, q2, noise):
+    """The column ratio p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) + sigma2^2)
+    from the two frontier kernels."""
+    q1min = frontier_qmin_batch(F1, gamma1, q2, noise[0])
+    return frontier_signal_batch(F2, q2) / (q1min + noise[1])
+
+
 def column_oracle(F1, F2, gamma1, noise):
     """The column search with no closed-form rows: every non-empty row is
-    searched over its whole bracket by golden_max."""
-    sigma1_sq, sigma2_sq = noise
+    searched over its whole bracket by golden_max. Its phi shares the power
+    slack with the kernel; TestIndependentOracle checks that phi against a
+    60-digit evaluation."""
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
     empty, hi = column_bracket(F1, F2, g1, noise)
-
-    def phi(q2):
-        q1min = frontier_qmin_batch(F1, g1 * (q2 + sigma1_sq))
-        return frontier_signal_batch(F2, q2) / (q1min + sigma2_sq)
-
-    _, phi_max = golden_max(phi, np.zeros_like(hi), hi)
+    _, phi_max = golden_max(lambda q2: column_phi(F1, F2, g1, q2, noise), np.zeros_like(hi), hi)
     return np.where(empty, -np.inf, rate_from_sinr(phi_max))
 
 
@@ -602,10 +619,10 @@ def check_accuracy_contract(arrs, noise, rng):
 
 
 class TestAccuracyContract:
-    """max_r2_batch (root search) stays within GOLDEN_VALUE_TOL of the
-    golden-section reference, and the witness of achievability_slack_batch
-    (that reference search applied to the feasibility slack) meets both
-    targets wherever the slack says feasible."""
+    """max_r2_batch (root search) stays within GOLDEN_VALUE_TOL of the exact
+    maximum, as column_oracle finds it, and the witness of the slack oracle
+    achievability_slack_batch meets both targets wherever the slack says
+    feasible."""
 
     @pytest.mark.parametrize("family", ["random", "rank-1"])
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -665,7 +682,7 @@ class TestColumnSearch:
             assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
             ok = np.isfinite(r2)
             np.testing.assert_array_equal(q2[~ok], 0.0)
-            q1 = frontier_qmin_batch(F1, gamma1 * (q2 + noise[0]))
+            q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
             rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
             assert np.all(rate1[ok] >= rate_from_sinr(gamma1)[ok] - RATE_SLACK)
             assert np.all(rate2[ok] >= r2[ok] - RATE_SLACK)
@@ -673,19 +690,28 @@ class TestColumnSearch:
     def test_row_does_not_depend_on_its_batch(self):
         rng = np.random.default_rng(11)
         count, noise = 240, (0.4, 0.7)
-        F1, F2, su1 = column_inputs(rng, 2, count, noise)
+        arrs = contract_channels(rng, 2, count)
+        su1 = su_rate_batch(arrs["h11"], noise[0])
         gamma1 = gamma_from_rate(rng.uniform(0.0, 1.2, count) * su1)
+
+        def search(index):
+            # The column of the given rows, from their sliced channel arrays.
+            F1 = frontier_batch(arrs["h11"][index], arrs["h12"][index])
+            F2 = frontier_batch(arrs["h22"][index], arrs["h21"][index])
+            return column_search_batch(F1, F2, gamma1[index], noise)
+
+        F1 = frontier_batch(arrs["h11"], arrs["h12"])
+        F2 = frontier_batch(arrs["h22"], arrs["h21"])
         r2, q2 = column_search_batch(F1, F2, gamma1, noise)
         empty, hi = column_bracket(F1, F2, gamma1, noise)
         zero_forcing = ~empty & (gamma1 * (hi + noise[0]) <= F1.d_sq)
         assert empty.any() and zero_forcing.any() and not (empty | zero_forcing).all()
         rev = np.arange(count)[::-1]
-        r2_rev, q2_rev = column_search_batch(F1.take(rev), F2.take(rev), gamma1[rev], noise)
+        r2_rev, q2_rev = search(rev)
         np.testing.assert_array_equal(r2_rev[rev], r2)
         np.testing.assert_array_equal(q2_rev[rev], q2)
         for k in range(count):
-            row = np.array([k])
-            r2_k, q2_k = column_search_batch(F1.take(row), F2.take(row), gamma1[row], noise)
+            r2_k, q2_k = search(np.array([k]))
             assert (r2_k[0], q2_k[0]) == (r2[k], q2[k])
 
     def test_all_rows_zero_forcing(self):
@@ -769,22 +795,40 @@ class TestColumnSearch:
             assert np.all(F1.p_max / gamma1 - noise[0] < F2.q_mrt)
             assert_column_contract(F1, F2, gamma1, noise)
 
-    def test_noise_dominated_rows_take_golden_search(self):
-        """Rows at the single-user ceiling go to golden_max over [0, H]; an
-        ordinary column never calls it."""
+    def test_never_calls_golden_max(self):
+        """One search path: every searched row takes the root search, also an
+        ulp below and at the single-user ceiling, where brackets are a few
+        ulps of demand wide, and golden_max is called on no input."""
         rng = np.random.default_rng(303)
         noise = (0.5, 0.8)
         F1, F2, su1 = column_inputs(rng, 2, 500, noise)
-        with mock.patch.object(rate_core, "golden_max", wraps=golden_max) as search:
-            column_search_batch(F1, F2, gamma_from_rate(0.5 * su1), noise)
-        search.assert_not_called()
-        gamma1 = gamma_from_rate(su1)
-        empty, hi = column_bracket(F1, F2, gamma1, noise)
-        with mock.patch.object(rate_core, "golden_max", wraps=golden_max) as search:
-            column_search_batch(F1, F2, gamma1, noise)
-        lo, top = search.call_args.args[1:3]
-        np.testing.assert_array_equal(lo, 0.0)
-        np.testing.assert_array_equal(np.sort(top), np.sort(hi[~empty]))
+        for factor in (0.5, 1.0 - 1e-15, 1.0):
+            with mock.patch.object(rate_core, "golden_max", side_effect=AssertionError), \
+                    mock.patch.object(rate_core, "column_root_search",
+                                      wraps=column_root_search) as search:
+                r2, _ = column_search_batch(F1, F2, gamma_from_rate(factor * su1), noise)
+            assert search.call_args.args[4].size > 0
+            assert np.isfinite(r2).any()
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-15, 1e-12, 1e-9])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_witness_near_the_ceiling(self, n, eta):
+        """At r1 = su1 (1 - eta), transmitter 2 at the column's maximizer and
+        transmitter 1 at its frontier inverse (the operating point of
+        InstantaneousRegionPipeline.witness_rates) reach r1 and the column's
+        r2 within RATE_SLACK: the kernel and the inverse share one slack."""
+        rng = np.random.default_rng(305 + n)
+        noise = (float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 2.0)))
+        F1, F2, su1 = column_inputs(rng, n, 2000, noise)
+        r1 = (1.0 - eta) * su1
+        gamma1 = gamma_from_rate(r1)
+        r2, q2 = column_search_batch(F1, F2, gamma1, noise)
+        ok = np.isfinite(r2)
+        assert ok.sum() > 500
+        q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
+        rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
+        assert np.all(rate1[ok] >= r1[ok] - RATE_SLACK)
+        assert np.all(rate2[ok] >= r2[ok] - RATE_SLACK)
 
     @pytest.mark.parametrize("family", ["random", "aligned"])
     @pytest.mark.parametrize("r1", [1e-310, 5e-324])
@@ -811,7 +855,129 @@ def assert_column_contract(F1, F2, gamma1, noise):
     r2, q2 = column_search_batch(F1, F2, gamma1, noise)
     assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
     ok = np.isfinite(r2)
-    q1 = frontier_qmin_batch(F1, gamma1 * (q2 + noise[0]))
+    q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
     rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
     assert np.all(rate1[ok] >= rate_from_sinr(gamma1)[ok] - RATE_SLACK)
     assert np.all(rate2[ok] >= r2[ok] - RATE_SLACK)
+
+
+def decimal_phi(F1, F2, k: int, gamma1: float, q2: float, noise) -> Decimal:
+    """phi of row k at q2 to 60 digits (stdlib decimal), taking the float
+    frontier fields, gamma1, q2 and the noise as exact: the frontier inverse
+    and the frontier written out with the slack p1 - t formed directly,
+    independently of rate_core._demand_slack."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c1, d1, b1, p1, m1, dsq1 = (
+            Decimal(float(getattr(F1, name)[k]))
+            for name in ("c", "d", "b_norm_sq", "p_max", "q_mrt", "d_sq")
+        )
+        c2, d2, b2, p2, m2 = (
+            Decimal(float(getattr(F2, name)[k]))
+            for name in ("c", "d", "b_norm_sq", "p_max", "q_mrt")
+        )
+        q = Decimal(q2)
+        t = Decimal(gamma1) * (q + Decimal(noise[0]))
+        if t <= dsq1 or F1.degenerate[k]:
+            q1min = Decimal(0)
+        else:
+            s = min(t, p1).sqrt()
+            w = max(p1 - t, Decimal(0)).sqrt()
+            u = max((s * c1 - d1 * w) / p1, Decimal(0))
+            q1min = min(u * u * b1, m1)
+        if F2.degenerate[k]:
+            signal = p2
+        else:
+            x = min(max(min(q, m2) / b2, Decimal(0)), Decimal(1))
+            amp = c2 * x.sqrt() + d2 * (1 - x).sqrt()
+            signal = amp * amp
+        return signal / (q1min + Decimal(noise[1]))
+
+
+def relative_error(value: float, exact: Decimal) -> float:
+    return float(abs(Decimal(float(value)) - exact) / exact)
+
+
+class TestIndependentOracle:
+    """column_oracle's phi shares the power slack with the kernel, so both
+    are checked here against decimal_phi, which does not."""
+
+    PHI_TOL = 1e-14
+
+    def test_phi_against_decimal(self):
+        """Float phi within 1e-14 (relative) of decimal_phi at the ends and
+        three interior points of each searched bracket [L, H], with r1 at the
+        single-user ceiling and 1e-15 to 1e-3 (relative) below it, where the
+        frontier inverse magnifies the slack's error; and the kernel's own
+        maximum at its maximizer."""
+        rng = np.random.default_rng(306)
+        noise = (0.6, 0.9)
+        count = 30
+        F1, F2, su1 = column_inputs(rng, 2, count, noise)
+        below = [1.0 - 10.0 ** rng.uniform(-15.0, -3.0, count) for _ in range(2)]
+        fracs = [np.ones(count), *below]
+        pairs = 0
+        for frac in fracs:
+            gamma1 = gamma_from_rate(frac * su1)
+            empty, hi = column_bracket(F1, F2, gamma1, noise)
+            rows = np.flatnonzero(~empty & (gamma1 * (hi + noise[0]) > F1.d_sq))
+            lo = np.clip(F1.d_sq / gamma1 - noise[0], 0.0, hi)
+            for pos in (0.0, 0.1, 0.5, 0.9, 1.0):
+                q2 = lo + pos * (hi - lo)
+                phi = column_phi(F1, F2, gamma1, q2, noise)
+                for k in rows:
+                    exact = decimal_phi(F1, F2, k, float(gamma1[k]), float(q2[k]), noise)
+                    assert relative_error(phi[k], exact) <= self.PHI_TOL, (k, pos)
+                    pairs += 1
+            q_star, phi_star = column_root_search(F1, F2, gamma1, hi, rows, noise)
+            for j, k in enumerate(rows):
+                exact = decimal_phi(F1, F2, k, float(gamma1[k]), float(q_star[j]), noise)
+                assert relative_error(phi_star[j], exact) <= self.PHI_TOL, k
+        assert pairs >= 300
+
+
+LARGEST_GAMMA = float(gamma_from_rate(np.nextafter(1024.0, 0.0)))
+
+
+class TestExactProduct:
+    """_two_product is Dekker's two-product behind the power slack, split
+    at the significands so that extreme factors do not overflow."""
+
+    GAMMAS = [5e-324, 2.0**-1022, 1.0, 2.0**1000, LARGEST_GAMMA]
+    SIGMAS = [5e-324, 0.5, 1e300, 1.7e308]
+
+    @staticmethod
+    def check(a: float, b: float):
+        """high = fl(a b) and high + low = a b exactly where a b is normal;
+        an overflow leaves high = inf and low = 0."""
+        high, low = _two_product(np.array([a]), b)
+        exact = Fraction(a) * Fraction(b)
+        if exact > Fraction(np.finfo(float).max):
+            assert (high[0], low[0]) == (np.inf, 0.0)
+        elif exact >= Fraction(np.finfo(float).tiny):
+            assert high[0] == a * b
+            assert Fraction(float(high[0])) + Fraction(float(low[0])) == exact
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("sigma_sq", SIGMAS)
+    def test_extremes(self, gamma, sigma_sq):
+        assert LARGEST_GAMMA < np.finfo(float).max
+        self.check(gamma, sigma_sq)
+
+    def test_full_significands(self):
+        """Factors with full 53-bit significands, whose products have a
+        nonzero low part, across the exponent range where low is normal."""
+        rng = np.random.default_rng(307)
+        for _ in range(2000):
+            ea, eb = rng.integers(-1070, 1023, size=2)
+            if not -960 <= ea + eb <= 1020:
+                continue
+            a = math.ldexp(float(rng.uniform(1.0, 2.0)), int(ea))
+            b = math.ldexp(float(rng.uniform(1.0, 2.0)), int(eb))
+            self.check(a, b)
+        a = rng.uniform(1.0, 2.0, 100) * 2.0**1000
+        high, low = _two_product(a, 0.7)
+        assert np.any(low != 0.0)
+        for ai, high_i, low_i in zip(a, high, low):
+            exact = Fraction(float(ai)) * Fraction(0.7)
+            assert Fraction(float(high_i)) + Fraction(float(low_i)) == exact
