@@ -18,7 +18,6 @@ from .channel import (
     SampleSource,
     ValidationError,
     factor_covariance,
-    sample_batch,
     validate_statistics,
 )
 from .outage_mc import (
@@ -33,15 +32,10 @@ from .rate_core import (
     FeasibilityWitness,
     PowerFrontier,
     frontier_point,
-    frontier_qmin,
     is_achievable,
-    max_r2_given_r1,
     mrt,
     power_frontier,
     rate_bf,
-    rate_cov,
-    su_rate,
-    zf,
 )
 from .regions import (
     BiasInterval,
@@ -54,15 +48,9 @@ from .regions import (
     common_inst_member,
     fixed_choice_member,
     individual_inst_member,
-    trace_boundary,
     write_boundary_csv,
 )
-from .stat_csi import (
-    StatRegionSearch,
-    draw_beamformer_pairs,
-    stat_member,
-    stat_member_mc,
-)
+from .stat_csi import StatRegionSearch, draw_beamformer_pairs
 
 __all__ = [
     "__version__",
@@ -90,21 +78,12 @@ __all__ = [
     "factor_covariance",
     "fixed_choice_member",
     "frontier_point",
-    "frontier_qmin",
     "individual_inst_member",
     "is_achievable",
-    "max_r2_given_r1",
     "mrt",
     "power_frontier",
     "rate_bf",
-    "rate_cov",
-    "sample_batch",
     "simulate_policy",
-    "stat_member",
-    "stat_member_mc",
-    "su_rate",
-    "trace_boundary",
     "validate_statistics",
     "write_boundary_csv",
-    "zf",
 ]

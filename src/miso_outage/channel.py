@@ -276,10 +276,18 @@ class SampleSource:
 
     @classmethod
     def gaussian(cls, stats: ChannelStatistics, seed: int, count: int) -> "SampleSource":
+        """The seeded stream: seed is a Philox key in [0, 2^128), count >= 0.
+        Both must be integers (numpy ones included), not bools or floats."""
         validate_statistics(stats)
+        for name, value in (("seed", seed), ("count", count)):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        seed, count = int(seed), int(count)
+        if not 0 <= seed < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        return cls(stats=stats, seed=int(seed), count=int(count))
+        return cls(stats=stats, seed=seed, count=count)
 
     @classmethod
     def explicit(cls, realizations) -> "SampleSource":
@@ -312,12 +320,3 @@ class SampleSource:
             }
         return gaussian_sample_arrays(self.stats, self.seed, start, stop)
 
-
-def sample_batch(source: SampleSource, start: int = 0, stop: int | None = None):
-    """Realizations start..stop-1 of the stream as ChannelRealization objects."""
-    arrs = source.arrays(start, stop)
-    count = arrs["h11"].shape[0]
-    return [
-        ChannelRealization(*(arrs[key][k] for key in CHANNEL_KEYS))
-        for k in range(count)
-    ]

@@ -468,13 +468,8 @@ def _resolved_grid(config: RunConfig, pipeline) -> GridConfig:
                 f"{link}'s single-user rate is 0 (its direct channel h{link}{link} is "
                 "zero in at least that fraction of realizations), so the region is empty"
             )
-    grid = GridConfig(
-        r1_cap=opts.get("r1_cap", caps[0]),
-        r2_cap=opts.get("r2_cap", caps[1]),
-        n_points=opts.get("n_points", 50),
-        tol=opts.get("tol"),
-    )
-    for name, cap in (("r1_cap", grid.r1_cap), ("r2_cap", grid.r2_cap)):
+    r1_cap, r2_cap = opts.get("r1_cap", caps[0]), opts.get("r2_cap", caps[1])
+    for name, cap in (("r1_cap", r1_cap), ("r2_cap", r2_cap)):
         with np.errstate(over="ignore"):
             finite = bool(np.isfinite(gamma_from_rate(cap)))
         if not finite:
@@ -483,7 +478,9 @@ def _resolved_grid(config: RunConfig, pipeline) -> GridConfig:
                 f"2^r - 1 (finite only below 1024 bits); noise {list(config.noise)} "
                 "is too small for these channel powers"
             )
-    return grid
+    return GridConfig(
+        r1_cap=r1_cap, r2_cap=r2_cap, n_points=opts.get("n_points", 50), tol=opts.get("tol")
+    )
 
 
 def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:

@@ -142,27 +142,6 @@ def count_true(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
 
 
-def case_counts(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
-    """Counts (A, B, C1, C2) of split_cases's masks, without building them.
-
-    With a = exceed1 & exceed2 and nj = ~joint: B = joint minus a & joint, and
-    C1 (C2) = exceed2 & nj (exceed1 & nj) minus a & nj, because a lies inside
-    both exceed masks. Exact for arbitrary masks, not only consistent ones.
-    regions.CaseCounter gives the same counts along a column without the
-    masks; tests hold the two equal.
-    """
-    a = exceed1 & exceed2
-    nj = ~joint
-    n_a = count_true(a)
-    n_a_nj = count_true(a & nj)
-    return (
-        n_a,
-        count_true(joint) - (n_a - n_a_nj),
-        count_true(exceed2 & nj) - n_a_nj,
-        count_true(exceed1 & nj) - n_a_nj,
-    )
-
-
 def classify(h, point, noise: tuple[float, float]) -> CaseLabel:
     """Case of a single realization at the rate point."""
     from .regions import InstantaneousRegionPipeline

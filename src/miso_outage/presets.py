@@ -78,21 +78,3 @@ def demo_config(
         doc["output"] = {"basename": basename}
     return doc
 
-
-def aligned_point_mass_config() -> dict:
-    """Degenerate fixture: every channel vector equals [1, 0].
-
-    All four links share one direction, so caused interference always equals
-    delivered signal power. With noise 0.5 the symmetric joint boundary sits
-    at log2(5/3) per link; past it (e.g. at rates (1, 1)) only one link can be
-    served at a time and the case distribution is a point mass on the
-    coin-flip case.
-    """
-    h = [[1.0, 0.0], [0.0, 0.0]]
-    return {
-        "scenario": "individual-inst",
-        "n": 2,
-        "channels": [{"h11": h, "h12": h, "h21": h, "h22": h}],
-        "noise": [0.5, 0.5],
-        "epsilon": [0.6, 0.5],
-    }

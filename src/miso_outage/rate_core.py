@@ -59,11 +59,12 @@ oracle. It runs on no command path: is_achievable decides with it, and tests
 check the column classifier against it.
 
 The *_batch kernels take stacked (N, n) channel arrays and hold the only
-implementation of each formula. Scalar calls (power_frontier and its methods,
-frontier_qmin, su_rate, is_achievable, max_r2_given_r1) run them on a batch
-of one, so scalar and batch results agree exactly. frontier_point stays a
-separate geometric construction: the witness beamformer that tests check the
-closed form with.
+implementation of each formula. The scalar calls, power_frontier with its
+signal_power and is_achievable, run them on a batch of one, so scalar and
+batch results agree exactly; one frontier inverse or one column value is
+the batch kernel called on a batch of one. frontier_point stays a separate geometric
+construction: the witness beamformer that tests check the closed form with,
+and that rate_bf rates.
 """
 
 from __future__ import annotations
@@ -168,21 +169,6 @@ def quad_form(Q: np.ndarray, W: np.ndarray) -> np.ndarray | float:
     return float(value[0]) if W.ndim == 1 else value
 
 
-def validate_transmit_covariance(Psi: np.ndarray, name: str = "Psi") -> np.ndarray:
-    """Hermitian PSD with trace <= 1 (power budget), small tolerances."""
-    Psi = np.asarray(Psi, dtype=np.complex128)
-    if Psi.ndim != 2 or Psi.shape[0] != Psi.shape[1]:
-        raise ValueError(f"{name}: expected a square matrix, got shape {Psi.shape}")
-    if np.max(np.abs(Psi - Psi.conj().T)) > 1e-9:
-        raise ValueError(f"{name}: not Hermitian")
-    if float(np.linalg.eigvalsh(Psi).min()) < -1e-9:
-        raise ValueError(f"{name}: not positive semidefinite")
-    tr = float(np.real(np.trace(Psi)))
-    if tr > 1.0 + NORM_TOL:
-        raise ValueError(f"{name}: trace {tr} exceeds unit power budget")
-    return Psi
-
-
 def validate_beamformer(w: np.ndarray, name: str = "w") -> np.ndarray:
     w = np.asarray(w, dtype=np.complex128)
     if w.ndim != 1:
@@ -193,22 +179,8 @@ def validate_beamformer(w: np.ndarray, name: str = "w") -> np.ndarray:
     return w
 
 
-def rate_cov(h, Psi1, Psi2, link: int, sigma_sq: float) -> float:
-    """Rate of one link under general transmit covariances (Psi1, Psi2)."""
-    if link not in (1, 2):
-        raise ValueError(f"link must be 1 or 2, got {link}")
-    Psi1 = validate_transmit_covariance(Psi1, "Psi1")
-    Psi2 = validate_transmit_covariance(Psi2, "Psi2")
-    own_h = h.h11 if link == 1 else h.h22
-    cross_h = h.h21 if link == 1 else h.h12
-    own_Psi, cross_Psi = (Psi1, Psi2) if link == 1 else (Psi2, Psi1)
-    signal = quad_form(own_Psi, own_h)
-    interference = quad_form(cross_Psi, cross_h)
-    return float(rate_from_sinr(signal / (interference + float(sigma_sq))))
-
-
 def rate_bf(h, w1, w2, link: int, sigma_sq: float) -> float:
-    """Rate of one link under beamformers (w1, w2); rank-one case of rate_cov."""
+    """Rate of one link under beamformers (w1, w2), interference treated as noise."""
     if link not in (1, 2):
         raise ValueError(f"link must be 1 or 2, got {link}")
     w1 = validate_beamformer(w1, "w1")
@@ -221,14 +193,6 @@ def rate_bf(h, w1, w2, link: int, sigma_sq: float) -> float:
     return float(rate_from_sinr(signal / (interference + float(sigma_sq))))
 
 
-def su_rate(h, link: int, sigma_sq: float) -> float:
-    """Single-user rate log2(1 + ||h_ii||^2 / sigma_i^2), the per-link ceiling."""
-    if link not in (1, 2):
-        raise ValueError(f"link must be 1 or 2, got {link}")
-    own = h.h11 if link == 1 else h.h22
-    return float(su_rate_batch(own[None, :], sigma_sq)[0])
-
-
 def mrt(h_vec) -> np.ndarray:
     """Matched-filter beamformer h/||h|| (zero vector stays zero)."""
     v = np.asarray(h_vec, dtype=np.complex128)
@@ -236,14 +200,6 @@ def mrt(h_vec) -> np.ndarray:
     if nrm == 0.0:
         return np.zeros_like(v)
     return v / nrm
-
-
-def zf(own, cross) -> np.ndarray:
-    """Zero-forcing beamformer: normalized component of own orthogonal to cross.
-
-    The frontier point at zero caused interference.
-    """
-    return frontier_point(power_frontier(own, cross), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +260,6 @@ def power_frontier(own, cross) -> PowerFrontier:
         float(F.c[0]), float(F.d[0]), float(F.b_norm_sq[0]), float(F.p_max[0]),
         float(F.q_mrt[0]), bool(F.degenerate[0]), a, b,
     )
-
-
-def frontier_qmin(frontier: PowerFrontier, p_target: float) -> float:
-    """Least caused interference at which p(q) reaches p_target.
-
-    frontier_qmin_batch on one frontier, at the demand 1 * (p_target + 0); a
-    demand above p_max (beyond its 1e-12 relative grace) raises instead of
-    returning +inf.
-    """
-    q = float(frontier_qmin_batch(frontier, 1.0, np.array([float(p_target)]), 0.0)[0])
-    if q == math.inf:
-        raise ValueError(
-            f"signal demand {p_target} exceeds maximum deliverable power {frontier.p_max}"
-        )
-    return q
 
 
 def frontier_point(frontier: PowerFrontier, q: float) -> np.ndarray:
@@ -794,12 +735,6 @@ def max_r2_batch(
     return column_search_batch(F1, F2, gamma1, noise)[0]
 
 
-def su_rate_batch(H: np.ndarray, sigma_sq: float) -> np.ndarray:
-    """Single-user rates for a stacked (N, n) own-channel array: ||h||^2 summed
-    by rowsum, as frontier_batch forms p_max, so they equal the pipeline's."""
-    return rate_from_sinr(rowsum(np.abs(np.asarray(H)) ** 2) / float(sigma_sq))
-
-
 def witness_rates_batch(
     F1: FrontierBatch,
     F2: FrontierBatch,
@@ -872,26 +807,6 @@ def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
         margin=min(r1_ach - r1, r2_ach - r2),
         power_slack=g_max,
     )
-
-
-def max_r2_given_r1(h, r1: float, noise: tuple[float, float]) -> float:
-    """Largest r2 with (r1, r2) achievable: max_r2_batch on a batch of one.
-
-    Raises when r1 itself is infeasible (above the link-1 single-user rate,
-    where the column is -inf). With r1 = 0 returns the link-2 single-user
-    rate.
-    """
-    r1, _ = as_rate_point((r1, 0.0))
-    noise = as_noise(noise)
-    r2 = float(max_r2_batch(
-        frontier_batch(h.h11[None, :], h.h12[None, :]),
-        frontier_batch(h.h22[None, :], h.h21[None, :]),
-        float(gamma_from_rate(r1)),
-        noise,
-    )[0])
-    if r2 == -math.inf:
-        raise ValueError(f"r1 = {r1} is infeasible for this realization")
-    return r2
 
 
 def bisect_largest(member, hi: float, tol: float) -> float:

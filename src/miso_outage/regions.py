@@ -30,6 +30,7 @@ which takes the r1-only work once and counts each queried r2 once.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
@@ -266,7 +267,8 @@ def verdict(probs: CaseProbabilities, spec: OutageSpec, variant: str = "plain"):
 class GridConfig:
     """r1 grid over [0, r1_cap]; r2 bisection capped at r2_cap.
 
-    Bisection tolerance defaults to one tenth of the r1 grid spacing.
+    Bisection tolerance defaults to one tenth of the r1 grid spacing. A tol
+    of 0 bisects until the bracket ends are adjacent floats.
     """
 
     r1_cap: float
@@ -277,8 +279,12 @@ class GridConfig:
     def __post_init__(self):
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
-        if not (self.r1_cap > 0.0 and self.r2_cap > 0.0):
-            raise ValueError("caps must be positive")
+        for name in ("r1_cap", "r2_cap"):
+            cap = getattr(self, name)
+            if not (math.isfinite(cap) and cap > 0.0):
+                raise ValueError(f"{name} must be a finite positive number, got {cap}")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be a finite nonnegative number, got {self.tol}")
 
     @property
     def r1_values(self) -> np.ndarray:
@@ -322,7 +328,7 @@ def non_dominated_points(points) -> np.ndarray:
 
 
 def trace_column(member, r1: float, grid: GridConfig, annotate=None) -> tuple:
-    """One column of trace_boundary: (inside at r2 = 0, largest member r2, payload).
+    """One traced column: (inside at r2 = 0, largest member r2, payload).
 
     Outside the region at r2 = 0 the column gives (False, None, None). Inside,
     r2 is bisected below grid.r2_cap and the payload is annotate(r1, r2), or
@@ -367,23 +373,6 @@ def assemble_boundary(grid: GridConfig, columns, metadata: dict | None = None) -
         }
     )
     return RegionBoundary(points=points, warnings=warnings, metadata=meta)
-
-
-def trace_boundary(
-    member,
-    grid: GridConfig,
-    annotate=None,
-    metadata: dict | None = None,
-) -> RegionBoundary:
-    """Trace the upper boundary of a downward-closed region.
-
-    member(r1, r2) -> bool is the membership oracle; annotate(r1, r2) -> dict,
-    when given, supplies the payload attached to each boundary point. Every
-    column runs trace_column, and assemble_boundary reports the warnings and
-    keeps the non-dominated points.
-    """
-    columns = [trace_column(member, float(r1), grid, annotate) for r1 in grid.r1_values]
-    return assemble_boundary(grid, columns, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +489,12 @@ class CaseCounter:
     """Case probabilities at every r2 of one r1 column.
 
     exceed1 = r1 > su1 does not depend on r2, so its count, and su2 and the
-    column on its rows, are taken once. At each r2 the counts of
-    outage_mc.case_counts follow from the comparisons exceed2 = r2 > su2 and
-    joint on all rows and on the exceed1 rows: with a = exceed1 & exceed2,
-    A = #a, B = #joint - #(a & joint), C1 = #(exceed2 & ~joint) - #(a & ~joint)
-    and C2 = #(exceed1 & ~joint) - #(a & ~joint). Each r2 is counted once; a
+    column on its rows, are taken once. At each r2 the counts of the masks of
+    outage_mc.split_cases follow, without the masks, from the comparisons
+    exceed2 = r2 > su2 and joint on all rows and on the exceed1 rows: with
+    a = exceed1 & exceed2, A = #a, B = #joint - #(a & joint),
+    C1 = #(exceed2 & ~joint) - #(a & ~joint) and
+    C2 = #(exceed1 & ~joint) - #(a & ~joint). Each r2 is counted once; a
     repeated query (another variant's bisection, a payload) reads the memo.
     """
 
@@ -684,13 +674,10 @@ class InstantaneousRegionPipeline:
                       variants: tuple) -> list[tuple]:
         """trace_column of every variant on column r1, from one CaseCounter.
 
-        A cached column is read; otherwise the column is computed here and
-        dropped on return, which leaves (inside, r2, payload) per variant.
+        The column is computed here, never read from the cache, and dropped
+        on return, which leaves (inside, r2, payload) per variant.
         """
-        column = self._columns.get(r1)
-        if column is None:
-            column = self._compute_column(r1)
-        counter = CaseCounter(self.n_samples, self.su1, self.su2, column, r1)
+        counter = CaseCounter(self.n_samples, self.su1, self.su2, self._compute_column(r1), r1)
 
         def steps(variant):
             def member(r1, r2):
@@ -730,22 +717,6 @@ class InstantaneousRegionPipeline:
 
     def trace(self, spec: OutageSpec, grid: GridConfig, variant: str = "plain") -> RegionBoundary:
         return self.trace_variants(spec, grid, (variant,))[0]
-
-    def axis_intercept(self, spec: OutageSpec, link: int = 1, variant: str = "plain") -> float:
-        """Largest member rate on one axis (the other link's target at zero),
-        bisected to 1e-6 bits below a cap of 1.5 x the largest single-user
-        rate + 1."""
-        if link not in (1, 2):
-            raise ValueError(f"link must be 1 or 2, got {link}")
-
-        def member(r):
-            point = (r, 0.0) if link == 1 else (0.0, r)
-            return self.member(point[0], point[1], spec, variant)
-
-        if not member(0.0):
-            return 0.0
-        su = self.su1 if link == 1 else self.su2
-        return bisect_largest(member, float(su.max()) * 1.5 + 1.0, 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -23,22 +23,18 @@ Everything is array-valued: the means are four batched quadratic forms, the
 rate inversion bisects only the elements whose bracket still moves, and the
 boundary is one Pareto filter over the (r1, r2) rows of all pairs, with
 BoundaryPoint objects built only for the rows it keeps.
-The scalar calls pair_success and stat_member build an evaluator with one
-row. draw_beamformer_pairs supplies seeded random pairs (uniform on the
-complex unit sphere, one draw per pair index). General-rank transmit
-covariances are supported through a Monte-Carlo membership check instead of
-a closed form.
+A single pair is an evaluator with one row. draw_beamformer_pairs supplies
+seeded random pairs (uniform on the complex unit sphere, one draw per pair
+index).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelStatistics, SampleSource
+from .channel import ChannelStatistics
 from .rate_core import (
     LN2,
     NORM_TOL,
@@ -46,7 +42,6 @@ from .rate_core import (
     gamma_from_rate,
     quad_form,
     rate_from_sinr,
-    validate_transmit_covariance,
 )
 from .regions import BoundaryPoint, OutageSpec, RegionBoundary, non_dominated_points
 
@@ -156,51 +151,6 @@ def _meets(spec: OutageSpec, pi1, pi2, joint):
     if spec.mode == "common":
         return joint >= 1.0 - spec.epsilon
     return (pi1 >= 1.0 - spec.epsilon1) & (pi2 >= 1.0 - spec.epsilon2)
-
-
-@dataclass
-class StatMcResult:
-    """Monte-Carlo membership estimate for general-rank transmit covariances."""
-
-    member: bool
-    success1: float
-    success2: float
-    success_joint: float
-    n_samples: int
-
-
-def stat_member_mc(
-    stats: ChannelStatistics,
-    Psi1: np.ndarray,
-    Psi2: np.ndarray,
-    point,
-    spec: OutageSpec,
-    source: SampleSource,
-) -> StatMcResult:
-    """Estimate the outage constraints by sampling the fading distribution.
-
-    Success is the non-strict event R_i >= r_i; under continuous fading the
-    boundary has probability zero, so this matches the closed form.
-    """
-    Psi1 = validate_transmit_covariance(np.asarray(Psi1, dtype=complex), "Psi1")
-    Psi2 = validate_transmit_covariance(np.asarray(Psi2, dtype=complex), "Psi2")
-    r1, r2 = as_rate_point(point)
-    arrs = source.arrays()
-    sinr1 = quad_form(Psi1, arrs["h11"]) / (quad_form(Psi2, arrs["h21"]) + stats.sigma1_sq)
-    sinr2 = quad_form(Psi2, arrs["h22"]) / (quad_form(Psi1, arrs["h12"]) + stats.sigma2_sq)
-    ok1 = sinr1 >= gamma_from_rate(r1)
-    ok2 = sinr2 >= gamma_from_rate(r2)
-    n = source.count
-    success1 = int(ok1.sum()) / n
-    success2 = int(ok2.sum()) / n
-    success_joint = int((ok1 & ok2).sum()) / n
-    return StatMcResult(
-        member=bool(_meets(spec, success1, success2, success_joint)),
-        success1=success1,
-        success2=success2,
-        success_joint=success_joint,
-        n_samples=n,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +300,3 @@ class StatRegionSearch:
             "curve_points": self.curve_points,
         }
         return RegionBoundary(points=kept, warnings=[], metadata=metadata)
-
-
-
-def pair_success(
-    stats: ChannelStatistics, w1: np.ndarray, w2: np.ndarray, point
-) -> tuple[float, float]:
-    """Closed-form per-link success probabilities of one pair at a rate point."""
-    r1, r2 = as_rate_point(point)
-    pi1, pi2 = StatRegionSearch(stats, [w1], [w2]).pair_success_all(r1, r2)
-    return float(pi1[0]), float(pi2[0])
-
-
-def stat_member(
-    stats: ChannelStatistics, w1: np.ndarray, w2: np.ndarray, point, spec: OutageSpec
-) -> bool:
-    """Does the fixed pair meet the outage constraints at this rate point?"""
-    return StatRegionSearch(stats, [w1], [w2]).member_any(point[0], point[1], spec)

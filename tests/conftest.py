@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from miso_outage.channel import ChannelStatistics, SampleSource
+from miso_outage.channel import CHANNEL_KEYS, ChannelRealization, ChannelStatistics, SampleSource
 from miso_outage.presets import demo_statistics
 
 
@@ -52,3 +52,29 @@ BAD_NOISES = [
     for bad in (0.0, -0.5, math.nan, math.inf)
     for pair in ((bad, 0.5), (0.5, bad))
 ]
+
+
+def realizations(source: SampleSource, start: int, stop: int) -> list[ChannelRealization]:
+    """Realizations start..stop-1 of a stream, for an explicit source or classify."""
+    arrs = source.arrays(start, stop)
+    return [ChannelRealization(*(arrs[key][k] for key in CHANNEL_KEYS))
+            for k in range(stop - start)]
+
+
+def aligned_point_mass_config() -> dict:
+    """Degenerate fixture: every channel vector equals [1, 0].
+
+    All four links share one direction, so caused interference always equals
+    delivered signal power. With noise 0.5 the symmetric joint boundary sits
+    at log2(5/3) per link; past it (e.g. at rates (1, 1)) only one link can be
+    served at a time and the case distribution is a point mass on the
+    coin-flip case.
+    """
+    h = [[1.0, 0.0], [0.0, 0.0]]
+    return {
+        "scenario": "individual-inst",
+        "n": 2,
+        "channels": [{"h11": h, "h12": h, "h21": h, "h22": h}],
+        "noise": [0.5, 0.5],
+        "epsilon": [0.6, 0.5],
+    }

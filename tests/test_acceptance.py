@@ -24,7 +24,6 @@ from miso_outage.rate_core import (
     frontier_batch,
     gamma_from_rate,
     power_frontier,
-    su_rate_batch,
 )
 from miso_outage.regions import (
     InstantaneousRegionPipeline,
@@ -32,14 +31,10 @@ from miso_outage.regions import (
     bias_interval,
     verdict,
 )
-from miso_outage.stat_csi import (
-    StatRegionSearch,
-    draw_beamformer_pairs,
-    pair_success,
-    stat_member_mc,
-)
+from miso_outage.stat_csi import StatRegionSearch, draw_beamformer_pairs
 
 from conftest import random_statistics
+from oracles import axis_intercept, stat_member_mc, su_rate_batch
 
 EPS = 0.1
 NOISE = (0.5, 0.5)
@@ -278,7 +273,8 @@ def test_criterion_6_closed_form_vs_monte_carlo(rng):
         w1 /= np.linalg.norm(w1)
         w2 /= np.linalg.norm(w2)
         point = (float(rng.uniform(0.1, 1.2)), float(rng.uniform(0.1, 1.2)))
-        pi1, pi2 = pair_success(stats, w1, w2, point)
+        pi1, pi2 = StatRegionSearch(stats, [w1], [w2]).pair_success_all(*point)
+        pi1, pi2 = float(pi1[0]), float(pi2[0])
         source = SampleSource.gaussian(stats, seed=5000 + trial, count=n_samples)
         res = stat_member_mc(
             stats,
@@ -380,7 +376,7 @@ def test_criterion_8_axis_intercepts(nesting_pipeline):
     worst_ratio = 0.0
     for link, own in ((1, "h11"), (2, "h22")):
         su = su_rate_batch(arrs[own], NOISE[link - 1])
-        intercept = pipeline.axis_intercept(spec, link=link)
+        intercept = axis_intercept(pipeline, spec, link=link)
         q_emp = float(np.quantile(su, EPS))
         slope = float(np.quantile(su, EPS + 0.02) - np.quantile(su, EPS - 0.02)) / 0.04
         se_rate = slope * math.sqrt(EPS * (1.0 - EPS) * 2.0 / n)

@@ -11,11 +11,10 @@ from miso_outage.channel import (
     ValidationError,
     factor_covariance,
     gaussian_sample_arrays,
-    sample_batch,
     validate_statistics,
 )
 
-from conftest import random_psd, random_statistics
+from conftest import random_psd, random_statistics, realizations
 
 
 def simple_stats(n=2, sigma=1.0):
@@ -254,6 +253,24 @@ class TestSampleSource:
         with pytest.raises(ValidationError):
             SampleSource.gaussian(stats, seed=0, count=10)
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", -1), ("seed", 2**128), ("seed", True), ("seed", "3"),
+        ("count", 2.7), ("count", False), ("count", np.float64(4.0)),
+    ])
+    def test_gaussian_rejects_bad_seed_and_count(self, name, value):
+        """At construction and naming the field: a float seed would key the
+        stream of its integer part, a negative one fail only at the first draw."""
+        fields = {"seed": 1, "count": 10, name: value}
+        with pytest.raises(ValueError, match=name):
+            SampleSource.gaussian(simple_stats(), **fields)
+
+    def test_gaussian_accepts_numpy_integers(self):
+        src = SampleSource.gaussian(simple_stats(), seed=np.uint64(2**64 - 1), count=np.int32(3))
+        assert (type(src.seed), type(src.count)) == (int, int)
+        assert (src.seed, src.count) == (2**64 - 1, 3)
+        largest = SampleSource.gaussian(simple_stats(), seed=2**128 - 1, count=2)
+        assert largest.arrays()["h11"].shape == (2, 2)
+
     def test_explicit_round_trip(self, rng):
         rs = [
             ChannelRealization(*(rng.standard_normal(2) + 0j for _ in range(4)))
@@ -264,7 +281,7 @@ class TestSampleSource:
         arrs = src.arrays()
         for k, r in enumerate(rs):
             np.testing.assert_array_equal(arrs["h12"][k], r.h12)
-        back = sample_batch(src, 2, 4)
+        back = realizations(src, 2, 4)
         np.testing.assert_array_equal(back[0].h11, rs[2].h11)
 
     def test_explicit_mismatched_n_rejected(self):

@@ -18,8 +18,10 @@ from miso_outage.cli import (
     run_region,
     run_validate,
 )
-from miso_outage.presets import aligned_point_mass_config, demo_config
+from miso_outage.presets import demo_config
 from miso_outage.rate_core import power_frontier
+
+from conftest import aligned_point_mass_config
 
 STAT_HEADER = "r1,r2,pi1,pi2,pair_index"
 

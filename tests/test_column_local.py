@@ -2,9 +2,9 @@
 
 `InstantaneousRegionPipeline.trace_variants` computes each r1 column in the
 process that bisects it and returns only (inside, r2, payload) per variant.
-Its boundaries must equal `trace_boundary` run over cached columns, for every
-instantaneous scenario and worker count; its per-column case counts must
-equal `outage_mc.case_counts` on the comparison masks; and the parent of a
+Its boundaries must equal the `trace_boundary` oracle run over cached
+columns, for every instantaneous scenario and worker count; its per-column
+case counts must equal the `case_counts` oracle on the comparison masks; and the parent of a
 `region --workers 2` run must neither cache nor receive a column. A helper
 that fails is reported and reaped, and the claim order (largest r1 first)
 does not change the boundaries.
@@ -27,7 +27,7 @@ import miso_outage
 from miso_outage import cli, regions
 from miso_outage.channel import ChannelRealization, SampleSource
 from miso_outage.cli import SCENARIOS
-from miso_outage.outage_mc import CaseProbabilities, case_counts, count_true
+from miso_outage.outage_mc import CaseProbabilities, count_true
 from miso_outage.presets import demo_config
 from miso_outage.rate_core import RATE_SLACK
 from miso_outage.regions import (
@@ -36,9 +36,10 @@ from miso_outage.regions import (
     InstantaneousRegionPipeline,
     OutageSpec,
     boundary_csv_lines,
-    trace_boundary,
     verdict,
 )
+
+from oracles import case_counts, trace_boundary
 
 NOISE = (0.5, 0.5)
 INST_SCENARIOS = [name for name, (_, variants) in SCENARIOS.items() if variants is not None]

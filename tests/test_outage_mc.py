@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miso_outage.channel import ChannelRealization, SampleSource, sample_batch
+from miso_outage.channel import ChannelRealization, SampleSource
 from miso_outage.outage_mc import (
     CaseLabel,
     CaseProbabilities,
-    case_counts,
     classify,
     estimate_case_probs,
     simulate_policy,
     split_cases,
 )
 
-from conftest import BAD_NOISES
+from conftest import BAD_NOISES, realizations
+from oracles import case_counts
 
 NOISE = (0.5, 0.5)
 
@@ -48,16 +48,16 @@ class TestClassify:
         assert classify(h, (1.5, 1.5), noise) is CaseLabel.A
 
     def test_zero_point_always_b(self, demo_source):
-        for h in sample_batch(demo_source, 0, 5):
+        for h in realizations(demo_source, 0, 5):
             assert classify(h, (0.0, 0.0), NOISE) is CaseLabel.B
 
     def test_matches_stream_counts(self, demo_source):
         point = (0.5, 0.5)
         probs = estimate_case_probs(
-            SampleSource.explicit(sample_batch(demo_source, 0, 200)), point, NOISE
+            SampleSource.explicit(realizations(demo_source, 0, 200)), point, NOISE
         )
         tally = {label: 0 for label in CaseLabel}
-        for h in sample_batch(demo_source, 0, 200):
+        for h in realizations(demo_source, 0, 200):
             tally[classify(h, point, NOISE)] += 1
         assert tally[CaseLabel.A] == probs.count_a
         assert tally[CaseLabel.B] == probs.count_b
@@ -192,7 +192,7 @@ class TestSimulatePolicy:
 @pytest.mark.parametrize("noise", BAD_NOISES)
 def test_invalid_noise_rejected(demo_source, noise):
     """Every library entry point that builds the region pipeline."""
-    source = SampleSource.explicit(sample_batch(demo_source, 0, 20))
+    source = SampleSource.explicit(realizations(demo_source, 0, 20))
     with pytest.raises(ValueError, match="noise"):
         estimate_case_probs(source, (0.5, 0.5), noise)
     with pytest.raises(ValueError, match="noise"):

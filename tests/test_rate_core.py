@@ -23,29 +23,23 @@ from miso_outage.rate_core import (
     column_search_batch,
     frontier_batch,
     frontier_point,
-    frontier_qmin,
     frontier_qmin_batch,
     frontier_signal_batch,
     gamma_from_rate,
     golden_max,
     is_achievable,
     max_r2_batch,
-    max_r2_given_r1,
     mrt,
     power_frontier,
     quad_form,
     rate_bf,
-    rate_cov,
     rate_from_sinr,
-    su_rate,
-    su_rate_batch,
     validate_beamformer,
-    validate_transmit_covariance,
     witness_rates_batch,
-    zf,
 )
 
 from conftest import BAD_NOISES, random_channel_vectors, random_psd
+from oracles import rate_cov, su_rate_batch, validate_transmit_covariance
 
 EPS = np.finfo(float).eps
 
@@ -63,6 +57,12 @@ def orthogonal_cross_realization():
 
 def random_realization(rng, n=2):
     return ChannelRealization(*(random_channel_vectors(rng, 1, n)[0] for _ in range(4)))
+
+
+def realization_frontiers(h):
+    """(F1, F2) of one realization: the column kernel's inputs, a batch of one."""
+    return (frontier_batch(h.h11[None, :], h.h12[None, :]),
+            frontier_batch(h.h22[None, :], h.h21[None, :]))
 
 
 class TestScalarHelpers:
@@ -93,21 +93,21 @@ class TestScalarHelpers:
         h = random_realization(np.random.default_rng(5))
         with pytest.raises(ValueError, match="noise"):
             is_achievable(h, (0.5, 0.5), noise)
-        with pytest.raises(ValueError, match="noise"):
-            max_r2_given_r1(h, 0.5, noise)
 
     def test_mrt_frozen(self):
         np.testing.assert_allclose(mrt([3.0, 4.0j]), [0.6, 0.8j], atol=1e-15)
         np.testing.assert_array_equal(mrt([0.0, 0.0]), [0.0, 0.0])
 
     def test_zf_frozen(self):
-        np.testing.assert_allclose(zf([1.0, 1.0], [1.0, 0.0]), [0.0, 1.0], atol=1e-15)
+        """The zero-forcing beamformer is the frontier point at q = 0."""
+        w = frontier_point(power_frontier([1.0, 1.0], [1.0, 0.0]), 0.0)
+        np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-15)
 
     def test_zf_orthogonality(self, rng):
         for _ in range(20):
             a = random_channel_vectors(rng, 1, 3)[0]
             b = random_channel_vectors(rng, 1, 3)[0]
-            w = zf(a, b)
+            w = frontier_point(power_frontier(a, b), 0.0)
             assert abs(np.vdot(b, w)) < 1e-12
             assert abs(np.linalg.norm(w) - 1.0) < 1e-12
 
@@ -136,22 +136,14 @@ class TestRates:
     def test_rate_cov_matches_rank_one(self, rng):
         h = random_realization(rng)
         w1 = mrt(h.h11)
-        w2 = zf(h.h22, h.h21)
+        w2 = frontier_point(power_frontier(h.h22, h.h21), 0.0)
         for link, sig in ((1, 0.7), (2, 1.3)):
             assert rate_cov(
                 h, np.outer(w1, w1.conj()), np.outer(w2, w2.conj()), link, sig
             ) == pytest.approx(rate_bf(h, w1, w2, link, sig), abs=1e-12)
 
     def test_su_rate_frozen(self):
-        h = ChannelRealization([1.0] * 3, [0.0] * 3, [0.0] * 3, [1.0] * 3)
-        assert su_rate(h, 1, 1.0) == pytest.approx(2.0, abs=1e-15)
-
-    def test_su_rate_batch_matches_scalar(self, rng):
-        H = random_channel_vectors(rng, 30, 2)
-        batch = su_rate_batch(H, 0.8)
-        for k in range(30):
-            h = ChannelRealization(H[k], H[k], H[k], H[k])
-            assert batch[k] == pytest.approx(su_rate(h, 1, 0.8), abs=1e-12)
+        assert su_rate_batch(np.ones((1, 3)), 1.0)[0] == pytest.approx(2.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [8, 9, 16])
     def test_su_rate_batch_is_the_pipeline_formula(self, rng, n):
@@ -165,8 +157,8 @@ class TestRates:
         )
 
     def test_bad_link_raises(self):
-        with pytest.raises(ValueError):
-            su_rate(aligned_realization(), 3, 1.0)
+        with pytest.raises(ValueError, match="link"):
+            rate_bf(aligned_realization(), [1.0, 0.0], [1.0, 0.0], 3, 1.0)
 
 
 class TestPowerFrontier:
@@ -187,26 +179,26 @@ class TestPowerFrontier:
         assert fr.signal_power(0.9) == pytest.approx(2.0)
 
     def test_qmin_round_trip_frozen(self):
+        """The inverse at the demand 1 * (t + 0): t itself."""
         fr = power_frontier([1.0, 1.0], [1.0, 0.0])
-        assert frontier_qmin(fr, 1.8660254037844386) == pytest.approx(0.25, abs=1e-12)
-        assert frontier_qmin(fr, 1.0) == 0.0
-        assert frontier_qmin(fr, 2.0) == pytest.approx(0.5, abs=1e-12)
-        with pytest.raises(ValueError):
-            frontier_qmin(fr, 2.5)
+        q = frontier_qmin_batch(fr, 1.0, np.array([1.8660254037844386, 1.0, 2.0]), 0.0)
+        assert q[0] == pytest.approx(0.25, abs=1e-12)
+        assert q[1] == 0.0
+        assert q[2] == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_cross(self):
         fr = power_frontier([2.0, 0.0], [0.0, 0.0])
         assert fr.degenerate
         assert fr.signal_power(0.0) == pytest.approx(4.0)
-        assert frontier_qmin(fr, 3.9) == 0.0
+        assert frontier_qmin_batch(fr, 1.0, np.array([3.9]), 0.0)[0] == 0.0
 
     def test_qmin_inverts_curve(self, rng):
         for _ in range(30):
             a = random_channel_vectors(rng, 1, 3)[0]
             b = random_channel_vectors(rng, 1, 3)[0]
             fr = power_frontier(a, b)
-            for t in np.linspace(0.0, fr.p_max, 17):
-                q = frontier_qmin(fr, t)
+            ts = np.linspace(0.0, fr.p_max, 17)
+            for t, q in zip(ts, frontier_qmin_batch(fr, 1.0, ts, 0.0)):
                 assert fr.signal_power(q) >= t - 1e-9
                 if q > 1e-12:
                     # strictly cheaper interference cannot deliver the target
@@ -242,32 +234,26 @@ class TestPowerFrontier:
         t = rng.uniform(0.0, 1.0, size=40) * F.p_max
         q = rng.uniform(0.0, 1.0, size=40) * F.q_mrt
         p_batch = frontier_signal_batch(F, q)
-        qmin_batch = frontier_qmin_batch(F, 1.0, t, 0.0)
         for k in range(40):
             fr = power_frontier(A[k], B[k])
             assert p_batch[k] == pytest.approx(fr.signal_power(q[k]), abs=1e-12)
-            assert qmin_batch[k] == pytest.approx(frontier_qmin(fr, t[k]), abs=1e-12)
 
     def test_scalar_calls_are_batches_of_one(self, rng):
-        """power_frontier, signal_power and frontier_qmin run the batch kernels,
-        so they equal the batch values exactly, degenerate rows included."""
+        """power_frontier and signal_power run the batch kernels, so they equal
+        the batch values exactly, degenerate rows included."""
         for n in (1, 2, 3, 8):
             A = random_channel_vectors(rng, 60, n)
             B = random_channel_vectors(rng, 60, n)
             B[0] = 0.0
             F = frontier_batch(A, B)
-            t = rng.uniform(0.0, 1.0, size=60) * F.p_max
-            t[1:10] = F.d[1:10] ** 2  # demands at the zero-forcing power
             q = rng.uniform(0.0, 1.2, size=60) * F.q_mrt
             p_batch = frontier_signal_batch(F, q)
-            qmin_batch = frontier_qmin_batch(F, 1.0, t, 0.0)
             for k in range(60):
                 fr = power_frontier(A[k], B[k])
                 assert (fr.c, fr.d, fr.b_norm_sq, fr.p_max, fr.q_mrt, fr.degenerate) == (
                     F.c[k], F.d[k], F.b_norm_sq[k], F.p_max[k], F.q_mrt[k], F.degenerate[k]
                 )
                 assert fr.signal_power(q[k]) == p_batch[k]
-                assert frontier_qmin(fr, t[k]) == qmin_batch[k]
 
     def test_qmin_batch_infeasible_marks_inf(self, rng):
         A = random_channel_vectors(rng, 5, 2)
@@ -436,15 +422,15 @@ class TestAchievability:
         noise = (1.0, 1.0)
         assert is_achievable(h, (1.0, 1.0), noise).achievable
         assert not is_achievable(h, (1.0 + 1e-3, 1.0), noise).achievable
-        assert max_r2_given_r1(h, 0.3, noise) == pytest.approx(1.0, abs=1e-9)
+        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(0.3), noise)[0]
+        assert r2 == pytest.approx(1.0, abs=1e-9)
 
     def test_witness_certifies_achievable_points(self, rng):
         noise = (0.6, 0.9)
         for _ in range(25):
             h = random_realization(rng)
-            cap1 = su_rate(h, 1, noise[0])
-            r1 = 0.5 * cap1
-            r2 = 0.5 * max_r2_given_r1(h, r1, noise)
+            r1 = 0.5 * su_rate_batch(h.h11[None, :], noise[0])[0]
+            r2 = 0.5 * max_r2_batch(*realization_frontiers(h), gamma_from_rate(r1), noise)[0]
             wit = is_achievable(h, (r1, r2), noise)
             assert wit.achievable
             assert wit.margin >= -1e-7
@@ -455,7 +441,7 @@ class TestAchievability:
         noise = (0.7, 0.7)
         for _ in range(10):
             h = random_realization(rng)
-            cap = su_rate(h, 1, noise[0])
+            cap = su_rate_batch(h.h11[None, :], noise[0])[0]
             assert is_achievable(h, (cap, 0.0), noise).achievable
             assert not is_achievable(h, (cap + 1e-6, 0.0), noise).achievable
 
@@ -495,14 +481,14 @@ class TestAchievability:
         noise = (0.9, 1.1)
         for _ in range(10):
             h = random_realization(rng)
-            assert max_r2_given_r1(h, 0.0, noise) == pytest.approx(
-                su_rate(h, 2, noise[1]), abs=1e-9
-            )
+            r2 = max_r2_batch(*realization_frontiers(h), 0.0, noise)[0]
+            assert r2 == pytest.approx(su_rate_batch(h.h22[None, :], noise[1])[0], abs=1e-9)
 
-    def test_infeasible_r1_raises(self):
+    def test_infeasible_r1_is_minus_inf(self):
+        """r1 above the link-1 single-user rate (1 bit here): an empty column."""
         h = orthogonal_cross_realization()
-        with pytest.raises(ValueError, match="infeasible"):
-            max_r2_given_r1(h, 5.0, (1.0, 1.0))
+        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(5.0), (1.0, 1.0))
+        assert r2[0] == -math.inf
 
     def test_scalar_matches_batch_decision(self, rng):
         noise = (0.5, 0.5)

@@ -12,7 +12,6 @@ from miso_outage.rate_core import (
     achievability_slack_batch,
     bisect_largest,
     gamma_from_rate,
-    su_rate_batch,
 )
 from miso_outage.regions import (
     CSV_COLUMNS,
@@ -28,12 +27,12 @@ from miso_outage.regions import (
     format_value,
     individual_inst_member,
     non_dominated_points,
-    trace_boundary,
     verdict,
     write_boundary_csv,
 )
 
 from conftest import BAD_NOISES
+from oracles import axis_intercept, su_rate_batch, trace_boundary
 
 NOISE = (0.5, 0.5)
 
@@ -253,6 +252,28 @@ class TestTraceBoundary:
         with pytest.raises(ValueError):
             GridConfig(r1_cap=-1.0, r2_cap=1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("r1_cap", math.inf), ("r1_cap", math.nan), ("r2_cap", math.inf), ("r2_cap", math.nan),
+        ("tol", math.nan), ("tol", math.inf), ("tol", -1e-3),
+    ])
+    def test_grid_rejects_non_finite_caps_and_bad_tol(self, name, value):
+        """Named in the error, as the config's grid.* checks do; a NaN tol or
+        an infinite r2 cap would otherwise trace a lone point (r1, 0)."""
+        fields = {"r1_cap": 1.9, "r2_cap": 3.0, "n_points": 4, "tol": None, name: value}
+        with pytest.raises(ValueError, match=name):
+            GridConfig(**fields)
+
+    def test_zero_tol_bisects_to_adjacent_floats(self, demo_stats):
+        pipeline = InstantaneousRegionPipeline(
+            SampleSource.gaussian(demo_stats, seed=42, count=2000), NOISE
+        )
+        spec = OutageSpec.individual(0.1, 0.1)
+        boundary = pipeline.trace(spec, GridConfig(r1_cap=1.9, r2_cap=3.0, n_points=4, tol=0.0))
+        assert [round(p.r1, 3) for p in boundary.points] == [0.633, 1.267]
+        for p in boundary.points:
+            assert pipeline.member(p.r1, p.r2, spec)
+            assert not pipeline.member(p.r1, np.nextafter(p.r2, np.inf), spec)
+
 
 def non_dominated_oracle(points) -> list[int]:
     """The filter as a Python sort and loop over (r1, r2) pairs."""
@@ -366,7 +387,7 @@ class TestPipeline:
         spec = OutageSpec.individual(eps, eps)
         k = math.floor(eps * pipeline.n_samples)
         expected = float(np.sort(pipeline.su1)[k])
-        got = pipeline.axis_intercept(spec, link=1)
+        got = axis_intercept(pipeline, spec, link=1)
         assert got == pytest.approx(expected, abs=1e-5)
 
     def test_scenario_nesting_pointwise(self, pipeline):

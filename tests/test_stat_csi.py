@@ -13,11 +13,10 @@ from miso_outage.stat_csi import (
     _invert_success,
     _rates_for_success,
     draw_beamformer_pairs,
-    pair_success,
-    stat_member,
-    stat_member_mc,
     success_probability,
 )
+
+from oracles import stat_member_mc
 
 
 def diag_stats(q11=(2.0, 1.0), q21=(0.3, 0.7), q22=(1.5, 0.5), q12=(0.2, 0.4),
@@ -43,7 +42,9 @@ class TestSuccessProbability:
 
     def test_zero_rate_is_certain(self):
         assert success_probability(0.0, 0.3, 9.0, 2.0) == 1.0
-        assert pair_success(diag_stats(), [0.0, 1.0], [1.0, 0.0], (0.0, 0.0)) == (1.0, 1.0)
+        search = StatRegionSearch(diag_stats(), [[0.0, 1.0]], [[1.0, 0.0]])
+        pi1, pi2 = search.pair_success_all(0.0, 0.0)
+        assert (pi1[0], pi2[0]) == (1.0, 1.0)
 
     def test_zero_signal_mean(self):
         assert success_probability(0.5, 0.0, 1.0, 1.0) == 0.0
@@ -67,8 +68,9 @@ class TestSuccessProbability:
         assert np.all(np.diff(pi_t) <= 1e-15)
 
     def test_negative_rate_rejected(self):
+        search = StatRegionSearch(diag_stats(), [[1.0, 0.0]], [[1.0, 0.0]])
         with pytest.raises(ValueError, match="nonnegative"):
-            pair_success(diag_stats(), [1.0, 0.0], [1.0, 0.0], (-0.1, 0.2))
+            search.member_any(-0.1, 0.2, OutageSpec.common(0.1))
 
     def test_model_validation(self):
         """The means are quadratic forms of the covariances: a covariance with
@@ -99,7 +101,8 @@ class TestEffectiveMeans:
         stats = diag_stats()
         search = StatRegionSearch(stats, [[0.0, 0.0]], [[0.0, 0.0]])
         assert search.s1[0] == 0.0 and search.s2[0] == 0.0
-        assert pair_success(stats, [0.0, 0.0], [0.0, 0.0], (0.5, 0.5)) == (0.0, 0.0)
+        pi1, pi2 = search.pair_success_all(0.5, 0.5)
+        assert (pi1[0], pi2[0]) == (0.0, 0.0)
 
 
 class TestInversion:
@@ -226,18 +229,19 @@ class TestMembership:
         w1, w2 = np.array([1.0, 0.0]), np.array([1.0, 0.0])
         gamma = -math.log(0.95)
         r = math.log2(1.0 + gamma)
-        pi1, pi2 = pair_success(stats, w1, w2, (r, r))
-        assert pi1 == pytest.approx(0.95, abs=1e-12)
-        assert pi2 == pytest.approx(0.95, abs=1e-12)
-        assert stat_member(stats, w1, w2, (r, r), OutageSpec.common(0.1))
-        assert not stat_member(stats, w1, w2, (r, r), OutageSpec.common(0.09))
-        assert stat_member(stats, w1, w2, (r, r), OutageSpec.individual(0.05, 0.05))
-        assert not stat_member(stats, w1, w2, (r, r), OutageSpec.individual(0.04, 0.05))
+        pair = StatRegionSearch(stats, [w1], [w2])
+        pi1, pi2 = pair.pair_success_all(r, r)
+        assert pi1[0] == pytest.approx(0.95, abs=1e-12)
+        assert pi2[0] == pytest.approx(0.95, abs=1e-12)
+        assert pair.member_any(r, r, OutageSpec.common(0.1))
+        assert not pair.member_any(r, r, OutageSpec.common(0.09))
+        assert pair.member_any(r, r, OutageSpec.individual(0.05, 0.05))
+        assert not pair.member_any(r, r, OutageSpec.individual(0.04, 0.05))
 
     def test_beamformer_norm_enforced(self):
         stats = diag_stats()
         with pytest.raises(ValueError, match="norm"):
-            stat_member(stats, [2.0, 0.0], [1.0, 0.0], (0.1, 0.1), OutageSpec.common(0.1))
+            StatRegionSearch(stats, [[2.0, 0.0]], [[1.0, 0.0]])
 
     @pytest.mark.parametrize(
         "point", [(-1.0, -1.0), (0.2, -1e-12), (math.nan, 0.2), (0.2, math.inf)],
@@ -248,9 +252,7 @@ class TestMembership:
         w2 = np.array([0.0, 1.0], dtype=complex)
         spec = OutageSpec.individual(0.1, 0.1)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            pair_success(demo_stats, w1, w2, point)
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            stat_member(demo_stats, w1, w2, point, spec)
+            StatRegionSearch(demo_stats, [w1], [w2]).member_any(*point, spec)
         source = SampleSource.gaussian(demo_stats, seed=3, count=100)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             stat_member_mc(demo_stats, np.outer(w1, w1.conj()), np.outer(w2, w2.conj()),
@@ -260,7 +262,8 @@ class TestMembership:
         w1 = np.array([1.0, 0.0], dtype=complex)
         w2 = np.array([0.0, 1.0], dtype=complex)
         point = (0.4, 0.3)
-        pi1, pi2 = pair_success(demo_stats, w1, w2, point)
+        pi1, pi2 = StatRegionSearch(demo_stats, [w1], [w2]).pair_success_all(*point)
+        pi1, pi2 = float(pi1[0]), float(pi2[0])
         source = SampleSource.gaussian(demo_stats, seed=11, count=20000)
         res = stat_member_mc(
             demo_stats,
@@ -342,10 +345,8 @@ class TestRegionSearch:
         spec = OutageSpec.individual(0.1, 0.1)
         for p in search.boundary(spec).points[:5]:
             i = int(p.payload["pair_index"])
-            assert stat_member(
-                demo_stats, search.W1[i], search.W2[i],
-                (p.r1 - 1e-9, p.r2 - 1e-9), spec,
-            )
+            pair = StatRegionSearch(demo_stats, search.W1[i:i + 1], search.W2[i:i + 1])
+            assert pair.member_any(p.r1 - 1e-9, p.r2 - 1e-9, spec)
 
     @pytest.mark.parametrize(
         "spec", [OutageSpec.common(0.1), OutageSpec.individual(0.1, 0.1)],
@@ -373,8 +374,9 @@ class TestRegionSearch:
         assert got == expect
 
     def test_scalar_calls_are_one_row_evaluators(self, demo_stats):
-        """pair_success and stat_member on (W1[i], W2[i]) equal row i of a
-        64-pair evaluator bit for bit, including a zero-signal row."""
+        """A single pair is a one-row evaluator: its success probabilities and
+        membership on (W1[i], W2[i]) equal row i of a 64-pair evaluator bit
+        for bit, including a zero-signal row."""
         W1, W2 = draw_beamformer_pairs(2, 64, seed=7)
         W1[5] = 0.0
         W2[40] = 0.0
@@ -384,11 +386,12 @@ class TestRegionSearch:
         for point in points:
             pi1, pi2 = search.pair_success_all(*point)
             for i in range(64):
-                assert pair_success(demo_stats, W1[i], W2[i], point) == (pi1[i], pi2[i])
-                assert stat_member(demo_stats, W1[i], W2[i], point, common) == bool(
-                    pi1[i] * pi2[i] >= 0.9
-                )
-                assert stat_member(demo_stats, W1[i], W2[i], point, individual) == bool(
+                pair = StatRegionSearch(demo_stats, W1[i:i + 1], W2[i:i + 1])
+                one1, one2 = pair.pair_success_all(*point)
+                np.testing.assert_array_equal(one1, pi1[i:i + 1])
+                np.testing.assert_array_equal(one2, pi2[i:i + 1])
+                assert pair.member_any(*point, common) == bool(pi1[i] * pi2[i] >= 0.9)
+                assert pair.member_any(*point, individual) == bool(
                     pi1[i] >= 0.9 and pi2[i] >= 0.8
                 )
             assert pi1[5] == (1.0 if point[0] == 0.0 else 0.0)
