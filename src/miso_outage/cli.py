@@ -15,6 +15,7 @@ chosen scenario are rejected with the offending path in the message.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -550,7 +551,10 @@ def _at_least(minimum: int):
     return integer
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="miso-outage",
         description="Achievable outage rate regions of the two-user MISO "
@@ -587,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         config = load_config(args.config)

@@ -26,6 +26,14 @@ shared counter, largest r1 first; results do not depend on who computed a
 column, and the caller assembles the boundaries in r1 order.
 Case counts along a column come from one counting context, CaseCounter,
 which takes the r1-only work once and counts each queried r2 once.
+
+A Gaussian stream is sampled once per process: pipelines on the same
+statistics, seed, count and noise share one sampled stream (the frontiers and
+single-user rates), held in a one-entry cache keyed by the exact bytes of
+those inputs, together with the stream's last column search (r1, column,
+q2*). A new key replaces the entry, and clear_stream_cache empties it.
+Explicit-channel sources are never cached. A stream's arrays are read-only,
+so a write into one raises instead of changing a later call's result.
 """
 
 from __future__ import annotations
@@ -40,10 +48,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SampleSource
+from .channel import COVARIANCE_KEYS, SampleSource
 from .outage_mc import CaseProbabilities, count_true
 from .rate_core import (
     RATE_SLACK,
+    FrontierBatch,
     as_noise,
     as_rate_point,
     bisect_largest,
@@ -277,6 +286,8 @@ class GridConfig:
     tol: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.n_points, (int, np.integer)) or isinstance(self.n_points, bool):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
         for name in ("r1_cap", "r2_cap"):
@@ -534,6 +545,83 @@ class CaseCounter:
         )
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass
+class _Stream:
+    """A sampled stream: both frontiers, the single-user rates and the last
+    column search (r1, column, q2*). Its arrays are read-only."""
+
+    F1: FrontierBatch
+    F2: FrontierBatch
+    su1: np.ndarray
+    su2: np.ndarray
+    search: tuple | None = None
+
+
+def _sample_stream(source: SampleSource, noise: tuple[float, float]) -> _Stream:
+    arrs = source.arrays()
+    # Each pair of channels is dropped once its frontier exists, so the
+    # build never holds all four sampled arrays and both frontiers at once.
+    F1 = frontier_batch(arrs.pop("h11"), arrs.pop("h12"))
+    F2 = frontier_batch(arrs.pop("h22"), arrs.pop("h21"))
+    su = []
+    for link, (F, sigma_sq) in enumerate(((F1, noise[0]), (F2, noise[1])), start=1):
+        # p_max = ||h_ii||^2, so the single-user SINR is p_max / sigma_i^2.
+        with np.errstate(over="ignore"):
+            sinr = F.p_max / sigma_sq
+        infinite = count_true(np.isinf(sinr))
+        if infinite:
+            raise ValueError(
+                f"noise {list(noise)} is too small for these channel powers: link "
+                f"{link}'s single-user SINR ||h{link}{link}||^2 / sigma{link}^2 overflows, "
+                f"so its single-user rate is infinite in {infinite} of {source.count} "
+                "realizations"
+            )
+        su.append(rate_from_sinr(sinr))
+    for array in (*vars(F1).values(), *vars(F2).values(), *su):
+        _read_only(array)
+    return _Stream(F1, F2, *su)
+
+
+# The one cached stream of this process, as (key, stream); see _shared_stream.
+_cached_stream: tuple | None = None
+
+
+def clear_stream_cache() -> None:
+    """Forget the cached stream, so the next pipeline on it samples it again."""
+    global _cached_stream
+    _cached_stream = None
+
+
+def _stream_key(source: SampleSource, noise: tuple[float, float]) -> tuple:
+    """Everything a Gaussian stream's frontiers and single-user rates depend
+    on, as exact bytes."""
+    stats = source.stats
+    return (
+        stats.n,
+        *(stats.covariance(key).tobytes() for key in COVARIANCE_KEYS),
+        np.array([stats.sigma1_sq, stats.sigma2_sq, *noise]).tobytes(),
+        source.seed,
+        source.count,
+    )
+
+
+def _shared_stream(source: SampleSource, noise: tuple[float, float]) -> _Stream:
+    """The sampled stream of a Gaussian source: the cached one when its key
+    matches, else a new one, which replaces it in the cache."""
+    global _cached_stream
+    key = _stream_key(source, noise)
+    if _cached_stream is None or _cached_stream[0] != key:
+        # Dropped first, so that the old stream is not held while sampling.
+        _cached_stream = None
+        _cached_stream = (key, _sample_stream(source, noise))
+    return _cached_stream[1]
+
+
 class InstantaneousRegionPipeline:
     """Shared-stream evaluator of instantaneous-CSI outage regions.
 
@@ -543,7 +631,8 @@ class InstantaneousRegionPipeline:
     comparisons, which makes membership exactly monotone in r2 along a column
     and lets several scenarios share identical classifications. Columns read
     through column() are cached; trace_variants computes each column in the
-    process that bisects it and caches none.
+    process that bisects it and caches none. A Gaussian source's stream comes
+    from the process-wide stream cache (see the module docstring).
     """
 
     def __init__(self, source: SampleSource, noise: tuple[float, float]):
@@ -551,14 +640,12 @@ class InstantaneousRegionPipeline:
             raise ValueError("need at least one sample")
         self.source = source
         self.noise = as_noise(noise)
-        arrs = source.arrays()
-        # Each pair of channels is dropped once its frontier exists, so the
-        # build never holds all four sampled arrays and both frontiers at once.
-        self.F1 = frontier_batch(arrs.pop("h11"), arrs.pop("h12"))
-        self.F2 = frontier_batch(arrs.pop("h22"), arrs.pop("h21"))
-        # p_max = ||h_ii||^2, so the single-user SINR is p_max / sigma_i^2.
-        self.su1 = rate_from_sinr(self.F1.p_max / self.noise[0])
-        self.su2 = rate_from_sinr(self.F2.p_max / self.noise[1])
+        if source.realizations is None:
+            self._stream = _shared_stream(source, self.noise)
+        else:
+            self._stream = _sample_stream(source, self.noise)
+        self.F1, self.F2 = self._stream.F1, self._stream.F2
+        self.su1, self.su2 = self._stream.su1, self._stream.su2
         self.n_samples = source.count
         self._columns: dict[float, np.ndarray] = {}
 
@@ -576,11 +663,22 @@ class InstantaneousRegionPipeline:
     def _compute_column(self, r1: float) -> np.ndarray:
         return max_r2_batch(self.F1, self.F2, float(gamma_from_rate(r1)), self.noise)
 
+    def _column_search(self, r1: float) -> tuple:
+        """(column, q2*) at r1, the stream's last column search when it was at r1."""
+        last = self._stream.search
+        if last is not None and last[0] == r1:
+            return last[1:]
+        self._stream.search = None  # not held while the next search runs
+        column, q2 = column_search_batch(self.F1, self.F2, float(gamma_from_rate(r1)),
+                                         self.noise)
+        self._stream.search = (r1, _read_only(column), _read_only(q2))
+        return column, q2
+
     def column(self, r1: float) -> np.ndarray:
         r1 = _column_key(r1)
         cached = self._columns.get(r1)
         if cached is None:
-            cached = self._columns[r1] = self._compute_column(r1)
+            cached = self._columns[r1] = self._column_search(r1)[0]
         return cached
 
     def _map_columns(self, method: str, r1_values: list, workers: int, *args) -> list:
@@ -651,10 +749,9 @@ class InstantaneousRegionPipeline:
         """Link rates at the case-B operating point (transmitter 2 at the column
         maximizer, transmitter 1 just reaching r1); also caches the column."""
         r1 = _column_key(r1)
-        gamma1 = float(gamma_from_rate(r1))
-        column, q2 = column_search_batch(self.F1, self.F2, gamma1, self.noise)
+        column, q2 = self._column_search(r1)
         self._columns.setdefault(r1, column)
-        q1 = frontier_qmin_batch(self.F1, gamma1, q2, self.noise[0])
+        q1 = frontier_qmin_batch(self.F1, float(gamma_from_rate(r1)), q2, self.noise[0])
         return witness_rates_batch(self.F1, self.F2, q1, q2, self.noise)
 
     def case_tests(self, r1: float, r2: float):

@@ -212,8 +212,14 @@ class StatRegionSearch:
         self.t2 = quad_form(stats.Q12, W1)
 
     @_overflow_gives_zero
-    def pair_success_all(self, r1: float, r2: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pair closed-form success probabilities at one rate point."""
+    def pair_success_all(self, r1, r2) -> tuple[np.ndarray, np.ndarray]:
+        """Per-pair closed-form success probabilities at one rate point; r1 and
+        r2 may also be arrays of rates, one per pair. Every rate must be
+        finite and nonnegative."""
+        for r in (r1, r2):
+            r = np.asarray(r, dtype=float)
+            if not (np.all(np.isfinite(r)) and np.all(r >= 0.0)):
+                raise ValueError(f"rates must be finite and nonnegative, got {r1!r}, {r2!r}")
         pi1 = success_probability(
             gamma_from_rate(r1), self.s1, self.t1, self.stats.sigma1_sq
         )

@@ -5,6 +5,16 @@ import pytest
 
 from miso_outage.channel import CHANNEL_KEYS, ChannelRealization, ChannelStatistics, SampleSource
 from miso_outage.presets import demo_statistics
+from miso_outage.regions import clear_stream_cache
+
+
+@pytest.fixture(autouse=True)
+def empty_stream_cache():
+    """Every test starts, and leaves, with no sampled stream cached, so no
+    test reads another test's stream."""
+    clear_stream_cache()
+    yield
+    clear_stream_cache()
 
 
 @pytest.fixture

@@ -272,6 +272,25 @@ class TestMain:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        """The parser is built once per process; a rejected command line
+        leaves it as it was for the next call, defaults included."""
+        from miso_outage import cli
+
+        path = write_config(tmp_path, small_inst_config())
+        assert cli._parser() is cli._parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", path, "0.4", "0.4", "0.5", "--coin-seed", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for extra, seed in ((["--coin-seed", "3"], 3), ([], 0)):
+            assert main(["simulate", path, "0.4", "0.4", "0.5", *extra]) == 0
+            assert json.loads(capsys.readouterr().out)["coin_seed"] == seed
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == miso_outage.__version__
+
     def test_region_rejects_rate_caps_that_overflow(self, tmp_path, capsys):
         """Noise so small that the single-user rate caps pass 1024 bits, where
         2^r - 1 overflows: an error naming the cap and the noise, no artifact."""
@@ -323,6 +342,24 @@ class TestMain:
         out = tmp_path / "out-tiny"
         assert main(["region", write_config(tmp_path, doc), "--out", str(out)]) == 1
         assert "noise power 5e-324" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["region", "--out"], ["point", "0.5", "0.5"],
+                                         ["simulate", "0.5", "0.5", "0.5"]])
+    def test_inst_commands_at_subnormal_noise(self, tmp_path, capsys, command):
+        """Noise 5e-324: ||h11||^2 / sigma1^2 overflows, so every single-user
+        rate is infinite. One error names the noise and the infinite rates,
+        with no RuntimeWarning and no artifact."""
+        path = write_config(tmp_path, small_inst_config(noise=[5e-324, 5e-324]))
+        out = tmp_path / "out"
+        argv = [command[0], path, *command[1:]] + ([str(out)] if command[0] == "region" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "noise [5e-324, 5e-324]" in err
+        assert "single-user rate is infinite in 1500 of 1500 realizations" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["individual-stat", "common-stat"])

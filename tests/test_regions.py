@@ -252,6 +252,16 @@ class TestTraceBoundary:
         with pytest.raises(ValueError):
             GridConfig(r1_cap=-1.0, r2_cap=1.0)
 
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, np.float64(4.0), True, np.True_, "5"])
+    def test_grid_rejects_non_integer_n_points(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            GridConfig(r1_cap=1.0, r2_cap=1.0, n_points=n_points)
+
+    def test_grid_takes_numpy_integer_n_points(self):
+        np.testing.assert_array_equal(
+            GridConfig(r1_cap=1.0, r2_cap=1.0, n_points=np.int64(5)).r1_values,
+            [0.0, 0.25, 0.5, 0.75, 1.0])
+
     @pytest.mark.parametrize("name, value", [
         ("r1_cap", math.inf), ("r1_cap", math.nan), ("r2_cap", math.inf), ("r2_cap", math.nan),
         ("tol", math.nan), ("tol", math.inf), ("tol", -1e-3),

@@ -472,6 +472,26 @@ class TestRegionSearch:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 search.member_any(*point, spec)
 
+    @pytest.mark.parametrize("point", [(-1.0, 0.2), (math.nan, 0.2), (0.2, math.inf),
+                                       (0.2, -1e-300)])
+    def test_pair_success_all_rejects_invalid_rates(self, search, point):
+        """As member_any does: at r1 = NaN or -1 link 1 would otherwise succeed
+        with probability 1."""
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            search.pair_success_all(*point)
+        bad = 0 if point[0] != 0.2 else 1
+        rates = [np.full(len(search.s1), 0.3), np.full(len(search.s1), 0.3)]
+        rates[bad][-1] = point[bad]
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            search.pair_success_all(*rates)
+
+    def test_pair_success_all_takes_one_rate_per_pair(self, search):
+        r1 = np.linspace(0.0, 1.0, len(search.s1))
+        pi1, pi2 = search.pair_success_all(r1, 0.4)
+        for k in (0, len(r1) // 2, len(r1) - 1):
+            one1, one2 = search.pair_success_all(float(r1[k]), 0.4)
+            assert (pi1[k], pi2[k]) == (one1[k], one2[k])
+
     @pytest.mark.parametrize("r1", [-5.0, math.nan, math.inf])
     def test_column_height_rejects_invalid_r1(self, search, r1):
         for spec in (OutageSpec.common(0.1), OutageSpec.individual(0.1, 0.1)):
