@@ -33,7 +33,6 @@ from .channel import (
     ChannelStatistics,
     SampleSource,
     ValidationError,
-    validate_statistics,
 )
 from .outage_mc import estimate_case_probs, simulate_policy
 from .rate_core import gamma_from_rate, power_frontier
@@ -146,27 +145,23 @@ def _vector_doc(h: np.ndarray) -> list:
 
 @dataclass
 class RunConfig:
+    """A parsed run-config. source, built and validated once by parse_config,
+    is the seeded Gaussian stream of the covariances or the explicit channel
+    list."""
+
     scenario: str
     n: int
-    stats: ChannelStatistics | None
-    channels: list[ChannelRealization] | None
+    source: SampleSource
     noise: tuple[float, float]
     epsilons: tuple[float, float]
-    mc_samples: int | None
-    seed: int | None
     grid: dict | None
     search: dict | None
     basename: str
 
-    def source(self) -> SampleSource:
-        if self.channels is not None:
-            return SampleSource.explicit(self.channels)
-        return SampleSource.gaussian(self.stats, seed=self.seed, count=self.mc_samples)
-
     def stat_search(self) -> StatRegionSearch:
         """The evaluator over the search block's seeded random beamformer pairs."""
         W1, W2 = draw_beamformer_pairs(self.n, self.search["n_pairs"], self.search["seed"])
-        return StatRegionSearch(self.stats, W1, W2, self.search["curve_points"])
+        return StatRegionSearch(self.source.stats, W1, W2, self.search["curve_points"])
 
     def spec(self, mode: str) -> OutageSpec | None:
         """The tolerances as an outage spec of the given mode; None for
@@ -178,22 +173,23 @@ class RunConfig:
 
     def to_document(self) -> dict:
         doc = {"scenario": self.scenario, "n": self.n}
-        if self.stats is not None:
+        source = self.source
+        if source.realizations is None:
             doc["covariances"] = {
-                key: _matrix_doc(self.stats.covariance(key))
+                key: _matrix_doc(source.stats.covariance(key))
                 for key in COVARIANCE_KEYS
             }
         else:
             doc["channels"] = [
                 {key: _vector_doc(getattr(r, key)) for key in CHANNEL_KEYS}
-                for r in self.channels
+                for r in source.realizations
             ]
         doc["noise"] = [self.noise[0], self.noise[1]]
         common = SCENARIOS[self.scenario][0] == "common"
         doc["epsilon"] = self.epsilons[0] if common else list(self.epsilons)
-        if self.mc_samples is not None:
-            doc["mc_samples"] = self.mc_samples
-            doc["seed"] = self.seed
+        if source.realizations is None:
+            doc["mc_samples"] = source.count
+            doc["seed"] = source.seed
         if self.grid is not None:
             doc["grid"] = dict(self.grid)
         if self.search is not None:
@@ -259,10 +255,6 @@ def parse_config(text: str) -> RunConfig:
             "channels", "statistical-CSI scenarios require 'covariances'"
         )
 
-    stats = None
-    channels = None
-    mc_samples = None
-    seed = None
     if has_cov:
         cov_node = doc["covariances"]
         if not isinstance(cov_node, dict):
@@ -274,22 +266,15 @@ def parse_config(text: str) -> RunConfig:
             )
             for key in COVARIANCE_KEYS
         }
-        try:
-            stats = validate_statistics(
-                ChannelStatistics(
-                    n=n,
-                    Q11=mats["Q11"],
-                    Q12=mats["Q12"],
-                    Q21=mats["Q21"],
-                    Q22=mats["Q22"],
-                    sigma1_sq=noise[0],
-                    sigma2_sq=noise[1],
-                )
-            )
-        except ValidationError as exc:
-            raise ConfigError("covariances", str(exc)) from exc
         mc_samples = _as_int(_get(doc, "mc_samples", ""), "mc_samples", minimum=1)
         seed = _as_int(_get(doc, "seed", ""), "seed", minimum=0)
+        stats = ChannelStatistics(n=n, **mats, sigma1_sq=noise[0], sigma2_sq=noise[1])
+        # The one validation of the statistics; a seed of 2**128 or more
+        # raises its own ValueError here.
+        try:
+            source = SampleSource.gaussian(stats, seed=seed, count=mc_samples)
+        except ValidationError as exc:
+            raise ConfigError("covariances", str(exc)) from exc
     else:
         for key in ("mc_samples", "seed"):
             if key in doc:
@@ -314,6 +299,7 @@ def parse_config(text: str) -> RunConfig:
                 channels.append(ChannelRealization(**vectors))
             except ValidationError as exc:
                 raise ConfigError(f"channels[{i}]", str(exc)) from exc
+        source = SampleSource.explicit(channels)
 
     grid = None
     if "grid" in doc:
@@ -362,12 +348,9 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         scenario=scenario,
         n=n,
-        stats=stats,
-        channels=channels,
+        source=source,
         noise=noise,
         epsilons=epsilons,
-        mc_samples=mc_samples,
-        seed=seed,
         grid=grid,
         search=search,
         basename=basename,
@@ -392,8 +375,8 @@ def run_validate(config: RunConfig) -> dict:
         "ok": True,
         "scenario": config.scenario,
         "n": config.n,
-        "source": "explicit" if config.channels is not None else "gaussian",
-        "count": config.source().count,
+        "source": "explicit" if config.source.realizations is not None else "gaussian",
+        "count": config.source.count,
     }
 
 
@@ -403,7 +386,7 @@ def run_point(config: RunConfig, r1: float, r2: float) -> dict:
     Instantaneous scenarios report their first variant's membership record;
     common-outage scenarios appear only when the two tolerances are equal.
     """
-    probs = estimate_case_probs(config.source(), (r1, r2), config.noise)
+    probs = estimate_case_probs(config.source, (r1, r2), config.noise)
     search = config.stat_search() if config.search is not None else None
     memberships = {}
     stat = {}
@@ -430,14 +413,14 @@ def run_simulate(
     config: RunConfig, r1: float, r2: float, bias: float, coin_seed: int
 ) -> dict:
     outcome = simulate_policy(
-        config.source(), (r1, r2), bias, config.noise, coin_seed=coin_seed
+        config.source, (r1, r2), bias, config.noise, coin_seed=coin_seed
     )
     return outcome.as_dict()
 
 
 def run_frontier(config: RunConfig, index: int, points: int) -> dict:
     """Power-frontier dump for one realization: p(q) per transmitter."""
-    source = config.source()
+    source = config.source
     count = source.count
     if not 0 <= index < count:
         raise ValueError(f"realization index {index} out of range [0, {count})")
@@ -471,9 +454,7 @@ def _resolved_grid(config: RunConfig, pipeline) -> GridConfig:
             )
     r1_cap, r2_cap = opts.get("r1_cap", caps[0]), opts.get("r2_cap", caps[1])
     for name, cap in (("r1_cap", r1_cap), ("r2_cap", r2_cap)):
-        with np.errstate(over="ignore"):
-            finite = bool(np.isfinite(gamma_from_rate(cap)))
-        if not finite:
+        if not np.isfinite(gamma_from_rate(cap)):
             raise ValueError(
                 f"rate cap {name} = {cap:.6g} bits overflows the SINR threshold "
                 f"2^r - 1 (finite only below 1024 bits); noise {list(config.noise)} "
@@ -494,7 +475,7 @@ def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
         boundaries = {"boundary": boundary}
         columns = STAT_CSV_COLUMNS
     else:
-        pipeline = InstantaneousRegionPipeline(config.source(), config.noise)
+        pipeline = InstantaneousRegionPipeline(config.source, config.noise)
         grid = _resolved_grid(config, pipeline)
         traced = pipeline.trace_variants(spec, grid, variants, workers=workers)
         boundaries = {

@@ -10,8 +10,9 @@ of five cases:
     D  : both targets are individually below the single-user rates but the
          pair is not jointly achievable (exactly one link can be served)
 
-The transmission policy serves both links in case B at the column search's
-operating point, serves the feasible link with its matched filter (other
+The transmission policy serves both links in case B at the column's
+operating point (regions.Column's maximizer q2*, whose witness rates the
+Column holds once computed), serves the feasible link with its matched filter (other
 transmitter off) in C1/C2, switches both off in A, and in D serves link 1 with
 probability p (a biased coin independent of the channels) and link 2
 otherwise. Link i then succeeds exactly on B, Ci and its share of D.

@@ -27,9 +27,10 @@ frontier inverse. g is concave, so golden-section search over the whole
 bracket decides feasibility (achievability_slack_batch); the maximizer yields
 is_achievable's witness beamformers.
 
-Case B is classified by the column search instead (column_search_batch,
-below): the largest r2 at fixed r1, the maximum of the quasi-concave ratio
-phi(q2) = p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) + sigma2^2). It answers two
+Case B is classified by the column kernel instead (max_r2_batch, below):
+the largest r2 at fixed r1, the maximum of the quasi-concave ratio
+phi(q2) = p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) + sigma2^2), and its
+maximizer q2*, which is case B's operating point. It answers two
 kinds of rows without searching: empty brackets (r1 above the single-user
 ceiling) and rows where transmitter 1 zero-forces across the whole bracket
 (its demand at the bracket top is at most d1^2, the lambda = 0 end of its
@@ -128,8 +129,10 @@ QUAD_FORM_TOL = 1e-9
 
 
 def gamma_from_rate(r) -> np.ndarray | float:
-    """SINR threshold 2^r - 1 for a rate target r in bits."""
-    return np.expm1(np.asarray(r, dtype=float) * LN2)
+    """SINR threshold 2^r - 1 for a rate target r in bits; inf, without a
+    RuntimeWarning, from r = 1024 on, where 2^r - 1 overflows."""
+    with np.errstate(over="ignore"):
+        return np.expm1(np.asarray(r, dtype=float) * LN2)
 
 
 def rate_from_sinr(s) -> np.ndarray | float:
@@ -406,16 +409,18 @@ def _demand_slack(p_max, gamma, sigma_sq: float):
     over q. Next to q_full the difference q_full - q is exact, so the slack
     keeps its relative accuracy all the way down to 0. Where p_max / gamma is
     not finite (gamma 0, or so small that it overflows) v is taken as 0,
-    which leaves (p_max - gamma sigma^2) - gamma q.
+    which leaves (p_max - gamma sigma^2) - gamma q. Where v is 0, as where
+    gamma is infinite (r >= 1024 bits), rest is p_max exactly: no inf * 0.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v = np.divide(p_max, gamma)
     v = np.where(np.isfinite(v), v, 0.0)
-    high, low = _two_product(gamma, v)
+    g = np.where(v > 0.0, gamma, 0.0)
+    high, low = _two_product(g, v)
     rest = p_max - high
     rest -= low
     q_full = v - sigma_sq
-    rest += gamma * ((v - q_full) - sigma_sq)
+    rest += g * ((v - q_full) - sigma_sq)
 
     def slack(q):
         e = np.subtract(q_full, q)
@@ -556,7 +561,7 @@ def column_root_search(F1, F2, gamma1, hi, rows, noise):
     the largest q at which transmitter 1's demand t = gamma1 (q + sigma1^2)
     is at most its zero-forcing power d1^2: up to there it zero-forces and
     phi is the nondecreasing p2(q) / sigma2^2 (the argument of the closed
-    form in column_search_batch). With x = q / b2, s = sqrt(t),
+    form in max_r2_batch). With x = q / b2, s = sqrt(t),
     w = sqrt(p1 - t), u = sqrt(q1min / b1), D = q1min + sigma2^2 and
     g2 = sqrt(p2),
 
@@ -689,19 +694,20 @@ def column_root_search(F1, F2, gamma1, hi, rows, noise):
     return best_q, best
 
 
-def column_search_batch(
+def max_r2_batch(
     F1: FrontierBatch,
     F2: FrontierBatch,
     gamma1,
     noise: tuple[float, float],
 ):
-    """Largest achievable r2 per realization at fixed r1 (gamma1), and its maximizer.
+    """The column kernel: the largest achievable r2 per realization at fixed
+    r1 (gamma1), and its maximizer.
 
     Direct form of the trade-off: maximize the quasi-concave ratio
     phi(q2) = p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) + sigma2^2) over the
     interference q2 transmitter 2 may cause; returns (r2_max, q2_star).
-    Realizations whose bracket is empty (r1 above the single-user ceiling)
-    get -inf and q2 = 0.
+    Realizations whose bracket is empty (r1 above the single-user ceiling,
+    as on every row where gamma1 is infinite) get -inf and q2 = 0.
 
     Zero-forcing realizations are answered in closed form: where link 1's
     demand at the bracket top, gamma1 (hi + sigma1^2), is at most the
@@ -726,13 +732,6 @@ def column_search_batch(
     r2 = rate_from_sinr(phi_max)
     r2[infeasible] = -np.inf
     return r2, q2_star
-
-
-def max_r2_batch(
-    F1: FrontierBatch, F2: FrontierBatch, gamma1, noise: tuple[float, float]
-) -> np.ndarray:
-    """Largest achievable r2 per realization at fixed r1: the column search's value."""
-    return column_search_batch(F1, F2, gamma1, noise)[0]
 
 
 def witness_rates_batch(

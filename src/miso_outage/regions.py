@@ -24,16 +24,19 @@ payloads at the boundary points and drops the column, returning a few scalars
 per variant. The caller and k - 1 forked helpers claim the columns from one
 shared counter, largest r1 first; results do not depend on who computed a
 column, and the caller assembles the boundaries in r1 order.
-Case counts along a column come from one counting context, CaseCounter,
-which takes the r1-only work once and counts each queried r2 once.
+Every reader of the column at r1 goes through one Column: the values and
+maximizers of one max_r2_batch call, its case counts, masks and case B's
+witness rates.
 
 A Gaussian stream is sampled once per process: pipelines on the same
 statistics, seed, count and noise share one sampled stream (the frontiers and
 single-user rates), held in a one-entry cache keyed by the exact bytes of
-those inputs, together with the stream's last column search (r1, column,
-q2*). A new key replaces the entry, and clear_stream_cache empties it.
-Explicit-channel sources are never cached. A stream's arrays are read-only,
-so a write into one raises instead of changing a later call's result.
+those inputs. A new key replaces the entry, and clear_stream_cache empties
+it. Explicit-channel sources are never cached. A stream's column store holds
+the Columns of the last request: a read of one column keeps the store if it
+holds that column, else holds that one alone; precompute_columns holds the
+requested set and trace_variants empties it. A stream's arrays and columns are read-only, so a write into
+one raises instead of changing a later call's result.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .rate_core import (
     as_noise,
     as_rate_point,
     bisect_largest,
-    column_search_batch,
     frontier_batch,
     frontier_qmin_batch,
     gamma_from_rate,
@@ -496,29 +498,43 @@ def _jointly_achievable(column: np.ndarray, r2: float) -> np.ndarray:
     return column >= r2 - RATE_SLACK
 
 
-class CaseCounter:
-    """Case probabilities at every r2 of one r1 column.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    exceed1 = r1 > su1 does not depend on r2, so its count, and su2 and the
-    column on its rows, are taken once. At each r2 the counts of the masks of
-    outage_mc.split_cases follow, without the masks, from the comparisons
-    exceed2 = r2 > su2 and joint on all rows and on the exceed1 rows: with
-    a = exceed1 & exceed2, A = #a, B = #joint - #(a & joint),
+
+class Column:
+    """The column at r1: per realization the largest achievable r2 (values)
+    and the interference q2* of transmitter 2 that attains it, case B's
+    operating point, as max_r2_batch returns them.
+
+    exceed1 = r1 > su1 does not depend on r2, so it, its count, and su2 and
+    the values on its rows, are taken once. At each r2 the counts of the
+    masks of outage_mc.split_cases follow, without the masks, from the
+    comparisons exceed2 = r2 > su2 and joint on all rows and on the exceed1
+    rows: with a = exceed1 & exceed2, A = #a, B = #joint - #(a & joint),
     C1 = #(exceed2 & ~joint) - #(a & ~joint) and
     C2 = #(exceed1 & ~joint) - #(a & ~joint). Each r2 is counted once; a
     repeated query (another variant's bisection, a payload) reads the memo.
+    witness holds the link rates at the case-B operating point once the
+    pipeline has computed them. The arrays are read-only.
     """
 
-    def __init__(self, n_samples: int, su1: np.ndarray, su2: np.ndarray,
-                 column: np.ndarray, r1: float):
-        exceed1 = r1 > su1
-        self.n_samples = n_samples
+    def __init__(self, r1: float, su1: np.ndarray, su2: np.ndarray,
+                 values: np.ndarray, q2: np.ndarray):
+        self.values = _read_only(values)
+        self.q2 = _read_only(q2)
         self.su2 = su2
-        self.column = column
-        self.count_exceed1 = count_true(exceed1)
-        self.su2_exceed1 = su2[exceed1]
-        self.column_exceed1 = column[exceed1]
+        self.exceed1 = _read_only(r1 > su1)
+        self.count_exceed1 = count_true(self.exceed1)
+        self.su2_exceed1 = su2[self.exceed1]
+        self.values_exceed1 = values[self.exceed1]
+        self.witness: tuple | None = None
         self._memo: dict[float, CaseProbabilities] = {}
+
+    def masks(self, r2: float) -> tuple:
+        """(exceed1, exceed2, joint) at r2, the per-realization split."""
+        return self.exceed1, r2 > self.su2, _jointly_achievable(self.values, r2)
 
     def case_probs(self, r2: float) -> CaseProbabilities:
         probs = self._memo.get(r2)
@@ -528,14 +544,14 @@ class CaseCounter:
 
     def _count(self, r2: float) -> CaseProbabilities:
         exceed2 = r2 > self.su2
-        joint = _jointly_achievable(self.column, r2)
+        joint = _jointly_achievable(self.values, r2)
         a = r2 > self.su2_exceed1
-        a_joint = _jointly_achievable(self.column_exceed1, r2)
+        a_joint = _jointly_achievable(self.values_exceed1, r2)
         n_exceed2 = count_true(exceed2)
         n_a = count_true(a)
         n_a_nj = n_a - count_true(a & a_joint)
         return CaseProbabilities.from_counts(
-            self.n_samples,
+            self.values.size,
             n_a,
             count_true(joint) - (n_a - n_a_nj),
             n_exceed2 - count_true(exceed2 & joint) - n_a_nj,
@@ -545,21 +561,16 @@ class CaseCounter:
         )
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 @dataclass
 class _Stream:
-    """A sampled stream: both frontiers, the single-user rates and the last
-    column search (r1, column, q2*). Its arrays are read-only."""
+    """A sampled stream: both frontiers, the single-user rates and the column
+    store, the Columns of the last request by r1. Its arrays are read-only."""
 
     F1: FrontierBatch
     F2: FrontierBatch
     su1: np.ndarray
     su2: np.ndarray
-    search: tuple | None = None
+    columns: dict[float, Column] = field(default_factory=dict)
 
 
 def _sample_stream(source: SampleSource, noise: tuple[float, float]) -> _Stream:
@@ -629,10 +640,10 @@ class InstantaneousRegionPipeline:
     Per r1 column the largest achievable r2 of each realization is the
     expensive oracle work; case counts at any (r1, r2) are then threshold
     comparisons, which makes membership exactly monotone in r2 along a column
-    and lets several scenarios share identical classifications. Columns read
-    through column() are cached; trace_variants computes each column in the
-    process that bisects it and caches none. A Gaussian source's stream comes
-    from the process-wide stream cache (see the module docstring).
+    and lets several scenarios share identical classifications. Columns come
+    from the one kernel call in _search and live in the stream's store (see
+    the module docstring); trace_variants builds each Column in the process
+    that bisects it and stores none.
     """
 
     def __init__(self, source: SampleSource, noise: tuple[float, float]):
@@ -647,7 +658,6 @@ class InstantaneousRegionPipeline:
         self.F1, self.F2 = self._stream.F1, self._stream.F2
         self.su1, self.su2 = self._stream.su1, self._stream.su2
         self.n_samples = source.count
-        self._columns: dict[float, np.ndarray] = {}
 
     def su_caps(self, eps1: float, eps2: float):
         """Grid caps from the single-user rate quantiles, plus 10 % headroom.
@@ -660,26 +670,24 @@ class InstantaneousRegionPipeline:
         r2_cap = float(np.quantile(self.su2, eps2)) * 1.1
         return r1_cap, r2_cap
 
-    def _compute_column(self, r1: float) -> np.ndarray:
+    def _search(self, r1: float) -> tuple:
+        """(values, q2*) at r1: the pipeline's one call of the column kernel."""
         return max_r2_batch(self.F1, self.F2, float(gamma_from_rate(r1)), self.noise)
 
-    def _column_search(self, r1: float) -> tuple:
-        """(column, q2*) at r1, the stream's last column search when it was at r1."""
-        last = self._stream.search
-        if last is not None and last[0] == r1:
-            return last[1:]
-        self._stream.search = None  # not held while the next search runs
-        column, q2 = column_search_batch(self.F1, self.F2, float(gamma_from_rate(r1)),
-                                         self.noise)
-        self._stream.search = (r1, _read_only(column), _read_only(q2))
-        return column, q2
-
     def column(self, r1: float) -> np.ndarray:
+        """Each realization's largest achievable r2 at r1 (read-only), by the
+        store's one lookup: on a miss the held columns are dropped first."""
         r1 = _column_key(r1)
-        cached = self._columns.get(r1)
-        if cached is None:
-            cached = self._columns[r1] = self._column_search(r1)[0]
-        return cached
+        store = self._stream.columns
+        if r1 not in store:
+            store.clear()
+            store[r1] = Column(r1, self.su1, self.su2, *self._search(r1))
+        return store[r1].values
+
+    def _column(self, r1: float) -> Column:
+        """The Column at r1, requested through column()."""
+        self.column(r1)
+        return self._stream.columns[_column_key(r1)]
 
     def _map_columns(self, method: str, r1_values: list, workers: int, *args) -> list:
         """[self.method(r1, *args) for r1 in r1_values], run by up to `workers`
@@ -738,50 +746,59 @@ class InstantaneousRegionPipeline:
         return results
 
     def precompute_columns(self, r1_values, workers: int = 1):
-        """Fill the column cache with up to `workers` processes, this one
-        included (see _map_columns); at most one per missing column."""
-        keys = [_column_key(r1) for r1 in r1_values]
-        todo = [r1 for r1 in keys if r1 not in self._columns]
-        for r1, col in zip(todo, self._map_columns("_compute_column", todo, workers)):
-            self._columns[r1] = col
+        """Make the store hold the columns at r1_values: held ones are kept,
+        the others dropped, and the missing ones computed by up to `workers`
+        processes, this one included (see _map_columns)."""
+        keys = list(dict.fromkeys(_column_key(r1) for r1 in r1_values))
+        store = self._stream.columns
+        held = {r1: store[r1] for r1 in keys if r1 in store}
+        store.clear()
+        store.update(held)
+        todo = [r1 for r1 in keys if r1 not in held]
+        for r1, found in zip(todo, self._map_columns("_search", todo, workers)):
+            store[r1] = Column(r1, self.su1, self.su2, *found)
 
     def witness_rates(self, r1: float):
         """Link rates at the case-B operating point (transmitter 2 at the column
-        maximizer, transmitter 1 just reaching r1); also caches the column."""
+        maximizer, transmitter 1 just reaching r1), computed once per Column
+        and held on it, read-only."""
         r1 = _column_key(r1)
-        column, q2 = self._column_search(r1)
-        self._columns.setdefault(r1, column)
-        q1 = frontier_qmin_batch(self.F1, float(gamma_from_rate(r1)), q2, self.noise[0])
-        return witness_rates_batch(self.F1, self.F2, q1, q2, self.noise)
+        column = self._column(r1)
+        if column.witness is None:
+            q1 = frontier_qmin_batch(self.F1, float(gamma_from_rate(r1)), column.q2,
+                                     self.noise[0])
+            rates = witness_rates_batch(self.F1, self.F2, q1, column.q2, self.noise)
+            column.witness = tuple(_read_only(rate) for rate in rates)
+        return column.witness
 
     def case_tests(self, r1: float, r2: float):
         """Masks (exceed1, exceed2, joint) at (r1, r2), for callers that need
-        the per-realization split; counts go through CaseCounter."""
+        the per-realization split."""
         r1, r2 = as_rate_point((r1, r2))
-        return r1 > self.su1, r2 > self.su2, _jointly_achievable(self.column(r1), r2)
+        return self._column(r1).masks(r2)
 
     def case_probs(self, r1: float, r2: float) -> CaseProbabilities:
         r1, r2 = as_rate_point((r1, r2))
-        return CaseCounter(self.n_samples, self.su1, self.su2, self.column(r1), r1).case_probs(r2)
+        return self._column(r1).case_probs(r2)
 
     def member(self, r1: float, r2: float, spec: OutageSpec, variant: str = "plain") -> bool:
         return verdict(self.case_probs(r1, r2), spec, variant).member
 
     def _trace_column(self, r1: float, spec: OutageSpec, grid: GridConfig,
                       variants: tuple) -> list[tuple]:
-        """trace_column of every variant on column r1, from one CaseCounter.
+        """trace_column of every variant on the Column at r1.
 
-        The column is computed here, never read from the cache, and dropped
-        on return, which leaves (inside, r2, payload) per variant.
+        The Column is built here, never read from or put in the store, and
+        dropped on return, which leaves (inside, r2, payload) per variant.
         """
-        counter = CaseCounter(self.n_samples, self.su1, self.su2, self._compute_column(r1), r1)
+        column = Column(r1, self.su1, self.su2, *self._search(r1))
 
         def steps(variant):
             def member(r1, r2):
-                return verdict(counter.case_probs(r2), spec, variant).member
+                return verdict(column.case_probs(r2), spec, variant).member
 
             def annotate(r1, r2):
-                probs = counter.case_probs(r2)
+                probs = column.case_probs(r2)
                 payload = probs.as_dict()["estimates"]
                 payload.update(verdict(probs, spec, variant).margins())
                 return payload
@@ -797,9 +814,10 @@ class InstantaneousRegionPipeline:
         Each column is computed once, by the process that takes it in
         _map_columns, and bisected there for every variant; this process
         receives (inside, r2, payload) per column and variant and assembles
-        each boundary in r1 order. Nothing is cached.
+        each boundary in r1 order. The store is emptied first.
         """
         r1_values = [_column_key(r1) for r1 in grid.r1_values]
+        self._stream.columns.clear()
         steps = self._map_columns("_trace_column", r1_values, workers, spec, grid,
                                   tuple(variants))
         return [

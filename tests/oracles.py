@@ -7,7 +7,7 @@ tests that pin them keep their meaning:
 
 - su_rate_batch: single-user rates of a stacked channel array;
 - case_counts: the five-case counts from the three comparison masks, the
-  route regions.CaseCounter replaces along a column;
+  route regions.Column's counts replace along a column;
 - stat_member_mc (with StatMcResult): Monte-Carlo statistical-CSI
   membership under general-rank transmit covariances;
 - rate_cov (with validate_transmit_covariance): one link's rate under

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -20,3 +21,25 @@ def test_tracer_installs_on_the_package():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_traced_queries_count_every_column_search():
+    """Every column search goes through `regions.max_r2_batch`, and every
+    column request through `InstantaneousRegionPipeline.column`, both of
+    which the tracer sees: a traced inst-queries run (seed 3) computes one
+    column for each of its 8 `point` calls and none for the three `simulate`
+    calls after each, which request that column twice each (witness rates
+    and case masks) and find it held."""
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "inst-queries",
+         "--seed", "3", "--seconds", "2", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=170,
+    )
+    assert result.returncode == 0, result.stderr
+    metrics = json.loads(result.stdout.splitlines()[-1])["metrics"]
+    assert metrics["rate_core.column_calls"]["value"] == 8
+    assert metrics["regions.columns_computed"]["value"] == 8
+    assert metrics["regions.columns_requested"]["value"] == 8 + 24 * 2

@@ -231,6 +231,39 @@ class TestMain:
         assert main(["validate", path]) == 2
         assert "config error: bad" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [[], ["0.9", "0.8"], ["0.9", "0.8", "0.5"]],
+                             ids=["validate", "point", "simulate"])
+    def test_warm_command_validates_statistics_once(self, tmp_path, capsys, monkeypatch, args):
+        """A command run again in one process (its stream already sampled)
+        checks the four covariances once: four eigvalsh calls."""
+        command = {0: "validate", 2: "point", 3: "simulate"}[len(args)]
+        argv = [command, write_config(tmp_path, small_inst_config()), *args]
+        assert main(argv) == 0
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *rest, **kwargs):
+            calls.append(1)
+            return eigvalsh(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert main(argv) == 0
+        assert len(calls) == 4
+        capsys.readouterr()
+
+    def test_bad_statistics_and_seed_keep_their_messages(self, tmp_path, capsys):
+        """An indefinite covariance is a config error (exit 2); a seed of
+        2**128 is an error of the stream (exit 1)."""
+        doc = small_inst_config()
+        doc["covariances"]["Q11"][0][0] = [-1.0, 0.0]
+        assert main(["validate", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: covariances: Q11: not positive semidefinite")
+        path = write_config(tmp_path, small_inst_config(seed=2**128))
+        assert main(["point", path, "0.9", "0.8"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: seed must lie in [0, 2**128), got {2**128}\n")
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
@@ -418,7 +451,7 @@ class TestMain:
         path = write_config(tmp_path, doc)
         assert main(["frontier", path, "--index", "8765", "--points", "5"]) == 0
         report = json.loads(capsys.readouterr().out)
-        arrs = parse_doc(doc).source().arrays()
+        arrs = parse_doc(doc).source.arrays()
         assert report["n_samples"] == len(arrs["h11"])
         for tx, own, cross in (("tx1", "h11", "h12"), ("tx2", "h22", "h21")):
             fr = power_frontier(arrs[own][8765], arrs[cross][8765])

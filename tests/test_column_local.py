@@ -31,7 +31,7 @@ from miso_outage.outage_mc import CaseProbabilities, count_true
 from miso_outage.presets import demo_config
 from miso_outage.rate_core import RATE_SLACK
 from miso_outage.regions import (
-    CaseCounter,
+    Column,
     GridConfig,
     InstantaneousRegionPipeline,
     OutageSpec,
@@ -121,7 +121,7 @@ def test_column_local_boundaries_equal_cached_trace(demo_source, scenario, case,
 
     local = InstantaneousRegionPipeline(source, NOISE)
     boundaries = local.trace_variants(spec, grid, variants, workers=workers)
-    assert local._columns == {}
+    assert local._stream.columns == {}
 
     cached = InstantaneousRegionPipeline(source, NOISE)
     expected = [oracle_boundary(cached, spec, grid, variant) for variant in variants]
@@ -152,7 +152,7 @@ def test_counter_equals_case_counts(rows, r1, r2s):
     and r2 = 0, every query, repeated ones from the memo included, equals the
     case counts of the three comparison masks."""
     su1, su2, column = (np.array(col) for col in zip(*rows))
-    counter = CaseCounter(len(rows), su1, su2, column, r1)
+    counter = Column(r1, su1, su2, column, np.zeros_like(column))
     for r2 in [0.0, *r2s, *r2s]:
         exceed1, exceed2, joint = r1 > su1, r2 > su2, column >= r2 - RATE_SLACK
         expected = CaseProbabilities.from_counts(
@@ -223,7 +223,7 @@ def test_pooled_region_parent_caches_and_receives_no_column(tmp_path, monkeypatc
     assert cli.main(["region", config, "--out", str(tmp_path / "out"), "--workers", "2"]) == 0
 
     (pipeline,) = pipelines
-    assert pipeline._columns == {}
+    assert pipeline._stream.columns == {}
     assert sorted(claimed + [i for i, _ in received]) == list(range(8))
     assert len(computed) == len(claimed)
     assert all(len(steps) == 3 and _is_scalar_tree(steps) for _, steps in received)

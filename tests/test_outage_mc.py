@@ -12,6 +12,7 @@ from miso_outage.outage_mc import (
     simulate_policy,
     split_cases,
 )
+from miso_outage.rate_core import is_achievable
 
 from conftest import BAD_NOISES, realizations
 from oracles import case_counts
@@ -199,3 +200,29 @@ def test_invalid_noise_rejected(demo_source, noise):
         classify(aligned_realization(), (0.5, 0.5), noise)
     with pytest.raises(ValueError, match="noise"):
         simulate_policy(source, (0.5, 0.5), 0.5, noise)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rate", [1023.9, 1024.0, 1500.0, 1e308])
+@pytest.mark.parametrize("kind", ["explicit", "gaussian"])
+def test_rates_past_the_sinr_overflow_are_exact(demo_source, kind, rate):
+    """From r = 1024 bits on 2^r - 1 overflows. Every single-user rate is
+    finite, so at r1 = rate every row has r1 > su1: its column is -inf, only
+    cases A and C2 occur, link 1 never succeeds and no realization can reach
+    the point. The answers come without a RuntimeWarning."""
+    source = demo_source if kind == "gaussian" else SampleSource.explicit(
+        realizations(demo_source, 0, 20))
+    hs = realizations(source, 0, 3)
+    r2 = 0.8
+    probs = estimate_case_probs(source, (rate, r2), NOISE)
+    assert probs.count_b == probs.count_c1 == probs.count_d == 0
+    assert probs.count_a + probs.count_c2 == probs.n_samples == source.count
+    assert probs.count_su_exceed1 == source.count
+    outcome = simulate_policy(source, (rate, r2), 0.5, NOISE)
+    assert (outcome.count_a, outcome.count_c2) == (probs.count_a, probs.count_c2)
+    assert outcome.count_b == outcome.count_c1 == outcome.count_d1 == outcome.count_d2 == 0
+    assert (outcome.success1, outcome.success2) == (0, probs.count_c2)
+    for h in hs:
+        assert classify(h, (rate, r2), NOISE) in (CaseLabel.A, CaseLabel.C2)
+        for point in ((rate, r2), (r2, rate)):
+            assert not is_achievable(h, point, NOISE).achievable

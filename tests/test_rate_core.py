@@ -20,7 +20,6 @@ from miso_outage.rate_core import (
     as_rate_point,
     bisect_largest,
     column_root_search,
-    column_search_batch,
     frontier_batch,
     frontier_point,
     frontier_qmin_batch,
@@ -422,7 +421,7 @@ class TestAchievability:
         noise = (1.0, 1.0)
         assert is_achievable(h, (1.0, 1.0), noise).achievable
         assert not is_achievable(h, (1.0 + 1e-3, 1.0), noise).achievable
-        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(0.3), noise)[0]
+        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(0.3), noise)[0][0]
         assert r2 == pytest.approx(1.0, abs=1e-9)
 
     def test_witness_certifies_achievable_points(self, rng):
@@ -430,7 +429,7 @@ class TestAchievability:
         for _ in range(25):
             h = random_realization(rng)
             r1 = 0.5 * su_rate_batch(h.h11[None, :], noise[0])[0]
-            r2 = 0.5 * max_r2_batch(*realization_frontiers(h), gamma_from_rate(r1), noise)[0]
+            r2 = 0.5 * max_r2_batch(*realization_frontiers(h), gamma_from_rate(r1), noise)[0][0]
             wit = is_achievable(h, (r1, r2), noise)
             assert wit.achievable
             assert wit.margin >= -1e-7
@@ -452,7 +451,7 @@ class TestAchievability:
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
         r1 = 0.6 * su_rate_batch(arrs["h11"], noise[0])
         g1 = gamma_from_rate(r1)
-        r2_star = max_r2_batch(F1, F2, g1, noise)
+        r2_star = max_r2_batch(F1, F2, g1, noise)[0]
         assert np.all(np.isfinite(r2_star))
         delta = 1e-6
         g_below, _, _ = achievability_slack_batch(
@@ -472,7 +471,7 @@ class TestAchievability:
         caps = su_rate_batch(arrs["h11"], noise[0])
         prev = None
         for frac in (0.0, 0.25, 0.5, 0.75, 0.999):
-            r2 = max_r2_batch(F1, F2, gamma_from_rate(frac * caps), noise)
+            r2 = max_r2_batch(F1, F2, gamma_from_rate(frac * caps), noise)[0]
             if prev is not None:
                 assert np.all(r2 <= prev + 1e-9)
             prev = r2
@@ -481,13 +480,13 @@ class TestAchievability:
         noise = (0.9, 1.1)
         for _ in range(10):
             h = random_realization(rng)
-            r2 = max_r2_batch(*realization_frontiers(h), 0.0, noise)[0]
+            r2 = max_r2_batch(*realization_frontiers(h), 0.0, noise)[0][0]
             assert r2 == pytest.approx(su_rate_batch(h.h22[None, :], noise[1])[0], abs=1e-9)
 
     def test_infeasible_r1_is_minus_inf(self):
         """r1 above the link-1 single-user rate (1 bit here): an empty column."""
         h = orthogonal_cross_realization()
-        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(5.0), (1.0, 1.0))
+        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(5.0), (1.0, 1.0))[0]
         assert r2[0] == -math.inf
 
     def test_scalar_matches_batch_decision(self, rng):
@@ -595,7 +594,7 @@ def check_accuracy_contract(arrs, noise, rng):
         r1, r2 = frac1 * su1, frac2 * su2
         gamma1, gamma2 = gamma_from_rate(r1), gamma_from_rate(r2)
         assert_within_contract(
-            max_r2_batch(F1, F2, gamma1, noise), column_oracle(F1, F2, gamma1, noise)
+            max_r2_batch(F1, F2, gamma1, noise)[0], column_oracle(F1, F2, gamma1, noise)
         )
         g, q1, q2 = achievability_slack_batch(F1, F2, gamma1, gamma2, noise)
         ok = g >= -FEASIBILITY_SLACK
@@ -646,7 +645,7 @@ def column_inputs(rng, n, count, noise, family="random"):
 
 
 class TestColumnSearch:
-    """column_search_batch answers empty-bracket and zero-forcing rows in
+    """max_r2_batch answers empty-bracket and zero-forcing rows in
     closed form and searches the rest as a compact batch."""
 
     @pytest.mark.parametrize("family", ["random", *DEGENERATE_FAMILIES])
@@ -664,7 +663,7 @@ class TestColumnSearch:
         # Either side of the zero-forcing test, where the closed form ends.
         gammas += [knee * (1.0 + eta) for eta in (-1e-6, -1e-12, 0.0, 1e-12, 1e-7, 1e-6, 1e-3)]
         for gamma1 in gammas:
-            r2, q2 = column_search_batch(F1, F2, gamma1, noise)
+            r2, q2 = max_r2_batch(F1, F2, gamma1, noise)
             assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
             ok = np.isfinite(r2)
             np.testing.assert_array_equal(q2[~ok], 0.0)
@@ -684,11 +683,11 @@ class TestColumnSearch:
             # The column of the given rows, from their sliced channel arrays.
             F1 = frontier_batch(arrs["h11"][index], arrs["h12"][index])
             F2 = frontier_batch(arrs["h22"][index], arrs["h21"][index])
-            return column_search_batch(F1, F2, gamma1[index], noise)
+            return max_r2_batch(F1, F2, gamma1[index], noise)
 
         F1 = frontier_batch(arrs["h11"], arrs["h12"])
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
-        r2, q2 = column_search_batch(F1, F2, gamma1, noise)
+        r2, q2 = max_r2_batch(F1, F2, gamma1, noise)
         empty, hi = column_bracket(F1, F2, gamma1, noise)
         zero_forcing = ~empty & (gamma1 * (hi + noise[0]) <= F1.d_sq)
         assert empty.any() and zero_forcing.any() and not (empty | zero_forcing).all()
@@ -705,7 +704,7 @@ class TestColumnSearch:
         noise = (0.5, 0.8)
         F1, F2, _ = column_inputs(rng, 2, 200, noise)
         with mock.patch.object(rate_core, "column_root_search", wraps=column_root_search) as search:
-            r2, q2 = column_search_batch(F1, F2, 0.0, noise)
+            r2, q2 = max_r2_batch(F1, F2, 0.0, noise)
         search.assert_not_called()
         assert_within_contract(r2, column_oracle(F1, F2, 0.0, noise))
         np.testing.assert_array_equal(q2, F2.q_mrt)
@@ -717,7 +716,7 @@ class TestColumnSearch:
         # Between the zero-forcing knee and the single-user ceiling.
         gamma1 = np.sqrt(zero_forcing_knee(F1, F2, noise) * F1.p_max / noise[0])
         with mock.patch.object(rate_core, "column_root_search", wraps=column_root_search) as search:
-            r2, _ = column_search_batch(F1, F2, gamma1, noise)
+            r2, _ = max_r2_batch(F1, F2, gamma1, noise)
         assert search.call_args.args[4].size == count
         assert np.all(np.isfinite(r2))
         assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
@@ -727,7 +726,7 @@ class TestColumnSearch:
         noise = (0.5, 0.8)
         F1, F2, su1 = column_inputs(rng, 2, 200, noise)
         with mock.patch.object(rate_core, "column_root_search", wraps=column_root_search) as search:
-            r2, q2 = column_search_batch(F1, F2, gamma_from_rate(su1.max() + 0.1), noise)
+            r2, q2 = max_r2_batch(F1, F2, gamma_from_rate(su1.max() + 0.1), noise)
         search.assert_not_called()
         np.testing.assert_array_equal(r2, -np.inf)
         np.testing.assert_array_equal(q2, 0.0)
@@ -792,7 +791,7 @@ class TestColumnSearch:
             with mock.patch.object(rate_core, "golden_max", side_effect=AssertionError), \
                     mock.patch.object(rate_core, "column_root_search",
                                       wraps=column_root_search) as search:
-                r2, _ = column_search_batch(F1, F2, gamma_from_rate(factor * su1), noise)
+                r2, _ = max_r2_batch(F1, F2, gamma_from_rate(factor * su1), noise)
             assert search.call_args.args[4].size > 0
             assert np.isfinite(r2).any()
 
@@ -808,7 +807,7 @@ class TestColumnSearch:
         F1, F2, su1 = column_inputs(rng, n, 2000, noise)
         r1 = (1.0 - eta) * su1
         gamma1 = gamma_from_rate(r1)
-        r2, q2 = column_search_batch(F1, F2, gamma1, noise)
+        r2, q2 = max_r2_batch(F1, F2, gamma1, noise)
         ok = np.isfinite(r2)
         assert ok.sum() > 500
         q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
@@ -829,7 +828,7 @@ class TestColumnSearch:
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
         gamma1 = float(gamma_from_rate(r1))
         assert 0.0 < gamma1 < np.finfo(float).tiny
-        r2 = max_r2_batch(F1, F2, gamma1, noise)
+        r2 = max_r2_batch(F1, F2, gamma1, noise)[0]
         assert_within_contract(r2, su_rate_batch(arrs["h22"], noise[1]))
         g_max, _, _ = achievability_slack_batch(F1, F2, gamma1, 0.0, noise)
         assert np.all(np.isfinite(g_max))
@@ -838,7 +837,7 @@ class TestColumnSearch:
 def assert_column_contract(F1, F2, gamma1, noise):
     """The column search within the contract of column_oracle, and its
     maximizer a witness of both rates."""
-    r2, q2 = column_search_batch(F1, F2, gamma1, noise)
+    r2, q2 = max_r2_batch(F1, F2, gamma1, noise)
     assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
     ok = np.isfinite(r2)
     q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])

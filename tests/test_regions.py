@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from miso_outage import regions
 from miso_outage.channel import SampleSource
 from miso_outage.outage_mc import CaseProbabilities, estimate_case_probs
 from miso_outage.rate_core import (
@@ -447,7 +448,7 @@ class TestPipeline:
             fresh.column(r1)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             fresh.precompute_columns([0.3, r1])
-        assert fresh._columns == {}
+        assert fresh._stream.columns == {}
 
     def test_common_variant_rejects_fixed(self, pipeline):
         with pytest.raises(ValueError):
@@ -455,19 +456,24 @@ class TestPipeline:
 
     def test_parallel_columns_identical(self, demo_source, monkeypatch):
         """Columns are bitwise equal for any process count; with k processes
-        k - 1 helpers are forked, this process being the k-th."""
+        k - 1 helpers are forked, this process being the k-th. The store
+        belongs to the stream, so each parallel pipeline samples its own."""
         forks = record_forks(monkeypatch)
         serial = InstantaneousRegionPipeline(demo_source, NOISE)
         r1_values = [0.0, 0.3, 0.6, 0.9]
         serial.precompute_columns(r1_values, workers=1)
         helpers = []
         for workers in (1, 2, 3, 5):
+            regions.clear_stream_cache()
             parallel = InstantaneousRegionPipeline(demo_source, NOISE)
             before = len(forks)
             parallel.precompute_columns(r1_values, workers=workers)
             helpers.append(len(forks) - before)
+            held = dict(parallel._stream.columns)
             for r1 in r1_values:
                 np.testing.assert_array_equal(serial.column(r1), parallel.column(r1))
+            assert parallel._stream.columns == held
+        assert sorted(serial._stream.columns) == r1_values
         assert helpers == [0, 1, 2, 3]
 
     def test_pool_capped_at_missing_columns(self, demo_source, monkeypatch):
@@ -478,7 +484,7 @@ class TestPipeline:
         fresh.precompute_columns([0.3, 0.6, 0.9], workers=8)
         fresh.precompute_columns([0.3, 0.6, 0.9], workers=8)
         assert len(forks) == 1
-        assert sorted(fresh._columns) == [0.3, 0.6, 0.9]
+        assert sorted(fresh._stream.columns) == [0.3, 0.6, 0.9]
 
     def test_su_rates_from_frontier_power(self, demo_source):
         """su_i read off the frontier's p_max = ||h_ii||^2 equal a fresh

@@ -1,7 +1,8 @@
 """The process-wide stream cache of `regions`.
 
-Pipelines on one Gaussian stream share one sampled stream, and `simulate` at
-the r1 of the last column search reuses that search. Neither may change an
+Pipelines on one Gaussian stream share one sampled stream, whose column
+store holds the columns of the last request, so `simulate` at the r1 of the
+last column reuses its search and witness rates. Neither may change an
 output: `region`, `point` and `simulate` interleaved in one process give the
 bytes of fresh processes. A change of any input the stream depends on
 samples it again, only one stream is held, and the cached arrays are
@@ -24,7 +25,7 @@ from miso_outage.channel import COVARIANCE_KEYS, ChannelStatistics, SampleSource
 from miso_outage.cli import SCENARIOS
 from miso_outage.outage_mc import estimate_case_probs, simulate_policy
 from miso_outage.presets import demo_config
-from miso_outage.regions import InstantaneousRegionPipeline
+from miso_outage.regions import GridConfig, InstantaneousRegionPipeline, OutageSpec
 
 from conftest import realizations
 
@@ -224,36 +225,80 @@ def test_explicit_sources_are_not_cached(demo_source, monkeypatch):
 
 
 def test_simulate_reuses_the_column_search_of_point(demo_source, monkeypatch):
-    """One search for a point and three simulate calls at its r1; the last
-    search is let go before the next one runs."""
-    searches = []
-    search = regions.column_search_batch
+    """One search and one witness computation for a point and three simulate
+    calls at its r1; the held column is let go before the next search runs,
+    and the store holds one column after each call."""
+    searches, witnesses = [], []
+    search, qmin, rates = (regions.max_r2_batch, regions.frontier_qmin_batch,
+                           regions.witness_rates_batch)
 
-    def logged(F1, F2, gamma1, noise):
-        searches.append(regions._cached_stream[1].search)
+    def logged_search(F1, F2, gamma1, noise):
+        searches.append(dict(regions._cached_stream[1].columns))
         return search(F1, F2, gamma1, noise)
 
-    monkeypatch.setattr(regions, "column_search_batch", logged)
+    def logged_qmin(*args):
+        witnesses.append("q1")
+        return qmin(*args)
+
+    def logged_rates(*args):
+        witnesses.append("rates")
+        return rates(*args)
+
+    monkeypatch.setattr(regions, "max_r2_batch", logged_search)
+    monkeypatch.setattr(regions, "frontier_qmin_batch", logged_qmin)
+    monkeypatch.setattr(regions, "witness_rates_batch", logged_rates)
     estimate_case_probs(demo_source, (0.9, 0.8), NOISE)
     for bias in (0.2, 0.5, 0.8):
         simulate_policy(demo_source, (0.9, 0.8), bias, NOISE)
     assert len(searches) == 1
+    assert witnesses == ["q1", "rates"]
     simulate_policy(demo_source, (1.1, 0.8), 0.5, NOISE)
     simulate_policy(demo_source, (0.9, 0.8), 0.5, NOISE)
-    assert searches == [None] * 3
+    assert searches == [{}] * 3
+    assert witnesses == ["q1", "rates"] * 3
+    assert list(regions._cached_stream[1].columns) == [0.9]
+
+
+def test_store_holds_the_columns_of_the_last_request(demo_source):
+    """precompute_columns keeps the held columns it asks for and drops the
+    rest; a one-column read of a held column keeps every held column, and a
+    read of another keeps only its own; trace_variants empties the store."""
+    pipeline = InstantaneousRegionPipeline(demo_source, NOISE)
+    store = pipeline._stream.columns
+    pipeline.precompute_columns([0.3, 0.6, 0.9])
+    assert sorted(store) == [0.3, 0.6, 0.9]
+    held = store[0.6]
+    pipeline.precompute_columns([0.6, 1.2, 0.6])
+    assert sorted(store) == [0.6, 1.2] and store[0.6] is held
+    held = dict(store)
+    reads = {
+        "column": pipeline.column,
+        "case_probs": lambda r1: pipeline.case_probs(r1, 0.5),
+        "case_tests": lambda r1: pipeline.case_tests(r1, 0.5),
+        "witness_rates": pipeline.witness_rates,
+    }
+    for name, read in reads.items():
+        for r1 in held:
+            read(r1)
+            assert store == held and all(store[r] is held[r] for r in held), name
+    for r1, (name, read) in zip((0.3, 0.9, 1.2, 0.3), reads.items()):
+        read(r1)
+        assert list(store) == [r1], name
+    grid = GridConfig(r1_cap=1.0, r2_cap=1.0, n_points=3)
+    pipeline.trace_variants(OutageSpec.individual(0.1, 0.1), grid, ("plain", "fixed1"))
+    assert store == {}
 
 
 def test_cached_arrays_are_read_only(demo_source):
     pipeline = InstantaneousRegionPipeline(demo_source, NOISE)
-    pipeline.witness_rates(0.7)
-    r1, column, q2 = pipeline._stream.search
-    assert r1 == 0.7 and pipeline.column(0.7) is column
+    witness = pipeline.witness_rates(0.7)
+    ((r1, column),) = pipeline._stream.columns.items()
+    assert r1 == 0.7 and pipeline.column(0.7) is column.values and column.witness is witness
     arrays = [*vars(pipeline.F1).values(), *vars(pipeline.F2).values(),
-              pipeline.su1, pipeline.su2, column, q2]
-    assert len(arrays) == 24
+              pipeline.su1, pipeline.su2, column.values, column.q2, column.exceed1, *witness]
+    assert len(arrays) == 27
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
         with pytest.raises(ValueError, match="read-only"):
             np.negative(array, out=array)
-
