@@ -24,9 +24,15 @@ payloads at the boundary points and drops the column, returning a few scalars
 per variant. The caller and k - 1 forked helpers claim the columns from one
 shared counter, largest r1 first; results do not depend on who computed a
 column, and the caller assembles the boundaries in r1 order.
+A traced column is bounded before it is searched: every variant is bisected
+on the kernel's lower and upper bounds of the column, and only the rows
+whose bounds leave a count in doubt are root-searched, in one call, before
+the bisection that gives the boundary point. The r2 and payloads are those
+of the exact column, bit for bit (_trace_column).
 Every reader of the column at r1 goes through one Column: the values and
 maximizers of one max_r2_batch call, its case counts, masks and case B's
-witness rates.
+witness rates. The store's Columns are exact: column(), point, simulate and
+precompute_columns refine every searched row.
 
 A Gaussian stream is sampled once per process: pipelines on the same
 statistics, seed, count and noise share one sampled stream (the frontiers and
@@ -41,6 +47,7 @@ one raises instead of changing a later call's result.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import pickle
@@ -55,6 +62,7 @@ from .channel import COVARIANCE_KEYS, SampleSource
 from .outage_mc import CaseProbabilities, count_true
 from .rate_core import (
     RATE_SLACK,
+    ColumnBounds,
     FrontierBatch,
     as_noise,
     as_rate_point,
@@ -401,11 +409,17 @@ def _column_key(r1: float) -> float:
 def _claim_order(r1_values: list) -> list[int]:
     """Indices of r1_values by decreasing r1, the order columns are claimed in.
 
-    Along a traced grid a column costs more as r1 grows: fewer rows are
-    zero-forcing (answered in closed form) and more need the root search.
-    Claiming the largest r1 first is greedy longest-job-first list
-    scheduling, so the cheap columns fill the gaps at the end instead of one
-    long column running on after the other processes have run dry.
+    The kernel's bracket stage costs more as r1 grows, since fewer rows are
+    zero-forcing (answered in closed form), but a traced column's refine and
+    counts depend on where its boundary lies, and a column outside the
+    region even on its upper bound costs its bracket stage alone. So the
+    largest r1 is no longer the longest column: on the benchmark grid
+    (individual-inst, N = 2e4, 8 columns, r1 = 0..1.91, one process on a
+    2-vCPU host) the columns take 1.0 2.2 2.6 3.1 3.5 3.9 5.0 2.4 ms.
+    Largest r1 first still hands the long columns out early and the
+    cheapest one (r1 = 0) last: with those times two processes finish 2.4 %
+    after an even split of the work, and 1.6 % after the best split of
+    these eight columns, which no claim order can beat.
     """
     return sorted(range(len(r1_values)), key=r1_values.__getitem__, reverse=True)
 
@@ -506,10 +520,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class Column:
     """The column at r1: per realization the largest achievable r2 (values)
     and the interference q2* of transmitter 2 that attains it, case B's
-    operating point, as max_r2_batch returns them.
+    operating point, as max_r2_batch's ColumnBounds.exact returns them. A
+    Column over a bound of those values (on) counts the same way; a traced
+    column counts on its bounds and on their refinement, with no q2*.
 
     exceed1 = r1 > su1 does not depend on r2, so it, its count, and su2 and
-    the values on its rows, are taken once. At each r2 the counts of the
+    the values on its rows, are taken once, and the r1-only part is shared
+    with the Columns built from this one by on. At each r2 the counts of the
     masks of outage_mc.split_cases follow, without the masks, from the
     comparisons exceed2 = r2 > su2 and joint on all rows and on the exceed1
     rows: with a = exceed1 & exceed2, A = #a, B = #joint - #(a & joint),
@@ -521,13 +538,24 @@ class Column:
     """
 
     def __init__(self, r1: float, su1: np.ndarray, su2: np.ndarray,
-                 values: np.ndarray, q2: np.ndarray):
-        self.values = _read_only(values)
-        self.q2 = _read_only(q2)
+                 values: np.ndarray, q2: np.ndarray | None = None):
         self.su2 = su2
         self.exceed1 = _read_only(r1 > su1)
         self.count_exceed1 = count_true(self.exceed1)
         self.su2_exceed1 = su2[self.exceed1]
+        self._hold(values, q2)
+
+    def on(self, values: np.ndarray) -> "Column":
+        """The Column at the same r1 over other values (a bound of these, or
+        their refinement), with no q2*: the r1-only work, exceed1 with its
+        count and su2 on its rows, is shared; the counts are its own."""
+        column = copy.copy(self)
+        column._hold(values, None)
+        return column
+
+    def _hold(self, values: np.ndarray, q2: np.ndarray | None):
+        self.values = _read_only(values)
+        self.q2 = None if q2 is None else _read_only(q2)
         self.values_exceed1 = values[self.exceed1]
         self.witness: tuple | None = None
         self._memo: dict[float, CaseProbabilities] = {}
@@ -640,10 +668,11 @@ class InstantaneousRegionPipeline:
     Per r1 column the largest achievable r2 of each realization is the
     expensive oracle work; case counts at any (r1, r2) are then threshold
     comparisons, which makes membership exactly monotone in r2 along a column
-    and lets several scenarios share identical classifications. Columns come
-    from the one kernel call in _search and live in the stream's store (see
-    the module docstring); trace_variants builds each Column in the process
-    that bisects it and stores none.
+    and lets several scenarios share identical classifications. Every column
+    comes from one kernel call, in _bounds. _search refines all its searched
+    rows for the stream's store (see the module docstring); trace_variants
+    builds each column's Columns in the process that bisects it, on the
+    kernel's bounds and the rows it refines, and stores none.
     """
 
     def __init__(self, source: SampleSource, noise: tuple[float, float]):
@@ -670,9 +699,14 @@ class InstantaneousRegionPipeline:
         r2_cap = float(np.quantile(self.su2, eps2)) * 1.1
         return r1_cap, r2_cap
 
-    def _search(self, r1: float) -> tuple:
-        """(values, q2*) at r1: the pipeline's one call of the column kernel."""
+    def _bounds(self, r1: float) -> ColumnBounds:
+        """The column kernel at r1 after its bracket stage: the pipeline's one
+        call of max_r2_batch per computed column."""
         return max_r2_batch(self.F1, self.F2, float(gamma_from_rate(r1)), self.noise)
+
+    def _search(self, r1: float) -> tuple:
+        """(values, q2*) at r1, every searched row refined: the exact column."""
+        return self._bounds(r1).exact()
 
     def column(self, r1: float) -> np.ndarray:
         """Each realization's largest achievable r2 at r1 (read-only), by the
@@ -786,26 +820,77 @@ class InstantaneousRegionPipeline:
 
     def _trace_column(self, r1: float, spec: OutageSpec, grid: GridConfig,
                       variants: tuple) -> list[tuple]:
-        """trace_column of every variant on the Column at r1.
+        """trace_column of every variant on the column at r1, root-searching
+        only the rows whose bounds leave a queried count in doubt.
 
-        The Column is built here, never read from or put in the store, and
+        Every verdict is monotone in the column values (raising a value can
+        only move its row into case B) and in r2, so a bisection on the
+        kernel's lower bound ends at or below the one on the exact column,
+        and a bisection on the upper bound at or above it: both follow the
+        exact bisection until the first query where they disagree with it.
+        Per variant the lower bound gives r2_lo (or none, outside at r2 = 0)
+        and the upper one r2_hi (outside there: outside on the exact column
+        too). The exact bisection then has verdict True up to r2_lo. Past
+        r2_hi it queries only r2 that the upper bisection also queried and
+        found outside, so its verdict there is False. Only queries in
+        (r2_lo, r2_hi] and the payload at its result, which lies in
+        [r2_lo, r2_hi], are counted. The searched rows whose [lower, upper]
+        straddles the joint threshold r2 - RATE_SLACK somewhere in such a
+        span are refined in one call; every other row keeps its lower bound,
+        which is on the same side of each of those thresholds as its exact
+        value. So the counts made are the exact column's, and so are the
+        r2 and payloads, bit for bit.
+
+        The Columns are built here, never read from or put in the store, and
         dropped on return, which leaves (inside, r2, payload) per variant.
         """
-        column = Column(r1, self.su1, self.su2, *self._search(r1))
+        bounds = self._bounds(r1)
+        lower = Column(r1, self.su1, self.su2, bounds.lower)
+        upper = lower.on(bounds.upper)
 
-        def steps(variant):
+        def bisected(column, variant, below=-math.inf, above=math.inf, annotate=None):
             def member(r1, r2):
+                if r2 <= below:
+                    return True
+                if r2 > above:
+                    return False
                 return verdict(column.case_probs(r2), spec, variant).member
 
+            return trace_column(member, r1, grid, annotate)
+
+        spans = []  # per variant: (r2_lo or -inf, r2_hi), None if outside
+        for variant in variants:
+            inside, r2_lo, _ = bisected(lower, variant)
+            below = r2_lo if inside else -math.inf
+            inside, r2_hi, _ = bisected(upper, variant, below)
+            spans.append((below, r2_hi) if inside else None)
+
+        searched = bounds.searched
+        lo, hi = bounds.lower[searched], bounds.upper[searched]
+        undecided = np.zeros(searched.size, dtype=bool)
+        for span in spans:
+            if span is not None:
+                undecided |= (hi >= max(span[0], 0.0) - RATE_SLACK) & (lo < span[1] - RATE_SLACK)
+        exact = lower
+        if undecided.any():
+            values = bounds.lower.copy()
+            values[searched[undecided]] = bounds.refine(undecided)[0]
+            exact = lower.on(values)
+
+        def annotated(variant):
             def annotate(r1, r2):
-                probs = column.case_probs(r2)
+                probs = exact.case_probs(r2)
                 payload = probs.as_dict()["estimates"]
                 payload.update(verdict(probs, spec, variant).margins())
                 return payload
 
-            return trace_column(member, r1, grid, annotate)
+            return annotate
 
-        return [steps(variant) for variant in variants]
+        return [
+            (False, None, None) if span is None
+            else bisected(exact, variant, *span, annotate=annotated(variant))
+            for variant, span in zip(variants, spans)
+        ]
 
     def trace_variants(self, spec: OutageSpec, grid: GridConfig, variants,
                        workers: int = 1) -> list[RegionBoundary]:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miso_outage import rate_core
-from miso_outage.channel import CHANNEL_KEYS, ChannelRealization
+from miso_outage.channel import CHANNEL_KEYS, ChannelRealization, SampleSource
+from miso_outage.presets import demo_statistics
 from miso_outage.rate_core import (
     FEASIBILITY_SLACK,
     GOLDEN_VALUE_TOL,
@@ -19,7 +20,6 @@ from miso_outage.rate_core import (
     as_noise,
     as_rate_point,
     bisect_largest,
-    column_root_search,
     frontier_batch,
     frontier_point,
     frontier_qmin_batch,
@@ -33,6 +33,7 @@ from miso_outage.rate_core import (
     quad_form,
     rate_bf,
     rate_from_sinr,
+    root_bracket,
     validate_beamformer,
     witness_rates_batch,
 )
@@ -421,7 +422,7 @@ class TestAchievability:
         noise = (1.0, 1.0)
         assert is_achievable(h, (1.0, 1.0), noise).achievable
         assert not is_achievable(h, (1.0 + 1e-3, 1.0), noise).achievable
-        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(0.3), noise)[0][0]
+        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(0.3), noise).exact()[0][0]
         assert r2 == pytest.approx(1.0, abs=1e-9)
 
     def test_witness_certifies_achievable_points(self, rng):
@@ -429,7 +430,8 @@ class TestAchievability:
         for _ in range(25):
             h = random_realization(rng)
             r1 = 0.5 * su_rate_batch(h.h11[None, :], noise[0])[0]
-            r2 = 0.5 * max_r2_batch(*realization_frontiers(h), gamma_from_rate(r1), noise)[0][0]
+            F1, F2 = realization_frontiers(h)
+            r2 = 0.5 * max_r2_batch(F1, F2, gamma_from_rate(r1), noise).exact()[0][0]
             wit = is_achievable(h, (r1, r2), noise)
             assert wit.achievable
             assert wit.margin >= -1e-7
@@ -451,7 +453,7 @@ class TestAchievability:
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
         r1 = 0.6 * su_rate_batch(arrs["h11"], noise[0])
         g1 = gamma_from_rate(r1)
-        r2_star = max_r2_batch(F1, F2, g1, noise)[0]
+        r2_star = max_r2_batch(F1, F2, g1, noise).exact()[0]
         assert np.all(np.isfinite(r2_star))
         delta = 1e-6
         g_below, _, _ = achievability_slack_batch(
@@ -471,7 +473,7 @@ class TestAchievability:
         caps = su_rate_batch(arrs["h11"], noise[0])
         prev = None
         for frac in (0.0, 0.25, 0.5, 0.75, 0.999):
-            r2 = max_r2_batch(F1, F2, gamma_from_rate(frac * caps), noise)[0]
+            r2 = max_r2_batch(F1, F2, gamma_from_rate(frac * caps), noise).exact()[0]
             if prev is not None:
                 assert np.all(r2 <= prev + 1e-9)
             prev = r2
@@ -480,13 +482,13 @@ class TestAchievability:
         noise = (0.9, 1.1)
         for _ in range(10):
             h = random_realization(rng)
-            r2 = max_r2_batch(*realization_frontiers(h), 0.0, noise)[0][0]
+            r2 = max_r2_batch(*realization_frontiers(h), 0.0, noise).exact()[0][0]
             assert r2 == pytest.approx(su_rate_batch(h.h22[None, :], noise[1])[0], abs=1e-9)
 
     def test_infeasible_r1_is_minus_inf(self):
         """r1 above the link-1 single-user rate (1 bit here): an empty column."""
         h = orthogonal_cross_realization()
-        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(5.0), (1.0, 1.0))[0]
+        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(5.0), (1.0, 1.0)).exact()[0]
         assert r2[0] == -math.inf
 
     def test_scalar_matches_batch_decision(self, rng):
@@ -594,8 +596,9 @@ def check_accuracy_contract(arrs, noise, rng):
         r1, r2 = frac1 * su1, frac2 * su2
         gamma1, gamma2 = gamma_from_rate(r1), gamma_from_rate(r2)
         assert_within_contract(
-            max_r2_batch(F1, F2, gamma1, noise)[0], column_oracle(F1, F2, gamma1, noise)
+            max_r2_batch(F1, F2, gamma1, noise).exact()[0], column_oracle(F1, F2, gamma1, noise)
         )
+        assert_bounds_hold(F1, F2, gamma1, noise, rng)
         g, q1, q2 = achievability_slack_batch(F1, F2, gamma1, gamma2, noise)
         ok = g >= -FEASIBILITY_SLACK
         rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
@@ -663,8 +666,9 @@ class TestColumnSearch:
         # Either side of the zero-forcing test, where the closed form ends.
         gammas += [knee * (1.0 + eta) for eta in (-1e-6, -1e-12, 0.0, 1e-12, 1e-7, 1e-6, 1e-3)]
         for gamma1 in gammas:
-            r2, q2 = max_r2_batch(F1, F2, gamma1, noise)
+            r2, q2 = max_r2_batch(F1, F2, gamma1, noise).exact()
             assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
+            assert_bounds_hold(F1, F2, gamma1, noise, rng)
             ok = np.isfinite(r2)
             np.testing.assert_array_equal(q2[~ok], 0.0)
             q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
@@ -683,11 +687,11 @@ class TestColumnSearch:
             # The column of the given rows, from their sliced channel arrays.
             F1 = frontier_batch(arrs["h11"][index], arrs["h12"][index])
             F2 = frontier_batch(arrs["h22"][index], arrs["h21"][index])
-            return max_r2_batch(F1, F2, gamma1[index], noise)
+            return max_r2_batch(F1, F2, gamma1[index], noise).exact()
 
         F1 = frontier_batch(arrs["h11"], arrs["h12"])
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
-        r2, q2 = max_r2_batch(F1, F2, gamma1, noise)
+        r2, q2 = max_r2_batch(F1, F2, gamma1, noise).exact()
         empty, hi = column_bracket(F1, F2, gamma1, noise)
         zero_forcing = ~empty & (gamma1 * (hi + noise[0]) <= F1.d_sq)
         assert empty.any() and zero_forcing.any() and not (empty | zero_forcing).all()
@@ -703,8 +707,8 @@ class TestColumnSearch:
         rng = np.random.default_rng(12)
         noise = (0.5, 0.8)
         F1, F2, _ = column_inputs(rng, 2, 200, noise)
-        with mock.patch.object(rate_core, "column_root_search", wraps=column_root_search) as search:
-            r2, q2 = max_r2_batch(F1, F2, 0.0, noise)
+        with mock.patch.object(rate_core, "root_bracket", wraps=root_bracket) as search:
+            r2, q2 = max_r2_batch(F1, F2, 0.0, noise).exact()
         search.assert_not_called()
         assert_within_contract(r2, column_oracle(F1, F2, 0.0, noise))
         np.testing.assert_array_equal(q2, F2.q_mrt)
@@ -715,8 +719,8 @@ class TestColumnSearch:
         F1, F2, _ = column_inputs(rng, 2, count, noise)
         # Between the zero-forcing knee and the single-user ceiling.
         gamma1 = np.sqrt(zero_forcing_knee(F1, F2, noise) * F1.p_max / noise[0])
-        with mock.patch.object(rate_core, "column_root_search", wraps=column_root_search) as search:
-            r2, _ = max_r2_batch(F1, F2, gamma1, noise)
+        with mock.patch.object(rate_core, "root_bracket", wraps=root_bracket) as search:
+            r2, _ = max_r2_batch(F1, F2, gamma1, noise).exact()
         assert search.call_args.args[4].size == count
         assert np.all(np.isfinite(r2))
         assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
@@ -725,8 +729,8 @@ class TestColumnSearch:
         rng = np.random.default_rng(14)
         noise = (0.5, 0.8)
         F1, F2, su1 = column_inputs(rng, 2, 200, noise)
-        with mock.patch.object(rate_core, "column_root_search", wraps=column_root_search) as search:
-            r2, q2 = max_r2_batch(F1, F2, gamma_from_rate(su1.max() + 0.1), noise)
+        with mock.patch.object(rate_core, "root_bracket", wraps=root_bracket) as search:
+            r2, q2 = max_r2_batch(F1, F2, gamma_from_rate(su1.max() + 0.1), noise).exact()
         search.assert_not_called()
         np.testing.assert_array_equal(r2, -np.inf)
         np.testing.assert_array_equal(q2, 0.0)
@@ -789,9 +793,9 @@ class TestColumnSearch:
         F1, F2, su1 = column_inputs(rng, 2, 500, noise)
         for factor in (0.5, 1.0 - 1e-15, 1.0):
             with mock.patch.object(rate_core, "golden_max", side_effect=AssertionError), \
-                    mock.patch.object(rate_core, "column_root_search",
-                                      wraps=column_root_search) as search:
-                r2, _ = max_r2_batch(F1, F2, gamma_from_rate(factor * su1), noise)
+                    mock.patch.object(rate_core, "root_bracket",
+                                      wraps=root_bracket) as search:
+                r2, _ = max_r2_batch(F1, F2, gamma_from_rate(factor * su1), noise).exact()
             assert search.call_args.args[4].size > 0
             assert np.isfinite(r2).any()
 
@@ -807,7 +811,7 @@ class TestColumnSearch:
         F1, F2, su1 = column_inputs(rng, n, 2000, noise)
         r1 = (1.0 - eta) * su1
         gamma1 = gamma_from_rate(r1)
-        r2, q2 = max_r2_batch(F1, F2, gamma1, noise)
+        r2, q2 = max_r2_batch(F1, F2, gamma1, noise).exact()
         ok = np.isfinite(r2)
         assert ok.sum() > 500
         q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
@@ -828,7 +832,7 @@ class TestColumnSearch:
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
         gamma1 = float(gamma_from_rate(r1))
         assert 0.0 < gamma1 < np.finfo(float).tiny
-        r2 = max_r2_batch(F1, F2, gamma1, noise)[0]
+        r2 = max_r2_batch(F1, F2, gamma1, noise).exact()[0]
         assert_within_contract(r2, su_rate_batch(arrs["h22"], noise[1]))
         g_max, _, _ = achievability_slack_batch(F1, F2, gamma1, 0.0, noise)
         assert np.all(np.isfinite(g_max))
@@ -837,13 +841,85 @@ class TestColumnSearch:
 def assert_column_contract(F1, F2, gamma1, noise):
     """The column search within the contract of column_oracle, and its
     maximizer a witness of both rates."""
-    r2, q2 = max_r2_batch(F1, F2, gamma1, noise)
+    r2, q2 = max_r2_batch(F1, F2, gamma1, noise).exact()
     assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
     ok = np.isfinite(r2)
     q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
     rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
     assert np.all(rate1[ok] >= rate_from_sinr(gamma1)[ok] - RATE_SLACK)
     assert np.all(rate2[ok] >= r2[ok] - RATE_SLACK)
+
+
+def bound_gammas(rng, F1, F2, su1, noise) -> list:
+    """gamma1 columns like those of TestAccuracyContract and TestColumnSearch:
+    r1 = 0, fixed and random fractions of su1, steep points 1e-15..1e-1
+    below it, at and an ulp either side of it, and the zero-forcing knee
+    times 1 + eta."""
+    count = su1.size
+    fracs = [np.zeros(count), *(np.full(count, f) for f in (1e-3, 1e-2, 0.1, 0.3, 1.0))]
+    fracs += [rng.uniform(0.0, 1.2, count) for _ in range(2)]
+    fracs += [1.0 - 10.0 ** rng.uniform(-15.0, -1.0, count) for _ in range(2)]
+    fracs += [np.full(count, f) for f in (1.0 - 1e-15, 1.0 + 1e-15)]
+    knee = zero_forcing_knee(F1, F2, noise)
+    return [gamma_from_rate(f * su1) for f in fracs] + [
+        knee * (1.0 + eta) for eta in (-1e-6, -1e-12, 0.0, 1e-12, 1e-7, 1e-6, 1e-3)
+    ]
+
+
+def assert_bounds_hold(F1, F2, gamma1, noise, rng):
+    """lower <= the column value <= upper bit for bit, both equal to it (and
+    q2 to its maximizer) on the rows answered in closed form, and a refine
+    of a random subset of the searched rows bit-equal to the full search."""
+    bounds = max_r2_batch(F1, F2, gamma1, noise)
+    values, q2 = bounds.exact()
+    assert np.all(bounds.lower <= values)
+    assert np.all(values <= bounds.upper)
+    closed = np.ones(values.size, dtype=bool)
+    closed[bounds.searched] = False
+    for bound in (bounds.lower, bounds.upper):
+        np.testing.assert_array_equal(bound[closed], values[closed])
+    np.testing.assert_array_equal(bounds.q2[closed], q2[closed])
+    which = rng.random(bounds.searched.size) < 0.3
+    refined, refined_q2 = bounds.refine(which)
+    np.testing.assert_array_equal(refined, values[bounds.searched[which]])
+    np.testing.assert_array_equal(refined_q2, q2[bounds.searched[which]])
+    return bounds.searched.size
+
+
+class TestColumnBounds:
+    """max_r2_batch's bracket stage bounds every column value from both
+    sides, bit for bit: lower is the better bracket end through the search's
+    own evaluate, upper the closed form p2(H) / sigma2^2 plus UPPER_MARGIN
+    (derived at its definition). TestAccuracyContract and TestColumnSearch
+    check the bounds on all their columns; these tests add extreme noise and
+    the tiny-noise region. Without the margin the kernel's value passes the
+    closed form, by rounding, on the random and rank-1 families."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        family=st.sampled_from(["random", *DEGENERATE_FAMILIES]),
+        n=st.sampled_from([1, 2, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.tuples(*[st.sampled_from([1e-300, 1e-6, 0.3, 1.0, 1e6]) | st.floats(0.01, 5.0)]
+                        * 2),
+    )
+    def test_degenerate_families_and_noise(self, family, n, seed, noise):
+        rng = np.random.default_rng(seed)
+        F1, F2, su1 = column_inputs(rng, n, 200, noise, family)
+        for gamma1 in bound_gammas(rng, F1, F2, su1, noise):
+            assert_bounds_hold(F1, F2, gamma1, noise, rng)
+
+    def test_tiny_noise_region(self):
+        """The columns of the 1000-bit region at noise 1e-300 (demo
+        statistics, 1500 samples, seed 4, r1 = 0..1000 bits)."""
+        stream = SampleSource.gaussian(demo_statistics(), seed=4, count=1500).arrays()
+        noise = (1e-300, 1e-300)
+        F1 = frontier_batch(stream["h11"], stream["h12"])
+        F2 = frontier_batch(stream["h22"], stream["h21"])
+        rng = np.random.default_rng(401)
+        searched = sum(assert_bounds_hold(F1, F2, gamma_from_rate(r1), noise, rng)
+                       for r1 in np.linspace(0.0, 1000.0, 8))
+        assert searched > 0
 
 
 def decimal_phi(F1, F2, k: int, gamma1: float, q2: float, noise) -> Decimal:
@@ -914,7 +990,7 @@ class TestIndependentOracle:
                     exact = decimal_phi(F1, F2, k, float(gamma1[k]), float(q2[k]), noise)
                     assert relative_error(phi[k], exact) <= self.PHI_TOL, (k, pos)
                     pairs += 1
-            q_star, phi_star = column_root_search(F1, F2, gamma1, hi, rows, noise)
+            q_star, phi_star = root_bracket(F1, F2, gamma1, hi, rows, noise).search()
             for j, k in enumerate(rows):
                 exact = decimal_phi(F1, F2, k, float(gamma1[k]), float(q_star[j]), noise)
                 assert relative_error(phi_star[j], exact) <= self.PHI_TOL, k
