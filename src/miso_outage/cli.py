@@ -35,7 +35,7 @@ from .channel import (
     ValidationError,
 )
 from .outage_mc import estimate_case_probs, simulate_policy
-from .rate_core import gamma_from_rate, power_frontier
+from .rate_core import RATE_SLACK, gamma_from_rate, power_frontier
 from .regions import (
     CSV_COLUMNS,
     GridConfig,
@@ -453,6 +453,18 @@ def _resolved_grid(config: RunConfig, pipeline) -> GridConfig:
                 "zero in at least that fraction of realizations), so the region is empty"
             )
     r1_cap, r2_cap = opts.get("r1_cap", caps[0]), opts.get("r2_cap", caps[1])
+    narrow = [
+        f"rate cap {name} = {cap:.6g} bits is at or below the rate slack "
+        f"RATE_SLACK = {RATE_SLACK:g} bits{why}"
+        for name, cap, why in (
+            ("r1_cap", r1_cap, ", so the region is at most RATE_SLACK wide in r1"),
+            ("r2_cap", r2_cap, ": below the slack every case-B test column >= r2 - RATE_SLACK "
+                               "passes, so the region has zero width in r2"),
+        )
+        if cap <= RATE_SLACK
+    ]
+    if narrow:
+        raise ValueError("; ".join(narrow))
     for name, cap in (("r1_cap", r1_cap), ("r2_cap", r2_cap)):
         if not np.isfinite(gamma_from_rate(cap)):
             raise ValueError(

@@ -41,15 +41,16 @@ maximizer is the one sign change of phi'. A safeguarded regula falsi
 search needed 46, because it converges superlinearly rather than by a fixed
 0.618 per step.
 
-The search runs in two stages (root_bracket). The bracket stage evaluates
-phi and phi' at both ends of every searched row's bracket; the Illinois
-stage (RootBracket.search) runs on any subset of those rows, and a row's
-result does not depend on the subset. max_r2_batch runs the bracket stage
-and returns ColumnBounds: a lower bound of each column value (the better
-bracket end, which the full search can only improve on) and an upper bound
-(p2 at the bracket top over sigma2^2, plus UPPER_MARGIN), exact on the rows
-answered in closed form. Its refine runs the Illinois stage on the rows a
-caller needs exactly, and exact on all of them.
+The search runs in two stages. max_r2_batch runs the bracket stage, which
+evaluates phi and phi' at both ends of every searched row's bracket, and
+returns it as ColumnBounds. Its one method, refined, runs the Illinois stage
+on any subset of those rows, and a row's result does not depend on the
+subset: with no row refined it gives a lower bound of each column value (the
+better bracket end, which the full search can only improve on), with every
+searched row refined the exact column, and in between the column a region
+trace needs. upper bounds the values from above (p2 at the bracket top over
+sigma2^2, plus UPPER_MARGIN). Both bounds are exact on the rows answered in
+closed form.
 
 Both searches, and every frontier inverse, take the power slack
 p_max - gamma (q + sigma^2) of a demand from one formula (_demand_slack). Its
@@ -109,7 +110,7 @@ GOLDEN_ITERS = 80
 # bracket of phi, which _demand_slack makes accurate to a few ulps
 # (TestIndependentOracle checks it against a 60-digit evaluation), so the
 # oracle is within about 1e-15 of the exact maximum. Column kernel (root
-# search on the sign of phi', root_bracket): the Illinois steps
+# search on the sign of phi', max_r2_batch): the Illinois steps
 # converge superlinearly. Over 8 seeds x n = 1, 2, 4, 8 x five channel
 # families (random, rank-1, zero-cross, aligned, orthogonal) of 3000 rows,
 # each at 16 columns (r1 uniform in [0, 1.2] su1, log-uniform 1e-15..1e-1
@@ -567,7 +568,7 @@ def achievability_slack_batch(
 
 def _phi_evaluator(F1, F2, gamma1, rows, noise):
     """evaluate(q) -> (phi, psi) on the given rows of the column search (see
-    root_bracket), with the only frontier fields it reads gathered once and
+    max_r2_batch), with the only frontier fields it reads gathered once and
     link 1's power slack set up once. Every step is elementwise, so a row's
     values do not depend on the other rows gathered with it."""
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
@@ -577,9 +578,24 @@ def _phi_evaluator(F1, F2, gamma1, rows, noise):
     g1 = gamma1[rows]
     slack1 = _demand_slack(p1, g1, sigma1_sq)
     inv_p1 = 1.0 / p1
-    k = g1 * b1
-    k *= b2
-    k *= inv_p1
+    with np.errstate(over="ignore"):
+        k = g1 * b1
+        k *= b2
+        k *= inv_p1
+    # psi's first term reads c2 and d2 as c2_psi and d2_psi. Where k
+    # overflows (tiny noise: gamma1 near p1 / sigma1^2), k is taken as
+    # 2^-shift k, about 2^1000, from the significands, and c2_psi, d2_psi as
+    # 2^-shift c2, 2^-shift d2: psi is then 2^-shift psi, its sign unchanged,
+    # and a power-of-two scale of psi leaves every Illinois step as it is.
+    # Elsewhere nothing changes, not a bit.
+    c2_psi, d2_psi = c2, d2
+    over = np.flatnonzero(np.isinf(k))
+    if over.size:
+        (mg, eg), (mb1, eb1), (mb2, eb2), (mp1, ep1) = (np.frexp(x[over]) for x in (g1, b1, b2, p1))
+        k[over] = np.ldexp(mg * mb1 * mb2 / mp1, 1000)
+        shift = eg + eb1 + eb2 - ep1 - 1000
+        c2_psi, d2_psi = c2.copy(), d2.copy()
+        c2_psi[over], d2_psi[over] = np.ldexp(c2[over], -shift), np.ldexp(d2[over], -shift)
 
     def evaluate(q):
         # (phi, psi) at q, updating temporaries in place. Link 1 first:
@@ -608,8 +624,8 @@ def _phi_evaluator(F1, F2, gamma1, rows, noise):
         g2 += d2 * ry
         phi = g2 * g2
         phi /= den
-        psi = c2 * ry
-        psi -= d2 * rx
+        psi = c2_psi * ry
+        psi -= d2_psi * rx
         psi *= s
         psi *= w
         scale = w + d1
@@ -627,131 +643,6 @@ def _phi_evaluator(F1, F2, gamma1, rows, noise):
         return phi, psi
 
     return evaluate
-
-
-@dataclass
-class RootBracket:
-    """The bracket stage of the column root search on rows (see
-    root_bracket): its evaluate on those rows, each row's interval
-    [lo, lo + width], the better of phi at its two ends and where (best,
-    best_q), and the start of the Illinois steps (y1, f0, f1). search runs
-    the Illinois stage."""
-
-    F1: FrontierBatch
-    F2: FrontierBatch
-    gamma1: np.ndarray
-    rows: np.ndarray
-    noise: tuple
-    evaluate: object
-    lo: np.ndarray
-    width: np.ndarray
-    best: np.ndarray
-    best_q: np.ndarray
-    y1: np.ndarray
-    f0: np.ndarray
-    f1: np.ndarray
-
-    def search(self, which=None):
-        """(q*, phi*) on rows[which], on every row when which is None:
-        COLUMN_ROOT_ITERS Illinois steps from the bracket stage, the best phi
-        among the two ends and the iterates. Every row runs on the bracket
-        stage's evaluate, and a subset on one over its own rows; every step
-        is elementwise, so each row gets the bits of a search over all rows,
-        whichever subset which selects."""
-        if which is None:
-            which, evaluate = slice(None), self.evaluate
-        else:
-            evaluate = _phi_evaluator(self.F1, self.F2, self.gamma1, self.rows[which], self.noise)
-        lo, width = self.lo[which], self.width[which]
-        best, best_q = self.best[which].copy(), self.best_q[which]
-        y1, f0, f1 = self.y1[which], self.f0[which], self.f1[which]
-        y0 = np.zeros_like(lo)
-        for _ in range(COLUMN_ROOT_ITERS):
-            y = y1 - y0
-            y *= f1
-            y /= f1 - f0
-            np.subtract(y1, y, out=y)
-            q = y * y
-            q *= 3.0 - 2.0 * y
-            q *= width
-            q += lo
-            phi, fy = evaluate(q)
-            best_q = np.where(phi > best, q, best_q)
-            np.maximum(best, phi, out=best)
-            # fy * f1 < 0 without the product, which can overflow: strictly
-            # opposite signs flip, a zero never does.
-            flip = ((fy < 0.0) & (f1 > 0.0)) | ((fy > 0.0) & (f1 < 0.0))
-            y0 = np.where(flip, y1, y0)
-            f0 = np.where(flip, f1, 0.5 * f0)
-            y1, f1 = y, fy
-        return best_q, best
-
-
-def root_bracket(F1, F2, gamma1, hi, rows, noise) -> RootBracket:
-    """The bracket stage of the column root search on the given rows; its
-    search() is the Illinois stage and finds the maximum of phi and its
-    maximizer.
-
-    Each row is searched over [L, H], H = hi and L within a few ulps below
-    the largest q at which transmitter 1's demand t = gamma1 (q + sigma1^2)
-    is at most its zero-forcing power d1^2: up to there it zero-forces and
-    phi is the nondecreasing p2(q) / sigma2^2 (the argument of the closed
-    form in max_r2_batch). With x = q / b2, s = sqrt(t),
-    w = sqrt(p1 - t), u = sqrt(q1min / b1), D = q1min + sigma2^2 and
-    g2 = sqrt(p2),
-
-        psi = [s w (c2 sqrt(1-x) - d2 sqrt(x))
-               - k g2 sqrt(x (1-x)) u (c1 w + d1 s) / D] / (w + d1)
-
-    (k = gamma1 b1 b2 / p1) is phi'/phi times b2 g2 sqrt(x (1-x)) s w /
-    (w + d1), which is positive inside the bracket. The factor cancels the
-    square-root singularities of phi'/phi (x = 0, and w = 0 where d1 > 0)
-    without vanishing where phi'/phi stays finite (w = 0 with d1 = 0). Where
-    psi(L) <= 0 phi falls from L, which is the maximizer. Elsewhere
-    COLUMN_ROOT_ITERS Illinois steps find the sign change of psi: regula falsi
-    between the latest iterate and the last one of opposite sign, halving the
-    retained value when the sign does not change. psi(H) is replaced by
-    -psi(L) where it is not negative (it is 0 at w = 0 when d1 = 0). The
-    steps run in y, q = L + (H - L) y^2 (3 - 2 y), which turns a square-root
-    end of psi into a smooth one. The best phi among L, H and the iterates
-    is returned.
-
-    phi is evaluated as frontier_qmin_batch defines q1min: w^2 = p1 - t comes
-    from the same _demand_slack, set up once per stage, and u = 0 wherever t
-    passes the zero-forcing test t <= d1^2. L is chosen so that its rounded
-    demand passes that test: where sigma2^2 is tiny, q1min just above the
-    test is rounding of order eps^2 b1 and still far above sigma2^2, so phi
-    drops there by orders of magnitude. Next to H the frontier inverse
-    magnifies any error of w^2, which the slack keeps at a few ulps of
-    itself. So every row takes this one search, brackets a few ulps of demand
-    wide included, and its value is within GOLDEN_VALUE_TOL of the exact
-    maximum of phi.
-    """
-    sigma1_sq = float(noise[0])
-    evaluate = _phi_evaluator(F1, F2, gamma1, rows, noise)
-    g1, d1_sq, top = gamma1[rows], F1.d_sq[rows], hi[rows]
-    # L: v = L + sigma1^2 steps down from d1^2 / gamma1 (below H + sigma1^2
-    # on these rows: no overflow) until fl(gamma1 v) <= d1^2, a few ulps at
-    # most, and L = v - sigma1^2 steps down once more where that subtraction
-    # rounded up. The demand at L then passes the zero-forcing test as
-    # evaluate and frontier_qmin_batch round it.
-    v = d1_sq / g1
-    while (over := np.flatnonzero(g1 * v > d1_sq)).size:
-        v[over] = np.nextafter(v[over], 0.0)
-    lo = v - sigma1_sq
-    up = np.flatnonzero(lo + sigma1_sq > v)
-    lo[up] = np.nextafter(lo[up], -np.inf)
-    np.maximum(lo, 0.0, out=lo)
-    best, f0 = evaluate(lo)
-    phi, f1 = evaluate(top)
-    best_q = np.where(phi > best, top, lo)
-    np.maximum(best, phi, out=best)
-    # y stays 0 where phi falls from L; psi(H) >= 0 gives way to -psi(L).
-    rises = f0 > 0.0
-    f0 = np.where(rises, f0, 1.0)
-    f1 = np.where(rises & (f1 < 0.0), f1, -f0)
-    return RootBracket(F1, F2, gamma1, rows, noise, evaluate, lo, top - lo, best, best_q,
-                       rises.astype(float), f0, f1)
 
 
 # Margin of ColumnBounds.upper above the closed form p2(H) / sigma2^2 on the
@@ -779,64 +670,105 @@ UPPER_MARGIN = 32.0 * float(np.finfo(float).eps)
 
 @dataclass
 class ColumnBounds:
-    """The column kernel at one r1 after its bracket stage.
+    """The column kernel at one r1 after its bracket stage (max_r2_batch).
 
     top holds p2(hi) / sigma2^2 per realization: the SINR of the column value
     on the rows answered in closed form, where q2 holds its maximizer hi,
     except on the empty brackets (infeasible), whose value is -inf (q2 = 0).
-    The other rows, searched, come from bracket, and q2 holds the better of
-    their two bracket ends. lower and upper bound every column value in bits,
-    bit for bit, and are computed on first use. Both are exact on the
-    closed-form rows. On the searched rows lower is the better bracket end,
-    through the search's own evaluate, so it never exceeds the searched value
-    (the best of those ends and the iterates), and upper is the closed form
-    plus UPPER_MARGIN. refine runs the Illinois stage on a subset of the
-    searched rows, and exact on all of them.
+    The other rows, searched, hold the bracket stage: evaluate on those
+    rows, each row's interval [lo, lo + width], the better of phi at its two
+    ends (best, with q2 holding where) and the start of the Illinois steps
+    (y1, f0, f1). A column with no searched row holds no evaluate.
+
+    refined(which) is the column with the searched rows that which selects
+    refined and the others at their better bracket end: lower (which is
+    False, no row), the traced column (the rows a trace leaves in doubt) and
+    the exact column (which is True, every searched row). lower and upper
+    bound every column value in bits, bit for bit, and are computed on first
+    use. Both are exact on the closed-form rows. On the searched rows lower
+    is the better bracket end, through the search's own evaluate, so it
+    never exceeds the searched value (the best of those ends and the
+    iterates), and upper is the closed form plus UPPER_MARGIN.
     """
 
+    F1: FrontierBatch
+    F2: FrontierBatch
+    gamma1: np.ndarray
+    noise: tuple
     top: np.ndarray
     infeasible: np.ndarray
     q2: np.ndarray
     searched: np.ndarray
-    bracket: RootBracket | None
-
-    @cached_property
-    def _top_rates(self) -> np.ndarray:
-        rates = rate_from_sinr(self.top)
-        rates[self.infeasible] = -np.inf
-        return rates
+    evaluate: object
+    lo: np.ndarray
+    width: np.ndarray
+    best: np.ndarray
+    y1: np.ndarray
+    f0: np.ndarray
+    f1: np.ndarray
 
     @cached_property
     def lower(self) -> np.ndarray:
-        lower = self._top_rates.copy()
-        if self.bracket is not None:
-            lower[self.searched] = rate_from_sinr(self.bracket.best)
-        return lower
+        return self.refined(False)[0]
 
     @cached_property
     def upper(self) -> np.ndarray:
-        upper = self._top_rates.copy()
-        top = upper[self.searched]
+        upper = self.lower.copy()
+        top = rate_from_sinr(self.top[self.searched])
         upper[self.searched] = top + UPPER_MARGIN * np.maximum(1.0, np.abs(top))
         return upper
 
-    def refine(self, which=None) -> tuple:
-        """(values, q2*) on the rows searched[which] (every searched row when
-        which is None), bit for bit those of a search over every searched
-        row."""
-        if self.bracket is None:
-            return np.empty(0), np.empty(0)
-        q2, phi = self.bracket.search(which)
-        return rate_from_sinr(phi), q2
-
-    def exact(self) -> tuple:
-        """(values, q2*) of the whole column: every searched row refined."""
-        sinr, q2 = self.top.copy(), self.q2.copy()
-        if self.bracket is not None:
-            q2[self.searched], sinr[self.searched] = self.bracket.search()
+    def refined(self, which) -> tuple:
+        """(values, q2*) of the column with the searched rows which selects
+        (a mask over searched, or True for all and False for none) refined:
+        bit for bit those of a search over every searched row. An empty
+        selection runs no evaluation and returns q2 itself. The values are
+        converted from the SINRs whole, the unselected rows' from best, so
+        they equal lower's there bit for bit and no bound is computed."""
+        which = np.full(self.searched.shape, which)
+        rows = self.searched[which]
+        sinr, q2 = self.top.copy(), self.q2
+        sinr[self.searched] = self.best
+        if rows.size:
+            q2 = q2.copy()
+            q2[rows], sinr[rows] = self._illinois(which, rows)
         values = rate_from_sinr(sinr)
         values[self.infeasible] = -np.inf
         return values, q2
+
+    def _illinois(self, which: np.ndarray, rows: np.ndarray) -> tuple:
+        """(q*, phi*) on rows, the searched rows which selects:
+        COLUMN_ROOT_ITERS Illinois steps from the bracket stage, the best phi
+        among the two ends and the iterates. A strict subset runs on an
+        evaluate over its own rows; every step is elementwise, so each row
+        gets the same bits whichever rows are selected with it."""
+        if which.all():
+            which, evaluate = slice(None), self.evaluate
+        else:
+            evaluate = _phi_evaluator(self.F1, self.F2, self.gamma1, rows, self.noise)
+        lo, width = self.lo[which], self.width[which]
+        best, best_q = self.best[which].copy(), self.q2[rows]
+        y1, f0, f1 = self.y1[which], self.f0[which], self.f1[which]
+        y0 = np.zeros_like(lo)
+        for _ in range(COLUMN_ROOT_ITERS):
+            y = y1 - y0
+            y *= f1
+            y /= f1 - f0
+            np.subtract(y1, y, out=y)
+            q = y * y
+            q *= 3.0 - 2.0 * y
+            q *= width
+            q += lo
+            phi, fy = evaluate(q)
+            best_q = np.where(phi > best, q, best_q)
+            np.maximum(best, phi, out=best)
+            # fy * f1 < 0 without the product, which can overflow: strictly
+            # opposite signs flip, a zero never does.
+            flip = ((fy < 0.0) & (f1 > 0.0)) | ((fy > 0.0) & (f1 < 0.0))
+            y0 = np.where(flip, y1, y0)
+            f0 = np.where(flip, f1, 0.5 * f0)
+            y1, f1 = y, fy
+        return best_q, best
 
 
 def max_r2_batch(
@@ -846,14 +778,14 @@ def max_r2_batch(
     noise: tuple[float, float],
 ) -> ColumnBounds:
     """The column kernel: the largest achievable r2 per realization at fixed
-    r1 (gamma1), and its maximizer, as ColumnBounds.
+    r1 (gamma1), and its maximizer, as ColumnBounds after the bracket stage.
 
     Direct form of the trade-off: maximize the quasi-concave ratio
     phi(q2) = p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) + sigma2^2) over the
-    interference q2 transmitter 2 may cause; ColumnBounds.exact() returns
-    (r2_max, q2_star). Realizations whose bracket is empty (r1 above the
-    single-user ceiling, as on every row where gamma1 is infinite) get -inf
-    and q2 = 0.
+    interference q2 transmitter 2 may cause; ColumnBounds.refined(True),
+    every searched row refined, returns (r2_max, q2_star). Realizations
+    whose bracket is empty (r1 above the single-user ceiling, as on every
+    row where gamma1 is infinite) get -inf and q2 = 0.
 
     Zero-forcing realizations are answered in closed form: where link 1's
     demand at the bracket top, gamma1 (hi + sigma1^2), is at most the
@@ -861,24 +793,80 @@ def max_r2_batch(
     transmitter 1 reaches r1 at q1min = 0 everywhere in the bracket, because
     the demand is monotone in q2 in floating point too. phi is then the
     nondecreasing p2(q2) / sigma2^2, so its maximum is the bracket-top value,
-    with q2 = hi. The remaining rows are searched by root_bracket's two
-    stages (contract: GOLDEN_VALUE_TOL of the exact maximum). This call runs
-    the bracket stage, which bounds each searched value from both sides;
-    the Illinois stage runs on the rows the caller refines.
+    with q2 = hi. A column with no other row returns here, with no
+    evaluation.
+
+    The remaining rows are root-searched (contract: GOLDEN_VALUE_TOL of the
+    exact maximum). This call runs the bracket stage, and
+    ColumnBounds.refined the Illinois stage on the rows a caller selects.
+    Each row is searched over [L, H], H = hi and L within a few ulps below
+    the largest q at which transmitter 1's demand t = gamma1 (q + sigma1^2)
+    is at most its zero-forcing power d1^2: up to there it zero-forces and
+    phi is the nondecreasing p2(q) / sigma2^2. With x = q / b2, s = sqrt(t),
+    w = sqrt(p1 - t), u = sqrt(q1min / b1), D = q1min + sigma2^2 and
+    g2 = sqrt(p2),
+
+        psi = [s w (c2 sqrt(1-x) - d2 sqrt(x))
+               - k g2 sqrt(x (1-x)) u (c1 w + d1 s) / D] / (w + d1)
+
+    (k = gamma1 b1 b2 / p1) is phi'/phi times b2 g2 sqrt(x (1-x)) s w /
+    (w + d1), which is positive inside the bracket. The factor cancels the
+    square-root singularities of phi'/phi (x = 0, and w = 0 where d1 > 0)
+    without vanishing where phi'/phi stays finite (w = 0 with d1 = 0). Where
+    psi(L) <= 0 phi falls from L, which is the maximizer. Elsewhere
+    COLUMN_ROOT_ITERS Illinois steps find the sign change of psi: regula falsi
+    between the latest iterate and the last one of opposite sign, halving the
+    retained value when the sign does not change. psi(H) is replaced by
+    -psi(L) where it is not negative (it is 0 at w = 0 when d1 = 0). The
+    steps run in y, q = L + (H - L) y^2 (3 - 2 y), which turns a square-root
+    end of psi into a smooth one. The best phi among L, H and the iterates
+    is the searched value.
+
+    phi is evaluated as frontier_qmin_batch defines q1min: w^2 = p1 - t comes
+    from the same _demand_slack, set up once per evaluate, and u = 0 wherever
+    t passes the zero-forcing test t <= d1^2. L is chosen so that its rounded
+    demand passes that test: where sigma2^2 is tiny, q1min just above the
+    test is rounding of order eps^2 b1 and still far above sigma2^2, so phi
+    drops there by orders of magnitude. Next to H the frontier inverse
+    magnifies any error of w^2, which the slack keeps at a few ulps of
+    itself. So every row takes this one search, brackets a few ulps of demand
+    wide included, and its value is within GOLDEN_VALUE_TOL of the exact
+    maximum of phi.
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
-    infeasible, lo, hi = _interference_bracket(F2, F1, g1, sigma1_sq)
+    infeasible, _, hi = _interference_bracket(F2, F1, g1, sigma1_sq)
     zero_forcing = g1 * (hi + sigma1_sq) <= F1.d_sq
     top = frontier_signal_batch(F2, hi) / sigma2_sq
     rows = np.flatnonzero(~(infeasible | zero_forcing))
-    bracket = None
-    if rows.size:
-        bracket = root_bracket(F1, F2, g1, hi, rows, noise)
-        # q2: hi on the closed-form rows (0 on empty brackets), the better
-        # bracket end on the searched ones.
-        hi[rows] = bracket.best_q
-    return ColumnBounds(top, infeasible, hi, rows, bracket)
+    if not rows.size:
+        return ColumnBounds(F1, F2, g1, noise, top, infeasible, hi, rows, None, *[np.empty(0)] * 6)
+    evaluate = _phi_evaluator(F1, F2, g1, rows, noise)
+    g1_rows, d1_sq, end = g1[rows], F1.d_sq[rows], hi[rows]
+    # L: v = L + sigma1^2 steps down from d1^2 / gamma1 (below H + sigma1^2
+    # on these rows: no overflow) until fl(gamma1 v) <= d1^2, a few ulps at
+    # most, and L = v - sigma1^2 steps down once more where that subtraction
+    # rounded up. The demand at L then passes the zero-forcing test as
+    # evaluate and frontier_qmin_batch round it.
+    v = d1_sq / g1_rows
+    while (over := np.flatnonzero(g1_rows * v > d1_sq)).size:
+        v[over] = np.nextafter(v[over], 0.0)
+    lo = v - sigma1_sq
+    up = np.flatnonzero(lo + sigma1_sq > v)
+    lo[up] = np.nextafter(lo[up], -np.inf)
+    np.maximum(lo, 0.0, out=lo)
+    best, f0 = evaluate(lo)
+    phi, f1 = evaluate(end)
+    # q2: hi on the closed-form rows (0 on empty brackets), the better
+    # bracket end on the searched ones.
+    hi[rows] = np.where(phi > best, end, lo)
+    np.maximum(best, phi, out=best)
+    # y stays 0 where phi falls from L; psi(H) >= 0 gives way to -psi(L).
+    rises = f0 > 0.0
+    f0 = np.where(rises, f0, 1.0)
+    f1 = np.where(rises & (f1 < 0.0), f1, -f0)
+    return ColumnBounds(F1, F2, g1, noise, top, infeasible, hi, rows, evaluate, lo, end - lo,
+                        best, rises.astype(float), f0, f1)
 
 
 def witness_rates_batch(

@@ -32,7 +32,7 @@ of the exact column, bit for bit (_trace_column).
 Every reader of the column at r1 goes through one Column: the values and
 maximizers of one max_r2_batch call, its case counts, masks and case B's
 witness rates. The store's Columns are exact: column(), point, simulate and
-precompute_columns refine every searched row.
+precompute_columns refine every searched row (ColumnBounds.refined).
 
 A Gaussian stream is sampled once per process: pipelines on the same
 statistics, seed, count and noise share one sampled stream (the frontiers and
@@ -520,9 +520,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class Column:
     """The column at r1: per realization the largest achievable r2 (values)
     and the interference q2* of transmitter 2 that attains it, case B's
-    operating point, as max_r2_batch's ColumnBounds.exact returns them. A
-    Column over a bound of those values (on) counts the same way; a traced
-    column counts on its bounds and on their refinement, with no q2*.
+    operating point, as max_r2_batch's ColumnBounds.refined returns them
+    with every searched row refined. A Column over a bound of those values
+    (on) counts the same way; a traced column counts on its bounds and on
+    their refinement, with no q2*.
 
     exceed1 = r1 > su1 does not depend on r2, so it, its count, and su2 and
     the values on its rows, are taken once, and the r1-only part is shared
@@ -706,7 +707,7 @@ class InstantaneousRegionPipeline:
 
     def _search(self, r1: float) -> tuple:
         """(values, q2*) at r1, every searched row refined: the exact column."""
-        return self._bounds(r1).exact()
+        return self._bounds(r1).refined(True)
 
     def column(self, r1: float) -> np.ndarray:
         """Each realization's largest achievable r2 at r1 (read-only), by the
@@ -865,17 +866,12 @@ class InstantaneousRegionPipeline:
             inside, r2_hi, _ = bisected(upper, variant, below)
             spans.append((below, r2_hi) if inside else None)
 
-        searched = bounds.searched
-        lo, hi = bounds.lower[searched], bounds.upper[searched]
-        undecided = np.zeros(searched.size, dtype=bool)
+        lo, hi = bounds.lower[bounds.searched], bounds.upper[bounds.searched]
+        undecided = np.zeros(bounds.searched.size, dtype=bool)
         for span in spans:
             if span is not None:
                 undecided |= (hi >= max(span[0], 0.0) - RATE_SLACK) & (lo < span[1] - RATE_SLACK)
-        exact = lower
-        if undecided.any():
-            values = bounds.lower.copy()
-            values[searched[undecided]] = bounds.refine(undecided)[0]
-            exact = lower.on(values)
+        exact = lower.on(bounds.refined(undecided)[0]) if undecided.any() else lower
 
         def annotated(variant):
             def annotate(r1, r2):

@@ -413,6 +413,30 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert not any(report["stat_memberships"].values())
 
+    @pytest.mark.parametrize("case", ["noise 1e300", "grid.r2_cap 1e-12", "grid.r1_cap 1e-12"])
+    def test_region_rejects_a_zero_width_region(self, tmp_path, capsys, case):
+        """A rate cap at or below RATE_SLACK, automatic (noise 1e300 puts
+        both near 1e-300 bits) or set under grid: an error naming each such
+        cap, the slack and its own reason, exit 1, no artifact."""
+        doc = small_inst_config()
+        if case == "noise 1e300":
+            doc["noise"] = [1e300, 1e300]
+            names = ["rate cap r1_cap = ", "rate cap r2_cap = "]
+        else:
+            key = case.split()[0].split(".")[1]
+            doc["grid"] = {key: 1e-12}
+            names = [f"rate cap {key} = 1e-12 bits"]
+        out = tmp_path / "out"
+        assert main(["region", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("at or below the rate slack RATE_SLACK = 1e-09 bits") == len(names)
+        assert all(name in err for name in names)
+        r1_reason = "so the region is at most RATE_SLACK wide in r1"
+        r2_reason = "column >= r2 - RATE_SLACK passes, so the region has zero width in r2"
+        assert (r1_reason in err) == any("r1_cap" in name for name in names)
+        assert (r2_reason in err) == any("r2_cap" in name for name in names)
+        assert not out.exists()
+
     @pytest.mark.parametrize("link", [1, 2])
     def test_region_rejects_a_zero_signal_link(self, tmp_path, capsys, link):
         """A zero direct-channel covariance makes that link's single-user rate

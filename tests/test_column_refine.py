@@ -65,19 +65,19 @@ def exact_trace(pipeline, r1, spec, grid, variants) -> list:
 
 
 def record_refines(monkeypatch) -> list:
-    """Sizes of the ColumnBounds.refine calls on a subset of the searched
-    rows from here on: the ones _trace_column makes, not the full refines of
-    ColumnBounds.exact."""
+    """Sizes of the ColumnBounds.refined calls on a mask of the searched
+    rows from here on: the ones _trace_column makes, whatever the mask
+    selects, not the lower bound (False) or the exact columns of _search
+    (True)."""
     sizes = []
-    refine = rate_core.ColumnBounds.refine
+    refined = rate_core.ColumnBounds.refined
 
-    def recorded(self, which=None):
-        values, q2 = refine(self, which)
-        if which is not None:
-            sizes.append(values.size)
-        return values, q2
+    def recorded(self, which):
+        if np.ndim(which) > 0:
+            sizes.append(int(np.count_nonzero(which)))
+        return refined(self, which)
 
-    monkeypatch.setattr(rate_core.ColumnBounds, "refine", recorded)
+    monkeypatch.setattr(rate_core.ColumnBounds, "refined", recorded)
     return sizes
 
 
@@ -108,7 +108,7 @@ def loosen(bounds, lower=None, upper=None):
 
 def tighten(bounds):
     """bounds whose lower and upper are both the exact values."""
-    values = bounds.exact()[0]
+    values = bounds.refined(True)[0]
     return with_values(bounds, values, values.copy())
 
 

@@ -33,7 +33,6 @@ from miso_outage.rate_core import (
     quad_form,
     rate_bf,
     rate_from_sinr,
-    root_bracket,
     validate_beamformer,
     witness_rates_batch,
 )
@@ -422,7 +421,8 @@ class TestAchievability:
         noise = (1.0, 1.0)
         assert is_achievable(h, (1.0, 1.0), noise).achievable
         assert not is_achievable(h, (1.0 + 1e-3, 1.0), noise).achievable
-        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(0.3), noise).exact()[0][0]
+        bounds = max_r2_batch(*realization_frontiers(h), gamma_from_rate(0.3), noise)
+        r2 = bounds.refined(True)[0][0]
         assert r2 == pytest.approx(1.0, abs=1e-9)
 
     def test_witness_certifies_achievable_points(self, rng):
@@ -431,7 +431,7 @@ class TestAchievability:
             h = random_realization(rng)
             r1 = 0.5 * su_rate_batch(h.h11[None, :], noise[0])[0]
             F1, F2 = realization_frontiers(h)
-            r2 = 0.5 * max_r2_batch(F1, F2, gamma_from_rate(r1), noise).exact()[0][0]
+            r2 = 0.5 * max_r2_batch(F1, F2, gamma_from_rate(r1), noise).refined(True)[0][0]
             wit = is_achievable(h, (r1, r2), noise)
             assert wit.achievable
             assert wit.margin >= -1e-7
@@ -453,7 +453,7 @@ class TestAchievability:
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
         r1 = 0.6 * su_rate_batch(arrs["h11"], noise[0])
         g1 = gamma_from_rate(r1)
-        r2_star = max_r2_batch(F1, F2, g1, noise).exact()[0]
+        r2_star = max_r2_batch(F1, F2, g1, noise).refined(True)[0]
         assert np.all(np.isfinite(r2_star))
         delta = 1e-6
         g_below, _, _ = achievability_slack_batch(
@@ -473,7 +473,7 @@ class TestAchievability:
         caps = su_rate_batch(arrs["h11"], noise[0])
         prev = None
         for frac in (0.0, 0.25, 0.5, 0.75, 0.999):
-            r2 = max_r2_batch(F1, F2, gamma_from_rate(frac * caps), noise).exact()[0]
+            r2 = max_r2_batch(F1, F2, gamma_from_rate(frac * caps), noise).refined(True)[0]
             if prev is not None:
                 assert np.all(r2 <= prev + 1e-9)
             prev = r2
@@ -482,13 +482,14 @@ class TestAchievability:
         noise = (0.9, 1.1)
         for _ in range(10):
             h = random_realization(rng)
-            r2 = max_r2_batch(*realization_frontiers(h), 0.0, noise).exact()[0][0]
+            r2 = max_r2_batch(*realization_frontiers(h), 0.0, noise).refined(True)[0][0]
             assert r2 == pytest.approx(su_rate_batch(h.h22[None, :], noise[1])[0], abs=1e-9)
 
     def test_infeasible_r1_is_minus_inf(self):
         """r1 above the link-1 single-user rate (1 bit here): an empty column."""
         h = orthogonal_cross_realization()
-        r2 = max_r2_batch(*realization_frontiers(h), gamma_from_rate(5.0), (1.0, 1.0)).exact()[0]
+        bounds = max_r2_batch(*realization_frontiers(h), gamma_from_rate(5.0), (1.0, 1.0))
+        r2 = bounds.refined(True)[0]
         assert r2[0] == -math.inf
 
     def test_scalar_matches_batch_decision(self, rng):
@@ -596,7 +597,8 @@ def check_accuracy_contract(arrs, noise, rng):
         r1, r2 = frac1 * su1, frac2 * su2
         gamma1, gamma2 = gamma_from_rate(r1), gamma_from_rate(r2)
         assert_within_contract(
-            max_r2_batch(F1, F2, gamma1, noise).exact()[0], column_oracle(F1, F2, gamma1, noise)
+            max_r2_batch(F1, F2, gamma1, noise).refined(True)[0],
+            column_oracle(F1, F2, gamma1, noise),
         )
         assert_bounds_hold(F1, F2, gamma1, noise, rng)
         g, q1, q2 = achievability_slack_batch(F1, F2, gamma1, gamma2, noise)
@@ -666,7 +668,7 @@ class TestColumnSearch:
         # Either side of the zero-forcing test, where the closed form ends.
         gammas += [knee * (1.0 + eta) for eta in (-1e-6, -1e-12, 0.0, 1e-12, 1e-7, 1e-6, 1e-3)]
         for gamma1 in gammas:
-            r2, q2 = max_r2_batch(F1, F2, gamma1, noise).exact()
+            r2, q2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)
             assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
             assert_bounds_hold(F1, F2, gamma1, noise, rng)
             ok = np.isfinite(r2)
@@ -687,11 +689,11 @@ class TestColumnSearch:
             # The column of the given rows, from their sliced channel arrays.
             F1 = frontier_batch(arrs["h11"][index], arrs["h12"][index])
             F2 = frontier_batch(arrs["h22"][index], arrs["h21"][index])
-            return max_r2_batch(F1, F2, gamma1[index], noise).exact()
+            return max_r2_batch(F1, F2, gamma1[index], noise).refined(True)
 
         F1 = frontier_batch(arrs["h11"], arrs["h12"])
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
-        r2, q2 = max_r2_batch(F1, F2, gamma1, noise).exact()
+        r2, q2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)
         empty, hi = column_bracket(F1, F2, gamma1, noise)
         zero_forcing = ~empty & (gamma1 * (hi + noise[0]) <= F1.d_sq)
         assert empty.any() and zero_forcing.any() and not (empty | zero_forcing).all()
@@ -707,9 +709,9 @@ class TestColumnSearch:
         rng = np.random.default_rng(12)
         noise = (0.5, 0.8)
         F1, F2, _ = column_inputs(rng, 2, 200, noise)
-        with mock.patch.object(rate_core, "root_bracket", wraps=root_bracket) as search:
-            r2, q2 = max_r2_batch(F1, F2, 0.0, noise).exact()
-        search.assert_not_called()
+        bounds = max_r2_batch(F1, F2, 0.0, noise)
+        assert bounds.searched.size == 0 and bounds.evaluate is None
+        r2, q2 = bounds.refined(True)
         assert_within_contract(r2, column_oracle(F1, F2, 0.0, noise))
         np.testing.assert_array_equal(q2, F2.q_mrt)
 
@@ -719,9 +721,9 @@ class TestColumnSearch:
         F1, F2, _ = column_inputs(rng, 2, count, noise)
         # Between the zero-forcing knee and the single-user ceiling.
         gamma1 = np.sqrt(zero_forcing_knee(F1, F2, noise) * F1.p_max / noise[0])
-        with mock.patch.object(rate_core, "root_bracket", wraps=root_bracket) as search:
-            r2, _ = max_r2_batch(F1, F2, gamma1, noise).exact()
-        assert search.call_args.args[4].size == count
+        bounds = max_r2_batch(F1, F2, gamma1, noise)
+        assert bounds.searched.size == count
+        r2, _ = bounds.refined(True)
         assert np.all(np.isfinite(r2))
         assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
 
@@ -729,9 +731,9 @@ class TestColumnSearch:
         rng = np.random.default_rng(14)
         noise = (0.5, 0.8)
         F1, F2, su1 = column_inputs(rng, 2, 200, noise)
-        with mock.patch.object(rate_core, "root_bracket", wraps=root_bracket) as search:
-            r2, q2 = max_r2_batch(F1, F2, gamma_from_rate(su1.max() + 0.1), noise).exact()
-        search.assert_not_called()
+        bounds = max_r2_batch(F1, F2, gamma_from_rate(su1.max() + 0.1), noise)
+        assert bounds.searched.size == 0 and bounds.evaluate is None
+        r2, q2 = bounds.refined(True)
         np.testing.assert_array_equal(r2, -np.inf)
         np.testing.assert_array_equal(q2, 0.0)
 
@@ -792,11 +794,10 @@ class TestColumnSearch:
         noise = (0.5, 0.8)
         F1, F2, su1 = column_inputs(rng, 2, 500, noise)
         for factor in (0.5, 1.0 - 1e-15, 1.0):
-            with mock.patch.object(rate_core, "golden_max", side_effect=AssertionError), \
-                    mock.patch.object(rate_core, "root_bracket",
-                                      wraps=root_bracket) as search:
-                r2, _ = max_r2_batch(F1, F2, gamma_from_rate(factor * su1), noise).exact()
-            assert search.call_args.args[4].size > 0
+            with mock.patch.object(rate_core, "golden_max", side_effect=AssertionError):
+                bounds = max_r2_batch(F1, F2, gamma_from_rate(factor * su1), noise)
+                r2, _ = bounds.refined(True)
+            assert bounds.searched.size > 0
             assert np.isfinite(r2).any()
 
     @pytest.mark.parametrize("eta", [0.0, 1e-15, 1e-12, 1e-9])
@@ -811,7 +812,7 @@ class TestColumnSearch:
         F1, F2, su1 = column_inputs(rng, n, 2000, noise)
         r1 = (1.0 - eta) * su1
         gamma1 = gamma_from_rate(r1)
-        r2, q2 = max_r2_batch(F1, F2, gamma1, noise).exact()
+        r2, q2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)
         ok = np.isfinite(r2)
         assert ok.sum() > 500
         q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
@@ -832,7 +833,7 @@ class TestColumnSearch:
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
         gamma1 = float(gamma_from_rate(r1))
         assert 0.0 < gamma1 < np.finfo(float).tiny
-        r2 = max_r2_batch(F1, F2, gamma1, noise).exact()[0]
+        r2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)[0]
         assert_within_contract(r2, su_rate_batch(arrs["h22"], noise[1]))
         g_max, _, _ = achievability_slack_batch(F1, F2, gamma1, 0.0, noise)
         assert np.all(np.isfinite(g_max))
@@ -841,7 +842,7 @@ class TestColumnSearch:
 def assert_column_contract(F1, F2, gamma1, noise):
     """The column search within the contract of column_oracle, and its
     maximizer a witness of both rates."""
-    r2, q2 = max_r2_batch(F1, F2, gamma1, noise).exact()
+    r2, q2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)
     assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
     ok = np.isfinite(r2)
     q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
@@ -869,9 +870,10 @@ def bound_gammas(rng, F1, F2, su1, noise) -> list:
 def assert_bounds_hold(F1, F2, gamma1, noise, rng):
     """lower <= the column value <= upper bit for bit, both equal to it (and
     q2 to its maximizer) on the rows answered in closed form, and a refine
-    of a random subset of the searched rows bit-equal to the full search."""
+    of a random subset of the searched rows bit-equal to the full search on
+    that subset and to the lower bound (and the bracket's q2) elsewhere."""
     bounds = max_r2_batch(F1, F2, gamma1, noise)
-    values, q2 = bounds.exact()
+    values, q2 = bounds.refined(True)
     assert np.all(bounds.lower <= values)
     assert np.all(values <= bounds.upper)
     closed = np.ones(values.size, dtype=bool)
@@ -880,9 +882,13 @@ def assert_bounds_hold(F1, F2, gamma1, noise, rng):
         np.testing.assert_array_equal(bound[closed], values[closed])
     np.testing.assert_array_equal(bounds.q2[closed], q2[closed])
     which = rng.random(bounds.searched.size) < 0.3
-    refined, refined_q2 = bounds.refine(which)
-    np.testing.assert_array_equal(refined, values[bounds.searched[which]])
-    np.testing.assert_array_equal(refined_q2, q2[bounds.searched[which]])
+    refined, refined_q2 = bounds.refined(which)
+    rows = np.zeros(values.size, dtype=bool)
+    rows[bounds.searched[which]] = True
+    np.testing.assert_array_equal(refined[rows], values[rows])
+    np.testing.assert_array_equal(refined_q2[rows], q2[rows])
+    np.testing.assert_array_equal(refined[~rows], bounds.lower[~rows])
+    np.testing.assert_array_equal(refined_q2[~rows], bounds.q2[~rows])
     return bounds.searched.size
 
 
@@ -920,6 +926,68 @@ class TestColumnBounds:
         searched = sum(assert_bounds_hold(F1, F2, gamma_from_rate(r1), noise, rng)
                        for r1 in np.linspace(0.0, 1000.0, 8))
         assert searched > 0
+
+    def test_overflowing_derivative_factor(self):
+        """Noise 1e-300, n = 8, r1 an ulp below su1: k = gamma1 b1 b2 / p1
+        overflows on rows 164 and 934, where the search once returned NaN.
+        Their values are within the contract of column_oracle, the bounds
+        hold, and no RuntimeWarning is raised (the suite makes one an
+        error)."""
+        noise = (1e-300, 1e-300)
+        arrs = contract_channels(np.random.default_rng(3008), 8, 1500, "random")
+        F1 = frontier_batch(arrs["h11"], arrs["h12"])
+        F2 = frontier_batch(arrs["h22"], arrs["h21"])
+        gamma1 = gamma_from_rate((1.0 - 1e-15) * su_rate_batch(arrs["h11"], noise[0]))
+        rows = np.array([164, 934])
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(gamma1[rows] * F1.b_norm_sq[rows] * F2.safe_bsq[rows]
+                                   / F1.p_max[rows]))
+        r2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)[0]
+        assert_within_contract(r2[rows], column_oracle(F1, F2, gamma1, noise)[rows])
+        assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
+        assert_bounds_hold(F1, F2, gamma1, noise, np.random.default_rng(402))
+
+    @pytest.mark.parametrize("where", ["zero r1", "r1 above every su1"])
+    def test_column_with_no_searched_row(self, where):
+        """Every row in closed form (all zero-forcing at gamma1 = 0, all
+        brackets empty above every su1): no evaluate is built, and lower,
+        upper and the exact column are equal bit for bit."""
+        noise = (0.5, 0.8)
+        F1, F2, su1 = column_inputs(np.random.default_rng(15), 2, 300, noise)
+        gamma1 = 0.0 if where == "zero r1" else gamma_from_rate(su1.max() + 0.1)
+        with mock.patch.object(rate_core, "_phi_evaluator",
+                               side_effect=AssertionError) as build:
+            bounds = max_r2_batch(F1, F2, gamma1, noise)
+            values, q2 = bounds.refined(True)
+            lower, upper = bounds.lower, bounds.upper
+        build.assert_not_called()
+        assert bounds.searched.size == 0
+        np.testing.assert_array_equal(lower, values)
+        np.testing.assert_array_equal(upper, values)
+        np.testing.assert_array_equal(q2, bounds.q2)
+        assert np.all(np.isfinite(values)) == (where == "zero r1")
+
+    def test_refine_of_no_row_changes_nothing(self):
+        """Refining an empty selection runs no evaluation and gives the
+        lower bound and the bracket's q2; the bracket stage is left as it
+        was, so the exact column after it is the one before it."""
+        noise = (0.5, 0.8)
+        F1, F2, su1 = column_inputs(np.random.default_rng(16), 4, 400, noise)
+        bounds = max_r2_batch(F1, F2, gamma_from_rate(0.6 * su1), noise)
+        assert bounds.searched.size > 0
+        exact = bounds.refined(True)
+        stage = [getattr(bounds, name).copy()
+                 for name in ("top", "q2", "lo", "width", "best", "y1", "f0", "f1")]
+        with mock.patch.object(rate_core, "_phi_evaluator", side_effect=AssertionError), \
+                mock.patch.object(bounds, "evaluate", side_effect=AssertionError):
+            values, q2 = bounds.refined(False)
+        np.testing.assert_array_equal(values, bounds.lower)
+        np.testing.assert_array_equal(q2, bounds.q2)
+        assert np.all(values <= exact[0]) and np.any(values < exact[0])
+        for before, name in zip(stage, ("top", "q2", "lo", "width", "best", "y1", "f0", "f1")):
+            np.testing.assert_array_equal(getattr(bounds, name), before)
+        for after, before in zip(bounds.refined(True), exact):
+            np.testing.assert_array_equal(after, before)
 
 
 def decimal_phi(F1, F2, k: int, gamma1: float, q2: float, noise) -> Decimal:
@@ -970,7 +1038,7 @@ class TestIndependentOracle:
         three interior points of each searched bracket [L, H], with r1 at the
         single-user ceiling and 1e-15 to 1e-3 (relative) below it, where the
         frontier inverse magnifies the slack's error; and the kernel's own
-        maximum at its maximizer."""
+        maximum at its maximizer, as the exact column returns them."""
         rng = np.random.default_rng(306)
         noise = (0.6, 0.9)
         count = 30
@@ -990,7 +1058,14 @@ class TestIndependentOracle:
                     exact = decimal_phi(F1, F2, k, float(gamma1[k]), float(q2[k]), noise)
                     assert relative_error(phi[k], exact) <= self.PHI_TOL, (k, pos)
                     pairs += 1
-            q_star, phi_star = root_bracket(F1, F2, gamma1, hi, rows, noise).search()
+            bounds = max_r2_batch(F1, F2, gamma1, noise)
+            np.testing.assert_array_equal(bounds.searched, rows)
+            # The Illinois stage's maximum and maximizer on every searched
+            # row, which the exact column returns bit for bit.
+            q_star, phi_star = bounds._illinois(np.ones(rows.size, dtype=bool), rows)
+            values, q2 = bounds.refined(True)
+            np.testing.assert_array_equal(q2[rows], q_star)
+            np.testing.assert_array_equal(values[rows], rate_from_sinr(phi_star))
             for j, k in enumerate(rows):
                 exact = decimal_phi(F1, F2, k, float(gamma1[k]), float(q_star[j]), noise)
                 assert relative_error(phi_star[j], exact) <= self.PHI_TOL, k
