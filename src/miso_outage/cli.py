@@ -6,6 +6,8 @@ computations and write plot-ready CSV boundaries plus a JSON manifest that
 echoes the full config, so every output file is reproducible from its
 manifest alone. All randomness is seeded from the config; timing goes to
 stderr to keep the written files byte-stable across runs and worker counts.
+A process that runs several commands parses each run-config once: load_config
+holds the last one parsed, keyed by the file's exact text.
 
 Complex matrices serialize as nested arrays of [re, im] pairs. The schema is
 strict: unknown fields, missing fields, or fields that do not apply to the
@@ -20,8 +22,10 @@ import json
 import math
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -143,19 +147,20 @@ def _vector_doc(h: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(h)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """A parsed run-config. source, built and validated once by parse_config,
     is the seeded Gaussian stream of the covariances or the explicit channel
-    list."""
+    list. The fields cannot be assigned and grid and search are read-only
+    mappings, so a config load_config hands out again is the one it parsed."""
 
     scenario: str
     n: int
     source: SampleSource
     noise: tuple[float, float]
     epsilons: tuple[float, float]
-    grid: dict | None
-    search: dict | None
+    grid: Mapping | None
+    search: Mapping | None
     basename: str
 
     def stat_search(self) -> StatRegionSearch:
@@ -351,18 +356,36 @@ def parse_config(text: str) -> RunConfig:
         source=source,
         noise=noise,
         epsilons=epsilons,
-        grid=grid,
-        search=search,
+        grid=None if grid is None else MappingProxyType(grid),
+        search=None if search is None else MappingProxyType(search),
         basename=basename,
     )
 
 
+# The one parsed run-config of this process, as (text, config); see load_config.
+_cached_config: tuple | None = None
+
+
+def clear_config_cache() -> None:
+    """Forget the cached run-config, so the next load_config parses again."""
+    global _cached_config
+    _cached_config = None
+
+
 def load_config(path: str) -> RunConfig:
+    """The run-config in the file at path. The file is read every time; a
+    text equal to the last one parsed in this process returns that
+    RunConfig again (parsed and validated once), any other text is parsed
+    and replaces it. A text that fails to parse is never held."""
+    global _cached_config
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError("<document>", f"cannot read {path}: {exc}") from exc
-    return parse_config(text)
+    if _cached_config is None or _cached_config[0] != text:
+        _cached_config = None
+        _cached_config = (text, parse_config(text))
+    return _cached_config[1]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,15 @@ transmitter off) in C1/C2, switches both off in A, and in D serves link 1 with
 probability p (a biased coin independent of the channels) and link 2
 otherwise. Link i then succeeds exactly on B, Ci and its share of D.
 
+The coin is independent of the channels, so at a fixed rate point every
+realization's case, and whether each link succeeds where it is served, are
+the same at every bias p; only case D's coin comparisons change with p.
+simulate_policy is factored that way: the bias-free part (PolicySplit: the
+case counts, the successes outside case D, and per case-D row its coin and
+both links' success flags) is taken once per rate point and coin seed and
+held on the column at r1, and a simulate at bias p counts only the case-D
+rows whose coin is below p.
+
 Estimation reads a regions.InstantaneousRegionPipeline built on the stream;
 the classification of sample k depends only on the realization itself, so any
 partition of the index range sums to identical integer counts. Coin draws for
@@ -143,6 +152,12 @@ def count_true(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only in place."""
+    array.flags.writeable = False
+    return array
+
+
 def classify(h, point, noise: tuple[float, float]) -> CaseLabel:
     """Case of a single realization at the rate point."""
     from .regions import InstantaneousRegionPipeline
@@ -212,6 +227,89 @@ class PolicyOutcome:
         }
 
 
+@dataclass(frozen=True)
+class PolicySplit:
+    """The bias-free part of the policy's outcome at one rate point and coin
+    seed, from which the outcome at any bias p follows.
+
+    At a fixed rate point every realization's case, and whether each link
+    succeeds where it is served, do not depend on p: only case D's coin
+    comparisons do. So this holds the case counts A, B, C1 and C2, each
+    link's successes outside case D (on B at the case-B operating point, on
+    its own C case at its single-user rate, and, where r_i <= RATE_SLACK,
+    on the rows where its achieved rate is 0), and per case-D row the coin
+    draw and whether each link succeeds when served (ok1, ok2). The arrays
+    are read-only.
+    """
+
+    n_samples: int
+    coin_seed: int
+    count_a: int
+    count_b: int
+    count_c1: int
+    count_c2: int
+    success1: int
+    success2: int
+    idle1: bool
+    idle2: bool
+    coin: np.ndarray
+    ok1: np.ndarray
+    ok2: np.ndarray
+
+    def outcome(self, bias: float) -> PolicyOutcome:
+        """The outcome with link 1 served on the case-D rows whose coin < bias."""
+        serve1 = self.coin < bias
+        count_d1 = count_true(serve1)
+        count_d2 = self.coin.size - count_d1
+        return PolicyOutcome(
+            n_samples=self.n_samples,
+            bias=bias,
+            coin_seed=self.coin_seed,
+            success1=self.success1 + count_true(serve1 & self.ok1)
+            + (count_d2 if self.idle1 else 0),
+            success2=self.success2 + count_true(~serve1 & self.ok2)
+            + (count_d1 if self.idle2 else 0),
+            count_a=self.count_a,
+            count_b=self.count_b,
+            count_c1=self.count_c1,
+            count_c2=self.count_c2,
+            count_d1=count_d1,
+            count_d2=count_d2,
+        )
+
+
+def split_policy(masks: tuple, witness: tuple, su: tuple, point: tuple,
+                 coin_seed: int) -> PolicySplit:
+    """The PolicySplit at a rate point from its (exceed1, exceed2, joint)
+    masks, the case-B witness rates and the single-user rates of both links.
+
+    Link i succeeds where its achieved rate is >= r_i - RATE_SLACK: the
+    witness rate on B, su_i on Ci and on the D rows that serve it, and 0
+    elsewhere. The coin stream has one draw per sample, indexed by absolute
+    position, of which case D's rows keep theirs.
+    """
+    r1, r2 = point
+    need1, need2 = r1 - RATE_SLACK, r2 - RATE_SLACK
+    idle1, idle2 = 0.0 >= need1, 0.0 >= need2
+    a, b, c1, c2, d = split_cases(*masks)
+    counts = [count_true(mask) for mask in (a, b, c1, c2)]
+    n_a, _, n_c1, n_c2 = counts
+    return PolicySplit(
+        d.size,
+        coin_seed,
+        *counts,
+        success1=count_true(b & (witness[0] >= need1)) + count_true(c1 & (su[0] >= need1))
+        + (n_a + n_c2 if idle1 else 0),
+        success2=count_true(b & (witness[1] >= need2)) + count_true(c2 & (su[1] >= need2))
+        + (n_a + n_c1 if idle2 else 0),
+        idle1=idle1,
+        idle2=idle2,
+        coin=read_only(np.random.default_rng(coin_seed).random(d.size)[d]),
+        ok1=read_only(su[0][d] >= need1),
+        ok2=read_only(su[1][d] >= need2),
+    )
+
+
 def simulate_policy(
     source: SampleSource,
     point,
@@ -224,7 +322,9 @@ def simulate_policy(
     Success of link i is counted when its achieved rate is >= r_i - 1e-9. The
     coin stream is indexed by absolute sample position (one draw per sample,
     used only in case D), so results are reproducible for given source and
-    coin seeds regardless of any batching.
+    coin seeds regardless of any batching. The bias-free part (PolicySplit)
+    is taken once per rate point and coin seed and held on the pipeline's
+    column at r1, so a bias sweep at one point counts only case D's coins.
     """
     from .regions import InstantaneousRegionPipeline
 
@@ -233,26 +333,4 @@ def simulate_policy(
     if not 0.0 <= bias <= 1.0:
         raise ValueError(f"bias must lie in [0, 1], got {bias}")
     pipeline = InstantaneousRegionPipeline(source, noise)
-    r1_witness, r2_witness = pipeline.witness_rates(r1)
-    a, b, c1, c2, d = split_cases(*pipeline.case_tests(r1, r2))
-    coin = np.random.default_rng(coin_seed).random(source.count)
-    serve1 = d & (coin < bias)
-    serve2 = d & ~serve1
-
-    r1_ach = np.select([b, c1 | serve1], [r1_witness, pipeline.su1])
-    r2_ach = np.select([b, c2 | serve2], [r2_witness, pipeline.su2])
-    success1 = r1_ach >= r1 - RATE_SLACK
-    success2 = r2_ach >= r2 - RATE_SLACK
-    return PolicyOutcome(
-        n_samples=source.count,
-        bias=bias,
-        coin_seed=int(coin_seed),
-        success1=count_true(success1),
-        success2=count_true(success2),
-        count_a=count_true(a),
-        count_b=count_true(b),
-        count_c1=count_true(c1),
-        count_c2=count_true(c2),
-        count_d1=count_true(serve1),
-        count_d2=count_true(serve2),
-    )
+    return pipeline.policy_split(r1, r2, coin_seed).outcome(bias)

@@ -296,10 +296,18 @@ def frontier_point(frontier: PowerFrontier, q: float) -> np.ndarray:
     x = math.sqrt(q / bsq)
     resid = a - alpha * bhat
     d = float(np.linalg.norm(resid))
-    if d == 0.0:
+    # The subtraction leaves rounding of a's size along b, which dominates
+    # resid where a is (nearly) parallel to b, as it always is at n = 1; its
+    # direction is then no longer orthogonal to b, and w's norm could reach
+    # sqrt(2). A second projection removes that part. Where it takes half of
+    # resid or more, a's true orthogonal part is below rounding (it adds
+    # O(eps) to p(q)) and w stays along b.
+    resid -= np.vdot(bhat, resid) * bhat
+    d_perp = float(np.linalg.norm(resid))
+    if d_perp <= 0.5 * d:
         return x * phase * bhat
     y = math.sqrt(max(1.0 - q / bsq, 0.0))
-    return x * phase * bhat + y * (resid / d)
+    return x * phase * bhat + y * (resid / d_perp)
 
 
 # ---------------------------------------------------------------------------
@@ -718,20 +726,24 @@ class ColumnBounds:
         upper[self.searched] = top + UPPER_MARGIN * np.maximum(1.0, np.abs(top))
         return upper
 
-    def refined(self, which) -> tuple:
+    def refined(self, which, maximizers: bool = True) -> tuple:
         """(values, q2*) of the column with the searched rows which selects
         (a mask over searched, or True for all and False for none) refined:
         bit for bit those of a search over every searched row. An empty
         selection runs no evaluation and returns q2 itself. The values are
         converted from the SINRs whole, the unselected rows' from best, so
-        they equal lower's there bit for bit and no bound is computed."""
+        they equal lower's there bit for bit and no bound is computed.
+        With maximizers False, q2* is None and q2 is not copied (a traced
+        column reads only the values)."""
         which = np.full(self.searched.shape, which)
         rows = self.searched[which]
-        sinr, q2 = self.top.copy(), self.q2
+        sinr, q2 = self.top.copy(), self.q2 if maximizers else None
         sinr[self.searched] = self.best
         if rows.size:
-            q2 = q2.copy()
-            q2[rows], sinr[rows] = self._illinois(which, rows)
+            q_rows, sinr[rows] = self._illinois(which, rows)
+            if maximizers:
+                q2 = q2.copy()
+                q2[rows] = q_rows
         values = rate_from_sinr(sinr)
         values[self.infeasible] = -np.inf
         return values, q2

@@ -30,8 +30,9 @@ whose bounds leave a count in doubt are root-searched, in one call, before
 the bisection that gives the boundary point. The r2 and payloads are those
 of the exact column, bit for bit (_trace_column).
 Every reader of the column at r1 goes through one Column: the values and
-maximizers of one max_r2_batch call, its case counts, masks and case B's
-witness rates. The store's Columns are exact: column(), point, simulate and
+maximizers of one max_r2_batch call, its case counts, masks, case B's
+witness rates and the policy's bias-free part at the last (r2, coin seed).
+The store's Columns are exact: column(), point, simulate and
 precompute_columns refine every searched row (ColumnBounds.refined).
 
 A Gaussian stream is sampled once per process: pipelines on the same
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import os
 import pickle
 import signal
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import COVARIANCE_KEYS, SampleSource
-from .outage_mc import CaseProbabilities, count_true
+from .outage_mc import CaseProbabilities, PolicySplit, count_true, read_only, split_policy
 from .rate_core import (
     RATE_SLACK,
     ColumnBounds,
@@ -512,11 +514,6 @@ def _jointly_achievable(column: np.ndarray, r2: float) -> np.ndarray:
     return column >= r2 - RATE_SLACK
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 class Column:
     """The column at r1: per realization the largest achievable r2 (values)
     and the interference q2* of transmitter 2 that attains it, case B's
@@ -535,13 +532,15 @@ class Column:
     C2 = #(exceed1 & ~joint) - #(a & ~joint). Each r2 is counted once; a
     repeated query (another variant's bisection, a payload) reads the memo.
     witness holds the link rates at the case-B operating point once the
-    pipeline has computed them. The arrays are read-only.
+    pipeline has computed them, and policy the last PolicySplit taken on the
+    column, as ((r2, coin seed), split): a bias sweep at one rate point
+    reuses it. The arrays are read-only.
     """
 
     def __init__(self, r1: float, su1: np.ndarray, su2: np.ndarray,
                  values: np.ndarray, q2: np.ndarray | None = None):
         self.su2 = su2
-        self.exceed1 = _read_only(r1 > su1)
+        self.exceed1 = read_only(r1 > su1)
         self.count_exceed1 = count_true(self.exceed1)
         self.su2_exceed1 = su2[self.exceed1]
         self._hold(values, q2)
@@ -555,10 +554,11 @@ class Column:
         return column
 
     def _hold(self, values: np.ndarray, q2: np.ndarray | None):
-        self.values = _read_only(values)
-        self.q2 = None if q2 is None else _read_only(q2)
+        self.values = read_only(values)
+        self.q2 = None if q2 is None else read_only(q2)
         self.values_exceed1 = values[self.exceed1]
         self.witness: tuple | None = None
+        self.policy: tuple | None = None
         self._memo: dict[float, CaseProbabilities] = {}
 
     def masks(self, r2: float) -> tuple:
@@ -623,7 +623,7 @@ def _sample_stream(source: SampleSource, noise: tuple[float, float]) -> _Stream:
             )
         su.append(rate_from_sinr(sinr))
     for array in (*vars(F1).values(), *vars(F2).values(), *su):
-        _read_only(array)
+        read_only(array)
     return _Stream(F1, F2, *su)
 
 
@@ -803,8 +803,21 @@ class InstantaneousRegionPipeline:
             q1 = frontier_qmin_batch(self.F1, float(gamma_from_rate(r1)), column.q2,
                                      self.noise[0])
             rates = witness_rates_batch(self.F1, self.F2, q1, column.q2, self.noise)
-            column.witness = tuple(_read_only(rate) for rate in rates)
+            column.witness = tuple(read_only(rate) for rate in rates)
         return column.witness
+
+    def policy_split(self, r1: float, r2: float, coin_seed: int) -> PolicySplit:
+        """The bias-free part of the policy's outcome at (r1, r2) and the coin
+        seed (an integer), taken once and held on the Column at r1 until
+        another (r2, coin seed) replaces it."""
+        r1, r2 = as_rate_point((r1, r2))
+        column = self._column(r1)
+        key = (r2, operator.index(coin_seed))
+        if column.policy is None or column.policy[0] != key:
+            split = split_policy(column.masks(r2), self.witness_rates(r1),
+                                 (self.su1, self.su2), (r1, r2), key[1])
+            column.policy = (key, split)
+        return column.policy[1]
 
     def case_tests(self, r1: float, r2: float):
         """Masks (exceed1, exceed2, joint) at (r1, r2), for callers that need
@@ -871,7 +884,7 @@ class InstantaneousRegionPipeline:
         for span in spans:
             if span is not None:
                 undecided |= (hi >= max(span[0], 0.0) - RATE_SLACK) & (lo < span[1] - RATE_SLACK)
-        exact = lower.on(bounds.refined(undecided)[0]) if undecided.any() else lower
+        exact = lower.on(bounds.refined(undecided, maximizers=False)[0]) if undecided.any() else lower
 
         def annotated(variant):
             def annotate(r1, r2):

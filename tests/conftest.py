@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from miso_outage.channel import CHANNEL_KEYS, ChannelRealization, ChannelStatistics, SampleSource
+from miso_outage.cli import clear_config_cache
 from miso_outage.presets import demo_statistics
 from miso_outage.regions import clear_stream_cache
 
 
 @pytest.fixture(autouse=True)
-def empty_stream_cache():
-    """Every test starts, and leaves, with no sampled stream cached, so no
-    test reads another test's stream."""
+def empty_caches():
+    """Every test starts, and leaves, with no sampled stream and no run-config
+    cached, so no test reads another test's stream or config."""
     clear_stream_cache()
+    clear_config_cache()
     yield
     clear_stream_cache()
+    clear_config_cache()
 
 
 @pytest.fixture

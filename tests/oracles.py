@@ -12,6 +12,9 @@ tests that pin them keep their meaning:
   membership under general-rank transmit covariances;
 - rate_cov (with validate_transmit_covariance): one link's rate under
   transmit covariances, of which rate_core.rate_bf is the rank-one case;
+- simulate_policy: the policy's outcome from per-row achieved rates (the
+  five case masks and np.select), the route outage_mc.PolicySplit replaces
+  by counting only case D's coins at each bias;
 - trace_boundary: a whole-region trace over any membership oracle, by
   regions.trace_column and regions.assemble_boundary;
 - axis_intercept: an outage region's intercept on one rate axis.
@@ -24,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from miso_outage.channel import ChannelStatistics, SampleSource
-from miso_outage.outage_mc import count_true
+from miso_outage.outage_mc import PolicyOutcome, count_true, split_cases
 from miso_outage.rate_core import (
     NORM_TOL,
+    RATE_SLACK,
     as_rate_point,
     bisect_largest,
     gamma_from_rate,
@@ -36,6 +40,7 @@ from miso_outage.rate_core import (
 )
 from miso_outage.regions import (
     GridConfig,
+    InstantaneousRegionPipeline,
     OutageSpec,
     RegionBoundary,
     assemble_boundary,
@@ -66,6 +71,42 @@ def case_counts(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
         count_true(joint) - (n_a - n_a_nj),
         count_true(exceed2 & nj) - n_a_nj,
         count_true(exceed1 & nj) - n_a_nj,
+    )
+
+
+def simulate_policy(
+    source: SampleSource, point, bias: float, noise: tuple[float, float], coin_seed: int = 0
+) -> PolicyOutcome:
+    """The policy's outcome at bias p, row by row: each realization's achieved
+    rates under its case (the witness rates on B, su_i on Ci and on the case-D
+    rows that serve link i, 0 elsewhere), compared with r_i - RATE_SLACK."""
+    r1, r2 = as_rate_point(point)
+    bias = float(bias)
+    if not 0.0 <= bias <= 1.0:
+        raise ValueError(f"bias must lie in [0, 1], got {bias}")
+    pipeline = InstantaneousRegionPipeline(source, noise)
+    r1_witness, r2_witness = pipeline.witness_rates(r1)
+    a, b, c1, c2, d = split_cases(*pipeline.case_tests(r1, r2))
+    coin = np.random.default_rng(coin_seed).random(source.count)
+    serve1 = d & (coin < bias)
+    serve2 = d & ~serve1
+
+    r1_ach = np.select([b, c1 | serve1], [r1_witness, pipeline.su1])
+    r2_ach = np.select([b, c2 | serve2], [r2_witness, pipeline.su2])
+    success1 = r1_ach >= r1 - RATE_SLACK
+    success2 = r2_ach >= r2 - RATE_SLACK
+    return PolicyOutcome(
+        n_samples=source.count,
+        bias=bias,
+        coin_seed=int(coin_seed),
+        success1=count_true(success1),
+        success2=count_true(success2),
+        count_a=count_true(a),
+        count_b=count_true(b),
+        count_c1=count_true(c1),
+        count_c2=count_true(c2),
+        count_d1=count_true(serve1),
+        count_d2=count_true(serve2),
     )
 
 

@@ -28,8 +28,9 @@ def test_traced_queries_count_every_column_search():
     column request through `InstantaneousRegionPipeline.column`, both of
     which the tracer sees: a traced inst-queries run (seed 3) computes one
     column for each of its 8 `point` calls and none for the three `simulate`
-    calls after each, which request that column twice each (witness rates
-    and case masks) and find it held."""
+    calls after each, which find it held: the first requests it twice (the
+    policy's bias-free part and its witness rates), the two at other biases
+    once (the bias-free part, held on the column)."""
     result = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "inst-queries",
          "--seed", "3", "--seconds", "2", "--trace", "1"],
@@ -42,4 +43,4 @@ def test_traced_queries_count_every_column_search():
     metrics = json.loads(result.stdout.splitlines()[-1])["metrics"]
     assert metrics["rate_core.column_calls"]["value"] == 8
     assert metrics["regions.columns_computed"]["value"] == 8
-    assert metrics["regions.columns_requested"]["value"] == 8 + 24 * 2
+    assert metrics["regions.columns_requested"]["value"] == 8 + 8 * (2 + 1 + 1)

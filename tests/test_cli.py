@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,8 @@ import pytest
 import miso_outage
 from miso_outage.cli import (
     ConfigError,
+    clear_config_cache,
+    load_config,
     main,
     parse_config,
     run_point,
@@ -20,6 +23,7 @@ from miso_outage.cli import (
 )
 from miso_outage.presets import demo_config
 from miso_outage.rate_core import power_frontier
+from miso_outage.regions import clear_stream_cache
 
 from conftest import aligned_point_mass_config
 
@@ -213,6 +217,99 @@ class TestPointReport:
             }
 
 
+def count_eigvalsh(monkeypatch) -> list:
+    """A list that gets one entry per np.linalg.eigvalsh call from here on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *rest, **kwargs):
+        calls.append(1)
+        return eigvalsh(a, *rest, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def cold_main(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of argv with no run-config or stream
+    cached, as a fresh process runs it; stderr without the timing line."""
+    clear_config_cache()
+    clear_stream_cache()
+    return run_main(argv, capsys)
+
+
+def run_main(argv, capsys) -> tuple:
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, "".join(line for line in err.splitlines(True) if " finished in " not in line)
+
+
+class TestConfigCache:
+    """load_config holds the last run-config parsed in the process, keyed by
+    the file's exact text: the same text is not parsed again, any other text
+    is, and a text that fails is never held."""
+
+    POINT = ["0.9", "0.8"]
+
+    def test_edited_file_is_parsed_again(self, tmp_path, capsys, monkeypatch):
+        """Another seed, then back: each edit validates the statistics again
+        (four eigvalsh calls) and prints what a fresh process prints."""
+        path = tmp_path / "config.json"
+        texts = [json.dumps(small_inst_config(seed=seed)) for seed in (4, 5)]
+        cold = []
+        for text in texts:
+            path.write_text(text)
+            cold.append(cold_main(["point", str(path), *self.POINT], capsys))
+        assert cold[0][1] != cold[1][1]
+        calls = count_eigvalsh(monkeypatch)
+        # The cache holds seed 5's text from the last cold run.
+        for k, expected in ((0, 4), (1, 4), (0, 4), (0, 0)):
+            path.write_text(texts[k])
+            calls.clear()
+            assert run_main(["point", str(path), *self.POINT], capsys) == cold[k]
+            assert len(calls) == expected
+
+    @pytest.mark.parametrize("edit", ["indefinite", "not json", "seed"])
+    def test_invalid_edit_fails_as_in_a_fresh_process(self, tmp_path, capsys, edit):
+        """An edit that fails gives the cold run's message and exit code,
+        and the valid text after it is parsed again."""
+        path = tmp_path / "config.json"
+        valid = json.dumps(small_inst_config())
+        doc = small_inst_config()
+        if edit == "indefinite":
+            doc["covariances"]["Q11"][0][0] = [-1.0, 0.0]
+        elif edit == "seed":
+            doc["seed"] = 2**128
+        invalid = "{" + valid if edit == "not json" else json.dumps(doc)
+        path.write_text(invalid)
+        cold = cold_main(["point", str(path), *self.POINT], capsys)
+        assert cold[0] in (1, 2) and cold[1] == ""
+        path.write_text(valid)
+        good = cold_main(["point", str(path), *self.POINT], capsys)
+        assert run_main(["point", str(path), *self.POINT], capsys) == good
+        path.write_text(invalid)
+        for _ in range(2):
+            assert run_main(["point", str(path), *self.POINT], capsys) == cold
+        path.write_text(valid)
+        assert run_main(["point", str(path), *self.POINT], capsys) == good
+
+    def test_cached_config_is_immutable(self, tmp_path):
+        """No field of a RunConfig can be assigned, and its grid and search
+        cannot be changed, so a cached config is the one that was parsed."""
+        inst = load_config(write_config(tmp_path, small_inst_config(), "inst.json"))
+        assert load_config(write_config(tmp_path, small_inst_config(), "copy.json")) is inst
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.noise = (1.0, 1.0)
+        with pytest.raises(TypeError):
+            inst.grid["n_points"] = 3
+        stat = load_config(write_config(tmp_path, demo_config("individual-stat", n_pairs=4)))
+        with pytest.raises(TypeError):
+            stat.search["n_pairs"] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stat.search = {}
+        assert stat.search["n_pairs"] == stat.to_document()["search"]["n_pairs"] == 4
+
+
 class TestMain:
     def test_validate_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, small_inst_config())
@@ -234,22 +331,20 @@ class TestMain:
     @pytest.mark.parametrize("args", [[], ["0.9", "0.8"], ["0.9", "0.8", "0.5"]],
                              ids=["validate", "point", "simulate"])
     def test_warm_command_validates_statistics_once(self, tmp_path, capsys, monkeypatch, args):
-        """A command run again in one process (its stream already sampled)
-        checks the four covariances once: four eigvalsh calls."""
+        """A command run again in one process on the same file validates
+        the four covariances once: four eigvalsh calls at its first run, none
+        at the second, which reuses the parsed run-config and prints the
+        same bytes."""
         command = {0: "validate", 2: "point", 3: "simulate"}[len(args)]
         argv = [command, write_config(tmp_path, small_inst_config()), *args]
-        assert main(argv) == 0
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(a, *rest, **kwargs):
-            calls.append(1)
-            return eigvalsh(a, *rest, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        assert main(argv) == 0
-        assert len(calls) == 4
-        capsys.readouterr()
+        calls = count_eigvalsh(monkeypatch)
+        outputs = []
+        for expected in (4, 0):
+            calls.clear()
+            assert main(argv) == 0
+            assert len(calls) == expected
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_bad_statistics_and_seed_keep_their_messages(self, tmp_path, capsys):
         """An indefinite covariance is a config error (exit 2); a seed of

@@ -72,10 +72,10 @@ def record_refines(monkeypatch) -> list:
     sizes = []
     refined = rate_core.ColumnBounds.refined
 
-    def recorded(self, which):
+    def recorded(self, which, **kwargs):
         if np.ndim(which) > 0:
             sizes.append(int(np.count_nonzero(which)))
-        return refined(self, which)
+        return refined(self, which, **kwargs)
 
     monkeypatch.setattr(rate_core.ColumnBounds, "refined", recorded)
     return sizes

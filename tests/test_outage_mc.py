@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,11 @@ from miso_outage.outage_mc import (
     split_cases,
 )
 from miso_outage.rate_core import is_achievable
+from miso_outage.regions import InstantaneousRegionPipeline
 
-from conftest import BAD_NOISES, realizations
-from oracles import case_counts
+import oracles
+from conftest import BAD_NOISES, random_statistics, realizations
+from oracles import case_counts, su_rate_batch
 
 NOISE = (0.5, 0.5)
 
@@ -188,6 +192,107 @@ class TestSimulatePolicy:
     def test_bias_validation(self, demo_source):
         with pytest.raises(ValueError, match="bias"):
             simulate_policy(demo_source, self.POINT, 1.5, NOISE)
+
+
+# Rates of a policy query: exact zeros, one below RATE_SLACK (where a link
+# whose achieved rate is 0 still succeeds), and 0 to 2 times the mean
+# single-user rate, so that every case occurs.
+RATES = st.sampled_from([0.0, 5e-10]) | st.floats(0.0, 2.0)
+# A bias: 0, 1, any float, or ("coin", k) for the coin draw of the k-th case-D
+# sample, where coin < p and coin <= p differ.
+BIASES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | st.tuples(
+    st.just("coin"), st.integers(0, 10**6))
+
+
+class TestPolicySplit:
+    """simulate_policy takes the bias-free part of the outcome once per rate
+    point and coin seed (PolicySplit, held on the column at r1) and counts
+    only case D's coins at each bias; it equals the per-row oracle (the case
+    masks and np.select) field for field, in any order of queries."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["gaussian", "explicit"]),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        zero=st.sampled_from([None, "11", "22"]),
+        r1s=st.lists(RATES, min_size=1, max_size=2),
+        r2s=st.lists(RATES, min_size=1, max_size=2),
+        queries=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 1),
+                      st.sampled_from([0, 1, 2**32 + 5]), BIASES),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_equals_per_row_oracle(self, kind, n, seed, zero, r1s, r2s, queries):
+        """Link `zero`'s direct channel vanishes (its covariance, or in every
+        third explicit realization), so rates of 5e-10 exceed its single-user
+        rate: that link succeeds at achieved rate 0 in cases A and C."""
+        rng = np.random.default_rng(seed)
+        stats = random_statistics(rng, n)
+        if kind == "gaussian" and zero is not None:
+            setattr(stats, f"Q{zero}", np.zeros((n, n), dtype=complex))
+        noise = (stats.sigma1_sq, stats.sigma2_sq)
+        source = SampleSource.gaussian(stats, seed=seed, count=400)
+        scale = float(np.mean(realization_su_rates(source, noise)))
+        if kind == "explicit":
+            hs = realizations(source, 0, 80)
+            if zero is not None:
+                for h in hs[::3]:
+                    setattr(h, f"h{zero}", np.zeros(n, dtype=complex))
+            source = SampleSource.explicit(hs)
+        r1s, r2s = ([r if r in (0.0, 5e-10) else r * scale for r in rs] for rs in (r1s, r2s))
+        # Every query runs twice, the second time after all the others:
+        # repeats and any order of biases, points and coin seeds.
+        for i, j, coin_seed, bias in queries + queries[::-1]:
+            point = (r1s[i % len(r1s)], r2s[j % len(r2s)])
+            if isinstance(bias, tuple):
+                coins = np.random.default_rng(coin_seed).random(source.count)
+                d = split_cases(*InstantaneousRegionPipeline(source, noise).case_tests(*point))[4]
+                coins = coins[d] if d.any() else coins
+                bias = float(coins[bias[1] % coins.size])
+            got = simulate_policy(source, point, bias, noise, coin_seed=coin_seed)
+            assert got == oracles.simulate_policy(source, point, bias, noise, coin_seed)
+
+    def test_bias_sweep_takes_the_split_once(self, demo_source, monkeypatch):
+        """Biases 1, 0, 0.5, 0, 1 at one point and coin seed draw the coins
+        once; another coin seed draws them again."""
+        draws = []
+        default_rng = np.random.default_rng
+
+        def counted(seed):
+            draws.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        for bias in (1.0, 0.0, 0.5, 0.0, 1.0):
+            simulate_policy(demo_source, (0.6, 0.6), bias, NOISE, coin_seed=3)
+        assert draws == [3]
+        simulate_policy(demo_source, (0.6, 0.6), 0.5, NOISE, coin_seed=4)
+        assert draws == [3, 4]
+
+    def test_split_is_read_only(self, demo_source):
+        split = InstantaneousRegionPipeline(demo_source, NOISE).policy_split(0.6, 0.6, 0)
+        for array in (split.coin, split.ok1, split.ok2):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            split.success1 = 0
+
+    def test_coin_seed_must_be_an_integer(self, demo_source):
+        """1.0 equals the held split's seed 1 as a key, but numpy takes no
+        float seed: it raises, held split or not."""
+        simulate_policy(demo_source, (0.6, 0.6), 0.5, NOISE, coin_seed=1)
+        with pytest.raises(TypeError):
+            simulate_policy(demo_source, (0.6, 0.6), 0.5, NOISE, coin_seed=1.0)
+
+
+def realization_su_rates(source: SampleSource, noise) -> np.ndarray:
+    """Both links' single-user rates over the stream, stacked."""
+    arrs = source.arrays()
+    return np.concatenate([su_rate_batch(arrs["h11"], noise[0]),
+                           su_rate_batch(arrs["h22"], noise[1])])
 
 
 @pytest.mark.parametrize("noise", BAD_NOISES)

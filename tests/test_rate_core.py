@@ -14,6 +14,7 @@ from miso_outage.presets import demo_statistics
 from miso_outage.rate_core import (
     FEASIBILITY_SLACK,
     GOLDEN_VALUE_TOL,
+    NORM_TOL,
     RATE_SLACK,
     _two_product,
     achievability_slack_batch,
@@ -109,6 +110,35 @@ class TestScalarHelpers:
             w = frontier_point(power_frontier(a, b), 0.0)
             assert abs(np.vdot(b, w)) < 1e-12
             assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+
+    def test_collinear_channels_at_one_antenna(self):
+        """At n = 1 own and cross channels are always collinear; their
+        frontier point once had norm 1.41 and is_achievable raised "w2: norm
+        1.41... exceeds unit power budget"."""
+        h = ChannelRealization([1 + 0.5j], [0.3 - 0.7j], [0.4 + 0.2j], [0.9 - 0.1j])
+        wit = is_achievable(h, (0.5, 0.5), (0.5, 0.5))
+        assert wit.achievable
+        for w in (wit.w1, wit.w2):
+            assert np.linalg.norm(w) <= 1.0 + NORM_TOL
+        assert wit.margin >= -1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_collinear_frontier_point(self, rng, n):
+        """b = (0.7 - 0.3j) a: the residual of a off b is rounding alone (the
+        frontier's d is about 4e-16 for the n = 2 vector below, where the
+        norm was 1.403 at q = q_mrt / 2). The point stays in the unit ball,
+        delivers p(q) and causes at most q, at every q."""
+        vectors = [np.array([1.1 - 0.5j, 0.3 - 1.3j])] if n == 2 else []
+        vectors += list(random_channel_vectors(rng, 20, n))
+        for a in vectors:
+            fr = power_frontier(a, (0.7 - 0.3j) * a)
+            assert fr.d < 1e-15 * math.sqrt(fr.p_max)
+            for q in (0.0, 0.25 * fr.q_mrt, 0.5 * fr.q_mrt, fr.q_mrt):
+                w = frontier_point(fr, q)
+                assert np.linalg.norm(w) <= 1.0 + NORM_TOL
+                assert abs(np.vdot(a, w)) ** 2 == pytest.approx(
+                    fr.signal_power(q), rel=1e-12, abs=1e-15 * fr.p_max)
+                assert abs(np.vdot(fr.cross, w)) ** 2 <= q * (1.0 + 1e-12) + 1e-15 * fr.p_max
 
     def test_beamformer_validation(self):
         validate_beamformer(np.array([0.6, 0.8]))
