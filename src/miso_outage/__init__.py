@@ -3,8 +3,9 @@
 Subpackage map:
 
 - channel: channel model, validation, reproducible Gaussian sampling
-- rate_core: per-realization rates, power frontiers, feasibility oracle
-- outage_mc: case classification, Monte-Carlo estimates, policy simulation
+- rate_core: per-realization rates, power frontiers, the column kernel
+- outage_mc: case classification and achievability, Monte-Carlo estimates,
+  policy simulation
 - regions: membership conditions, bias intervals, boundary tracing
 - stat_csi: closed-form statistical-CSI evaluator over explicit beamformer pairs
 - cli: batch front-end (run configs, CSV boundaries, JSON manifests)
@@ -23,16 +24,16 @@ from .channel import (
 from .outage_mc import (
     CaseLabel,
     CaseProbabilities,
+    FeasibilityWitness,
     PolicyOutcome,
     classify,
     estimate_case_probs,
+    is_achievable,
     simulate_policy,
 )
 from .rate_core import (
-    FeasibilityWitness,
     PowerFrontier,
     frontier_point,
-    is_achievable,
     mrt,
     power_frontier,
     rate_bf,

@@ -260,19 +260,20 @@ def gaussian_sample_arrays(
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleSource:
     """A reproducible stream of channel realizations.
 
     Either a seeded Gaussian stream defined by ChannelStatistics (stats mode) or
-    an explicit list of realizations (fixture mode, for deterministic tests of
+    an explicit tuple of realizations (fixture mode, for deterministic tests of
     every Monte-Carlo consumer). Both modes expose the same array interface.
+    The fields cannot be assigned.
     """
 
     stats: ChannelStatistics | None = None
     seed: int | None = None
     count: int = 0
-    realizations: list[ChannelRealization] | None = field(default=None, repr=False)
+    realizations: tuple[ChannelRealization, ...] | None = field(default=None, repr=False)
 
     @classmethod
     def gaussian(cls, stats: ChannelStatistics, seed: int, count: int) -> "SampleSource":
@@ -291,7 +292,7 @@ class SampleSource:
 
     @classmethod
     def explicit(cls, realizations) -> "SampleSource":
-        rs = list(realizations)
+        rs = tuple(realizations)
         if not rs:
             raise ValueError("explicit source needs at least one realization")
         n = rs[0].n

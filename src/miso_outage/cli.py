@@ -38,7 +38,7 @@ from .channel import (
     SampleSource,
     ValidationError,
 )
-from .outage_mc import estimate_case_probs, simulate_policy
+from .outage_mc import estimate_case_probs, read_only, simulate_policy
 from .rate_core import RATE_SLACK, gamma_from_rate, power_frontier
 from .regions import (
     CSV_COLUMNS,
@@ -151,7 +151,8 @@ def _vector_doc(h: np.ndarray) -> list:
 class RunConfig:
     """A parsed run-config. source, built and validated once by parse_config,
     is the seeded Gaussian stream of the covariances or the explicit channel
-    list. The fields cannot be assigned and grid and search are read-only
+    list. The fields, and the source's, cannot be assigned, the covariance
+    and channel arrays are read-only, and grid and search are read-only
     mappings, so a config load_config hands out again is the one it parsed."""
 
     scenario: str
@@ -274,6 +275,8 @@ def parse_config(text: str) -> RunConfig:
         mc_samples = _as_int(_get(doc, "mc_samples", ""), "mc_samples", minimum=1)
         seed = _as_int(_get(doc, "seed", ""), "seed", minimum=0)
         stats = ChannelStatistics(n=n, **mats, sigma1_sq=noise[0], sigma2_sq=noise[1])
+        for key in COVARIANCE_KEYS:
+            read_only(stats.covariance(key))
         # The one validation of the statistics; a seed of 2**128 or more
         # raises its own ValueError here.
         try:
@@ -304,6 +307,8 @@ def parse_config(text: str) -> RunConfig:
                 channels.append(ChannelRealization(**vectors))
             except ValidationError as exc:
                 raise ConfigError(f"channels[{i}]", str(exc)) from exc
+            for key in CHANNEL_KEYS:
+                read_only(getattr(channels[-1], key))
         source = SampleSource.explicit(channels)
 
     grid = None

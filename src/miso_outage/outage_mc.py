@@ -10,6 +10,14 @@ of five cases:
     D  : both targets are individually below the single-user rates but the
          pair is not jointly achievable (exactly one link can be served)
 
+Every case, of one realization or of a whole stream, is read from the masks
+(exceed1, exceed2, joint) of a regions.Column: exceed1 = r1 > su1 is also
+the column kernel's set of empty rows, and joint compares r2 with the
+column, the realization's largest achievable r2 at r1. So joint implies
+not exceed1, and case B is joint itself. classify returns the case of one
+realization, and is_achievable decides case B on the same Column, with
+witness beamformers at case B's operating point.
+
 The transmission policy serves both links in case B at the column's
 operating point (regions.Column's maximizer q2*, whose witness rates the
 Column holds once computed), serves the feasible link with its matched filter (other
@@ -41,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SampleSource
-from .rate_core import RATE_SLACK, as_rate_point
+from .rate_core import RATE_SLACK, as_rate_point, frontier_point, power_frontier, rate_bf
 from .rate_core import achievability_slack_batch, frontier_batch  # wrapped by perfbench/tracer.py
 
 
@@ -165,6 +173,54 @@ def classify(h, point, noise: tuple[float, float]) -> CaseLabel:
     pipeline = InstantaneousRegionPipeline(SampleSource.explicit([h]), noise)
     masks = split_cases(*pipeline.case_tests(*as_rate_point(point)))
     return next(label for label, mask in zip(CaseLabel, masks) if mask[0])
+
+
+@dataclass
+class FeasibilityWitness:
+    """Whether a rate pair is achievable on one realization, with a
+    constructive certificate.
+
+    achievable is classify's case B. column_margin is the column at r1 minus
+    r2, in bits: -inf above link 1's single-user rate, and achievable iff it
+    is >= -RATE_SLACK. w1 and w2 are frontier beamformers at case B's
+    operating point (transmitter 2 at the column's maximizer q2*,
+    transmitter 1 at the least interference that reaches r1), or zero where
+    the column is empty; margin is min_i (achieved rate_i - r_i) on them.
+    """
+
+    achievable: bool
+    w1: np.ndarray
+    w2: np.ndarray
+    r1_achieved: float
+    r2_achieved: float
+    margin: float
+    column_margin: float
+
+
+def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
+    """Decide whether the rate pair lies in the realization's achievable
+    region: joint on the batch-of-one Column that classify reads, so
+    achievable equals classify(h, point, noise) is CaseLabel.B.
+
+    Non-strict convention: the region is treated as comprehensive (rates may
+    be reduced), and r2 may pass the column by RATE_SLACK.
+    """
+    from .regions import InstantaneousRegionPipeline
+
+    r1, r2 = as_rate_point(point)
+    pipeline = InstantaneousRegionPipeline(SampleSource.explicit([h]), noise)
+    joint = pipeline.case_tests(r1, r2)[2]
+    pipeline.witness_rates(r1)
+    column = pipeline._column(r1)
+    value = float(column.values[0])
+    w1 = w2 = np.zeros(h.n, dtype=np.complex128)
+    if value > -math.inf:
+        w1 = frontier_point(power_frontier(h.h11, h.h12), float(column.q1[0]))
+        w2 = frontier_point(power_frontier(h.h22, h.h21), float(column.q2[0]))
+    r1_ach = rate_bf(h, w1, w2, 1, pipeline.noise[0])
+    r2_ach = rate_bf(h, w1, w2, 2, pipeline.noise[1])
+    return FeasibilityWitness(bool(joint[0]), w1, w2, r1_ach, r2_ach,
+                              min(r1_ach - r1, r2_ach - r2), value - r2)
 
 
 def estimate_case_probs(

@@ -1,4 +1,4 @@
-r"""Rates, beamformers, per-transmitter power frontiers and the achievability oracle.
+r"""Rates, beamformers, per-transmitter power frontiers and the column kernel.
 
 Link rates treat interference as noise:
 
@@ -16,30 +16,24 @@ where c = |b^H a|/||b|| and d is the norm of the component of a orthogonal to b,
 is the maximum useful signal power deliverable while causing at most q
 interference. It rises concavely from the zero-forcing point (q=0, p=d^2) to
 the matched-filter point (q = q_mrt = |b^H a|^2/||a||^2, p = ||a||^2) and is
-constant beyond. A rate pair (r1, r2) is achievable for a realization iff
+constant beyond. The realization's Pareto boundary is the column: at fixed
+r1, the largest achievable r2 (Jorswieck, Larsson and Danev, IEEE Trans.
+Signal Process. 2008, parametrize the same boundary).
 
-    g(q1) = p1(q1) - gamma1 * (q2min(q1) + sigma1^2)
-
-is nonnegative for some q1, where gamma_i = 2^{r_i} - 1,
-q2min(q1) = qmin_2(gamma2 * (q1 + sigma2^2)) is the least interference
-transmitter 2 must cause to hand link 2 its target SINR, and qmin is the
-frontier inverse. g is concave, so golden-section search over the whole
-bracket decides feasibility (achievability_slack_batch); the maximizer yields
-is_achievable's witness beamformers.
-
-Case B is classified by the column kernel instead (max_r2_batch, below):
-the largest r2 at fixed r1, the maximum of the quasi-concave ratio
-phi(q2) = p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) + sigma2^2), and its
-maximizer q2*, which is case B's operating point. It answers two
-kinds of rows without searching: empty brackets (r1 above the single-user
-ceiling) and rows where transmitter 1 zero-forces across the whole bracket
-(its demand at the bracket top is at most d1^2, the lambda = 0 end of its
-Pareto parametrization), whose phi is then nondecreasing and peaks at the
-bracket top. On the other rows phi is smooth inside the bracket, and its
-maximizer is the one sign change of phi'. A safeguarded regula falsi
-(Illinois) on a rescaled phi' finds it in 12 steps where golden-section
-search needed 46, because it converges superlinearly rather than by a fixed
-0.618 per step.
+The column kernel (max_r2_batch, below) finds it: the maximum of the
+quasi-concave ratio phi(q2) = p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) +
+sigma2^2), gamma_i = 2^{r_i} - 1, over the interference q2 transmitter 2 may
+cause, and its maximizer q2*, which is case B's operating point; q1min is
+the frontier inverse. Which rows are empty (r1 above the single-user rate)
+is its caller's decision, made on rates, and the kernel marks exactly those
+rows -inf. It answers a second kind of row without searching: rows where
+transmitter 1 zero-forces across the whole bracket (its demand at the
+bracket top is at most d1^2, the lambda = 0 end of its Pareto
+parametrization), whose phi is then nondecreasing and peaks at the bracket
+top. On the other rows phi is smooth inside the bracket, and its maximizer
+is the one sign change of phi'. A safeguarded regula falsi (Illinois) on a
+rescaled phi' finds it in 12 steps where golden-section search needed 46,
+because it converges superlinearly rather than by a fixed 0.618 per step.
 
 The search runs in two stages. max_r2_batch runs the bracket stage, which
 evaluates phi and phi' at both ends of every searched row's bracket, and
@@ -65,18 +59,24 @@ reference: gamma1 = 2^r1 - 1 is itself rounded, and at r1 = su1 the column
 is infinitely steep in r1, so no kernel can be accurate against r1 itself
 there. The column kernel meets the contract with 12 root-search iterations
 (14 objective evaluations on the rows it searches) and no other search path;
-the derivation is at GOLDEN_VALUE_TOL. achievability_slack_batch is a
-golden-section search over the whole bracket, applied to g: the slack
-oracle. It runs on no command path: is_achievable decides with it, and tests
-check the column classifier against it.
+the derivation is at GOLDEN_VALUE_TOL.
+
+The slack oracle, achievability_slack_batch, is an independent route to the
+same boundary: the maximum over q1 of the power slack
+g(q1) = p1(q1) - gamma1 (q2min(q1) + sigma1^2), with
+q2min(q1) = qmin_2(gamma2 (q1 + sigma2^2)) the least interference
+transmitter 2 must cause to hand link 2 its target SINR. g is concave, so
+golden-section search over the whole bracket (golden_max) finds it, and the
+pair is achievable iff g >= -FEASIBILITY_SLACK. It is on no API path: tests
+check the column kernel against it.
 
 The *_batch kernels take stacked (N, n) channel arrays and hold the only
-implementation of each formula. The scalar calls, power_frontier with its
-signal_power and is_achievable, run them on a batch of one, so scalar and
-batch results agree exactly; one frontier inverse or one column value is
-the batch kernel called on a batch of one. frontier_point stays a separate geometric
-construction: the witness beamformer that tests check the closed form with,
-and that rate_bf rates.
+implementation of each formula. The scalar call power_frontier, with its
+signal_power, runs them on a batch of one, so scalar and batch results agree
+exactly; one frontier inverse or one column value is the batch kernel called
+on a batch of one. frontier_point stays a separate geometric construction:
+the witness beamformer that outage_mc.is_achievable builds and that rate_bf
+rates.
 """
 
 from __future__ import annotations
@@ -127,8 +127,9 @@ GOLDEN_ITERS = 80
 GOLDEN_VALUE_TOL = 1e-12
 COLUMN_ROOT_ITERS = 12
 
-# Non-strict feasibility: achievable iff max g >= -FEASIBILITY_SLACK (power
-# units). Rate comparisons get the same absolute slack in bits.
+# Non-strict feasibility: the slack oracle says achievable iff
+# max g >= -FEASIBILITY_SLACK (power units). The case-B decision
+# (regions._jointly_achievable) gets the same absolute slack in bits.
 FEASIBILITY_SLACK = 1e-9
 RATE_SLACK = 1e-9
 
@@ -523,19 +524,20 @@ def golden_max(f, lo: np.ndarray, hi: np.ndarray):
 
 def _interference_bracket(
     F_own: FrontierBatch, F_other: FrontierBatch, gamma_other, sigma_other_sq: float
-):
-    """Range [lo, hi] of the interference one transmitter may cause.
+) -> np.ndarray:
+    """Top of the range [0, top] of the interference one transmitter may cause.
 
     At most its matched-filter interference, and little enough that the other
-    link can still reach gamma_other at full power. empty marks realizations
-    where even zero interference is too much; their bracket is [0, 0].
+    link can still reach gamma_other at full power. top is negative where even
+    zero interference is too much: that power test is the slack oracle's
+    empty bracket. The column kernel takes its empty rows from its caller and
+    clamps top at 0.
     """
     g = gamma_other
     # A subnormal gamma_other overflows p_max / g to inf: no cap, as at g = 0.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ub = np.where(g > 0.0, F_other.p_max / np.where(g > 0.0, g, 1.0) - sigma_other_sq, np.inf)
-    hi = np.minimum(F_own.q_mrt, ub)
-    return hi < 0.0, np.zeros_like(hi), np.maximum(hi, 0.0)
+    return np.minimum(F_own.q_mrt, ub)
 
 
 def achievability_slack_batch(
@@ -550,14 +552,14 @@ def achievability_slack_batch(
     Returns (g_max, q1_star, q2_star). g_max = -inf marks realizations where
     link 2's demand is infeasible even with transmitter 1 silent. gamma1 and
     gamma2 may be scalars or per-realization arrays. This is the slack
-    oracle, golden_max over the whole bracket, not a contracted kernel:
-    is_achievable decides with it, and tests check the column classifier
-    against it.
+    oracle, golden_max over the whole bracket, not a contracted kernel: it
+    is on no API path, and tests check the column kernel against it.
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
     g2 = np.broadcast_to(np.asarray(gamma2, dtype=float), F1.c.shape)
-    empty, lo, hi = _interference_bracket(F1, F2, g2, sigma2_sq)
+    top = _interference_bracket(F1, F2, g2, sigma2_sq)
+    empty, lo, hi = top < 0.0, np.zeros_like(top), np.maximum(top, 0.0)
 
     def g(q1):
         q2min = frontier_qmin_batch(F2, g2, q1, sigma2_sq)
@@ -682,7 +684,7 @@ class ColumnBounds:
 
     top holds p2(hi) / sigma2^2 per realization: the SINR of the column value
     on the rows answered in closed form, where q2 holds its maximizer hi,
-    except on the empty brackets (infeasible), whose value is -inf (q2 = 0).
+    except on the caller's empty rows (exceed1), whose value is -inf (q2 = 0).
     The other rows, searched, hold the bracket stage: evaluate on those
     rows, each row's interval [lo, lo + width], the better of phi at its two
     ends (best, with q2 holding where) and the start of the Illinois steps
@@ -704,7 +706,7 @@ class ColumnBounds:
     gamma1: np.ndarray
     noise: tuple
     top: np.ndarray
-    infeasible: np.ndarray
+    exceed1: np.ndarray
     q2: np.ndarray
     searched: np.ndarray
     evaluate: object
@@ -745,7 +747,7 @@ class ColumnBounds:
                 q2 = q2.copy()
                 q2[rows] = q_rows
         values = rate_from_sinr(sinr)
-        values[self.infeasible] = -np.inf
+        values[self.exceed1] = -np.inf
         return values, q2
 
     def _illinois(self, which: np.ndarray, rows: np.ndarray) -> tuple:
@@ -788,6 +790,7 @@ def max_r2_batch(
     F2: FrontierBatch,
     gamma1,
     noise: tuple[float, float],
+    exceed1: np.ndarray,
 ) -> ColumnBounds:
     """The column kernel: the largest achievable r2 per realization at fixed
     r1 (gamma1), and its maximizer, as ColumnBounds after the bracket stage.
@@ -795,9 +798,14 @@ def max_r2_batch(
     Direct form of the trade-off: maximize the quasi-concave ratio
     phi(q2) = p2(q2) / (q1min(gamma1 (q2 + sigma1^2)) + sigma2^2) over the
     interference q2 transmitter 2 may cause; ColumnBounds.refined(True),
-    every searched row refined, returns (r2_max, q2_star). Realizations
-    whose bracket is empty (r1 above the single-user ceiling, as on every
-    row where gamma1 is infinite) get -inf and q2 = 0.
+    every searched row refined, returns (r2_max, q2_star).
+
+    exceed1 marks the empty rows, where r1 exceeds link 1's single-user
+    rate (as on every row where gamma1 is infinite): the caller decides
+    them on rates, and exactly those rows get -inf and q2 = 0. On every
+    other row the bracket top is clamped at 0, so a row at r1 = su1 whose
+    rounded gamma1 asks for an ulp more than full power gets the bracket
+    [0, 0] and a value >= 0, never -inf.
 
     Zero-forcing realizations are answered in closed form: where link 1's
     demand at the bracket top, gamma1 (hi + sigma1^2), is at most the
@@ -847,12 +855,12 @@ def max_r2_batch(
     """
     sigma1_sq, sigma2_sq = float(noise[0]), float(noise[1])
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
-    infeasible, _, hi = _interference_bracket(F2, F1, g1, sigma1_sq)
+    hi = np.where(exceed1, 0.0, np.maximum(_interference_bracket(F2, F1, g1, sigma1_sq), 0.0))
     zero_forcing = g1 * (hi + sigma1_sq) <= F1.d_sq
     top = frontier_signal_batch(F2, hi) / sigma2_sq
-    rows = np.flatnonzero(~(infeasible | zero_forcing))
+    rows = np.flatnonzero(~(exceed1 | zero_forcing))
     if not rows.size:
-        return ColumnBounds(F1, F2, g1, noise, top, infeasible, hi, rows, None, *[np.empty(0)] * 6)
+        return ColumnBounds(F1, F2, g1, noise, top, exceed1, hi, rows, None, *[np.empty(0)] * 6)
     evaluate = _phi_evaluator(F1, F2, g1, rows, noise)
     g1_rows, d1_sq, end = g1[rows], F1.d_sq[rows], hi[rows]
     # L: v = L + sigma1^2 steps down from d1^2 / gamma1 (below H + sigma1^2
@@ -869,7 +877,7 @@ def max_r2_batch(
     np.maximum(lo, 0.0, out=lo)
     best, f0 = evaluate(lo)
     phi, f1 = evaluate(end)
-    # q2: hi on the closed-form rows (0 on empty brackets), the better
+    # q2: hi on the closed-form rows (0 on the empty ones), the better
     # bracket end on the searched ones.
     hi[rows] = np.where(phi > best, end, lo)
     np.maximum(best, phi, out=best)
@@ -877,7 +885,7 @@ def max_r2_batch(
     rises = f0 > 0.0
     f0 = np.where(rises, f0, 1.0)
     f1 = np.where(rises & (f1 < 0.0), f1, -f0)
-    return ColumnBounds(F1, F2, g1, noise, top, infeasible, hi, rows, evaluate, lo, end - lo,
+    return ColumnBounds(F1, F2, g1, noise, top, exceed1, hi, rows, evaluate, lo, end - lo,
                         best, rises.astype(float), f0, f1)
 
 
@@ -893,66 +901,6 @@ def witness_rates_batch(
     r1 = rate_from_sinr(frontier_signal_batch(F1, q1) / (q2 + sigma1_sq))
     r2 = rate_from_sinr(frontier_signal_batch(F2, q2) / (q1 + sigma2_sq))
     return r1, r2
-
-
-# ---------------------------------------------------------------------------
-# Achievability oracle (scalar)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FeasibilityWitness:
-    """Decision of the achievability oracle plus a constructive certificate.
-
-    power_slack is the maximized g in power units (-inf when the target of
-    link 2 is infeasible outright); margin is min_i (achieved rate_i - r_i)
-    evaluated on the witness beamformers.
-    """
-
-    achievable: bool
-    w1: np.ndarray
-    w2: np.ndarray
-    r1_achieved: float
-    r2_achieved: float
-    margin: float
-    power_slack: float
-
-
-def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
-    """Decide whether the rate pair lies in the realization's achievable region.
-
-    Non-strict convention: the region is treated as comprehensive (rates may
-    be reduced), and feasibility tolerates FEASIBILITY_SLACK in power units.
-    """
-    r1, r2 = as_rate_point(point)
-    noise = as_noise(noise)
-    gamma1 = float(gamma_from_rate(r1))
-    gamma2 = float(gamma_from_rate(r2))
-    g_max, q1_star, q2_star = achievability_slack_batch(
-        frontier_batch(h.h11[None, :], h.h12[None, :]),
-        frontier_batch(h.h22[None, :], h.h21[None, :]),
-        gamma1,
-        gamma2,
-        noise,
-    )
-    g_max = float(g_max[0])
-    if not np.isfinite(g_max):
-        w1 = np.zeros(h.n, dtype=np.complex128)
-        w2 = np.zeros(h.n, dtype=np.complex128)
-    else:
-        w1 = frontier_point(power_frontier(h.h11, h.h12), float(q1_star[0]))
-        w2 = frontier_point(power_frontier(h.h22, h.h21), float(q2_star[0]))
-    r1_ach = rate_bf(h, w1, w2, 1, noise[0])
-    r2_ach = rate_bf(h, w1, w2, 2, noise[1])
-    return FeasibilityWitness(
-        achievable=bool(g_max >= -FEASIBILITY_SLACK),
-        w1=w1,
-        w2=w2,
-        r1_achieved=r1_ach,
-        r2_achieved=r2_ach,
-        margin=min(r1_ach - r1, r2_ach - r2),
-        power_slack=g_max,
-    )
 
 
 def bisect_largest(member, hi: float, tol: float) -> float:

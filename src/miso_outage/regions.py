@@ -30,7 +30,8 @@ whose bounds leave a count in doubt are root-searched, in one call, before
 the bisection that gives the boundary point. The r2 and payloads are those
 of the exact column, bit for bit (_trace_column).
 Every reader of the column at r1 goes through one Column: the values and
-maximizers of one max_r2_batch call, its case counts, masks, case B's
+maximizers of one max_r2_batch call, whose empty rows are the Column's
+exceed1 = r1 > su1, its case counts, masks, case B's operating point and
 witness rates and the policy's bias-free part at the last (r2, coin seed).
 The store's Columns are exact: column(), point, simulate and
 precompute_columns refine every searched row (ColumnBounds.refined).
@@ -519,47 +520,43 @@ class Column:
     and the interference q2* of transmitter 2 that attains it, case B's
     operating point, as max_r2_batch's ColumnBounds.refined returns them
     with every searched row refined. A Column over a bound of those values
-    (on) counts the same way; a traced column counts on its bounds and on
-    their refinement, with no q2*.
+    counts the same way; a traced column counts on its bounds and on their
+    refinement, with no q2*.
 
-    exceed1 = r1 > su1 does not depend on r2, so it, its count, and su2 and
-    the values on its rows, are taken once, and the r1-only part is shared
-    with the Columns built from this one by on. At each r2 the counts of the
-    masks of outage_mc.split_cases follow, without the masks, from the
-    comparisons exceed2 = r2 > su2 and joint on all rows and on the exceed1
-    rows: with a = exceed1 & exceed2, A = #a, B = #joint - #(a & joint),
-    C1 = #(exceed2 & ~joint) - #(a & ~joint) and
-    C2 = #(exceed1 & ~joint) - #(a & ~joint). Each r2 is counted once; a
-    repeated query (another variant's bisection, a payload) reads the memo.
+    Column(exceed1, su2) is the part that no column value enters: exceed1,
+    the rows where r1 > su1, as the column kernel took it, its count and su2
+    on its rows. on(values, q2) gives the Column over values, sharing that
+    part. The kernel marks exactly the exceed1 rows -inf, in its bounds too,
+    so joint never holds on them, and at each r2 the counts of the masks of
+    outage_mc.split_cases follow, without the masks, from the comparisons
+    exceed2 = r2 > su2 and joint on all rows and exceed2 on the exceed1
+    rows: with a = exceed1 & exceed2, A = #a, B = #joint,
+    C1 = #exceed2 - #(exceed2 & joint) - #a and C2 = #exceed1 - #a. Each r2
+    is counted once; a repeated query (another variant's bisection, a
+    payload) reads the memo.
     witness holds the link rates at the case-B operating point once the
-    pipeline has computed them, and policy the last PolicySplit taken on the
-    column, as ((r2, coin seed), split): a bias sweep at one rate point
-    reuses it. The arrays are read-only.
+    pipeline has computed them, q1 transmitter 1's interference there, and
+    policy the last PolicySplit taken on the column, as ((r2, coin seed),
+    split): a bias sweep at one rate point reuses it. The arrays are
+    read-only.
     """
 
-    def __init__(self, r1: float, su1: np.ndarray, su2: np.ndarray,
-                 values: np.ndarray, q2: np.ndarray | None = None):
+    def __init__(self, exceed1: np.ndarray, su2: np.ndarray):
         self.su2 = su2
-        self.exceed1 = read_only(r1 > su1)
-        self.count_exceed1 = count_true(self.exceed1)
-        self.su2_exceed1 = su2[self.exceed1]
-        self._hold(values, q2)
+        self.exceed1 = read_only(exceed1)
+        self.count_exceed1 = count_true(exceed1)
+        self.su2_exceed1 = su2[exceed1]
 
-    def on(self, values: np.ndarray) -> "Column":
-        """The Column at the same r1 over other values (a bound of these, or
-        their refinement), with no q2*: the r1-only work, exceed1 with its
-        count and su2 on its rows, is shared; the counts are its own."""
+    def on(self, values: np.ndarray, q2: np.ndarray | None = None) -> "Column":
+        """The Column at this r1 over values, with maximizers q2 (None for a
+        bound or a traced column): the r1-only part is shared, and the counts
+        are its own."""
         column = copy.copy(self)
-        column._hold(values, None)
+        column.values = read_only(values)
+        column.q2 = None if q2 is None else read_only(q2)
+        column.witness = column.q1 = column.policy = None
+        column._memo = {}
         return column
-
-    def _hold(self, values: np.ndarray, q2: np.ndarray | None):
-        self.values = read_only(values)
-        self.q2 = None if q2 is None else read_only(q2)
-        self.values_exceed1 = values[self.exceed1]
-        self.witness: tuple | None = None
-        self.policy: tuple | None = None
-        self._memo: dict[float, CaseProbabilities] = {}
 
     def masks(self, r2: float) -> tuple:
         """(exceed1, exceed2, joint) at r2, the per-realization split."""
@@ -574,17 +571,14 @@ class Column:
     def _count(self, r2: float) -> CaseProbabilities:
         exceed2 = r2 > self.su2
         joint = _jointly_achievable(self.values, r2)
-        a = r2 > self.su2_exceed1
-        a_joint = _jointly_achievable(self.values_exceed1, r2)
         n_exceed2 = count_true(exceed2)
-        n_a = count_true(a)
-        n_a_nj = n_a - count_true(a & a_joint)
+        n_a = count_true(r2 > self.su2_exceed1)
         return CaseProbabilities.from_counts(
             self.values.size,
             n_a,
-            count_true(joint) - (n_a - n_a_nj),
-            n_exceed2 - count_true(exceed2 & joint) - n_a_nj,
-            self.count_exceed1 - count_true(a_joint) - n_a_nj,
+            count_true(joint),
+            n_exceed2 - count_true(exceed2 & joint) - n_a,
+            self.count_exceed1 - n_a,
             self.count_exceed1,
             n_exceed2,
         )
@@ -702,12 +696,17 @@ class InstantaneousRegionPipeline:
 
     def _bounds(self, r1: float) -> ColumnBounds:
         """The column kernel at r1 after its bracket stage: the pipeline's one
-        call of max_r2_batch per computed column."""
-        return max_r2_batch(self.F1, self.F2, float(gamma_from_rate(r1)), self.noise)
+        call of max_r2_batch per computed column. Its empty rows are decided
+        here, once, on rates: exceed1 = r1 > su1, which every Column on these
+        bounds takes from them."""
+        return max_r2_batch(self.F1, self.F2, float(gamma_from_rate(r1)), self.noise,
+                            r1 > self.su1)
 
     def _search(self, r1: float) -> tuple:
-        """(values, q2*) at r1, every searched row refined: the exact column."""
-        return self._bounds(r1).refined(True)
+        """(exceed1, values, q2*) at r1, every searched row refined: the exact
+        column."""
+        bounds = self._bounds(r1)
+        return bounds.exceed1, *bounds.refined(True)
 
     def column(self, r1: float) -> np.ndarray:
         """Each realization's largest achievable r2 at r1 (read-only), by the
@@ -716,7 +715,8 @@ class InstantaneousRegionPipeline:
         store = self._stream.columns
         if r1 not in store:
             store.clear()
-            store[r1] = Column(r1, self.su1, self.su2, *self._search(r1))
+            exceed1, values, q2 = self._search(r1)
+            store[r1] = Column(exceed1, self.su2).on(values, q2)
         return store[r1].values
 
     def _column(self, r1: float) -> Column:
@@ -790,19 +790,21 @@ class InstantaneousRegionPipeline:
         store.clear()
         store.update(held)
         todo = [r1 for r1 in keys if r1 not in held]
-        for r1, found in zip(todo, self._map_columns("_search", todo, workers)):
-            store[r1] = Column(r1, self.su1, self.su2, *found)
+        for r1, (exceed1, values, q2) in zip(todo, self._map_columns("_search", todo, workers)):
+            store[r1] = Column(exceed1, self.su2).on(values, q2)
 
     def witness_rates(self, r1: float):
         """Link rates at the case-B operating point (transmitter 2 at the column
-        maximizer, transmitter 1 just reaching r1), computed once per Column
-        and held on it, read-only."""
+        maximizer q2*, transmitter 1 at q1, the least interference that
+        reaches r1), computed once per Column and held on it with q1,
+        read-only. This is the one computation of that point."""
         r1 = _column_key(r1)
         column = self._column(r1)
         if column.witness is None:
             q1 = frontier_qmin_batch(self.F1, float(gamma_from_rate(r1)), column.q2,
                                      self.noise[0])
             rates = witness_rates_batch(self.F1, self.F2, q1, column.q2, self.noise)
+            column.q1 = read_only(q1)
             column.witness = tuple(read_only(rate) for rate in rates)
         return column.witness
 
@@ -859,8 +861,8 @@ class InstantaneousRegionPipeline:
         dropped on return, which leaves (inside, r2, payload) per variant.
         """
         bounds = self._bounds(r1)
-        lower = Column(r1, self.su1, self.su2, bounds.lower)
-        upper = lower.on(bounds.upper)
+        base = Column(bounds.exceed1, self.su2)
+        lower, upper = base.on(bounds.lower), base.on(bounds.upper)
 
         def bisected(column, variant, below=-math.inf, above=math.inf, annotate=None):
             def member(r1, r2):
@@ -884,7 +886,7 @@ class InstantaneousRegionPipeline:
         for span in spans:
             if span is not None:
                 undecided |= (hi >= max(span[0], 0.0) - RATE_SLACK) & (lo < span[1] - RATE_SLACK)
-        exact = lower.on(bounds.refined(undecided, maximizers=False)[0]) if undecided.any() else lower
+        exact = base.on(bounds.refined(undecided, maximizers=False)[0]) if undecided.any() else lower
 
         def annotated(variant):
             def annotate(r1, r2):

@@ -309,6 +309,48 @@ class TestConfigCache:
             stat.search = {}
         assert stat.search["n_pairs"] == stat.to_document()["search"]["n_pairs"] == 4
 
+    @pytest.mark.parametrize("kind", ["covariances", "channels"])
+    def test_cached_source_is_immutable(self, tmp_path, capsys, kind):
+        """Neither the fields of a cached config's source nor the arrays
+        parse_config built can be changed, so the next point on the
+        unchanged file prints what a fresh process prints."""
+        doc = small_inst_config() if kind == "covariances" else aligned_point_mass_config()
+        path = write_config(tmp_path, doc)
+        cold = cold_main(["point", path, *self.POINT], capsys)
+        source = load_config(path).source
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            source.count = 3
+        if kind == "covariances":
+            with pytest.raises(ValueError, match="read-only"):
+                source.stats.Q11[0, 0] = -5.0
+        else:
+            with pytest.raises(ValueError, match="read-only"):
+                source.realizations[0].h11[0] = -5.0
+            with pytest.raises(AttributeError):
+                source.realizations.append(source.realizations[0])
+        assert run_main(["point", path, *self.POINT], capsys) == cold
+
+
+def test_no_api_path_reaches_the_slack_oracle(tmp_path, capsys, monkeypatch):
+    """With golden_max and the slack oracle raising, is_achievable, classify,
+    point, simulate and region all run: the oracle is the tests' alone."""
+    from miso_outage import rate_core
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("the slack oracle was called")
+
+    for owner in (rate_core, miso_outage.outage_mc):
+        monkeypatch.setattr(owner, "achievability_slack_batch", oracle)
+    monkeypatch.setattr(rate_core, "golden_max", oracle)
+    h = miso_outage.ChannelRealization([1.0, 0.5j], [0.3, 0.2], [0.1j, 0.4], [0.9, -0.2])
+    assert miso_outage.is_achievable(h, (0.5, 0.5), (0.5, 0.5)).achievable == (
+        miso_outage.classify(h, (0.5, 0.5), (0.5, 0.5)) is miso_outage.CaseLabel.B)
+    path = write_config(tmp_path, small_inst_config())
+    for argv in (["point", path, "0.9", "0.8"], ["simulate", path, "0.9", "0.8", "0.5"],
+                 ["region", path, "--out", str(tmp_path / "out"), "--workers", "2"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
 
 class TestMain:
     def test_validate_ok(self, tmp_path, capsys):

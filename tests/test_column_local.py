@@ -44,10 +44,14 @@ from oracles import case_counts, trace_boundary
 NOISE = (0.5, 0.5)
 INST_SCENARIOS = [name for name, (_, variants) in SCENARIOS.items() if variants is not None]
 
-# Two realizations whose first one has an empty column at r1 = su1 exactly:
-# on the grid (0, su1, 2 su1) it is case D at the middle column and case C2
-# at the last, so fixed-choice 1 membership at (0.5, 0.4) leaves the region
-# and comes back (a non-monotone warning), and r2_cap = 0.05 is still inside.
+# Two realizations. On the grid (0, 0.9 su1, 1.8 su1) of the first one, with
+# r2_cap = 2.5 below both su2 (3.22 bits), the first is case B up to the cap
+# at r1 = 0, case D above its column of 2.16 bits at the middle column and
+# case C2 at the last; the second is case B up to the cap in every column.
+# Fixed-choice 1 at (0.5, 0.4) serves link 2 on B and C2 but not on D, so
+# its boundary reaches the cap at the first and last columns and stays below
+# 2.16 bits in between: a real fixed-choice non-monotonicity, B -> D -> C2
+# along r1. Every variant reaches the cap somewhere.
 WARNING_CHANNELS = [
     {"h11": [1.35 + 0.189j, -0.397 - 0.021j], "h12": [0.609 - 0.152j, -0.365 + 0.242j],
      "h21": [0.103 + 0.896j, -0.865 - 1.298j], "h22": [-1.201 + 0.967j, -1.282 - 0.361j]},
@@ -98,7 +102,7 @@ def warning_case(demo_source, eps):
         [ChannelRealization(**{k: np.array(v) for k, v in h.items()}) for h in WARNING_CHANNELS]
     )
     su1 = float(InstantaneousRegionPipeline(source, NOISE).su1[0])
-    return source, GridConfig(r1_cap=2.0 * su1, r2_cap=0.05, n_points=3)
+    return source, GridConfig(r1_cap=1.8 * su1, r2_cap=2.5, n_points=3)
 
 
 CASES = {
@@ -128,10 +132,11 @@ def test_column_local_boundaries_equal_cached_trace(demo_source, scenario, case,
     assert boundaries == expected
     assert all(boundary.points for boundary in boundaries)
     if case == "explicit-warnings":
-        warnings = {v: " ".join(b.warnings) for v, b in zip(variants, boundaries)}
-        assert all("r2 cap" in text for text in warnings.values())
+        warnings = {v: b.warnings for v, b in zip(variants, boundaries)}
+        assert all(any("r2 cap" in w for w in ws) for ws in warnings.values())
         if "fixed1" in warnings:
-            assert "non-monotone" in warnings["fixed1"]
+            cap = f"r2 cap {grid.r2_cap:.6g} still inside at r1="
+            assert warnings["fixed1"] == [cap + f"{r1:.6g}" for r1 in grid.r1_values[[0, 2]]]
 
 
 RATES = [0.0, 0.25, 0.5, 1.0]
@@ -148,11 +153,13 @@ COLUMN_VALUES = [-math.inf, 0.0, 0.25 - 0.5 * RATE_SLACK, 0.25, 0.5 - 2.0 * RATE
     r2s=st.lists(st.sampled_from(RATES + [0.75]), max_size=6),
 )
 def test_counter_equals_case_counts(rows, r1, r2s):
-    """On arbitrary masks (exceed1 with joint included), -inf column entries
-    and r2 = 0, every query, repeated ones from the memo included, equals the
-    case counts of the three comparison masks."""
+    """On arbitrary masks, -inf column entries (on every exceed1 row, where
+    max_r2_batch puts them, and elsewhere) and r2 = 0, every query, repeated
+    ones from the memo included, equals the case counts of the three
+    comparison masks."""
     su1, su2, column = (np.array(col) for col in zip(*rows))
-    counter = Column(r1, su1, su2, column, np.zeros_like(column))
+    column[r1 > su1] = -math.inf
+    counter = Column(r1 > su1, su2).on(column, np.zeros_like(column))
     for r2 in [0.0, *r2s, *r2s]:
         exceed1, exceed2, joint = r1 > su1, r2 > su2, column >= r2 - RATE_SLACK
         expected = CaseProbabilities.from_counts(

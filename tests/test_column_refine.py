@@ -47,7 +47,8 @@ def scenario_spec(scenario, eps=(0.1, 0.1)):
 def exact_trace(pipeline, r1, spec, grid, variants) -> list:
     """trace_column of every variant on one Column over the fully refined
     column at r1: every query counted on the exact values."""
-    column = Column(r1, pipeline.su1, pipeline.su2, *pipeline._search(r1))
+    exceed1, values, q2 = pipeline._search(r1)
+    column = Column(exceed1, pipeline.su2).on(values, q2)
 
     def traced(variant):
         def member(r1, r2):
@@ -158,7 +159,8 @@ def test_column_outside_even_on_the_upper_bound_refines_nothing(demo_source, mon
     spec, variants = scenario_spec("individual-inst")
     grid = demo_grid(pipeline)
     r1 = float(grid.r1_values[-1])
-    upper = Column(r1, pipeline.su1, pipeline.su2, pipeline._bounds(r1).upper)
+    bounds = pipeline._bounds(r1)
+    upper = Column(bounds.exceed1, pipeline.su2).on(bounds.upper)
     assert not any(verdict(upper.case_probs(0.0), spec, v).member for v in variants)
     sizes = record_refines(monkeypatch)
     assert pipeline._trace_column(r1, spec, grid, variants) == [(False, None, None)] * 3
@@ -190,7 +192,8 @@ def test_column_outside_on_the_lower_bound_inside_on_the_upper(demo_source, monk
     assert all(inside for inside, _, _ in expected)
     with_bounds(monkeypatch, pipeline,
                 lambda b: loosen(b, lower=lambda lo: np.full_like(lo, -np.inf)))
-    lower = Column(r1, pipeline.su1, pipeline.su2, pipeline._bounds(r1).lower)
+    bounds = pipeline._bounds(r1)
+    lower = Column(bounds.exceed1, pipeline.su2).on(bounds.lower)
     assert not all(verdict(lower.case_probs(0.0), spec, v).member for v in variants)
     assert pipeline._trace_column(r1, spec, grid, variants) == expected
 

@@ -14,7 +14,7 @@ from miso_outage.outage_mc import (
     simulate_policy,
     split_cases,
 )
-from miso_outage.rate_core import is_achievable
+from miso_outage.outage_mc import is_achievable
 from miso_outage.regions import InstantaneousRegionPipeline
 
 import oracles

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from miso_outage import rate_core
 from miso_outage.channel import CHANNEL_KEYS, ChannelRealization, SampleSource
+from miso_outage.outage_mc import CaseLabel, classify, is_achievable
 from miso_outage.presets import demo_statistics
+from miso_outage.regions import InstantaneousRegionPipeline
 from miso_outage.rate_core import (
     FEASIBILITY_SLACK,
     GOLDEN_VALUE_TOL,
@@ -27,7 +29,6 @@ from miso_outage.rate_core import (
     frontier_signal_batch,
     gamma_from_rate,
     golden_max,
-    is_achievable,
     max_r2_batch,
     mrt,
     power_frontier,
@@ -63,6 +64,17 @@ def realization_frontiers(h):
     """(F1, F2) of one realization: the column kernel's inputs, a batch of one."""
     return (frontier_batch(h.h11[None, :], h.h12[None, :]),
             frontier_batch(h.h22[None, :], h.h21[None, :]))
+
+
+def above_su_sinr(F1, gamma1, noise) -> np.ndarray:
+    """The empty rows of the column at a gamma1 that no rate r1 gave (the
+    zero-forcing knee, and the like): gamma1 above link 1's single-user
+    SINR p_max1 / sigma1^2. At gamma1 = gamma_from_rate(r1) the pipeline's
+    own decision, r1 > su1, is passed instead."""
+    return np.broadcast_to(np.asarray(gamma1) > F1.p_max / noise[0], F1.c.shape)
+
+
+NONE_EMPTY = np.zeros(1, dtype=bool)
 
 
 class TestScalarHelpers:
@@ -451,7 +463,7 @@ class TestAchievability:
         noise = (1.0, 1.0)
         assert is_achievable(h, (1.0, 1.0), noise).achievable
         assert not is_achievable(h, (1.0 + 1e-3, 1.0), noise).achievable
-        bounds = max_r2_batch(*realization_frontiers(h), gamma_from_rate(0.3), noise)
+        bounds = max_r2_batch(*realization_frontiers(h), gamma_from_rate(0.3), noise, NONE_EMPTY)
         r2 = bounds.refined(True)[0][0]
         assert r2 == pytest.approx(1.0, abs=1e-9)
 
@@ -461,7 +473,8 @@ class TestAchievability:
             h = random_realization(rng)
             r1 = 0.5 * su_rate_batch(h.h11[None, :], noise[0])[0]
             F1, F2 = realization_frontiers(h)
-            r2 = 0.5 * max_r2_batch(F1, F2, gamma_from_rate(r1), noise).refined(True)[0][0]
+            r2 = 0.5 * max_r2_batch(F1, F2, gamma_from_rate(r1), noise,
+                                    NONE_EMPTY).refined(True)[0][0]
             wit = is_achievable(h, (r1, r2), noise)
             assert wit.achievable
             assert wit.margin >= -1e-7
@@ -476,6 +489,49 @@ class TestAchievability:
             assert is_achievable(h, (cap, 0.0), noise).achievable
             assert not is_achievable(h, (cap + 1e-6, 0.0), noise).achievable
 
+    def test_su_corner_is_case_b(self, rng):
+        """(su1, 0) is always achievable: transmitter 2 can stay silent. So it
+        is case B on each of 2000 random realizations (n = 2, noise 0.7).
+        When the kernel decided its empty rows on powers, 559 of them were
+        case D (579 without numpy's AVX-512 paths): where gamma1 = 2^su1 - 1
+        rounds above the single-user SINR, it asks for more than full
+        power."""
+        noise = (0.7, 0.7)
+        arrs = {key: random_channel_vectors(rng, 2000, 2) for key in CHANNEL_KEYS}
+        su1 = su_rate_batch(arrs["h11"], noise[0])
+        for k in range(2000):
+            h = ChannelRealization(*(arrs[key][k] for key in CHANNEL_KEYS))
+            assert classify(h, (float(su1[k]), 0.0), noise) is CaseLabel.B, k
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        family=st.sampled_from(["random", "aligned", "rank-1", "zero-cross"]),
+        n=st.sampled_from([1, 2, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        log_noise=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_decision_is_case_b(self, family, n, seed, log_noise, u):
+        """At r1 in {0, u su1, su1} and r2 at the column plus k RATE_SLACK
+        (k = -2..2), 0 and su2: achievable is classify's case B, the witness
+        beamformers lie in the unit ball, and an achievable point's witness
+        meets both targets within RATE_SLACK plus the kernel's contract."""
+        arrs = contract_channels(np.random.default_rng(seed), n, 1, family)
+        h = ChannelRealization(*(arrs[key][0] for key in CHANNEL_KEYS))
+        noise = (10.0 ** log_noise[0], 10.0 ** log_noise[1])
+        pipeline = InstantaneousRegionPipeline(SampleSource.explicit([h]), noise)
+        su1, su2 = float(pipeline.su1[0]), float(pipeline.su2[0])
+        for r1 in (0.0, u * su1, su1):
+            column = float(pipeline.column(r1)[0])
+            r2s = [column + k * RATE_SLACK for k in range(-2, 3)] + [0.0, su2]
+            for r2 in (r2 for r2 in r2s if r2 >= 0.0):
+                wit = is_achievable(h, (r1, r2), noise)
+                assert wit.achievable == (classify(h, (r1, r2), noise) is CaseLabel.B)
+                for w in (wit.w1, wit.w2):
+                    assert np.linalg.norm(w) <= 1.0 + NORM_TOL
+                if wit.achievable:
+                    assert wit.margin >= -RATE_SLACK - GOLDEN_VALUE_TOL * max(1.0, r2)
+
     def test_max_r2_batch_consistent_with_slack_oracle(self, rng):
         N, noise = 120, (0.5, 0.8)
         arrs = {k: random_channel_vectors(rng, N, 2) for k in ("h11", "h12", "h21", "h22")}
@@ -483,7 +539,7 @@ class TestAchievability:
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
         r1 = 0.6 * su_rate_batch(arrs["h11"], noise[0])
         g1 = gamma_from_rate(r1)
-        r2_star = max_r2_batch(F1, F2, g1, noise).refined(True)[0]
+        r2_star = max_r2_batch(F1, F2, g1, noise, np.zeros(N, dtype=bool)).refined(True)[0]
         assert np.all(np.isfinite(r2_star))
         delta = 1e-6
         g_below, _, _ = achievability_slack_batch(
@@ -503,7 +559,8 @@ class TestAchievability:
         caps = su_rate_batch(arrs["h11"], noise[0])
         prev = None
         for frac in (0.0, 0.25, 0.5, 0.75, 0.999):
-            r2 = max_r2_batch(F1, F2, gamma_from_rate(frac * caps), noise).refined(True)[0]
+            r1 = frac * caps
+            r2 = max_r2_batch(F1, F2, gamma_from_rate(r1), noise, r1 > caps).refined(True)[0]
             if prev is not None:
                 assert np.all(r2 <= prev + 1e-9)
             prev = r2
@@ -512,31 +569,36 @@ class TestAchievability:
         noise = (0.9, 1.1)
         for _ in range(10):
             h = random_realization(rng)
-            r2 = max_r2_batch(*realization_frontiers(h), 0.0, noise).refined(True)[0][0]
+            r2 = max_r2_batch(*realization_frontiers(h), 0.0, noise, NONE_EMPTY).refined(True)[0][0]
             assert r2 == pytest.approx(su_rate_batch(h.h22[None, :], noise[1])[0], abs=1e-9)
 
     def test_infeasible_r1_is_minus_inf(self):
         """r1 above the link-1 single-user rate (1 bit here): an empty column."""
         h = orthogonal_cross_realization()
-        bounds = max_r2_batch(*realization_frontiers(h), gamma_from_rate(5.0), (1.0, 1.0))
+        bounds = max_r2_batch(*realization_frontiers(h), gamma_from_rate(5.0), (1.0, 1.0),
+                              np.ones(1, dtype=bool))
         r2 = bounds.refined(True)[0]
         assert r2[0] == -math.inf
 
     def test_scalar_matches_batch_decision(self, rng):
+        """is_achievable is classify's case B, and its column_margin is the
+        column at r1 of the whole batch (bit for bit: a row's column does not
+        depend on its batch) minus r2."""
         noise = (0.5, 0.5)
         N = 40
         arrs = {k: random_channel_vectors(rng, N, 2) for k in ("h11", "h12", "h21", "h22")}
-        F1 = frontier_batch(arrs["h11"], arrs["h12"])
-        F2 = frontier_batch(arrs["h22"], arrs["h21"])
-        point = (0.6, 0.4)
-        g_max, _, _ = achievability_slack_batch(
-            F1, F2, gamma_from_rate(point[0]), gamma_from_rate(point[1]), noise
-        )
-        for k in range(N):
-            h = ChannelRealization(*(arrs[key][k] for key in ("h11", "h12", "h21", "h22")))
-            wit = is_achievable(h, point, noise)
-            assert wit.achievable == (g_max[k] >= -FEASIBILITY_SLACK)
-            assert wit.power_slack == pytest.approx(g_max[k], abs=1e-12)
+        hs = [ChannelRealization(*(arrs[key][k] for key in CHANNEL_KEYS)) for k in range(N)]
+        pipeline = InstantaneousRegionPipeline(SampleSource.explicit(hs), noise)
+        decisions = []
+        for point in ((0.6, 0.4), (2.0, 2.0), (4.0, 0.5)):
+            column = pipeline.column(point[0])
+            for k, h in enumerate(hs):
+                wit = is_achievable(h, point, noise)
+                assert wit.achievable == (classify(h, point, noise) is CaseLabel.B)
+                assert wit.column_margin == column[k] - point[1]
+                assert wit.achievable == (wit.column_margin >= -RATE_SLACK)
+                decisions.append(wit.achievable)
+        assert any(decisions) and not all(decisions)
 
 
 DEGENERATE_FAMILIES = ("zero-cross", "aligned", "orthogonal", "rank-1")
@@ -578,14 +640,14 @@ def assert_within_contract(value, reference):
     assert np.all(err <= GOLDEN_VALUE_TOL), f"worst scaled error {np.max(err):.3g}"
 
 
-def column_bracket(F1, F2, g1, noise):
-    """(empty, hi) of the column search's bracket [0, hi], written out here:
+def column_bracket(F1, F2, g1, noise, exceed1):
+    """hi of the column search's bracket [0, hi], written out here:
     transmitter 2 causes at most its matched-filter interference, and little
-    enough that link 1 reaches gamma1 at full power."""
+    enough that link 1 reaches gamma1 at full power; 0 on the empty rows
+    exceed1, and clamped at 0 on the others."""
     with np.errstate(divide="ignore", invalid="ignore"):
         top = np.where(g1 > 0.0, F1.p_max / g1 - noise[0], np.inf)
-    hi = np.minimum(F2.q_mrt, top)
-    return hi < 0.0, np.maximum(hi, 0.0)
+    return np.where(exceed1, 0.0, np.maximum(np.minimum(F2.q_mrt, top), 0.0))
 
 
 def column_phi(F1, F2, gamma1, q2, noise):
@@ -595,15 +657,15 @@ def column_phi(F1, F2, gamma1, q2, noise):
     return frontier_signal_batch(F2, q2) / (q1min + noise[1])
 
 
-def column_oracle(F1, F2, gamma1, noise):
-    """The column search with no closed-form rows: every non-empty row is
-    searched over its whole bracket by golden_max. Its phi shares the power
-    slack with the kernel; TestIndependentOracle checks that phi against a
-    60-digit evaluation."""
+def column_oracle(F1, F2, gamma1, noise, exceed1):
+    """The column search with no closed-form rows: every row outside exceed1
+    is searched over its whole bracket by golden_max. Its phi shares the
+    power slack with the kernel; TestIndependentOracle checks that phi
+    against a 60-digit evaluation."""
     g1 = np.broadcast_to(np.asarray(gamma1, dtype=float), F1.c.shape)
-    empty, hi = column_bracket(F1, F2, g1, noise)
+    hi = column_bracket(F1, F2, g1, noise, exceed1)
     _, phi_max = golden_max(lambda q2: column_phi(F1, F2, g1, q2, noise), np.zeros_like(hi), hi)
-    return np.where(empty, -np.inf, rate_from_sinr(phi_max))
+    return np.where(exceed1, -np.inf, rate_from_sinr(phi_max))
 
 
 def check_accuracy_contract(arrs, noise, rng):
@@ -626,11 +688,12 @@ def check_accuracy_contract(arrs, noise, rng):
     for frac1, frac2 in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 1.0), *draws]:
         r1, r2 = frac1 * su1, frac2 * su2
         gamma1, gamma2 = gamma_from_rate(r1), gamma_from_rate(r2)
+        exceed1 = r1 > su1
         assert_within_contract(
-            max_r2_batch(F1, F2, gamma1, noise).refined(True)[0],
-            column_oracle(F1, F2, gamma1, noise),
+            max_r2_batch(F1, F2, gamma1, noise, exceed1).refined(True)[0],
+            column_oracle(F1, F2, gamma1, noise, exceed1),
         )
-        assert_bounds_hold(F1, F2, gamma1, noise, rng)
+        assert_bounds_hold(F1, F2, gamma1, noise, exceed1, rng)
         g, q1, q2 = achievability_slack_batch(F1, F2, gamma1, gamma2, noise)
         ok = g >= -FEASIBILITY_SLACK
         rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
@@ -680,8 +743,8 @@ def column_inputs(rng, n, count, noise, family="random"):
 
 
 class TestColumnSearch:
-    """max_r2_batch answers empty-bracket and zero-forcing rows in
-    closed form and searches the rest as a compact batch."""
+    """max_r2_batch answers the empty rows it is handed and the zero-forcing
+    rows in closed form and searches the rest as a compact batch."""
 
     @pytest.mark.parametrize("family", ["random", *DEGENERATE_FAMILIES])
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -691,16 +754,18 @@ class TestColumnSearch:
         count = 1500
         F1, F2, su1 = column_inputs(rng, n, count, noise, family)
         knee = zero_forcing_knee(F1, F2, noise)
-        gammas = [np.zeros(count)]
-        gammas += [gamma_from_rate(f * su1) for f in (1e-3, 1e-2, 0.1, 0.3, 1.0)]
-        gammas += [gamma_from_rate(rng.uniform(0.0, 1.2, count) * su1) for _ in range(2)]
-        gammas.append(gamma_from_rate((1.0 - 10.0 ** rng.uniform(-9.0, -1.0, count)) * su1))
+        r1s = [np.zeros(count)] + [f * su1 for f in (1e-3, 1e-2, 0.1, 0.3, 1.0)]
+        r1s += [rng.uniform(0.0, 1.2, count) * su1 for _ in range(2)]
+        r1s.append((1.0 - 10.0 ** rng.uniform(-9.0, -1.0, count)) * su1)
+        columns = [(gamma_from_rate(r1), r1 > su1) for r1 in r1s]
         # Either side of the zero-forcing test, where the closed form ends.
-        gammas += [knee * (1.0 + eta) for eta in (-1e-6, -1e-12, 0.0, 1e-12, 1e-7, 1e-6, 1e-3)]
-        for gamma1 in gammas:
-            r2, q2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)
-            assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
-            assert_bounds_hold(F1, F2, gamma1, noise, rng)
+        columns += [(g, above_su_sinr(F1, g, noise))
+                    for g in (knee * (1.0 + eta) for eta in (-1e-6, -1e-12, 0.0, 1e-12, 1e-7,
+                                                              1e-6, 1e-3))]
+        for gamma1, exceed1 in columns:
+            r2, q2 = max_r2_batch(F1, F2, gamma1, noise, exceed1).refined(True)
+            assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise, exceed1))
+            assert_bounds_hold(F1, F2, gamma1, noise, exceed1, rng)
             ok = np.isfinite(r2)
             np.testing.assert_array_equal(q2[~ok], 0.0)
             q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
@@ -713,18 +778,19 @@ class TestColumnSearch:
         count, noise = 240, (0.4, 0.7)
         arrs = contract_channels(rng, 2, count)
         su1 = su_rate_batch(arrs["h11"], noise[0])
-        gamma1 = gamma_from_rate(rng.uniform(0.0, 1.2, count) * su1)
+        r1 = rng.uniform(0.0, 1.2, count) * su1
+        gamma1, empty = gamma_from_rate(r1), r1 > su1
 
         def search(index):
             # The column of the given rows, from their sliced channel arrays.
             F1 = frontier_batch(arrs["h11"][index], arrs["h12"][index])
             F2 = frontier_batch(arrs["h22"][index], arrs["h21"][index])
-            return max_r2_batch(F1, F2, gamma1[index], noise).refined(True)
+            return max_r2_batch(F1, F2, gamma1[index], noise, empty[index]).refined(True)
 
         F1 = frontier_batch(arrs["h11"], arrs["h12"])
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
-        r2, q2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)
-        empty, hi = column_bracket(F1, F2, gamma1, noise)
+        r2, q2 = max_r2_batch(F1, F2, gamma1, noise, empty).refined(True)
+        hi = column_bracket(F1, F2, gamma1, noise, empty)
         zero_forcing = ~empty & (gamma1 * (hi + noise[0]) <= F1.d_sq)
         assert empty.any() and zero_forcing.any() and not (empty | zero_forcing).all()
         rev = np.arange(count)[::-1]
@@ -739,10 +805,11 @@ class TestColumnSearch:
         rng = np.random.default_rng(12)
         noise = (0.5, 0.8)
         F1, F2, _ = column_inputs(rng, 2, 200, noise)
-        bounds = max_r2_batch(F1, F2, 0.0, noise)
+        empty = np.zeros(200, dtype=bool)
+        bounds = max_r2_batch(F1, F2, 0.0, noise, empty)
         assert bounds.searched.size == 0 and bounds.evaluate is None
         r2, q2 = bounds.refined(True)
-        assert_within_contract(r2, column_oracle(F1, F2, 0.0, noise))
+        assert_within_contract(r2, column_oracle(F1, F2, 0.0, noise, empty))
         np.testing.assert_array_equal(q2, F2.q_mrt)
 
     def test_no_row_zero_forcing(self):
@@ -751,17 +818,19 @@ class TestColumnSearch:
         F1, F2, _ = column_inputs(rng, 2, count, noise)
         # Between the zero-forcing knee and the single-user ceiling.
         gamma1 = np.sqrt(zero_forcing_knee(F1, F2, noise) * F1.p_max / noise[0])
-        bounds = max_r2_batch(F1, F2, gamma1, noise)
+        empty = above_su_sinr(F1, gamma1, noise)
+        bounds = max_r2_batch(F1, F2, gamma1, noise, empty)
         assert bounds.searched.size == count
         r2, _ = bounds.refined(True)
         assert np.all(np.isfinite(r2))
-        assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
+        assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise, empty))
 
     def test_all_brackets_empty(self):
         rng = np.random.default_rng(14)
         noise = (0.5, 0.8)
         F1, F2, su1 = column_inputs(rng, 2, 200, noise)
-        bounds = max_r2_batch(F1, F2, gamma_from_rate(su1.max() + 0.1), noise)
+        r1 = su1.max() + 0.1
+        bounds = max_r2_batch(F1, F2, gamma_from_rate(r1), noise, r1 > su1)
         assert bounds.searched.size == 0 and bounds.evaluate is None
         r2, q2 = bounds.refined(True)
         np.testing.assert_array_equal(r2, -np.inf)
@@ -770,14 +839,18 @@ class TestColumnSearch:
     @pytest.mark.parametrize("factor", [1.0 - 1e-15, 1.0, 1.0 + 1e-15])
     def test_ulp_width_brackets(self, factor):
         """r1 at the single-user ceiling: every non-empty bracket spans a few
-        ulps of link 1's demand, where phi is a rounding staircase."""
+        ulps of link 1's demand, where phi is a rounding staircase. At
+        r1 = su1 exactly no row is empty, also where the rounded gamma1
+        asks for more than full power: its bracket is [0, 0]."""
         rng = np.random.default_rng(300)
         noise = (0.6, 0.9)
         F1, F2, su1 = column_inputs(rng, 2, 2000, noise)
-        gamma1 = gamma_from_rate(factor * su1)
-        empty, hi = column_bracket(F1, F2, gamma1, noise)
+        r1 = factor * su1
+        gamma1, empty = gamma_from_rate(r1), r1 > su1
+        hi = column_bracket(F1, F2, gamma1, noise, empty)
         assert np.all(gamma1[~empty] * hi[~empty] <= 32 * EPS * F1.p_max[~empty])
-        assert_column_contract(F1, F2, gamma1, noise)
+        np.testing.assert_array_equal(empty, factor > 1.0)
+        assert_column_contract(F1, F2, gamma1, noise, empty)
 
     @pytest.mark.parametrize("family2", ["random", "aligned"])
     def test_singular_low_end(self, family2):
@@ -795,13 +868,14 @@ class TestColumnSearch:
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
         su1 = su_rate_batch(arrs["h11"], noise[0])
         for frac in (1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-6):
-            gamma1 = gamma_from_rate(frac * su1)
-            empty, hi = column_bracket(F1, F2, gamma1, noise)
+            r1 = frac * su1
+            gamma1, empty = gamma_from_rate(r1), r1 > su1
+            hi = column_bracket(F1, F2, gamma1, noise, empty)
             searched = ~empty & (gamma1 * (hi + noise[0]) > F1.d_sq)
             assert searched.all()
             assert np.all(np.clip(F1.d_sq / gamma1 - noise[0], 0.0, hi) == 0.0)
             assert np.all(F2.c > 0.0)
-            assert_column_contract(F1, F2, gamma1, noise)
+            assert_column_contract(F1, F2, gamma1, noise, empty)
 
     def test_singular_high_end(self):
         """r1 just below the single-user ceiling: the bracket top is the
@@ -812,9 +886,10 @@ class TestColumnSearch:
         count = 1000
         F1, F2, su1 = column_inputs(rng, 4, count, noise)
         for eta in (1e-12, 1e-9, 1e-6, 1e-3):
-            gamma1 = gamma_from_rate((1.0 - eta) * su1)
+            r1 = (1.0 - eta) * su1
+            gamma1 = gamma_from_rate(r1)
             assert np.all(F1.p_max / gamma1 - noise[0] < F2.q_mrt)
-            assert_column_contract(F1, F2, gamma1, noise)
+            assert_column_contract(F1, F2, gamma1, noise, r1 > su1)
 
     def test_never_calls_golden_max(self):
         """One search path: every searched row takes the root search, also an
@@ -824,8 +899,9 @@ class TestColumnSearch:
         noise = (0.5, 0.8)
         F1, F2, su1 = column_inputs(rng, 2, 500, noise)
         for factor in (0.5, 1.0 - 1e-15, 1.0):
+            r1 = factor * su1
             with mock.patch.object(rate_core, "golden_max", side_effect=AssertionError):
-                bounds = max_r2_batch(F1, F2, gamma_from_rate(factor * su1), noise)
+                bounds = max_r2_batch(F1, F2, gamma_from_rate(r1), noise, r1 > su1)
                 r2, _ = bounds.refined(True)
             assert bounds.searched.size > 0
             assert np.isfinite(r2).any()
@@ -842,7 +918,7 @@ class TestColumnSearch:
         F1, F2, su1 = column_inputs(rng, n, 2000, noise)
         r1 = (1.0 - eta) * su1
         gamma1 = gamma_from_rate(r1)
-        r2, q2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)
+        r2, q2 = max_r2_batch(F1, F2, gamma1, noise, r1 > su1).refined(True)
         ok = np.isfinite(r2)
         assert ok.sum() > 500
         q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
@@ -863,17 +939,17 @@ class TestColumnSearch:
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
         gamma1 = float(gamma_from_rate(r1))
         assert 0.0 < gamma1 < np.finfo(float).tiny
-        r2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)[0]
+        r2 = max_r2_batch(F1, F2, gamma1, noise, np.zeros(300, dtype=bool)).refined(True)[0]
         assert_within_contract(r2, su_rate_batch(arrs["h22"], noise[1]))
         g_max, _, _ = achievability_slack_batch(F1, F2, gamma1, 0.0, noise)
         assert np.all(np.isfinite(g_max))
 
 
-def assert_column_contract(F1, F2, gamma1, noise):
+def assert_column_contract(F1, F2, gamma1, noise, exceed1):
     """The column search within the contract of column_oracle, and its
     maximizer a witness of both rates."""
-    r2, q2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)
-    assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
+    r2, q2 = max_r2_batch(F1, F2, gamma1, noise, exceed1).refined(True)
+    assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise, exceed1))
     ok = np.isfinite(r2)
     q1 = frontier_qmin_batch(F1, gamma1, q2, noise[0])
     rate1, rate2 = witness_rates_batch(F1, F2, q1, q2, noise)
@@ -882,27 +958,28 @@ def assert_column_contract(F1, F2, gamma1, noise):
 
 
 def bound_gammas(rng, F1, F2, su1, noise) -> list:
-    """gamma1 columns like those of TestAccuracyContract and TestColumnSearch:
-    r1 = 0, fixed and random fractions of su1, steep points 1e-15..1e-1
-    below it, at and an ulp either side of it, and the zero-forcing knee
-    times 1 + eta."""
+    """(gamma1, exceed1) columns like those of TestAccuracyContract and
+    TestColumnSearch: r1 = 0, fixed and random fractions of su1, steep
+    points 1e-15..1e-1 below it, at and an ulp either side of it, and the
+    zero-forcing knee times 1 + eta."""
     count = su1.size
     fracs = [np.zeros(count), *(np.full(count, f) for f in (1e-3, 1e-2, 0.1, 0.3, 1.0))]
     fracs += [rng.uniform(0.0, 1.2, count) for _ in range(2)]
     fracs += [1.0 - 10.0 ** rng.uniform(-15.0, -1.0, count) for _ in range(2)]
     fracs += [np.full(count, f) for f in (1.0 - 1e-15, 1.0 + 1e-15)]
-    knee = zero_forcing_knee(F1, F2, noise)
-    return [gamma_from_rate(f * su1) for f in fracs] + [
-        knee * (1.0 + eta) for eta in (-1e-6, -1e-12, 0.0, 1e-12, 1e-7, 1e-6, 1e-3)
+    knees = [zero_forcing_knee(F1, F2, noise) * (1.0 + eta)
+             for eta in (-1e-6, -1e-12, 0.0, 1e-12, 1e-7, 1e-6, 1e-3)]
+    return [(gamma_from_rate(f * su1), f * su1 > su1) for f in fracs] + [
+        (knee, above_su_sinr(F1, knee, noise)) for knee in knees
     ]
 
 
-def assert_bounds_hold(F1, F2, gamma1, noise, rng):
+def assert_bounds_hold(F1, F2, gamma1, noise, exceed1, rng):
     """lower <= the column value <= upper bit for bit, both equal to it (and
     q2 to its maximizer) on the rows answered in closed form, and a refine
     of a random subset of the searched rows bit-equal to the full search on
     that subset and to the lower bound (and the bracket's q2) elsewhere."""
-    bounds = max_r2_batch(F1, F2, gamma1, noise)
+    bounds = max_r2_batch(F1, F2, gamma1, noise, exceed1)
     values, q2 = bounds.refined(True)
     assert np.all(bounds.lower <= values)
     assert np.all(values <= bounds.upper)
@@ -942,8 +1019,8 @@ class TestColumnBounds:
     def test_degenerate_families_and_noise(self, family, n, seed, noise):
         rng = np.random.default_rng(seed)
         F1, F2, su1 = column_inputs(rng, n, 200, noise, family)
-        for gamma1 in bound_gammas(rng, F1, F2, su1, noise):
-            assert_bounds_hold(F1, F2, gamma1, noise, rng)
+        for gamma1, exceed1 in bound_gammas(rng, F1, F2, su1, noise):
+            assert_bounds_hold(F1, F2, gamma1, noise, exceed1, rng)
 
     def test_tiny_noise_region(self):
         """The columns of the 1000-bit region at noise 1e-300 (demo
@@ -953,7 +1030,8 @@ class TestColumnBounds:
         F1 = frontier_batch(stream["h11"], stream["h12"])
         F2 = frontier_batch(stream["h22"], stream["h21"])
         rng = np.random.default_rng(401)
-        searched = sum(assert_bounds_hold(F1, F2, gamma_from_rate(r1), noise, rng)
+        su1 = su_rate_batch(stream["h11"], noise[0])
+        searched = sum(assert_bounds_hold(F1, F2, gamma_from_rate(r1), noise, r1 > su1, rng)
                        for r1 in np.linspace(0.0, 1000.0, 8))
         assert searched > 0
 
@@ -968,14 +1046,16 @@ class TestColumnBounds:
         F1 = frontier_batch(arrs["h11"], arrs["h12"])
         F2 = frontier_batch(arrs["h22"], arrs["h21"])
         gamma1 = gamma_from_rate((1.0 - 1e-15) * su_rate_batch(arrs["h11"], noise[0]))
+        empty = np.zeros(1500, dtype=bool)
         rows = np.array([164, 934])
         with np.errstate(over="ignore"):
             assert np.all(np.isinf(gamma1[rows] * F1.b_norm_sq[rows] * F2.safe_bsq[rows]
                                    / F1.p_max[rows]))
-        r2 = max_r2_batch(F1, F2, gamma1, noise).refined(True)[0]
-        assert_within_contract(r2[rows], column_oracle(F1, F2, gamma1, noise)[rows])
-        assert_within_contract(r2, column_oracle(F1, F2, gamma1, noise))
-        assert_bounds_hold(F1, F2, gamma1, noise, np.random.default_rng(402))
+        r2 = max_r2_batch(F1, F2, gamma1, noise, empty).refined(True)[0]
+        oracle = column_oracle(F1, F2, gamma1, noise, empty)
+        assert_within_contract(r2[rows], oracle[rows])
+        assert_within_contract(r2, oracle)
+        assert_bounds_hold(F1, F2, gamma1, noise, empty, np.random.default_rng(402))
 
     @pytest.mark.parametrize("where", ["zero r1", "r1 above every su1"])
     def test_column_with_no_searched_row(self, where):
@@ -984,10 +1064,10 @@ class TestColumnBounds:
         upper and the exact column are equal bit for bit."""
         noise = (0.5, 0.8)
         F1, F2, su1 = column_inputs(np.random.default_rng(15), 2, 300, noise)
-        gamma1 = 0.0 if where == "zero r1" else gamma_from_rate(su1.max() + 0.1)
+        r1 = 0.0 if where == "zero r1" else su1.max() + 0.1
         with mock.patch.object(rate_core, "_phi_evaluator",
                                side_effect=AssertionError) as build:
-            bounds = max_r2_batch(F1, F2, gamma1, noise)
+            bounds = max_r2_batch(F1, F2, gamma_from_rate(r1), noise, r1 > su1)
             values, q2 = bounds.refined(True)
             lower, upper = bounds.lower, bounds.upper
         build.assert_not_called()
@@ -1003,7 +1083,7 @@ class TestColumnBounds:
         was, so the exact column after it is the one before it."""
         noise = (0.5, 0.8)
         F1, F2, su1 = column_inputs(np.random.default_rng(16), 4, 400, noise)
-        bounds = max_r2_batch(F1, F2, gamma_from_rate(0.6 * su1), noise)
+        bounds = max_r2_batch(F1, F2, gamma_from_rate(0.6 * su1), noise, np.zeros(400, dtype=bool))
         assert bounds.searched.size > 0
         exact = bounds.refined(True)
         stage = [getattr(bounds, name).copy()
@@ -1077,8 +1157,8 @@ class TestIndependentOracle:
         fracs = [np.ones(count), *below]
         pairs = 0
         for frac in fracs:
-            gamma1 = gamma_from_rate(frac * su1)
-            empty, hi = column_bracket(F1, F2, gamma1, noise)
+            gamma1, empty = gamma_from_rate(frac * su1), frac * su1 > su1
+            hi = column_bracket(F1, F2, gamma1, noise, empty)
             rows = np.flatnonzero(~empty & (gamma1 * (hi + noise[0]) > F1.d_sq))
             lo = np.clip(F1.d_sq / gamma1 - noise[0], 0.0, hi)
             for pos in (0.0, 0.1, 0.5, 0.9, 1.0):
@@ -1088,7 +1168,7 @@ class TestIndependentOracle:
                     exact = decimal_phi(F1, F2, k, float(gamma1[k]), float(q2[k]), noise)
                     assert relative_error(phi[k], exact) <= self.PHI_TOL, (k, pos)
                     pairs += 1
-            bounds = max_r2_batch(F1, F2, gamma1, noise)
+            bounds = max_r2_batch(F1, F2, gamma1, noise, empty)
             np.testing.assert_array_equal(bounds.searched, rows)
             # The Illinois stage's maximum and maximizer on every searched
             # row, which the exact column returns bit for bit.

@@ -232,9 +232,9 @@ def test_simulate_reuses_the_column_search_of_point(demo_source, monkeypatch):
     search, qmin, rates = (regions.max_r2_batch, regions.frontier_qmin_batch,
                            regions.witness_rates_batch)
 
-    def logged_search(F1, F2, gamma1, noise):
+    def logged_search(F1, F2, gamma1, noise, exceed1):
         searches.append(dict(regions._cached_stream[1].columns))
-        return search(F1, F2, gamma1, noise)
+        return search(F1, F2, gamma1, noise, exceed1)
 
     def logged_qmin(*args):
         witnesses.append("q1")
