@@ -5,6 +5,13 @@ receivers. h_ij is the n-vector channel from transmitter i to receiver j, drawn
 circularly-symmetric complex Gaussian h_ij ~ CN(0, Q_ij), independent across the
 four (i, j) pairs. The entry convention is E|z_k|^2 = 1 for Q = I.
 
+Every outage quantity depends on the statistics only through Q_ij / sigma_i^2,
+so scaling the four covariances and both noise powers by one factor changes
+no region. factor_covariance is the one decision of what is a covariance
+(validation and the sampler both call it), and its tolerances are relative
+to the matrix's own scale, so powers in watts (~1e-12) validate and sample
+as unit powers do.
+
 Sampling is counter-based (numpy Philox): realization k of a seeded stream is a
 pure function of (seed, k), never of how the stream is split into batches, so
 parallel workers can generate disjoint index ranges and byte-identical runs are
@@ -29,10 +36,11 @@ class ValidationError(ValueError):
 CHANNEL_KEYS = ("h11", "h12", "h21", "h22")
 COVARIANCE_KEYS = ("Q11", "Q12", "Q21", "Q22")
 
-# Hermitian / positive-semidefinite tolerances for covariance validation and the
-# maximum allowed reconstruction error of the factorization.
-HERMITIAN_TOL = 1e-10
-EIGENVALUE_TOL = 1e-10
+# Covariance tolerances, each a multiple of the matrix's own scale
+# s = max_k |Q_kk|: COVARIANCE_TOL bounds the Hermitian asymmetry and the
+# eigenvalues taken as zero (rank cut-off) or as rounding of zero (PSD floor);
+# FACTOR_RECONSTRUCTION_TOL bounds the residual of the factorization.
+COVARIANCE_TOL = 1e-10
 FACTOR_RECONSTRUCTION_TOL = 1e-9
 
 
@@ -95,11 +103,13 @@ class ChannelStatistics:
 
 
 def validate_statistics(stats: ChannelStatistics) -> ChannelStatistics:
-    """Check shapes, Hermitian symmetry, positive semidefiniteness and noise powers.
+    """Check shapes, finite entries, the covariances and the noise powers.
 
     Returns the input unchanged when every invariant holds; raises
-    ValidationError naming the offending field otherwise. Eigenvalues down to
-    -1e-10 are tolerated as semidefinite (rank-deficient covariances are legal).
+    ValidationError naming the offending field otherwise. A covariance is
+    valid when factor_covariance factors it, so the statistics that validate
+    are the ones the sampler can draw from, at any power scale
+    (rank-deficient covariances are legal).
     """
     if stats.n < 1:
         raise ValidationError(f"n: must be >= 1, got {stats.n}")
@@ -111,16 +121,10 @@ def validate_statistics(stats: ChannelStatistics) -> ChannelStatistics:
             )
         if not np.all(np.isfinite(Q.real)) or not np.all(np.isfinite(Q.imag)):
             raise ValidationError(f"{key}: non-finite entries")
-        herm_err = np.max(np.abs(Q - Q.conj().T)) if stats.n else 0.0
-        if herm_err > HERMITIAN_TOL:
-            raise ValidationError(
-                f"{key}: not Hermitian (max asymmetry {herm_err:.3e} > {HERMITIAN_TOL:.0e})"
-            )
-        lam_min = float(np.linalg.eigvalsh(0.5 * (Q + Q.conj().T)).min())
-        if lam_min < -EIGENVALUE_TOL:
-            raise ValidationError(
-                f"{key}: not positive semidefinite (min eigenvalue {lam_min:.3e})"
-            )
+        try:
+            factor_covariance(Q)
+        except ValidationError as exc:
+            raise ValidationError(f"{key}: {exc}") from None
     for key in ("sigma1_sq", "sigma2_sq"):
         s = getattr(stats, key)
         if not np.isfinite(s) or s <= 0.0:
@@ -131,30 +135,46 @@ def validate_statistics(stats: ChannelStatistics) -> ChannelStatistics:
 def factor_covariance(Q: np.ndarray) -> np.ndarray:
     """A factor L with L L^H = Q, tolerating rank-deficient Q.
 
-    Lower-triangular Cholesky when every eigenvalue of Q exceeds the 1e-10
-    validation tolerance (relative to the diagonal scale when that exceeds 1).
-    Otherwise L = V diag(sqrt(lambda)) from the eigendecomposition, with the
-    eigenvalues within that tolerance of zero set to zero, so samples L z stay
-    in the range of Q and a zero covariance samples exact zeros. Cholesky
-    itself is no test of rank: rounding lets it succeed on some rank-one
-    matrices, with a ~1e-8 pivot that leaks out of the range. Indefinite
-    input (an eigenvalue below minus the tolerance) raises.
+    This is the one test of whether Q is a covariance. Every tolerance is a
+    multiple of Q's scale s = max_k |Q_kk|, so Q and 4^k Q pass or fail
+    together and factor to L and 2^k L, bit for bit, while no entry under- or
+    overflows:
+    - the Hermitian asymmetry max |Q - Q^H| is at most COVARIANCE_TOL s;
+    - no eigenvalue of the Hermitian part H lies below -COVARIANCE_TOL s
+      (otherwise Q is indefinite);
+    - L is H's lower-triangular Cholesky factor when every eigenvalue exceeds
+      COVARIANCE_TOL s, and otherwise V diag(sqrt(lambda)) from the
+      eigendecomposition with the eigenvalues up to COVARIANCE_TOL s set to
+      zero, so samples L z stay in the range of Q and a zero covariance
+      samples exact zeros. Cholesky itself is no test of rank: rounding lets
+      it succeed on some rank-one matrices, with a pivot ~1e-8 sqrt(s) that
+      leaks out of the range;
+    - the residual max |L L^H - Q| is at most FACTOR_RECONSTRUCTION_TOL s.
+    A failed check raises ValidationError.
     """
     Q = np.asarray(Q, dtype=np.complex128)
+    s = float(np.max(np.abs(np.diag(Q)), initial=0.0))
+    tol = COVARIANCE_TOL * s
+    limit = f"{COVARIANCE_TOL:.0e} x scale {s:.3e}"
+    asymmetry = float(np.max(np.abs(Q - Q.conj().T), initial=0.0))
+    if asymmetry > tol:
+        raise ValidationError(f"not Hermitian (max asymmetry {asymmetry:.3e} > {limit})")
     H = 0.5 * (Q + Q.conj().T)
     lam, V = np.linalg.eigh(H)
     lam_min = float(lam.min(initial=np.inf))
-    tol = EIGENVALUE_TOL * max(1.0, float(np.max(np.abs(np.diag(H)).real, initial=0.0)))
     if lam_min < -tol:
-        raise ValidationError(f"covariance is indefinite (min eigenvalue {lam_min:.3e})")
+        raise ValidationError(
+            f"not positive semidefinite (indefinite: min eigenvalue {lam_min:.3e} < -{limit})"
+        )
     if lam_min > tol:
         L = np.linalg.cholesky(H)
     else:
         lam[lam <= tol] = 0.0
         L = V * np.sqrt(lam)
-    err = float(np.max(np.abs(L @ L.conj().T - Q))) if Q.size else 0.0
-    if err > FACTOR_RECONSTRUCTION_TOL:
-        raise ValidationError(f"factorization residual {err:.3e} exceeds tolerance")
+    err = float(np.max(np.abs(L @ L.conj().T - Q), initial=0.0))
+    if err > FACTOR_RECONSTRUCTION_TOL * s:
+        raise ValidationError(f"factorization residual {err:.3e} exceeds "
+                              f"{FACTOR_RECONSTRUCTION_TOL:.0e} x scale {s:.3e}")
     return L
 
 

@@ -367,22 +367,18 @@ def trace_column(member, r1: float, grid: GridConfig, annotate=None) -> tuple:
 def assemble_boundary(grid: GridConfig, columns, metadata: dict | None = None) -> RegionBoundary:
     """Boundary from trace_column's results at grid.r1_values, in r1 order.
 
-    Non-monotone responses across columns (membership reappearing after a
-    column whose base point already left the region, or cap hits) are
-    reported as warnings, a symptom of Monte-Carlo noise at the boundary; the
-    componentwise non-dominated points are kept with their payloads.
+    A column whose boundary reaches grid.r2_cap is reported as a warning; the
+    componentwise non-dominated points are kept with their payloads. Columns
+    outside the region at r2 = 0 give no point; on an instantaneous region
+    they are the last ones, since at r2 = 0 every variant's verdict depends
+    on #(r1 > su1) alone, which grows with r1.
     """
     warnings: list[str] = []
     raw: list[BoundaryPoint] = []
-    outside_seen = False
     for r1, (inside, r2, payload) in zip(grid.r1_values, columns):
         r1 = float(r1)
         if not inside:
-            outside_seen = True
             continue
-        if outside_seen:
-            warnings.append(f"non-monotone membership: column r1={r1:.6g} is inside "
-                            "after an earlier column left the region")
         if r2 == grid.r2_cap:
             warnings.append(f"r2 cap {grid.r2_cap:.6g} still inside at r1={r1:.6g}")
         raw.append(BoundaryPoint(r1, r2, payload))

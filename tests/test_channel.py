@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -80,6 +81,34 @@ class TestStatisticsValidation:
         with pytest.raises(ValidationError, match="sigma2_sq"):
             validate_statistics(stats)
 
+    def test_covariances_are_decided_by_factor_covariance(self, monkeypatch):
+        """validate_statistics runs no covariance test of its own: with
+        factor_covariance stubbed to accept, an indefinite Q validates, and a
+        factor_covariance error is raised with the key in front."""
+        seen = []
+
+        def accept(Q):
+            seen.append(Q)
+            return Q
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validate_statistics decomposed a matrix")
+
+        monkeypatch.setattr(channel, "factor_covariance", accept)
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "cholesky", "svd"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        stats = simple_stats()
+        stats.Q21 = np.diag([1.0, -0.5]).astype(complex)
+        assert validate_statistics(stats) is stats
+        assert [id(Q) for Q in seen] == [id(getattr(stats, k)) for k in channel.COVARIANCE_KEYS]
+
+        def reject(Q):
+            raise ValidationError("sentinel")
+
+        monkeypatch.setattr(channel, "factor_covariance", reject)
+        with pytest.raises(ValidationError, match="^Q11: sentinel$"):
+            validate_statistics(stats)
+
 
 class TestFactorCovariance:
     def test_reconstructs_random_psd(self, rng):
@@ -118,6 +147,58 @@ class TestFactorCovariance:
                 h21 = gaussian_sample_arrays(stats, seed=5, start=0, stop=200)["h21"]
                 null_part = h21 - np.outer(h21 @ u.conj(), u) / np.vdot(u, u).real
                 assert np.max(np.abs(null_part)) < 1e-12
+
+
+class TestScaleFreeFactor:
+    """factor_covariance's tolerances are relative to the matrix's scale:
+    Q and 4^k Q give the same verdict and the factors L and 2^k L."""
+
+    KS = (-100, -60, -40, -20, -5, 5, 14, 40, 100)
+
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_factor_scales_exactly(self, rng, rank):
+        Q = random_psd(rng, 3, rank=rank)
+        L = factor_covariance(Q)
+        for k in self.KS:
+            # equal values: a complex times a real scalar may flip a zero's sign
+            assert np.array_equal(factor_covariance(4.0**k * Q), 2.0**k * L), k
+
+    @pytest.mark.parametrize("Q, message", [
+        (np.diag([1.0, -0.5]), "not positive semidefinite"),
+        (np.array([[1.0, 1e-8], [0.0, 1.0]]), "not Hermitian"),
+    ])
+    def test_rejection_scales(self, Q, message):
+        for k in (0, *self.KS):
+            with pytest.raises(ValidationError, match=message):
+                factor_covariance(4.0**k * Q)
+
+    def test_rank_one_at_large_scale_samples_in_range(self, rng):
+        """Rank-1 covariances at power scale 1e6 validate and sample in their
+        range: rounding leaves asymmetry and negative eigenvalues of about
+        1e-16 of the scale, which absolute tolerances of 1e-10 rejected."""
+        for n in (2, 3, 4):
+            for _ in range(10):
+                u = 1e3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                stats = simple_stats(n)
+                stats.Q21 = np.outer(u, u.conj())
+                validate_statistics(stats)
+                h21 = gaussian_sample_arrays(stats, seed=5, start=0, stop=200)["h21"]
+                null_part = h21 - np.outer(h21 @ u.conj(), u) / np.vdot(u, u).real
+                assert np.max(np.abs(null_part)) < 1e-12 * np.linalg.norm(u)
+
+    def test_second_moments_at_picowatt_scale(self):
+        """Q = 4^-20 diag(1, 0.005), about 1e-12: the weak direction is
+        sampled, not cut off as rank deficiency (an absolute cut-off of
+        1e-10 made every sample zero)."""
+        s = 4.0**-20
+        stats = simple_stats()
+        stats.Q11 = s * np.diag([1.0, 0.005]).astype(complex)
+        validate_statistics(stats)
+        N = 20_000
+        power = np.abs(gaussian_sample_arrays(stats, seed=8, start=0, stop=N)["h11"]) ** 2 / s
+        for k, mean in enumerate((1.0, 0.005)):
+            se = power[:, k].std() / math.sqrt(N)
+            assert abs(power[:, k].mean() - mean) < 4.0 * se, k
 
 
 class TestGaussianStream:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import miso_outage
+from miso_outage import channel
 from miso_outage.cli import (
     ConfigError,
     clear_config_cache,
@@ -217,16 +218,16 @@ class TestPointReport:
             }
 
 
-def count_eigvalsh(monkeypatch) -> list:
-    """A list that gets one entry per np.linalg.eigvalsh call from here on."""
+def count_validations(monkeypatch) -> list:
+    """A list that gets one entry per validate_statistics call from here on."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    validate = channel.validate_statistics
 
-    def counted(a, *rest, **kwargs):
+    def counted(stats):
         calls.append(1)
-        return eigvalsh(a, *rest, **kwargs)
+        return validate(stats)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(channel, "validate_statistics", counted)
     return calls
 
 
@@ -253,7 +254,7 @@ class TestConfigCache:
 
     def test_edited_file_is_parsed_again(self, tmp_path, capsys, monkeypatch):
         """Another seed, then back: each edit validates the statistics again
-        (four eigvalsh calls) and prints what a fresh process prints."""
+        and prints what a fresh process prints."""
         path = tmp_path / "config.json"
         texts = [json.dumps(small_inst_config(seed=seed)) for seed in (4, 5)]
         cold = []
@@ -261,9 +262,9 @@ class TestConfigCache:
             path.write_text(text)
             cold.append(cold_main(["point", str(path), *self.POINT], capsys))
         assert cold[0][1] != cold[1][1]
-        calls = count_eigvalsh(monkeypatch)
+        calls = count_validations(monkeypatch)
         # The cache holds seed 5's text from the last cold run.
-        for k, expected in ((0, 4), (1, 4), (0, 4), (0, 0)):
+        for k, expected in ((0, 1), (1, 1), (0, 1), (0, 0)):
             path.write_text(texts[k])
             calls.clear()
             assert run_main(["point", str(path), *self.POINT], capsys) == cold[k]
@@ -374,14 +375,13 @@ class TestMain:
                              ids=["validate", "point", "simulate"])
     def test_warm_command_validates_statistics_once(self, tmp_path, capsys, monkeypatch, args):
         """A command run again in one process on the same file validates
-        the four covariances once: four eigvalsh calls at its first run, none
-        at the second, which reuses the parsed run-config and prints the
-        same bytes."""
+        the statistics once: at its first run, not at the second, which
+        reuses the parsed run-config and prints the same bytes."""
         command = {0: "validate", 2: "point", 3: "simulate"}[len(args)]
         argv = [command, write_config(tmp_path, small_inst_config()), *args]
-        calls = count_eigvalsh(monkeypatch)
+        calls = count_validations(monkeypatch)
         outputs = []
-        for expected in (4, 0):
+        for expected in (1, 0):
             calls.clear()
             assert main(argv) == 0
             assert len(calls) == expected

@@ -139,6 +139,34 @@ def test_column_local_boundaries_equal_cached_trace(demo_source, scenario, case,
             assert warnings["fixed1"] == [cap + f"{r1:.6g}" for r1 in grid.r1_values[[0, 2]]]
 
 
+@pytest.mark.parametrize("case", ["demo", "explicit-warnings"])
+@pytest.mark.parametrize("scenario", INST_SCENARIOS)
+def test_base_verdict_depends_on_exceed1_alone(demo_source, scenario, case):
+    """At r2 = 0 a row is case C2 where r1 > su1 and case B elsewhere (its
+    column is >= 0), so each variant's verdict there is `verdict` on the
+    counts (A, B, C1, C2) = (0, N - #exceed1, 0, #exceed1). #exceed1 grows
+    with r1, so along r1 the base point leaves the region once and never
+    comes back: assemble_boundary has no non-monotone column to report."""
+    make, eps = CASES[case]
+    source, grid = make(demo_source, eps)
+    mode, variants = SCENARIOS[scenario]
+    spec = OutageSpec.common(eps[1]) if mode == "common" else OutageSpec.individual(*eps)
+    pipeline = InstantaneousRegionPipeline(source, NOISE)
+    su1, n = pipeline.su1, pipeline.n_samples
+    r1_values = sorted([*grid.r1_values, *np.quantile(su1, [0.05, 0.1, 0.5]), *su1[:2],
+                        2.0 * su1.max()])
+    for variant in variants:
+        inside = []
+        for r1 in r1_values:
+            e = count_true(r1 > su1)
+            probs = CaseProbabilities.from_counts(n, 0, n - e, 0, e, e, 0)
+            assert pipeline.case_probs(r1, 0.0) == probs
+            expected = verdict(probs, spec, variant).member
+            assert pipeline.member(r1, 0.0, spec, variant) == expected
+            inside.append(expected)
+        assert inside[0] and not inside[-1] and inside == sorted(inside, reverse=True)
+
+
 RATES = [0.0, 0.25, 0.5, 1.0]
 COLUMN_VALUES = [-math.inf, 0.0, 0.25 - 0.5 * RATE_SLACK, 0.25, 0.5 - 2.0 * RATE_SLACK, 1.0]
 

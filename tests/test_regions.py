@@ -221,12 +221,6 @@ class TestTraceBoundary:
         assert corner.r1 == pytest.approx(0.5)
         assert corner.r2 == pytest.approx(0.7, abs=2.0 * grid.tolerance)
 
-    def test_non_monotone_warning(self):
-        grid = GridConfig(r1_cap=1.0, r2_cap=1.0, n_points=11)
-        member = lambda r1, r2: (r1 < 0.25 or 0.55 < r1 < 0.85) and r2 <= 0.5
-        boundary = trace_boundary(member, grid)
-        assert any("non-monotone" in w for w in boundary.warnings)
-
     def test_cap_warning(self):
         grid = GridConfig(r1_cap=1.0, r2_cap=1.0, n_points=5)
         boundary = trace_boundary(lambda r1, r2: True, grid)
