@@ -10,29 +10,33 @@ of five cases:
     D  : both targets are individually below the single-user rates but the
          pair is not jointly achievable (exactly one link can be served)
 
-Every case, of one realization or of a whole stream, is read from the masks
-(exceed1, exceed2, joint) of a regions.Column: exceed1 = r1 > su1 is also
-the column kernel's set of empty rows, and joint compares r2 with the
-column, the realization's largest achievable r2 at r1. So joint implies
-not exceed1, and case B is joint itself. classify returns the case of one
-realization, and is_achievable decides case B on the same Column, with
-witness beamformers at case B's operating point.
+Every case, of one realization or of a whole stream, is counted by
+regions.Column.case_probs, from the comparisons (exceed1, exceed2, joint) of
+the Column at r1: exceed1 = r1 > su1 is also the column kernel's set of empty
+rows, and joint compares r2 with the column, the realization's largest
+achievable r2 at r1. So joint implies not exceed1, and case B is joint
+itself. classify returns the case whose count is 1 on a batch-of-one
+Column, and is_achievable decides case B on the same Column, with witness
+beamformers at case B's operating point.
 
 The transmission policy serves both links in case B at the column's
 operating point (regions.Column's maximizer q2*, whose witness rates the
-Column holds once computed), serves the feasible link with its matched filter (other
-transmitter off) in C1/C2, switches both off in A, and in D serves link 1 with
-probability p (a biased coin independent of the channels) and link 2
-otherwise. Link i then succeeds exactly on B, Ci and its share of D.
+Column holds once computed), serves the feasible link with its matched filter
+(other transmitter off) in C1/C2, switches both off in A, and in D serves
+link 1 with probability p (a biased coin independent of the channels) and
+link 2 otherwise. Link i then succeeds exactly on B, Ci and its share of D.
+A served link in C_i or D succeeds by definition: there r_i is at most
+su_i, its matched-filter rate, and the target r_i - RATE_SLACK rounds to at
+most r_i. Only case B's witness rates are compared with the target, since
+they may sit up to GOLDEN_VALUE_TOL * max(1, r2) below the column.
 
 The coin is independent of the channels, so at a fixed rate point every
-realization's case, and whether each link succeeds where it is served, are
-the same at every bias p; only case D's coin comparisons change with p.
-simulate_policy is factored that way: the bias-free part (PolicySplit: the
-case counts, the successes outside case D, and per case-D row its coin and
-both links' success flags) is taken once per rate point and coin seed and
-held on the column at r1, and a simulate at bias p counts only the case-D
-rows whose coin is below p.
+realization's case and every success outside case D are the same at every
+bias p; only case D's coin comparisons change with p. simulate_policy is
+factored that way: the bias-free part (PolicySplit: the Column's case
+counts, the successes outside case D and case D's coins) is taken once per
+rate point and coin seed and held on the column at r1, and a simulate at
+bias p counts only the case-D rows whose coin is below p.
 
 Estimation reads a regions.InstantaneousRegionPipeline built on the stream;
 the classification of sample k depends only on the realization itself, so any
@@ -111,6 +115,11 @@ class CaseProbabilities:
     def count_d(self) -> int:
         return self.n_samples - (self.count_a + self.count_b + self.count_c1 + self.count_c2)
 
+    @property
+    def counts(self) -> tuple:
+        """(A, B, C1, C2, D), in CaseLabel order."""
+        return self.count_a, self.count_b, self.count_c1, self.count_c2, self.count_d
+
     def as_dict(self) -> dict:
         n = self.n_samples
         estimates = {
@@ -122,13 +131,7 @@ class CaseProbabilities:
         }
         return {
             "n_samples": n,
-            "counts": {
-                "a": self.count_a,
-                "b": self.count_b,
-                "c1": self.count_c1,
-                "c2": self.count_c2,
-                "d": self.count_d,
-            },
+            "counts": dict(zip(("a", "b", "c1", "c2", "d"), self.counts)),
             "estimates": estimates,
             # Binomial standard errors; a synthetic vector (n = 0) has none.
             "standard_errors": {
@@ -140,19 +143,6 @@ class CaseProbabilities:
                 "p2": self.p_su_exceed2,
             },
         }
-
-
-def split_cases(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
-    """Masks (A, B, C1, C2, D) of the five-case split.
-
-    exceed_i marks realizations where r_i exceeds the single-user rate of link
-    i, joint those where the rate pair is jointly achievable.
-    """
-    a = exceed1 & exceed2
-    b = ~a & joint
-    c1 = ~a & ~b & exceed2
-    c2 = ~a & ~b & exceed1
-    return a, b, c1, c2, ~(a | b | c1 | c2)
 
 
 def count_true(mask: np.ndarray) -> int:
@@ -167,12 +157,10 @@ def read_only(array: np.ndarray) -> np.ndarray:
 
 
 def classify(h, point, noise: tuple[float, float]) -> CaseLabel:
-    """Case of a single realization at the rate point."""
-    from .regions import InstantaneousRegionPipeline
-
-    pipeline = InstantaneousRegionPipeline(SampleSource.explicit([h]), noise)
-    masks = split_cases(*pipeline.case_tests(*as_rate_point(point)))
-    return next(label for label, mask in zip(CaseLabel, masks) if mask[0])
+    """Case of a single realization at the rate point: the one case counted
+    on its batch-of-one Column."""
+    counts = estimate_case_probs(SampleSource.explicit([h]), point, noise).counts
+    return list(CaseLabel)[counts.index(1)]
 
 
 @dataclass
@@ -199,8 +187,8 @@ class FeasibilityWitness:
 
 def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
     """Decide whether the rate pair lies in the realization's achievable
-    region: joint on the batch-of-one Column that classify reads, so
-    achievable equals classify(h, point, noise) is CaseLabel.B.
+    region: case B's count on the batch-of-one Column that classify reads,
+    so achievable equals classify(h, point, noise) is CaseLabel.B.
 
     Non-strict convention: the region is treated as comprehensive (rates may
     be reduced), and r2 may pass the column by RATE_SLACK.
@@ -209,7 +197,7 @@ def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
 
     r1, r2 = as_rate_point(point)
     pipeline = InstantaneousRegionPipeline(SampleSource.explicit([h]), noise)
-    joint = pipeline.case_tests(r1, r2)[2]
+    achievable = pipeline.case_probs(r1, r2).count_b == 1
     pipeline.witness_rates(r1)
     column = pipeline._column(r1)
     value = float(column.values[0])
@@ -219,7 +207,7 @@ def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
         w2 = frontier_point(power_frontier(h.h22, h.h21), float(column.q2[0]))
     r1_ach = rate_bf(h, w1, w2, 1, pipeline.noise[0])
     r2_ach = rate_bf(h, w1, w2, 2, pipeline.noise[1])
-    return FeasibilityWitness(bool(joint[0]), w1, w2, r1_ach, r2_ach,
+    return FeasibilityWitness(achievable, w1, w2, r1_ach, r2_ach,
                               min(r1_ach - r1, r2_ach - r2), value - r2)
 
 
@@ -288,81 +276,70 @@ class PolicySplit:
     """The bias-free part of the policy's outcome at one rate point and coin
     seed, from which the outcome at any bias p follows.
 
-    At a fixed rate point every realization's case, and whether each link
-    succeeds where it is served, do not depend on p: only case D's coin
-    comparisons do. So this holds the case counts A, B, C1 and C2, each
-    link's successes outside case D (on B at the case-B operating point, on
-    its own C case at its single-user rate, and, where r_i <= RATE_SLACK,
-    on the rows where its achieved rate is 0), and per case-D row the coin
-    draw and whether each link succeeds when served (ok1, ok2). The arrays
-    are read-only.
+    At a fixed rate point every realization's case, and every success
+    outside case D, do not depend on p: only case D's coin comparisons do.
+    So this holds the Column's case counts (probs), each link's successes
+    outside case D (on B where its witness rate meets the target, on its own
+    C case, and, where r_i <= RATE_SLACK, on the rows where its achieved rate
+    is 0), whether that last term holds (idle1, idle2) and the coin draw of
+    each case-D row, read-only. A served link succeeds on every case-D row.
     """
 
-    n_samples: int
+    probs: CaseProbabilities
     coin_seed: int
-    count_a: int
-    count_b: int
-    count_c1: int
-    count_c2: int
     success1: int
     success2: int
     idle1: bool
     idle2: bool
     coin: np.ndarray
-    ok1: np.ndarray
-    ok2: np.ndarray
 
     def outcome(self, bias: float) -> PolicyOutcome:
         """The outcome with link 1 served on the case-D rows whose coin < bias."""
-        serve1 = self.coin < bias
-        count_d1 = count_true(serve1)
+        probs = self.probs
+        count_d1 = count_true(self.coin < bias)
         count_d2 = self.coin.size - count_d1
         return PolicyOutcome(
-            n_samples=self.n_samples,
+            n_samples=probs.n_samples,
             bias=bias,
             coin_seed=self.coin_seed,
-            success1=self.success1 + count_true(serve1 & self.ok1)
-            + (count_d2 if self.idle1 else 0),
-            success2=self.success2 + count_true(~serve1 & self.ok2)
-            + (count_d1 if self.idle2 else 0),
-            count_a=self.count_a,
-            count_b=self.count_b,
-            count_c1=self.count_c1,
-            count_c2=self.count_c2,
+            success1=self.success1 + (self.coin.size if self.idle1 else count_d1),
+            success2=self.success2 + (self.coin.size if self.idle2 else count_d2),
+            count_a=probs.count_a,
+            count_b=probs.count_b,
+            count_c1=probs.count_c1,
+            count_c2=probs.count_c2,
             count_d1=count_d1,
             count_d2=count_d2,
         )
 
 
-def split_policy(masks: tuple, witness: tuple, su: tuple, point: tuple,
+def split_policy(probs: CaseProbabilities, masks: tuple, witness: tuple, point: tuple,
                  coin_seed: int) -> PolicySplit:
-    """The PolicySplit at a rate point from its (exceed1, exceed2, joint)
-    masks, the case-B witness rates and the single-user rates of both links.
+    """The PolicySplit at a rate point from the Column's case counts there,
+    its (exceed1, exceed2, joint) masks and the case-B witness rates.
 
-    Link i succeeds where its achieved rate is >= r_i - RATE_SLACK: the
-    witness rate on B, su_i on Ci and on the D rows that serve it, and 0
-    elsewhere. The coin stream has one draw per sample, indexed by absolute
-    position, of which case D's rows keep theirs.
+    Link i succeeds where its achieved rate is >= r_i - RATE_SLACK: on B where
+    its witness rate is, on Ci and on the D rows that serve it always (see
+    the module docstring), and elsewhere, at achieved rate 0, only where
+    r_i <= RATE_SLACK. The coin stream has one draw per sample, indexed by
+    absolute position, of which case D's rows, those of no other case, keep
+    theirs.
     """
     r1, r2 = point
     need1, need2 = r1 - RATE_SLACK, r2 - RATE_SLACK
     idle1, idle2 = 0.0 >= need1, 0.0 >= need2
-    a, b, c1, c2, d = split_cases(*masks)
-    counts = [count_true(mask) for mask in (a, b, c1, c2)]
-    n_a, _, n_c1, n_c2 = counts
+    exceed1, exceed2, joint = masks
+    d = ~(exceed1 | exceed2 | joint)
     return PolicySplit(
-        d.size,
+        probs,
         coin_seed,
-        *counts,
-        success1=count_true(b & (witness[0] >= need1)) + count_true(c1 & (su[0] >= need1))
-        + (n_a + n_c2 if idle1 else 0),
-        success2=count_true(b & (witness[1] >= need2)) + count_true(c2 & (su[1] >= need2))
-        + (n_a + n_c1 if idle2 else 0),
+        success1=count_true(joint & (witness[0] >= need1)) + probs.count_c1
+        + (probs.count_a + probs.count_c2 if idle1 else 0),
+        success2=count_true(joint & (witness[1] >= need2)) + probs.count_c2
+        + (probs.count_a + probs.count_c1 if idle2 else 0),
         idle1=idle1,
         idle2=idle2,
         coin=read_only(np.random.default_rng(coin_seed).random(d.size)[d]),
-        ok1=read_only(su[0][d] >= need1),
-        ok2=read_only(su[1][d] >= need2),
     )
 
 

@@ -133,10 +133,6 @@ COLUMN_ROOT_ITERS = 12
 FEASIBILITY_SLACK = 1e-9
 RATE_SLACK = 1e-9
 
-# ||b||^2 below this is treated as a vanished cross channel (frontier
-# degenerates to p == ||a||^2, q == 0).
-DEGENERATE_B_TOL = 1e-30
-
 NORM_TOL = 1e-9
 QUAD_FORM_TOL = 1e-9
 
@@ -229,7 +225,10 @@ class FrontierBatch:
 
     Flat (N,) arrays: c = |b^H a| / ||b||, d = distance of a from span(b),
     p_max = ||a||^2, q_mrt = |b^H a|^2 / ||a||^2. degenerate marks a vanished
-    cross channel (p == p_max at zero caused interference).
+    cross channel, ||b||^2 == 0 exactly (p == p_max at zero caused
+    interference); any other b, however weak, keeps its frontier, so channels
+    scaled by a power of two, short of underflow, scale their frontiers
+    exactly.
     """
 
     c: np.ndarray
@@ -337,7 +336,7 @@ def frontier_batch(own: np.ndarray, cross: np.ndarray) -> FrontierBatch:
     asq = rowsum(np.abs(A) ** 2)
     bsq = rowsum(np.abs(B) ** 2)
     inner = rowsum(B.conj() * A)
-    degenerate = bsq <= DEGENERATE_B_TOL
+    degenerate = bsq == 0.0
     safe_bsq = np.where(degenerate, 1.0, bsq)
     c = np.where(degenerate, 0.0, np.abs(inner) / np.sqrt(safe_bsq))
     resid = A - (inner / safe_bsq)[:, None] * B

@@ -50,6 +50,7 @@ one raises instead of changing a later call's result.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import operator
 import os
@@ -505,6 +506,34 @@ def _collect(pid: int, read_fd: int) -> list:
     return report
 
 
+def _overflow_checked(method):
+    """A pipeline method that runs the frontier or column kernels, run with
+    floating-point overflow raising, as a ValueError that names the power
+    scale.
+
+    Every outage quantity depends on the powers only through the SINRs, so
+    scaling the covariances and noise powers together changes nothing until
+    a product of powers overflows: from about 1e123 the column search's
+    derivative, and the frontiers' |b^H a|^2 further up. There the counts
+    would be wrong with no error. The errstate is entered once per call,
+    never per kernel evaluation.
+    """
+
+    @functools.wraps(method)
+    def checked(self, *args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return method(self, *args, **kwargs)
+        except FloatingPointError as exc:
+            raise ValueError(
+                f"noise powers {list(self.noise)}: at this power scale the powers overflow "
+                "floating point. Outage regions depend only on Q_ij / sigma_i^2, so divide "
+                "the covariances and the noise powers by one common factor"
+            ) from exc
+
+    return checked
+
+
 def _jointly_achievable(column: np.ndarray, r2: float) -> np.ndarray:
     """The one case-B decision: r2 within RATE_SLACK of the column's largest
     achievable r2."""
@@ -522,14 +551,16 @@ class Column:
     Column(exceed1, su2) is the part that no column value enters: exceed1,
     the rows where r1 > su1, as the column kernel took it, its count and su2
     on its rows. on(values, q2) gives the Column over values, sharing that
-    part. The kernel marks exactly the exceed1 rows -inf, in its bounds too,
-    so joint never holds on them, and at each r2 the counts of the masks of
-    outage_mc.split_cases follow, without the masks, from the comparisons
-    exceed2 = r2 > su2 and joint on all rows and exceed2 on the exceed1
-    rows: with a = exceed1 & exceed2, A = #a, B = #joint,
-    C1 = #exceed2 - #(exceed2 & joint) - #a and C2 = #exceed1 - #a. Each r2
+    part. case_probs is the package's one count of the five cases: point,
+    simulate, classify, is_achievable and every trace read it. The kernel
+    marks exactly the exceed1 rows -inf, in its bounds too, so joint never
+    holds on them, and at each r2 the counts follow, with no mask per case,
+    from the comparisons exceed2 = r2 > su2 and joint on all rows and
+    exceed2 on the exceed1 rows: with a = exceed1 & exceed2, A = #a,
+    B = #joint, C1 = #exceed2 - #(exceed2 & joint) - #a, C2 = #exceed1 - #a,
+    and D the rest, the rows in none of exceed1, exceed2 and joint. Each r2
     is counted once; a repeated query (another variant's bisection, a
-    payload) reads the memo.
+    payload, the policy split after a point) reads the memo.
     witness holds the link rates at the case-B operating point once the
     pipeline has computed them, q1 transmitter 1's interference there, and
     policy the last PolicySplit taken on the column, as ((r2, coin seed),
@@ -666,6 +697,7 @@ class InstantaneousRegionPipeline:
     kernel's bounds and the rows it refines, and stores none.
     """
 
+    @_overflow_checked
     def __init__(self, source: SampleSource, noise: tuple[float, float]):
         if source.count <= 0:
             raise ValueError("need at least one sample")
@@ -698,6 +730,7 @@ class InstantaneousRegionPipeline:
         return max_r2_batch(self.F1, self.F2, float(gamma_from_rate(r1)), self.noise,
                             r1 > self.su1)
 
+    @_overflow_checked
     def _search(self, r1: float) -> tuple:
         """(exceed1, values, q2*) at r1, every searched row refined: the exact
         column."""
@@ -789,6 +822,7 @@ class InstantaneousRegionPipeline:
         for r1, (exceed1, values, q2) in zip(todo, self._map_columns("_search", todo, workers)):
             store[r1] = Column(exceed1, self.su2).on(values, q2)
 
+    @_overflow_checked
     def witness_rates(self, r1: float):
         """Link rates at the case-B operating point (transmitter 2 at the column
         maximizer q2*, transmitter 1 at q1, the least interference that
@@ -812,8 +846,8 @@ class InstantaneousRegionPipeline:
         column = self._column(r1)
         key = (r2, operator.index(coin_seed))
         if column.policy is None or column.policy[0] != key:
-            split = split_policy(column.masks(r2), self.witness_rates(r1),
-                                 (self.su1, self.su2), (r1, r2), key[1])
+            split = split_policy(column.case_probs(r2), column.masks(r2),
+                                 self.witness_rates(r1), (r1, r2), key[1])
             column.policy = (key, split)
         return column.policy[1]
 
@@ -830,6 +864,7 @@ class InstantaneousRegionPipeline:
     def member(self, r1: float, r2: float, spec: OutageSpec, variant: str = "plain") -> bool:
         return verdict(self.case_probs(r1, r2), spec, variant).member
 
+    @_overflow_checked
     def _trace_column(self, r1: float, spec: OutageSpec, grid: GridConfig,
                       variants: tuple) -> list[tuple]:
         """trace_column of every variant on the column at r1, root-searching

@@ -6,15 +6,17 @@ Their arithmetic is kept as it was when they lived in the package, so the
 tests that pin them keep their meaning:
 
 - su_rate_batch: single-user rates of a stacked channel array;
-- case_counts: the five-case counts from the three comparison masks, the
-  route regions.Column's counts replace along a column;
+- split_cases and case_counts: the five case masks from the three
+  comparison masks, and their counts without the masks, the mask-level
+  reference for regions.Column.case_probs, the package's one count;
 - stat_member_mc (with StatMcResult): Monte-Carlo statistical-CSI
   membership under general-rank transmit covariances;
 - rate_cov (with validate_transmit_covariance): one link's rate under
   transmit covariances, of which rate_core.rate_bf is the rank-one case;
 - simulate_policy: the policy's outcome from per-row achieved rates (the
-  five case masks and np.select), the route outage_mc.PolicySplit replaces
-  by counting only case D's coins at each bias;
+  five case masks and np.select), each compared with its target, where
+  outage_mc.PolicySplit compares only case B's witness rates, takes the
+  other counts from the Column and counts only case D's coins at each bias;
 - trace_boundary: a whole-region trace over any membership oracle, by
   regions.trace_column and regions.assemble_boundary;
 - axis_intercept: an outage region's intercept on one rate axis.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from miso_outage.channel import ChannelStatistics, SampleSource
-from miso_outage.outage_mc import PolicyOutcome, count_true, split_cases
+from miso_outage.outage_mc import PolicyOutcome, count_true
 from miso_outage.rate_core import (
     NORM_TOL,
     RATE_SLACK,
@@ -55,8 +57,21 @@ def su_rate_batch(H: np.ndarray, sigma_sq: float) -> np.ndarray:
     return rate_from_sinr(rowsum(np.abs(np.asarray(H)) ** 2) / float(sigma_sq))
 
 
+def split_cases(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
+    """Masks (A, B, C1, C2, D) of the five-case split.
+
+    exceed_i marks realizations where r_i exceeds the single-user rate of link
+    i, joint those where the rate pair is jointly achievable.
+    """
+    a = exceed1 & exceed2
+    b = ~a & joint
+    c1 = ~a & ~b & exceed2
+    c2 = ~a & ~b & exceed1
+    return a, b, c1, c2, ~(a | b | c1 | c2)
+
+
 def case_counts(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
-    """Counts (A, B, C1, C2) of outage_mc.split_cases's masks, without building them.
+    """Counts (A, B, C1, C2) of split_cases's masks, without building them.
 
     With a = exceed1 & exceed2 and nj = ~joint: B = joint minus a & joint, and
     C1 (C2) = exceed2 & nj (exceed1 & nj) minus a & nj, because a lies inside

@@ -12,14 +12,13 @@ from miso_outage.outage_mc import (
     classify,
     estimate_case_probs,
     simulate_policy,
-    split_cases,
 )
 from miso_outage.outage_mc import is_achievable
-from miso_outage.regions import InstantaneousRegionPipeline
+from miso_outage.regions import Column, InstantaneousRegionPipeline
 
 import oracles
 from conftest import BAD_NOISES, random_statistics, realizations
-from oracles import case_counts, su_rate_batch
+from oracles import case_counts, split_cases, su_rate_batch
 
 NOISE = (0.5, 0.5)
 
@@ -272,11 +271,31 @@ class TestPolicySplit:
         simulate_policy(demo_source, (0.6, 0.6), 0.5, NOISE, coin_seed=4)
         assert draws == [3, 4]
 
+    def test_simulate_after_point_reads_its_counts(self, demo_source, monkeypatch):
+        """A simulate right after a point at the same rate point counts no
+        case again: its split holds the CaseProbabilities that point
+        reported, the Column's one count."""
+        counted = []
+        count = Column._count
+
+        def recorded(column, r2):
+            counted.append(r2)
+            return count(column, r2)
+
+        monkeypatch.setattr(Column, "_count", recorded)
+        probs = estimate_case_probs(demo_source, (0.6, 0.6), NOISE)
+        assert counted == [0.6]
+        for bias in (0.0, 0.5):
+            out = simulate_policy(demo_source, (0.6, 0.6), bias, NOISE, coin_seed=3)
+            assert (out.count_a, out.count_b, out.count_c1, out.count_c2) == probs.counts[:4]
+        assert counted == [0.6]
+        column = InstantaneousRegionPipeline(demo_source, NOISE)._column(0.6)
+        assert column.policy[1].probs is probs
+
     def test_split_is_read_only(self, demo_source):
         split = InstantaneousRegionPipeline(demo_source, NOISE).policy_split(0.6, 0.6, 0)
-        for array in (split.coin, split.ok1, split.ok2):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            split.coin[...] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             split.success1 = 0
 

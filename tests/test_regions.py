@@ -4,10 +4,18 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miso_outage import regions
-from miso_outage.channel import SampleSource
-from miso_outage.outage_mc import CaseProbabilities, estimate_case_probs
+from miso_outage.channel import ChannelStatistics, SampleSource
+from miso_outage.outage_mc import (
+    CaseLabel,
+    CaseProbabilities,
+    classify,
+    count_true,
+    estimate_case_probs,
+)
 from miso_outage.rate_core import (
     FEASIBILITY_SLACK,
     achievability_slack_batch,
@@ -32,8 +40,8 @@ from miso_outage.regions import (
     write_boundary_csv,
 )
 
-from conftest import BAD_NOISES
-from oracles import axis_intercept, su_rate_batch, trace_boundary
+from conftest import BAD_NOISES, random_channel_vectors, random_psd, realizations
+from oracles import axis_intercept, split_cases, su_rate_batch, trace_boundary
 
 NOISE = (0.5, 0.5)
 
@@ -410,6 +418,53 @@ class TestPipeline:
                     assert in_fixed1 and in_fixed2
                 if in_fixed1 or in_fixed2:
                     assert in_indiv
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.sampled_from([1, 2, 8]),
+        kinds=st.lists(st.sampled_from(["zero", "rank-1", "aligned", "full"]),
+                       min_size=4, max_size=4),
+        noise=st.tuples(*[st.floats(-6.0, 6.0).map(lambda e: 10.0**e)] * 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scenario_nesting_on_degenerate_statistics(self, n, kinds, noise, seed):
+        """The pointwise nesting above, on zero, rank-1 and aligned (rank-1
+        along one shared direction) covariances and noise powers in
+        1e-6..1e6: at every point the counts partition the stream and equal
+        the split_cases oracle's, common implies fixed1 and fixed2, either
+        of those implies individual, and classify of each realization is its
+        row of the oracle."""
+        rng = np.random.default_rng(seed)
+        shared = random_channel_vectors(rng, 1, n)[0]
+
+        def covariance(kind):
+            if kind == "zero":
+                return np.zeros((n, n), dtype=complex)
+            if kind == "full":
+                return random_psd(rng, n)
+            u = shared if kind == "aligned" else random_channel_vectors(rng, 1, n)[0]
+            return np.outer(u, u.conj())
+
+        stats = ChannelStatistics(n, *map(covariance, kinds), *noise)
+        source = SampleSource.gaussian(stats, seed=seed, count=12)
+        fresh = InstantaneousRegionPipeline(source, noise)
+        common, indiv = OutageSpec.common(0.4), OutageSpec.individual(0.4, 0.4)
+        hs = realizations(source, 0, source.count)
+        for r1, r2 in itertools.product(*(
+                (0.0, np.median(su), 1.1 * su.max())
+                for su in (fresh.su1, fresh.su2))):
+            masks = split_cases(*fresh.case_tests(r1, r2))
+            probs = fresh.case_probs(r1, r2)
+            assert probs.counts == tuple(count_true(mask) for mask in masks)
+            assert sum(probs.counts) == source.count and min(probs.counts) >= 0
+            in_fixed = [fresh.member(r1, r2, indiv, v) for v in ("fixed1", "fixed2")]
+            if fresh.member(r1, r2, common):
+                assert all(in_fixed)
+            if any(in_fixed):
+                assert fresh.member(r1, r2, indiv)
+            for k, h in enumerate(hs):
+                label = next(lab for lab, mask in zip(CaseLabel, masks) if mask[k])
+                assert classify(h, (r1, r2), noise) is label
 
     def test_trace_boundary_shape_and_payload(self, pipeline):
         spec = OutageSpec.individual(0.1, 0.1)

@@ -8,6 +8,12 @@ print and write the bytes of the unscaled one: the same `point` and
 its `config` echo. A covariance test with an absolute tolerance breaks this:
 at 4^-20 (powers in watts, ~1e-12) it took every eigenvalue for zero and
 sampled zero channels, and at 4^14 it rejected the factorization residual.
+So did a vanished-cross-channel test with an absolute threshold: from 4^-48
+it dropped weak cross channels, and their interference with them.
+
+Far enough up, products of powers overflow floating point. A command there
+must exit 1 with an error that names the power scale, never print counts
+other than the unscaled ones.
 """
 
 import json
@@ -18,7 +24,7 @@ import pytest
 from miso_outage.cli import main
 from miso_outage.presets import demo_config
 
-SCALES = (-40, -20, -5, 5, 14, 40)
+SCALES = (-150, -60, -40, -20, -5, 5, 14, 40)
 POINT = ["0.9", "0.8"]
 
 
@@ -34,23 +40,39 @@ def scaled(doc: dict, k: int) -> dict:
     return doc
 
 
-def run(argv, capsys) -> str:
-    assert main(argv) == 0, (argv, capsys.readouterr().err)
-    return capsys.readouterr().out
+# What a command prints when it refuses an overflowing power scale.
+REFUSAL = ("at this power scale", "Q_ij / sigma_i^2")
 
 
-def outputs(tmp_path, capsys, doc: dict, k: int) -> dict:
+def run(argv, capsys, may_refuse: bool = False) -> str | None:
+    """stdout of a command that exits 0, or, with may_refuse, None for one
+    that exits 1 naming the power scale."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    if may_refuse and code == 1:
+        assert all(part in captured.err for part in REFUSAL), captured.err
+        return None
+    assert code == 0, (argv, captured.err)
+    return captured.out
+
+
+def outputs(tmp_path, capsys, doc: dict, k: int, may_refuse: bool = False) -> dict:
     """stdout of point (and simulate), the region's files and its manifest
-    without the config echo, for doc scaled by 4^k."""
+    without the config echo, for doc scaled by 4^k. With may_refuse, a
+    command that refuses the scale gives None, and a refused region no
+    files."""
     doc_k = scaled(doc, k)
     path = tmp_path / f"config{k}.json"
     path.write_text(json.dumps(doc_k))
     out = tmp_path / f"out{k}"
-    result = {"point": run(["point", str(path), *POINT], capsys)}
+    result = {"point": run(["point", str(path), *POINT], capsys, may_refuse)}
     if "grid" in doc:
         for bias in ("0", "0.5"):
-            result[f"simulate {bias}"] = run(["simulate", str(path), *POINT, bias], capsys)
-    run(["region", str(path), "--out", str(out)], capsys)
+            result[f"simulate {bias}"] = run(["simulate", str(path), *POINT, bias], capsys,
+                                             may_refuse)
+    if run(["region", str(path), "--out", str(out)], capsys, may_refuse) is None:
+        assert not out.exists()
+        return result
     for f in sorted(out.iterdir()):
         if f.name.endswith("_manifest.json"):
             manifest = json.loads(f.read_text())
@@ -76,6 +98,19 @@ def test_outputs_are_power_scale_free(tmp_path, capsys, scenario, options):
         assert json.loads(reference["point"])["case_probabilities"]["counts"]["b"] > 0
     for k in SCALES:
         assert outputs(tmp_path, capsys, doc, k) == reference, k
+
+
+@pytest.mark.parametrize("k", [205, 300])
+def test_overflowing_power_scales_are_exact_or_refused(tmp_path, capsys, k):
+    """At 4^205 the column search's derivative overflowed and point counted
+    B 1886 of 1931, at 4^300 the frontiers' |b^H a|^2 did and it counted
+    B 0, both with exit 0. Each command prints the unscaled bytes or exits 1
+    naming the power scale."""
+    doc = demo_config("individual-inst", mc_samples=2000, n_grid=8)
+    reference = outputs(tmp_path, capsys, doc, 0)
+    got = outputs(tmp_path, capsys, doc, k, may_refuse=True)
+    for name, value in got.items():
+        assert value is None or value == reference[name], (name, k)
 
 
 @pytest.mark.parametrize("case", ["demo x 4^14", "rank-1 x 1e6"])
