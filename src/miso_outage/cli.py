@@ -46,6 +46,7 @@ from .regions import (
     InstantaneousRegionPipeline,
     OutageSpec,
     bias_interval,
+    power_scale_checked,
     verdict,
     write_boundary_csv,
 )
@@ -452,21 +453,22 @@ def run_frontier(config: RunConfig, index: int, points: int) -> dict:
     count = source.count
     if not 0 <= index < count:
         raise ValueError(f"realization index {index} out of range [0, {count})")
-    # Realization k is the same in any slice of the stream: sample only it.
-    arrs = source.arrays(index, index + 1)
     report = {"index": index, "n_samples": count}
-    for tx, own_key, cross_key in ((1, "h11", "h12"), (2, "h22", "h21")):
-        frontier = power_frontier(arrs[own_key][0], arrs[cross_key][0])
-        q_grid = np.linspace(0.0, frontier.q_mrt, points)
-        p_grid = frontier.signal_power(q_grid)
-        report[f"tx{tx}"] = {
-            "p_max": frontier.p_max,
-            "q_mrt": frontier.q_mrt,
-            "aligned_amplitude": frontier.c,
-            "orthogonal_amplitude": frontier.d,
-            "degenerate": frontier.degenerate,
-            "curve": [[float(q), float(p)] for q, p in zip(q_grid, p_grid)],
-        }
+    with power_scale_checked(config):
+        # Realization k is the same in any slice of the stream: sample only it.
+        arrs = source.arrays(index, index + 1)
+        for tx, own_key, cross_key in ((1, "h11", "h12"), (2, "h22", "h21")):
+            frontier = power_frontier(arrs[own_key][0], arrs[cross_key][0])
+            q_grid = np.linspace(0.0, frontier.q_mrt, points)
+            p_grid = frontier.signal_power(q_grid)
+            report[f"tx{tx}"] = {
+                "p_max": frontier.p_max,
+                "q_mrt": frontier.q_mrt,
+                "aligned_amplitude": frontier.c,
+                "orthogonal_amplitude": frontier.d,
+                "degenerate": frontier.degenerate,
+                "curve": [[float(q), float(p)] for q, p in zip(q_grid, p_grid)],
+            }
     return report
 
 

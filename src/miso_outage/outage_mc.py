@@ -69,11 +69,14 @@ class CaseLabel(enum.Enum):
 class CaseProbabilities:
     """Empirical case distribution at one rate point.
 
-    Counts are exact integers summing to n_samples; count_d is their
-    complement. p_d is the float complement of the other four estimates,
-    which makes the five estimates sum to exactly 1.0 in floating point (the
-    complement can differ from count_d / n_samples by about one ulp, far below
-    any standard error). p_su_exceed_i estimates Pr{r_i > single-user rate of
+    A case distribution is its integer counts over n_samples >= 1 samples,
+    built by from_counts (regions.Column.case_probs gives every command's);
+    the membership margins read the counts, and the float estimates are
+    derived from them. Counts are exact integers summing to n_samples;
+    count_d is their complement. p_d is the float complement of the other
+    four estimates, which makes the five estimates sum to exactly 1.0 in
+    floating point (the complement can differ from count_d / n_samples by
+    about one ulp, far below any standard error). p_su_exceed_i estimates Pr{r_i > single-user rate of
     link i}, tallied independently of the case counts.
     """
 
@@ -104,13 +107,6 @@ class CaseProbabilities:
             c_e1, c_e2, c_e1 / n, c_e2 / n,
         )
 
-    @classmethod
-    def synthetic(
-        cls, p_a: float, p_b: float, p_c1: float, p_c2: float, p_d: float
-    ) -> "CaseProbabilities":
-        """A probability vector without sample backing (membership algebra tests)."""
-        return cls(0, 0, 0, 0, 0, p_a, p_b, p_c1, p_c2, p_d, 0, 0, p_a + p_c2, p_a + p_c1)
-
     @property
     def count_d(self) -> int:
         return self.n_samples - (self.count_a + self.count_b + self.count_c1 + self.count_c2)
@@ -121,7 +117,6 @@ class CaseProbabilities:
         return self.count_a, self.count_b, self.count_c1, self.count_c2, self.count_d
 
     def as_dict(self) -> dict:
-        n = self.n_samples
         estimates = {
             "p_a": self.p_a,
             "p_b": self.p_b,
@@ -130,12 +125,12 @@ class CaseProbabilities:
             "p_d": self.p_d,
         }
         return {
-            "n_samples": n,
+            "n_samples": self.n_samples,
             "counts": dict(zip(("a", "b", "c1", "c2", "d"), self.counts)),
             "estimates": estimates,
-            # Binomial standard errors; a synthetic vector (n = 0) has none.
+            # Binomial standard errors.
             "standard_errors": {
-                key: math.sqrt(max(p * (1.0 - p), 0.0) / n) if n else 0.0
+                key: math.sqrt(max(p * (1.0 - p), 0.0) / self.n_samples)
                 for key, p in estimates.items()
             },
             "su_exceedance": {

@@ -80,32 +80,22 @@ from .rate_core import (
 )
 
 
+def check_integer(value, name: str, minimum: int) -> int:
+    """value as an int: an integer, numpy's too but never a bool, of at
+    least minimum."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def _check_eps(value: float, name: str, allow_one: bool = False) -> float:
     value = float(value)
     hi_ok = value <= 1.0 if allow_one else value < 1.0
     if not (0.0 < value and hi_ok):
         bound = "(0, 1]" if allow_one else "(0, 1)"
         raise ValueError(f"{name} must lie in {bound}, got {value}")
-    return value
-
-
-def _case_mass(probs: CaseProbabilities, labels: tuple[str, ...]) -> float:
-    """Combined probability of several cases.
-
-    Sample-backed estimates sum the exact integer counts before the single
-    division, so a composite mass carries one rounding; this keeps membership
-    verdicts consistent across scenarios whose conditions are integer-count
-    complements of each other. Synthetic vectors fall back to summing the
-    stored estimates left to right.
-    """
-    if probs.n_samples > 0:
-        total = 0
-        for lab in labels:
-            total += getattr(probs, f"count_{lab}")
-        return total / probs.n_samples
-    value = 0.0
-    for lab in labels:
-        value += getattr(probs, f"p_{lab}")
     return value
 
 
@@ -194,17 +184,19 @@ def common_inst_member(probs: CaseProbabilities, epsilon: float) -> CommonMember
 def individual_inst_member(
     probs: CaseProbabilities, epsilon1: float, epsilon2: float
 ) -> IndividualMembership:
+    """The three individual-outage margins and their verdict.
+
+    Each composite mass sums the exact integer counts before its single
+    division by n_samples, so it carries one rounding; this keeps verdicts
+    consistent across scenarios whose conditions are integer-count
+    complements of each other.
+    """
     epsilon1 = _check_eps(epsilon1, "epsilon1", allow_one=True)
     epsilon2 = _check_eps(epsilon2, "epsilon2", allow_one=True)
-    margin1 = epsilon1 - _case_mass(probs, ("a", "c2"))
-    margin2 = epsilon2 - _case_mass(probs, ("a", "c1"))
-    if probs.n_samples > 0:
-        not_b_plus_a = (
-            probs.n_samples + probs.count_a - probs.count_b
-        ) / probs.n_samples
-    else:
-        not_b_plus_a = 1.0 + probs.p_a - probs.p_b
-    margin3 = (epsilon1 + epsilon2) - not_b_plus_a
+    n = probs.n_samples
+    margin1 = epsilon1 - (probs.count_a + probs.count_c2) / n
+    margin2 = epsilon2 - (probs.count_a + probs.count_c1) / n
+    margin3 = (epsilon1 + epsilon2) - (n + probs.count_a - probs.count_b) / n
     return IndividualMembership(
         member=(margin1 >= 0.0 and margin2 >= 0.0 and margin3 >= 0.0),
         margin1=margin1,
@@ -246,12 +238,13 @@ def fixed_choice_member(
     """Membership when case D always serves the chosen link."""
     epsilon1 = _check_eps(epsilon1, "epsilon1", allow_one=True)
     epsilon2 = _check_eps(epsilon2, "epsilon2", allow_one=True)
+    n = probs.n_samples
     if choice == 1:
-        margin_served = _case_mass(probs, ("b", "c1", "d")) - (1.0 - epsilon1)
-        margin_other = _case_mass(probs, ("b", "c2")) - (1.0 - epsilon2)
+        margin_served = (probs.count_b + probs.count_c1 + probs.count_d) / n - (1.0 - epsilon1)
+        margin_other = (probs.count_b + probs.count_c2) / n - (1.0 - epsilon2)
     elif choice == 2:
-        margin_served = _case_mass(probs, ("b", "c2", "d")) - (1.0 - epsilon2)
-        margin_other = _case_mass(probs, ("b", "c1")) - (1.0 - epsilon1)
+        margin_served = (probs.count_b + probs.count_c2 + probs.count_d) / n - (1.0 - epsilon2)
+        margin_other = (probs.count_b + probs.count_c1) / n - (1.0 - epsilon1)
     else:
         raise ValueError(f"choice must be 1 or 2, got {choice}")
     return FixedChoiceMembership(
@@ -300,10 +293,7 @@ class GridConfig:
     tol: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n_points, (int, np.integer)) or isinstance(self.n_points, bool):
-            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        self.n_points = check_integer(self.n_points, "n_points", 2)
         for name in ("r1_cap", "r2_cap"):
             cap = getattr(self, name)
             if not (math.isfinite(cap) and cap > 0.0):
@@ -506,30 +496,37 @@ def _collect(pid: int, read_fd: int) -> list:
     return report
 
 
-def _overflow_checked(method):
-    """A pipeline method that runs the frontier or column kernels, run with
-    floating-point overflow raising, as a ValueError that names the power
-    scale.
+@contextmanager
+def power_scale_checked(owner):
+    """Run the frontier or column kernels with floating-point overflow
+    raising, as a ValueError that names the power scale and owner.noise,
+    read only then (a pipeline's __init__ sets it inside).
 
     Every outage quantity depends on the powers only through the SINRs, so
     scaling the covariances and noise powers together changes nothing until
     a product of powers overflows: from about 1e123 the column search's
     derivative, and the frontiers' |b^H a|^2 further up. There the counts
-    would be wrong with no error. The errstate is entered once per call,
-    never per kernel evaluation.
+    would be wrong with no error.
     """
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"noise powers {list(owner.noise)}: at this power scale the powers overflow "
+            "floating point. Outage regions depend only on Q_ij / sigma_i^2, so divide "
+            "the covariances and the noise powers by one common factor"
+        ) from exc
+
+
+def _overflow_checked(method):
+    """A pipeline method run under power_scale_checked. The errstate is
+    entered once per call, never per kernel evaluation."""
 
     @functools.wraps(method)
     def checked(self, *args, **kwargs):
-        try:
-            with np.errstate(over="raise"):
-                return method(self, *args, **kwargs)
-        except FloatingPointError as exc:
-            raise ValueError(
-                f"noise powers {list(self.noise)}: at this power scale the powers overflow "
-                "floating point. Outage regions depend only on Q_ij / sigma_i^2, so divide "
-                "the covariances and the noise powers by one common factor"
-            ) from exc
+        with power_scale_checked(self):
+            return method(self, *args, **kwargs)
 
     return checked
 

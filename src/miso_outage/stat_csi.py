@@ -43,7 +43,7 @@ from .rate_core import (
     quad_form,
     rate_from_sinr,
 )
-from .regions import BoundaryPoint, OutageSpec, RegionBoundary, non_dominated_points
+from .regions import BoundaryPoint, OutageSpec, RegionBoundary, check_integer, non_dominated_points
 
 STAT_CSV_COLUMNS = ("r1", "r2", "pi1", "pi2", "pair_index")
 
@@ -201,11 +201,9 @@ class StatRegionSearch:
             if bad.any():
                 i = int(np.argmax(bad))
                 raise ValueError(f"{name}[{i}]: norm {norms[i]} exceeds unit power budget")
-        if curve_points < 2:
-            raise ValueError(f"curve_points must be >= 2, got {curve_points}")
         self.stats = stats
         self.W1, self.W2 = W1, W2
-        self.curve_points = curve_points
+        self.curve_points = check_integer(curve_points, "curve_points", 2)
         self.s1 = quad_form(stats.Q11, W1)
         self.t1 = quad_form(stats.Q21, W2)
         self.s2 = quad_form(stats.Q22, W2)

@@ -2,8 +2,9 @@
 
 All criteria run at the documented operating point (n = 2 antennas, noise
 0.5 per receiver, outage tolerance 0.1 per link, demo covariances) unless the
-criterion itself calls for synthetic inputs. Runtime budgets are asserted
-alongside the numerical tolerances.
+criterion itself enumerates its inputs (criterion 4 runs every case-count
+vector of N = 20). Runtime budgets are asserted alongside the numerical
+tolerances.
 """
 
 import itertools
@@ -184,24 +185,23 @@ def test_criterion_3_frontier_optimality():
 
 
 def test_criterion_4_bias_interval_equivalence():
-    """bias_interval nonemptiness vs the three membership inequalities."""
+    """bias_interval nonemptiness vs the three membership inequalities, on
+    every count vector of N = 20 samples, stated on the counts."""
     t0 = time.perf_counter()
-    steps = 20  # probability step 0.05
+    steps = 20  # N, so a probability step of 0.05
     eps_grid = [i / 10.0 for i in range(1, 10)]
     mismatches = 0
     checked = 0
     for k_a, k_b, k_c1, k_c2 in itertools.product(range(steps + 1), repeat=4):
-        k_d = steps - (k_a + k_b + k_c1 + k_c2)
-        if k_d < 0:
+        if k_a + k_b + k_c1 + k_c2 > steps:
             continue
-        pa, pb, pc1, pc2, pd = (k / steps for k in (k_a, k_b, k_c1, k_c2, k_d))
-        probs = CaseProbabilities.synthetic(pa, pb, pc1, pc2, pd)
+        probs = CaseProbabilities.from_counts(steps, k_a, k_b, k_c1, k_c2, 0, 0)
         for e1 in eps_grid:
             for e2 in eps_grid:
                 conditions = (
-                    e1 >= pa + pc2
-                    and e2 >= pa + pc1
-                    and e1 + e2 >= 1.0 + pa - pb
+                    e1 >= (k_a + k_c2) / steps
+                    and e2 >= (k_a + k_c1) / steps
+                    and e1 + e2 >= (steps + k_a - k_b) / steps
                 )
                 if bias_interval(probs, e1, e2).nonempty != conditions:
                     mismatches += 1

@@ -114,12 +114,6 @@ class TestCaseProbabilities:
         with pytest.raises(ValueError):
             CaseProbabilities.from_counts(0, 0, 0, 0, 0, 0, 0)
 
-    def test_synthetic_marker(self):
-        probs = CaseProbabilities.synthetic(0.1, 0.6, 0.1, 0.1, 0.1)
-        assert probs.n_samples == 0
-        assert probs.p_su_exceed1 == pytest.approx(0.2)
-        assert probs.as_dict()["estimates"]["p_b"] == 0.6
-
     def test_as_dict_round_numbers(self, demo_source):
         d = estimate_case_probs(demo_source, (0.5, 0.5), NOISE).as_dict()
         assert set(d["counts"]) == {"a", "b", "c1", "c2", "d"}

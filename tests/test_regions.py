@@ -46,8 +46,8 @@ from oracles import axis_intercept, split_cases, su_rate_batch, trace_boundary
 NOISE = (0.5, 0.5)
 
 
-def synth(p_a=0.0, p_b=0.0, p_c1=0.0, p_c2=0.0, p_d=0.0):
-    return CaseProbabilities.synthetic(p_a, p_b, p_c1, p_c2, p_d)
+def count_probs(n, c_a, c_b, c_c1, c_c2):
+    return CaseProbabilities.from_counts(n, c_a, c_b, c_c1, c_c2, 0, 0)
 
 
 class TestOutageSpec:
@@ -73,15 +73,15 @@ class TestOutageSpec:
 
 class TestMembershipFrozen:
     def test_common_threshold(self):
-        probs = synth(p_b=0.92, p_d=0.08)
+        probs = count_probs(100, 0, 92, 0, 0)
         assert common_inst_member(probs, 0.1).member
         assert common_inst_member(probs, 0.1).margin == pytest.approx(0.02)
-        assert not common_inst_member(synth(p_b=0.85, p_d=0.15), 0.1).member
+        assert not common_inst_member(count_probs(100, 0, 85, 0, 0), 0.1).member
 
     def test_half_b_half_d_pins_bias(self):
         """p_b = p_d = 0.5 with eps = 0.25 per link: the only working coin
         bias is exactly one half."""
-        probs = synth(p_b=0.5, p_d=0.5)
+        probs = count_probs(100, 0, 50, 0, 0)
         verdict = individual_inst_member(probs, 0.25, 0.25)
         assert verdict.member
         assert verdict.margin1 == pytest.approx(0.25)
@@ -92,14 +92,14 @@ class TestMembershipFrozen:
         assert iv.hi == pytest.approx(0.5)
 
     def test_eps_one_gives_full_interval(self):
-        probs = synth(0.2, 0.2, 0.2, 0.2, 0.2)
+        probs = count_probs(100, 20, 20, 20, 20)
         iv = bias_interval(probs, 1.0, 1.0)
         assert iv.nonempty and iv.lo == 0.0 and iv.hi == 1.0
 
     def test_all_d_small_eps_empty_interval(self):
         """Everything in case D with eps = 0.4 per link: serving link 1 at
         least 60% of the time and link 2 at least 60% cannot both hold."""
-        probs = synth(p_d=1.0)
+        probs = count_probs(100, 0, 0, 0, 0)
         iv = bias_interval(probs, 0.4, 0.4)
         assert not iv.nonempty
         assert iv.lo == pytest.approx(0.6)
@@ -108,7 +108,7 @@ class TestMembershipFrozen:
 
     def test_sum_condition_can_fail_alone(self):
         """Per-link conditions hold but the joint one fails: no bias works."""
-        probs = synth(p_a=0.1, p_b=0.85, p_d=0.05)
+        probs = count_probs(100, 10, 85, 0, 0)
         verdict = individual_inst_member(probs, 0.1, 0.1)
         assert verdict.margin1 == pytest.approx(0.0)
         assert verdict.margin2 == pytest.approx(0.0)
@@ -120,7 +120,7 @@ class TestMembershipFrozen:
         assert iv.hi == pytest.approx(0.0)
 
     def test_fixed_choice_frozen(self):
-        probs = synth(p_b=0.85, p_c2=0.05, p_d=0.1)
+        probs = count_probs(100, 0, 85, 0, 5)
         one = fixed_choice_member(probs, 0.1, 0.1, choice=1)
         assert one.member
         assert one.margin_served == pytest.approx(0.05)
@@ -131,22 +131,18 @@ class TestMembershipFrozen:
 
     def test_fixed_choice_validation(self):
         with pytest.raises(ValueError, match="choice"):
-            fixed_choice_member(synth(p_b=1.0), 0.1, 0.1, choice=3)
+            fixed_choice_member(count_probs(100, 0, 100, 0, 0), 0.1, 0.1, choice=3)
 
     def test_zero_p_d_interval(self):
-        good = synth(p_b=0.95, p_c1=0.05)
+        good = count_probs(100, 0, 95, 5, 0)
         assert bias_interval(good, 0.1, 0.1).as_dict() == {
             "lo": 0.0,
             "hi": 1.0,
             "nonempty": True,
         }
-        bad = synth(p_a=0.5, p_b=0.5)
+        bad = count_probs(100, 50, 50, 0, 0)
         iv = bias_interval(bad, 0.1, 0.1)
         assert not iv.nonempty
-
-
-def count_probs(n, c_a, c_b, c_c1, c_c2):
-    return CaseProbabilities.from_counts(n, c_a, c_b, c_c1, c_c2, 0, 0)
 
 
 class TestMembershipAlgebra:

@@ -17,6 +17,7 @@ other than the unscaled ones.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,52 @@ def test_overflowing_power_scales_are_exact_or_refused(tmp_path, capsys, k):
     got = outputs(tmp_path, capsys, doc, k, may_refuse=True)
     for name, value in got.items():
         assert value is None or value == reference[name], (name, k)
+
+
+def frontier_dump(tmp_path, capsys, doc: dict, k: int) -> int | dict:
+    """The frontier dump for doc scaled by 4^k, or the exit code of a
+    command that fails, with every warning it raised recorded."""
+    path = tmp_path / f"frontier{k}.json"
+    path.write_text(json.dumps(scaled(doc, k)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["frontier", str(path)])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    captured = capsys.readouterr()
+    if code != 0:
+        assert all(part in captured.err for part in REFUSAL), captured.err
+        return code
+    return json.loads(captured.out)
+
+
+def test_frontier_dump_scales_with_the_powers(tmp_path, capsys):
+    """frontier prints powers and amplitudes, not SINRs: scaled by 4^k,
+    p_max, q_mrt and the curve are 4^k times the unit ones and the
+    amplitudes 2^k times, bit for bit."""
+    doc = demo_config("individual-inst", mc_samples=2000, n_grid=8)
+    unit = frontier_dump(tmp_path, capsys, doc, 0)
+    for k in (*SCALES, 204):
+        power, amplitude = 4.0**k, 2.0**k
+        expect = dict(unit)
+        for tx in ("tx1", "tx2"):
+            dump = unit[tx]
+            expect[tx] = {
+                "p_max": power * dump["p_max"],
+                "q_mrt": power * dump["q_mrt"],
+                "aligned_amplitude": amplitude * dump["aligned_amplitude"],
+                "orthogonal_amplitude": amplitude * dump["orthogonal_amplitude"],
+                "degenerate": dump["degenerate"],
+                "curve": [[power * q, power * p] for q, p in dump["curve"]],
+            }
+        assert frontier_dump(tmp_path, capsys, doc, k) == expect, k
+
+
+def test_frontier_refuses_an_overflowing_power_scale(tmp_path, capsys):
+    """At 4^300 the frontiers' |b^H a|^2 overflowed: frontier printed
+    RuntimeWarnings and failed on a NaN in the JSON dump. It exits 1
+    naming the power scale, with no warning."""
+    doc = demo_config("individual-inst", mc_samples=2000, n_grid=8)
+    assert frontier_dump(tmp_path, capsys, doc, 300) == 1
 
 
 @pytest.mark.parametrize("case", ["demo x 4^14", "rank-1 x 1e6"])

@@ -515,6 +515,11 @@ class TestRegionSearch:
         W1, W2 = draw_beamformer_pairs(2, 4, seed=0)
         with pytest.raises(ValueError, match="curve_points"):
             StatRegionSearch(demo_stats, W1, W2, curve_points=1)
+        for curve_points in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="curve_points must be an integer"):
+                StatRegionSearch(demo_stats, W1, W2, curve_points=curve_points)
+        # Held as a Python int, so the boundary metadata serializes to JSON.
+        assert type(StatRegionSearch(demo_stats, W1, W2, np.int64(3)).curve_points) is int
         with pytest.raises(ValueError, match=r"W2\[2\]: norm"):
             StatRegionSearch(demo_stats, W1, W2 * [[1.0], [1.0], [1.0 + 1e-6], [1.0]])
         with pytest.raises(ValueError, match=r"W1\[0\]: norm nan"):
