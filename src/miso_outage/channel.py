@@ -44,6 +44,16 @@ COVARIANCE_TOL = 1e-10
 FACTOR_RECONSTRUCTION_TOL = 1e-9
 
 
+def check_integer(value, name: str, minimum: int | None = None) -> int:
+    """value as an int: an integer, numpy's too but never a bool, of at
+    least minimum if one is given."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def _as_complex_vector(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=np.complex128)
     if v.ndim != 1:
@@ -300,14 +310,10 @@ class SampleSource:
         """The seeded stream: seed is a Philox key in [0, 2^128), count >= 0.
         Both must be integers (numpy ones included), not bools or floats."""
         validate_statistics(stats)
-        for name, value in (("seed", seed), ("count", count)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        seed, count = int(seed), int(count)
+        seed = check_integer(seed, "seed")
         if not 0 <= seed < 2**128:
             raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        count = check_integer(count, "count", 0)
         return cls(stats=stats, seed=seed, count=count)
 
     @classmethod

@@ -181,13 +181,23 @@ def quad_form(Q: np.ndarray, W: np.ndarray) -> np.ndarray | float:
     return float(value[0]) if W.ndim == 1 else value
 
 
+def check_power_budget(W: np.ndarray, name: str) -> None:
+    """Raises ValueError unless every row of W has norm at most 1 + NORM_TOL
+    (a NaN norm fails). A vector is a batch of one, named name; row i of a
+    matrix is name[i]."""
+    norms = np.linalg.norm(np.atleast_2d(W), axis=1)
+    bad = ~(norms <= 1.0 + NORM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        row = name if W.ndim == 1 else f"{name}[{i}]"
+        raise ValueError(f"{row}: norm {norms[i]} exceeds unit power budget")
+
+
 def validate_beamformer(w: np.ndarray, name: str = "w") -> np.ndarray:
     w = np.asarray(w, dtype=np.complex128)
     if w.ndim != 1:
         raise ValueError(f"{name}: expected a vector, got shape {w.shape}")
-    nrm = float(np.linalg.norm(w))
-    if nrm > 1.0 + NORM_TOL:
-        raise ValueError(f"{name}: norm {nrm} exceeds unit power budget")
+    check_power_budget(w, name)
     return w
 
 

@@ -21,9 +21,9 @@ r2, so scenario nesting can be verified pointwise without re-sampling noise.
 A column is read only with su1 and su2, so a region is traced column-locally:
 the process that computes a column bisects every variant on it, builds the
 payloads at the boundary points and drops the column, returning a few scalars
-per variant. The caller and k - 1 forked helpers claim the columns from one
-shared counter, largest r1 first; results do not depend on who computed a
-column, and the caller assembles the boundaries in r1 order.
+per variant. With the columns ordered largest r1 first, the caller and k - 1
+forked helpers each compute every k-th of them; results do not depend on
+who computed a column, and the caller assembles the boundaries in r1 order.
 A traced column is bounded before it is searched: every variant is bisected
 on the kernel's lower and upper bounds of the column, and only the rows
 whose bounds leave a count in doubt are root-searched, in one call, before
@@ -56,13 +56,12 @@ import operator
 import os
 import pickle
 import signal
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import COVARIANCE_KEYS, SampleSource
+from .channel import COVARIANCE_KEYS, SampleSource, check_integer
 from .outage_mc import CaseProbabilities, PolicySplit, count_true, read_only, split_policy
 from .rate_core import (
     RATE_SLACK,
@@ -78,16 +77,6 @@ from .rate_core import (
     rate_from_sinr,
     witness_rates_batch,
 )
-
-
-def check_integer(value, name: str, minimum: int) -> int:
-    """value as an int: an integer, numpy's too but never a bool, of at
-    least minimum."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 def _check_eps(value: float, name: str, allow_one: bool = False) -> float:
@@ -397,7 +386,8 @@ def _column_key(r1: float) -> float:
 
 
 def _claim_order(r1_values: list) -> list[int]:
-    """Indices of r1_values by decreasing r1, the order columns are claimed in.
+    """Indices of r1_values by decreasing r1; process h of k computes every
+    k-th of them from position h (InstantaneousRegionPipeline._map_columns).
 
     The kernel's bracket stage costs more as r1 grows, since fewer rows are
     zero-forcing (answered in closed form), but a traced column's refine and
@@ -406,68 +396,26 @@ def _claim_order(r1_values: list) -> list[int]:
     largest r1 is no longer the longest column: on the benchmark grid
     (individual-inst, N = 2e4, 8 columns, r1 = 0..1.91, one process on a
     2-vCPU host) the columns take 1.0 2.2 2.6 3.1 3.5 3.9 5.0 2.4 ms.
-    Largest r1 first still hands the long columns out early and the
-    cheapest one (r1 = 0) last: with those times two processes finish 2.4 %
-    after an even split of the work, and 1.6 % after the best split of
-    these eight columns, which no claim order can beat.
+    Dealt out largest r1 first, those give two processes 11.6 and 12.1 ms:
+    they finish 2.1 % after an even split of the work (11.85 ms), and 1.7 %
+    after the best split of these eight columns (11.9 ms).
     """
     return sorted(range(len(r1_values)), key=r1_values.__getitem__, reverse=True)
 
 
-@contextmanager
-def _counter_locked(fd: int):
-    """Holds the POSIX record lock on the claim counter of file fd. Such a
-    lock belongs to one process, so the caller and its forked helpers
-    exclude each other, and the kernel drops it if its holder dies."""
-    import fcntl  # POSIX only, like os.fork; the one-process path needs neither
-
-    fcntl.lockf(fd, fcntl.LOCK_EX)
-    try:
-        yield
-    finally:
-        fcntl.lockf(fd, fcntl.LOCK_UN)
-
-
-def _claims(fd: int, order: list):
-    """The items of order that this process claims, each claimed by exactly
-    one of the processes sharing fd.
-
-    The next position in order is a counter at offset 0 of the file fd (an
-    empty file reads as 0), advanced under _counter_locked.
-    """
-    while True:
-        with _counter_locked(fd):
-            n = int.from_bytes(os.pread(fd, 8, 0), "little")
-            os.pwrite(fd, (n + 1).to_bytes(8, "little"), 0)
-        if n >= len(order):
-            return
-        yield order[n]
-
-
-def _end_claims(fd: int, order: list):
-    """Moves the claim counter of fd to the end of order, so that no process
-    claims another item."""
-    with _counter_locked(fd):
-        os.pwrite(fd, len(order).to_bytes(8, "little"), 0)
-
-
-def _run_helper(write_fd: int, counter_fd: int, order: list, run, r1_values: list,
-                args: tuple):
+def _run_helper(write_fd: int, compute):
     """Body of a forked helper; never returns.
 
-    Computes run(r1, *args) for every index it claims from counter_fd and
-    sends the list of (index, result) pairs, or the exception that stopped
-    it, down write_fd as one pickle. An exception first ends the claims, so
-    the other processes stop after the column they are on. os._exit skips
-    the caller's cleanup (atexit handlers, buffered output, open files),
-    which belongs to the caller alone.
+    Sends compute()'s (index, result) pairs, or the exception that stopped
+    it, down write_fd as one pickle. os._exit skips the caller's cleanup
+    (atexit handlers, buffered output, open files), which belongs to the
+    caller alone.
     """
     status = 1
     try:
         try:
-            report = [(i, run(r1_values[i], *args)) for i in _claims(counter_fd, order)]
+            report = compute()
         except BaseException as exc:
-            _end_claims(counter_fd, order)
             report = exc
         with os.fdopen(write_fd, "wb") as stream:
             pickle.dump(report, stream, pickle.HIGHEST_PROTOCOL)
@@ -479,7 +427,9 @@ def _run_helper(write_fd: int, counter_fd: int, order: list, run, r1_values: lis
 def _collect(pid: int, read_fd: int) -> list:
     """A helper's (index, result) pairs, read from read_fd (closed here);
     the helper is reaped. Raises the helper's exception, or
-    ChildProcessError when it ended without a complete report."""
+    ChildProcessError when it ended without a complete report. The caller
+    reads this after computing its own share, so a helper's failure is
+    raised only then."""
     try:
         with os.fdopen(read_fd, "rb") as stream:
             report = pickle.load(stream)
@@ -750,24 +700,20 @@ class InstantaneousRegionPipeline:
         self.column(r1)
         return self._stream.columns[_column_key(r1)]
 
-    def _map_columns(self, method: str, r1_values: list, workers: int, *args) -> list:
-        """[self.method(r1, *args) for r1 in r1_values], run by up to `workers`
+    def _map_columns(self, run, r1_values: list, workers: int, *args) -> list:
+        """[run(r1, *args) for r1 in r1_values], run by up to `workers`
         processes, this one included.
 
         With k = min(workers, len(r1_values)) > 1, k - 1 helpers are forked
-        and all k processes claim indices from one shared counter in
-        _claim_order (largest r1 first), so a process that finishes early
-        takes the next column instead of idling. Each helper reports its
-        results through its own pipe; they come back in r1 order and do not
-        depend on k or on who claimed what. Every helper is reaped before
-        this returns or raises: on an error here, the helpers still running
-        are killed first. A column that raises in a helper ends the claims
-        at once, so this process stops after its current column and raises
-        that exception. A helper that dies instead (os._exit, a signal) is
-        still detected only here, at collection, after this process has run
-        out of claims.
+        and process h of k computes order[h::k] of _claim_order (largest r1
+        first); this process is h = 0. Each helper reports its results
+        through its own pipe, collected after this process has computed its
+        own share; they come back in r1 order and do not depend on k or on
+        who computed what. A helper's failure, an exception or a death
+        without a report (os._exit, a signal), is therefore raised only
+        then. Every helper is reaped before this returns or raises: on an
+        error here, the helpers still running are killed first.
         """
-        run = getattr(self, method)
         if workers > 1 and not hasattr(os, "fork"):
             raise ValueError(f"--workers {workers} needs os.fork, which this platform "
                              "lacks; use --workers 1")
@@ -775,35 +721,38 @@ class InstantaneousRegionPipeline:
         if procs <= 1:
             return [run(r1, *args) for r1 in r1_values]
         order = _claim_order(r1_values)
-        results = [None] * len(r1_values)
+
+        def share(h: int) -> list:
+            return [(i, run(r1_values[i], *args)) for i in order[h::procs]]
+
         helpers = {}  # pid -> read end of its pipe, until collected
-        with tempfile.TemporaryFile() as counter:
-            try:
-                for _ in range(procs - 1):
-                    read_fd, write_fd = os.pipe()
-                    try:
-                        pid = os.fork()
-                        if pid == 0:
-                            _run_helper(write_fd, counter.fileno(), order, run, r1_values, args)
-                    except BaseException:
-                        os.close(read_fd)
-                        raise
-                    finally:
-                        # Closed before the next fork, so the helper holds the
-                        # only write end and its death reads as end of file.
-                        os.close(write_fd)
-                    helpers[pid] = read_fd
-                for i in _claims(counter.fileno(), order):
-                    results[i] = run(r1_values[i], *args)
-                while helpers:
-                    pid, read_fd = helpers.popitem()
-                    for i, result in _collect(pid, read_fd):
-                        results[i] = result
-            finally:
-                for pid, read_fd in helpers.items():
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
+        try:
+            for h in range(1, procs):
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _run_helper(write_fd, functools.partial(share, h))
+                except BaseException:
                     os.close(read_fd)
+                    raise
+                finally:
+                    # Closed before the next fork, so the helper holds the
+                    # only write end and its death reads as end of file.
+                    os.close(write_fd)
+                helpers[pid] = read_fd
+            pairs = share(0)
+            while helpers:
+                pid, read_fd = helpers.popitem()
+                pairs += _collect(pid, read_fd)
+        finally:
+            for pid, read_fd in helpers.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read_fd)
+        results = [None] * len(r1_values)
+        for i, result in pairs:
+            results[i] = result
         return results
 
     def precompute_columns(self, r1_values, workers: int = 1):
@@ -816,7 +765,7 @@ class InstantaneousRegionPipeline:
         store.clear()
         store.update(held)
         todo = [r1 for r1 in keys if r1 not in held]
-        for r1, (exceed1, values, q2) in zip(todo, self._map_columns("_search", todo, workers)):
+        for r1, (exceed1, values, q2) in zip(todo, self._map_columns(self._search, todo, workers)):
             store[r1] = Column(exceed1, self.su2).on(values, q2)
 
     @_overflow_checked
@@ -935,14 +884,14 @@ class InstantaneousRegionPipeline:
                        workers: int = 1) -> list[RegionBoundary]:
         """Boundaries of the case-D variants on one pass over the r1 grid.
 
-        Each column is computed once, by the process that takes it in
+        Each column is computed once, by the process it falls to in
         _map_columns, and bisected there for every variant; this process
         receives (inside, r2, payload) per column and variant and assembles
         each boundary in r1 order. The store is emptied first.
         """
         r1_values = [_column_key(r1) for r1 in grid.r1_values]
         self._stream.columns.clear()
-        steps = self._map_columns("_trace_column", r1_values, workers, spec, grid,
+        steps = self._map_columns(self._trace_column, r1_values, workers, spec, grid,
                                   tuple(variants))
         return [
             assemble_boundary(grid, [column[i] for column in steps], metadata={

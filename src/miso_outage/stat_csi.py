@@ -34,16 +34,16 @@ import functools
 import math
 import numpy as np
 
-from .channel import ChannelStatistics
+from .channel import ChannelStatistics, check_integer
 from .rate_core import (
     LN2,
-    NORM_TOL,
     as_rate_point,
+    check_power_budget,
     gamma_from_rate,
     quad_form,
     rate_from_sinr,
 )
-from .regions import BoundaryPoint, OutageSpec, RegionBoundary, check_integer, non_dominated_points
+from .regions import BoundaryPoint, OutageSpec, RegionBoundary, non_dominated_points
 
 STAT_CSV_COLUMNS = ("r1", "r2", "pi1", "pi2", "pair_index")
 
@@ -195,12 +195,8 @@ class StatRegionSearch:
                 f"W1 and W2 must both have shape (count, {stats.n}), "
                 f"got {W1.shape} and {W2.shape}"
             )
-        for name, W in (("W1", W1), ("W2", W2)):
-            norms = np.linalg.norm(W, axis=1)
-            bad = ~(norms <= 1.0 + NORM_TOL)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(f"{name}[{i}]: norm {norms[i]} exceeds unit power budget")
+        check_power_budget(W1, "W1")
+        check_power_budget(W2, "W2")
         self.stats = stats
         self.W1, self.W2 = W1, W2
         self.curve_points = check_integer(curve_points, "curve_points", 2)

@@ -212,39 +212,46 @@ def region_config(tmp_path) -> str:
     return str(config)
 
 
-def record_claims(monkeypatch) -> tuple[list, list]:
-    """Patch the claim and collect steps of `_map_columns` to log the indices
-    this process claims and the (index, result) pairs it receives."""
-    claimed, received = [], []
-    claims, collect = regions._claims, regions._collect
+def record_helpers(monkeypatch) -> list:
+    """Patch the fork and collect steps of `_map_columns` to log, per helper
+    in the order it was forked (process h = 1, 2, ...), its pid and the
+    (index, result) pairs this process receives from it."""
+    helpers = []
+    fork, collect = os.fork, regions._collect
 
-    def recording_claims(fd, order):
-        # A helper appends to its own copy of the list; this one sees ours.
-        for i in claims(fd, order):
-            claimed.append(i)
-            yield i
+    def recording_fork():
+        pid = fork()
+        if pid:
+            helpers.append((pid, []))
+        return pid
 
     def recording_collect(pid, read_fd):
         pairs = collect(pid, read_fd)
-        received.extend(pairs)
+        dict(helpers)[pid].extend(pairs)
         return pairs
 
-    monkeypatch.setattr(regions, "_claims", recording_claims)
+    monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(regions, "_collect", recording_collect)
-    return claimed, received
+    return helpers
 
 
 def test_pooled_region_parent_caches_and_receives_no_column(tmp_path, monkeypatch):
-    """`region --workers 2` over 8 columns: each column is claimed exactly
-    once, this process computes the kernel only for the columns it claimed,
-    receives only scalars for the others, and caches nothing."""
-    claimed, received = record_claims(monkeypatch)
-    pipelines, computed = [], []
+    """`region --workers 2` over 8 columns: process h computes exactly
+    order[h::2] of the claim order, this process (h = 0) computes the kernel
+    only for its own columns, receives only scalars for the others, and
+    caches nothing."""
+    helpers = record_helpers(monkeypatch)
+    pipelines, computed, traced = [], [], []
 
     class RecordingPipeline(InstantaneousRegionPipeline):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             pipelines.append(self)
+
+        def _trace_column(self, r1, spec, grid, variants):
+            # A helper appends to its own copy of the list; this one sees ours.
+            traced.append(list(grid.r1_values).index(r1))
+            return super()._trace_column(r1, spec, grid, variants)
 
     kernel = regions.max_r2_batch
 
@@ -259,8 +266,11 @@ def test_pooled_region_parent_caches_and_receives_no_column(tmp_path, monkeypatc
 
     (pipeline,) = pipelines
     assert pipeline._stream.columns == {}
-    assert sorted(claimed + [i for i, _ in received]) == list(range(8))
-    assert len(computed) == len(claimed)
+    order = list(range(8))[::-1]
+    ((_, received),) = helpers
+    assert traced == order[0::2]
+    assert [i for i, _ in received] == order[1::2]
+    assert len(computed) == len(traced)
     assert all(len(steps) == 3 and _is_scalar_tree(steps) for _, steps in received)
 
 
@@ -293,31 +303,37 @@ def test_claim_order_does_not_change_boundaries(demo_source, monkeypatch, order)
         assert [boundary_csv_lines(b) for b in got] == [boundary_csv_lines(b) for b in expected]
 
 
-def test_each_claim_taken_once_under_contention(demo_source, monkeypatch):
+def test_each_column_computed_once_by_its_process(demo_source, monkeypatch):
     """70 000 items, more than a pipe holds as one-byte tokens, over six
-    processes, more than the CPUs of a usual test host: every item is
-    claimed by exactly one process and its result lands at its index."""
-    claimed, received = record_claims(monkeypatch)
+    processes, more than the CPUs of a usual test host: process h computes
+    exactly order[h::6] of the claim order, and every result lands at its
+    index."""
+    helpers = record_helpers(monkeypatch)
+    squared = []
 
     class Squares(InstantaneousRegionPipeline):
         def _square(self, r1):
+            # A helper appends to its own copy of the list; this one sees ours.
+            squared.append(int(r1))
             return r1 * r1
 
     values = [float(v) for v in range(70_000)]
-    squares = Squares(demo_source, NOISE)._map_columns("_square", values, 6)
+    pipeline = Squares(demo_source, NOISE)
+    squares = pipeline._map_columns(pipeline._square, values, 6)
     assert squares == [v * v for v in values]
-    assert sorted(claimed + [i for i, _ in received]) == list(range(len(values)))
+    order = regions._claim_order(values)
+    assert squared == order[0::6]
+    assert [[i for i, _ in pairs] for _, pairs in helpers] == [order[h::6] for h in range(1, 6)]
 
 
 # Runs `region --workers 2` with a column kernel that fails: in the helper,
 # by raising ("raise") or by ending it with os._exit(3) ("exit"), or in the
 # caller while the helper is still busy ("caller"). The helper's first column
 # waits until the caller is in one too, and the caller's first column waits
-# until the helper is in its own, so both take part whichever runs first;
-# the caller then waits 0.2 s more, so a helper's failure lands before the
-# caller claims again. Prints the exit code, whether any child is left
-# unreaped, whether the open descriptors are the same as before, and how
-# many columns the caller computed.
+# until the helper is in its own, so both take part whichever runs first.
+# Prints the exit code, whether any child is left unreaped, whether the open
+# descriptors are the same as before, and how many columns the caller
+# computed.
 FAILING_COLUMN = r"""
 import json, os, select, sys, time
 from miso_outage import cli, regions
@@ -341,7 +357,6 @@ def failing_kernel(*args):
     if not computed:
         os.write(caller_in_w, b"x")
         select.select([helper_in_r], [], [], 60.0)
-        time.sleep(0.2)
     computed.append(1)
     if mode == "caller":
         raise ValueError("kernel failed in the caller")
@@ -363,19 +378,18 @@ print(json.dumps({"rc": rc, "reaped": reaped,
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
 @pytest.mark.parametrize("mode, message, caller_columns", [
-    ("raise", r"error: kernel failed in a helper", 1),
-    ("exit", r"error: column helper \d+ ended \(exit status 3\) without reporting", 7),
+    ("raise", r"error: kernel failed in a helper", 4),
+    ("exit", r"error: column helper \d+ ended \(exit status 3\) without reporting", 4),
     ("caller", r"error: kernel failed in the caller", 1),
 ])
 def test_failing_column_is_reported_and_helpers_reaped(tmp_path, mode, message, caller_columns):
     """`region --workers 2` exits 1 with the failing column's error, or with
     a clear one when a helper died without reporting; a helper still busy
     when the caller fails is killed. No child is left unreaped and no
-    descriptor stays open. A column that raises in the helper ends the
-    claims, so the caller computes only the column it is on (1 of 8); a
-    helper that dies is found only at collection, after the caller has
-    computed the other 7. In a subprocess with a timeout, so a hang fails
-    the test instead of the suite."""
+    descriptor stays open. A helper's failure, raised or a death, is found
+    at collection, after the caller has computed its own share (4 of 8); a
+    failure in the caller stops it at its first column. In a subprocess with
+    a timeout, so a hang fails the test instead of the suite."""
     env = dict(os.environ)
     src = str(Path(miso_outage.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

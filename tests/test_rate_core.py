@@ -136,8 +136,11 @@ class TestScalarHelpers:
 
     def test_beamformer_validation(self):
         validate_beamformer(np.array([0.6, 0.8]))
-        with pytest.raises(ValueError, match="norm"):
-            validate_beamformer(np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"^w1: norm 1\.118"):
+            validate_beamformer(np.array([1.0, 0.5]), "w1")
+        # The row rule StatRegionSearch applies, so a NaN norm fails too.
+        with pytest.raises(ValueError, match=r"^w: norm nan"):
+            validate_beamformer(np.array([np.nan, 0.5]))
 
     def test_transmit_covariance_validation(self):
         validate_transmit_covariance(0.5 * np.eye(2))
