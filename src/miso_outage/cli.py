@@ -11,7 +11,13 @@ holds the last one parsed, keyed by the file's exact text.
 
 Complex matrices serialize as nested arrays of [re, im] pairs. The schema is
 strict: unknown fields, missing fields, or fields that do not apply to the
-chosen scenario are rejected with the offending path in the message.
+chosen scenario are rejected with the offending path in the message. One
+reader checks each kind of node: _object a JSON object and its keys, _items
+a list of fixed length (noise, the individual epsilon pair, an [re, im]
+pair, a channel vector, a covariance matrix), and the _as_* readers a
+scalar; only the top-level document has its own check. An optional field a
+config leaves out takes the library's default (GridConfig's n_points and
+tol, stat_csi.CURVE_POINTS), stated there alone.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .regions import (
     verdict,
     write_boundary_csv,
 )
-from .stat_csi import STAT_CSV_COLUMNS, StatRegionSearch, draw_beamformer_pairs
+from .stat_csi import CURVE_POINTS, STAT_CSV_COLUMNS, StatRegionSearch, draw_beamformer_pairs
 
 # Scenario -> (outage mode, traced case-D variants); statistical CSI has no
 # variants (None). region writes the first variant's boundary as "boundary".
@@ -64,6 +70,12 @@ SCENARIOS = {
 }
 
 
+_DOCUMENT_KEYS = (
+    "scenario", "n", "covariances", "channels", "noise", "epsilon",
+    "mc_samples", "seed", "grid", "search", "output",
+)
+
+
 class ConfigError(ValueError):
     """Schema violation, carrying the path of the offending field."""
 
@@ -72,16 +84,31 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _reject_unknown(doc: dict, allowed, path: str):
-    for key in doc:
+def _get(node: dict, path: str):
+    """The required field at path; its key is the last dotted component."""
+    key = path.rpartition(".")[2]
+    if key not in node:
+        raise ConfigError(path, "missing required field")
+    return node[key]
+
+
+def _object(node, path: str, allowed, what: str = "an object") -> dict:
+    """node, checked to be a JSON object with no key outside allowed."""
+    if not isinstance(node, dict):
+        raise ConfigError(path, f"expected {what}")
+    for key in node:
         if key not in allowed:
-            raise ConfigError(f"{path}{key}", "unknown field")
+            raise ConfigError(f"{path}.{key}", "unknown field")
+    return node
 
 
-def _get(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}{key}", "missing required field")
-    return doc[key]
+def _items(node, path: str, count: int, message: str, read) -> list:
+    """node, checked to be a list of count items, each read as
+    read(item, item_path). message, formatted with count and node only
+    when the check fails, is the error's text."""
+    if not isinstance(node, list) or len(node) != count:
+        raise ConfigError(path, message.format(count=count, node=node))
+    return [read(item, f"{path}[{i}]") for i, item in enumerate(node)]
 
 
 def _as_int(value, path: str, minimum: int) -> int:
@@ -115,29 +142,17 @@ def _as_eps(value, path: str) -> float:
 
 
 def _parse_complex_entry(node, path: str) -> complex:
-    if (
-        not isinstance(node, list)
-        or len(node) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in node)
-    ):
-        raise ConfigError(path, f"expected an [re, im] pair, got {node!r}")
-    return complex(_as_number(node[0], f"{path}[0]"), _as_number(node[1], f"{path}[1]"))
+    return complex(*_items(node, path, 2, "expected an [re, im] pair, got {node!r}", _as_number))
 
 
-def _parse_vector(node, n: int, path: str) -> np.ndarray:
-    if not isinstance(node, list) or len(node) != n:
-        raise ConfigError(path, f"expected a list of {n} [re, im] pairs")
-    return np.array(
-        [_parse_complex_entry(v, f"{path}[{i}]") for i, v in enumerate(node)]
-    )
+def _parse_vector(node, path: str, n: int) -> np.ndarray:
+    return np.array(_items(node, path, n, "expected a list of {count} [re, im] pairs",
+                           _parse_complex_entry))
 
 
-def _parse_matrix(node, n: int, path: str) -> np.ndarray:
-    if not isinstance(node, list) or len(node) != n:
-        raise ConfigError(path, f"expected a {n}x{n} matrix")
-    return np.array(
-        [_parse_vector(row, n, f"{path}[{i}]") for i, row in enumerate(node)]
-    )
+def _parse_matrix(node, path: str, n: int) -> np.ndarray:
+    return np.array(_items(node, path, n, "expected a {count}x{count} matrix",
+                           functools.partial(_parse_vector, n=n)))
 
 
 def _matrix_doc(Q: np.ndarray) -> list:
@@ -212,44 +227,26 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("<document>", f"not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top level must be an object")
-    _reject_unknown(
-        doc,
-        {
-            "scenario", "n", "covariances", "channels", "noise", "epsilon",
-            "mc_samples", "seed", "grid", "search", "output",
-        },
-        "",
-    )
+    for key in doc:
+        if key not in _DOCUMENT_KEYS:
+            raise ConfigError(key, "unknown field")
 
-    scenario = _get(doc, "scenario", "")
+    scenario = _get(doc, "scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(
             "scenario", f"must be one of {', '.join(SCENARIOS)}; got {scenario!r}"
         )
     mode, variants = SCENARIOS[scenario]
     is_stat = variants is None
-    n = _as_int(_get(doc, "n", ""), "n", minimum=1)
-
-    noise_node = _get(doc, "noise", "")
-    if not isinstance(noise_node, list) or len(noise_node) != 2:
-        raise ConfigError("noise", "expected [sigma1_sq, sigma2_sq]")
-    noise = (
-        _as_positive(noise_node[0], "noise[0]"),
-        _as_positive(noise_node[1], "noise[1]"),
-    )
-
-    eps_node = _get(doc, "epsilon", "")
+    n = _as_int(_get(doc, "n"), "n", minimum=1)
+    noise = tuple(_items(_get(doc, "noise"), "noise", 2, "expected [sigma1_sq, sigma2_sq]",
+                         _as_positive))
+    eps_node = _get(doc, "epsilon")
     if mode == "common":
         epsilons = (_as_eps(eps_node, "epsilon"),) * 2
     else:
-        if not isinstance(eps_node, list) or len(eps_node) != 2:
-            raise ConfigError(
-                "epsilon", "individual scenarios take [epsilon1, epsilon2]"
-            )
-        epsilons = (
-            _as_eps(eps_node[0], "epsilon[0]"),
-            _as_eps(eps_node[1], "epsilon[1]"),
-        )
+        epsilons = tuple(_items(eps_node, "epsilon", 2,
+                                "individual scenarios take [epsilon1, epsilon2]", _as_eps))
 
     has_cov = "covariances" in doc
     has_chan = "channels" in doc
@@ -263,18 +260,14 @@ def parse_config(text: str) -> RunConfig:
         )
 
     if has_cov:
-        cov_node = doc["covariances"]
-        if not isinstance(cov_node, dict):
-            raise ConfigError("covariances", "expected an object with Q11..Q22")
-        _reject_unknown(cov_node, COVARIANCE_KEYS, "covariances.")
+        cov_node = _object(doc["covariances"], "covariances", COVARIANCE_KEYS,
+                           "an object with Q11..Q22")
         mats = {
-            key: _parse_matrix(
-                _get(cov_node, key, "covariances."), n, f"covariances.{key}"
-            )
+            key: _parse_matrix(_get(cov_node, f"covariances.{key}"), f"covariances.{key}", n)
             for key in COVARIANCE_KEYS
         }
-        mc_samples = _as_int(_get(doc, "mc_samples", ""), "mc_samples", minimum=1)
-        seed = _as_int(_get(doc, "seed", ""), "seed", minimum=0)
+        mc_samples = _as_int(_get(doc, "mc_samples"), "mc_samples", minimum=1)
+        seed = _as_int(_get(doc, "seed"), "seed", minimum=0)
         stats = ChannelStatistics(n=n, **mats, sigma1_sq=noise[0], sigma2_sq=noise[1])
         for key in COVARIANCE_KEYS:
             read_only(stats.covariance(key))
@@ -295,19 +288,16 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("channels", "expected a nonempty list of realizations")
         channels = []
         for i, entry in enumerate(chan_node):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"channels[{i}]", "expected an object with h11..h22")
-            _reject_unknown(entry, CHANNEL_KEYS, f"channels[{i}].")
+            path = f"channels[{i}]"
+            entry = _object(entry, path, CHANNEL_KEYS, "an object with h11..h22")
             vectors = {
-                key: _parse_vector(
-                    _get(entry, key, f"channels[{i}]."), n, f"channels[{i}].{key}"
-                )
+                key: _parse_vector(_get(entry, f"{path}.{key}"), f"{path}.{key}", n)
                 for key in CHANNEL_KEYS
             }
             try:
                 channels.append(ChannelRealization(**vectors))
             except ValidationError as exc:
-                raise ConfigError(f"channels[{i}]", str(exc)) from exc
+                raise ConfigError(path, str(exc)) from exc
             for key in CHANNEL_KEYS:
                 read_only(getattr(channels[-1], key))
         source = SampleSource.explicit(channels)
@@ -318,10 +308,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 "grid", "not used by statistical-CSI scenarios (see 'search')"
             )
-        grid_node = doc["grid"]
-        if not isinstance(grid_node, dict):
-            raise ConfigError("grid", "expected an object")
-        _reject_unknown(grid_node, ("n_points", "r1_cap", "r2_cap", "tol"), "grid.")
+        grid_node = _object(doc["grid"], "grid", ("n_points", "r1_cap", "r2_cap", "tol"))
         grid = {}
         if "n_points" in grid_node:
             grid["n_points"] = _as_int(grid_node["n_points"], "grid.n_points", 2)
@@ -331,15 +318,11 @@ def parse_config(text: str) -> RunConfig:
 
     search = None
     if is_stat:
-        search_node = _get(doc, "search", "")
-        if not isinstance(search_node, dict):
-            raise ConfigError("search", "expected an object")
-        _reject_unknown(search_node, ("n_pairs", "seed", "curve_points"), "search.")
+        search_node = _object(_get(doc, "search"), "search", ("n_pairs", "seed", "curve_points"))
         search = {
-            "n_pairs": _as_int(_get(search_node, "n_pairs", "search."),
-                               "search.n_pairs", 1),
+            "n_pairs": _as_int(_get(search_node, "search.n_pairs"), "search.n_pairs", 1),
             "seed": _as_int(search_node.get("seed", 0), "search.seed", 0),
-            "curve_points": _as_int(search_node.get("curve_points", 65),
+            "curve_points": _as_int(search_node.get("curve_points", CURVE_POINTS),
                                     "search.curve_points", 2),
         }
     elif "search" in doc:
@@ -347,14 +330,9 @@ def parse_config(text: str) -> RunConfig:
 
     basename = scenario
     if "output" in doc:
-        out_node = doc["output"]
-        if not isinstance(out_node, dict):
-            raise ConfigError("output", "expected an object")
-        _reject_unknown(out_node, ("basename",), "output.")
-        name = _get(out_node, "basename", "output.")
-        if not isinstance(name, str) or not name:
+        basename = _get(_object(doc["output"], "output", ("basename",)), "output.basename")
+        if not isinstance(basename, str) or not basename:
             raise ConfigError("output.basename", "expected a nonempty string")
-        basename = name
 
     return RunConfig(
         scenario=scenario,
@@ -502,9 +480,7 @@ def _resolved_grid(config: RunConfig, pipeline) -> GridConfig:
                 f"2^r - 1 (finite only below 1024 bits); noise {list(config.noise)} "
                 "is too small for these channel powers"
             )
-    return GridConfig(
-        r1_cap=r1_cap, r2_cap=r2_cap, n_points=opts.get("n_points", 50), tol=opts.get("tol")
-    )
+    return GridConfig(**{**opts, "r1_cap": r1_cap, "r2_cap": r2_cap})
 
 
 def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:

@@ -46,6 +46,8 @@ from .rate_core import (
 from .regions import BoundaryPoint, OutageSpec, RegionBoundary, non_dominated_points
 
 STAT_CSV_COLUMNS = ("r1", "r2", "pi1", "pi2", "pair_index")
+# r1 grid points per pair on a common-outage curve, unless a search says otherwise.
+CURVE_POINTS = 65
 
 
 def success_probability(gamma, s_bar, t_bar, sigma_sq) -> np.ndarray:
@@ -187,7 +189,7 @@ class StatRegionSearch:
     answers refer to the same searched region.
     """
 
-    def __init__(self, stats: ChannelStatistics, W1, W2, curve_points: int = 65):
+    def __init__(self, stats: ChannelStatistics, W1, W2, curve_points: int = CURVE_POINTS):
         W1 = np.asarray(W1, dtype=complex)
         W2 = np.asarray(W2, dtype=complex)
         if W1.ndim != 2 or W1.shape != W2.shape or W1.shape[1] != stats.n:

@@ -53,6 +53,13 @@ def error_path(doc) -> str:
     return err.value.path
 
 
+def error_message(doc) -> str:
+    """The ConfigError's text: its path, a colon and the message."""
+    with pytest.raises(ConfigError) as err:
+        parse_doc(doc)
+    return str(err.value)
+
+
 class TestParseErrors:
     def test_invalid_json(self):
         with pytest.raises(ConfigError) as err:
@@ -155,6 +162,44 @@ class TestParseErrors:
     def test_output_basename(self):
         doc = small_inst_config(output={"basename": ""})
         assert error_path(doc) == "output.basename"
+
+    @pytest.mark.parametrize("path, expected", [
+        ("covariances", "an object with Q11..Q22"),
+        ("channels[0]", "an object with h11..h22"),
+        ("grid", "an object"),
+        ("search", "an object"),
+        ("output", "an object"),
+    ])
+    def test_object_node(self, path, expected):
+        """A non-object is reported at the node, an unknown key below it."""
+        if path == "channels[0]":
+            doc = aligned_point_mass_config()
+            parent, key = doc["channels"], 0
+        elif path == "search":
+            doc = demo_config("common-stat", n_pairs=4)
+            parent, key = doc, path
+        else:
+            doc = small_inst_config(output={"basename": "b"})
+            parent, key = doc, path
+        node = parent[key]
+        for value in ([], [node], "x", 1, None):
+            parent[key] = value
+            assert error_message(doc) == f"{path}: expected {expected}"
+        parent[key] = {**node, "extra": 1}
+        assert error_message(doc) == f"{path}.extra: unknown field"
+
+    def test_list_lengths(self):
+        doc = small_inst_config(noise=[0.5, 0.5, 0.5])
+        assert error_message(doc) == "noise: expected [sigma1_sq, sigma2_sq]"
+        doc = small_inst_config()
+        doc["covariances"]["Q11"].append(doc["covariances"]["Q11"][0])
+        assert error_message(doc) == "covariances.Q11: expected a 2x2 matrix"
+
+    def test_complex_entry_element(self):
+        """An [re, im] element that is not a number is reported at its own path."""
+        doc = small_inst_config()
+        doc["covariances"]["Q11"][0][1] = [1.0, True]
+        assert error_message(doc) == "covariances.Q11[0][1][1]: expected a number, got True"
 
 
 class TestRoundTrip:

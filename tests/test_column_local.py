@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import miso_outage
-from miso_outage import cli, regions
+from miso_outage import channel, cli, regions
 from miso_outage.channel import ChannelRealization, SampleSource
 from miso_outage.cli import SCENARIOS
 from miso_outage.outage_mc import CaseProbabilities, count_true
@@ -326,6 +327,35 @@ def test_each_column_computed_once_by_its_process(demo_source, monkeypatch):
     assert [[i for i, _ in pairs] for _, pairs in helpers] == [order[h::6] for h in range(1, 6)]
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_no_thread_alive_at_a_fork(demo_stats, monkeypatch, workers):
+    """Every helper is forked from a process with one thread. The sampler
+    first fills a Gaussian stream of 8192 realizations on two threads (two
+    usable CPUs are assumed, whatever the host has); they are joined before
+    the first fork. Python 3.12 warns of a fork from a process with more
+    threads; this checks the same on every version."""
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 2)
+    started, at_fork = [], []
+    start, fork = threading.Thread.start, os.fork
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    def recording_fork():
+        at_fork.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    regions.clear_stream_cache()
+    pipeline = InstantaneousRegionPipeline(SampleSource.gaussian(demo_stats, 5, 8192), NOISE)
+    assert len(started) == 1
+    grid = GridConfig(*pipeline.su_caps(0.1, 0.1), n_points=4)
+    pipeline.trace_variants(OutageSpec.individual(0.1, 0.1), grid, ("plain",), workers=workers)
+    assert at_fork == [1] * (workers - 1)
+
+
 # Runs `region --workers 2` with a column kernel that fails: in the helper,
 # by raising ("raise") or by ending it with os._exit(3) ("exit"), or in the
 # caller while the helper is still busy ("caller"). The helper's first column
@@ -336,7 +366,7 @@ def test_each_column_computed_once_by_its_process(demo_source, monkeypatch):
 # computed.
 FAILING_COLUMN = r"""
 import json, os, select, sys, time
-from miso_outage import cli, regions
+from miso_outage import channel, cli, regions
 
 mode, config, out = sys.argv[1:]
 caller = os.getpid()
