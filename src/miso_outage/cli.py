@@ -483,8 +483,16 @@ def _resolved_grid(config: RunConfig, pipeline) -> GridConfig:
     return GridConfig(**{**opts, "r1_cap": r1_cap, "r2_cap": r2_cap})
 
 
-def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
-    """Trace the configured region and write CSV boundary files + manifest."""
+def _report_text(report: dict) -> str:
+    """A command's report as the JSON text it prints."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+
+
+def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> tuple[dict, str]:
+    """Trace the configured region and write CSV boundary files + manifest.
+
+    Returns the manifest and its JSON text, which the manifest file holds
+    with a final newline and the command prints."""
     mode, variants = SCENARIOS[config.scenario]
     spec = config.spec(mode)
     if variants is None:
@@ -526,11 +534,9 @@ def run_region(config: RunConfig, out_dir: str, workers: int = 1) -> dict:
         "boundaries": summary,
         "csv_columns": list(columns),
     }
-    manifest_path = out / f"{config.basename}_manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
-    return manifest
+    text = _report_text(manifest)
+    (out / f"{config.basename}_manifest.json").write_text(text + "\n")
+    return manifest, text
 
 
 # ---------------------------------------------------------------------------
@@ -595,16 +601,17 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.command == "validate":
-            report = run_validate(config)
+            text = _report_text(run_validate(config))
         elif args.command == "point":
-            report = run_point(config, args.r1, args.r2)
+            text = _report_text(run_point(config, args.r1, args.r2))
         elif args.command == "simulate":
-            report = run_simulate(config, args.r1, args.r2, args.bias, args.coin_seed)
+            text = _report_text(
+                run_simulate(config, args.r1, args.r2, args.bias, args.coin_seed)
+            )
         elif args.command == "frontier":
-            report = run_frontier(config, args.index, args.points)
+            text = _report_text(run_frontier(config, args.index, args.points))
         else:
-            report = run_region(config, args.out, workers=args.workers)
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+            _, text = run_region(config, args.out, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -257,6 +257,11 @@ class FrontierBatch:
         self.d_sq = self.d * self.d
         self.t_max = self.p_max * (1.0 + 1e-12) + 1e-300
 
+    def take(self, rows) -> "FrontierBatch":
+        """The frontiers of the given rows, as a batch of their own."""
+        return FrontierBatch(self.c[rows], self.d[rows], self.b_norm_sq[rows], self.p_max[rows],
+                             self.q_mrt[rows], self.degenerate[rows])
+
 
 @dataclass
 class PowerFrontier(FrontierBatch):

@@ -521,13 +521,15 @@ class Column:
         self.count_exceed1 = count_true(exceed1)
         self.su2_exceed1 = su2[exceed1]
 
-    def on(self, values: np.ndarray, q2: np.ndarray | None = None) -> "Column":
-        """The Column at this r1 over values, with maximizers q2 (None for a
-        bound or a traced column): the r1-only part is shared, and the counts
-        are its own."""
+    def on(self, values: np.ndarray, q2: np.ndarray | None = None,
+           searched: np.ndarray | None = None) -> "Column":
+        """The Column at this r1 over values, with maximizers q2 and searched,
+        the rows whose q2 the column kernel root-searched (None for a bound
+        or a traced column): the r1-only part is shared, and the counts are
+        its own."""
         column = copy.copy(self)
         column.values = read_only(values)
-        column.q2 = None if q2 is None else read_only(q2)
+        column.q2, column.searched = (None if x is None else read_only(x) for x in (q2, searched))
         column.witness = column.q1 = column.policy = None
         column._memo = {}
         return column
@@ -679,10 +681,10 @@ class InstantaneousRegionPipeline:
 
     @_overflow_checked
     def _search(self, r1: float) -> tuple:
-        """(exceed1, values, q2*) at r1, every searched row refined: the exact
-        column."""
+        """(exceed1, values, q2*, searched rows) at r1, every searched row
+        refined: the exact column."""
         bounds = self._bounds(r1)
-        return bounds.exceed1, *bounds.refined(True)
+        return bounds.exceed1, *bounds.refined(True), bounds.searched
 
     def column(self, r1: float) -> np.ndarray:
         """Each realization's largest achievable r2 at r1 (read-only), by the
@@ -691,8 +693,8 @@ class InstantaneousRegionPipeline:
         store = self._stream.columns
         if r1 not in store:
             store.clear()
-            exceed1, values, q2 = self._search(r1)
-            store[r1] = Column(exceed1, self.su2).on(values, q2)
+            exceed1, *column = self._search(r1)
+            store[r1] = Column(exceed1, self.su2).on(*column)
         return store[r1].values
 
     def _column(self, r1: float) -> Column:
@@ -765,20 +767,28 @@ class InstantaneousRegionPipeline:
         store.clear()
         store.update(held)
         todo = [r1 for r1 in keys if r1 not in held]
-        for r1, (exceed1, values, q2) in zip(todo, self._map_columns(self._search, todo, workers)):
-            store[r1] = Column(exceed1, self.su2).on(values, q2)
+        for r1, (exceed1, *column) in zip(todo, self._map_columns(self._search, todo, workers)):
+            store[r1] = Column(exceed1, self.su2).on(*column)
 
     @_overflow_checked
     def witness_rates(self, r1: float):
         """Link rates at the case-B operating point (transmitter 2 at the column
         maximizer q2*, transmitter 1 at q1, the least interference that
         reaches r1), computed once per Column and held on it with q1,
-        read-only. This is the one computation of that point."""
+        read-only. This is the one computation of that point. q1 is 0 on
+        the rows the column kernel answered in closed form: their q2 is the
+        bracket top, whose demand passes frontier_qmin_batch's zero-forcing
+        test t <= d1^2 as the kernel computed it. So the frontier inverse
+        runs on the searched and exceed1 rows alone."""
         r1 = _column_key(r1)
         column = self._column(r1)
         if column.witness is None:
-            q1 = frontier_qmin_batch(self.F1, float(gamma_from_rate(r1)), column.q2,
-                                     self.noise[0])
+            rows = column.exceed1.copy()
+            rows[column.searched] = True
+            rows = np.flatnonzero(rows)
+            q1 = np.zeros(self.n_samples)
+            q1[rows] = frontier_qmin_batch(self.F1.take(rows), float(gamma_from_rate(r1)),
+                                           column.q2[rows], self.noise[0])
             rates = witness_rates_batch(self.F1, self.F2, q1, column.q2, self.noise)
             column.q1 = read_only(q1)
             column.witness = tuple(read_only(rate) for rate in rates)

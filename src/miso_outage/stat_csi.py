@@ -21,11 +21,21 @@ success probabilities, membership, column heights and the region boundary,
 which is the non-dominated frontier of the rate points every pair supports.
 Everything is array-valued: the means are four batched quadratic forms, the
 rate inversion bisects only the elements whose bracket still moves, and the
-boundary is one Pareto filter over the (r1, r2) rows of all pairs, with
-BoundaryPoint objects built only for the rows it keeps.
-A single pair is an evaluator with one row. draw_beamformer_pairs supplies
-seeded random pairs (uniform on the complex unit sphere, one draw per pair
-index).
+boundary is one Pareto filter over the pairs' (r1, r2) rows, with
+BoundaryPoint objects built only for the rows it keeps. A single pair is an
+evaluator with one row. draw_beamformer_pairs supplies seeded random pairs
+(uniform on the complex unit sphere, one draw per pair index).
+
+A common-outage boundary bisects to the last bit only the curve points that
+can still reach that filter's front. After bisection steps 6, 12 and 24 each
+point's final link-2 SINR is bracketed in [lo, hi]; a point p is dropped
+when some point q with r1(q) >= r1(p) has rate(lo_q) above rate(hi_p) by a
+relative 1e-12. q's final r2 is then strictly above p's, so the filter
+drops p, and it drops every point that p dominates because q, or a point
+above q, dominates it too: the filter keeps the same rows from the
+survivors as from all points. Each element's bisection reads only its own
+state, so the survivors' bits are those of the full bisection, and the
+boundary is the one of every point inverted, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,14 +64,19 @@ def success_probability(gamma, s_bar, t_bar, sigma_sq) -> np.ndarray:
     """Pr{SINR >= gamma} for exponential signal/interference, vectorized.
 
     gamma <= 0 gives 1; zero mean signal gives 0 for gamma > 0. The result is
-    an array of the broadcast shape of gamma, s_bar and t_bar. When the noise
-    dwarfs the signal the exponent overflows to -inf, which gives the right
-    success 0; floating-point overflow is reported or not as the caller's
-    numpy error state says (see _overflow_gives_zero).
+    an array of the broadcast shape of gamma, s_bar, t_bar and sigma_sq. When
+    the noise dwarfs the signal the exponent overflows to -inf, which gives
+    the right success 0; floating-point overflow is reported or not as the
+    caller's numpy error state says (see _overflow_gives_zero). Where every
+    gamma and every s_bar is positive, as in each step of _invert_success,
+    the guards select nothing and are skipped: the same operations on the
+    same values, so the same bits.
     """
     gamma = np.asarray(gamma, dtype=float)
     s = np.asarray(s_bar, dtype=float)
     t = np.asarray(t_bar, dtype=float)
+    if gamma.min(initial=np.inf) > 0.0 and s.min(initial=np.inf) > 0.0:
+        return np.exp(-gamma * sigma_sq / s) * s / (s + gamma * t)
     safe_s = np.where(s > 0.0, s, 1.0)
     safe_g = np.where(gamma > 0.0, gamma, 0.0)
     pi = np.exp(-safe_g * sigma_sq / safe_s) * safe_s / (safe_s + safe_g * t)
@@ -87,53 +102,78 @@ def _overflow_gives_zero(func):
     return quiet
 
 
+def _subset(which, *arrays) -> list:
+    """Each array indexed by which; a 0-d array, a noise power that every
+    element shares, stays as it is."""
+    return [x[which] if x.ndim else x for x in arrays]
+
+
+# Bisection steps of _invert_success after which a pruning callback sees the
+# live brackets: step 6 already narrows each bracket to 1/64 of its width,
+# and the later ones catch what a coarse bracket could not decide.
+PRUNE_STEPS = (6, 12, 24)
+
+
 @_overflow_gives_zero
-def _invert_success(s_bar, t_bar, sigma_sq, targets) -> np.ndarray:
+def _invert_success(s_bar, t_bar, sigma_sq, targets, prune=None) -> np.ndarray:
     """Largest gamma with success >= target, elementwise (targets in (0, 1]).
 
-    Each element doubles hi from 1 while its target is still met, then takes
-    100 bisection steps on [0, hi]. An element's (lo, hi) evolves from its own
-    state alone, so once a step leaves both ends unchanged every later step
-    repeats it: the element leaves the working set with the bits it would
-    have had after 100 steps. A target still met where doubling would pass
-    the float range raises ValueError.
+    The means and the noise power sigma_sq broadcast against targets, so
+    each element may have its own noise. Each element doubles hi from 1
+    while its target is still met, then takes 100 bisection steps on
+    [0, hi]. An element's (lo, hi) evolves from its own state alone, so once
+    a step leaves both ends unchanged every later step repeats it: the
+    element leaves the working set with the bits it would have had after
+    100 steps. A target still met where doubling would pass the float range
+    raises ValueError, naming the noise power of the first such element.
+
+    prune(index, lo, hi), when given, is called after each of PRUNE_STEPS
+    with the flat indices (into targets) of the elements still bisecting and
+    their brackets, whose final gamma lies in [lo, hi]; it returns a mask of
+    the elements to drop, which come back as NaN. For the same reason as
+    above, dropping elements changes no bit of the others.
     """
     targets = np.asarray(targets, dtype=float)
-    s = np.broadcast_to(np.asarray(s_bar, dtype=float), targets.shape).ravel()
-    t = np.broadcast_to(np.asarray(t_bar, dtype=float), targets.shape).ravel()
-    target = targets.ravel()
-    alive = np.flatnonzero((s > 0.0) & (target < 1.0))
-    s, t, target = s[alive], t[alive], target[alive]
-    hi = np.ones(alive.size)
-    growing = np.arange(alive.size)
+    s, t = (np.broadcast_to(np.asarray(x, dtype=float), targets.shape) for x in (s_bar, t_bar))
+    # The flat indices of the elements still bisecting, and their state.
+    pos = np.flatnonzero((s > 0.0) & (targets < 1.0))
+    s, t, target = (x.flat[pos] for x in (s, t, targets))
+    sigma = np.asarray(sigma_sq, dtype=float)
+    if sigma.ndim:
+        sigma = np.broadcast_to(sigma, targets.shape).flat[pos]
+    hi = np.ones(pos.size)
+    growing = np.arange(pos.size)
     while growing.size:
-        below = success_probability(hi[growing], s[growing], t[growing], sigma_sq)
+        below = success_probability(*_subset(growing, hi, s, t, sigma))
         growing = growing[below >= target[growing]]
-        if np.any(hi[growing] > np.finfo(float).max / 2.0):
+        # Every growing element has the same hi, the same power of 2.
+        if growing.size and hi[growing[0]] > np.finfo(float).max / 2.0:
+            noise = sigma[growing[0]] if sigma.ndim else sigma
             raise ValueError(
-                f"success target still met at SINR 2^1023 with noise power {sigma_sq!r}: "
+                f"success target still met at SINR 2^1023 with noise power {float(noise)!r}: "
                 "the noise is too small for the rate to be a finite float"
             )
         hi[growing] *= 2.0
-    lo = np.zeros(alive.size)
-    gamma = np.zeros(alive.size)
-    pos = np.arange(alive.size)
-    for _ in range(100):
+    lo = np.zeros(pos.size)
+    gamma = np.zeros(targets.size)
+    for step in range(100):
+        if prune is not None and step in PRUNE_STEPS and pos.size:
+            keep = ~prune(pos, lo, hi)
+            gamma[pos[~keep]] = np.nan
+            pos, lo, hi, s, t, sigma, target = _subset(keep, pos, lo, hi, s, t, sigma, target)
         if not pos.size:
             break
         mid = 0.5 * (lo + hi)
-        ok = success_probability(mid, s, t, sigma_sq) >= target
+        ok = success_probability(mid, s, t, sigma) >= target
         new_lo = np.where(ok, mid, lo)
         new_hi = np.where(ok, hi, mid)
         moving = (new_lo != lo) | (new_hi != hi)
         lo, hi = new_lo, new_hi
         if not moving.all():
             gamma[pos[~moving]] = lo[~moving]
-            pos, lo, hi, s, t, target = (x[moving] for x in (pos, lo, hi, s, t, target))
+            pos, lo, hi, s, t, sigma, target = _subset(moving, pos, lo, hi, s, t, sigma, target)
     gamma[pos] = lo
-    out = np.zeros(targets.size)
-    out[alive] = gamma
-    return out.reshape(targets.shape)
+    return gamma.reshape(targets.shape)
 
 
 def _rates_for_success(s_bar, t_bar, sigma_sq, targets) -> np.ndarray:
@@ -153,6 +193,32 @@ def _meets(spec: OutageSpec, pi1, pi2, joint):
     if spec.mode == "common":
         return joint >= 1.0 - spec.epsilon
     return (pi1 >= 1.0 - spec.epsilon1) & (pi2 >= 1.0 - spec.epsilon2)
+
+
+# Margin, relative to max(1, |rate|), by which a curve point's sure r2 must
+# pass another's largest possible r2 before _beaten drops the other: far
+# above any rounding of the rate conversion, so the order is certain.
+PRUNE_MARGIN = 1e-12
+
+
+def _beaten(r1, lo, hi) -> np.ndarray:
+    """Mask of the curve points that cannot reach the Pareto front.
+
+    Point p (rate r1[p], link-2 SINR still bracketed in [lo[p], hi[p]]) is
+    beaten when some point q with r1[q] >= r1[p] has rate(lo[q]) above
+    rate(hi[p]) by PRUNE_MARGIN: q's final r2 is then strictly above p's, so
+    non_dominated_points drops p. A running maximum of rate(lo) over the
+    points by decreasing r1, read at the first point of each run of equal
+    r1, gives every point its best such q.
+    """
+    order = np.argsort(r1)
+    r1 = r1[order]
+    sure = np.maximum.accumulate(rate_from_sinr(lo[order])[::-1])[::-1]
+    sure = sure[np.searchsorted(r1, r1)]
+    top = rate_from_sinr(hi[order])
+    beaten = np.empty(r1.size, dtype=bool)
+    beaten[order] = sure > top + PRUNE_MARGIN * np.maximum(1.0, np.abs(top))
+    return beaten
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +297,12 @@ class StatRegionSearch:
         return bool(np.any(_meets(spec, pi1, pi2, pi1 * pi2)))
 
     @_overflow_gives_zero
-    def _link2_at(self, r1, spec: OutageSpec):
+    def _link2_at(self, r1, spec: OutageSpec, prune=None):
         """(pi1, feasible, gamma2) per pair (rows) and r1 value (columns).
 
         pi1 is the success of link 1, feasible marks where it allows
-        membership, and gamma2 is the largest link-2 SINR that then meets spec.
+        membership, and gamma2 is the largest link-2 SINR that then meets
+        spec; prune goes to _invert_success, which returns NaN where it drops.
         """
         s1, t1, s2, t2 = (x[:, None] for x in (self.s1, self.t1, self.s2, self.t2))
         pi1 = success_probability(gamma_from_rate(r1), s1, t1, self.stats.sigma1_sq)
@@ -246,7 +313,7 @@ class StatRegionSearch:
             floor = 1.0 - spec.epsilon
             feasible = pi1 >= floor
             targets = np.minimum(floor / np.maximum(pi1, floor), 1.0)
-        return pi1, feasible, _invert_success(s2, t2, self.stats.sigma2_sq, targets)
+        return pi1, feasible, _invert_success(s2, t2, self.stats.sigma2_sq, targets, prune)
 
     def column_height(self, r1: float, spec: OutageSpec) -> float:
         """Largest member r2 at abscissa r1 over all pairs (-inf when none)."""
@@ -260,45 +327,53 @@ class StatRegionSearch:
         """Non-dominated frontier of the rate points every pair supports.
 
         Individual outage gives each pair one corner point, each link at its
-        own tolerance. Common outage gives each pair a curve: r1 on a grid up
-        to its largest rate at success 1 - eps, r2 the largest rate keeping
-        the success product at 1 - eps. Arrays hold one row per pair.
+        own tolerance; both links are inverted in one call, each element with
+        its link's noise power. Common outage gives each pair a curve: r1 on
+        a grid up to its largest rate at success 1 - eps, r2 the largest rate
+        keeping the success product at 1 - eps. Its link-2 inversion drops the
+        curve points that _beaten shows off the frontier, and r2, pi2 and the
+        Pareto filter see only the rest, which changes no bit of the result
+        (see the module docstring).
         """
         sigma1_sq, sigma2_sq = self.stats.sigma1_sq, self.stats.sigma2_sq
-        shape = self.s1.shape
+        m = len(self.s1)
         if spec.mode == "individual":
-            r1 = _rates_for_success(
-                self.s1, self.t1, sigma1_sq, np.full(shape, 1.0 - spec.epsilon1)
+            rates = _rates_for_success(
+                np.concatenate([self.s1, self.s2]),
+                np.concatenate([self.t1, self.t2]),
+                np.repeat([sigma1_sq, sigma2_sq], m),
+                np.repeat([1.0 - spec.epsilon1, 1.0 - spec.epsilon2], m),
             )
-            r2 = _rates_for_success(
-                self.s2, self.t2, sigma2_sq, np.full(shape, 1.0 - spec.epsilon2)
-            )
+            r1, r2 = rates[:m], rates[m:]
             pi1, pi2 = self.pair_success_all(r1, r2)
-            rows = [x[:, None] for x in (r1, r2, pi1, pi2)]
+            pair = np.arange(m)
         else:
             floor = 1.0 - spec.epsilon
-            edge = _rates_for_success(self.s1, self.t1, sigma1_sq, np.full(shape, floor))[:, None]
+            edge = _rates_for_success(self.s1, self.t1, sigma1_sq, np.full(m, floor))[:, None]
             # Per-row linspace(0, edge, K): an array endpoint would make
             # np.linspace switch every row to its zero-step rounding as soon
             # as one row has edge == 0.
             k = self.curve_points
-            r1 = np.arange(k) * (edge / (k - 1))
-            r1[:, -1:] = edge
-            pi1, _, g2 = self._link2_at(r1, spec)
-            pi2 = success_probability(g2, self.s2[:, None], self.t2[:, None], sigma2_sq)
-            rows = [r1, rate_from_sinr(g2), pi1, pi2]
-        width = rows[0].shape[1]
-        r1, r2, pi1, pi2 = (x.ravel() for x in rows)
+            grid = np.arange(k) * (edge / (k - 1))
+            grid[:, -1:] = edge
+            pi1, _, g2 = self._link2_at(
+                grid, spec, lambda index, lo, hi: _beaten(grid.flat[index], lo, hi)
+            )
+            survivors = np.flatnonzero(~np.isnan(g2))
+            pair = survivors // k
+            r1, pi1, g2 = (x.flat[survivors] for x in (grid, pi1, g2))
+            r2 = rate_from_sinr(g2)
+            pi2 = success_probability(g2, self.s2[pair], self.t2[pair], sigma2_sq)
         kept = [
             BoundaryPoint(
                 float(r1[j]), float(r2[j]),
-                {"pair_index": j // width, "pi1": float(pi1[j]), "pi2": float(pi2[j])},
+                {"pair_index": int(pair[j]), "pi1": float(pi1[j]), "pi2": float(pi2[j])},
             )
             for j in non_dominated_points(np.column_stack([r1, r2])).tolist()
         ]
         metadata = {
             "scenario_mode": spec.mode,
-            "n_pairs": len(self.s1),
+            "n_pairs": m,
             "curve_points": self.curve_points,
         }
         return RegionBoundary(points=kept, warnings=[], metadata=metadata)

@@ -19,7 +19,11 @@ tests that pin them keep their meaning:
   other counts from the Column and counts only case D's coins at each bias;
 - trace_boundary: a whole-region trace over any membership oracle, by
   regions.trace_column and regions.assemble_boundary;
-- axis_intercept: an outage region's intercept on one rate axis.
+- axis_intercept: an outage region's intercept on one rate axis;
+- stat_common_curves and stat_common_boundary: a StatRegionSearch's
+  common-outage curve points, every one inverted to the last bit, and one
+  Pareto filter over all of them, where StatRegionSearch.boundary bisects
+  only the points that can still reach the front.
 """
 
 from __future__ import annotations
@@ -41,14 +45,21 @@ from miso_outage.rate_core import (
     rowsum,
 )
 from miso_outage.regions import (
+    BoundaryPoint,
     GridConfig,
     InstantaneousRegionPipeline,
     OutageSpec,
     RegionBoundary,
     assemble_boundary,
+    non_dominated_points,
     trace_column,
 )
-from miso_outage.stat_csi import _meets
+from miso_outage.stat_csi import (
+    StatRegionSearch,
+    _meets,
+    _rates_for_success,
+    success_probability,
+)
 
 
 def su_rate_batch(H: np.ndarray, sigma_sq: float) -> np.ndarray:
@@ -231,3 +242,37 @@ def axis_intercept(pipeline, spec: OutageSpec, link: int = 1, variant: str = "pl
         return 0.0
     su = pipeline.su1 if link == 1 else pipeline.su2
     return bisect_largest(member, float(su.max()) * 1.5 + 1.0, 1e-6)
+
+
+def stat_common_curves(search: StatRegionSearch, spec: OutageSpec) -> tuple:
+    """Every common-outage curve point of search, as flat arrays (r1, r2, pi1,
+    pi2) of pairs x search.curve_points, pair by pair: r1 on a grid up to the
+    pair's largest rate at success 1 - eps, and r2 inverted to the last bit
+    for every point."""
+    floor = 1.0 - spec.epsilon
+    shape = search.s1.shape
+    edge = _rates_for_success(search.s1, search.t1, search.stats.sigma1_sq,
+                              np.full(shape, floor))[:, None]
+    k = search.curve_points
+    r1 = np.arange(k) * (edge / (k - 1))
+    r1[:, -1:] = edge
+    pi1, _, g2 = search._link2_at(r1, spec)
+    pi2 = success_probability(g2, search.s2[:, None], search.t2[:, None],
+                              search.stats.sigma2_sq)
+    return tuple(x.ravel() for x in (r1, rate_from_sinr(g2), pi1, pi2))
+
+
+def stat_common_boundary(search: StatRegionSearch, spec: OutageSpec) -> RegionBoundary:
+    """The common-outage boundary of search: one Pareto filter over all of
+    stat_common_curves's points."""
+    r1, r2, pi1, pi2 = stat_common_curves(search, spec)
+    k = search.curve_points
+    kept = [
+        BoundaryPoint(
+            float(r1[j]), float(r2[j]),
+            {"pair_index": j // k, "pi1": float(pi1[j]), "pi2": float(pi2[j])},
+        )
+        for j in non_dominated_points(np.column_stack([r1, r2])).tolist()
+    ]
+    metadata = {"scenario_mode": spec.mode, "n_pairs": len(search.s1), "curve_points": k}
+    return RegionBoundary(points=kept, warnings=[], metadata=metadata)

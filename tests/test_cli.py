@@ -702,19 +702,20 @@ class TestMain:
 class TestRegionCommand:
     def test_individual_inst_outputs(self, tmp_path):
         config = parse_doc(small_inst_config(output={"basename": "demo"}))
-        manifest = run_region(config, str(tmp_path / "out"))
+        manifest, manifest_text = run_region(config, str(tmp_path / "out"))
         assert set(manifest["outputs"]) == {"boundary", "fixed1", "fixed2"}
         for filename in manifest["outputs"].values():
             text = (tmp_path / "out" / filename).read_text()
             assert text.splitlines()[0].startswith("r1,r2,p_a")
-        written = json.loads((tmp_path / "out" / "demo_manifest.json").read_text())
+        assert (tmp_path / "out" / "demo_manifest.json").read_text() == manifest_text + "\n"
+        written = json.loads(manifest_text)
         assert written == manifest
         assert written["config"] == config.to_document()
         assert written["csv_columns"][0] == "r1"
 
     def test_stat_outputs(self, tmp_path):
         config = parse_doc(demo_config("common-stat", n_pairs=6, basename="stat"))
-        manifest = run_region(config, str(tmp_path))
+        manifest, _ = run_region(config, str(tmp_path))
         assert list(manifest["outputs"]) == ["boundary"]
         text = (tmp_path / "stat_boundary.csv").read_text()
         assert text.splitlines()[0] == STAT_HEADER
@@ -746,10 +747,11 @@ class TestRegionCommand:
             basename="fx"))
         out = tmp_path / "out"
         assert main(["region", path, "--out", str(out)]) == 0
-        manifest = json.loads(capsys.readouterr().out)
+        stdout = capsys.readouterr().out
+        manifest = json.loads(stdout)
         assert manifest["scenario"] == "individual-inst-fixed2"
         assert (out / "fx_boundary.csv").exists()
-        assert (out / "fx_manifest.json").exists()
+        assert (out / "fx_manifest.json").read_text() == stdout
 
     def test_tolerance_below_float_spacing_terminates(self, tmp_path):
         """grid.tol 1e-20 is below the float spacing at the boundary, where

@@ -47,8 +47,8 @@ def scenario_spec(scenario, eps=(0.1, 0.1)):
 def exact_trace(pipeline, r1, spec, grid, variants) -> list:
     """trace_column of every variant on one Column over the fully refined
     column at r1: every query counted on the exact values."""
-    exceed1, values, q2 = pipeline._search(r1)
-    column = Column(exceed1, pipeline.su2).on(values, q2)
+    exceed1, values, q2, searched = pipeline._search(r1)
+    column = Column(exceed1, pipeline.su2).on(values, q2, searched)
 
     def traced(variant):
         def member(r1, r2):

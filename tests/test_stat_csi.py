@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from miso_outage import stat_csi
@@ -16,7 +16,8 @@ from miso_outage.stat_csi import (
     success_probability,
 )
 
-from oracles import stat_member_mc
+from conftest import random_psd
+from oracles import stat_common_boundary, stat_common_curves, stat_member_mc
 
 
 def diag_stats(q11=(2.0, 1.0), q21=(0.3, 0.7), q22=(1.5, 0.5), q12=(0.2, 0.4),
@@ -53,6 +54,35 @@ class TestSuccessProbability:
         gamma = np.array([0.0, 1.0, 2.0])
         out = success_probability(gamma, 1.0, 1.0, 0.0)
         np.testing.assert_allclose(out, [1.0, 0.5, 1.0 / 3.0])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        size=st.integers(1, 40),
+        sigma_sq=st.sampled_from([1e-300, 1e-6, 0.5, 1e6, 1e300]) | st.floats(1e-3, 1e3),
+    )
+    def test_positive_inputs_skip_the_guards_bit_for_bit(self, data, size, sigma_sq):
+        """Where every gamma and mean is positive the guards are skipped; the
+        result equals the guarded formula bit for bit, and so does a call
+        with one zero gamma or zero mean, which takes the guards."""
+        positive = st.floats(1e-300, 1e300) | st.sampled_from([2.0 ** -101, 1.0, 2.0 ** 1023])
+        gamma, s = (np.array(data.draw(st.lists(positive, min_size=size, max_size=size)))
+                    for _ in range(2))
+        t = np.array(data.draw(st.lists(st.floats(0.0, 1e300), min_size=size, max_size=size)))
+
+        def guarded(gamma, s):
+            safe_s = np.where(s > 0.0, s, 1.0)
+            safe_g = np.where(gamma > 0.0, gamma, 0.0)
+            pi = np.exp(-safe_g * sigma_sq / safe_s) * safe_s / (safe_s + safe_g * t)
+            return np.where(gamma <= 0.0, 1.0, np.where(s > 0.0, pi, 0.0))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(success_probability(gamma, s, t, sigma_sq),
+                                          guarded(gamma, s))
+            for zeroed in (gamma, s):
+                zeroed[size // 2] = 0.0
+                np.testing.assert_array_equal(success_probability(gamma, s, t, sigma_sq),
+                                              guarded(gamma, s))
 
     def test_monotone_in_rate(self):
         r = np.linspace(0.0, 5.0, 80)
@@ -166,13 +196,15 @@ class TestInversionOracle:
         k=st.integers(1, 5),
         per_row=st.booleans(),
         sigma_sq=NOISES,
+        per_element_noise=st.booleans(),
         data=st.data(),
     )
-    def test_equals_full_bisection(self, m, k, per_row, sigma_sq, data):
+    def test_equals_full_bisection(self, m, k, per_row, sigma_sq, per_element_noise, data):
         """Dropping settled elements changes no bit: equal to the full
         100-step bisection for (m, 1) means against (m, k) targets and for
         (m, k) means, including zero means, targets 1 and 1 - 2^-53, and
-        noise from 1e-300 to 1e300. Huge noise over a tiny mean overflows the
+        noise from 1e-300 to 1e300, one noise power for all elements or an
+        (m, k) array of them. Huge noise over a tiny mean overflows the
         exponent's argument to -inf, which gives the right success 0; that
         warning is not what this test checks."""
         mean_shape = (m, 1) if per_row else (m, k)
@@ -180,12 +212,43 @@ class TestInversionOracle:
                                         max_size=m * mean_shape[1]))).reshape(mean_shape)
         t = np.array(data.draw(st.lists(MEANS, min_size=s.size, max_size=s.size))).reshape(mean_shape)
         targets = np.array(data.draw(st.lists(TARGETS, min_size=m * k, max_size=m * k))).reshape(m, k)
+        if per_element_noise:
+            sigma_sq = np.array(data.draw(st.lists(NOISES, min_size=m * k,
+                                                   max_size=m * k))).reshape(m, k)
         with np.errstate(over="ignore"):
             expect, capped = invert_success_oracle(s, t, sigma_sq, targets)
             assume(not capped)
             got = _invert_success(s, t, sigma_sq, targets)
         assert got.shape == (m, k)
         np.testing.assert_array_equal(got, expect)
+
+    def test_pruned_elements_leave_the_others_bits(self):
+        """A pruning callback sees each live element's flat index and a
+        bracket [lo, hi] holding its final gamma, after bisection steps 6,
+        12 and 24 only. The elements it drops come back NaN, and every other
+        element keeps the bits of the unpruned inversion, here for every
+        drop pattern of three seeded rounds."""
+        rng = np.random.default_rng(5)
+        s = rng.uniform(0.1, 4.0, (40, 1))
+        t = rng.uniform(0.0, 2.0, (40, 1))
+        targets = rng.uniform(0.05, 1.0, (40, 9))
+        targets[::7] = 1.0
+        sigma_sq = rng.uniform(0.1, 2.0, (40, 9))
+        expect = _invert_success(s, t, sigma_sq, targets)
+        seen = []
+
+        def prune(index, lo, hi):
+            assert np.all(index[1:] > index[:-1])
+            final = expect.flat[index]
+            assert np.all((lo <= final) & (final <= hi))
+            seen.append(index.size)
+            return rng.random(index.size) < 0.3
+
+        got = _invert_success(s, t, sigma_sq, targets, prune)
+        assert len(seen) == 3 and seen[0] > seen[1] > seen[2] > 0
+        dropped = np.isnan(got)
+        assert dropped.any() and not dropped[::7].any()
+        np.testing.assert_array_equal(got[~dropped], expect[~dropped])
 
     def test_unsettled_elements_take_all_steps(self, monkeypatch):
         """Target 1 - 2^-53 puts gamma near 1e-16, below the resolution of
@@ -410,23 +473,31 @@ class TestRegionSearch:
             assert not search.member_any(0.2, 0.1, spec)
             assert search.column_height(0.0, spec) == -math.inf
 
-    def test_pareto_filter_sees_every_curve_point(self, demo_stats, monkeypatch):
-        """The common boundary filters all 64 x 65 curve points at once and
-        keeps exactly the boundary's points, the counts a benchmark trace
-        reads from non_dominated_points' argument and result."""
+    def test_pareto_filter_sees_the_survivors(self, demo_stats, monkeypatch):
+        """The common boundary makes one Pareto filter call, the counts a
+        benchmark trace reads from non_dominated_points' argument and result.
+        Its argument holds the curve points that survive pruning: rows of the
+        full 64 x 65 grid, bit for bit, fewer than all of them. Its result is
+        exactly the boundary's points."""
         calls = []
         real = stat_csi.non_dominated_points
 
         def recording(points):
             result = real(points)
-            calls.append((len(points), len(result)))
+            calls.append((np.array(points), result))
             return result
 
         monkeypatch.setattr(stat_csi, "non_dominated_points", recording)
         search = StatRegionSearch(demo_stats, *draw_beamformer_pairs(2, 64, seed=9))
-        boundary = search.boundary(OutageSpec.common(0.1))
-        assert calls == [(64 * 65, len(boundary.points))]
+        spec = OutageSpec.common(0.1)
+        boundary = search.boundary(spec)
+        monkeypatch.undo()
+        ((points, kept),) = calls
+        assert [tuple(points[j]) for j in kept] == [(p.r1, p.r2) for p in boundary.points]
         assert len(boundary.points) > 1
+        r1, r2, _, _ = stat_common_curves(search, spec)
+        assert set(map(tuple, points.tolist())) <= set(zip(r1.tolist(), r2.tolist()))
+        assert len(boundary.points) < len(points) < 64 * 65
 
     def test_tiny_noise_rates_are_not_capped(self):
         """Without interference the rate at success 0.9 is
@@ -446,6 +517,18 @@ class TestRegionSearch:
         tiny = StatRegionSearch(diag_stats(q21=(0.0, 0.0), sigma1=5e-324), W1, W2)
         with pytest.raises(ValueError, match="noise power 5e-324"):
             tiny.boundary(OutageSpec.individual(0.1, 0.1))
+
+    def test_overflow_names_the_first_link_that_overflows(self):
+        """The individual boundary inverts both links in one call, each
+        element with its link's noise power. Its error names link 1's noise
+        power when both links overflow, and link 2's when only link 2 does,
+        as two calls one link at a time would."""
+        W1, W2 = draw_beamformer_pairs(2, 4, seed=3)
+        spec = OutageSpec.individual(0.1, 0.1)
+        for sigma1, sigma2, named in ((5e-324, 1e-323, "5e-324"), (1.0, 1e-323, "1e-323")):
+            stats = diag_stats(q21=(0.0, 0.0), q12=(0.0, 0.0), sigma1=sigma1, sigma2=sigma2)
+            with pytest.raises(ValueError, match=f"noise power {named}: "):
+                StatRegionSearch(stats, W1, W2).boundary(spec)
 
     def test_more_pairs_only_improve(self, demo_stats):
         spec = OutageSpec.individual(0.1, 0.1)
@@ -528,3 +611,48 @@ class TestRegionSearch:
             StatRegionSearch(demo_stats, W1, W2[:3])
         with pytest.raises(ValueError, match="shape"):
             StatRegionSearch(demo_stats, W1[0], W2[0])
+
+
+class TestPrunedBoundary:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        n_pairs=st.sampled_from([1, 2, 64, 300]) | st.integers(1, 300),
+        curve_points=st.sampled_from([65, 2, 3]),
+        epsilon=st.floats(0.01, 0.5),
+        noise=st.sampled_from([1e-300, 1e-30, 1e-6, 1.0, 1e6]) | st.floats(1e-3, 1e3),
+        # The links that see interference; the others have t_bar = 0.
+        interference=st.sampled_from(["both", "link1", "link2", "none"]),
+        copies=st.integers(0, 40),
+        zeros=st.integers(0, 3),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(300, 65, 0.01, 1e-300, "link1", 5, 3, 1)
+    @example(300, 65, 0.5, 1e6, "none", 5, 3, 2)
+    @example(300, 65, 0.1, 1.0, "both", 40, 0, 3)
+    def test_equals_every_point_inverted(self, n_pairs, curve_points, epsilon, noise,
+                                         interference, copies, zeros, seed):
+        """Pruning changes no bit: the common boundary equals the one of every
+        curve point inverted to the last bit under one Pareto filter, points,
+        payloads and metadata. The pairs include exact copies of other pairs
+        (ties), zero beamformers, and t_bar = 0 on a link without
+        interference; noise runs from 1e-300 to 1e6."""
+        rng = np.random.default_rng(seed)
+        cov = {key: random_psd(rng, 2) for key in ("Q11", "Q12", "Q21", "Q22")}
+        if interference in ("link2", "none"):
+            cov["Q21"] = np.zeros((2, 2), dtype=complex)
+        if interference in ("link1", "none"):
+            cov["Q12"] = np.zeros((2, 2), dtype=complex)
+        stats = ChannelStatistics(n=2, sigma1_sq=noise, sigma2_sq=noise, **cov)
+        W1, W2 = draw_beamformer_pairs(2, n_pairs, seed % 1000)
+        for _ in range(copies):
+            src, dst = rng.integers(n_pairs, size=2)
+            W1[dst], W2[dst] = W1[src], W2[src]
+        for _ in range(zeros):
+            (W1, W2)[rng.integers(2)][rng.integers(n_pairs)] = 0.0
+        search = StatRegionSearch(stats, W1, W2, curve_points=curve_points)
+        spec = OutageSpec.common(epsilon)
+        got, expect = search.boundary(spec), stat_common_boundary(search, spec)
+        assert [(p.r1, p.r2, p.payload) for p in got.points] == [
+            (p.r1, p.r2, p.payload) for p in expect.points
+        ]
+        assert got.metadata == expect.metadata and got.warnings == expect.warnings == []
