@@ -7,17 +7,20 @@ echoes the full config, so every output file is reproducible from its
 manifest alone. All randomness is seeded from the config; timing goes to
 stderr to keep the written files byte-stable across runs and worker counts.
 A process that runs several commands parses each run-config once: load_config
-holds the last one parsed, keyed by the file's exact text.
+holds the last one parsed, keyed by the file's exact text, by regions'
+keep-the-last rule (LastValue).
 
 Complex matrices serialize as nested arrays of [re, im] pairs. The schema is
-strict: unknown fields, missing fields, or fields that do not apply to the
-chosen scenario are rejected with the offending path in the message. One
-reader checks each kind of node: _object a JSON object and its keys, _items
-a list of fixed length (noise, the individual epsilon pair, an [re, im]
-pair, a channel vector, a covariance matrix), and the _as_* readers a
-scalar; only the top-level document has its own check. An optional field a
-config leaves out takes the library's default (GridConfig's n_points and
-tol, stat_csi.CURVE_POINTS), stated there alone.
+strict: unknown fields, missing fields, fields that do not apply to the
+chosen scenario, or a key given twice in one JSON object are rejected with
+the offending path or key in the message. One reader checks each kind of
+node: _object a JSON object and its keys, _items a list of fixed length
+(noise, the individual epsilon pair, an [re, im] pair, a channel vector, a
+covariance matrix), and the _as_* readers a scalar; only the top-level
+document has its own check. An optional field a config leaves out takes the
+library's default (GridConfig's n_points and tol, stat_csi.CURVE_POINTS),
+and an integer field's minimum is the library's too (GridConfig.MIN_N_POINTS,
+StatRegionSearch.MIN_CURVE_POINTS), each stated there alone.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .regions import (
     CSV_COLUMNS,
     GridConfig,
     InstantaneousRegionPipeline,
+    LastValue,
     OutageSpec,
     bias_interval,
     power_scale_checked,
@@ -90,6 +94,17 @@ def _get(node: dict, path: str):
     if key not in node:
         raise ConfigError(path, "missing required field")
     return node[key]
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, rejecting a key given twice (which
+    json.loads would otherwise take the last value of)."""
+    node = {}
+    for key, value in pairs:
+        if key in node:
+            raise ConfigError("<document>", f"key {key!r} given twice in one object")
+        node[key] = value
+    return node
 
 
 def _object(node, path: str, allowed, what: str = "an object") -> dict:
@@ -222,7 +237,7 @@ class RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -311,7 +326,8 @@ def parse_config(text: str) -> RunConfig:
         grid_node = _object(doc["grid"], "grid", ("n_points", "r1_cap", "r2_cap", "tol"))
         grid = {}
         if "n_points" in grid_node:
-            grid["n_points"] = _as_int(grid_node["n_points"], "grid.n_points", 2)
+            grid["n_points"] = _as_int(grid_node["n_points"], "grid.n_points",
+                                       GridConfig.MIN_N_POINTS)
         for key in ("r1_cap", "r2_cap", "tol"):
             if key in grid_node:
                 grid[key] = _as_positive(grid_node[key], f"grid.{key}")
@@ -323,7 +339,7 @@ def parse_config(text: str) -> RunConfig:
             "n_pairs": _as_int(_get(search_node, "search.n_pairs"), "search.n_pairs", 1),
             "seed": _as_int(search_node.get("seed", 0), "search.seed", 0),
             "curve_points": _as_int(search_node.get("curve_points", CURVE_POINTS),
-                                    "search.curve_points", 2),
+                                    "search.curve_points", StatRegionSearch.MIN_CURVE_POINTS),
         }
     elif "search" in doc:
         raise ConfigError("search", "only statistical-CSI scenarios take a search budget")
@@ -346,14 +362,13 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-# The one parsed run-config of this process, as (text, config); see load_config.
-_cached_config: tuple | None = None
+# The run-config of the last text parsed, keyed by that text.
+_configs = LastValue()
 
 
 def clear_config_cache() -> None:
     """Forget the cached run-config, so the next load_config parses again."""
-    global _cached_config
-    _cached_config = None
+    _configs.clear()
 
 
 def load_config(path: str) -> RunConfig:
@@ -361,15 +376,11 @@ def load_config(path: str) -> RunConfig:
     text equal to the last one parsed in this process returns that
     RunConfig again (parsed and validated once), any other text is parsed
     and replaces it. A text that fails to parse is never held."""
-    global _cached_config
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError("<document>", f"cannot read {path}: {exc}") from exc
-    if _cached_config is None or _cached_config[0] != text:
-        _cached_config = None
-        _cached_config = (text, parse_config(text))
-    return _cached_config[1]
+    return _configs.get(text, functools.partial(parse_config, text))
 
 
 # ---------------------------------------------------------------------------

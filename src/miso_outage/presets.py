@@ -19,6 +19,7 @@ import numpy as np
 
 from .channel import COVARIANCE_KEYS, ChannelStatistics
 from .cli import SCENARIOS, _matrix_doc
+from .regions import GridConfig
 
 DEMO_EPSILON = 0.1
 DEMO_NOISE = (0.5, 0.5)
@@ -49,7 +50,7 @@ def demo_config(
     scenario: str,
     mc_samples: int = DEMO_MC_SAMPLES,
     seed: int = DEMO_SEED,
-    n_grid: int = 50,
+    n_grid: int = GridConfig.n_points,
     n_pairs: int = 64,
     basename: str | None = None,
 ) -> dict:

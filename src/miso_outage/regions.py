@@ -36,15 +36,19 @@ witness rates and the policy's bias-free part at the last (r2, coin seed).
 The store's Columns are exact: column(), point, simulate and
 precompute_columns refine every searched row (ColumnBounds.refined).
 
-A Gaussian stream is sampled once per process: pipelines on the same
-statistics, seed, count and noise share one sampled stream (the frontiers and
-single-user rates), held in a one-entry cache keyed by the exact bytes of
-those inputs. A new key replaces the entry, and clear_stream_cache empties
-it. Explicit-channel sources are never cached. A stream's column store holds
-the Columns of the last request: a read of one column keeps the store if it
-holds that column, else holds that one alone; precompute_columns holds the
-requested set and trace_variants empties it. A stream's arrays and columns are read-only, so a write into
-one raises instead of changing a later call's result.
+What a process keeps between commands (the sampled stream here, the policy
+split on each Column, the run-config in cli) is held by one rule, LastValue:
+the value built for the last key is returned for an equal key; any other key
+drops it before the next value is built, so two are never held at once, and
+a build that raises leaves nothing held. A Gaussian stream is sampled once
+per process: pipelines on the same statistics, seed, count and noise share
+one sampled stream (the frontiers and single-user rates), keyed by the exact
+bytes of those inputs, and clear_stream_cache drops it. Explicit-channel
+sources are never cached. A stream's column store holds the Columns of the
+last request: a read of one column keeps the store if it holds that column,
+else holds that one alone; precompute_columns holds the requested set and
+trace_variants empties it. A stream's arrays and columns are read-only, so
+a write into one raises instead of changing a later call's result.
 """
 
 from __future__ import annotations
@@ -280,9 +284,10 @@ class GridConfig:
     r2_cap: float
     n_points: int = 50
     tol: float | None = None
+    MIN_N_POINTS = 2  # the grid's ends, 0 and r1_cap
 
     def __post_init__(self):
-        self.n_points = check_integer(self.n_points, "n_points", 2)
+        self.n_points = check_integer(self.n_points, "n_points", self.MIN_N_POINTS)
         for name in ("r1_cap", "r2_cap"):
             cap = getattr(self, name)
             if not (math.isfinite(cap) and cap > 0.0):
@@ -487,6 +492,25 @@ def _jointly_achievable(column: np.ndarray, r2: float) -> np.ndarray:
     return column >= r2 - RATE_SLACK
 
 
+class LastValue:
+    """A one-entry cache, the keep-the-last rule of the module docstring:
+    get(key, build) returns the held value if key equals its key, else drops
+    it and holds build()'s value under key; clear() drops it."""
+
+    def __init__(self):
+        self._entry = None
+
+    def clear(self) -> None:
+        self._entry = None
+
+    def get(self, key, build):
+        if self._entry is None or self._entry[0] != key:
+            # Dropped first: not held while build runs, nor after it raises.
+            self._entry = None
+            self._entry = (key, build())
+        return self._entry[1]
+
+
 class Column:
     """The column at r1: per realization the largest achievable r2 (values)
     and the interference q2* of transmitter 2 that attains it, case B's
@@ -510,9 +534,9 @@ class Column:
     payload, the policy split after a point) reads the memo.
     witness holds the link rates at the case-B operating point once the
     pipeline has computed them, q1 transmitter 1's interference there, and
-    policy the last PolicySplit taken on the column, as ((r2, coin seed),
-    split): a bias sweep at one rate point reuses it. The arrays are
-    read-only.
+    policy, a LastValue, the last PolicySplit taken on the column, keyed by
+    (r2, coin seed): a bias sweep at one rate point reuses it. The arrays
+    are read-only.
     """
 
     def __init__(self, exceed1: np.ndarray, su2: np.ndarray):
@@ -530,7 +554,8 @@ class Column:
         column = copy.copy(self)
         column.values = read_only(values)
         column.q2, column.searched = (None if x is None else read_only(x) for x in (q2, searched))
-        column.witness = column.q1 = column.policy = None
+        column.witness = column.q1 = None
+        column.policy = LastValue()
         column._memo = {}
         return column
 
@@ -597,14 +622,13 @@ def _sample_stream(source: SampleSource, noise: tuple[float, float]) -> _Stream:
     return _Stream(F1, F2, *su)
 
 
-# The one cached stream of this process, as (key, stream); see _shared_stream.
-_cached_stream: tuple | None = None
+# The sampled stream of the last Gaussian source, keyed by _stream_key.
+_streams = LastValue()
 
 
 def clear_stream_cache() -> None:
     """Forget the cached stream, so the next pipeline on it samples it again."""
-    global _cached_stream
-    _cached_stream = None
+    _streams.clear()
 
 
 def _stream_key(source: SampleSource, noise: tuple[float, float]) -> tuple:
@@ -618,18 +642,6 @@ def _stream_key(source: SampleSource, noise: tuple[float, float]) -> tuple:
         source.seed,
         source.count,
     )
-
-
-def _shared_stream(source: SampleSource, noise: tuple[float, float]) -> _Stream:
-    """The sampled stream of a Gaussian source: the cached one when its key
-    matches, else a new one, which replaces it in the cache."""
-    global _cached_stream
-    key = _stream_key(source, noise)
-    if _cached_stream is None or _cached_stream[0] != key:
-        # Dropped first, so that the old stream is not held while sampling.
-        _cached_stream = None
-        _cached_stream = (key, _sample_stream(source, noise))
-    return _cached_stream[1]
 
 
 class InstantaneousRegionPipeline:
@@ -653,7 +665,8 @@ class InstantaneousRegionPipeline:
         self.source = source
         self.noise = as_noise(noise)
         if source.realizations is None:
-            self._stream = _shared_stream(source, self.noise)
+            self._stream = _streams.get(_stream_key(source, self.noise),
+                                        lambda: _sample_stream(source, self.noise))
         else:
             self._stream = _sample_stream(source, self.noise)
         self.F1, self.F2 = self._stream.F1, self._stream.F2
@@ -796,16 +809,12 @@ class InstantaneousRegionPipeline:
 
     def policy_split(self, r1: float, r2: float, coin_seed: int) -> PolicySplit:
         """The bias-free part of the policy's outcome at (r1, r2) and the coin
-        seed (an integer), taken once and held on the Column at r1 until
-        another (r2, coin seed) replaces it."""
+        seed (an integer), held on the Column at r1 by (r2, coin seed)."""
         r1, r2 = as_rate_point((r1, r2))
         column = self._column(r1)
-        key = (r2, operator.index(coin_seed))
-        if column.policy is None or column.policy[0] != key:
-            split = split_policy(column.case_probs(r2), column.masks(r2),
-                                 self.witness_rates(r1), (r1, r2), key[1])
-            column.policy = (key, split)
-        return column.policy[1]
+        coin_seed = operator.index(coin_seed)
+        return column.policy.get((r2, coin_seed), lambda: split_policy(
+            column.case_probs(r2), column.masks(r2), self.witness_rates(r1), (r1, r2), coin_seed))
 
     def case_tests(self, r1: float, r2: float):
         """Masks (exceed1, exceed2, joint) at (r1, r2), for callers that need

@@ -255,6 +255,8 @@ class StatRegionSearch:
     answers refer to the same searched region.
     """
 
+    MIN_CURVE_POINTS = 2  # the curve's ends
+
     def __init__(self, stats: ChannelStatistics, W1, W2, curve_points: int = CURVE_POINTS):
         W1 = np.asarray(W1, dtype=complex)
         W2 = np.asarray(W2, dtype=complex)
@@ -267,7 +269,7 @@ class StatRegionSearch:
         check_power_budget(W2, "W2")
         self.stats = stats
         self.W1, self.W2 = W1, W2
-        self.curve_points = check_integer(curve_points, "curve_points", 2)
+        self.curve_points = check_integer(curve_points, "curve_points", self.MIN_CURVE_POINTS)
         self.s1 = quad_form(stats.Q11, W1)
         self.t1 = quad_form(stats.Q21, W2)
         self.s2 = quad_form(stats.Q22, W2)

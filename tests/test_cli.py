@@ -66,6 +66,21 @@ class TestParseErrors:
             parse_config("{not json")
         assert err.value.path == "<document>"
 
+    @pytest.mark.parametrize("key, once, twice", [
+        ("seed", '"seed": 4', '"seed": 4, "seed": 7'),
+        ("n_points", '"n_points": 8', '"n_points": 8, "n_points": 3'),
+    ], ids=["top level", "nested"])
+    def test_key_given_twice_is_rejected(self, tmp_path, capsys, key, once, twice):
+        """json.loads would keep the last value; the strict schema names the
+        key instead, as a config error (exit 2)."""
+        text = json.dumps(small_inst_config())
+        assert text.count(once) == 1
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(once, twice))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: <document>: key '{key}' given twice in one object\n")
+
     def test_unknown_top_level_field(self):
         doc = small_inst_config()
         doc["extra"] = 1

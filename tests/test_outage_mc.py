@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miso_outage import regions
 from miso_outage.channel import ChannelRealization, SampleSource
 from miso_outage.outage_mc import (
     CaseLabel,
@@ -267,24 +268,29 @@ class TestPolicySplit:
 
     def test_simulate_after_point_reads_its_counts(self, demo_source, monkeypatch):
         """A simulate right after a point at the same rate point counts no
-        case again: its split holds the CaseProbabilities that point
-        reported, the Column's one count."""
-        counted = []
-        count = Column._count
+        case again: its split, taken once and held, holds the
+        CaseProbabilities that point reported, the Column's one count."""
+        counted, splits = [], []
+        count, split_policy = Column._count, regions.split_policy
 
         def recorded(column, r2):
             counted.append(r2)
             return count(column, r2)
 
+        def built(*args):
+            splits.append(args)
+            return split_policy(*args)
+
         monkeypatch.setattr(Column, "_count", recorded)
+        monkeypatch.setattr(regions, "split_policy", built)
         probs = estimate_case_probs(demo_source, (0.6, 0.6), NOISE)
         assert counted == [0.6]
         for bias in (0.0, 0.5):
             out = simulate_policy(demo_source, (0.6, 0.6), bias, NOISE, coin_seed=3)
             assert (out.count_a, out.count_b, out.count_c1, out.count_c2) == probs.counts[:4]
         assert counted == [0.6]
-        column = InstantaneousRegionPipeline(demo_source, NOISE)._column(0.6)
-        assert column.policy[1].probs is probs
+        held = InstantaneousRegionPipeline(demo_source, NOISE).policy_split(0.6, 0.6, 3)
+        assert len(splits) == 1 and held.probs is probs
 
     def test_split_is_read_only(self, demo_source):
         split = InstantaneousRegionPipeline(demo_source, NOISE).policy_split(0.6, 0.6, 0)

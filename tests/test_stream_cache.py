@@ -200,11 +200,13 @@ def test_only_one_stream_is_held(demo_stats, monkeypatch):
         return sample(*args)
 
     monkeypatch.setattr(channel, "gaussian_sample_arrays", logged)
-    InstantaneousRegionPipeline(SampleSource.gaussian(demo_stats, seed=2, count=300), NOISE)
+    second = weakref.ref(InstantaneousRegionPipeline(
+        SampleSource.gaussian(demo_stats, seed=2, count=300), NOISE)._stream)
     assert held_while_sampling == [False]
     assert stream() is None
+    assert second() is not None
     regions.clear_stream_cache()
-    assert regions._cached_stream is None
+    assert second() is None
 
 
 def test_explicit_sources_are_not_cached(demo_source, monkeypatch):
@@ -221,7 +223,14 @@ def test_explicit_sources_are_not_cached(demo_source, monkeypatch):
     second = InstantaneousRegionPipeline(source, NOISE)
     assert len(built) == 2
     assert first.F1 is not second.F1
-    assert regions._cached_stream is None
+    streams = [weakref.ref(first._stream), weakref.ref(second._stream)]
+    del first, second
+    assert [stream() for stream in streams] == [None, None]
+
+
+def held_stream(source: SampleSource) -> regions._Stream:
+    """The stream the process holds for source, read as a pipeline reads it."""
+    return InstantaneousRegionPipeline(source, NOISE)._stream
 
 
 def test_simulate_reuses_the_column_search_of_point(demo_source, monkeypatch):
@@ -233,7 +242,7 @@ def test_simulate_reuses_the_column_search_of_point(demo_source, monkeypatch):
                            regions.witness_rates_batch)
 
     def logged_search(F1, F2, gamma1, noise, exceed1):
-        searches.append(dict(regions._cached_stream[1].columns))
+        searches.append(dict(held_stream(demo_source).columns))
         return search(F1, F2, gamma1, noise, exceed1)
 
     def logged_qmin(*args):
@@ -256,7 +265,7 @@ def test_simulate_reuses_the_column_search_of_point(demo_source, monkeypatch):
     simulate_policy(demo_source, (0.9, 0.8), 0.5, NOISE)
     assert searches == [{}] * 3
     assert witnesses == ["q1", "rates"] * 3
-    assert list(regions._cached_stream[1].columns) == [0.9]
+    assert list(held_stream(demo_source).columns) == [0.9]
 
 
 def test_store_holds_the_columns_of_the_last_request(demo_source):
