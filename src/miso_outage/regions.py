@@ -397,27 +397,67 @@ def _claim_order(r1_values: list) -> list[int]:
     The kernel's bracket stage costs more as r1 grows, since fewer rows are
     zero-forcing (answered in closed form), but a traced column's refine and
     counts depend on where its boundary lies, and a column outside the
-    region even on its upper bound costs its bracket stage alone. So the
-    largest r1 is no longer the longest column: on the benchmark grid
-    (individual-inst, N = 2e4, 8 columns, r1 = 0..1.91, one process on a
-    2-vCPU host) the columns take 1.0 2.2 2.6 3.1 3.5 3.9 5.0 2.4 ms.
-    Dealt out largest r1 first, those give two processes 11.6 and 12.1 ms:
-    they finish 2.1 % after an even split of the work (11.85 ms), and 1.7 %
-    after the best split of these eight columns (11.9 ms).
+    region at r2 = 0 runs no kernel at all (_trace_column). So the largest
+    r1 is not the longest column: on the benchmark grid (individual-inst,
+    N = 2e4, seed 42, 8 columns, r1 = 0..1.87, one process on a 2-vCPU
+    host) the columns take 0.8 2.0 2.2 2.5 2.7 3.1 3.9 0.03 ms. Dealt out
+    largest r1 first, those give two processes 7.6 and 9.6 ms, 11 % after
+    an even split of the work (8.6 ms), which is also the best split of
+    these eight columns.
     """
     return sorted(range(len(r1_values)), key=r1_values.__getitem__, reverse=True)
 
 
-def _run_helper(write_fd: int, compute):
+# The calling thread's own stat file; its field 39 is the CPU it last ran on.
+_THREAD_STAT = "/proc/thread-self/stat"
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on, or None where _THREAD_STAT
+    cannot be read (no /proc)."""
+    try:
+        with open(_THREAD_STAT, "rb") as stat:
+            # Field 2, the command name, is in parentheses and may hold spaces.
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except OSError:
+        return None
+
+
+def _leave_cpu(cpu: int | None) -> None:
+    """Move this process off `cpu` once, then allow it every CPU of its mask
+    again, so the kernel may move it later. Does nothing when cpu is None
+    or not in the mask, when the mask holds no other CPU (taskset -c 0),
+    or without os.sched_setaffinity (macOS has fork but not this call); a
+    refused call leaves the placement to the kernel, since it changes no
+    result."""
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    allowed = os.sched_getaffinity(0)
+    if cpu in allowed and len(allowed) > 1:
+        try:
+            os.sched_setaffinity(0, allowed - {cpu})
+            os.sched_setaffinity(0, allowed)
+        except OSError:
+            pass
+
+
+def _run_helper(write_fd: int, compute, caller_cpu: int | None):
     """Body of a forked helper; never returns.
 
-    Sends compute()'s (index, result) pairs, or the exception that stopped
-    it, down write_fd as one pickle. os._exit skips the caller's cleanup
+    First leaves caller_cpu, the CPU the caller read just before the fork
+    (_leave_cpu), inside the try whose finally exits, so that no exception
+    returns into the caller's stack. A new child may start on its parent's
+    CPU, and at the demo size the kernel then left the busy helper there
+    beside the busy caller for the whole region: a warm 8-column region
+    took 30 ms on two processes against 21 ms on one. Then sends
+    compute()'s (index, result) pairs, or the exception that stopped it,
+    down write_fd as one pickle. os._exit skips the caller's cleanup
     (atexit handlers, buffered output, open files), which belongs to the
     caller alone.
     """
     status = 1
     try:
+        _leave_cpu(caller_cpu)
         try:
             report = compute()
         except BaseException as exc:
@@ -721,13 +761,18 @@ class InstantaneousRegionPipeline:
 
         With k = min(workers, len(r1_values)) > 1, k - 1 helpers are forked
         and process h of k computes order[h::k] of _claim_order (largest r1
-        first); this process is h = 0. Each helper reports its results
-        through its own pipe, collected after this process has computed its
-        own share; they come back in r1 order and do not depend on k or on
-        who computed what. A helper's failure, an exception or a death
-        without a report (os._exit, a signal), is therefore raised only
-        then. Every helper is reaped before this returns or raises: on an
-        error here, the helpers still running are killed first.
+        first); this process is h = 0. Just before each fork this process
+        reads the CPU it is on, and the helper moves off that CPU once
+        (_run_helper): on a 2-vCPU host, 2 workers trace the warm 50-column
+        demo region in 69-86 ms against 118-134 ms on one process, where a
+        helper left on the caller's CPU made it up to 146 ms. Each helper
+        reports its results through its own pipe, collected after this
+        process has computed its own share; they come back in r1 order and
+        do not depend on k or on who computed what. A helper's failure, an
+        exception or a death without a report (os._exit, a signal), is
+        therefore raised only then. Every helper is reaped before this
+        returns or raises: on an error here, the helpers still running are
+        killed first.
         """
         if workers > 1 and not hasattr(os, "fork"):
             raise ValueError(f"--workers {workers} needs os.fork, which this platform "
@@ -745,9 +790,10 @@ class InstantaneousRegionPipeline:
             for h in range(1, procs):
                 read_fd, write_fd = os.pipe()
                 try:
+                    cpu = _current_cpu()
                     pid = os.fork()
                     if pid == 0:
-                        _run_helper(write_fd, functools.partial(share, h))
+                        _run_helper(write_fd, functools.partial(share, h), cpu)
                 except BaseException:
                     os.close(read_fd)
                     raise
@@ -853,9 +899,18 @@ class InstantaneousRegionPipeline:
         value. So the counts made are the exact column's, and so are the
         r2 and payloads, bit for bit.
 
+        A column outside the region at r2 = 0 for every variant runs no
+        kernel: there each verdict is the one on the counts
+        (A, B, C1, C2) = (0, N - k, 0, k) with k = #(r1 > su1), as on the
+        exact column, whose rows off exceed1 are case B and on it case C2.
+
         The Columns are built here, never read from or put in the store, and
         dropped on return, which leaves (inside, r2, payload) per variant.
         """
+        n, k = self.n_samples, count_true(r1 > self.su1)
+        at_zero = CaseProbabilities.from_counts(n, 0, n - k, 0, k, k, 0)
+        if not any(verdict(at_zero, spec, variant).member for variant in variants):
+            return [(False, None, None)] * len(variants)
         bounds = self._bounds(r1)
         base = Column(bounds.exceed1, self.su2)
         lower, upper = base.on(bounds.lower), base.on(bounds.upper)

@@ -196,28 +196,56 @@ def _meets(spec: OutageSpec, pi1, pi2, joint):
 
 
 # Margin, relative to max(1, |rate|), by which a curve point's sure r2 must
-# pass another's largest possible r2 before _beaten drops the other: far
+# pass another's largest possible r2 before the pruner drops the other: far
 # above any rounding of the rate conversion, so the order is certain.
 PRUNE_MARGIN = 1e-12
 
 
-def _beaten(r1, lo, hi) -> np.ndarray:
-    """Mask of the curve points that cannot reach the Pareto front.
+def _front_pruner(r1: np.ndarray):
+    """prune(index, lo, hi) for _invert_success over the curve points r1,
+    by flat index: the mask of the points that cannot reach the Pareto front.
 
     Point p (rate r1[p], link-2 SINR still bracketed in [lo[p], hi[p]]) is
     beaten when some point q with r1[q] >= r1[p] has rate(lo[q]) above
     rate(hi[p]) by PRUNE_MARGIN: q's final r2 is then strictly above p's, so
     non_dominated_points drops p. A running maximum of rate(lo) over the
     points by decreasing r1, read at the first point of each run of equal
-    r1, gives every point its best such q.
+    r1, gives every point its best such q. The order of r1 and its runs of
+    equal values are found here, once; each call takes its points in that
+    order by a mask over the sorted positions.
     """
+    r1 = r1.ravel()
     order = np.argsort(r1)
+    rank = np.empty_like(order)  # the sorted position of each point
+    rank[order] = np.arange(order.size)
     r1 = r1[order]
-    sure = np.maximum.accumulate(rate_from_sinr(lo[order])[::-1])[::-1]
-    sure = sure[np.searchsorted(r1, r1)]
-    top = rate_from_sinr(hi[order])
-    beaten = np.empty(r1.size, dtype=bool)
-    beaten[order] = sure > top + PRUNE_MARGIN * np.maximum(1.0, np.abs(top))
+    ends = np.append(r1[1:] != r1[:-1], True)  # the last sorted position of each run
+    del order, r1
+
+    def beaten(index, lo, hi) -> np.ndarray:
+        at = rank[index]
+        alive = np.zeros(rank.size, dtype=bool)
+        alive[at] = True
+        slot = np.empty(rank.size, dtype=np.intp)  # by sorted position: the position in index
+        slot[at] = np.arange(at.size)
+        # The temporaries are dropped as soon as they are read: on a large
+        # sweep each is as long as the whole curve grid.
+        del at
+        at = np.flatnonzero(alive)  # the points' sorted positions, in order
+        by_r1 = slot[at]
+        # Points i and i + 1 by r1 differ in r1 iff a run ends in [at[i], at[i + 1]).
+        first = np.flatnonzero(np.append(True, np.logical_or.reduceat(ends, at)[:-1]))
+        del at, alive, slot
+        sure = rate_from_sinr(lo[by_r1])
+        np.maximum.accumulate(sure[::-1], out=sure[::-1])
+        sure = np.repeat(sure[first], np.diff(first, append=sure.size))
+        del first
+        top = rate_from_sinr(hi[by_r1])
+        top += PRUNE_MARGIN * np.maximum(1.0, np.abs(top))
+        out = np.empty(index.size, dtype=bool)
+        out[by_r1] = sure > top
+        return out
+
     return beaten
 
 
@@ -333,9 +361,9 @@ class StatRegionSearch:
         its link's noise power. Common outage gives each pair a curve: r1 on
         a grid up to its largest rate at success 1 - eps, r2 the largest rate
         keeping the success product at 1 - eps. Its link-2 inversion drops the
-        curve points that _beaten shows off the frontier, and r2, pi2 and the
-        Pareto filter see only the rest, which changes no bit of the result
-        (see the module docstring).
+        curve points that _front_pruner shows off the frontier, and r2, pi2
+        and the Pareto filter see only the rest, which changes no bit of the
+        result (see the module docstring).
         """
         sigma1_sq, sigma2_sq = self.stats.sigma1_sq, self.stats.sigma2_sq
         m = len(self.s1)
@@ -358,9 +386,7 @@ class StatRegionSearch:
             k = self.curve_points
             grid = np.arange(k) * (edge / (k - 1))
             grid[:, -1:] = edge
-            pi1, _, g2 = self._link2_at(
-                grid, spec, lambda index, lo, hi: _beaten(grid.flat[index], lo, hi)
-            )
+            pi1, _, g2 = self._link2_at(grid, spec, _front_pruner(grid))
             survivors = np.flatnonzero(~np.isnan(g2))
             pair = survivors // k
             r1, pi1, g2 = (x.flat[survivors] for x in (grid, pi1, g2))

@@ -239,8 +239,9 @@ def record_helpers(monkeypatch) -> list:
 def test_pooled_region_parent_caches_and_receives_no_column(tmp_path, monkeypatch):
     """`region --workers 2` over 8 columns: process h computes exactly
     order[h::2] of the claim order, this process (h = 0) computes the kernel
-    only for its own columns, receives only scalars for the others, and
-    caches nothing."""
+    only for its own columns inside the region at r2 = 0 (3 of its 4: the
+    first, r1 = r1_cap, is outside), receives only scalars for the others,
+    and caches nothing."""
     helpers = record_helpers(monkeypatch)
     pipelines, computed, traced = [], [], []
 
@@ -271,7 +272,7 @@ def test_pooled_region_parent_caches_and_receives_no_column(tmp_path, monkeypatc
     ((_, received),) = helpers
     assert traced == order[0::2]
     assert [i for i, _ in received] == order[1::2]
-    assert len(computed) == len(traced)
+    assert len(computed) == 3
     assert all(len(steps) == 3 and _is_scalar_tree(steps) for _, steps in received)
 
 
@@ -326,6 +327,84 @@ def test_each_column_computed_once_by_its_process(demo_source, monkeypatch):
     assert squared == order[0::6]
     assert [[i for i, _ in pairs] for _, pairs in helpers] == [order[h::6] for h in range(1, 6)]
 
+
+
+def record_placement(monkeypatch) -> tuple[list, list]:
+    """Patch the placement calls of `_map_columns` to log, in this process,
+    the CPU read before each fork, and in each process, its own
+    sched_setaffinity calls (a helper appends to its own copy of the
+    list)."""
+    read, calls = [], []
+    current_cpu, setaffinity = regions._current_cpu, getattr(os, "sched_setaffinity", None)
+
+    def recording_cpu():
+        read.append(current_cpu())
+        return read[-1]
+
+    def recording_setaffinity(pid, mask):
+        calls.append(set(mask))
+        setaffinity(pid, mask)
+
+    monkeypatch.setattr(regions, "_current_cpu", recording_cpu)
+    monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity, raising=False)
+    return read, calls
+
+
+def placements(pipeline, calls, workers) -> dict:
+    """pid -> (its sched_setaffinity calls, its mask after them), from a run
+    that each process executes on its columns and returns through its pipe."""
+
+    def placement(r1):
+        return os.getpid(), list(calls), os.sched_getaffinity(0)
+
+    return {pid: (made, mask) for pid, made, mask in
+            pipeline._map_columns(placement, [0.0, 1.0, 2.0, 3.0], workers)}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a mask with another CPU")
+def test_helper_leaves_the_callers_cpu(demo_source, monkeypatch):
+    """Each helper first excludes the CPU the caller read just before
+    forking it, then restores the caller's mask; the caller calls neither."""
+    helpers = record_helpers(monkeypatch)
+    read, calls = record_placement(monkeypatch)
+    allowed = os.sched_getaffinity(0)
+    placed = placements(InstantaneousRegionPipeline(demo_source, NOISE), calls, 3)
+    assert placed.pop(os.getpid()) == ([], allowed)
+    assert len(read) == len(helpers) == len(placed) == 2
+    for (pid, _), cpu in zip(helpers, read):
+        assert cpu in allowed
+        assert placed[pid] == ([allowed - {cpu}, allowed], allowed)
+
+
+def test_one_cpu_mask_makes_no_affinity_call(demo_source, monkeypatch):
+    """With one CPU in the mask (taskset -c 0, here a patched
+    sched_getaffinity) there is nowhere to move a helper to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _, calls = record_placement(monkeypatch)
+    placed = placements(InstantaneousRegionPipeline(demo_source, NOISE), calls, 2)
+    assert len(placed) == 2
+    assert all(made == [] for made, _ in placed.values())
+
+
+@pytest.mark.parametrize("missing", ["sched_setaffinity", "thread stat"])
+def test_region_without_placement_is_unchanged(tmp_path, monkeypatch, capsys, missing):
+    """Without os.sched_setaffinity (macOS has fork but not this call), or
+    when the caller cannot read its CPU, helpers stay where the kernel puts
+    them: `region --workers 2` prints and writes the bytes of `--workers 1`."""
+    config = region_config(tmp_path)
+    got = {}
+    for workers in (1, 2):
+        if workers == 2 and missing == "sched_setaffinity":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        elif workers == 2:
+            monkeypatch.setattr(regions, "_THREAD_STAT", str(tmp_path / "missing"))
+            assert regions._current_cpu() is None
+        out = tmp_path / f"out{workers}"
+        assert cli.main(["region", config, "--out", str(out), "--workers", str(workers)]) == 0
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        got[workers] = (capsys.readouterr().out, files)
+    assert got[2] == got[1]
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_no_thread_alive_at_a_fork(demo_stats, monkeypatch, workers):
@@ -408,8 +487,8 @@ print(json.dumps({"rc": rc, "reaped": reaped,
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
 @pytest.mark.parametrize("mode, message, caller_columns", [
-    ("raise", r"error: kernel failed in a helper", 4),
-    ("exit", r"error: column helper \d+ ended \(exit status 3\) without reporting", 4),
+    ("raise", r"error: kernel failed in a helper", 3),
+    ("exit", r"error: column helper \d+ ended \(exit status 3\) without reporting", 3),
     ("caller", r"error: kernel failed in the caller", 1),
 ])
 def test_failing_column_is_reported_and_helpers_reaped(tmp_path, mode, message, caller_columns):
@@ -417,9 +496,11 @@ def test_failing_column_is_reported_and_helpers_reaped(tmp_path, mode, message, 
     a clear one when a helper died without reporting; a helper still busy
     when the caller fails is killed. No child is left unreaped and no
     descriptor stays open. A helper's failure, raised or a death, is found
-    at collection, after the caller has computed its own share (4 of 8); a
-    failure in the caller stops it at its first column. In a subprocess with
-    a timeout, so a hang fails the test instead of the suite."""
+    at collection, after the caller has computed its own share (4 of 8
+    columns, 3 through the kernel: r1 = r1_cap is outside at r2 = 0); a
+    failure in the caller stops it at its first kernel call. In a
+    subprocess with a timeout, so a hang fails the test instead of the
+    suite."""
     env = dict(os.environ)
     src = str(Path(miso_outage.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
