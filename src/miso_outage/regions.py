@@ -395,15 +395,14 @@ def _claim_order(r1_values: list) -> list[int]:
     k-th of them from position h (InstantaneousRegionPipeline._map_columns).
 
     The kernel's bracket stage costs more as r1 grows, since fewer rows are
-    zero-forcing (answered in closed form), but a traced column's refine and
-    counts depend on where its boundary lies, and a column outside the
-    region at r2 = 0 runs no kernel at all (_trace_column). So the largest
-    r1 is not the longest column: on the benchmark grid (individual-inst,
-    N = 2e4, seed 42, 8 columns, r1 = 0..1.87, one process on a 2-vCPU
-    host) the columns take 0.8 2.0 2.2 2.5 2.7 3.1 3.9 0.03 ms. Dealt out
-    largest r1 first, those give two processes 7.6 and 9.6 ms, 11 % after
-    an even split of the work (8.6 ms), which is also the best split of
-    these eight columns.
+    zero-forcing (answered in closed form), and trace_variants deals out
+    only the columns inside the region at r2 = 0. On the benchmark grid
+    (individual-inst, N = 2e4, seed 42, 8 columns, r1 = 0..1.87, one
+    process on a 2-vCPU host) r1 = 1.87 is decided before the split and the
+    other seven columns take 0.8 1.8 2.0 2.3 2.5 2.9 3.6 ms. Dealt out
+    largest r1 first, they give this process 8.8 ms and the helper 7.0 ms:
+    the helper starts its share 0-5 ms after this process (the fork), so
+    the longer share falls to the process that starts first.
     """
     return sorted(range(len(r1_values)), key=r1_values.__getitem__, reverse=True)
 
@@ -598,6 +597,14 @@ class Column:
         column.policy = LastValue()
         column._memo = {}
         return column
+
+    def at_zero(self) -> CaseProbabilities:
+        """The counts at r2 = 0, the same on every column at this r1, so the
+        base Column(exceed1, su2) has them: the rows off exceed1 are case B
+        (their column values are >= 0) and those on it case C2 (su2 >= 0,
+        so no row exceeds r2 = 0)."""
+        n, k = self.su2.size, self.count_exceed1
+        return CaseProbabilities.from_counts(n, 0, n - k, 0, k, k, 0)
 
     def masks(self, r2: float) -> tuple:
         """(exceed1, exceed2, joint) at r2, the per-realization split."""
@@ -899,18 +906,9 @@ class InstantaneousRegionPipeline:
         value. So the counts made are the exact column's, and so are the
         r2 and payloads, bit for bit.
 
-        A column outside the region at r2 = 0 for every variant runs no
-        kernel: there each verdict is the one on the counts
-        (A, B, C1, C2) = (0, N - k, 0, k) with k = #(r1 > su1), as on the
-        exact column, whose rows off exceed1 are case B and on it case C2.
-
         The Columns are built here, never read from or put in the store, and
         dropped on return, which leaves (inside, r2, payload) per variant.
         """
-        n, k = self.n_samples, count_true(r1 > self.su1)
-        at_zero = CaseProbabilities.from_counts(n, 0, n - k, 0, k, k, 0)
-        if not any(verdict(at_zero, spec, variant).member for variant in variants):
-            return [(False, None, None)] * len(variants)
         bounds = self._bounds(r1)
         base = Column(bounds.exceed1, self.su2)
         lower, upper = base.on(bounds.lower), base.on(bounds.upper)
@@ -958,15 +956,26 @@ class InstantaneousRegionPipeline:
                        workers: int = 1) -> list[RegionBoundary]:
         """Boundaries of the case-D variants on one pass over the r1 grid.
 
-        Each column is computed once, by the process it falls to in
-        _map_columns, and bisected there for every variant; this process
+        A column outside the region at r2 = 0 for every variant is decided
+        here from Column.at_zero, with no kernel call, and the others are
+        dealt out by _map_columns: each is computed once, by the process it
+        falls to, and bisected there for every variant. This process
         receives (inside, r2, payload) per column and variant and assembles
         each boundary in r1 order. The store is emptied first.
         """
         r1_values = [_column_key(r1) for r1 in grid.r1_values]
         self._stream.columns.clear()
-        steps = self._map_columns(self._trace_column, r1_values, workers, spec, grid,
-                                  tuple(variants))
+        variants = tuple(variants)
+
+        def inside_at_zero(r1):
+            probs = Column(r1 > self.su1, self.su2).at_zero()
+            return any(verdict(probs, spec, variant).member for variant in variants)
+
+        traced = [r1 for r1 in r1_values if inside_at_zero(r1)]
+        steps = dict(zip(traced, self._map_columns(self._trace_column, traced, workers, spec,
+                                                   grid, variants)))
+        outside = [(False, None, None)] * len(variants)
+        steps = [steps.get(r1, outside) for r1 in r1_values]
         return [
             assemble_boundary(grid, [column[i] for column in steps], metadata={
                 "scenario_mode": spec.mode,

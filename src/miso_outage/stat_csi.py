@@ -208,43 +208,22 @@ def _front_pruner(r1: np.ndarray):
     Point p (rate r1[p], link-2 SINR still bracketed in [lo[p], hi[p]]) is
     beaten when some point q with r1[q] >= r1[p] has rate(lo[q]) above
     rate(hi[p]) by PRUNE_MARGIN: q's final r2 is then strictly above p's, so
-    non_dominated_points drops p. A running maximum of rate(lo) over the
-    points by decreasing r1, read at the first point of each run of equal
-    r1, gives every point its best such q. The order of r1 and its runs of
-    equal values are found here, once; each call takes its points in that
-    order by a mask over the sorted positions.
+    non_dominated_points drops p. Each point's rank among the distinct r1
+    values is found here, once. A call takes the largest rate(lo) at each
+    rank, then a running maximum over decreasing ranks, which gives every
+    point its best such q.
     """
-    r1 = r1.ravel()
-    order = np.argsort(r1)
-    rank = np.empty_like(order)  # the sorted position of each point
-    rank[order] = np.arange(order.size)
-    r1 = r1[order]
-    ends = np.append(r1[1:] != r1[:-1], True)  # the last sorted position of each run
-    del order, r1
+    distinct, rank = np.unique(r1, return_inverse=True)
+    # As long as the whole curve grid: held in the least integer type.
+    n_ranks, rank = distinct.size, rank.ravel().astype(np.min_scalar_type(distinct.size))
 
     def beaten(index, lo, hi) -> np.ndarray:
         at = rank[index]
-        alive = np.zeros(rank.size, dtype=bool)
-        alive[at] = True
-        slot = np.empty(rank.size, dtype=np.intp)  # by sorted position: the position in index
-        slot[at] = np.arange(at.size)
-        # The temporaries are dropped as soon as they are read: on a large
-        # sweep each is as long as the whole curve grid.
-        del at
-        at = np.flatnonzero(alive)  # the points' sorted positions, in order
-        by_r1 = slot[at]
-        # Points i and i + 1 by r1 differ in r1 iff a run ends in [at[i], at[i + 1]).
-        first = np.flatnonzero(np.append(True, np.logical_or.reduceat(ends, at)[:-1]))
-        del at, alive, slot
-        sure = rate_from_sinr(lo[by_r1])
-        np.maximum.accumulate(sure[::-1], out=sure[::-1])
-        sure = np.repeat(sure[first], np.diff(first, append=sure.size))
-        del first
-        top = rate_from_sinr(hi[by_r1])
-        top += PRUNE_MARGIN * np.maximum(1.0, np.abs(top))
-        out = np.empty(index.size, dtype=bool)
-        out[by_r1] = sure > top
-        return out
+        sure = np.full(n_ranks, -np.inf)
+        np.maximum.at(sure, at, rate_from_sinr(lo))
+        sure = np.maximum.accumulate(sure[::-1])[::-1]
+        top = rate_from_sinr(hi)
+        return sure[at] > top + PRUNE_MARGIN * np.maximum(1.0, np.abs(top))
 
     return beaten
 

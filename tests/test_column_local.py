@@ -145,7 +145,8 @@ def test_column_local_boundaries_equal_cached_trace(demo_source, scenario, case,
 def test_base_verdict_depends_on_exceed1_alone(demo_source, scenario, case):
     """At r2 = 0 a row is case C2 where r1 > su1 and case B elsewhere (its
     column is >= 0), so each variant's verdict there is `verdict` on the
-    counts (A, B, C1, C2) = (0, N - #exceed1, 0, #exceed1). #exceed1 grows
+    counts (A, B, C1, C2) = (0, N - #exceed1, 0, #exceed1), the counts
+    Column.at_zero gives on the base column. #exceed1 grows
     with r1, so along r1 the base point leaves the region once and never
     comes back: assemble_boundary has no non-monotone column to report."""
     make, eps = CASES[case]
@@ -162,6 +163,7 @@ def test_base_verdict_depends_on_exceed1_alone(demo_source, scenario, case):
             e = count_true(r1 > su1)
             probs = CaseProbabilities.from_counts(n, 0, n - e, 0, e, e, 0)
             assert pipeline.case_probs(r1, 0.0) == probs
+            assert Column(r1 > su1, pipeline.su2).at_zero() == probs
             expected = verdict(probs, spec, variant).member
             assert pipeline.member(r1, 0.0, spec, variant) == expected
             inside.append(expected)
@@ -237,11 +239,12 @@ def record_helpers(monkeypatch) -> list:
 
 
 def test_pooled_region_parent_caches_and_receives_no_column(tmp_path, monkeypatch):
-    """`region --workers 2` over 8 columns: process h computes exactly
-    order[h::2] of the claim order, this process (h = 0) computes the kernel
-    only for its own columns inside the region at r2 = 0 (3 of its 4: the
-    first, r1 = r1_cap, is outside), receives only scalars for the others,
-    and caches nothing."""
+    """`region --workers 2` over 8 columns: the last, r1 = r1_cap, is
+    outside the region at r2 = 0 and decided before the split, with no
+    kernel call; of the other 7, process h computes exactly order[h::2] of
+    the claim order, this process (h = 0) computes the kernel only for its
+    own columns, receives only scalars for the others, and caches
+    nothing."""
     helpers = record_helpers(monkeypatch)
     pipelines, computed, traced = [], [], []
 
@@ -268,11 +271,11 @@ def test_pooled_region_parent_caches_and_receives_no_column(tmp_path, monkeypatc
 
     (pipeline,) = pipelines
     assert pipeline._stream.columns == {}
-    order = list(range(8))[::-1]
+    order = list(range(7))[::-1]
     ((_, received),) = helpers
     assert traced == order[0::2]
     assert [i for i, _ in received] == order[1::2]
-    assert len(computed) == 3
+    assert len(computed) == len(traced)
     assert all(len(steps) == 3 and _is_scalar_tree(steps) for _, steps in received)
 
 
@@ -487,8 +490,8 @@ print(json.dumps({"rc": rc, "reaped": reaped,
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
 @pytest.mark.parametrize("mode, message, caller_columns", [
-    ("raise", r"error: kernel failed in a helper", 3),
-    ("exit", r"error: column helper \d+ ended \(exit status 3\) without reporting", 3),
+    ("raise", r"error: kernel failed in a helper", 4),
+    ("exit", r"error: column helper \d+ ended \(exit status 3\) without reporting", 4),
     ("caller", r"error: kernel failed in the caller", 1),
 ])
 def test_failing_column_is_reported_and_helpers_reaped(tmp_path, mode, message, caller_columns):
@@ -496,8 +499,8 @@ def test_failing_column_is_reported_and_helpers_reaped(tmp_path, mode, message, 
     a clear one when a helper died without reporting; a helper still busy
     when the caller fails is killed. No child is left unreaped and no
     descriptor stays open. A helper's failure, raised or a death, is found
-    at collection, after the caller has computed its own share (4 of 8
-    columns, 3 through the kernel: r1 = r1_cap is outside at r2 = 0); a
+    at collection, after the caller has computed its own share (4 of the 7
+    columns left once r1 = r1_cap, outside at r2 = 0, is decided); a
     failure in the caller stops it at its first kernel call. In a
     subprocess with a timeout, so a hang fails the test instead of the
     suite."""
