@@ -37,14 +37,14 @@ because it converges superlinearly rather than by a fixed 0.618 per step.
 
 The search runs in two stages. max_r2_batch runs the bracket stage, which
 evaluates phi and phi' at both ends of every searched row's bracket, and
-returns it as ColumnBounds. Its one method, refined, runs the Illinois stage
-on any subset of those rows, and a row's result does not depend on the
-subset: with no row refined it gives a lower bound of each column value (the
-better bracket end, which the full search can only improve on), with every
-searched row refined the exact column, and in between the column a region
-trace needs. upper bounds the values from above (p2 at the bracket top over
-sigma2^2, plus UPPER_MARGIN). Both bounds are exact on the rows answered in
-closed form.
+returns it as ColumnBounds. Its refine runs the Illinois stage on any subset
+of those rows, and a row's result does not depend on the subset. With no row
+refined the column is a lower bound of each column value (the better bracket
+end, which the full search can only improve on), with every searched row
+refined (refined(True)) the exact column, and in between the column that a
+query needs (regions.Column). upper bounds the values from above (p2 at the
+bracket top over sigma2^2, plus UPPER_MARGIN). Both bounds are exact on the
+rows answered in closed form.
 
 Both searches, and every frontier inverse, take the power slack
 p_max - gamma (q + sigma^2) of a demand from one formula (_demand_slack). Its
@@ -489,9 +489,13 @@ def frontier_qmin_batch(F: FrontierBatch, gamma, q: np.ndarray, sigma_sq: float)
     s *= F.c
     s -= orth
     s /= F.safe_pmax
+    # u < 0 only by rounding, where the demand passes d^2 by an ulp or so and
+    # the test t <= d^2 below fails: its square would be the mirror root, an
+    # interference of u^2 ||b||^2 where zero-forcing costs nothing. The
+    # column kernel's evaluate clamps u at 0 the same way.
+    np.maximum(s, 0.0, out=s)
     qmin = np.multiply(s, s, out=s)
     qmin *= F.b_norm_sq
-    np.maximum(qmin, 0.0, out=qmin)
     np.minimum(qmin, F.q_mrt, out=qmin)
     qmin[(t <= F.d_sq) | F.degenerate] = 0.0
     qmin[t > F.t_max] = np.inf
@@ -699,20 +703,25 @@ class ColumnBounds:
     top holds p2(hi) / sigma2^2 per realization: the SINR of the column value
     on the rows answered in closed form, where q2 holds its maximizer hi,
     except on the caller's empty rows (exceed1), whose value is -inf (q2 = 0).
-    The other rows, searched, hold the bracket stage: evaluate on those
-    rows, each row's interval [lo, lo + width], the better of phi at its two
-    ends (best, with q2 holding where) and the start of the Illinois steps
-    (y1, f0, f1). A column with no searched row holds no evaluate.
+    The other rows, searched, hold the bracket stage: each row's interval
+    [lo, lo + width], the better of phi at its two ends (best, with q2
+    holding where) and the start of the Illinois steps (y1, f0, f1). The
+    stage's evaluator is not kept: each refine gathers its own rows.
 
-    refined(which) is the column with the searched rows that which selects
-    refined and the others at their better bracket end: lower (which is
-    False, no row), the traced column (the rows a trace leaves in doubt) and
-    the exact column (which is True, every searched row). lower and upper
-    bound every column value in bits, bit for bit, and are computed on first
-    use. Both are exact on the closed-form rows. On the searched rows lower
-    is the better bracket end, through the search's own evaluate, so it
-    never exceeds the searched value (the best of those ends and the
-    iterates), and upper is the closed form plus UPPER_MARGIN.
+    refine(rows) runs the Illinois stage on the given searched rows, and a
+    row gets the same bits whichever rows are refined with it. refined(which)
+    is the whole column with the searched rows that which selects refined and
+    the others at their better bracket end: lower (which is False, no row)
+    and the exact column (which is True, every searched row). lower and
+    upper bound every column value in bits, bit for bit, and are computed on
+    first use. Both are exact on the closed-form rows. On the searched rows
+    lower is the better bracket end, through the search's own evaluate, so
+    it never exceeds the searched value (the best of those ends and the
+    iterates), and upper is the closed form plus UPPER_MARGIN. A
+    regions.Column that refines on demand takes the bounds over: it writes
+    each refined row's exact value into lower and upper, and its maximizer
+    into q2. They stay bounds, and a later refine of such a row gives the
+    same bits, since the row's search starts from the bracket stage.
     """
 
     F1: FrontierBatch
@@ -723,7 +732,6 @@ class ColumnBounds:
     exceed1: np.ndarray
     q2: np.ndarray
     searched: np.ndarray
-    evaluate: object
     lo: np.ndarray
     width: np.ndarray
     best: np.ndarray
@@ -733,7 +741,11 @@ class ColumnBounds:
 
     @cached_property
     def lower(self) -> np.ndarray:
-        return self.refined(False)[0]
+        sinr = self.top.copy()
+        sinr[self.searched] = self.best
+        values = rate_from_sinr(sinr)
+        values[self.exceed1] = -np.inf
+        return values
 
     @cached_property
     def upper(self) -> np.ndarray:
@@ -742,38 +754,33 @@ class ColumnBounds:
         upper[self.searched] = top + UPPER_MARGIN * np.maximum(1.0, np.abs(top))
         return upper
 
-    def refined(self, which, maximizers: bool = True) -> tuple:
-        """(values, q2*) of the column with the searched rows which selects
-        (a mask over searched, or True for all and False for none) refined:
-        bit for bit those of a search over every searched row. An empty
-        selection runs no evaluation and returns q2 itself. The values are
-        converted from the SINRs whole, the unselected rows' from best, so
-        they equal lower's there bit for bit and no bound is computed.
-        With maximizers False, q2* is None and q2 is not copied (a traced
-        column reads only the values)."""
-        which = np.full(self.searched.shape, which)
-        rows = self.searched[which]
-        sinr, q2 = self.top.copy(), self.q2 if maximizers else None
-        sinr[self.searched] = self.best
+    def refine(self, rows: np.ndarray) -> tuple:
+        """(values, q2*) of the column on rows, indices of searched rows in
+        increasing order: the Illinois stage on those rows alone, with an
+        evaluate over them, bit for bit what a search over every searched
+        row gives them."""
+        which = np.searchsorted(self.searched, rows)
+        q_rows, phi_rows = self._illinois(which, rows)
+        return rate_from_sinr(phi_rows), q_rows
+
+    def refined(self, which) -> tuple:
+        """(values, q2*) of the whole column with the searched rows which
+        selects (a mask over searched, or True for all and False for none)
+        refined and the others equal to lower and q2; an empty selection
+        runs no evaluation."""
+        values, q2 = self.lower.copy(), self.q2.copy()
+        rows = self.searched[np.full(self.searched.shape, which)]
         if rows.size:
-            q_rows, sinr[rows] = self._illinois(which, rows)
-            if maximizers:
-                q2 = q2.copy()
-                q2[rows] = q_rows
-        values = rate_from_sinr(sinr)
-        values[self.exceed1] = -np.inf
+            values[rows], q2[rows] = self.refine(rows)
         return values, q2
 
     def _illinois(self, which: np.ndarray, rows: np.ndarray) -> tuple:
-        """(q*, phi*) on rows, the searched rows which selects:
-        COLUMN_ROOT_ITERS Illinois steps from the bracket stage, the best phi
-        among the two ends and the iterates. A strict subset runs on an
-        evaluate over its own rows; every step is elementwise, so each row
-        gets the same bits whichever rows are selected with it."""
-        if which.all():
-            which, evaluate = slice(None), self.evaluate
-        else:
-            evaluate = _phi_evaluator(self.F1, self.F2, self.gamma1, rows, self.noise)
+        """(q*, phi*) on rows, the searched rows which selects (a mask or
+        positions over searched): COLUMN_ROOT_ITERS Illinois steps from the
+        bracket stage, the best phi among the two ends and the iterates.
+        Every step is elementwise, so each row gets the same bits whichever
+        rows are selected with it."""
+        evaluate = _phi_evaluator(self.F1, self.F2, self.gamma1, rows, self.noise)
         lo, width = self.lo[which], self.width[which]
         best, best_q = self.best[which].copy(), self.q2[rows]
         y1, f0, f1 = self.y1[which], self.f0[which], self.f1[which]
@@ -832,7 +839,7 @@ def max_r2_batch(
 
     The remaining rows are root-searched (contract: GOLDEN_VALUE_TOL of the
     exact maximum). This call runs the bracket stage, and
-    ColumnBounds.refined the Illinois stage on the rows a caller selects.
+    ColumnBounds.refine the Illinois stage on the rows a caller selects.
     Each row is searched over [L, H], H = hi and L within a few ulps below
     the largest q at which transmitter 1's demand t = gamma1 (q + sigma1^2)
     is at most its zero-forcing power d1^2: up to there it zero-forces and
@@ -874,7 +881,7 @@ def max_r2_batch(
     top = frontier_signal_batch(F2, hi) / sigma2_sq
     rows = np.flatnonzero(~(exceed1 | zero_forcing))
     if not rows.size:
-        return ColumnBounds(F1, F2, g1, noise, top, exceed1, hi, rows, None, *[np.empty(0)] * 6)
+        return ColumnBounds(F1, F2, g1, noise, top, exceed1, hi, rows, *[np.empty(0)] * 6)
     evaluate = _phi_evaluator(F1, F2, g1, rows, noise)
     g1_rows, d1_sq, end = g1[rows], F1.d_sq[rows], hi[rows]
     # L: v = L + sigma1^2 steps down from d1^2 / gamma1 (below H + sigma1^2
@@ -899,8 +906,34 @@ def max_r2_batch(
     rises = f0 > 0.0
     f0 = np.where(rises, f0, 1.0)
     f1 = np.where(rises & (f1 < 0.0), f1, -f0)
-    return ColumnBounds(F1, F2, g1, noise, top, exceed1, hi, rows, evaluate, lo, end - lo,
-                        best, rises.astype(float), f0, f1)
+    return ColumnBounds(F1, F2, g1, noise, top, exceed1, hi, rows, lo, end - lo, best,
+                        rises.astype(float), f0, f1)
+
+
+# Witness contract, in bits relative to max(1, |rate|). At case B's
+# operating point, transmitter 2 at the column maximizer q2* and transmitter
+# 1 at q1 = frontier_qmin_batch of its demand gamma1 (q2* + sigma1^2), the
+# rates of witness_rates_batch satisfy:
+# - link 2's rate lies within WITNESS_MARGIN of the column value. Both are
+#   p2(q2*) over q1 + sigma2^2, and the kernel's evaluate forms u = sqrt(q1 /
+#   b1) from the same demand slack, products and clamps as the inverse (it
+#   multiplies by 1 / p1 where the inverse divides by p1); what is left is a
+#   few roundings of the SINR, which the logarithm turns into a few eps of
+#   bits;
+# - link 1's rate is at least r1 - WITNESS_MARGIN * max(1, r1): the frontier
+#   at its own inverse gives the demand back up to a few roundings.
+# WITNESS_MARGIN * max(1, r) stays below RATE_SLACK for every r < 1024, and
+# no case-B row exists from r1 = 1024 on (gamma_from_rate is inf there). So
+# on a case-B row link 1 always meets its target, and link 2 meets it
+# wherever the column value passes r2 - RATE_SLACK by the margin;
+# outage_mc.split_policy computes the witness only on the other case-B rows.
+# Measured over the families of tests/test_witness_contract.py (n = 1..8,
+# random, rank-1, zero-cross and aligned channels, noise 1e-300..1e6) and
+# its near-zero-forcing stream, link 2 is off the column by at most 2.5 eps
+# and link 1 short of r1 by at most 6.7 eps, both relative: 64 eps leaves a
+# factor of 9. Both rest on frontier_qmin_batch clamping u at 0 as evaluate
+# does; its mirror root put link 2 up to 562 bits off the column there.
+WITNESS_MARGIN = 64.0 * float(np.finfo(float).eps)
 
 
 def witness_rates_batch(

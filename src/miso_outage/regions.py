@@ -24,17 +24,23 @@ payloads at the boundary points and drops the column, returning a few scalars
 per variant. With the columns ordered largest r1 first, the caller and k - 1
 forked helpers each compute every k-th of them; results do not depend on
 who computed a column, and the caller assembles the boundaries in r1 order.
-A traced column is bounded before it is searched: every variant is bisected
-on the kernel's lower and upper bounds of the column, and only the rows
-whose bounds leave a count in doubt are root-searched, in one call, before
-the bisection that gives the boundary point. The r2 and payloads are those
-of the exact column, bit for bit (_trace_column).
 Every reader of the column at r1 goes through one Column: the values and
 maximizers of one max_r2_batch call, whose empty rows are the Column's
 exceed1 = r1 > su1, its case counts, masks, case B's operating point and
 witness rates and the policy's bias-free part at the last (r2, coin seed).
-The store's Columns are exact: column(), point, simulate and
-precompute_columns refine every searched row (ColumnBounds.refined).
+A Column is bounded before it is searched: it counts on the kernel's lower
+bound of the column, with the rows it has refined written in, and before a
+count at r2 it root-searches, in one call, the rows whose lower and upper
+bounds straddle the joint threshold r2 - RATE_SLACK (Column.refine). Every
+other row is on the same side of the threshold as its exact value, so the
+counts, and every output, are the exact column's, bit for bit, whatever
+was refined before. point refines the rows its one threshold leaves in
+doubt, and simulate only the case-B rows whose link-2 witness it needs
+(outage_mc.split_policy). A traced column bisects every variant on the
+kernel's lower and upper bounds first, and its Column refines the rows
+that leave a queried count in doubt at once (_trace_column). column(),
+witness_rates and is_achievable refine every searched row, and
+precompute_columns stores exact columns.
 
 What a process keeps between commands (the sampled stream here, the policy
 split on each Column, the run-config in cli) is held by one rule, LastValue:
@@ -66,7 +72,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import COVARIANCE_KEYS, SampleSource, check_integer
-from .outage_mc import CaseProbabilities, PolicySplit, count_true, read_only, split_policy
+from .outage_mc import (
+    CaseProbabilities,
+    PolicySplit,
+    count_true,
+    read_only,
+    split_policy,
+    witness_unsettled,
+)
 from .rate_core import (
     RATE_SLACK,
     ColumnBounds,
@@ -525,10 +538,27 @@ def _overflow_checked(method):
     return checked
 
 
+def _threshold(r2: float) -> float:
+    """The joint threshold at r2: a row is case B iff its column value is
+    at least r2 - RATE_SLACK."""
+    return r2 - RATE_SLACK
+
+
 def _jointly_achievable(column: np.ndarray, r2: float) -> np.ndarray:
     """The one case-B decision: r2 within RATE_SLACK of the column's largest
     achievable r2."""
-    return column >= r2 - RATE_SLACK
+    return column >= _threshold(r2)
+
+
+# The window of a Column.refine that makes the column exact at every r2.
+EVERY_THRESHOLD = (-math.inf, math.inf)
+
+
+def _read_only_view(array: np.ndarray) -> np.ndarray:
+    """A read-only view of array, which sees later writes into array."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 class LastValue:
@@ -553,15 +583,14 @@ class LastValue:
 class Column:
     """The column at r1: per realization the largest achievable r2 (values)
     and the interference q2* of transmitter 2 that attains it, case B's
-    operating point, as max_r2_batch's ColumnBounds.refined returns them
-    with every searched row refined. A Column over a bound of those values
-    counts the same way; a traced column counts on its bounds and on their
-    refinement, with no q2*.
+    operating point, or a bound of those values, with no q2*.
 
     Column(exceed1, su2) is the part that no column value enters: exceed1,
     the rows where r1 > su1, as the column kernel took it, its count and su2
-    on its rows. on(values, q2) gives the Column over values, sharing that
-    part. case_probs is the package's one count of the five cases: point,
+    on its rows. on(values, q2) gives the Column over fixed values, sharing
+    that part; refining(bounds) the Column over max_r2_batch's ColumnBounds,
+    which counts on their lower bound with the rows it has refined written
+    in. case_probs is the package's one count of the five cases: point,
     simulate, classify, is_achievable and every trace read it. The kernel
     marks exactly the exceed1 rows -inf, in its bounds too, so joint never
     holds on them, and at each r2 the counts follow, with no mask per case,
@@ -571,11 +600,16 @@ class Column:
     and D the rest, the rows in none of exceed1, exceed2 and joint. Each r2
     is counted once; a repeated query (another variant's bisection, a
     payload, the policy split after a point) reads the memo.
-    witness holds the link rates at the case-B operating point once the
-    pipeline has computed them, q1 transmitter 1's interference there, and
-    policy, a LastValue, the last PolicySplit taken on the column, keyed by
-    (r2, coin seed): a bias sweep at one rate point reuses it. The arrays
-    are read-only.
+
+    A refining Column counts, and gives masks, only after refine has made
+    its values exact at the threshold: the rows left at their lower bound
+    lie on the same side of it as their exact values. So its counts are the
+    exact column's whatever it has refined before, and refining more rows
+    never changes a count already made. witness holds the link rates at the
+    case-B operating point once the pipeline has computed them, q1
+    transmitter 1's interference there, and policy, a LastValue, the last
+    PolicySplit taken on the column, keyed by (r2, coin seed): a bias sweep
+    at one rate point reuses it. The arrays it shows are read-only.
     """
 
     def __init__(self, exceed1: np.ndarray, su2: np.ndarray):
@@ -584,19 +618,66 @@ class Column:
         self.count_exceed1 = count_true(exceed1)
         self.su2_exceed1 = su2[exceed1]
 
-    def on(self, values: np.ndarray, q2: np.ndarray | None = None,
-           searched: np.ndarray | None = None) -> "Column":
-        """The Column at this r1 over values, with maximizers q2 and searched,
-        the rows whose q2 the column kernel root-searched (None for a bound
-        or a traced column): the r1-only part is shared, and the counts are
-        its own."""
+    def on(self, values: np.ndarray, q2: np.ndarray | None = None) -> "Column":
+        """The Column at this r1 over values, with maximizers q2 (None for a
+        bound): the r1-only part is shared, and the counts are its own."""
         column = copy.copy(self)
-        column.values = read_only(values)
-        column.q2, column.searched = (None if x is None else read_only(x) for x in (q2, searched))
+        column._values, column._q2 = values, q2
+        column.values = _read_only_view(values)
+        column.q2 = None if q2 is None else _read_only_view(q2)
+        column._bounds = column._upper = None
+        column._exact_in = []  # threshold windows [a, b] refine has made exact
         column.witness = column.q1 = None
         column.policy = LastValue()
         column._memo = {}
         return column
+
+    def refining(self, bounds: ColumnBounds) -> "Column":
+        """The Column over bounds (at this r1) that refines their searched
+        rows on demand. It takes bounds over: its values and q2 are
+        bounds.lower and bounds.q2, and a refined row's exact value is
+        written into bounds.lower and bounds.upper, and its maximizer into
+        bounds.q2, so they stay bounds of the column and the maximizer of
+        the value held. The rows in doubt are those where lower < upper."""
+        column = self.on(bounds.lower, bounds.q2)
+        column._bounds, column._upper = bounds, bounds.upper
+        return column
+
+    def refine(self, *windows) -> None:
+        """Make the values exact at every threshold r2 - RATE_SLACK in each
+        window [a, b]: the rows in doubt whose [value, upper] reaches a
+        threshold in a window, value < b and upper >= a, are refined in one
+        call. Every other row is on the same side of each of those
+        thresholds as its exact value. A window inside one made exact
+        before refines nothing, and a Column over fixed values has nothing
+        to refine."""
+        if self._bounds is None:
+            return
+        windows = [(a, b) for a, b in windows
+                   if not any(x <= a and b <= y for x, y in self._exact_in)]
+        if not windows:
+            return
+        reach = np.zeros(self._values.size, dtype=bool)
+        for a, b in windows:
+            reach |= (self._upper >= a) & (self._values < b)
+        self.refine_rows(np.flatnonzero(reach))
+        if EVERY_THRESHOLD in windows:
+            # Every row is exact: the Column is one over fixed values now.
+            self._bounds = self._upper = None
+        else:
+            self._exact_in += windows
+
+    def refine_rows(self, rows: np.ndarray) -> None:
+        """Refine, in one call, those of rows (increasing indices) whose
+        value is still in doubt."""
+        if self._bounds is None:
+            return
+        rows = rows[self._values[rows] < self._upper[rows]]
+        if rows.size:
+            with power_scale_checked(self._bounds):
+                values, q2 = self._bounds.refine(rows)
+            self._values[rows] = self._upper[rows] = values
+            self._q2[rows] = q2
 
     def at_zero(self) -> CaseProbabilities:
         """The counts at r2 = 0, the same on every column at this r1, so the
@@ -606,13 +687,19 @@ class Column:
         n, k = self.su2.size, self.count_exceed1
         return CaseProbabilities.from_counts(n, 0, n - k, 0, k, k, 0)
 
+    def _exact_at(self, r2: float) -> None:
+        threshold = _threshold(r2)
+        self.refine((threshold, threshold))
+
     def masks(self, r2: float) -> tuple:
         """(exceed1, exceed2, joint) at r2, the per-realization split."""
+        self._exact_at(r2)
         return self.exceed1, r2 > self.su2, _jointly_achievable(self.values, r2)
 
     def case_probs(self, r2: float) -> CaseProbabilities:
         probs = self._memo.get(r2)
         if probs is None:
+            self._exact_at(r2)
             probs = self._memo[r2] = self._count(r2)
         return probs
 
@@ -699,10 +786,10 @@ class InstantaneousRegionPipeline:
     expensive oracle work; case counts at any (r1, r2) are then threshold
     comparisons, which makes membership exactly monotone in r2 along a column
     and lets several scenarios share identical classifications. Every column
-    comes from one kernel call, in _bounds. _search refines all its searched
-    rows for the stream's store (see the module docstring); trace_variants
-    builds each column's Columns in the process that bisects it, on the
-    kernel's bounds and the rows it refines, and stores none.
+    comes from one kernel call, in _bounds. The store's Columns refine on
+    demand, except the exact ones of precompute_columns (_search);
+    trace_variants builds each column's Columns in the process that bisects
+    it and stores none.
     """
 
     @_overflow_checked
@@ -731,6 +818,7 @@ class InstantaneousRegionPipeline:
         r2_cap = float(np.quantile(self.su2, eps2)) * 1.1
         return r1_cap, r2_cap
 
+    @_overflow_checked
     def _bounds(self, r1: float) -> ColumnBounds:
         """The column kernel at r1 after its bracket stage: the pipeline's one
         call of max_r2_batch per computed column. Its empty rows are decided
@@ -739,28 +827,30 @@ class InstantaneousRegionPipeline:
         return max_r2_batch(self.F1, self.F2, float(gamma_from_rate(r1)), self.noise,
                             r1 > self.su1)
 
-    @_overflow_checked
     def _search(self, r1: float) -> tuple:
-        """(exceed1, values, q2*, searched rows) at r1, every searched row
-        refined: the exact column."""
+        """(exceed1, values, q2*) at r1, every searched row refined: the exact
+        column."""
         bounds = self._bounds(r1)
-        return bounds.exceed1, *bounds.refined(True), bounds.searched
+        with power_scale_checked(self):
+            return bounds.exceed1, *bounds.refined(True)
 
-    def column(self, r1: float) -> np.ndarray:
-        """Each realization's largest achievable r2 at r1 (read-only), by the
-        store's one lookup: on a miss the held columns are dropped first."""
+    def _column(self, r1: float) -> Column:
+        """The Column at r1, by the store's one lookup: on a miss the held
+        columns are dropped first, and the new one refines on demand."""
         r1 = _column_key(r1)
         store = self._stream.columns
         if r1 not in store:
             store.clear()
-            exceed1, *column = self._search(r1)
-            store[r1] = Column(exceed1, self.su2).on(*column)
-        return store[r1].values
+            bounds = self._bounds(r1)
+            store[r1] = Column(bounds.exceed1, self.su2).refining(bounds)
+        return store[r1]
 
-    def _column(self, r1: float) -> Column:
-        """The Column at r1, requested through column()."""
-        self.column(r1)
-        return self._stream.columns[_column_key(r1)]
+    def column(self, r1: float) -> np.ndarray:
+        """Each realization's largest achievable r2 at r1 (read-only): the
+        Column at r1 with every searched row refined."""
+        column = self._column(r1)
+        column.refine(EVERY_THRESHOLD)
+        return column.values
 
     def _map_columns(self, run, r1_values: list, workers: int, *args) -> list:
         """[run(r1, *args) for r1 in r1_values], run by up to `workers`
@@ -837,37 +927,48 @@ class InstantaneousRegionPipeline:
             store[r1] = Column(exceed1, self.su2).on(*column)
 
     @_overflow_checked
+    def _witness(self, r1: float, column: Column, rows: np.ndarray | None = None) -> tuple:
+        """(q1, link 1's rate, link 2's rate) at the case-B operating point of
+        the Column at r1 (transmitter 2 at the column maximizer q2*,
+        transmitter 1 at q1, the least interference that reaches r1), on the
+        given rows, refined first, or on every row, which the caller has
+        refined. This is the one computation of that point. Every step is
+        elementwise, so a row gets the same bits on any set of rows."""
+        F1, F2, q2 = self.F1, self.F2, column.q2
+        if rows is not None:
+            column.refine_rows(rows)
+            F1, F2, q2 = F1.take(rows), F2.take(rows), q2[rows]
+        q1 = frontier_qmin_batch(F1, float(gamma_from_rate(r1)), q2, self.noise[0])
+        return q1, *witness_rates_batch(F1, F2, q1, q2, self.noise)
+
     def witness_rates(self, r1: float):
-        """Link rates at the case-B operating point (transmitter 2 at the column
-        maximizer q2*, transmitter 1 at q1, the least interference that
-        reaches r1), computed once per Column and held on it with q1,
-        read-only. This is the one computation of that point. q1 is 0 on
-        the rows the column kernel answered in closed form: their q2 is the
-        bracket top, whose demand passes frontier_qmin_batch's zero-forcing
-        test t <= d1^2 as the kernel computed it. So the frontier inverse
-        runs on the searched and exceed1 rows alone."""
-        r1 = _column_key(r1)
+        """Link rates at the case-B operating point on every row of the exact
+        column at r1, computed once per Column and held on it with q1,
+        read-only."""
         column = self._column(r1)
         if column.witness is None:
-            rows = column.exceed1.copy()
-            rows[column.searched] = True
-            rows = np.flatnonzero(rows)
-            q1 = np.zeros(self.n_samples)
-            q1[rows] = frontier_qmin_batch(self.F1.take(rows), float(gamma_from_rate(r1)),
-                                           column.q2[rows], self.noise[0])
-            rates = witness_rates_batch(self.F1, self.F2, q1, column.q2, self.noise)
+            column.refine(EVERY_THRESHOLD)
+            q1, *rates = self._witness(r1, column)
             column.q1 = read_only(q1)
             column.witness = tuple(read_only(rate) for rate in rates)
         return column.witness
 
     def policy_split(self, r1: float, r2: float, coin_seed: int) -> PolicySplit:
         """The bias-free part of the policy's outcome at (r1, r2) and the coin
-        seed (an integer), held on the Column at r1 by (r2, coin seed)."""
+        seed (an integer), held on the Column at r1 by (r2, coin seed). Link
+        2's witness rate is computed only on the case-B rows where the
+        witness contract leaves its success open (witness_unsettled)."""
         r1, r2 = as_rate_point((r1, r2))
         column = self._column(r1)
         coin_seed = operator.index(coin_seed)
-        return column.policy.get((r2, coin_seed), lambda: split_policy(
-            column.case_probs(r2), column.masks(r2), self.witness_rates(r1), (r1, r2), coin_seed))
+
+        def split():
+            probs, masks = column.case_probs(r2), column.masks(r2)
+            rows = witness_unsettled(column.values, masks[2], r2)
+            return split_policy(probs, masks, self._witness(r1, column, rows)[2], (r1, r2),
+                                coin_seed)
+
+        return column.policy.get((r2, coin_seed), split)
 
     def case_tests(self, r1: float, r2: float):
         """Masks (exceed1, exceed2, joint) at (r1, r2), for callers that need
@@ -899,12 +1000,11 @@ class InstantaneousRegionPipeline:
         r2_hi it queries only r2 that the upper bisection also queried and
         found outside, so its verdict there is False. Only queries in
         (r2_lo, r2_hi] and the payload at its result, which lies in
-        [r2_lo, r2_hi], are counted. The searched rows whose [lower, upper]
-        straddles the joint threshold r2 - RATE_SLACK somewhere in such a
-        span are refined in one call; every other row keeps its lower bound,
-        which is on the same side of each of those thresholds as its exact
-        value. So the counts made are the exact column's, and so are the
-        r2 and payloads, bit for bit.
+        [r2_lo, r2_hi], are counted. The exact bisections run on one
+        refining Column, made exact at the joint thresholds r2 - RATE_SLACK
+        of every such span at once (Column.refine): one refine call, after
+        which no query refines again. So the counts made are the exact
+        column's, and so are the r2 and payloads, bit for bit.
 
         The Columns are built here, never read from or put in the store, and
         dropped on return, which leaves (inside, r2, payload) per variant.
@@ -930,12 +1030,11 @@ class InstantaneousRegionPipeline:
             inside, r2_hi, _ = bisected(upper, variant, below)
             spans.append((below, r2_hi) if inside else None)
 
-        lo, hi = bounds.lower[bounds.searched], bounds.upper[bounds.searched]
-        undecided = np.zeros(bounds.searched.size, dtype=bool)
-        for span in spans:
-            if span is not None:
-                undecided |= (hi >= max(span[0], 0.0) - RATE_SLACK) & (lo < span[1] - RATE_SLACK)
-        exact = base.on(bounds.refined(undecided, maximizers=False)[0]) if undecided.any() else lower
+        # It writes the rows it refines into bounds.lower and bounds.upper,
+        # which the bisections on lower and upper are done with.
+        exact = base.refining(bounds)
+        exact.refine(*((_threshold(max(lo, 0.0)), _threshold(hi))
+                       for lo, hi in filter(None, spans)))
 
         def annotated(variant):
             def annotate(r1, r2):

@@ -24,13 +24,14 @@ def test_tracer_installs_on_the_package():
 
 
 def test_traced_queries_count_every_column_search():
-    """Every column search goes through `regions.max_r2_batch`, and every
-    column request through `InstantaneousRegionPipeline.column`, both of
-    which the tracer sees: a traced inst-queries run (seed 3) computes one
-    column for each of its 8 `point` calls and none for the three `simulate`
-    calls after each, which find it held: the first requests it twice (the
-    policy's bias-free part and its witness rates), the two at other biases
-    once (the bias-free part, held on the column)."""
+    """Every column search goes through `regions.max_r2_batch`, which the
+    tracer sees: a traced inst-queries run (seed 3) computes one column for
+    each of its 8 `point` calls, which count through
+    `InstantaneousRegionPipeline.case_probs`, and none for the three
+    `simulate` calls after each, which find it held. No query asks for the
+    exact column (`InstantaneousRegionPipeline.column`, which the tracer
+    counts as a column request): point and simulate refine only the rows
+    their answer depends on."""
     result = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "inst-queries",
          "--seed", "3", "--seconds", "2", "--trace", "1"],
@@ -43,4 +44,5 @@ def test_traced_queries_count_every_column_search():
     metrics = json.loads(result.stdout.splitlines()[-1])["metrics"]
     assert metrics["rate_core.column_calls"]["value"] == 8
     assert metrics["regions.columns_computed"]["value"] == 8
-    assert metrics["regions.columns_requested"]["value"] == 8 + 8 * (2 + 1 + 1)
+    assert metrics["regions.case_probs_calls"]["value"] == 8
+    assert metrics["regions.columns_requested"]["value"] == 0

@@ -47,8 +47,8 @@ def scenario_spec(scenario, eps=(0.1, 0.1)):
 def exact_trace(pipeline, r1, spec, grid, variants) -> list:
     """trace_column of every variant on one Column over the fully refined
     column at r1: every query counted on the exact values."""
-    exceed1, values, q2, searched = pipeline._search(r1)
-    column = Column(exceed1, pipeline.su2).on(values, q2, searched)
+    exceed1, values, q2 = pipeline._search(r1)
+    column = Column(exceed1, pipeline.su2).on(values, q2)
 
     def traced(variant):
         def member(r1, r2):
@@ -66,19 +66,26 @@ def exact_trace(pipeline, r1, spec, grid, variants) -> list:
 
 
 def record_refines(monkeypatch) -> list:
-    """Sizes of the ColumnBounds.refined calls on a mask of the searched
-    rows from here on: the ones _trace_column makes, whatever the mask
-    selects, not the lower bound (False) or the exact columns of _search
-    (True)."""
-    sizes = []
-    refined = rate_core.ColumnBounds.refined
+    """Sizes of the ColumnBounds.refine calls from here on that a Column
+    makes (the ones _trace_column makes), not those of the exact columns of
+    _search (ColumnBounds.refined)."""
+    sizes, exact = [], []
+    refine, refined = rate_core.ColumnBounds.refine, rate_core.ColumnBounds.refined
 
-    def recorded(self, which, **kwargs):
-        if np.ndim(which) > 0:
-            sizes.append(int(np.count_nonzero(which)))
-        return refined(self, which, **kwargs)
+    def recorded(self, rows):
+        if not exact:
+            sizes.append(rows.size)
+        return refine(self, rows)
 
-    monkeypatch.setattr(rate_core.ColumnBounds, "refined", recorded)
+    def unrecorded(self, which):
+        exact.append(which)
+        try:
+            return refined(self, which)
+        finally:
+            exact.pop()
+
+    monkeypatch.setattr(rate_core.ColumnBounds, "refine", recorded)
+    monkeypatch.setattr(rate_core.ColumnBounds, "refined", unrecorded)
     return sizes
 
 

@@ -815,8 +815,9 @@ class TestColumnSearch:
         F1, F2, _ = column_inputs(rng, 2, 200, noise)
         empty = np.zeros(200, dtype=bool)
         bounds = max_r2_batch(F1, F2, 0.0, noise, empty)
-        assert bounds.searched.size == 0 and bounds.evaluate is None
-        r2, q2 = bounds.refined(True)
+        assert bounds.searched.size == 0
+        with mock.patch.object(rate_core, "_phi_evaluator", side_effect=AssertionError):
+            r2, q2 = bounds.refined(True)
         assert_within_contract(r2, column_oracle(F1, F2, 0.0, noise, empty))
         np.testing.assert_array_equal(q2, F2.q_mrt)
 
@@ -839,8 +840,9 @@ class TestColumnSearch:
         F1, F2, su1 = column_inputs(rng, 2, 200, noise)
         r1 = su1.max() + 0.1
         bounds = max_r2_batch(F1, F2, gamma_from_rate(r1), noise, r1 > su1)
-        assert bounds.searched.size == 0 and bounds.evaluate is None
-        r2, q2 = bounds.refined(True)
+        assert bounds.searched.size == 0
+        with mock.patch.object(rate_core, "_phi_evaluator", side_effect=AssertionError):
+            r2, q2 = bounds.refined(True)
         np.testing.assert_array_equal(r2, -np.inf)
         np.testing.assert_array_equal(q2, 0.0)
 
@@ -1096,8 +1098,7 @@ class TestColumnBounds:
         exact = bounds.refined(True)
         stage = [getattr(bounds, name).copy()
                  for name in ("top", "q2", "lo", "width", "best", "y1", "f0", "f1")]
-        with mock.patch.object(rate_core, "_phi_evaluator", side_effect=AssertionError), \
-                mock.patch.object(bounds, "evaluate", side_effect=AssertionError):
+        with mock.patch.object(rate_core, "_phi_evaluator", side_effect=AssertionError):
             values, q2 = bounds.refined(False)
         np.testing.assert_array_equal(values, bounds.lower)
         np.testing.assert_array_equal(q2, bounds.q2)

@@ -22,7 +22,6 @@ from miso_outage.rate_core import (
     bisect_largest,
     frontier_qmin_batch,
     gamma_from_rate,
-    witness_rates_batch,
 )
 from miso_outage.regions import (
     CSV_COLUMNS,
@@ -373,29 +372,34 @@ class TestPipeline:
             assert cached.count_c2 == direct.count_c2
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_witness_q1_equals_the_inverse_on_every_row(self, seed):
-        """The witness's q1 runs the frontier inverse on the searched and
-        exceed1 rows only; on every row it equals, bit for bit, the inverse
-        over all rows at the column maximizers, and so do the witness rates,
+    def test_witness_on_rows_equals_the_witness_on_every_row(self, seed):
+        """The witness on a set of rows of a Column that refines on demand,
+        as the policy split takes it on its unsettled rows, equals bit for
+        bit the witness over every row of the exact column: q1, the frontier
+        inverse at the column maximizers, both rates, the values and q2*,
         for 13 values of r1 from 0 to 1.3 x the median su1 under three noise
-        pairs. The closed-form rows the inverse skips are there at each
-        noise pair."""
+        pairs. The rows are a random tenth of them: searched, closed-form
+        and exceed1 rows."""
         stats = random_statistics(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
         for noise in ((0.5, 0.5), (0.05, 2.0), (2.0, 0.05)):
             pipeline = InstantaneousRegionPipeline(
                 SampleSource.gaussian(stats, seed=seed, count=2000), noise)
-            skipped = 0
             for r1 in np.linspace(0.0, 1.3 * float(np.median(pipeline.su1)), 13):
                 rates = pipeline.witness_rates(r1)
-                column = pipeline._column(r1)
-                q1 = frontier_qmin_batch(pipeline.F1, float(gamma_from_rate(r1)), column.q2,
+                exact = pipeline._column(r1)
+                q1 = frontier_qmin_batch(pipeline.F1, float(gamma_from_rate(r1)), exact.q2,
                                          noise[0])
-                assert column.q1.tobytes() == q1.tobytes()
-                expect = witness_rates_batch(pipeline.F1, pipeline.F2, q1, column.q2, noise)
-                assert [x.tobytes() for x in rates] == [x.tobytes() for x in expect]
-                skipped += column.q1.size - np.count_nonzero(
-                    column.exceed1 | np.isin(np.arange(q1.size), column.searched))
-            assert skipped > 0
+                assert exact.q1.tobytes() == q1.tobytes()
+                bounds = pipeline._bounds(r1)
+                lazy = regions.Column(bounds.exceed1, pipeline.su2).refining(bounds)
+                rows = np.flatnonzero(rng.random(q1.size) < 0.1)
+                got = pipeline._witness(r1, lazy, rows)
+                want = (exact.q1, *rates)
+                assert [x.tobytes() for x in got] == [x[rows].tobytes() for x in want]
+                for name in ("values", "q2"):
+                    assert (getattr(lazy, name)[rows].tobytes()
+                            == getattr(exact, name)[rows].tobytes())
 
     def test_case_b_counts_match_slack_oracle(self, pipeline):
         """The column threshold, the only production case-B classifier, against
