@@ -8,7 +8,11 @@ manifest alone. All randomness is seeded from the config; timing goes to
 stderr to keep the written files byte-stable across runs and worker counts.
 A process that runs several commands parses each run-config once: load_config
 holds the last one parsed, keyed by the file's exact text, by regions'
-keep-the-last rule (LastValue).
+keep-the-last rule (LastValue). By the same rule RunConfig.stat_search holds
+the last statistical-CSI search, keyed by the exact bytes of everything it
+depends on (n, covariances, noise powers, pair count, search seed and curve
+points), so configs that differ only in scenario, tolerances or sampling
+share its pairs and means. clear_config_cache drops both.
 
 Complex matrices serialize as nested arrays of [re, im] pairs. The schema is
 strict: unknown fields, missing fields, fields that do not apply to the
@@ -57,6 +61,7 @@ from .regions import (
     OutageSpec,
     bias_interval,
     power_scale_checked,
+    statistics_key,
     verdict,
     write_boundary_csv,
 )
@@ -178,6 +183,10 @@ def _vector_doc(h: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(h)]
 
 
+# The statistical-CSI search of the last key RunConfig.stat_search asked for.
+_searches = LastValue()
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A parsed run-config. source, built and validated once by parse_config,
@@ -196,9 +205,16 @@ class RunConfig:
     basename: str
 
     def stat_search(self) -> StatRegionSearch:
-        """The evaluator over the search block's seeded random beamformer pairs."""
-        W1, W2 = draw_beamformer_pairs(self.n, self.search["n_pairs"], self.search["seed"])
-        return StatRegionSearch(self.source.stats, W1, W2, self.search["curve_points"])
+        """The evaluator over the search block's seeded random beamformer
+        pairs: the one held in _searches when its key is this config's."""
+        stats, search = self.source.stats, self.search
+        key = (*statistics_key(stats), search["n_pairs"], search["seed"], search["curve_points"])
+
+        def build() -> StatRegionSearch:
+            W1, W2 = draw_beamformer_pairs(self.n, search["n_pairs"], search["seed"])
+            return StatRegionSearch(stats, W1, W2, search["curve_points"])
+
+        return _searches.get(key, build)
 
     def spec(self, mode: str) -> OutageSpec | None:
         """The tolerances as an outage spec of the given mode; None for
@@ -367,8 +383,10 @@ _configs = LastValue()
 
 
 def clear_config_cache() -> None:
-    """Forget the cached run-config, so the next load_config parses again."""
+    """Forget the cached run-config and statistical-CSI search, so the next
+    load_config parses again and the next stat_search draws its pairs again."""
     _configs.clear()
+    _searches.clear()
 
 
 def load_config(path: str) -> RunConfig:

@@ -43,14 +43,14 @@ witness_rates and is_achievable refine every searched row, and
 precompute_columns stores exact columns.
 
 What a process keeps between commands (the sampled stream here, the policy
-split on each Column, the run-config in cli) is held by one rule, LastValue:
-the value built for the last key is returned for an equal key; any other key
-drops it before the next value is built, so two are never held at once, and
-a build that raises leaves nothing held. A Gaussian stream is sampled once
-per process: pipelines on the same statistics, seed, count and noise share
-one sampled stream (the frontiers and single-user rates), keyed by the exact
-bytes of those inputs, and clear_stream_cache drops it. Explicit-channel
-sources are never cached. A stream's column store holds the Columns of the
+split on each Column, the run-config and the beamformer search in cli) is
+held by one rule, LastValue: the value built for the last key is returned
+for an equal key; any other key drops it before the next value is built, so
+two are never held at once, and a build that raises leaves nothing held. A
+Gaussian stream is sampled once per process: pipelines on the same
+statistics, seed, count and noise share one sampled stream (the frontiers
+and single-user rates), keyed by the exact bytes of those inputs, and
+clear_stream_cache drops it. Explicit-channel sources are never cached. A stream's column store holds the Columns of the
 last request: a read of one column keeps the store if it holds that column,
 else holds that one alone; precompute_columns holds the requested set and
 trace_variants empties it. A stream's arrays and columns are read-only, so
@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import COVARIANCE_KEYS, SampleSource, check_integer
+from .channel import COVARIANCE_KEYS, ChannelStatistics, SampleSource, check_integer
 from .outage_mc import (
     CaseProbabilities,
     PolicySplit,
@@ -765,17 +765,20 @@ def clear_stream_cache() -> None:
     _streams.clear()
 
 
-def _stream_key(source: SampleSource, noise: tuple[float, float]) -> tuple:
-    """Everything a Gaussian stream's frontiers and single-user rates depend
-    on, as exact bytes."""
-    stats = source.stats
+def statistics_key(stats: ChannelStatistics) -> tuple:
+    """n, the four covariances and both noise powers of stats, as exact
+    bytes: the part of a cache key that the statistics give."""
     return (
         stats.n,
         *(stats.covariance(key).tobytes() for key in COVARIANCE_KEYS),
-        np.array([stats.sigma1_sq, stats.sigma2_sq, *noise]).tobytes(),
-        source.seed,
-        source.count,
+        np.array([stats.sigma1_sq, stats.sigma2_sq]).tobytes(),
     )
+
+
+def _stream_key(source: SampleSource, noise: tuple[float, float]) -> tuple:
+    """Everything a Gaussian stream's frontiers and single-user rates depend
+    on, as exact bytes."""
+    return (*statistics_key(source.stats), np.array(noise).tobytes(), source.seed, source.count)
 
 
 class InstantaneousRegionPipeline:

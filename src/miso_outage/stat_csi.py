@@ -36,6 +36,13 @@ above q, dominates it too: the filter keeps the same rows from the
 survivors as from all points. Each element's bisection reads only its own
 state, so the survivors' bits are those of the full bisection, and the
 boundary is the one of every point inverted, bit for bit.
+
+A process holds one search: cli's RunConfig.stat_search keys it by the
+exact bytes of n, the covariances, both noise powers, the pair count, the
+search seed and the curve points (regions' keep-the-last rule, LastValue).
+Commands on the same statistics and search block, such as a common-outage
+region, then an individual-outage one, then a point sweep, draw the pairs
+and form the means once; cli.clear_config_cache drops the search.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ import math
 import numpy as np
 
 from .channel import ChannelStatistics, check_integer
+from .outage_mc import read_only
 from .rate_core import (
     LN2,
     as_rate_point,
@@ -60,6 +68,12 @@ STAT_CSV_COLUMNS = ("r1", "r2", "pi1", "pi2", "pair_index")
 CURVE_POINTS = 65
 
 
+def _success(gamma, s_bar, t_bar, sigma_sq):
+    """The closed-form success where every gamma and every s_bar is
+    positive, with no guard: what each step of _invert_success evaluates."""
+    return np.exp(-gamma * sigma_sq / s_bar) * s_bar / (s_bar + gamma * t_bar)
+
+
 def success_probability(gamma, s_bar, t_bar, sigma_sq) -> np.ndarray:
     """Pr{SINR >= gamma} for exponential signal/interference, vectorized.
 
@@ -68,30 +82,27 @@ def success_probability(gamma, s_bar, t_bar, sigma_sq) -> np.ndarray:
     the noise dwarfs the signal the exponent overflows to -inf, which gives
     the right success 0; floating-point overflow is reported or not as the
     caller's numpy error state says (see _overflow_gives_zero). Where every
-    gamma and every s_bar is positive, as in each step of _invert_success,
-    the guards select nothing and are skipped: the same operations on the
-    same values, so the same bits.
+    gamma and every s_bar is positive the guards select nothing and are
+    skipped: _success on the same values, so the same bits.
     """
     gamma = np.asarray(gamma, dtype=float)
     s = np.asarray(s_bar, dtype=float)
     t = np.asarray(t_bar, dtype=float)
     if gamma.min(initial=np.inf) > 0.0 and s.min(initial=np.inf) > 0.0:
-        return np.exp(-gamma * sigma_sq / s) * s / (s + gamma * t)
+        return _success(gamma, s, t, sigma_sq)
     safe_s = np.where(s > 0.0, s, 1.0)
     safe_g = np.where(gamma > 0.0, gamma, 0.0)
-    pi = np.exp(-safe_g * sigma_sq / safe_s) * safe_s / (safe_s + safe_g * t)
-    pi = np.where(s > 0.0, pi, 0.0)
+    pi = np.where(s > 0.0, _success(safe_g, safe_s, t, sigma_sq), 0.0)
     return np.where(gamma <= 0.0, 1.0, pi)
 
 
 def _overflow_gives_zero(func):
     """func run with floating-point overflow ignored.
 
-    success_probability's exponent overflows when the noise power dwarfs the
-    mean signal, and exp(-inf) = 0 is then the exact success. The callers of
-    success_probability in this module set the error state once per call
-    instead of once per evaluation: an inversion evaluates about a hundred
-    times.
+    The success formula's exponent overflows when the noise power dwarfs the
+    mean signal, and exp(-inf) = 0 is then the exact success. Its callers in
+    this module set the error state once per call instead of once per
+    evaluation: an inversion evaluates about a hundred times.
     """
 
     @functools.wraps(func)
@@ -126,6 +137,9 @@ def _invert_success(s_bar, t_bar, sigma_sq, targets, prune=None) -> np.ndarray:
     element leaves the working set with the bits it would have had after
     100 steps. A target still met where doubling would pass the float range
     raises ValueError, naming the noise power of the first such element.
+    Every element evaluated has s_bar > 0 and gamma > 0 (a doubling step's
+    hi is at least 1, and 100 halvings leave mid at least 2^-100), so each
+    step calls _success, with no guard.
 
     prune(index, lo, hi), when given, is called after each of PRUNE_STEPS
     with the flat indices (into targets) of the elements still bisecting and
@@ -144,7 +158,7 @@ def _invert_success(s_bar, t_bar, sigma_sq, targets, prune=None) -> np.ndarray:
     hi = np.ones(pos.size)
     growing = np.arange(pos.size)
     while growing.size:
-        below = success_probability(*_subset(growing, hi, s, t, sigma))
+        below = _success(*_subset(growing, hi, s, t, sigma))
         growing = growing[below >= target[growing]]
         # Every growing element has the same hi, the same power of 2.
         if growing.size and hi[growing[0]] > np.finfo(float).max / 2.0:
@@ -164,7 +178,7 @@ def _invert_success(s_bar, t_bar, sigma_sq, targets, prune=None) -> np.ndarray:
         if not pos.size:
             break
         mid = 0.5 * (lo + hi)
-        ok = success_probability(mid, s, t, sigma) >= target
+        ok = _success(mid, s, t, sigma) >= target
         new_lo = np.where(ok, mid, lo)
         new_hi = np.where(ok, hi, mid)
         moving = (new_lo != lo) | (new_hi != hi)
@@ -259,14 +273,17 @@ class StatRegionSearch:
 
     Row i of W1 and W2 is pair i. Every query (membership, column heights,
     the boundary) reuses the same pairs, so common- and individual-outage
-    answers refer to the same searched region.
+    answers refer to the same searched region. The search keeps its own
+    copies of the pairs, and they and the four means are read-only: a
+    search that serves several commands (cli holds one per process) gives
+    each the answers of a new one.
     """
 
     MIN_CURVE_POINTS = 2  # the curve's ends
 
     def __init__(self, stats: ChannelStatistics, W1, W2, curve_points: int = CURVE_POINTS):
-        W1 = np.asarray(W1, dtype=complex)
-        W2 = np.asarray(W2, dtype=complex)
+        W1 = np.array(W1, dtype=complex)
+        W2 = np.array(W2, dtype=complex)
         if W1.ndim != 2 or W1.shape != W2.shape or W1.shape[1] != stats.n:
             raise ValueError(
                 f"W1 and W2 must both have shape (count, {stats.n}), "
@@ -281,6 +298,8 @@ class StatRegionSearch:
         self.t1 = quad_form(stats.Q21, W2)
         self.s2 = quad_form(stats.Q22, W2)
         self.t2 = quad_form(stats.Q12, W1)
+        for array in (W1, W2, self.s1, self.t1, self.s2, self.t2):
+            read_only(array)
 
     @_overflow_gives_zero
     def pair_success_all(self, r1, r2) -> tuple[np.ndarray, np.ndarray]:

@@ -274,9 +274,15 @@ def inline_pieces(stats, seed, start, stop, piece=1000):
 
 class TestThreadedFill:
     """A range long enough for several threads equals the same rows drawn by
-    short single-threaded calls, byte for byte, at any CPU count."""
+    short single-threaded calls, byte for byte, at any CPU count. A thread
+    is given from 4096 rows on here, so a short range takes several."""
 
-    ROWS = 3 * 4096 + 5
+    MIN_ROWS = 4096
+    ROWS = 3 * MIN_ROWS + 5
+
+    @pytest.fixture(autouse=True)
+    def short_threads(self, monkeypatch):
+        monkeypatch.setattr(channel, "_MIN_ROWS_PER_THREAD", self.MIN_ROWS)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_threaded_range_equals_inline_pieces(self, rng, n):

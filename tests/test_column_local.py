@@ -413,10 +413,12 @@ def test_region_without_placement_is_unchanged(tmp_path, monkeypatch, capsys, mi
 def test_no_thread_alive_at_a_fork(demo_stats, monkeypatch, workers):
     """Every helper is forked from a process with one thread. The sampler
     first fills a Gaussian stream of 8192 realizations on two threads (two
-    usable CPUs are assumed, whatever the host has); they are joined before
-    the first fork. Python 3.12 warns of a fork from a process with more
-    threads; this checks the same on every version."""
+    usable CPUs and a thread per 4096 rows are assumed, whatever the host
+    and the package's threshold); they are joined before the first fork.
+    Python 3.12 warns of a fork from a process with more threads; this
+    checks the same on every version."""
     monkeypatch.setattr(channel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(channel, "_MIN_ROWS_PER_THREAD", 4096)
     started, at_fork = [], []
     start, fork = threading.Thread.start, os.fork
 

@@ -1,7 +1,8 @@
-"""The keep-the-last rule of `regions.LastValue` on each of its three uses:
+"""The keep-the-last rule of `regions.LastValue` on each of its four uses:
 the sampled stream (keyed by `_stream_key`), the run-config (keyed by the
-file's text) and the policy split (keyed by r2 and the coin seed, on the
-Column at r1).
+file's text), the statistical-CSI search (keyed by its statistics and search
+block) and the policy split (keyed by r2 and the coin seed, on the Column at
+r1).
 
 An equal key returns the held value without building it again. Another key
 drops the held value before its build runs, so two values are never held at
@@ -11,7 +12,8 @@ again, on the old key too.
 
 import json
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Callable
 
 import pytest
@@ -56,6 +58,18 @@ def config_use(demo_stats, tmp_path) -> Use:
     return Use(cli, "parse_config", get, (*texts, "{not json"), cli.ConfigError)
 
 
+def search_use(demo_stats, tmp_path) -> Use:
+    config = cli.parse_config(json.dumps(demo_config("common-stat", mc_samples=300)))
+
+    def get(key):
+        n_pairs, seed = key
+        search = {"n_pairs": n_pairs, "seed": seed, "curve_points": 65}
+        return replace(config, search=MappingProxyType(search)).stat_search()
+
+    # No pair to draw: the draw raises.
+    return Use(cli, "draw_beamformer_pairs", get, ((8, 1), (8, 2), (0, 1)), ValueError)
+
+
 def policy_split_use(demo_stats, tmp_path) -> Use:
     pipeline = InstantaneousRegionPipeline(SampleSource.gaussian(demo_stats, seed=3, count=500),
                                            NOISE)
@@ -67,8 +81,8 @@ def policy_split_use(demo_stats, tmp_path) -> Use:
     return Use(regions, "split_policy", get, (1, 2, -1), ValueError)
 
 
-@pytest.fixture(params=[stream_use, config_use, policy_split_use],
-                ids=["stream", "config", "policy split"])
+@pytest.fixture(params=[stream_use, config_use, search_use, policy_split_use],
+                ids=["stream", "config", "search", "policy split"])
 def use(request, demo_stats, tmp_path):
     return request.param(demo_stats, tmp_path)
 

@@ -255,13 +255,13 @@ class TestInversionOracle:
         100 halvings of [0, 1]: those two elements are evaluated in every
         step, while the other two leave the working set once they settle."""
         sizes = []
-        real = stat_csi.success_probability
+        real = stat_csi._success
 
         def recording(gamma, *args):
             sizes.append(np.size(gamma))
             return real(gamma, *args)
 
-        monkeypatch.setattr(stat_csi, "success_probability", recording)
+        monkeypatch.setattr(stat_csi, "_success", recording)
         s = np.array([1.8, 2.5, 3.0, 4.2])
         targets = np.array([1.0 - 2.0 ** -53, 0.9, 0.5, 1.0 - 2.0 ** -53])
         got = _invert_success(s, 0.4, 0.5, targets)
