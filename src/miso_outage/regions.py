@@ -27,7 +27,7 @@ who computed a column, and the caller assembles the boundaries in r1 order.
 Every reader of the column at r1 goes through one Column: the values and
 maximizers of one max_r2_batch call, whose empty rows are the Column's
 exceed1 = r1 > su1, its case counts, masks, case B's operating point and
-witness rates and the policy's bias-free part at the last (r2, coin seed).
+the policy's bias-free part at the last (r2, coin seed).
 A Column is bounded before it is searched: it counts on the kernel's lower
 bound of the column, with the rows it has refined written in, and before a
 count at r2 it root-searches, in one call, the rows whose lower and upper
@@ -39,22 +39,22 @@ doubt, and simulate only the case-B rows whose link-2 witness it needs
 (outage_mc.split_policy). A traced column bisects every variant on the
 kernel's lower and upper bounds first, and its Column refines the rows
 that leave a queried count in doubt at once (_trace_column). column(),
-witness_rates and is_achievable refine every searched row, and
-precompute_columns stores exact columns.
+precompute_columns (column over a list), witness_rates and is_achievable
+refine every searched row.
 
-What a process keeps between commands (the sampled stream here, the policy
-split on each Column, the run-config and the beamformer search in cli) is
-held by one rule, LastValue: the value built for the last key is returned
-for an equal key; any other key drops it before the next value is built, so
-two are never held at once, and a build that raises leaves nothing held. A
-Gaussian stream is sampled once per process: pipelines on the same
-statistics, seed, count and noise share one sampled stream (the frontiers
-and single-user rates), keyed by the exact bytes of those inputs, and
-clear_stream_cache drops it. Explicit-channel sources are never cached. A stream's column store holds the Columns of the
-last request: a read of one column keeps the store if it holds that column,
-else holds that one alone; precompute_columns holds the requested set and
-trace_variants empties it. A stream's arrays and columns are read-only, so
-a write into one raises instead of changing a later call's result.
+What a process keeps between commands (the sampled stream and its column
+store here, the policy split on each Column, the run-config and the
+beamformer search in cli) is held by one rule, LastValue: the value built
+for the last key is returned for an equal key; any other key drops it
+before the next value is built, so two are never held at once, and a build
+that raises leaves nothing held. A Gaussian stream is sampled once per
+process: pipelines on the same statistics, seed, count and noise share one
+sampled stream (the frontiers and single-user rates), keyed by the exact
+bytes of those inputs, and clear_stream_cache drops it. Explicit-channel
+sources are never cached. A stream's column store holds the Column of the
+last r1 read, keyed by that r1; trace_variants empties it. A stream's
+arrays and columns are read-only, so a write into one raises instead of
+changing a later call's result.
 """
 
 from __future__ import annotations
@@ -564,7 +564,9 @@ def _read_only_view(array: np.ndarray) -> np.ndarray:
 class LastValue:
     """A one-entry cache, the keep-the-last rule of the module docstring:
     get(key, build) returns the held value if key equals its key, else drops
-    it and holds build()'s value under key; clear() drops it."""
+    it and holds build()'s value under key; clear() drops it. It holds the
+    sampled stream, the stream's Column by r1, the policy split on a Column
+    and, in cli, the run-config and the statistical-CSI search."""
 
     def __init__(self):
         self._entry = None
@@ -605,9 +607,7 @@ class Column:
     its values exact at the threshold: the rows left at their lower bound
     lie on the same side of it as their exact values. So its counts are the
     exact column's whatever it has refined before, and refining more rows
-    never changes a count already made. witness holds the link rates at the
-    case-B operating point once the pipeline has computed them, q1
-    transmitter 1's interference there, and policy, a LastValue, the last
+    never changes a count already made. policy, a LastValue, holds the last
     PolicySplit taken on the column, keyed by (r2, coin seed): a bias sweep
     at one rate point reuses it. The arrays it shows are read-only.
     """
@@ -627,7 +627,6 @@ class Column:
         column.q2 = None if q2 is None else _read_only_view(q2)
         column._bounds = column._upper = None
         column._exact_in = []  # threshold windows [a, b] refine has made exact
-        column.witness = column.q1 = None
         column.policy = LastValue()
         column._memo = {}
         return column
@@ -722,13 +721,14 @@ class Column:
 @dataclass
 class _Stream:
     """A sampled stream: both frontiers, the single-user rates and the column
-    store, the Columns of the last request by r1. Its arrays are read-only."""
+    store, a LastValue of the Column at the last r1 read. Its arrays are
+    read-only."""
 
     F1: FrontierBatch
     F2: FrontierBatch
     su1: np.ndarray
     su2: np.ndarray
-    columns: dict[float, Column] = field(default_factory=dict)
+    columns: LastValue = field(default_factory=LastValue)
 
 
 def _sample_stream(source: SampleSource, noise: tuple[float, float]) -> _Stream:
@@ -789,10 +789,9 @@ class InstantaneousRegionPipeline:
     expensive oracle work; case counts at any (r1, r2) are then threshold
     comparisons, which makes membership exactly monotone in r2 along a column
     and lets several scenarios share identical classifications. Every column
-    comes from one kernel call, in _bounds. The store's Columns refine on
-    demand, except the exact ones of precompute_columns (_search);
-    trace_variants builds each column's Columns in the process that bisects
-    it and stores none.
+    comes from one kernel call, in _bounds. The store's Column refines on
+    demand; trace_variants builds each column's Columns in the process that
+    bisects it and stores none.
     """
 
     @_overflow_checked
@@ -830,23 +829,16 @@ class InstantaneousRegionPipeline:
         return max_r2_batch(self.F1, self.F2, float(gamma_from_rate(r1)), self.noise,
                             r1 > self.su1)
 
-    def _search(self, r1: float) -> tuple:
-        """(exceed1, values, q2*) at r1, every searched row refined: the exact
-        column."""
-        bounds = self._bounds(r1)
-        with power_scale_checked(self):
-            return bounds.exceed1, *bounds.refined(True)
-
     def _column(self, r1: float) -> Column:
-        """The Column at r1, by the store's one lookup: on a miss the held
-        columns are dropped first, and the new one refines on demand."""
+        """The Column at r1, held in the store by r1; a new one refines on
+        demand."""
         r1 = _column_key(r1)
-        store = self._stream.columns
-        if r1 not in store:
-            store.clear()
+
+        def build():
             bounds = self._bounds(r1)
-            store[r1] = Column(bounds.exceed1, self.su2).refining(bounds)
-        return store[r1]
+            return Column(bounds.exceed1, self.su2).refining(bounds)
+
+        return self._stream.columns.get(r1, build)
 
     def column(self, r1: float) -> np.ndarray:
         """Each realization's largest achievable r2 at r1 (read-only): the
@@ -916,18 +908,12 @@ class InstantaneousRegionPipeline:
             results[i] = result
         return results
 
-    def precompute_columns(self, r1_values, workers: int = 1):
-        """Make the store hold the columns at r1_values: held ones are kept,
-        the others dropped, and the missing ones computed by up to `workers`
-        processes, this one included (see _map_columns)."""
-        keys = list(dict.fromkeys(_column_key(r1) for r1 in r1_values))
-        store = self._stream.columns
-        held = {r1: store[r1] for r1 in keys if r1 in store}
-        store.clear()
-        store.update(held)
-        todo = [r1 for r1 in keys if r1 not in held]
-        for r1, (exceed1, *column) in zip(todo, self._map_columns(self._search, todo, workers)):
-            store[r1] = Column(exceed1, self.su2).on(*column)
+    def precompute_columns(self, r1_values, workers: int = 1) -> list[np.ndarray]:
+        """[column(r1) for r1 in r1_values], every r1 checked before the
+        first column is computed; the store holds the last one. workers is
+        not used, every column is computed in this process: it stays while
+        perfbench/tracer.py's record of this call reads it."""
+        return [self.column(r1) for r1 in [_column_key(r1) for r1 in r1_values]]
 
     @_overflow_checked
     def _witness(self, r1: float, column: Column, rows: np.ndarray | None = None) -> tuple:
@@ -946,15 +932,10 @@ class InstantaneousRegionPipeline:
 
     def witness_rates(self, r1: float):
         """Link rates at the case-B operating point on every row of the exact
-        column at r1, computed once per Column and held on it with q1,
-        read-only."""
+        column at r1, computed on each call and not held."""
         column = self._column(r1)
-        if column.witness is None:
-            column.refine(EVERY_THRESHOLD)
-            q1, *rates = self._witness(r1, column)
-            column.q1 = read_only(q1)
-            column.witness = tuple(read_only(rate) for rate in rates)
-        return column.witness
+        column.refine(EVERY_THRESHOLD)
+        return self._witness(r1, column)[1:]
 
     def policy_split(self, r1: float, r2: float, coin_seed: int) -> PolicySplit:
         """The bias-free part of the policy's outcome at (r1, r2) and the coin

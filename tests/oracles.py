@@ -6,6 +6,9 @@ Their arithmetic is kept as it was when they lived in the package, so the
 tests that pin them keep their meaning:
 
 - su_rate_batch: single-user rates of a stacked channel array;
+- exact_column: the Column at r1 over the exact column, every searched row
+  refined in one ColumnBounds.refined call, where the pipeline's Columns
+  refine on demand (Column.refine);
 - split_cases and case_counts: the five case masks from the three
   comparison masks, and their counts without the masks, the mask-level
   reference for regions.Column.case_probs, the package's one count;
@@ -14,7 +17,8 @@ tests that pin them keep their meaning:
 - rate_cov (with validate_transmit_covariance): one link's rate under
   transmit covariances, of which rate_core.rate_bf is the rank-one case;
 - simulate_policy: the policy's outcome from per-row achieved rates (the
-  five case masks and np.select), each compared with its target, where
+  five case masks and np.select) over exact_column, each compared with its
+  target, where
   outage_mc.PolicySplit compares only case B's witness rates, takes the
   other counts from the Column and counts only case D's coins at each bias;
 - trace_boundary: a whole-region trace over any membership oracle, by
@@ -46,12 +50,14 @@ from miso_outage.rate_core import (
 )
 from miso_outage.regions import (
     BoundaryPoint,
+    Column,
     GridConfig,
     InstantaneousRegionPipeline,
     OutageSpec,
     RegionBoundary,
     assemble_boundary,
     non_dominated_points,
+    power_scale_checked,
     trace_column,
 )
 from miso_outage.stat_csi import (
@@ -66,6 +72,16 @@ def su_rate_batch(H: np.ndarray, sigma_sq: float) -> np.ndarray:
     """Single-user rates for a stacked (N, n) own-channel array: ||h||^2 summed
     by rowsum, as frontier_batch forms p_max, so they equal the pipeline's."""
     return rate_from_sinr(rowsum(np.abs(np.asarray(H)) ** 2) / float(sigma_sq))
+
+
+def exact_column(pipeline: InstantaneousRegionPipeline, r1: float) -> Column:
+    """The Column at r1 over the exact column: the pipeline's one kernel call
+    at r1 (its _bounds), with every searched row refined at once by
+    ColumnBounds.refined(True), under the pipeline's overflow check."""
+    bounds = pipeline._bounds(r1)
+    with power_scale_checked(pipeline):
+        values, q2 = bounds.refined(True)
+    return Column(bounds.exceed1, pipeline.su2).on(values, q2)
 
 
 def split_cases(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
@@ -103,16 +119,18 @@ def case_counts(exceed1: np.ndarray, exceed2: np.ndarray, joint: np.ndarray):
 def simulate_policy(
     source: SampleSource, point, bias: float, noise: tuple[float, float], coin_seed: int = 0
 ) -> PolicyOutcome:
-    """The policy's outcome at bias p, row by row: each realization's achieved
-    rates under its case (the witness rates on B, su_i on Ci and on the case-D
-    rows that serve link i, 0 elsewhere), compared with r_i - RATE_SLACK."""
+    """The policy's outcome at bias p, row by row over exact_column at r1,
+    never the pipeline's column store: each realization's achieved rates
+    under its case (the witness rates on B, su_i on Ci and on the case-D rows
+    that serve link i, 0 elsewhere), compared with r_i - RATE_SLACK."""
     r1, r2 = as_rate_point(point)
     bias = float(bias)
     if not 0.0 <= bias <= 1.0:
         raise ValueError(f"bias must lie in [0, 1], got {bias}")
     pipeline = InstantaneousRegionPipeline(source, noise)
-    r1_witness, r2_witness = pipeline.witness_rates(r1)
-    a, b, c1, c2, d = split_cases(*pipeline.case_tests(r1, r2))
+    column = exact_column(pipeline, r1)
+    _, r1_witness, r2_witness = pipeline._witness(r1, column)
+    a, b, c1, c2, d = split_cases(*column.masks(r2))
     coin = np.random.default_rng(coin_seed).random(source.count)
     serve1 = d & (coin < bias)
     serve2 = d & ~serve1

@@ -321,11 +321,15 @@ def test_criterion_7_region_nesting(nesting_pipeline, stat_search):
     r1_cap, r2_cap = pipeline.su_caps(EPS, EPS)
     r1_grid = np.linspace(0.0, r1_cap, 50)
     r2_grid = np.linspace(0.0, r2_cap, 50)
-    pipeline.precompute_columns(r1_grid)
+    tol = r2_cap / 500.0
 
     inst_violations = 0
     stat_violations = 0
+    domination_failures = 0
+    # Column by column, so the pipeline searches each column once, and
+    # refines it once: column() makes the held Column exact.
     for r1 in r1_grid:
+        pipeline.column(float(r1))
         for r2 in r2_grid:
             probs = pipeline.case_probs(float(r1), float(r2))
             in_common = verdict(probs, common).member
@@ -340,10 +344,6 @@ def test_criterion_7_region_nesting(nesting_pipeline, stat_search):
             in_indiv_stat = stat_search.member_any(float(r1), float(r2), indiv)
             if in_common_stat and not in_indiv_stat:
                 stat_violations += 1
-
-    tol = r2_cap / 500.0
-    domination_failures = 0
-    for r1 in r1_grid:
         for spec in (indiv, common):
             inst_h = _bisect_height(
                 lambda r2: pipeline.member(float(r1), r2, spec), r2_cap, tol

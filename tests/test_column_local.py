@@ -2,7 +2,7 @@
 
 `InstantaneousRegionPipeline.trace_variants` computes each r1 column in the
 process that bisects it and returns only (inside, r2, payload) per variant.
-Its boundaries must equal the `trace_boundary` oracle run over cached
+Its boundaries must equal the `trace_boundary` oracle run over exact
 columns, for every instantaneous scenario and worker count; its per-column
 case counts must equal the `case_counts` oracle on the comparison masks; and the parent of a
 `region --workers 2` run must neither cache nor receive a column. A helper
@@ -40,7 +40,7 @@ from miso_outage.regions import (
     verdict,
 )
 
-from oracles import case_counts, trace_boundary
+from oracles import case_counts, exact_column, trace_boundary
 
 NOISE = (0.5, 0.5)
 INST_SCENARIOS = [name for name, (_, variants) in SCENARIOS.items() if variants is not None]
@@ -61,30 +61,39 @@ WARNING_CHANNELS = [
 ]
 
 
-def mask_probs(pipeline, r1, r2) -> CaseProbabilities:
-    """Case probabilities from the three comparison masks, by case_counts."""
-    exceed1, exceed2, joint = pipeline.case_tests(r1, r2)
+def mask_probs(column, r2) -> CaseProbabilities:
+    """Case probabilities from a Column's three comparison masks at r2, by
+    case_counts."""
+    exceed1, exceed2, joint = column.masks(r2)
     return CaseProbabilities.from_counts(
-        pipeline.n_samples, *case_counts(exceed1, exceed2, joint),
+        column.values.size, *case_counts(exceed1, exceed2, joint),
         count_true(exceed1), count_true(exceed2),
     )
 
 
 def oracle_boundary(pipeline, spec, grid, variant):
-    """trace_boundary over cached columns: membership from pipeline.member,
-    payloads from the mask counts."""
-    pipeline.precompute_columns(grid.r1_values)
+    """trace_boundary over exact columns (oracles.exact_column), never the
+    pipeline's column store: membership from the exact Column's counts,
+    payloads from its mask counts."""
+    exact = {}
+
+    def column(r1):
+        if r1 not in exact:
+            exact[r1] = exact_column(pipeline, r1)
+        return exact[r1]
+
+    def member(r1, r2):
+        return verdict(column(r1).case_probs(r2), spec, variant).member
 
     def annotate(r1, r2):
-        probs = mask_probs(pipeline, r1, r2)
+        probs = mask_probs(column(r1), r2)
         payload = probs.as_dict()["estimates"]
         payload.update(verdict(probs, spec, variant).margins())
         return payload
 
     meta = {"scenario_mode": spec.mode, "variant": variant,
             "n_samples": pipeline.n_samples, "seed": pipeline.source.seed}
-    return trace_boundary(lambda r1, r2: pipeline.member(r1, r2, spec, variant),
-                          grid, annotate=annotate, metadata=meta)
+    return trace_boundary(member, grid, annotate=annotate, metadata=meta)
 
 
 def demo_case(demo_source, eps):
@@ -117,7 +126,7 @@ CASES = {
 @pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("scenario", INST_SCENARIOS)
 def test_column_local_boundaries_equal_cached_trace(demo_source, scenario, case, workers):
-    """Points, payloads, warnings and metadata equal the cached-column trace,
+    """Points, payloads, warnings and metadata equal the exact-column trace,
     and the tracing pipeline caches no column."""
     make, eps = CASES[case]
     source, grid = make(demo_source, eps)
@@ -126,7 +135,7 @@ def test_column_local_boundaries_equal_cached_trace(demo_source, scenario, case,
 
     local = InstantaneousRegionPipeline(source, NOISE)
     boundaries = local.trace_variants(spec, grid, variants, workers=workers)
-    assert local._stream.columns == {}
+    assert local._stream.columns._entry is None
 
     cached = InstantaneousRegionPipeline(source, NOISE)
     expected = [oracle_boundary(cached, spec, grid, variant) for variant in variants]
@@ -270,7 +279,7 @@ def test_pooled_region_parent_caches_and_receives_no_column(tmp_path, monkeypatc
     assert cli.main(["region", config, "--out", str(tmp_path / "out"), "--workers", "2"]) == 0
 
     (pipeline,) = pipelines
-    assert pipeline._stream.columns == {}
+    assert pipeline._stream.columns._entry is None
     order = list(range(7))[::-1]
     ((_, received),) = helpers
     assert traced == order[0::2]

@@ -33,6 +33,7 @@ from miso_outage.regions import (
 )
 
 from conftest import random_psd
+from oracles import exact_column
 
 NOISE = (0.5, 0.5)
 INST_SCENARIOS = [name for name, (_, variants) in SCENARIOS.items() if variants is not None]
@@ -46,9 +47,9 @@ def scenario_spec(scenario, eps=(0.1, 0.1)):
 
 def exact_trace(pipeline, r1, spec, grid, variants) -> list:
     """trace_column of every variant on one Column over the fully refined
-    column at r1: every query counted on the exact values."""
-    exceed1, values, q2 = pipeline._search(r1)
-    column = Column(exceed1, pipeline.su2).on(values, q2)
+    column at r1 (oracles.exact_column): every query counted on the exact
+    values."""
+    column = exact_column(pipeline, r1)
 
     def traced(variant):
         def member(r1, r2):
@@ -68,7 +69,7 @@ def exact_trace(pipeline, r1, spec, grid, variants) -> list:
 def record_refines(monkeypatch) -> list:
     """Sizes of the ColumnBounds.refine calls from here on that a Column
     makes (the ones _trace_column makes), not those of the exact columns of
-    _search (ColumnBounds.refined)."""
+    oracles.exact_column (ColumnBounds.refined)."""
     sizes, exact = [], []
     refine, refined = rate_core.ColumnBounds.refine, rate_core.ColumnBounds.refined
 

@@ -1,8 +1,8 @@
-"""The keep-the-last rule of `regions.LastValue` on each of its four uses:
+"""The keep-the-last rule of `regions.LastValue` on each of its five uses:
 the sampled stream (keyed by `_stream_key`), the run-config (keyed by the
 file's text), the statistical-CSI search (keyed by its statistics and search
-block) and the policy split (keyed by r2 and the coin seed, on the Column at
-r1).
+block), the policy split (keyed by r2 and the coin seed, on the Column at
+r1) and the stream's column store (keyed by r1).
 
 An equal key returns the held value without building it again. Another key
 drops the held value before its build runs, so two values are never held at
@@ -21,6 +21,7 @@ import pytest
 from miso_outage import cli, regions
 from miso_outage.channel import SampleSource
 from miso_outage.presets import demo_config
+from miso_outage.rate_core import gamma_from_rate
 from miso_outage.regions import InstantaneousRegionPipeline
 
 NOISE = (0.5, 0.5)
@@ -35,7 +36,7 @@ class Use:
     error: type
 
 
-def stream_use(demo_stats, tmp_path) -> Use:
+def stream_use(demo_stats, tmp_path, monkeypatch) -> Use:
     def get(key):
         seed, noise = key
         source = SampleSource.gaussian(demo_stats, seed=seed, count=300)
@@ -46,7 +47,7 @@ def stream_use(demo_stats, tmp_path) -> Use:
     return Use(regions, "_sample_stream", get, keys, ValueError)
 
 
-def config_use(demo_stats, tmp_path) -> Use:
+def config_use(demo_stats, tmp_path, monkeypatch) -> Use:
     path = tmp_path / "config.json"
 
     def get(text):
@@ -58,7 +59,7 @@ def config_use(demo_stats, tmp_path) -> Use:
     return Use(cli, "parse_config", get, (*texts, "{not json"), cli.ConfigError)
 
 
-def search_use(demo_stats, tmp_path) -> Use:
+def search_use(demo_stats, tmp_path, monkeypatch) -> Use:
     config = cli.parse_config(json.dumps(demo_config("common-stat", mc_samples=300)))
 
     def get(key):
@@ -70,7 +71,7 @@ def search_use(demo_stats, tmp_path) -> Use:
     return Use(cli, "draw_beamformer_pairs", get, ((8, 1), (8, 2), (0, 1)), ValueError)
 
 
-def policy_split_use(demo_stats, tmp_path) -> Use:
+def policy_split_use(demo_stats, tmp_path, monkeypatch) -> Use:
     pipeline = InstantaneousRegionPipeline(SampleSource.gaussian(demo_stats, seed=3, count=500),
                                            NOISE)
 
@@ -81,10 +82,26 @@ def policy_split_use(demo_stats, tmp_path) -> Use:
     return Use(regions, "split_policy", get, (1, 2, -1), ValueError)
 
 
-@pytest.fixture(params=[stream_use, config_use, search_use, policy_split_use],
-                ids=["stream", "config", "search", "policy split"])
-def use(request, demo_stats, tmp_path):
-    return request.param(demo_stats, tmp_path)
+def column_store_use(demo_stats, tmp_path, monkeypatch) -> Use:
+    pipeline = InstantaneousRegionPipeline(SampleSource.gaussian(demo_stats, seed=3, count=500),
+                                           NOISE)
+    kernel = regions.max_r2_batch
+    refused = float(gamma_from_rate(0.9))
+
+    def refusing_kernel(F1, F2, gamma1, noise, exceed1):
+        if gamma1 == refused:
+            raise ValueError("the column kernel refuses r1 = 0.9")
+        return kernel(F1, F2, gamma1, noise, exceed1)
+
+    # The kernel, wrapped to raise at r1 = 0.9: that column's build raises.
+    monkeypatch.setattr(regions, "max_r2_batch", refusing_kernel)
+    return Use(regions, "max_r2_batch", pipeline._column, (0.3, 0.6, 0.9), ValueError)
+
+
+@pytest.fixture(params=[stream_use, config_use, search_use, policy_split_use, column_store_use],
+                ids=["stream", "config", "search", "policy split", "column store"])
+def use(request, demo_stats, tmp_path, monkeypatch):
+    return request.param(demo_stats, tmp_path, monkeypatch)
 
 
 def log_builds(use: Use, monkeypatch, held=None) -> list:

@@ -390,12 +390,11 @@ class TestPipeline:
                 exact = pipeline._column(r1)
                 q1 = frontier_qmin_batch(pipeline.F1, float(gamma_from_rate(r1)), exact.q2,
                                          noise[0])
-                assert exact.q1.tobytes() == q1.tobytes()
                 bounds = pipeline._bounds(r1)
                 lazy = regions.Column(bounds.exceed1, pipeline.su2).refining(bounds)
                 rows = np.flatnonzero(rng.random(q1.size) < 0.1)
                 got = pipeline._witness(r1, lazy, rows)
-                want = (exact.q1, *rates)
+                want = (q1, *rates)
                 assert [x.tobytes() for x in got] == [x[rows].tobytes() for x in want]
                 for name in ("values", "q2"):
                     assert (getattr(lazy, name)[rows].tobytes()
@@ -530,43 +529,46 @@ class TestPipeline:
             fresh.column(r1)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             fresh.precompute_columns([0.3, r1])
-        assert fresh._stream.columns == {}
+        assert fresh._stream.columns._entry is None
 
     def test_common_variant_rejects_fixed(self, pipeline):
         with pytest.raises(ValueError):
             verdict(pipeline.case_probs(0.1, 0.1), OutageSpec.common(0.1), "fixed1")
 
-    def test_parallel_columns_identical(self, demo_source, monkeypatch):
-        """Columns are bitwise equal for any process count; with k processes
-        k - 1 helpers are forked, this process being the k-th. The store
-        belongs to the stream, so each parallel pipeline samples its own."""
+    def test_parallel_traces_identical(self, demo_source, monkeypatch):
+        """trace_variants gives the same boundaries, down to their CSV
+        bytes, for any process count. The 5-point grid's last column is
+        decided before the split, so 4 are dealt out: with k processes,
+        min(k, 4) - 1 helpers are forked, this process being one of them."""
         forks = record_forks(monkeypatch)
+        spec, variants = OutageSpec.individual(0.1, 0.1), ("plain", "fixed1", "fixed2")
         serial = InstantaneousRegionPipeline(demo_source, NOISE)
-        r1_values = [0.0, 0.3, 0.6, 0.9]
-        serial.precompute_columns(r1_values, workers=1)
+        grid = GridConfig(*serial.su_caps(0.1, 0.1), n_points=5)
+        expected = serial.trace_variants(spec, grid, variants)
         helpers = []
         for workers in (1, 2, 3, 5):
-            regions.clear_stream_cache()
-            parallel = InstantaneousRegionPipeline(demo_source, NOISE)
             before = len(forks)
-            parallel.precompute_columns(r1_values, workers=workers)
+            got = InstantaneousRegionPipeline(demo_source, NOISE).trace_variants(
+                spec, grid, variants, workers=workers)
             helpers.append(len(forks) - before)
-            held = dict(parallel._stream.columns)
-            for r1 in r1_values:
-                np.testing.assert_array_equal(serial.column(r1), parallel.column(r1))
-            assert parallel._stream.columns == held
-        assert sorted(serial._stream.columns) == r1_values
+            assert got == expected
+            assert [boundary_csv_lines(b) for b in got] == [boundary_csv_lines(b) for b in expected]
         assert helpers == [0, 1, 2, 3]
 
-    def test_pool_capped_at_missing_columns(self, demo_source, monkeypatch):
+    def test_pool_capped_at_traced_columns(self, demo_source, monkeypatch):
+        """8 workers fork one helper per column dealt out beyond this
+        process's own: one over a 3-point grid (its last column decided
+        before the split), none over a 2-point one."""
         forks = record_forks(monkeypatch)
         fresh = InstantaneousRegionPipeline(demo_source, NOISE)
-        fresh.precompute_columns([0.3, 0.6], workers=8)
-        assert len(forks) == 1
-        fresh.precompute_columns([0.3, 0.6, 0.9], workers=8)
-        fresh.precompute_columns([0.3, 0.6, 0.9], workers=8)
-        assert len(forks) == 1
-        assert sorted(fresh._stream.columns) == [0.3, 0.6, 0.9]
+        spec = OutageSpec.individual(0.1, 0.1)
+        r1_cap, r2_cap = fresh.su_caps(0.1, 0.1)
+        for n_points, helpers in ((3, 1), (2, 0)):
+            grid = GridConfig(r1_cap, r2_cap, n_points=n_points)
+            expected = fresh.trace_variants(spec, grid, ("plain",))
+            before = len(forks)
+            assert fresh.trace_variants(spec, grid, ("plain",), workers=8) == expected
+            assert len(forks) - before == helpers
 
     def test_su_rates_from_frontier_power(self, demo_source):
         """su_i read off the frontier's p_max = ||h_ii||^2 equal a fresh

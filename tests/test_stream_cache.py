@@ -1,12 +1,11 @@
 """The process-wide stream cache of `regions`.
 
 Pipelines on one Gaussian stream share one sampled stream, whose column
-store holds the columns of the last request, so `simulate` at the r1 of the
-last column reuses its search and witness rates. Neither may change an
-output: `region`, `point` and `simulate` interleaved in one process give the
-bytes of fresh processes. A change of any input the stream depends on
-samples it again, only one stream is held, and the cached arrays are
-read-only.
+store holds the Column of the last r1 read, so `simulate` at that r1 reuses
+its search. Neither may change an output: `region`, `point` and `simulate`
+interleaved in one process give the bytes of fresh processes. A change of
+any input the stream depends on samples it again, only one stream is held,
+and the cached arrays are read-only.
 """
 
 import json
@@ -28,6 +27,7 @@ from miso_outage.presets import demo_config
 from miso_outage.regions import GridConfig, InstantaneousRegionPipeline, OutageSpec
 
 from conftest import realizations
+from oracles import exact_column
 
 ROOT = Path(__file__).resolve().parents[1]
 NOISE = (0.5, 0.5)
@@ -242,7 +242,7 @@ def test_simulate_reuses_the_column_search_of_point(demo_source, monkeypatch):
                            regions.witness_rates_batch)
 
     def logged_search(F1, F2, gamma1, noise, exceed1):
-        searches.append(dict(held_stream(demo_source).columns))
+        searches.append(held_stream(demo_source).columns._entry)
         return search(F1, F2, gamma1, noise, exceed1)
 
     def logged_qmin(*args):
@@ -263,49 +263,65 @@ def test_simulate_reuses_the_column_search_of_point(demo_source, monkeypatch):
     assert witnesses == ["q1", "rates"]
     simulate_policy(demo_source, (1.1, 0.8), 0.5, NOISE)
     simulate_policy(demo_source, (0.9, 0.8), 0.5, NOISE)
-    assert searches == [{}] * 3
+    assert searches == [None] * 3
     assert witnesses == ["q1", "rates"] * 3
-    assert list(held_stream(demo_source).columns) == [0.9]
+    assert held_stream(demo_source).columns._entry[0] == 0.9
 
 
-def test_store_holds_the_columns_of_the_last_request(demo_source):
-    """precompute_columns keeps the held columns it asks for and drops the
-    rest; a one-column read of a held column keeps every held column, and a
-    read of another keeps only its own; trace_variants empties the store."""
+def test_precomputed_columns_are_the_exact_columns(demo_source):
+    """precompute_columns is column over its list: every r1's exact column,
+    in order and repeats included, bit for bit oracles.exact_column's values,
+    and the held Column's maximizers q2 are exact_column's too; the store
+    then holds the last r1's Column, whose values column returns.
+    trace_variants empties the store."""
     pipeline = InstantaneousRegionPipeline(demo_source, NOISE)
+    r1_values = [0.6, 1.2, 0.6, 0.3]
+    columns = pipeline.precompute_columns(r1_values)
     store = pipeline._stream.columns
-    pipeline.precompute_columns([0.3, 0.6, 0.9])
-    assert sorted(store) == [0.3, 0.6, 0.9]
-    held = store[0.6]
-    pipeline.precompute_columns([0.6, 1.2, 0.6])
-    assert sorted(store) == [0.6, 1.2] and store[0.6] is held
-    held = dict(store)
-    reads = {
-        "column": pipeline.column,
-        "case_probs": lambda r1: pipeline.case_probs(r1, 0.5),
-        "case_tests": lambda r1: pipeline.case_tests(r1, 0.5),
-        "witness_rates": pipeline.witness_rates,
-    }
-    for name, read in reads.items():
-        for r1 in held:
-            read(r1)
-            assert store == held and all(store[r] is held[r] for r in held), name
-    for r1, (name, read) in zip((0.3, 0.9, 1.2, 0.3), reads.items()):
-        read(r1)
-        assert list(store) == [r1], name
+    assert store._entry[0] == 0.3 and pipeline.column(0.3) is columns[-1]
+    for r1, column in zip(r1_values, columns):
+        exact = exact_column(pipeline, r1)
+        assert column.tobytes() == exact.values.tobytes()
+        assert pipeline.column(r1) is store._entry[1].values
+        assert store._entry[1].q2.tobytes() == exact.q2.tobytes()
     grid = GridConfig(r1_cap=1.0, r2_cap=1.0, n_points=3)
     pipeline.trace_variants(OutageSpec.individual(0.1, 0.1), grid, ("plain", "fixed1"))
-    assert store == {}
+    assert store._entry is None
+
+
+def test_traced_precompute_records_its_span():
+    """perfbench/tracer.py's record of precompute_columns reads its r1_values
+    and workers arguments, so a traced call returns and leaves one
+    regions.precompute span with the count requested. Run in a subprocess to
+    keep the tracer's patches out of this process."""
+    code = textwrap.dedent("""
+        from tracer import Tracer
+        tracer = Tracer()
+        tracer.install()
+        from miso_outage.channel import SampleSource
+        from miso_outage.presets import demo_statistics
+        from miso_outage.regions import InstantaneousRegionPipeline
+        source = SampleSource.gaussian(demo_statistics(), seed=7, count=300)
+        InstantaneousRegionPipeline(source, (0.5, 0.5)).precompute_columns([0.3, 0.6])
+        (span,) = [s for s in tracer.spans if s["name"] == "regions.precompute"]
+        print(span["attrs"]["requested"])
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["2"]
 
 
 def test_cached_arrays_are_read_only(demo_source):
     pipeline = InstantaneousRegionPipeline(demo_source, NOISE)
-    witness = pipeline.witness_rates(0.7)
-    ((r1, column),) = pipeline._stream.columns.items()
-    assert r1 == 0.7 and pipeline.column(0.7) is column.values and column.witness is witness
+    values = pipeline.column(0.7)
+    r1, column = pipeline._stream.columns._entry
+    assert r1 == 0.7 and values is column.values
     arrays = [*vars(pipeline.F1).values(), *vars(pipeline.F2).values(),
-              pipeline.su1, pipeline.su2, column.values, column.q2, column.exceed1, *witness]
-    assert len(arrays) == 27
+              pipeline.su1, pipeline.su2, column.values, column.q2, column.exceed1]
+    assert len(arrays) == 25
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]

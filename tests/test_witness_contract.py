@@ -114,15 +114,11 @@ def assert_contract(pipeline, r1: float) -> tuple:
 def assert_equals_exact_route(source, noise, r1: float, r2s) -> None:
     """At each (r1, r2), the case counts and successes at bias 0.5 of the
     Column that refines on demand equal oracles.simulate_policy's, row by
-    row over the exact column and every row's witness rates. The store is
-    emptied first, and the r2 are queried in turn on the one Column, so each
-    query finds the rows of the ones before it refined; then the store holds
-    the exact column alone (precompute_columns) for the oracle."""
-    pipeline = InstantaneousRegionPipeline(source, noise)
-    pipeline._stream.columns.clear()
+    row over oracles.exact_column and every row's witness rates. The store
+    is emptied first, and the r2 are queried in turn on the one Column, so
+    each query finds the rows of the ones before it refined."""
+    InstantaneousRegionPipeline(source, noise)._stream.columns.clear()
     got = [simulate_policy(source, (r1, r2), 0.5, noise, coin_seed=3) for r2 in r2s]
-    pipeline._stream.columns.clear()
-    pipeline.precompute_columns([r1])
     for outcome, r2 in zip(got, r2s):
         assert outcome == oracles.simulate_policy(source, (r1, r2), 0.5, noise, 3), (r1, r2)
 
@@ -229,8 +225,8 @@ def test_counts_do_not_depend_on_what_was_refined(demo_source, seed):
     rng = np.random.default_rng(seed)
     pipeline = InstantaneousRegionPipeline(demo_source, (0.5, 0.5))
     r1 = float(np.quantile(pipeline.su1, rng.uniform(0.05, 0.6)))
-    exceed1, values, q2 = pipeline._search(r1)
-    exact = Column(exceed1, pipeline.su2).on(values, q2)
+    exact = oracles.exact_column(pipeline, r1)
+    values, q2 = exact.values, exact.q2
     r2s = [float(x) for x in np.quantile(values[values >= 0.0], rng.uniform(0.0, 1.0, 12))]
     bounds = pipeline._bounds(r1)
     column = Column(bounds.exceed1, pipeline.su2).refining(bounds)
