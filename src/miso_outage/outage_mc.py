@@ -202,17 +202,17 @@ def is_achievable(h, point, noise: tuple[float, float]) -> FeasibilityWitness:
     Non-strict convention: the region is treated as comprehensive (rates may
     be reduced), and r2 may pass the column by RATE_SLACK.
     """
-    from .regions import EVERY_THRESHOLD, InstantaneousRegionPipeline
+    from .regions import InstantaneousRegionPipeline
 
     r1, r2 = as_rate_point(point)
     pipeline = InstantaneousRegionPipeline(SampleSource.explicit([h]), noise)
     column = pipeline._column(r1)
     achievable = column.case_probs(r2).count_b == 1
-    column.refine(EVERY_THRESHOLD)
+    q1 = pipeline._witness(r1, column, np.arange(1))[0]  # refines the row
     value = float(column.values[0])
     w1 = w2 = np.zeros(h.n, dtype=np.complex128)
     if value > -math.inf:
-        w1 = frontier_point(power_frontier(h.h11, h.h12), pipeline._witness(r1, column)[0][0])
+        w1 = frontier_point(power_frontier(h.h11, h.h12), q1[0])
         w2 = frontier_point(power_frontier(h.h22, h.h21), float(column.q2[0]))
     r1_ach = rate_bf(h, w1, w2, 1, pipeline.noise[0])
     r2_ach = rate_bf(h, w1, w2, 2, pipeline.noise[1])

@@ -717,11 +717,12 @@ class ColumnBounds:
     first use. Both are exact on the closed-form rows. On the searched rows
     lower is the better bracket end, through the search's own evaluate, so
     it never exceeds the searched value (the best of those ends and the
-    iterates), and upper is the closed form plus UPPER_MARGIN. A
-    regions.Column that refines on demand takes the bounds over: it writes
-    each refined row's exact value into lower and upper, and its maximizer
-    into q2. They stay bounds, and a later refine of such a row gives the
-    same bits, since the row's search starts from the bracket stage.
+    iterates), and upper is the closed form plus UPPER_MARGIN. refine and
+    refined write nothing. regions.Column.refine_rows, the one writer, takes
+    the bounds over: it writes each row it refines, its exact value into
+    lower and upper and its maximizer into q2. They stay bounds, and a later
+    refine of such a row gives the same bits, since the row's search starts
+    from the bracket stage.
     """
 
     F1: FrontierBatch

@@ -28,19 +28,22 @@ Every reader of the column at r1 goes through one Column: the values and
 maximizers of one max_r2_batch call, whose empty rows are the Column's
 exceed1 = r1 > su1, its case counts, masks, case B's operating point and
 the policy's bias-free part at the last (r2, coin seed).
-A Column is bounded before it is searched: it counts on the kernel's lower
-bound of the column, with the rows it has refined written in, and before a
-count at r2 it root-searches, in one call, the rows whose lower and upper
-bounds straddle the joint threshold r2 - RATE_SLACK (Column.refine). Every
-other row is on the same side of the threshold as its exact value, so the
-counts, and every output, are the exact column's, bit for bit, whatever
-was refined before. point refines the rows its one threshold leaves in
-doubt, and simulate only the case-B rows whose link-2 witness it needs
-(outage_mc.split_policy). A traced column bisects every variant on the
-kernel's lower and upper bounds first, and its Column refines the rows
-that leave a queried count in doubt at once (_trace_column). column(),
-precompute_columns (column over a list), witness_rates and is_achievable
-refine every searched row.
+A Column is bounded before it is searched: the store's Column counts on
+the kernel's lower bound of the column, with the rows refined so far
+written in, and before it first counts at r2 it root-searches, in one
+call, the rows whose lower and upper bounds straddle the joint threshold
+r2 - RATE_SLACK. Every other row is on the same side of the threshold as
+its exact value, so the counts, and every output, are the exact column's,
+bit for bit, whatever was refined before. Column.refine_rows is the one
+code that refines a row and writes it, and a counted r2 is the one record
+of where the Column is exact. point refines the rows its one threshold
+leaves in doubt, simulate only the case-B rows whose link-2 witness it
+needs (outage_mc.split_policy), and is_achievable its one row. A traced
+column bisects every variant on the kernel's lower and upper bounds first,
+refines the rows that leave a queried count in doubt at once, and bisects
+again on the fixed values that leaves (_trace_column). column(),
+precompute_columns (column over a list) and witness_rates refine every
+searched row (Column.exact).
 
 What a process keeps between commands (the sampled stream and its column
 store here, the policy split on each Column, the run-config and the
@@ -550,8 +553,10 @@ def _jointly_achievable(column: np.ndarray, r2: float) -> np.ndarray:
     return column >= _threshold(r2)
 
 
-# The window of a Column.refine that makes the column exact at every r2.
-EVERY_THRESHOLD = (-math.inf, math.inf)
+def _reaches(bounds: ColumnBounds, a: float, b: float) -> np.ndarray:
+    """The rows whose [lower, upper] reaches a threshold in [a, b]; among
+    them every row whose side of such a threshold the bounds leave open."""
+    return (bounds.upper >= a) & (bounds.lower < b)
 
 
 def _read_only_view(array: np.ndarray) -> np.ndarray:
@@ -590,24 +595,29 @@ class Column:
     Column(exceed1, su2) is the part that no column value enters: exceed1,
     the rows where r1 > su1, as the column kernel took it, its count and su2
     on its rows. on(values, q2) gives the Column over fixed values, sharing
-    that part; refining(bounds) the Column over max_r2_batch's ColumnBounds,
-    which counts on their lower bound with the rows it has refined written
-    in. case_probs is the package's one count of the five cases: point,
-    simulate, classify, is_achievable and every trace read it. The kernel
-    marks exactly the exceed1 rows -inf, in its bounds too, so joint never
-    holds on them, and at each r2 the counts follow, with no mask per case,
-    from the comparisons exceed2 = r2 > su2 and joint on all rows and
-    exceed2 on the exceed1 rows: with a = exceed1 & exceed2, A = #a,
-    B = #joint, C1 = #exceed2 - #(exceed2 & joint) - #a, C2 = #exceed1 - #a,
-    and D the rest, the rows in none of exceed1, exceed2 and joint. Each r2
-    is counted once; a repeated query (another variant's bisection, a
-    payload, the policy split after a point) reads the memo.
+    that part, and on(bounds.lower, bounds.q2, bounds) the Column over
+    max_r2_batch's ColumnBounds, which the store holds: it counts on their
+    lower bound, and refine_rows, the one writer of a refined row, writes
+    each row it refines into the bounds. case_probs is the package's one
+    count of the five cases: point, simulate, classify, is_achievable and
+    every trace read it. The kernel marks exactly the exceed1 rows -inf, in
+    its bounds too, so joint never holds on them, and at each r2 the counts
+    follow, with no mask per case, from the comparisons exceed2 = r2 > su2
+    and joint on all rows and exceed2 on the exceed1 rows: with
+    a = exceed1 & exceed2, A = #a, B = #joint,
+    C1 = #exceed2 - #(exceed2 & joint) - #a, C2 = #exceed1 - #a, and D the
+    rest, the rows in none of exceed1, exceed2 and joint. Each r2 is counted
+    once; a repeated query (another variant's bisection, a payload, the
+    policy split after a point) reads the memo.
 
-    A refining Column counts, and gives masks, only after refine has made
-    its values exact at the threshold: the rows left at their lower bound
-    lie on the same side of it as their exact values. So its counts are the
-    exact column's whatever it has refined before, and refining more rows
-    never changes a count already made. policy, a LastValue, holds the last
+    A Column over bounds counts, and gives masks, at an r2 it has not
+    counted only after refining the rows whose bounds reach its threshold
+    (_exact_at): the rows left at their lower bound lie on the same side of
+    it as their exact values. A counted r2 stays exact, since refining more
+    rows never moves a row across a threshold it was decided at, so the
+    count memo is the one record of where the Column is exact. Its counts
+    are the exact column's whatever it has refined before, and exact()
+    refines every row still in doubt. policy, a LastValue, holds the last
     PolicySplit taken on the column, keyed by (r2, coin seed): a bias sweep
     at one rate point reuses it. The arrays it shows are read-only.
     """
@@ -618,65 +628,40 @@ class Column:
         self.count_exceed1 = count_true(exceed1)
         self.su2_exceed1 = su2[exceed1]
 
-    def on(self, values: np.ndarray, q2: np.ndarray | None = None) -> "Column":
+    def on(self, values: np.ndarray, q2: np.ndarray | None = None,
+           bounds: ColumnBounds | None = None) -> "Column":
         """The Column at this r1 over values, with maximizers q2 (None for a
-        bound): the r1-only part is shared, and the counts are its own."""
+        bound): the r1-only part is shared, and the counts are its own. With
+        bounds, the ColumnBounds at this r1 whose lower and q2 are values
+        and q2, it refines their searched rows on demand (refine_rows)."""
         column = copy.copy(self)
-        column._values, column._q2 = values, q2
         column.values = _read_only_view(values)
         column.q2 = None if q2 is None else _read_only_view(q2)
-        column._bounds = column._upper = None
-        column._exact_in = []  # threshold windows [a, b] refine has made exact
+        column._bounds = bounds
         column.policy = LastValue()
         column._memo = {}
         return column
 
-    def refining(self, bounds: ColumnBounds) -> "Column":
-        """The Column over bounds (at this r1) that refines their searched
-        rows on demand. It takes bounds over: its values and q2 are
-        bounds.lower and bounds.q2, and a refined row's exact value is
-        written into bounds.lower and bounds.upper, and its maximizer into
-        bounds.q2, so they stay bounds of the column and the maximizer of
-        the value held. The rows in doubt are those where lower < upper."""
-        column = self.on(bounds.lower, bounds.q2)
-        column._bounds, column._upper = bounds, bounds.upper
-        return column
-
-    def refine(self, *windows) -> None:
-        """Make the values exact at every threshold r2 - RATE_SLACK in each
-        window [a, b]: the rows in doubt whose [value, upper] reaches a
-        threshold in a window, value < b and upper >= a, are refined in one
-        call. Every other row is on the same side of each of those
-        thresholds as its exact value. A window inside one made exact
-        before refines nothing, and a Column over fixed values has nothing
-        to refine."""
-        if self._bounds is None:
-            return
-        windows = [(a, b) for a, b in windows
-                   if not any(x <= a and b <= y for x, y in self._exact_in)]
-        if not windows:
-            return
-        reach = np.zeros(self._values.size, dtype=bool)
-        for a, b in windows:
-            reach |= (self._upper >= a) & (self._values < b)
-        self.refine_rows(np.flatnonzero(reach))
-        if EVERY_THRESHOLD in windows:
-            # Every row is exact: the Column is one over fixed values now.
-            self._bounds = self._upper = None
-        else:
-            self._exact_in += windows
-
     def refine_rows(self, rows: np.ndarray) -> None:
-        """Refine, in one call, those of rows (increasing indices) whose
-        value is still in doubt."""
-        if self._bounds is None:
+        """Refine, in one ColumnBounds.refine call, those of rows (increasing
+        indices) still in doubt, lower < upper, and write each one's exact
+        value into the bounds' lower and upper and its maximizer into their
+        q2, which values and q2 show: the one writer of a refined row. The
+        bounds stay bounds of the column. A Column without bounds has
+        nothing to refine."""
+        bounds = self._bounds
+        if bounds is None:
             return
-        rows = rows[self._values[rows] < self._upper[rows]]
+        rows = rows[bounds.lower[rows] < bounds.upper[rows]]
         if rows.size:
-            with power_scale_checked(self._bounds):
-                values, q2 = self._bounds.refine(rows)
-            self._values[rows] = self._upper[rows] = values
-            self._q2[rows] = q2
+            with power_scale_checked(bounds):
+                values, q2 = bounds.refine(rows)
+            bounds.lower[rows] = bounds.upper[rows] = values
+            bounds.q2[rows] = q2
+
+    def exact(self) -> None:
+        """Refine every row still in doubt: values is the exact column."""
+        self.refine_rows(np.arange(self.values.size))
 
     def at_zero(self) -> CaseProbabilities:
         """The counts at r2 = 0, the same on every column at this r1, so the
@@ -687,8 +672,11 @@ class Column:
         return CaseProbabilities.from_counts(n, 0, n - k, 0, k, k, 0)
 
     def _exact_at(self, r2: float) -> None:
-        threshold = _threshold(r2)
-        self.refine((threshold, threshold))
+        """Refine the rows whose bounds reach the threshold at r2, unless r2
+        has been counted: its rows in doubt were refined then."""
+        if self._bounds is not None and r2 not in self._memo:
+            threshold = _threshold(r2)
+            self.refine_rows(np.flatnonzero(_reaches(self._bounds, threshold, threshold)))
 
     def masks(self, r2: float) -> tuple:
         """(exceed1, exceed2, joint) at r2, the per-realization split."""
@@ -836,7 +824,7 @@ class InstantaneousRegionPipeline:
 
         def build():
             bounds = self._bounds(r1)
-            return Column(bounds.exceed1, self.su2).refining(bounds)
+            return Column(bounds.exceed1, self.su2).on(bounds.lower, bounds.q2, bounds)
 
         return self._stream.columns.get(r1, build)
 
@@ -844,7 +832,7 @@ class InstantaneousRegionPipeline:
         """Each realization's largest achievable r2 at r1 (read-only): the
         Column at r1 with every searched row refined."""
         column = self._column(r1)
-        column.refine(EVERY_THRESHOLD)
+        column.exact()
         return column.values
 
     def _map_columns(self, run, r1_values: list, workers: int, *args) -> list:
@@ -916,26 +904,22 @@ class InstantaneousRegionPipeline:
         return [self.column(r1) for r1 in [_column_key(r1) for r1 in r1_values]]
 
     @_overflow_checked
-    def _witness(self, r1: float, column: Column, rows: np.ndarray | None = None) -> tuple:
+    def _witness(self, r1: float, column: Column, rows: np.ndarray) -> tuple:
         """(q1, link 1's rate, link 2's rate) at the case-B operating point of
         the Column at r1 (transmitter 2 at the column maximizer q2*,
         transmitter 1 at q1, the least interference that reaches r1), on the
-        given rows, refined first, or on every row, which the caller has
-        refined. This is the one computation of that point. Every step is
-        elementwise, so a row gets the same bits on any set of rows."""
-        F1, F2, q2 = self.F1, self.F2, column.q2
-        if rows is not None:
-            column.refine_rows(rows)
-            F1, F2, q2 = F1.take(rows), F2.take(rows), q2[rows]
+        given rows (increasing indices), refined first. This is the one
+        computation of that point. Every step is elementwise, so a row gets
+        the same bits on any set of rows."""
+        column.refine_rows(rows)
+        F1, F2, q2 = self.F1.take(rows), self.F2.take(rows), column.q2[rows]
         q1 = frontier_qmin_batch(F1, float(gamma_from_rate(r1)), q2, self.noise[0])
         return q1, *witness_rates_batch(F1, F2, q1, q2, self.noise)
 
     def witness_rates(self, r1: float):
         """Link rates at the case-B operating point on every row of the exact
         column at r1, computed on each call and not held."""
-        column = self._column(r1)
-        column.refine(EVERY_THRESHOLD)
-        return self._witness(r1, column)[1:]
+        return self._witness(r1, self._column(r1), np.arange(self.n_samples))[1:]
 
     def policy_split(self, r1: float, r2: float, coin_seed: int) -> PolicySplit:
         """The bias-free part of the policy's outcome at (r1, r2) and the coin
@@ -984,11 +968,13 @@ class InstantaneousRegionPipeline:
         r2_hi it queries only r2 that the upper bisection also queried and
         found outside, so its verdict there is False. Only queries in
         (r2_lo, r2_hi] and the payload at its result, which lies in
-        [r2_lo, r2_hi], are counted. The exact bisections run on one
-        refining Column, made exact at the joint thresholds r2 - RATE_SLACK
-        of every such span at once (Column.refine): one refine call, after
-        which no query refines again. So the counts made are the exact
-        column's, and so are the r2 and payloads, bit for bit.
+        [r2_lo, r2_hi], are counted. The rows whose bounds reach a joint
+        threshold r2 - RATE_SLACK of any such span are refined in one
+        refine_rows call, through a Column over the bounds that is then
+        dropped, and the exact bisections run on a Column over the fixed
+        values that leaves, bounds.lower: every row is on the same side of
+        each threshold counted as its exact value. So the counts made are
+        the exact column's, and so are the r2 and payloads, bit for bit.
 
         The Columns are built here, never read from or put in the store, and
         dropped on return, which leaves (inside, r2, payload) per variant.
@@ -1014,11 +1000,13 @@ class InstantaneousRegionPipeline:
             inside, r2_hi, _ = bisected(upper, variant, below)
             spans.append((below, r2_hi) if inside else None)
 
+        reach = np.zeros(bounds.lower.size, dtype=bool)
+        for lo, hi in filter(None, spans):
+            reach |= _reaches(bounds, _threshold(max(lo, 0.0)), _threshold(hi))
         # It writes the rows it refines into bounds.lower and bounds.upper,
         # which the bisections on lower and upper are done with.
-        exact = base.refining(bounds)
-        exact.refine(*((_threshold(max(lo, 0.0)), _threshold(hi))
-                       for lo, hi in filter(None, spans)))
+        base.on(bounds.lower, bounds.q2, bounds).refine_rows(np.flatnonzero(reach))
+        exact = base.on(bounds.lower)
 
         def annotated(variant):
             def annotate(r1, r2):

@@ -82,14 +82,13 @@ def success_probability(gamma, s_bar, t_bar, sigma_sq) -> np.ndarray:
     the noise dwarfs the signal the exponent overflows to -inf, which gives
     the right success 0; floating-point overflow is reported or not as the
     caller's numpy error state says (see _overflow_gives_zero). Where every
-    gamma and every s_bar is positive the guards select nothing and are
-    skipped: _success on the same values, so the same bits.
+    gamma and every s_bar is positive the guards select nothing, so the
+    result has the bits of _success, which the inversion (_invert_success)
+    evaluates with no guard.
     """
     gamma = np.asarray(gamma, dtype=float)
     s = np.asarray(s_bar, dtype=float)
     t = np.asarray(t_bar, dtype=float)
-    if gamma.min(initial=np.inf) > 0.0 and s.min(initial=np.inf) > 0.0:
-        return _success(gamma, s, t, sigma_sq)
     safe_s = np.where(s > 0.0, s, 1.0)
     safe_g = np.where(gamma > 0.0, gamma, 0.0)
     pi = np.where(s > 0.0, _success(safe_g, safe_s, t, sigma_sq), 0.0)

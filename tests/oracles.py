@@ -7,8 +7,9 @@ tests that pin them keep their meaning:
 
 - su_rate_batch: single-user rates of a stacked channel array;
 - exact_column: the Column at r1 over the exact column, every searched row
-  refined in one ColumnBounds.refined call, where the pipeline's Columns
-  refine on demand (Column.refine);
+  refined in one ColumnBounds.refined call, which writes nothing, where the
+  pipeline's Columns refine on demand and write each row they refine into
+  the kernel's bounds (Column.refine_rows);
 - split_cases and case_counts: the five case masks from the three
   comparison masks, and their counts without the masks, the mask-level
   reference for regions.Column.case_probs, the package's one count;
@@ -129,7 +130,7 @@ def simulate_policy(
         raise ValueError(f"bias must lie in [0, 1], got {bias}")
     pipeline = InstantaneousRegionPipeline(source, noise)
     column = exact_column(pipeline, r1)
-    _, r1_witness, r2_witness = pipeline._witness(r1, column)
+    _, r1_witness, r2_witness = pipeline._witness(r1, column, np.arange(source.count))
     a, b, c1, c2, d = split_cases(*column.masks(r2))
     coin = np.random.default_rng(coin_seed).random(source.count)
     serve1 = d & (coin < bias)

@@ -126,24 +126,29 @@ def demo_grid(pipeline, n_points=9, r2_scale=1.0):
     return GridConfig(r1_cap=r1_cap, r2_cap=r2_scale * r2_cap, n_points=n_points)
 
 
-def assert_columns_equal(pipeline, spec, grid, variants):
+def assert_columns_equal(pipeline, spec, grid, variants, sizes=None):
+    """Every column's trace equals exact_trace's; with sizes, record_refines's
+    list, each traced column also makes at most one ColumnBounds.refine
+    call."""
     for r1 in grid.r1_values:
         r1 = float(r1)
+        made = len(sizes or ())
         assert (pipeline._trace_column(r1, spec, grid, variants)
                 == exact_trace(pipeline, r1, spec, grid, variants)), r1
+        assert sizes is None or len(sizes) <= made + 1, r1
 
 
 @pytest.mark.parametrize("r2_scale", [1.0, 0.4])
 @pytest.mark.parametrize("scenario", INST_SCENARIOS)
 def test_columns_equal_the_exact_trace(demo_source, monkeypatch, scenario, r2_scale):
     """Every column of the demo grid, and of one whose r2 cap is still
-    inside, equals the trace over the fully refined column, and the refines
-    take a small share of the searched rows."""
+    inside, equals the trace over the fully refined column with at most one
+    refine call, and the refines take a small share of the searched rows."""
     pipeline = InstantaneousRegionPipeline(demo_source, NOISE)
     spec, variants = scenario_spec(scenario)
     grid = demo_grid(pipeline, r2_scale=r2_scale)
     sizes = record_refines(monkeypatch)
-    assert_columns_equal(pipeline, spec, grid, variants)
+    assert_columns_equal(pipeline, spec, grid, variants, sizes)
     searched = sum(pipeline._bounds(float(r1)).searched.size for r1 in grid.r1_values)
     assert 0 < sum(sizes) < 0.25 * searched
 

@@ -391,7 +391,7 @@ class TestPipeline:
                 q1 = frontier_qmin_batch(pipeline.F1, float(gamma_from_rate(r1)), exact.q2,
                                          noise[0])
                 bounds = pipeline._bounds(r1)
-                lazy = regions.Column(bounds.exceed1, pipeline.su2).refining(bounds)
+                lazy = regions.Column(bounds.exceed1, pipeline.su2).on(bounds.lower, bounds.q2, bounds)
                 rows = np.flatnonzero(rng.random(q1.size) < 0.1)
                 got = pipeline._witness(r1, lazy, rows)
                 want = (q1, *rates)

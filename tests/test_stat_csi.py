@@ -12,6 +12,7 @@ from miso_outage.stat_csi import (
     StatRegionSearch,
     _invert_success,
     _rates_for_success,
+    _success,
     draw_beamformer_pairs,
     success_probability,
 )
@@ -61,10 +62,11 @@ class TestSuccessProbability:
         size=st.integers(1, 40),
         sigma_sq=st.sampled_from([1e-300, 1e-6, 0.5, 1e6, 1e300]) | st.floats(1e-3, 1e3),
     )
-    def test_positive_inputs_skip_the_guards_bit_for_bit(self, data, size, sigma_sq):
-        """Where every gamma and mean is positive the guards are skipped; the
-        result equals the guarded formula bit for bit, and so does a call
-        with one zero gamma or zero mean, which takes the guards."""
+    def test_guards_change_no_bit_of_positive_inputs(self, data, size, sigma_sq):
+        """Where every gamma and mean is positive the guards select nothing:
+        the result equals, bit for bit, the bare formula that the inversion
+        evaluates (_success) and the guarded formula written out here. With
+        one zero gamma or zero mean it equals the guarded formula."""
         positive = st.floats(1e-300, 1e300) | st.sampled_from([2.0 ** -101, 1.0, 2.0 ** 1023])
         gamma, s = (np.array(data.draw(st.lists(positive, min_size=size, max_size=size)))
                     for _ in range(2))
@@ -77,8 +79,9 @@ class TestSuccessProbability:
             return np.where(gamma <= 0.0, 1.0, np.where(s > 0.0, pi, 0.0))
 
         with np.errstate(over="ignore", invalid="ignore"):
-            np.testing.assert_array_equal(success_probability(gamma, s, t, sigma_sq),
-                                          guarded(gamma, s))
+            got = success_probability(gamma, s, t, sigma_sq)
+            np.testing.assert_array_equal(got, _success(gamma, s, t, sigma_sq))
+            np.testing.assert_array_equal(got, guarded(gamma, s))
             for zeroed in (gamma, s):
                 zeroed[size // 2] = 0.0
                 np.testing.assert_array_equal(success_probability(gamma, s, t, sigma_sq),

@@ -179,7 +179,11 @@ def test_point_refines_only_the_straddling_rows(tmp_path, monkeypatch):
     seed 1 (N = 2e4): each point runs the column kernel once and refines 481
     of the 29 954 searched rows in all, those whose bounds straddle its
     threshold; the three simulate calls after it refine no row and compute
-    no witness rate, since no case-B row is within the margin of it."""
+    no witness rate, since no case-B row is within the margin of it. A point
+    at a second r2 on the last column refines just the rows whose bounds,
+    the first point's rows written in, straddle its own threshold, and a
+    simulate at the first r2 after it, with another coin seed, refines
+    nothing."""
     config = tmp_path / "queries.json"
     config.write_text(json.dumps(demo_config("individual-inst", mc_samples=20_000, seed=1)))
     kernels, refines, witnesses = [], [], []
@@ -191,7 +195,7 @@ def test_point_refines_only_the_straddling_rows(tmp_path, monkeypatch):
         return kernels[-1]
 
     def counted_refine(self, rows):
-        refines.append(rows.size)
+        refines.append(rows.copy())
         return refine(self, rows)
 
     def counted_qmin(F, gamma, q, sigma_sq):
@@ -205,7 +209,7 @@ def test_point_refines_only_the_straddling_rows(tmp_path, monkeypatch):
     for r1, r2 in query_points(1):
         refines.clear()
         run(["point", str(config), repr(r1), repr(r2)])
-        point_rows += sum(refines)
+        point_rows += sum(rows.size for rows in refines)
         refines.clear()
         for bias in ("0.2", "0.5", "0.8"):
             run(["simulate", str(config), repr(r1), repr(r2), bias, "--coin-seed", "1"])
@@ -214,6 +218,17 @@ def test_point_refines_only_the_straddling_rows(tmp_path, monkeypatch):
     assert len(kernels) == 8
     assert sum(bounds.searched.size for bounds in kernels) == 29_954
     assert point_rows == 481
+
+    second = round(r2 / 2.0, 6)
+    bounds, threshold = kernels[-1], second - RATE_SLACK
+    straddling = np.flatnonzero((bounds.lower < threshold) & (threshold <= bounds.upper))
+    assert straddling.size
+    refines.clear()
+    run(["point", str(config), repr(r1), repr(second)])
+    assert len(refines) == 1 and refines[0].tobytes() == straddling.tobytes()
+    refines.clear()
+    run(["simulate", str(config), repr(r1), repr(r2), "0.5", "--coin-seed", "2"])
+    assert refines == [] and witnesses == [0] and len(kernels) == 8
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -229,7 +244,7 @@ def test_counts_do_not_depend_on_what_was_refined(demo_source, seed):
     values, q2 = exact.values, exact.q2
     r2s = [float(x) for x in np.quantile(values[values >= 0.0], rng.uniform(0.0, 1.0, 12))]
     bounds = pipeline._bounds(r1)
-    column = Column(bounds.exceed1, pipeline.su2).refining(bounds)
+    column = Column(bounds.exceed1, pipeline.su2).on(bounds.lower, bounds.q2, bounds)
     for r2 in r2s + r2s[::-1]:
         if rng.random() < 0.3:
             column.refine_rows(np.flatnonzero(rng.random(values.size) < 0.01))
