@@ -7,10 +7,14 @@ four (i, j) pairs. The entry convention is E|z_k|^2 = 1 for Q = I.
 
 Every outage quantity depends on the statistics only through Q_ij / sigma_i^2,
 so scaling the four covariances and both noise powers by one factor changes
-no region. factor_covariance is the one decision of what is a covariance
-(validation and the sampler both call it), and its tolerances are relative
-to the matrix's own scale, so powers in watts (~1e-12) validate and sample
-as unit powers do.
+no region. factor_covariance is the one decision of what is a covariance,
+and its tolerances are relative to the matrix's own scale, so powers in
+watts (~1e-12) validate and sample as unit powers do. Validation and the
+sampler both take their factors from covariance_factors, which holds the
+factors of the last covariances seen, keyed by n and their exact bytes
+(covariance_key), by the package's keep-the-last rule (LastValue): a
+process factors a set of statistics once, however many configs, commands
+and streams use it.
 
 Sampling is counter-based (numpy Philox): realization k of a seeded stream is a
 pure function of (seed, k), never of how the stream is split into batches, so
@@ -119,11 +123,76 @@ def validate_statistics(stats: ChannelStatistics) -> ChannelStatistics:
     ValidationError naming the offending field otherwise. A covariance is
     valid when factor_covariance factors it, so the statistics that validate
     are the ones the sampler can draw from, at any power scale
-    (rank-deficient covariances are legal).
+    (rank-deficient covariances are legal). The covariances are checked by
+    covariance_factors, so covariances equal to the held ones validate
+    without a factorization.
     """
     if stats.n < 1:
         raise ValidationError(f"n: must be >= 1, got {stats.n}")
-    for key in COVARIANCE_KEYS:
+    covariance_factors(stats)
+    for key in ("sigma1_sq", "sigma2_sq"):
+        s = getattr(stats, key)
+        if not np.isfinite(s) or s <= 0.0:
+            raise ValidationError(f"{key}: must be a finite positive number, got {s}")
+    return stats
+
+
+class LastValue:
+    """A one-entry cache, the package's keep-the-last rule: get(key, build)
+    returns the held value if key equals its key, else drops it and holds
+    build()'s value under key; clear() drops it. Two values are never held
+    at once, and a build that raises leaves nothing held. It holds the
+    covariance factors here, the sampled stream, the stream's Column by r1
+    and the policy split on a Column in regions, and the run-config and the
+    statistical-CSI search in cli."""
+
+    def __init__(self):
+        self._entry = None
+
+    def clear(self) -> None:
+        self._entry = None
+
+    def get(self, key, build):
+        if self._entry is None or self._entry[0] != key:
+            # Dropped first: not held while build runs, nor after it raises.
+            self._entry = None
+            self._entry = (key, build())
+        return self._entry[1]
+
+
+def covariance_key(stats: ChannelStatistics) -> tuple:
+    """n and the four covariances of stats, as exact complex128 bytes."""
+    return (stats.n, *(np.asarray(stats.covariance(key), dtype=np.complex128).tobytes()
+                       for key in COVARIANCE_KEYS))
+
+
+def statistics_key(stats: ChannelStatistics) -> tuple:
+    """covariance_key and both noise powers of stats, as exact bytes: the
+    part of a cache key that the statistics give."""
+    return (*covariance_key(stats), np.array([stats.sigma1_sq, stats.sigma2_sq]).tobytes())
+
+
+# The factors of the last covariances covariance_factors saw, keyed by
+# covariance_key.
+_factors = LastValue()
+
+
+def covariance_factors(stats: ChannelStatistics) -> np.ndarray:
+    """The factors of Q11..Q22 stacked as one read-only (4, n, n) array, the
+    held one when stats' covariances have the held key. Every covariance's
+    shape is checked before the key is built, so a matrix of another shape
+    never matches it."""
+    if all(getattr(stats, key).shape == (stats.n, stats.n) for key in COVARIANCE_KEYS):
+        return _factors.get(covariance_key(stats), lambda: _factor_statistics(stats))
+    return _factor_statistics(stats)  # raises, at the first wrong shape or before it
+
+
+def _factor_statistics(stats: ChannelStatistics) -> np.ndarray:
+    """Checks each covariance in turn, its shape, finite entries and
+    factor_covariance, raising ValidationError with its key in front, and
+    returns the factors stacked and read-only."""
+    factors = np.empty((len(COVARIANCE_KEYS), stats.n, stats.n), dtype=np.complex128)
+    for k, key in enumerate(COVARIANCE_KEYS):
         Q = getattr(stats, key)
         if Q.shape != (stats.n, stats.n):
             raise ValidationError(
@@ -132,14 +201,11 @@ def validate_statistics(stats: ChannelStatistics) -> ChannelStatistics:
         if not np.all(np.isfinite(Q.real)) or not np.all(np.isfinite(Q.imag)):
             raise ValidationError(f"{key}: non-finite entries")
         try:
-            factor_covariance(Q)
+            factors[k] = factor_covariance(Q)
         except ValidationError as exc:
             raise ValidationError(f"{key}: {exc}") from None
-    for key in ("sigma1_sq", "sigma2_sq"):
-        s = getattr(stats, key)
-        if not np.isfinite(s) or s <= 0.0:
-            raise ValidationError(f"{key}: must be a finite positive number, got {s}")
-    return stats
+    factors.flags.writeable = False
+    return factors
 
 
 def factor_covariance(Q: np.ndarray) -> np.ndarray:
@@ -239,7 +305,7 @@ def gaussian_sample_arrays(
     # which rounds differently: a single realization is drawn as the first of
     # two, so that it equals its row in any longer range.
     rows = 2 if count == 1 else count
-    factors = [factor_covariance(stats.covariance(key)).T for key in CHANNEL_KEYS]
+    factors = [L.T for L in covariance_factors(stats)]
     u = np.empty((rows, 4, n, _UNIFORMS_PER_ENTRY))
     amp = np.empty((rows, 4, n))
     out = {key: np.empty((rows, n), dtype=np.complex128) for key in CHANNEL_KEYS}

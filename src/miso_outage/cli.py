@@ -7,12 +7,14 @@ echoes the full config, so every output file is reproducible from its
 manifest alone. All randomness is seeded from the config; timing goes to
 stderr to keep the written files byte-stable across runs and worker counts.
 A process that runs several commands parses each run-config once: load_config
-holds the last one parsed, keyed by the file's exact text, by regions'
-keep-the-last rule (LastValue). By the same rule RunConfig.stat_search holds
-the last statistical-CSI search, keyed by the exact bytes of everything it
-depends on (n, covariances, noise powers, pair count, search seed and curve
-points), so configs that differ only in scenario, tolerances or sampling
-share its pairs and means. clear_config_cache drops both.
+holds the last one parsed, keyed by the file's exact text, by the package's
+keep-the-last rule (channel.LastValue). By the same rule RunConfig.stat_search
+holds the last statistical-CSI search, keyed by the exact bytes of everything
+it depends on (n, covariances, noise powers, pair count, search seed and
+curve points), so configs that differ only in scenario, tolerances or
+sampling share its pairs and means, and channel holds the factors of the
+last covariances validated, so such configs validate without factoring
+them again. clear_config_cache drops all three.
 
 Complex matrices serialize as nested arrays of [re, im] pairs. The schema is
 strict: unknown fields, missing fields, fields that do not apply to the
@@ -48,8 +50,11 @@ from .channel import (
     COVARIANCE_KEYS,
     ChannelRealization,
     ChannelStatistics,
+    LastValue,
     SampleSource,
     ValidationError,
+    _factors,
+    statistics_key,
 )
 from .outage_mc import estimate_case_probs, read_only, simulate_policy
 from .rate_core import RATE_SLACK, gamma_from_rate, power_frontier
@@ -57,11 +62,9 @@ from .regions import (
     CSV_COLUMNS,
     GridConfig,
     InstantaneousRegionPipeline,
-    LastValue,
     OutageSpec,
     bias_interval,
     power_scale_checked,
-    statistics_key,
     verdict,
     write_boundary_csv,
 )
@@ -383,10 +386,12 @@ _configs = LastValue()
 
 
 def clear_config_cache() -> None:
-    """Forget the cached run-config and statistical-CSI search, so the next
-    load_config parses again and the next stat_search draws its pairs again."""
+    """Forget the cached run-config, statistical-CSI search and covariance
+    factors, so the next load_config parses and factors again and the next
+    stat_search draws its pairs again."""
     _configs.clear()
     _searches.clear()
+    _factors.clear()
 
 
 def load_config(path: str) -> RunConfig:

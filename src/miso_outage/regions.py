@@ -45,19 +45,20 @@ again on the fixed values that leaves (_trace_column). column(),
 precompute_columns (column over a list) and witness_rates refine every
 searched row (Column.exact).
 
-What a process keeps between commands (the sampled stream and its column
-store here, the policy split on each Column, the run-config and the
-beamformer search in cli) is held by one rule, LastValue: the value built
-for the last key is returned for an equal key; any other key drops it
-before the next value is built, so two are never held at once, and a build
-that raises leaves nothing held. A Gaussian stream is sampled once per
-process: pipelines on the same statistics, seed, count and noise share one
-sampled stream (the frontiers and single-user rates), keyed by the exact
-bytes of those inputs, and clear_stream_cache drops it. Explicit-channel
-sources are never cached. A stream's column store holds the Column of the
-last r1 read, keyed by that r1; trace_variants empties it. A stream's
-arrays and columns are read-only, so a write into one raises instead of
-changing a later call's result.
+What a process keeps between commands (the covariance factors in channel,
+the sampled stream and its column store here, the policy split on each
+Column, the run-config and the beamformer search in cli) is held by one
+rule, channel.LastValue: the value built for the last key is returned for
+an equal key; any other key drops it before the next value is built, so
+two are never held at once, and a build that raises leaves nothing held.
+A Gaussian stream is sampled once per process: pipelines on the same
+statistics, seed, count and noise share one sampled stream (the frontiers
+and single-user rates), keyed by the exact bytes of those inputs, and
+clear_stream_cache drops it. Explicit-channel sources are never cached. A
+stream's column store holds the Column of the last r1 read, keyed by that
+r1; trace_variants empties it. A stream's arrays and columns are
+read-only, so a write into one raises instead of changing a later call's
+result.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import COVARIANCE_KEYS, ChannelStatistics, SampleSource, check_integer
+from .channel import LastValue, SampleSource, check_integer, statistics_key
 from .outage_mc import (
     CaseProbabilities,
     PolicySplit,
@@ -566,27 +567,6 @@ def _read_only_view(array: np.ndarray) -> np.ndarray:
     return view
 
 
-class LastValue:
-    """A one-entry cache, the keep-the-last rule of the module docstring:
-    get(key, build) returns the held value if key equals its key, else drops
-    it and holds build()'s value under key; clear() drops it. It holds the
-    sampled stream, the stream's Column by r1, the policy split on a Column
-    and, in cli, the run-config and the statistical-CSI search."""
-
-    def __init__(self):
-        self._entry = None
-
-    def clear(self) -> None:
-        self._entry = None
-
-    def get(self, key, build):
-        if self._entry is None or self._entry[0] != key:
-            # Dropped first: not held while build runs, nor after it raises.
-            self._entry = None
-            self._entry = (key, build())
-        return self._entry[1]
-
-
 class Column:
     """The column at r1: per realization the largest achievable r2 (values)
     and the interference q2* of transmitter 2 that attains it, case B's
@@ -616,8 +596,9 @@ class Column:
     it as their exact values. A counted r2 stays exact, since refining more
     rows never moves a row across a threshold it was decided at, so the
     count memo is the one record of where the Column is exact. Its counts
-    are the exact column's whatever it has refined before, and exact()
-    refines every row still in doubt. policy, a LastValue, holds the last
+    are the exact column's whatever it has refined before. exact() refines
+    every row still in doubt and drops the bounds, so a count at a new r2
+    then tests no row. policy, a LastValue, holds the last
     PolicySplit taken on the column, keyed by (r2, coin seed): a bias sweep
     at one rate point reuses it. The arrays it shows are read-only.
     """
@@ -660,8 +641,10 @@ class Column:
             bounds.q2[rows] = q2
 
     def exact(self) -> None:
-        """Refine every row still in doubt: values is the exact column."""
+        """Refine every row still in doubt: values is the exact column, and
+        the bounds, which values and q2 view, are no longer needed."""
         self.refine_rows(np.arange(self.values.size))
+        self._bounds = None
 
     def at_zero(self) -> CaseProbabilities:
         """The counts at r2 = 0, the same on every column at this r1, so the
@@ -751,16 +734,6 @@ _streams = LastValue()
 def clear_stream_cache() -> None:
     """Forget the cached stream, so the next pipeline on it samples it again."""
     _streams.clear()
-
-
-def statistics_key(stats: ChannelStatistics) -> tuple:
-    """n, the four covariances and both noise powers of stats, as exact
-    bytes: the part of a cache key that the statistics give."""
-    return (
-        stats.n,
-        *(stats.covariance(key).tobytes() for key in COVARIANCE_KEYS),
-        np.array([stats.sigma1_sq, stats.sigma2_sq]).tobytes(),
-    )
 
 
 def _stream_key(source: SampleSource, noise: tuple[float, float]) -> tuple:

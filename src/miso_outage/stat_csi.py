@@ -39,10 +39,11 @@ boundary is the one of every point inverted, bit for bit.
 
 A process holds one search: cli's RunConfig.stat_search keys it by the
 exact bytes of n, the covariances, both noise powers, the pair count, the
-search seed and the curve points (regions' keep-the-last rule, LastValue).
-Commands on the same statistics and search block, such as a common-outage
-region, then an individual-outage one, then a point sweep, draw the pairs
-and form the means once; cli.clear_config_cache drops the search.
+search seed and the curve points (the package's keep-the-last rule,
+channel.LastValue). Commands on the same statistics and search block, such
+as a common-outage region, then an individual-outage one, then a point
+sweep, draw the pairs and form the means once; cli.clear_config_cache
+drops the search.
 """
 
 from __future__ import annotations

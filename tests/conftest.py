@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from miso_outage import channel
 from miso_outage.channel import CHANNEL_KEYS, ChannelRealization, ChannelStatistics, SampleSource
 from miso_outage.cli import clear_config_cache
 from miso_outage.presets import demo_statistics
@@ -65,6 +66,19 @@ BAD_NOISES = [
     for bad in (0.0, -0.5, math.nan, math.inf)
     for pair in ((bad, 0.5), (0.5, bad))
 ]
+
+
+def count_factorizations(monkeypatch) -> list:
+    """Log of the matrices channel.factor_covariance is called on from here on."""
+    calls = []
+    factor = channel.factor_covariance
+
+    def logged(Q):
+        calls.append(np.array(Q))
+        return factor(Q)
+
+    monkeypatch.setattr(channel, "factor_covariance", logged)
+    return calls
 
 
 def realizations(source: SampleSource, start: int, stop: int) -> list[ChannelRealization]:

@@ -84,7 +84,10 @@ class TestStatisticsValidation:
     def test_covariances_are_decided_by_factor_covariance(self, monkeypatch):
         """validate_statistics runs no covariance test of its own: with
         factor_covariance stubbed to accept, an indefinite Q validates, and a
-        factor_covariance error is raised with the key in front."""
+        factor_covariance error is raised with the key in front. The
+        accepted factors are held by the statistics' covariance key, so the
+        holder is emptied before the reject stub runs on the same
+        statistics."""
         seen = []
 
         def accept(Q):
@@ -105,6 +108,7 @@ class TestStatisticsValidation:
         def reject(Q):
             raise ValidationError("sentinel")
 
+        channel._factors.clear()
         monkeypatch.setattr(channel, "factor_covariance", reject)
         with pytest.raises(ValidationError, match="^Q11: sentinel$"):
             validate_statistics(stats)

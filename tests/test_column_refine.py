@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miso_outage import rate_core
+from miso_outage import rate_core, regions
 from miso_outage.channel import ChannelStatistics, SampleSource
 from miso_outage.cli import SCENARIOS, parse_config
 from miso_outage.presets import demo_config
@@ -213,7 +213,9 @@ def test_column_outside_on_the_lower_bound_inside_on_the_upper(demo_source, monk
 
 def test_empty_window(demo_source, monkeypatch):
     """No searched row (r1 = 0), or bounds that decide every count (both
-    equal to the exact values): the traces are exact with no refine."""
+    equal to the exact values): the traces are exact with no refine. And
+    the store's Column once column(r1) has made it exact: a count at a new
+    r2 neither refines nor tests a row's reach."""
     pipeline = InstantaneousRegionPipeline(demo_source, NOISE)
     spec, variants = scenario_spec("individual-inst")
     grid = demo_grid(pipeline)
@@ -223,7 +225,13 @@ def test_empty_window(demo_source, monkeypatch):
         pipeline, 0.0, spec, grid, variants)
     r1 = float(grid.r1_values[4])
     expected = exact_trace(pipeline, r1, spec, grid, variants)
+    pipeline.column(r1)
+    reached = []
+    reaches = regions._reaches
+    monkeypatch.setattr(regions, "_reaches", lambda *args: reached.append(args) or reaches(*args))
     sizes.clear()
+    assert pipeline.case_probs(r1, 0.3) == exact_column(pipeline, r1).case_probs(0.3)
+    assert sizes == [] and reached == []
     with_bounds(monkeypatch, pipeline, tighten)
     assert pipeline._bounds(r1).searched.size > 0
     assert pipeline._trace_column(r1, spec, grid, variants) == expected

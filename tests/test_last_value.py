@@ -1,8 +1,9 @@
-"""The keep-the-last rule of `regions.LastValue` on each of its five uses:
+"""The keep-the-last rule of `channel.LastValue` on each of its six uses:
 the sampled stream (keyed by `_stream_key`), the run-config (keyed by the
 file's text), the statistical-CSI search (keyed by its statistics and search
 block), the policy split (keyed by r2 and the coin seed, on the Column at
-r1) and the stream's column store (keyed by r1).
+r1), the stream's column store (keyed by r1) and the covariance factors
+(keyed by `covariance_key`).
 
 An equal key returns the held value without building it again. Another key
 drops the held value before its build runs, so two values are never held at
@@ -16,10 +17,11 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable
 
+import numpy as np
 import pytest
 
-from miso_outage import cli, regions
-from miso_outage.channel import SampleSource
+from miso_outage import channel, cli, regions
+from miso_outage.channel import ChannelStatistics, SampleSource, ValidationError
 from miso_outage.presets import demo_config
 from miso_outage.rate_core import gamma_from_rate
 from miso_outage.regions import InstantaneousRegionPipeline
@@ -98,8 +100,21 @@ def column_store_use(demo_stats, tmp_path, monkeypatch) -> Use:
     return Use(regions, "max_r2_batch", pipeline._column, (0.3, 0.6, 0.9), ValueError)
 
 
-@pytest.fixture(params=[stream_use, config_use, search_use, policy_split_use, column_store_use],
-                ids=["stream", "config", "search", "policy split", "column store"])
+def factors_use(demo_stats, tmp_path, monkeypatch) -> Use:
+    def scaled(c, Q21=None):
+        Q = {key: c * demo_stats.covariance(key) for key in channel.COVARIANCE_KEYS}
+        if Q21 is not None:
+            Q["Q21"] = Q21
+        return ChannelStatistics(demo_stats.n, **Q, sigma1_sq=0.5, sigma2_sq=0.5)
+
+    # An indefinite Q21: its factorization raises.
+    keys = (scaled(1.0), scaled(2.0), scaled(1.0, np.diag([1.0, -0.5])))
+    return Use(channel, "_factor_statistics", channel.covariance_factors, keys, ValidationError)
+
+
+@pytest.fixture(params=[stream_use, config_use, search_use, policy_split_use, column_store_use,
+                        factors_use],
+                ids=["stream", "config", "search", "policy split", "column store", "factors"])
 def use(request, demo_stats, tmp_path, monkeypatch):
     return request.param(demo_stats, tmp_path, monkeypatch)
 

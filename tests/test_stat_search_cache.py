@@ -3,8 +3,9 @@
 Commands on one set of statistics and one search block share one search:
 its pairs are drawn and its means formed once, and every output equals the
 cold run's. A change of any input the search depends on builds it again,
-and its arrays are read-only. The swapped-users oracle runs through the
-same cache, with two search keys alternating in it.
+and its arrays are read-only. The session's covariances are factored once
+too (`channel.covariance_factors`). The swapped-users oracle runs through
+the same cache, with two search keys alternating in it.
 """
 
 import copy
@@ -15,8 +16,11 @@ import numpy as np
 import pytest
 
 from miso_outage import cli, regions
-from miso_outage.presets import demo_config
+from miso_outage.channel import COVARIANCE_KEYS
+from miso_outage.presets import demo_config, demo_statistics
 from miso_outage.stat_csi import StatRegionSearch, draw_beamformer_pairs
+
+from conftest import count_factorizations
 
 STAT_SCENARIOS = ("common-stat", "individual-stat")
 
@@ -52,16 +56,22 @@ def run(argv: list, capsys) -> tuple:
 
 
 def test_one_draw_for_a_stat_session(tmp_path, capsys, monkeypatch):
-    """common-stat region, individual-stat region, a stat point and the
-    common-stat region again draw the pairs once and print and write the
-    bytes of cold runs, each of which starts with nothing held."""
+    """common-stat region, individual-stat region, a stat point, the
+    common-stat region again and an individual-inst point on another stream
+    of the same statistics draw the pairs once and factor the four
+    covariances once (channel.covariance_factors), across four validations
+    and two sampled streams, and print and write the bytes of cold runs,
+    each of which starts with nothing held."""
     configs = {s: write_config(tmp_path, s, demo_config(s, mc_samples=1000))
                for s in STAT_SCENARIOS}
+    configs["individual-inst"] = write_config(
+        tmp_path, "individual-inst", demo_config("individual-inst", mc_samples=1000, seed=1))
     session = [
         ["region", configs["common-stat"], "--out", "common-1"],
         ["region", configs["individual-stat"], "--out", "individual"],
         ["point", configs["common-stat"], "0.5", "0.5"],
         ["region", configs["common-stat"], "--out", "common-2"],
+        ["point", configs["individual-inst"], "0.9", "0.8"],
     ]
     session = [[*argv[:3], str(tmp_path / argv[3])] if argv[0] == "region" else argv
                for argv in session]
@@ -73,9 +83,13 @@ def test_one_draw_for_a_stat_session(tmp_path, capsys, monkeypatch):
     cli.clear_config_cache()
     regions.clear_stream_cache()
     draws = count_draws(monkeypatch)
+    factorizations = count_factorizations(monkeypatch)
     for argv, want in zip(session, cold):
         assert run(argv, capsys) == want, argv
     assert draws == [(2, 64, 9)]
+    demo = demo_statistics()
+    assert ([Q.tobytes() for Q in factorizations]
+            == [demo.covariance(key).tobytes() for key in COVARIANCE_KEYS])
 
 
 def search_doc(**search) -> dict:
